@@ -33,11 +33,18 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
+    except KeyError as exc:
+        print(f"error: invalid config: missing required field params.{exc.args[0]}",
+              file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     verdicts = payload.get("verdicts", {})
     for name, ok in sorted(verdicts.items()):
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
     print(f"artifacts written to {config.output_dir}")
-    return 0
+    return 0 if all(verdicts.values()) else 1
 
 
 def _cmd_oracle_check(args) -> int:

@@ -187,20 +187,6 @@ def correlation_blocks(state: np.ndarray, cs: list) -> np.ndarray:
     return G
 
 
-def cstar_c_matrix(state: np.ndarray, cs: list) -> np.ndarray:
-    """n x n matrix of <c_j^* c_k>."""
-    n = len(cs)
-    out = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            op = cs[j].conj().T @ cs[k]
-            if state.ndim == 1:
-                out[j, k] = state.conj() @ (op @ state)
-            else:
-                out[j, k] = np.trace(state @ op)
-    return out
-
-
 def spin_basis_index(n: int, up_sites) -> int:
     """Index of the spin product basis vector with up-spins exactly at
     `up_sites` (1-based); site 1 is the most significant bit and the

@@ -14,8 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import ChainSpec
-from .hamiltonian import BogoliubovDecomposition, build_M, diagonalize
-from .quasifree import CorrelationMatrix, eigenstate_gamma, evolve_gamma, quench_initial_gamma
+from .hamiltonian import BogoliubovDecomposition, SpectralDecomposition, build_M, diagonalize
+from .quasifree import (
+    CorrelationMatrix,
+    eigenstate_gamma,
+    quench_initial_gamma,
+    restricted_series,
+)
 
 LN2 = float(np.log(2.0))
 
@@ -54,19 +59,25 @@ def block_spectral_norms(gamma: np.ndarray, n: int) -> np.ndarray:
     return np.sqrt(0.5 * (frob2 + disc))
 
 
-def entropy_from_gamma(cm: CorrelationMatrix, cut: Cut) -> float:
-    """Von Neumann entropy of the reduction to [1, ell]: -sum zeta ln zeta
-    over the upper-left 2*ell block spectrum, eigenvalues clamped to
-    [1e-12, 1 - 1e-12] (projector spectra hit exact 0/1)."""
-    cut.check(cm.n)
-    block = cm.gamma[: 2 * cut.ell, : 2 * cut.ell]
-    zeta = np.linalg.eigvalsh(block)
-    if zeta[0] < -1e-9 or zeta[-1] > 1 + 1e-9:
+def _spectrum_entropy(zeta: np.ndarray, checked: bool = False):
+    """-sum zeta ln zeta over the last axis of restricted-block spectra,
+    eigenvalues clamped to [1e-12, 1 - 1e-12] (projector spectra hit
+    exact 0/1).  `checked` first rejects any eigenvalue outside [0, 1]
+    by more than 1e-9."""
+    if checked and zeta.size and (zeta.min() < -1e-9 or zeta.max() > 1 + 1e-9):
         raise ValueError(
-            f"restricted spectrum outside [0,1]: [{zeta[0]:.3e}, {zeta[-1]:.3e}]"
+            f"restricted spectrum outside [0,1]: [{zeta.min():.3e}, {zeta.max():.3e}]"
         )
     zeta = np.clip(zeta, 1e-12, 1 - 1e-12)
-    return float(-np.sum(zeta * np.log(zeta)))
+    return -np.sum(zeta * np.log(zeta), axis=-1)
+
+
+def entropy_from_gamma(cm: CorrelationMatrix, cut: Cut) -> float:
+    """Von Neumann entropy of the reduction to [1, ell]: -sum zeta ln zeta
+    over the upper-left 2*ell block spectrum."""
+    cut.check(cm.n)
+    block = cm.gamma[: 2 * cut.ell, : 2 * cut.ell]
+    return float(_spectrum_entropy(np.linalg.eigvalsh(block), checked=True))
 
 
 def entropy_from_right_block(cm: CorrelationMatrix, cut: Cut) -> float:
@@ -74,8 +85,7 @@ def entropy_from_right_block(cm: CorrelationMatrix, cut: Cut) -> float:
     for pure states)."""
     cut.check(cm.n)
     block = cm.gamma[2 * cut.ell :, 2 * cut.ell :]
-    zeta = np.clip(np.linalg.eigvalsh(block), 1e-12, 1 - 1e-12)
-    return float(-np.sum(zeta * np.log(zeta)))
+    return float(_spectrum_entropy(np.linalg.eigvalsh(block)))
 
 
 def ps_bound(cm: CorrelationMatrix, cut: Cut) -> float:
@@ -132,8 +142,7 @@ def max_eigenstate_entropy(
         sel[0::2] = 1 - alpha
         sel[1::2] = alpha
         block = WA.T @ (sel[:, None] * WA)
-        zeta = np.clip(np.linalg.eigvalsh(block), 1e-12, 1 - 1e-12)
-        s = float(-np.sum(zeta * np.log(zeta)))
+        s = float(_spectrum_entropy(np.linalg.eigvalsh(block)))
         if s > best:
             best = s
             best_alpha = np.array(alpha, dtype=int)
@@ -144,17 +153,25 @@ def max_eigenstate_entropy(
 
 
 def quench_entropy(
-    chain: ChainSpec, cut: Cut, alpha_left, alpha_right, times
+    chain: ChainSpec, cut: Cut, alpha_left, alpha_right, times,
+    sd_M: SpectralDecomposition | None = None,
 ) -> np.ndarray:
     """Entanglement of an initially unentangled pair of half-chain
-    eigenstates, evolved under the full chain; one entropy per time."""
+    eigenstates, evolved under the full chain; one entropy per time.
+
+    The left block of the evolved correlation matrix is formed for the
+    whole grid in the eigenbasis of M (restricted_series) and its spectra
+    are taken in one batched call.  sd_M, the decomposition of build_M(chain),
+    may be passed in so that one decomposition serves every cut of a chain.
+    """
     cut.check(chain.n)
     gamma0, _, _ = quench_initial_gamma(chain, cut.ell, alpha_left, alpha_right)
-    sd = diagonalize(build_M(chain))
-    out = np.empty(len(times))
-    for i, t in enumerate(times):
-        out[i] = entropy_from_gamma(evolve_gamma(gamma0, sd, float(t)), cut)
-    return out
+    if sd_M is None:
+        sd_M = diagonalize(build_M(chain))
+    V = sd_M.eigenvectors
+    G = V.T @ gamma0.gamma @ V
+    blocks = restricted_series(V[: 2 * cut.ell, :], sd_M.eigenvalues, G, times)
+    return _spectrum_entropy(np.linalg.eigvalsh(blocks), checked=True)
 
 
 def thermal_entanglement_of_formation_bound(
@@ -176,8 +193,7 @@ def thermal_entanglement_of_formation_bound(
         sel = np.empty(2 * n)
         sel[0::2] = 1 - alpha
         sel[1::2] = alpha
-        zeta = np.clip(np.linalg.eigvalsh(WA.T @ (sel[:, None] * WA)), 1e-12, 1 - 1e-12)
-        return float(-np.sum(zeta * np.log(zeta)))
+        return float(_spectrum_entropy(np.linalg.eigvalsh(WA.T @ (sel[:, None] * WA))))
 
     if n <= 14:
         if np.isinf(beta):

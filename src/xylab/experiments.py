@@ -160,14 +160,31 @@ def aggregate(values) -> dict:
 
 
 def effective_workers(config_workers: int) -> int:
+    """The config's worker count, or XYLAB_WORKERS when that is set; the
+    variable must be an integer >= 1."""
     env = os.environ.get("XYLAB_WORKERS")
-    return max(1, int(env)) if env else config_workers
+    if not env:
+        return config_workers
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"XYLAB_WORKERS must be an integer >= 1, got {env!r}")
+    return workers
+
+
+def pool_size(requested: int, realizations: int, cpus: int | None) -> int:
+    """Processes worth starting: no more than the requested workers, the
+    realizations to share out, or the CPUs (None counts as one)."""
+    return max(1, min(requested, realizations, cpus or 1))
 
 
 def map_realizations(fn, ensemble: EnsembleSpec, params: dict, workers: int) -> list:
     """fn(ensemble, i, params) for i = 0..realizations-1, results in
     index order regardless of completion order."""
     indices = range(ensemble.realizations)
+    workers = pool_size(workers, ensemble.realizations, os.cpu_count())
     if workers <= 1:
         return [fn(ensemble, i, params) for i in indices]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -229,14 +246,14 @@ def _real_clustering(ensemble, i, params):
     rng = np.random.default_rng(params.get("state_seed", 0) + i)
     occ = rng.integers(0, 2, size=n)
     V = sd.eigenvectors
-    rho = (V[:, occ == 1]) @ (V[:, occ == 1]).T
     times = np.asarray(params["times"])
     sup = np.zeros((n, n))
     lam = sd.eigenvalues
+    # rho = V diag(occ) V^t and 1 - rho are spectral projectors of A, so
+    # K1 = rho e^{2itA} and K2 = e^{-2itA} (1 - rho) are single products
     for t in times:
-        U = (V * np.exp(2j * t * lam)) @ V.T
-        K1 = rho @ U
-        K2 = U.conj() @ (np.eye(n) - rho)
+        K1 = (V * (occ * np.exp(2j * t * lam))) @ V.T
+        K2 = (V * ((1 - occ) * np.exp(-2j * t * lam))) @ V.T
         np.maximum(sup, np.abs(K1.T * K2), out=sup)
     return distance_profile(sup, params.get("max_distance"))
 
@@ -260,6 +277,7 @@ def _real_entanglement_static(ensemble, i, params):
 def _real_quench(ensemble, i, params):
     chain = sample_chain(ensemble, i)
     times = np.asarray(params["times"])
+    sd = diagonalize(build_M(chain))
     sups = []
     for ell in params["ells"]:
         series = ent.quench_entropy(
@@ -268,6 +286,7 @@ def _real_quench(ensemble, i, params):
             np.zeros(ell, dtype=int),
             np.zeros(chain.n - ell, dtype=int),
             times,
+            sd_M=sd,
         )
         sups.append(float(np.max(series)))
     return sups

@@ -140,6 +140,51 @@ def evolve_gamma(cm: CorrelationMatrix, sd_M: SpectralDecomposition, t: float) -
 
 
 # ---------------------------------------------------------------------------
+# eigenbasis time series: whole time grids after one change of basis
+
+# Complex entries per batched intermediate of restricted_series (1 MiB);
+# longer grids are evaluated in chunks of times so memory stays bounded.
+_SERIES_CHUNK_ENTRIES = 1 << 16
+
+
+def trace_series(lam: np.ndarray, K: np.ndarray, times, scale: float) -> np.ndarray:
+    """sum_ab exp(i scale t (lam_a - lam_b)) K_ab for every t of the grid.
+
+    This is the bilinear trace tr(exp(i scale t X) O exp(-i scale t X) G)
+    of X = V diag(lam) V^t once K = (V^t O V) o (V^t G V)^t is formed: the
+    grid costs one (T x d) @ (d x d) product, with no propagator built.
+    Complex in general; real for Hermitian O and G.
+    """
+    P = np.exp(1j * scale * np.outer(np.asarray(times, dtype=float), lam))
+    return np.einsum("ta,ta->t", P @ K, P.conj())
+
+
+def restricted_series(V_A: np.ndarray, lam: np.ndarray, G: np.ndarray, times) -> np.ndarray:
+    """Stack of the evolved blocks gamma_t[A, A] = V_A e^{-2it lam} G e^{2it lam} V_A^t,
+    with V_A the rows of the eigenvectors of M on the block and
+    G = V^t gamma V the initial state in the eigenbasis of M.
+
+    Equal to the A-block of evolve_gamma at every t at O(|A| d^2) per step;
+    verified Hermitian to 1e-9 and returned Hermitized and complex.
+    """
+    times = np.asarray(times, dtype=float)
+    rows, dim = V_A.shape
+    out = np.empty((len(times), rows, rows), dtype=complex)
+    herm = np.max(np.abs(G - G.conj().T), initial=0.0)
+    chunk = max(1, _SERIES_CHUNK_ENTRIES // (rows * dim))
+    for start in range(0, len(times), chunk):
+        ph = np.exp(-2j * np.outer(times[start : start + chunk], lam))
+        Q = V_A[None, :, :] * ph[:, None, :]
+        blk = (Q @ G) @ Q.conj().transpose(0, 2, 1)
+        blk_h = blk.conj().transpose(0, 2, 1)
+        herm = max(herm, np.max(np.abs(blk - blk_h), initial=0.0))
+        out[start : start + chunk] = 0.5 * (blk + blk_h)
+    if herm > 1e-9:
+        raise ValueError(f"evolved gamma lost Hermiticity: residual {herm:.3e}")
+    return out
+
+
+# ---------------------------------------------------------------------------
 # ordered configurations and determinantal correlations
 
 

@@ -1,9 +1,12 @@
 """Particle and energy observables of evolved particle profiles.
 
-For the particle-conserving (isotropic) chain, both the particle number
-in a region and the energy of an interval restriction reduce to traces
-over the one-particle space, so whole time series cost O(n^2) per time
-step.  The anisotropic energy uses the 2n x 2n effective Hamiltonian.
+Every observable here is a bilinear trace tr(e^{itX} O e^{-itX} G) of
+the one-particle matrix X (A for the particle-conserving chain, the
+2n x 2n effective Hamiltonian M for the anisotropic energy).  After one
+change of basis to the eigenvectors V of X it reads
+sum_ab e^{it(lam_a - lam_b)} K_ab with K = (V^t O V) o (V^t G V)^t, so
+quasifree.trace_series evaluates a whole time grid as one matrix
+product: O(n^2) per time step and no propagator built.
 Ensemble check helpers compare disorder-averaged suprema against the
 bounds implied by fitted eigencorrelator decay.
 """
@@ -17,7 +20,7 @@ import numpy as np
 from .disorder import ChainSpec, EnsembleSpec, sample_chain
 from .eigencorrelator import DecayFit
 from .hamiltonian import build_A, build_M, diagonalize, diagonalize_A
-from .quasifree import CorrelationMatrix, profile_gamma
+from .quasifree import CorrelationMatrix, profile_gamma, trace_series
 
 
 @dataclass(frozen=True)
@@ -87,19 +90,17 @@ def _check_profile_geometry(n: int, s1: Region, s2: Region, eta: np.ndarray) -> 
 
 
 def particle_number_series(chain: ChainSpec, s1: Region, eta, times) -> np.ndarray:
-    """<N_{S1}> along the evolution of the profile state, via the
-    one-particle propagator: sum_j |exp(-2itA)_{j k}|^2 eta_k over j in S1."""
+    """<N_{S1}> along the evolution of the profile state,
+    sum_{j in S1} sum_k |exp(-2itA)_{jk}|^2 eta_k, as the eigenbasis trace
+    series of K = (V_S1^t V_S1) o (V^t D_eta V)."""
     if not chain.isotropic:
         raise ValueError("particle transport applies to the isotropic chain")
     eta = np.asarray(eta, dtype=float)
     sd = diagonalize_A(chain)
-    rows = np.array(s1.sites) - 1
-    Vr = sd.eigenvectors[rows, :]
-    out = np.empty(len(times))
-    for i, t in enumerate(times):
-        amp = (Vr * np.exp(-2j * t * sd.eigenvalues)) @ sd.eigenvectors.T
-        out[i] = float(np.sum(np.abs(amp) ** 2 @ eta))
-    return out
+    V = sd.eigenvectors
+    Vr = V[np.array(s1.sites) - 1, :]
+    K = (Vr.T @ Vr) * ((V.T * eta) @ V)
+    return trace_series(sd.eigenvalues, K, times, scale=-2.0).real
 
 
 def particle_transport_bound(fit: DecayFit, d: int) -> float:
@@ -168,15 +169,10 @@ def energy_series_isotropic(chain: ChainSpec, s1: Region, eta, times) -> np.ndar
     eta = np.asarray(eta, dtype=float)
     A = build_A(chain)
     sd = diagonalize_A(chain)
-    V, lam = sd.eigenvectors, sd.eigenvalues
+    V = sd.eigenvectors
     core = V[idx, :].T @ (A[np.ix_(idx, idx)] @ V[idx, :])
-    weighted = (V * eta[:, None]).T @ V  # D_eta in the eigenbasis
-    out = np.empty(len(times))
-    for i, t in enumerate(times):
-        ph = np.exp(2j * t * lam)
-        rotated = (ph[:, None] * core) * ph.conj()[None, :]
-        out[i] = 2.0 * float(np.real(np.sum(rotated.T * weighted)))
-    return out
+    weighted = (V.T * eta) @ V  # D_eta in the eigenbasis
+    return 2.0 * trace_series(sd.eigenvalues, core * weighted.T, times, scale=2.0).real
 
 
 def energy_transport_bound(fit: DecayFit, d: int, matrix_norm_bound: float) -> float:
@@ -232,21 +228,13 @@ def energy_fluctuation_series(chain: ChainSpec, s1: Region, eta, times) -> np.nd
     anisotropic) chain: -tr(exp(2itM) M_{S1} exp(-2itM) Gamma) minus its
     t = 0 value."""
     idx = _interval_projector_indices(s1)
-    n = chain.n
     M = build_M(chain)
     sd = diagonalize(M)
-    MS1 = np.zeros_like(M)
     rows = np.sort(np.concatenate([2 * idx, 2 * idx + 1]))
-    MS1[np.ix_(rows, rows)] = M[np.ix_(rows, rows)]
-    gamma = profile_gamma(eta).gamma
-    V, lam = sd.eigenvectors, sd.eigenvalues
-    core = V.T @ MS1 @ V
-    gv = V.T @ gamma @ V
-    out = np.empty(len(times))
-    for i, t in enumerate(times):
-        ph = np.exp(2j * t * lam)
-        rotated = (ph[:, None] * core) * ph.conj()[None, :]
-        out[i] = -float(np.real(np.sum(rotated.T * gv)))
+    V = sd.eigenvectors
+    core = V[rows, :].T @ (M[np.ix_(rows, rows)] @ V[rows, :])  # M_S1 in the eigenbasis
+    gv = (V.T * np.diag(profile_gamma(eta).gamma)) @ V
+    out = -trace_series(sd.eigenvalues, core * gv.T, times, scale=2.0).real
     return out - out[0]
 
 

@@ -226,3 +226,29 @@ def test_cut_validation():
     cm = qf.profile_gamma([0.0, 0.0])
     with pytest.raises(ValueError):
         ent.entropy_from_gamma(cm, ent.Cut(2))
+
+
+@pytest.mark.parametrize("bonds", ["anisotropic", "gamma_pm1", "zero_bond"])
+def test_quench_entropy_matches_per_step_evolution(rng, bonds):
+    # the eigenbasis series against evolving the full correlation matrix
+    # step by step and taking each restricted spectrum
+    n = 8
+    mu = rng.uniform(-1, 1, n - 1)
+    gamma = rng.uniform(-0.8, 0.8, n - 1)
+    if bonds == "gamma_pm1":
+        gamma = rng.choice([-1.0, 1.0], n - 1)
+    if bonds == "zero_bond":
+        mu[4] = 0.0  # splits the chain between sites 5 and 6
+    ch = make_chain(mu, gamma, rng.uniform(-1.5, 1.5, n))
+    sd = ham.diagonalize(ham.build_M(ch))
+    times = np.arange(0.0, 6.0, 0.5)
+    for ell in (1, 3, 5, 7):
+        a_left = rng.integers(0, 2, ell)
+        a_right = rng.integers(0, 2, n - ell)
+        series = ent.quench_entropy(ch, ent.Cut(ell), a_left, a_right, times)
+        gamma0, _, _ = qf.quench_initial_gamma(ch, ell, a_left, a_right)
+        loop = [ent.entropy_from_gamma(qf.evolve_gamma(gamma0, sd, t), ent.Cut(ell))
+                for t in times]
+        assert np.max(np.abs(series - loop)) <= 1e-10
+        shared = ent.quench_entropy(ch, ent.Cut(ell), a_left, a_right, times, sd_M=sd)
+        assert np.array_equal(series, shared)

@@ -300,3 +300,66 @@ def test_xylab_workers_env_override(tmp_path, monkeypatch):
     assert xp.effective_workers(1) == 2
     monkeypatch.delenv("XYLAB_WORKERS")
     assert xp.effective_workers(3) == 3
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_xylab_workers_env_rejects_non_positive_integers(monkeypatch, value):
+    monkeypatch.setenv("XYLAB_WORKERS", value)
+    with pytest.raises(xp.ConfigError, match="XYLAB_WORKERS"):
+        xp.effective_workers(1)
+
+
+def test_pool_size_clamps_to_realizations_and_cpus():
+    assert xp.pool_size(1000, 50, 2) == 2
+    assert xp.pool_size(8, 3, 16) == 3
+    assert xp.pool_size(2, 50, 16) == 2
+    assert xp.pool_size(4, 10, None) == 1
+    assert xp.pool_size(4, 0, 8) == 1
+
+
+def test_clustering_matches_dense_projector_formula():
+    ensemble = xp.EnsembleSpec.from_json(ensemble_json(n=12, realizations=1, eps=0.3))
+    times = np.arange(0.0, 4.01, 0.5)
+    profile = xp._real_clustering(ensemble, 0, {"times": times, "state_seed": 3})
+    sd = xp.diagonalize_A(xp.sample_chain(ensemble, 0))
+    V, lam = sd.eigenvectors, sd.eigenvalues
+    occ = np.random.default_rng(3).integers(0, 2, size=12)
+    rho = V[:, occ == 1] @ V[:, occ == 1].T
+    sup = np.zeros((12, 12))
+    for t in times:
+        U = (V * np.exp(2j * t * lam)) @ V.T
+        sup = np.maximum(sup, np.abs((rho @ U).T * (U.conj() @ (np.eye(12) - rho))))
+    assert np.max(np.abs(profile - xp.distance_profile(sup))) < 1e-14
+
+
+@pytest.mark.parametrize("experiment, params, named", [
+    ("entanglement_static", {"strategy": "sampled", "samples": 4}, "params.ells"),
+    ("eigencorrelator", {"min_distance": 7, "max_distance": 8}, "fit window"),
+])
+def test_cli_run_bad_params_give_one_line_error(tmp_path, experiment, params, named):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({
+        "experiment": experiment,
+        "ensemble": ensemble_json(n=8, realizations=2),
+        "params": params,
+        "output_dir": str(tmp_path / "out"),
+    }))
+    r = _run_cli(["run", str(cfg_path)], tmp_path)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ") and r.stderr.count("\n") == 1
+    assert named in r.stderr
+
+
+def test_cli_run_exits_nonzero_on_failed_verdict(tmp_path):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({
+        "experiment": "eigencorrelator",
+        "ensemble": ensemble_json(n=12, realizations=2),
+        "params": {"min_distance": 1, "max_distance": 8, "r2_min": 1.01},
+        "output_dir": str(tmp_path / "out"),
+    }))
+    r = _run_cli(["run", str(cfg_path)], tmp_path)
+    assert r.returncode == 1, r.stderr
+    assert "FAIL  log_linear" in r.stdout
+    assert "PASS  eta_positive" in r.stdout

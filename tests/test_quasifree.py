@@ -253,3 +253,42 @@ def test_purity_preserved_under_evolution(rng):
     cm = qf.eigenstate_gamma(bog, [1, 0, 0, 1, 0])
     evolved = qf.evolve_gamma(cm, sd, 3.3)
     assert evolved.purity_defect() < 1e-8
+
+
+def test_trace_series_matches_per_step_propagator(rng):
+    n = 7
+    ch = random_chain(rng, n)
+    sd = ham.diagonalize(ham.build_M(ch))
+    V, lam = sd.eigenvectors, sd.eigenvalues
+    O = rng.normal(size=(2 * n, 2 * n))
+    O = O + O.T
+    G = qf.profile_gamma(rng.uniform(0, 1, n)).gamma
+    K = (V.T @ O @ V) * (V.T @ G @ V).T
+    times = np.array([0.0, 0.35, 1.2, 4.0])
+    series = qf.trace_series(lam, K, times, scale=2.0)
+    for t, value in zip(times, series):
+        U = sd.propagator(t, scale=-2.0)  # exp(2itM)
+        assert abs(value - np.trace(U @ O @ U.conj().T @ G)) < 1e-12
+
+
+def test_restricted_series_matches_evolve_gamma_blocks(rng):
+    n, ell = 6, 2
+    ch = random_chain(rng, n)
+    sd = ham.diagonalize(ham.build_M(ch))
+    gamma0, _, _ = qf.quench_initial_gamma(ch, 3, [0, 1, 0], [1, 0, 0])
+    V = sd.eigenvectors
+    times = np.array([0.0, 0.4, 2.5])
+    blocks = qf.restricted_series(V[: 2 * ell], sd.eigenvalues, V.T @ gamma0.gamma @ V, times)
+    assert blocks.shape == (3, 2 * ell, 2 * ell)
+    for t, blk in zip(times, blocks):
+        full = qf.evolve_gamma(gamma0, sd, t).gamma
+        assert np.max(np.abs(blk - full[: 2 * ell, : 2 * ell])) < 1e-12
+
+
+def test_restricted_series_rejects_non_hermitian_state(rng):
+    n = 4
+    sd = ham.diagonalize(ham.build_M(random_chain(rng, n)))
+    G = np.eye(2 * n)
+    G[0, 3] = 1e-6  # anti-Hermitian part 1e-6, far above the 1e-9 tolerance
+    with pytest.raises(ValueError, match="lost Hermiticity"):
+        qf.restricted_series(sd.eigenvectors[:2], sd.eigenvalues, G, [0.0, 1.0])
