@@ -7,6 +7,13 @@ time-evolution amplitudes uniformly in t.  Disorder-averaged tables are
 fitted log-linearly in distance, and the fitted constants (C, eta) feed
 the zero-velocity commutator bounds and the transport/entanglement
 bounds downstream.
+
+The sup-over-time kernels (the propagator amplitudes and the clustering
+kernel) never build a propagator.  Every entry (j, k) of a symmetric
+spectral function of X is w . g(lam) with w = V[j] o V[k], so for the
+pairs j <= k that reach the output a chunk of the time grid is one real
+product of the stacked w against cos/sin rows, and the running max is
+kept in place: O(n^2) per time step instead of an O(n^3) product.
 """
 
 from __future__ import annotations
@@ -16,7 +23,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import EnsembleSpec, sample_chain
-from .hamiltonian import SpectralDecomposition, build_M, diagonalize, diagonalize_A
+from .hamiltonian import (
+    SpectralDecomposition,
+    block_norms,
+    build_M,
+    diagonalize,
+    diagonalize_A,
+)
 
 
 def eigencorrelator_table(sd: SpectralDecomposition, block: bool = False) -> np.ndarray:
@@ -39,35 +52,101 @@ def eigencorrelator_table(sd: SpectralDecomposition, block: bool = False) -> np.
     return U @ U.T
 
 
+# Entries per stacked product of a whole-grid kernel (1 MiB of float64);
+# longer grids are taken in chunks of times, so memory stays bounded.
+_GRID_CHUNK_ENTRIES = 1 << 17
+
+
+def _upper_pairs(n: int, max_distance: int | None = None):
+    """Index arrays (j, k) of the pairs j <= k <= j + max_distance (every
+    pair j <= k when max_distance is None)."""
+    j, k = np.triu_indices(n)
+    if max_distance is None:
+        return j, k
+    keep = k - j <= max_distance
+    return j[keep], k[keep]
+
+
+def _grid_chunks(times: np.ndarray, per_time: int):
+    """Consecutive slices of the grid whose stacked products hold at most
+    _GRID_CHUNK_ENTRIES entries, per_time of them per time."""
+    step = max(1, _GRID_CHUNK_ENTRIES // per_time)
+    return (times[s : s + step] for s in range(0, len(times), step))
+
+
+def _trig(phase: np.ndarray, weights=(1.0,)) -> np.ndarray:
+    """Rows w cos(phase) then w sin(phase) for each weight w, stacked."""
+    c, s = np.cos(phase), np.sin(phase)
+    return np.vstack([part for w in weights for part in (w * c, w * s)])
+
+
 def dynamic_amplitude_sup(
     sd: SpectralDecomposition, times, block: bool = False
 ) -> np.ndarray:
     """Entrywise max over the time grid of the propagator amplitudes:
     |exp(-itX)_{jk}| in the scalar case, the 2x2-block spectral norms of
     exp(-2itM) in the block case (the mode dynamics carries the factor 2).
+
+    The propagator is symmetric, so only the pairs j <= k are evaluated:
+    with w = V[j] o V[k], its entry has real part w . cos(t lam) and
+    imaginary part -w . sin(t lam), so a chunk of times is one real
+    product against the stacked cos/sin rows and no propagator is built.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
         raise ValueError("time grid must be nonempty")
     V = sd.eigenvectors
     lam = sd.eigenvalues
-    if not block:
-        out = np.zeros((sd.dim, sd.dim))
-        for t in times:
-            P = (V * np.exp(-1j * t * lam)) @ V.T
-            np.maximum(out, np.abs(P), out=out)
-        return out
-    if sd.dim % 2:
+    if block and sd.dim % 2:
         raise ValueError("block amplitudes require even dimension")
-    n = sd.dim // 2
+    n = sd.dim // 2 if block else sd.dim
+    j, k = _upper_pairs(n)
+    best = np.zeros(len(j))
+    if not block:
+        W = V[j] * V[k]
+        for ts in _grid_chunks(times, 2 * len(j)):
+            ri = _trig(np.outer(ts, lam)) @ W.T
+            ri *= ri
+            np.maximum(best, np.max(ri[: len(ts)] + ri[len(ts) :], axis=0), out=best)
+        best = np.sqrt(best)
+    else:
+        # entry (a, b) of every block (j, k), for (a, b) = (0,0), (0,1), (1,0), (1,1)
+        W = np.vstack([V[2 * j + a] * V[2 * k + b] for a in (0, 1) for b in (0, 1)])
+        for ts in _grid_chunks(times, 2 * len(W)):
+            ri = _trig(2.0 * np.outer(ts, lam)) @ W.T
+            parts = np.moveaxis(ri.reshape(2, len(ts), 2, 2, len(j)), 4, 2)
+            np.maximum(best, np.max(block_norms(parts[0], parts[1]), axis=0), out=best)
     out = np.zeros((n, n))
-    for t in times:
-        P = (V * np.exp(-2j * t * lam)) @ V.T
-        blocks = P.reshape(n, 2, n, 2).transpose(0, 2, 1, 3)
-        frob2 = np.sum(np.abs(blocks) ** 2, axis=(2, 3))
-        det = blocks[..., 0, 0] * blocks[..., 1, 1] - blocks[..., 0, 1] * blocks[..., 1, 0]
-        disc = np.sqrt(np.maximum(frob2**2 - 4.0 * np.abs(det) ** 2, 0.0))
-        np.maximum(out, np.sqrt(0.5 * (frob2 + disc)), out=out)
+    out[j, k] = best
+    out[k, j] = best
+    return out
+
+
+def clustering_sup(
+    sd: SpectralDecomposition, occ, times, max_distance: int | None = None
+) -> np.ndarray:
+    """Entrywise max over the grid of |rho e^{2itA}|_{jk} |e^{-2itA} (1 - rho)|_{jk}
+    for the Slater state rho = V diag(occ) V^t, on the pairs j <= k <= j + max_distance
+    (every other entry is 0).
+
+    Both factors are symmetric spectral functions of A, so each is a real
+    product of w = V[j] o V[k] against the occupation-weighted cos/sin
+    rows, and a chunk of times takes one product.
+    """
+    times = np.asarray(times, dtype=float)
+    V = sd.eigenvectors
+    occ = np.asarray(occ, dtype=float)
+    j, k = _upper_pairs(sd.dim, max_distance)
+    W = V[j] * V[k]
+    best = np.zeros(len(j))
+    for ts in _grid_chunks(times, 4 * len(j)):
+        m = len(ts)
+        ri = _trig(2.0 * np.outer(ts, sd.eigenvalues), (occ, 1.0 - occ)) @ W.T
+        ri *= ri
+        prod = (ri[:m] + ri[m : 2 * m]) * (ri[2 * m : 3 * m] + ri[3 * m :])
+        np.maximum(best, np.max(prod, axis=0), out=best)
+    out = np.zeros((sd.dim, sd.dim))
+    out[j, k] = np.sqrt(best)
     return out
 
 

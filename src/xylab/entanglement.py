@@ -14,7 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import ChainSpec
-from .hamiltonian import BogoliubovDecomposition, SpectralDecomposition, build_M, diagonalize
+from .hamiltonian import (
+    BogoliubovDecomposition,
+    SpectralDecomposition,
+    block_norms,
+    build_M,
+    diagonalize,
+)
 from .quasifree import (
     CorrelationMatrix,
     eigenstate_gamma,
@@ -50,13 +56,9 @@ class EntanglementRecord:
 
 
 def block_spectral_norms(gamma: np.ndarray, n: int) -> np.ndarray:
-    """n x n table of spectral norms of the 2x2 blocks (vectorized via
-    the closed form for 2x2 singular values)."""
+    """n x n table of spectral norms of the 2x2 blocks."""
     blocks = gamma.reshape(n, 2, n, 2).transpose(0, 2, 1, 3)
-    frob2 = np.sum(np.abs(blocks) ** 2, axis=(2, 3))
-    det = blocks[..., 0, 0] * blocks[..., 1, 1] - blocks[..., 0, 1] * blocks[..., 1, 0]
-    disc = np.sqrt(np.maximum(frob2**2 - 4.0 * np.abs(det) ** 2, 0.0))
-    return np.sqrt(0.5 * (frob2 + disc))
+    return block_norms(blocks.real, blocks.imag if np.iscomplexobj(blocks) else None)
 
 
 def _spectrum_entropy(zeta: np.ndarray, checked: bool = False):

@@ -25,6 +25,7 @@ from . import transport as tr
 from .disorder import ChainSpec, Distribution, EnsembleSpec, sample_chain
 from .eigencorrelator import (
     DecayFit,
+    clustering_sup,
     distance_profile,
     dynamic_amplitude_sup,
     eigencorrelator_table,
@@ -129,9 +130,9 @@ def parse_config(obj: dict) -> ExperimentConfig:
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
-    workers = int(obj.get("workers", 1))
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    workers = obj.get("workers", 1)
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     output_dir = obj.get("output_dir", ".")
     return ExperimentConfig(
         experiment=experiment,
@@ -144,8 +145,16 @@ def parse_config(obj: dict) -> ExperimentConfig:
     )
 
 
+# The config fields that decide what is computed; output_dir and workers
+# change where and how fast, not what.
+_SEMANTIC_FIELDS = ("experiment", "ensemble", "params", "time_grid")
+
+
 def config_hash(obj: dict) -> str:
-    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+    """Hash of the semantic part of a config: two runs with equal hashes
+    compute the same science."""
+    semantic = {k: obj[k] for k in _SEMANTIC_FIELDS if k in obj}
+    return hashlib.sha256(json.dumps(semantic, sort_keys=True).encode()).hexdigest()[:16]
 
 
 def aggregate(values) -> dict:
@@ -242,19 +251,10 @@ def _real_amplitude(ensemble, i, params):
 def _real_clustering(ensemble, i, params):
     chain = sample_chain(ensemble, i)
     sd = diagonalize_A(chain)
-    n = chain.n
     rng = np.random.default_rng(params.get("state_seed", 0) + i)
-    occ = rng.integers(0, 2, size=n)
-    V = sd.eigenvectors
-    times = np.asarray(params["times"])
-    sup = np.zeros((n, n))
-    lam = sd.eigenvalues
-    # rho = V diag(occ) V^t and 1 - rho are spectral projectors of A, so
-    # K1 = rho e^{2itA} and K2 = e^{-2itA} (1 - rho) are single products
-    for t in times:
-        K1 = (V * (occ * np.exp(2j * t * lam))) @ V.T
-        K2 = (V * ((1 - occ) * np.exp(-2j * t * lam))) @ V.T
-        np.maximum(sup, np.abs(K1.T * K2), out=sup)
+    occ = rng.integers(0, 2, size=chain.n)
+    # only the pairs within max_distance reach the profile
+    sup = clustering_sup(sd, occ, params["times"], params.get("max_distance"))
     return distance_profile(sup, params.get("max_distance"))
 
 
@@ -296,6 +296,17 @@ def _real_block_profile(ensemble, i, params):
     chain = sample_chain(ensemble, i)
     sd = diagonalize(build_M(chain))
     return distance_profile(eigencorrelator_table(sd, block=True), params.get("max_distance"))
+
+
+def _real_transport(ensemble, i, params):
+    """One decomposition of the chain serves both the eigencorrelator
+    profile that feeds the fit and the transport series."""
+    chain = sample_chain(ensemble, i)
+    sd = diagonalize_A(chain)
+    profile = distance_profile(eigencorrelator_table(sd), params.get("fit_max_distance"))
+    series_of = {"particle": tr.particle_number_series, "energy": tr.energy_series_isotropic}
+    series = series_of[params["observable"]](chain, params["s1"], params["eta"], params["times"], sd=sd)
+    return profile, series
 
 
 def _real_fock(ensemble, i, params):
@@ -386,9 +397,9 @@ def run_correlations(config: ExperimentConfig, outdir: Path) -> dict:
     }
 
 
-def _block_fit(config: ExperimentConfig, p: dict, workers: int) -> DecayFit:
-    """Eigencorrelator fit on the same ensemble, used for bound checks."""
-    profiles = map_realizations(_real_block_profile, config.ensemble, p, workers)
+def _mean_fit(profiles: list, p: dict) -> DecayFit:
+    """Eigencorrelator fit of the mean of per-realization profiles over the
+    params' fit window, used for bound checks."""
     mean_profile = np.mean(np.vstack(profiles), axis=0)
     return fit_decay(mean_profile, p.get("fit_min_distance", 1), p.get("fit_max_distance"))
 
@@ -412,7 +423,7 @@ def run_entanglement_static(config: ExperimentConfig, outdir: Path) -> dict:
         ["ell", "statistic", "mean", "stderr", "count", "strategy"],
         rows,
     )
-    fit = _block_fit(config, p, workers)
+    fit = _mean_fit(map_realizations(_real_block_profile, config.ensemble, p, workers), p)
     bound = ent.area_law_constant(fit.C, fit.eta)
     slack = p.get("slack", 2.0)
     flat = True
@@ -457,28 +468,25 @@ def run_entanglement_quench(config: ExperimentConfig, outdir: Path) -> dict:
     return {"verdicts": {"flat_in_ell": bool(flat)}}
 
 
-def _scalar_fit(config: ExperimentConfig, p: dict, workers: int) -> DecayFit:
-    profiles = map_realizations(_real_eigencorrelator, config.ensemble,
-                                {"block": False, "max_distance": p.get("fit_max_distance")},
-                                workers)
-    mean_profile = np.mean(np.vstack(profiles), axis=0)
-    return fit_decay(mean_profile, p.get("fit_min_distance", 1), p.get("fit_max_distance"))
-
-
-def run_transport_particle(config: ExperimentConfig, outdir: Path) -> dict:
+def _run_transport_isotropic(config: ExperimentConfig, outdir: Path, observable: str) -> dict:
+    """Particle or isotropic energy transport: one worker per realization
+    returns both the profile for the fit and the series for the check."""
     p = config.params
     workers = effective_workers(config.workers)
-    fit = _scalar_fit(config, p, workers)
     s1 = tr.Region.of(p["s1"])
     s2 = tr.Region.of(p["s2"])
-    n = config.ensemble.n
-    eta = np.zeros(n)
+    eta = np.zeros(config.ensemble.n)
     eta[np.array(s2.sites) - 1] = p.get("eta_value", 1.0)
-    report = tr.particle_transport_check(
-        config.ensemble, s1, s2, eta, config.time_grid.times(), fit,
-        slack=p.get("slack", 2.0),
-    )
-    write_csv(outdir / "particle_transport.csv", ["t", "value"],
+    times = config.time_grid.times()
+    wp = {"observable": observable, "s1": s1, "eta": eta, "times": times,
+          "fit_max_distance": p.get("fit_max_distance")}
+    results = map_realizations(_real_transport, config.ensemble, wp, workers)
+    fit = _mean_fit([r[0] for r in results], p)
+    check = {"particle": tr.particle_transport_check,
+             "energy": tr.energy_transport_check_isotropic}[observable]
+    report = check(config.ensemble, s1, s2, eta, times, fit, slack=p.get("slack", 2.0),
+                   series=[r[1] for r in results])
+    write_csv(outdir / f"{observable}_transport.csv", ["t", "value"],
               zip(report.times.tolist(), report.mean_values.tolist()))
     return {
         "fit": {"C": fit.C, "eta": fit.eta, "r_squared": fit.r_squared},
@@ -486,35 +494,19 @@ def run_transport_particle(config: ExperimentConfig, outdir: Path) -> dict:
         "sup": report.mean_sup,
         "bound": report.bound,
         "pass": report.passed,
-        "verdicts": {"particle_bound": report.passed},
+        "verdicts": {f"{observable}_bound": report.passed},
     }
+
+
+def run_transport_particle(config: ExperimentConfig, outdir: Path) -> dict:
+    return _run_transport_isotropic(config, outdir, "particle")
 
 
 def run_transport_energy(config: ExperimentConfig, outdir: Path) -> dict:
     p = config.params
-    workers = effective_workers(config.workers)
     variant = p.get("variant", "isotropic_bound")
     if variant == "isotropic_bound":
-        fit = _scalar_fit(config, p, workers)
-        s1 = tr.Region.of(p["s1"])
-        s2 = tr.Region.of(p["s2"])
-        n = config.ensemble.n
-        eta = np.zeros(n)
-        eta[np.array(s2.sites) - 1] = p.get("eta_value", 1.0)
-        report = tr.energy_transport_check_isotropic(
-            config.ensemble, s1, s2, eta, config.time_grid.times(), fit,
-            slack=p.get("slack", 2.0),
-        )
-        write_csv(outdir / "energy_transport.csv", ["t", "value"],
-                  zip(report.times.tolist(), report.mean_values.tolist()))
-        return {
-            "fit": {"C": fit.C, "eta": fit.eta, "r_squared": fit.r_squared},
-            "baseline": float(report.mean_values[0]),
-            "sup": report.mean_sup,
-            "bound": report.bound,
-            "pass": report.passed,
-            "verdicts": {"energy_bound": report.passed},
-        }
+        return _run_transport_isotropic(config, outdir, "energy")
     if variant != "anisotropic_flatness":
         raise ConfigError(f"params.variant must be isotropic_bound or anisotropic_flatness, got {variant!r}")
     sizes = p.get("sizes", [40, 80, 160])
@@ -569,7 +561,9 @@ def _profile_from_spec(spec, n: int) -> np.ndarray:
 def run_fock(config: ExperimentConfig, outdir: Path) -> dict:
     p = config.params
     workers = effective_workers(config.workers)
-    fit = _scalar_fit(config, p, workers)
+    fit = _mean_fit(map_realizations(_real_eigencorrelator, config.ensemble,
+                                     {"block": False, "max_distance": p.get("fit_max_distance")},
+                                     workers), p)
     n = config.ensemble.n
     tau = p.get("tau", 0.5)
     alpha = p.get("alpha", 1.25)

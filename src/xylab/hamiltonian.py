@@ -73,15 +73,41 @@ def block_j(n: int) -> np.ndarray:
     return J
 
 
+def _negative_pivots(V: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """Mask of the columns whose largest-magnitude component (the first
+    one on ties) is below -tol."""
+    if V.size == 0:
+        return np.zeros(V.shape[1], dtype=bool)
+    piv = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
+    return piv < -tol
+
+
 def _fix_column_signs(V: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     """Make the largest-magnitude component of each column positive."""
     V = V.copy()
-    for k in range(V.shape[1]):
-        col = V[:, k]
-        piv = int(np.argmax(np.abs(col)))
-        if abs(col[piv]) > tol and col[piv] < 0:
-            V[:, k] = -col
+    flip = _negative_pivots(V, tol)
+    V[:, flip] = -V[:, flip]
     return V
+
+
+def block_norms(re: np.ndarray, im: np.ndarray | None = None) -> np.ndarray:
+    """Spectral norms of the 2x2 matrices re + i im stacked on the last two
+    axes: the square root of the top eigenvalue of X X^*, whose gap is
+    formed from the row-norm difference and the row overlap as a sum of
+    squares, so it stays accurate when the singular values nearly agree."""
+    a, b, c, d = re[..., 0, 0], re[..., 0, 1], re[..., 1, 0], re[..., 1, 1]
+    r1 = a * a + b * b
+    r2 = c * c + d * d
+    ov_re = a * c + b * d
+    ov_im = 0.0
+    if im is not None:
+        ai, bi, ci, di = im[..., 0, 0], im[..., 0, 1], im[..., 1, 0], im[..., 1, 1]
+        r1 += ai * ai + bi * bi
+        r2 += ci * ci + di * di
+        ov_re += ai * ci + bi * di
+        ov_im = ai * c - a * ci + bi * d - b * di
+    gap = np.sqrt((r1 - r2) ** 2 + 4.0 * (ov_re * ov_re + ov_im * ov_im))
+    return np.sqrt(0.5 * (r1 + r2 + gap))
 
 
 @dataclass
@@ -187,11 +213,9 @@ def bogoliubov(chain: ChainSpec) -> BogoliubovDecomposition:
     Phi = Phi[:, order]
     Psi = PsiT.T[:, order]
     # deterministic signs: flip (g, h) pairs together
-    for k in range(n):
-        piv = int(np.argmax(np.abs(Psi[:, k])))
-        if abs(Psi[piv, k]) > 1e-12 and Psi[piv, k] < 0:
-            Psi[:, k] = -Psi[:, k]
-            Phi[:, k] = -Phi[:, k]
+    flip = _negative_pivots(Psi)
+    Psi[:, flip] = -Psi[:, flip]
+    Phi[:, flip] = -Phi[:, flip]
 
     W = np.zeros((2 * n, 2 * n))
     phi = 0.5 * (Psi + Phi)  # c-components of the +lambda eigenvectors

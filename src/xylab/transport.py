@@ -19,7 +19,7 @@ import numpy as np
 
 from .disorder import ChainSpec, EnsembleSpec, sample_chain
 from .eigencorrelator import DecayFit
-from .hamiltonian import build_A, build_M, diagonalize, diagonalize_A
+from .hamiltonian import SpectralDecomposition, build_A, build_M, diagonalize, diagonalize_A
 from .quasifree import CorrelationMatrix, profile_gamma, trace_series
 
 
@@ -89,14 +89,19 @@ def _check_profile_geometry(n: int, s1: Region, s2: Region, eta: np.ndarray) -> 
         raise ValueError("profile must vanish off S2")
 
 
-def particle_number_series(chain: ChainSpec, s1: Region, eta, times) -> np.ndarray:
+def particle_number_series(
+    chain: ChainSpec, s1: Region, eta, times, sd: SpectralDecomposition | None = None
+) -> np.ndarray:
     """<N_{S1}> along the evolution of the profile state,
     sum_{j in S1} sum_k |exp(-2itA)_{jk}|^2 eta_k, as the eigenbasis trace
-    series of K = (V_S1^t V_S1) o (V^t D_eta V)."""
+    series of K = (V_S1^t V_S1) o (V^t D_eta V).  sd, the decomposition
+    diagonalize_A(chain), may be passed in so that one decomposition per
+    chain serves several observables."""
     if not chain.isotropic:
         raise ValueError("particle transport applies to the isotropic chain")
     eta = np.asarray(eta, dtype=float)
-    sd = diagonalize_A(chain)
+    if sd is None:
+        sd = diagonalize_A(chain)
     V = sd.eigenvectors
     Vr = V[np.array(s1.sites) - 1, :]
     K = (Vr.T @ Vr) * ((V.T * eta) @ V)
@@ -111,6 +116,31 @@ def particle_transport_bound(fit: DecayFit, d: int) -> float:
     return float(2.0 * fit.C * np.exp(-fit.eta * d) / (1.0 - q) ** 2)
 
 
+def ensemble_report(
+    times, series, absolute: bool = True, bound: float | None = None, slack: float = 1.0
+) -> EnsembleTransportReport:
+    """Reduce per-realization series, in realization-index order, to the
+    mean series and the mean and standard error of their suprema (of the
+    magnitudes, or of the values themselves when not absolute).  Without
+    a bound the report carries NaN and passes."""
+    sups = np.array([float(np.max(np.abs(v) if absolute else v)) for v in series])
+    acc = np.zeros(len(times))
+    for v in series:
+        acc += v
+    mean_sup = float(np.mean(sups))
+    stderr = float(np.std(sups, ddof=1) / np.sqrt(len(sups))) if len(sups) > 1 else 0.0
+    return EnsembleTransportReport(
+        times=np.asarray(times, dtype=float),
+        mean_values=acc / len(series),
+        mean_sup=mean_sup,
+        stderr_sup=stderr,
+        bound=float("nan") if bound is None else bound,
+        slack=slack,
+        passed=bound is None or bool(mean_sup <= slack * bound),
+        count=len(series),
+    )
+
+
 def particle_transport_check(
     ensemble: EnsembleSpec,
     s1: Region,
@@ -119,31 +149,19 @@ def particle_transport_check(
     times,
     fit: DecayFit,
     slack: float = 2.0,
+    series: list | None = None,
 ) -> EnsembleTransportReport:
-    """Disorder-averaged sup_t <N_{S1}> against the localization bound."""
+    """Disorder-averaged sup_t <N_{S1}> against the localization bound.
+    series, the per-realization particle_number_series of the ensemble
+    in index order, may be passed in when they were computed already."""
     eta = np.asarray(eta_profile, dtype=float)
     _check_profile_geometry(ensemble.n, s1, s2, eta)
     d = region_distance(s1, s2)
     bound = particle_transport_bound(fit, d)
-    sups = []
-    acc = np.zeros(len(times))
-    for i in range(ensemble.realizations):
-        series = particle_number_series(sample_chain(ensemble, i), s1, eta, times)
-        sups.append(float(np.max(series)))
-        acc += series
-    sups = np.array(sups)
-    mean_sup = float(np.mean(sups))
-    stderr = float(np.std(sups, ddof=1) / np.sqrt(len(sups))) if len(sups) > 1 else 0.0
-    return EnsembleTransportReport(
-        times=np.asarray(times, dtype=float),
-        mean_values=acc / ensemble.realizations,
-        mean_sup=mean_sup,
-        stderr_sup=stderr,
-        bound=bound,
-        slack=slack,
-        passed=bool(mean_sup <= slack * bound),
-        count=ensemble.realizations,
-    )
+    if series is None:
+        series = [particle_number_series(sample_chain(ensemble, i), s1, eta, times)
+                  for i in range(ensemble.realizations)]
+    return ensemble_report(times, series, absolute=False, bound=bound, slack=slack)
 
 
 def _interval_projector_indices(s1: Region) -> np.ndarray:
@@ -160,15 +178,19 @@ def energy_in_region_isotropic(chain: ChainSpec, s1: Region, eta, t: float) -> f
     return float(energy_series_isotropic(chain, s1, eta, [t])[0])
 
 
-def energy_series_isotropic(chain: ChainSpec, s1: Region, eta, times) -> np.ndarray:
+def energy_series_isotropic(
+    chain: ChainSpec, s1: Region, eta, times, sd: SpectralDecomposition | None = None
+) -> np.ndarray:
     """Series of <H_{S1}>_t - sum_{S1} nu_j along the profile evolution,
-    evaluated in the eigenbasis (one O(n^2) contraction per time)."""
+    evaluated in the eigenbasis (one O(n^2) contraction per time); sd as
+    in particle_number_series."""
     if not chain.isotropic:
         raise ValueError("isotropic energy formula requires gamma = 0")
     idx = _interval_projector_indices(s1)
     eta = np.asarray(eta, dtype=float)
     A = build_A(chain)
-    sd = diagonalize_A(chain)
+    if sd is None:
+        sd = diagonalize_A(chain)
     V = sd.eigenvectors
     core = V[idx, :].T @ (A[np.ix_(idx, idx)] @ V[idx, :])
     weighted = (V.T * eta) @ V  # D_eta in the eigenbasis
@@ -196,31 +218,18 @@ def energy_transport_check_isotropic(
     times,
     fit: DecayFit,
     slack: float = 2.0,
+    series: list | None = None,
 ) -> EnsembleTransportReport:
-    """Disorder-averaged sup_t |<H_{S1}> - E_ref| against the bound."""
+    """Disorder-averaged sup_t |<H_{S1}> - E_ref| against the bound;
+    series as in particle_transport_check (of energy_series_isotropic)."""
     eta = np.asarray(eta_profile, dtype=float)
     _check_profile_geometry(ensemble.n, s1, s2, eta)
     d = region_distance(s1, s2)
     bound = energy_transport_bound(fit, d, matrix_norm_bound(ensemble))
-    sups = []
-    acc = np.zeros(len(times))
-    for i in range(ensemble.realizations):
-        series = energy_series_isotropic(sample_chain(ensemble, i), s1, eta, times)
-        sups.append(float(np.max(np.abs(series))))
-        acc += series
-    sups = np.array(sups)
-    mean_sup = float(np.mean(sups))
-    stderr = float(np.std(sups, ddof=1) / np.sqrt(len(sups))) if len(sups) > 1 else 0.0
-    return EnsembleTransportReport(
-        times=np.asarray(times, dtype=float),
-        mean_values=acc / ensemble.realizations,
-        mean_sup=mean_sup,
-        stderr_sup=stderr,
-        bound=bound,
-        slack=slack,
-        passed=bool(mean_sup <= slack * bound),
-        count=ensemble.realizations,
-    )
+    if series is None:
+        series = [energy_series_isotropic(sample_chain(ensemble, i), s1, eta, times)
+                  for i in range(ensemble.realizations)]
+    return ensemble_report(times, series, bound=bound, slack=slack)
 
 
 def energy_fluctuation_series(chain: ChainSpec, s1: Region, eta, times) -> np.ndarray:
@@ -254,25 +263,9 @@ def energy_fluctuation_anisotropic(
     profile; the bound field carries no inequality here (n-flatness is
     judged across ensembles of different n)."""
     eta = np.asarray(eta_profile, dtype=float)
-    sups = []
-    acc = np.zeros(len(times))
-    for i in range(ensemble.realizations):
-        series = energy_fluctuation_series(sample_chain(ensemble, i), s1, eta, times)
-        sups.append(float(np.max(np.abs(series))))
-        acc += series
-    sups = np.array(sups)
-    mean_sup = float(np.mean(sups))
-    stderr = float(np.std(sups, ddof=1) / np.sqrt(len(sups))) if len(sups) > 1 else 0.0
-    return EnsembleTransportReport(
-        times=np.asarray(times, dtype=float),
-        mean_values=acc / ensemble.realizations,
-        mean_sup=mean_sup,
-        stderr_sup=stderr,
-        bound=float("nan"),
-        slack=1.0,
-        passed=True,
-        count=ensemble.realizations,
-    )
+    series = [energy_fluctuation_series(sample_chain(ensemble, i), s1, eta, times)
+              for i in range(ensemble.realizations)]
+    return ensemble_report(times, series)
 
 
 def trace_norm_inequality_gap(chain: ChainSpec, s1: Region, s2: Region, eta, t: float):

@@ -211,3 +211,56 @@ def test_clean_vs_disordered_amplitude_contrast():
         acc += np.diagonal(amp, offset=d)
     dis_vals = acc / ens.realizations
     assert np.mean(clean_vals) > 10.0 * np.mean(dis_vals)
+
+
+def _amplitude_per_step(sd, times, block):
+    # the definition: build exp(-itX) (block: exp(-2itM)) at every step
+    V, lam = sd.eigenvectors, sd.eigenvalues
+    n = sd.dim // 2 if block else sd.dim
+    out = np.zeros((n, n))
+    for t in times:
+        P = (V * np.exp(-(2j if block else 1j) * t * lam)) @ V.T
+        if block:
+            P = np.linalg.norm(P.reshape(n, 2, n, 2).transpose(0, 2, 1, 3), 2, axis=(-2, -1))
+        out = np.maximum(out, np.abs(P))
+    return out
+
+
+@pytest.mark.parametrize("case", ["n1", "n2", "clean", "decoupled_equal", "random"])
+@pytest.mark.parametrize("grid", ["single", "long", "tiny_chunks"])
+def test_amplitude_sup_matches_per_step_propagator(rng, monkeypatch, case, grid):
+    n = {"n1": 1, "n2": 2, "clean": 10, "decoupled_equal": 5, "random": 9}[case]
+    if case == "clean":  # spectrum of M doubly degenerate (+-lam of A)
+        ch = make_chain([1.0] * (n - 1), [0.0] * (n - 1), [0.0] * n)
+    elif case == "decoupled_equal":  # A = -0.7 I, fully degenerate
+        ch = make_chain([0.0] * (n - 1), [0.0] * (n - 1), [0.7] * n)
+    else:
+        ch = random_chain(rng, n)
+    times = {"single": [1.3], "long": np.linspace(0.0, 12.0, 301),
+             "tiny_chunks": np.linspace(0.0, 3.0, 13)}[grid]
+    if grid == "tiny_chunks":  # one time per chunk, and a few per chunk
+        monkeypatch.setattr(ec, "_GRID_CHUNK_ENTRIES", 64)
+    sdA = ham.diagonalize_A(make_chain(ch.mu, (0.0,) * (n - 1), ch.nu))
+    sdM = ham.diagonalize(ham.build_M(ch))
+    for sd, block in ((sdA, False), (sdM, True)):
+        got = ec.dynamic_amplitude_sup(sd, times, block=block)
+        assert np.max(np.abs(got - _amplitude_per_step(sd, times, block))) <= 1e-13
+        assert np.array_equal(got, got.T)
+
+
+def test_clustering_sup_matches_dense_formula_within_max_distance(rng):
+    sd = ham.diagonalize_A(random_chain(rng, 11, anisotropic=False))
+    occ = rng.integers(0, 2, size=11)
+    times = np.linspace(0.0, 6.0, 25)
+    V, lam = sd.eigenvectors, sd.eigenvalues
+    dense = np.zeros((11, 11))
+    for t in times:
+        K1 = (V * (occ * np.exp(2j * t * lam))) @ V.T
+        K2 = (V * ((1 - occ) * np.exp(-2j * t * lam))) @ V.T
+        dense = np.maximum(dense, np.abs(K1.T * K2))
+    j, k = np.indices((11, 11))
+    for dmax in (None, 0, 3, 40):
+        got = ec.clustering_sup(sd, occ, times, dmax)
+        near = (k >= j) & (k - j <= (10 if dmax is None else dmax))
+        assert np.max(np.abs(got[near] - dense[near])) < 1e-14
+        assert np.all(got[~near] == 0.0)

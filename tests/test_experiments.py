@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from xylab import experiments as xp
+from xylab import transport as tr
 
 
 def ensemble_json(n=16, realizations=4, seed=11, eps=0.1):
@@ -363,3 +364,100 @@ def test_cli_run_exits_nonzero_on_failed_verdict(tmp_path):
     assert r.returncode == 1, r.stderr
     assert "FAIL  log_linear" in r.stdout
     assert "PASS  eta_positive" in r.stdout
+
+
+def test_clustering_with_max_distance_matches_dense_formula():
+    ensemble = xp.EnsembleSpec.from_json(ensemble_json(n=12, realizations=2, eps=0.3))
+    times = np.arange(0.0, 4.01, 0.5)
+    for i in range(2):
+        profile = xp._real_clustering(ensemble, i, {"times": times, "state_seed": 3,
+                                                    "max_distance": 4})
+        sd = xp.diagonalize_A(xp.sample_chain(ensemble, i))
+        V, lam = sd.eigenvectors, sd.eigenvalues
+        occ = np.random.default_rng(3 + i).integers(0, 2, size=12)
+        rho = V[:, occ == 1] @ V[:, occ == 1].T
+        sup = np.zeros((12, 12))
+        for t in times:
+            U = (V * np.exp(2j * t * lam)) @ V.T
+            sup = np.maximum(sup, np.abs((rho @ U).T * (U.conj() @ (np.eye(12) - rho))))
+        assert profile.shape == (5,)
+        assert np.max(np.abs(profile - xp.distance_profile(sup, 4))) < 1e-14
+
+
+@pytest.mark.parametrize("experiment, check", [
+    ("transport_particle", "particle_transport_check"),
+    ("transport_energy", "energy_transport_check_isotropic"),
+])
+def test_transport_run_matches_public_check(tmp_path, experiment, check):
+    # the experiment decomposes each chain once; the public check, fed the fit
+    # computed from a separate eigencorrelator pass, must give the same report
+    params = {"s1": [12], "s2": list(range(1, 5)) + list(range(21, 25)),
+              "fit_min_distance": 2, "fit_max_distance": 10, "slack": 3.0}
+    if experiment == "transport_energy":
+        params["s1"] = [11, 12]
+    cfg = xp.parse_config({
+        "experiment": experiment,
+        "ensemble": ensemble_json(n=24, realizations=3, eps=0.05),
+        "time_grid": {"T": 5.0, "dt": 0.5},
+        "params": params,
+        "output_dir": str(tmp_path),
+    })
+    payload = xp.run(cfg)
+    profiles = [xp.distance_profile(xp.eigencorrelator_table(
+        xp.diagonalize_A(xp.sample_chain(cfg.ensemble, i))), 10) for i in range(3)]
+    fit = xp.fit_decay(np.mean(np.vstack(profiles), axis=0), 2, 10)
+    s2 = tr.Region.of(params["s2"])
+    eta = np.zeros(24)
+    eta[np.array(s2.sites) - 1] = 1.0
+    report = getattr(tr, check)(cfg.ensemble, tr.Region.of(params["s1"]), s2, eta,
+                                   cfg.time_grid.times(), fit, slack=3.0)
+    assert payload["fit"] == {"C": fit.C, "eta": fit.eta, "r_squared": fit.r_squared}
+    assert (payload["sup"], payload["bound"], payload["pass"]) == (
+        report.mean_sup, report.bound, report.passed)
+    name = "particle" if experiment == "transport_particle" else "energy"
+    rows = (tmp_path / f"{name}_transport.csv").read_text().splitlines()[1:]
+    assert rows == [f"{t!r},{v!r}" for t, v in zip(report.times.tolist(), report.mean_values.tolist())]
+
+
+@pytest.mark.parametrize("workers", [None, "abc", "2", 1.5, 2.0, True, False, 0, -1, [2]])
+def test_parse_config_rejects_non_integer_workers(workers):
+    with pytest.raises(xp.ConfigError, match="workers"):
+        xp.parse_config({"experiment": "eigencorrelator", "ensemble": ensemble_json(),
+                         "workers": workers})
+
+
+def test_parse_config_accepts_integer_workers():
+    cfg = xp.parse_config({"experiment": "eigencorrelator", "ensemble": ensemble_json(),
+                           "workers": 3})
+    assert cfg.workers == 3
+    assert xp.parse_config({"experiment": "eigencorrelator",
+                            "ensemble": ensemble_json()}).workers == 1
+
+
+def test_config_hash_covers_only_the_science():
+    base = {"experiment": "eigencorrelator", "ensemble": ensemble_json(),
+            "params": {"min_distance": 1, "max_distance": 10}}
+    h = xp.config_hash({**base, "output_dir": "out/a", "workers": 1})
+    assert xp.config_hash({**base, "output_dir": "elsewhere/b", "workers": 4}) == h
+    assert xp.config_hash(base) == h
+    assert xp.config_hash({**base, "params": {"min_distance": 2, "max_distance": 10}}) != h
+    assert xp.config_hash({**base, "time_grid": {"T": 1.0, "dt": 0.5}}) != h
+
+
+def test_transport_workers_do_not_change_output(tmp_path):
+    base = {
+        "experiment": "transport_particle",
+        "ensemble": ensemble_json(n=24, realizations=3, eps=0.05),
+        "time_grid": {"T": 5.0, "dt": 0.5},
+        "params": {"s1": [12], "s2": [1, 2, 23, 24], "fit_min_distance": 2, "fit_max_distance": 10},
+    }
+    serial = tmp_path / "serial"
+    parallel = tmp_path / "parallel"
+    xp.run(xp.parse_config({**base, "output_dir": str(serial), "workers": 1}))
+    xp.run(xp.parse_config({**base, "output_dir": str(parallel), "workers": 2}))
+    csv = "particle_transport.csv"
+    assert (serial / csv).read_bytes() == (parallel / csv).read_bytes()
+    summaries = [json.loads((d / "summary.json").read_text()) for d in (serial, parallel)]
+    for summary in summaries:
+        del summary["config"]  # echoes output_dir and workers
+    assert summaries[0] == summaries[1]

@@ -150,3 +150,47 @@ def test_export_matrix_csv(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "1.5,-2"
     assert len(lines) == 2
+
+
+def _fix_column_signs_loop(V, tol=1e-12):
+    # the column-by-column convention the vectorized form must reproduce
+    V = V.copy()
+    for k in range(V.shape[1]):
+        col = V[:, k]
+        piv = int(np.argmax(np.abs(col)))
+        if abs(col[piv]) > tol and col[piv] < 0:
+            V[:, k] = -col
+    return V
+
+
+def test_column_signs_match_loop_bitwise(rng):
+    V = rng.normal(size=(9, 9))
+    ties = np.array([[0.5, -0.5, 0.3, -0.3, 0.0],
+                     [-0.5, 0.5, -0.3, 0.3, 0.0],
+                     [0.1, 0.2, 0.0, 0.0, 0.0]])
+    tiny = np.array([[-1e-13, 5e-13, -2e-12], [1e-14, -4e-13, 1e-12]])
+    for X in (V, ties, tiny, -V, np.zeros((0, 0))):
+        got = ham._fix_column_signs(X)
+        ref = _fix_column_signs_loop(X)
+        assert got.tobytes() == ref.tobytes()
+    assert np.array_equal(ham._fix_column_signs(ties)[0], [0.5, 0.5, 0.3, 0.3, 0.0])
+    assert np.array_equal(ham._fix_column_signs(tiny), tiny * [1, 1, -1])
+
+
+def test_bogoliubov_pair_signs_follow_psi_pivots(rng):
+    ch = random_chain(rng, 7)
+    bog = ham.bogoliubov(ch)
+    # rows 2j carry ((g+h)/2, (g-h)/2) interleaved, so g = W[2j,0::2] + W[2j,1::2]
+    psi = bog.W[0::2, 0::2] + bog.W[0::2, 1::2]
+    piv = psi[np.arange(7), np.argmax(np.abs(psi), axis=1)]
+    assert np.all(piv > 0)
+
+
+def test_block_norms_match_svd_at_equal_singular_values(rng):
+    # near-unitary blocks are where the det-based closed form loses half its digits
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    blocks = np.stack([0.37 * q, 0.37 * q + 1e-9 * rng.normal(size=(2, 2)), rng.normal(size=(2, 2))])
+    ref = np.linalg.norm(blocks, 2, axis=(-2, -1))
+    assert np.max(np.abs(ham.block_norms(blocks.real, blocks.imag) - ref)) < 1e-15
+    real = rng.normal(size=(5, 2, 2))
+    assert np.max(np.abs(ham.block_norms(real) - np.linalg.norm(real, 2, axis=(-2, -1)))) < 1e-14
