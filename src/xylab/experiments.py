@@ -3,7 +3,9 @@
 Each experiment maps a pure per-realization function over the ensemble
 (optionally on a process pool, XYLAB_WORKERS overriding the config) and
 reduces results in realization-index order, so outputs are byte
-identical across runs and worker counts.  Summaries echo the config
+identical across runs and worker counts.  There is one pass per
+dependent phase: a worker samples its chain once and returns everything
+that phase reduces.  Summaries echo the config
 with a content hash and record pass/fail verdicts next to the fitted
 constants they used.
 """
@@ -15,6 +17,7 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +262,8 @@ def _real_clustering(ensemble, i, params):
 
 
 def _real_entanglement_static(ensemble, i, params):
+    """(entropy, ps_bound) per cut and the block eigencorrelator profile
+    that feeds the area-law fit, from one sample of the chain."""
     chain = sample_chain(ensemble, i)
     bog = bogoliubov(chain)
     out = []
@@ -271,7 +276,8 @@ def _real_entanglement_static(ensemble, i, params):
             seed=params.get("label_seed", 0) + i,
         )
         out.append((rec.entropy, rec.ps_bound))
-    return out
+    table = eigencorrelator_table(diagonalize(build_M(chain)), block=True)
+    return out, distance_profile(table, params.get("max_distance"))
 
 
 def _real_quench(ensemble, i, params):
@@ -292,12 +298,6 @@ def _real_quench(ensemble, i, params):
     return sups
 
 
-def _real_block_profile(ensemble, i, params):
-    chain = sample_chain(ensemble, i)
-    sd = diagonalize(build_M(chain))
-    return distance_profile(eigencorrelator_table(sd, block=True), params.get("max_distance"))
-
-
 def _real_transport(ensemble, i, params):
     """One decomposition of the chain serves both the eigencorrelator
     profile that feeds the fit and the transport series."""
@@ -307,6 +307,15 @@ def _real_transport(ensemble, i, params):
     series_of = {"particle": tr.particle_number_series, "energy": tr.energy_series_isotropic}
     series = series_of[params["observable"]](chain, params["s1"], params["eta"], params["times"], sd=sd)
     return profile, series
+
+
+def _real_energy_fluctuation(ensemble, i, params):
+    """The anisotropic energy-fluctuation series and the mean energy of
+    one sample of the chain."""
+    chain = sample_chain(ensemble, i)
+    eta = params["eta"]
+    return (tr.energy_fluctuation_series(chain, params["s1"], eta, params["times"]),
+            tr.mean_energy(chain, eta))
 
 
 def _real_fock(ensemble, i, params):
@@ -339,40 +348,52 @@ def _profile_stats(profiles: list) -> list:
     return rows
 
 
-def run_eigencorrelator(config: ExperimentConfig, outdir: Path) -> dict:
-    p = config.params
-    workers = effective_workers(config.workers)
-    profiles = map_realizations(_real_eigencorrelator, config.ensemble, p, workers)
-    rows = _profile_stats(profiles)
-    write_csv(outdir / "eigencorrelator.csv", ["distance", "mean", "stderr", "count"], rows)
+def _fit_block(fit: DecayFit) -> dict:
+    return {"C": fit.C, "eta": fit.eta, "r_squared": fit.r_squared}
+
+
+def _flat_within_2sigma(stats) -> bool:
+    """The flatness verdict over (mean, stderr) pairs: no two means differ
+    by more than twice their combined standard error."""
+    return not any(abs(ma - mb) > 2.0 * np.hypot(sa, sb)
+                   for (ma, sa), (mb, sb) in combinations(stats, 2))
+
+
+def _run_profile(config: ExperimentConfig, outdir: Path, worker, csv_name: str,
+                 profile_of=lambda r: r) -> tuple:
+    """Map worker over the ensemble (with the time grid as params.times),
+    write the per-distance statistics of the realizations' profiles to
+    csv_name and fit the decay of their mean.  Returns the fit, its
+    summary block and the worker results."""
+    p = dict(config.params)
+    if config.time_grid is not None:
+        p["times"] = config.time_grid.times()
+    results = map_realizations(worker, config.ensemble, p, effective_workers(config.workers))
+    rows = _profile_stats([profile_of(r) for r in results])
+    write_csv(outdir / csv_name, ["distance", "mean", "stderr", "count"], rows)
     mean_profile = np.array([r[1] for r in rows])
     fit = fit_decay(mean_profile, p.get("min_distance", 1), p.get("max_distance"))
-    r2_min = p.get("r2_min", 0.95)
+    return fit, {**_fit_block(fit), "min_distance": fit.min_distance}, results
+
+
+def run_eigencorrelator(config: ExperimentConfig, outdir: Path) -> dict:
+    fit, block, _ = _run_profile(config, outdir, _real_eigencorrelator, "eigencorrelator.csv")
     return {
-        "fit": {"C": fit.C, "eta": fit.eta, "r_squared": fit.r_squared,
-                "min_distance": fit.min_distance},
+        "fit": block,
         "verdicts": {
-            "log_linear": bool(fit.r_squared >= r2_min),
+            "log_linear": bool(fit.r_squared >= config.params.get("r2_min", 0.95)),
             "eta_positive": bool(fit.eta > 0),
         },
     }
 
 
 def run_lr_bound(config: ExperimentConfig, outdir: Path) -> dict:
-    p = dict(config.params)
-    p["times"] = config.time_grid.times()
-    workers = effective_workers(config.workers)
-    results = map_realizations(_real_amplitude, config.ensemble, p, workers)
-    profiles = [r[0] for r in results]
+    fit, block, results = _run_profile(config, outdir, _real_amplitude, "amplitude.csv",
+                                       profile_of=lambda r: r[0])
     max_violation = max(r[1] for r in results)
-    rows = _profile_stats(profiles)
-    write_csv(outdir / "amplitude.csv", ["distance", "mean", "stderr", "count"], rows)
-    mean_profile = np.array([r[1] for r in rows])
-    fit = fit_decay(mean_profile, p.get("min_distance", 1), p.get("max_distance"))
     return {
         "time_grid": {"T": config.time_grid.T, "dt": config.time_grid.dt},
-        "fit": {"C": fit.C, "eta": fit.eta, "r_squared": fit.r_squared,
-                "min_distance": fit.min_distance},
+        "fit": block,
         "max_amplitude_over_eigencorrelator": max_violation,
         "verdicts": {
             "dominated_by_eigencorrelator": bool(max_violation <= 1e-9),
@@ -382,19 +403,8 @@ def run_lr_bound(config: ExperimentConfig, outdir: Path) -> dict:
 
 
 def run_correlations(config: ExperimentConfig, outdir: Path) -> dict:
-    p = dict(config.params)
-    p["times"] = config.time_grid.times()
-    workers = effective_workers(config.workers)
-    profiles = map_realizations(_real_clustering, config.ensemble, p, workers)
-    rows = _profile_stats(profiles)
-    write_csv(outdir / "clustering.csv", ["distance", "mean", "stderr", "count"], rows)
-    mean_profile = np.array([r[1] for r in rows])
-    fit = fit_decay(mean_profile, p.get("min_distance", 1), p.get("max_distance"))
-    return {
-        "fit": {"C": fit.C, "eta": fit.eta, "r_squared": fit.r_squared,
-                "min_distance": fit.min_distance},
-        "verdicts": {"clustering_rate_positive": bool(fit.eta > 0)},
-    }
+    fit, block, _ = _run_profile(config, outdir, _real_clustering, "clustering.csv")
+    return {"fit": block, "verdicts": {"clustering_rate_positive": bool(fit.eta > 0)}}
 
 
 def _mean_fit(profiles: list, p: dict) -> DecayFit:
@@ -405,67 +415,52 @@ def _mean_fit(profiles: list, p: dict) -> DecayFit:
 
 
 def run_entanglement_static(config: ExperimentConfig, outdir: Path) -> dict:
+    """One pass over the ensemble yields the entropies, the ps_bounds and
+    the block eigencorrelator profiles for the area-law fit."""
     p = config.params
-    workers = effective_workers(config.workers)
-    per_real = map_realizations(_real_entanglement_static, config.ensemble, p, workers)
-    ells = p["ells"]
+    per_real = map_realizations(_real_entanglement_static, config.ensemble, p,
+                                effective_workers(config.workers))
     strategy = p.get("strategy", "sampled")
     rows = []
-    stats = {}
-    for idx, ell in enumerate(ells):
-        ent_agg = aggregate([r[idx][0] for r in per_real])
-        psb_agg = aggregate([r[idx][1] for r in per_real])
+    entropies = []
+    for idx, ell in enumerate(p["ells"]):
+        ent_agg = aggregate([r[0][idx][0] for r in per_real])
+        psb_agg = aggregate([r[0][idx][1] for r in per_real])
         rows.append((ell, "max_entropy", ent_agg["mean"], ent_agg["stderr"], ent_agg["count"], strategy))
         rows.append((ell, "ps_bound", psb_agg["mean"], psb_agg["stderr"], psb_agg["count"], strategy))
-        stats[ell] = (ent_agg, psb_agg)
+        entropies.append((ent_agg["mean"], ent_agg["stderr"]))
     write_csv(
         outdir / "entanglement_static.csv",
         ["ell", "statistic", "mean", "stderr", "count", "strategy"],
         rows,
     )
-    fit = _mean_fit(map_realizations(_real_block_profile, config.ensemble, p, workers), p)
+    fit = _mean_fit([r[1] for r in per_real], p)
     bound = ent.area_law_constant(fit.C, fit.eta)
     slack = p.get("slack", 2.0)
-    flat = True
-    for a in range(len(ells)):
-        for b in range(a + 1, len(ells)):
-            ma, sa = stats[ells[a]][0]["mean"], stats[ells[a]][0]["stderr"]
-            mb, sb = stats[ells[b]][0]["mean"], stats[ells[b]][0]["stderr"]
-            if abs(ma - mb) > 2.0 * np.hypot(sa, sb):
-                flat = False
-    below = all(stats[ell][0]["mean"] <= slack * bound for ell in ells)
+    below = all(mean <= slack * bound for mean, _ in entropies)
     return {
-        "fit": {"C": fit.C, "eta": fit.eta, "r_squared": fit.r_squared},
+        "fit": _fit_block(fit),
         "area_law_bound": bound,
-        "verdicts": {"flat_in_ell": bool(flat), "below_fitted_bound": bool(below)},
+        "verdicts": {"flat_in_ell": _flat_within_2sigma(entropies), "below_fitted_bound": bool(below)},
     }
 
 
 def run_entanglement_quench(config: ExperimentConfig, outdir: Path) -> dict:
     p = dict(config.params)
     p["times"] = config.time_grid.times()
-    workers = effective_workers(config.workers)
-    per_real = map_realizations(_real_quench, config.ensemble, p, workers)
-    ells = p["ells"]
+    per_real = map_realizations(_real_quench, config.ensemble, p, effective_workers(config.workers))
     rows = []
-    stats = {}
-    for idx, ell in enumerate(ells):
+    sups = []
+    for idx, ell in enumerate(p["ells"]):
         agg = aggregate([r[idx] for r in per_real])
         rows.append((ell, "sup_entropy", agg["mean"], agg["stderr"], agg["count"], "vacuum_pair"))
-        stats[ell] = agg
+        sups.append((agg["mean"], agg["stderr"]))
     write_csv(
         outdir / "entanglement_quench.csv",
         ["ell", "statistic", "mean", "stderr", "count", "strategy"],
         rows,
     )
-    flat = True
-    for a in range(len(ells)):
-        for b in range(a + 1, len(ells)):
-            ma, sa = stats[ells[a]]["mean"], stats[ells[a]]["stderr"]
-            mb, sb = stats[ells[b]]["mean"], stats[ells[b]]["stderr"]
-            if abs(ma - mb) > 2.0 * np.hypot(sa, sb):
-                flat = False
-    return {"verdicts": {"flat_in_ell": bool(flat)}}
+    return {"verdicts": {"flat_in_ell": _flat_within_2sigma(sups)}}
 
 
 def _run_transport_isotropic(config: ExperimentConfig, outdir: Path, observable: str) -> dict:
@@ -489,7 +484,7 @@ def _run_transport_isotropic(config: ExperimentConfig, outdir: Path, observable:
     write_csv(outdir / f"{observable}_transport.csv", ["t", "value"],
               zip(report.times.tolist(), report.mean_values.tolist()))
     return {
-        "fit": {"C": fit.C, "eta": fit.eta, "r_squared": fit.r_squared},
+        "fit": _fit_block(fit),
         "baseline": float(report.mean_values[0]),
         "sup": report.mean_sup,
         "bound": report.bound,
@@ -509,41 +504,35 @@ def run_transport_energy(config: ExperimentConfig, outdir: Path) -> dict:
         return _run_transport_isotropic(config, outdir, "energy")
     if variant != "anisotropic_flatness":
         raise ConfigError(f"params.variant must be isotropic_bound or anisotropic_flatness, got {variant!r}")
+    # one ensemble per size; one worker per realization samples its chain once
     sizes = p.get("sizes", [40, 80, 160])
-    s1_sites = p["s1"]
-    results = {}
-    mean_energies = {}
+    workers = effective_workers(config.workers)
+    s1 = tr.Region.of(p["s1"])
+    times = config.time_grid.times()
     base = config.ensemble
+    reports = {}
+    mean_energies = {}
     for n in sizes:
         ens = EnsembleSpec(
             n=n, mu_dist=base.mu_dist, gamma_dist=base.gamma_dist,
             nu_dist=base.nu_dist, base_seed=base.base_seed + n,
             realizations=base.realizations,
         )
-        eta = _profile_from_spec(p.get("eta_profile", "ones"), n)
-        report = tr.energy_fluctuation_anisotropic(
-            ens, tr.Region.of(s1_sites), eta, config.time_grid.times()
-        )
-        results[n] = report
-        mean_energies[n] = float(np.mean([
-            tr.mean_energy(sample_chain(ens, i), eta) for i in range(ens.realizations)
-        ]))
-    rows = [(n, "sup_energy_fluctuation", results[n].mean_sup, results[n].stderr_sup,
-             results[n].count, "profile") for n in sizes]
+        wp = {"s1": s1, "eta": _profile_from_spec(p.get("eta_profile", "ones"), n), "times": times}
+        results = map_realizations(_real_energy_fluctuation, ens, wp, workers)
+        reports[n] = tr.ensemble_report(times, [r[0] for r in results])
+        mean_energies[n] = float(np.mean([r[1] for r in results]))
+    rows = [(n, "sup_energy_fluctuation", reports[n].mean_sup, reports[n].stderr_sup,
+             reports[n].count, "profile") for n in sizes]
     write_csv(outdir / "energy_fluctuation.csv",
               ["n", "statistic", "mean", "stderr", "count", "strategy"], rows)
-    flat = True
-    for a in range(len(sizes)):
-        for b in range(a + 1, len(sizes)):
-            ra, rb = results[sizes[a]], results[sizes[b]]
-            if abs(ra.mean_sup - rb.mean_sup) > 2.0 * np.hypot(ra.stderr_sup, rb.stderr_sup):
-                flat = False
+    flat = _flat_within_2sigma([(reports[n].mean_sup, reports[n].stderr_sup) for n in sizes])
     grows = abs(mean_energies[sizes[-1]]) > 2.0 * abs(mean_energies[sizes[0]])
     return {
-        "mean_sup_by_n": {str(n): results[n].mean_sup for n in sizes},
-        "stderr_sup_by_n": {str(n): results[n].stderr_sup for n in sizes},
+        "mean_sup_by_n": {str(n): reports[n].mean_sup for n in sizes},
+        "stderr_sup_by_n": {str(n): reports[n].stderr_sup for n in sizes},
         "mean_energy_by_n": {str(n): mean_energies[n] for n in sizes},
-        "verdicts": {"flat_in_n": bool(flat), "total_energy_grows": bool(grows)},
+        "verdicts": {"flat_in_n": flat, "total_energy_grows": bool(grows)},
     }
 
 
@@ -594,7 +583,7 @@ def run_fock(config: ExperimentConfig, outdir: Path) -> dict:
     with open(outdir / "fock_report.json", "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    payload["fit"] = {"C": fit.C, "eta": fit.eta, "r_squared": fit.r_squared}
+    payload["fit"] = _fit_block(fit)
     payload["verdicts"] = {
         "matching": bool(payload["matched_fraction"] >= p.get("matched_min", 0.99)),
         "certification": bool(payload["certified_fraction"] >= p.get("certified_min", 0.95)),

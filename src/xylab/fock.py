@@ -18,7 +18,7 @@ import numpy as np
 
 from .eigencorrelator import DecayFit
 from .hamiltonian import SpectralDecomposition
-from .quasifree import GrowthFunction, configuration_distance, growth_series
+from .quasifree import GrowthFunction, configuration_distance, growth_series, ordered_configuration
 
 
 def hopcroft_karp(adjacency: list, n_right: int) -> list:
@@ -158,16 +158,6 @@ def certify_decay(
     return DecayCertificate(eta=eta, tau=tau, violations=violations, certified=not violations)
 
 
-def fermion_configuration(seq, n: int | None = None) -> tuple:
-    """Strictly increasing occupied-mode/site indices (1-based)."""
-    cfg = tuple(int(v) for v in seq)
-    if any(b <= a for a, b in zip(cfg, cfg[1:])):
-        raise ValueError(f"configuration must be strictly increasing: {cfg}")
-    if cfg and (cfg[0] < 1 or (n is not None and cfg[-1] > n)):
-        raise ValueError(f"configuration entries outside [1, {n}]: {cfg}")
-    return cfg
-
-
 def slater_overlap(U: np.ndarray, k_config, j_config) -> float:
     """Signed overlap between the interacting eigenstate occupying modes
     k and the spin basis vector with up-spins at sites j:
@@ -178,8 +168,8 @@ def slater_overlap(U: np.ndarray, k_config, j_config) -> float:
     (particle number conservation).
     """
     n = U.shape[0]
-    k = fermion_configuration(k_config, n)
-    j = fermion_configuration(j_config, n)
+    k = ordered_configuration(k_config, n)
+    j = ordered_configuration(j_config, n)
     if len(k) != len(j):
         return 0.0
     if len(k) == 0:
@@ -194,7 +184,7 @@ def occupation_number(U: np.ndarray, k_config, x: int) -> float:
     """Occupation of site x in the eigenstate with modes k: the exact
     identity sum_m |phi_{k_m}(x)|^2."""
     n = U.shape[0]
-    k = fermion_configuration(k_config, n)
+    k = ordered_configuration(k_config, n)
     if not 1 <= x <= n:
         raise ValueError(f"site {x} outside [1, {n}]")
     if not k:

@@ -73,23 +73,6 @@ def block_j(n: int) -> np.ndarray:
     return J
 
 
-def _negative_pivots(V: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Mask of the columns whose largest-magnitude component (the first
-    one on ties) is below -tol."""
-    if V.size == 0:
-        return np.zeros(V.shape[1], dtype=bool)
-    piv = V[np.argmax(np.abs(V), axis=0), np.arange(V.shape[1])]
-    return piv < -tol
-
-
-def _fix_column_signs(V: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Make the largest-magnitude component of each column positive."""
-    V = V.copy()
-    flip = _negative_pivots(V, tol)
-    V[:, flip] = -V[:, flip]
-    return V
-
-
 def block_norms(re: np.ndarray, im: np.ndarray | None = None) -> np.ndarray:
     """Spectral norms of the 2x2 matrices re + i im stacked on the last two
     axes: the square root of the top eigenvalue of X X^*, whose gap is
@@ -113,7 +96,8 @@ def block_norms(re: np.ndarray, im: np.ndarray | None = None) -> np.ndarray:
 @dataclass
 class SpectralDecomposition:
     """Eigensystem of a real symmetric matrix, ascending eigenvalues,
-    sign-fixed orthonormal eigenvector columns."""
+    orthonormal eigenvector columns.  Column signs are whatever the solver
+    returns; every quantity built from them is sign-invariant."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -150,12 +134,12 @@ def diagonalize_A(chain: ChainSpec) -> SpectralDecomposition:
         lam, V = eigh_tridiagonal(-chain.nu_array(), chain.mu_array())
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"tridiagonal eigensolver failed: {exc}") from exc
-    return SpectralDecomposition(eigenvalues=lam, eigenvectors=_fix_column_signs(V))
+    return SpectralDecomposition(eigenvalues=lam, eigenvectors=V)
 
 
 def diagonalize(X: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a real symmetric matrix with the
-    deterministic sign convention; residuals are verified."""
+    """Eigendecomposition of a real symmetric matrix; residuals are
+    verified."""
     X = np.asarray(X, dtype=float)
     sym_err = np.max(np.abs(X - X.T)) if X.size else 0.0
     if sym_err > 1e-12:
@@ -167,7 +151,6 @@ def diagonalize(X: np.ndarray) -> SpectralDecomposition:
             f"eigh failed for {X.shape[0]}x{X.shape[0]} matrix "
             f"(norm {np.linalg.norm(X):.3e}): {exc}"
         ) from exc
-    V = _fix_column_signs(V)
     scale = max(np.max(np.abs(lam)), 1.0) if lam.size else 1.0
     resid = np.max(np.abs(X @ V - V * lam)) if lam.size else 0.0
     orth = np.max(np.abs(V.T @ V - np.eye(len(lam)))) if lam.size else 0.0
@@ -212,10 +195,6 @@ def bogoliubov(chain: ChainSpec) -> BogoliubovDecomposition:
     lam = lam[order]
     Phi = Phi[:, order]
     Psi = PsiT.T[:, order]
-    # deterministic signs: flip (g, h) pairs together
-    flip = _negative_pivots(Psi)
-    Psi[:, flip] = -Psi[:, flip]
-    Phi[:, flip] = -Phi[:, flip]
 
     W = np.zeros((2 * n, 2 * n))
     phi = 0.5 * (Psi + Phi)  # c-components of the +lambda eigenvectors

@@ -189,7 +189,7 @@ def restricted_series(V_A: np.ndarray, lam: np.ndarray, G: np.ndarray, times) ->
 
 
 def ordered_configuration(seq, n: int | None = None) -> tuple:
-    """Validate a strictly increasing tuple of site indices (1-based)."""
+    """Validate a strictly increasing tuple of 1-based site (or mode) indices."""
     cfg = tuple(int(v) for v in seq)
     if any(b <= a for a, b in zip(cfg, cfg[1:])):
         raise ValueError(f"configuration must be strictly increasing: {cfg}")
@@ -253,23 +253,16 @@ class GrowthFunction:
         return float(out) if out.ndim == 0 else out
 
 
-def growth_series(K: GrowthFunction, mu0: float, tol: float = 1e-15, max_terms: int = 10**7) -> float:
-    """I(mu0) = sum_{l>=0} (1+l) exp(-mu0 K(l)), summed until the terms
-    drop below tol (past any threshold plateau)."""
+def growth_series(K: GrowthFunction, mu0: float) -> float:
+    """I(mu0) = sum_{l>=0} (1+l) exp(-mu0 K(l)) in closed form, with
+    q = exp(-mu0): 1/(1-q)^2 for linear K; for K thresholded at the cut,
+    with L = ceil(cut) the first term past the plateau, the plateau head
+    L(L+1)/2 plus the tail q^L (L+1-Lq)/(1-q)^2."""
     if mu0 <= 0:
         raise ValueError(f"mu0 must be positive, got {mu0}")
-    total = 0.0
-    ell = 0
-    cut = K.tau_cut if K.kind == "thresholded" else 0.0
-    while ell < max_terms:
-        term = (1.0 + ell) * math.exp(-mu0 * K(ell))
-        total += term
-        if ell >= cut and term < tol:
-            break
-        ell += 1
-    else:
-        raise ValueError("growth series did not converge")
-    return total
+    L = max(0, math.ceil(K.tau_cut)) if K.kind == "thresholded" else 0
+    q = math.exp(-mu0)
+    return 0.5 * L * (L + 1) + math.exp(-mu0 * L) * (L + 1 - L * q) / math.expm1(-mu0) ** 2
 
 
 def sw_bound(K: GrowthFunction, mu0: float, mu: float, C: float, D: float) -> float:

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from xylab import experiments as xp
 from xylab import transport as tr
+from xylab.disorder import sample_chain
 
 
 def ensemble_json(n=16, realizations=4, seed=11, eps=0.1):
@@ -444,20 +446,61 @@ def test_config_hash_covers_only_the_science():
     assert xp.config_hash({**base, "time_grid": {"T": 1.0, "dt": 0.5}}) != h
 
 
-def test_transport_workers_do_not_change_output(tmp_path):
-    base = {
+def _aniso_energy_config():
+    return {
+        "experiment": "transport_energy",
+        "ensemble": {**ensemble_json(n=12, realizations=3, seed=3, eps=0.05),
+                     "gamma": {"kind": "uniform", "lo": -0.5, "hi": 0.5},
+                     "nu": {"kind": "uniform", "lo": 0.5, "hi": 1.5}},
+        "time_grid": {"T": 5.0, "dt": 0.5},
+        "params": {"variant": "anisotropic_flatness", "sizes": [12, 16],
+                   "s1": [1, 2, 3], "eta_profile": "ones"},
+    }
+
+
+_POOLED_RUNS = {
+    "transport_particle": {
         "experiment": "transport_particle",
         "ensemble": ensemble_json(n=24, realizations=3, eps=0.05),
         "time_grid": {"T": 5.0, "dt": 0.5},
         "params": {"s1": [12], "s2": [1, 2, 23, 24], "fit_min_distance": 2, "fit_max_distance": 10},
-    }
+    },
+    "entanglement_static": {
+        "experiment": "entanglement_static",
+        "ensemble": ensemble_json(n=16, realizations=3, eps=0.05),
+        "params": {"ells": [4, 8], "samples": 20, "max_distance": 8,
+                   "fit_min_distance": 2, "fit_max_distance": 8},
+    },
+    "transport_energy_aniso": _aniso_energy_config(),
+}
+
+
+@pytest.mark.parametrize("name", list(_POOLED_RUNS))
+def test_transport_workers_do_not_change_output(tmp_path, name):
+    base = _POOLED_RUNS[name]
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
     xp.run(xp.parse_config({**base, "output_dir": str(serial), "workers": 1}))
     xp.run(xp.parse_config({**base, "output_dir": str(parallel), "workers": 2}))
-    csv = "particle_transport.csv"
-    assert (serial / csv).read_bytes() == (parallel / csv).read_bytes()
+    artifacts = sorted(f.name for f in serial.iterdir() if f.name != "summary.json")
+    assert artifacts and artifacts == sorted(f.name for f in parallel.iterdir() if f.name != "summary.json")
+    for artifact in artifacts:
+        assert (serial / artifact).read_bytes() == (parallel / artifact).read_bytes()
     summaries = [json.loads((d / "summary.json").read_text()) for d in (serial, parallel)]
     for summary in summaries:
         del summary["config"]  # echoes output_dir and workers
     assert summaries[0] == summaries[1]
+
+
+def test_anisotropic_energy_run_samples_each_chain_once(tmp_path, monkeypatch):
+    # one worker per realization returns both the series and the mean energy
+    calls = Counter()
+
+    def counting(ensemble, i):
+        calls[(ensemble.n, i)] += 1
+        return sample_chain(ensemble, i)
+
+    for module in (xp, tr):
+        monkeypatch.setattr(module, "sample_chain", counting)
+    xp.run(xp.parse_config({**_aniso_energy_config(), "output_dir": str(tmp_path)}))
+    assert calls == {(n, i): 1 for n in (12, 16) for i in range(3)}

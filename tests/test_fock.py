@@ -245,11 +245,3 @@ def test_single_mode_reduces_to_eigenfunction_decay(rng):
             assert abs(fock.slater_overlap(U, (k,), (j,))) == pytest.approx(
                 abs(U[j - 1, k - 1]), abs=1e-14
             )
-
-
-def test_fermion_configuration_validation():
-    with pytest.raises(ValueError):
-        fock.fermion_configuration([2, 2], 5)
-    with pytest.raises(ValueError):
-        fock.fermion_configuration([1, 6], 5)
-    assert fock.fermion_configuration([], 5) == ()

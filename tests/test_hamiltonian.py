@@ -1,9 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from xylab import ed_oracle as ed
+from xylab import entanglement as ent
+from xylab import fock
 from xylab import hamiltonian as ham
+from xylab import quasifree as qf
 from xylab.disorder import make_chain
+from xylab.eigencorrelator import eigencorrelator_table
 
 from conftest import random_chain
 
@@ -47,17 +53,8 @@ def test_spectrum_of_M_symmetric_about_zero(rng):
 def test_diagonalize_diagonal_matrix():
     sd = ham.diagonalize(np.diag([3.0, -1.0, 2.0]))
     assert np.allclose(sd.eigenvalues, [-1.0, 2.0, 3.0])
-    # permutation matrix with positive pivots
+    # a permutation matrix up to column signs
     assert np.allclose(np.abs(sd.eigenvectors), np.eye(3)[:, [1, 2, 0]])
-    assert np.all(sd.eigenvectors.max(axis=0) > 0)
-
-
-def test_diagonalize_two_by_two():
-    sd = ham.diagonalize(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(sd.eigenvalues, [-1.0, 1.0])
-    s = 1 / np.sqrt(2)
-    assert np.allclose(sd.eigenvectors[:, 0], [s, -s])
-    assert np.allclose(sd.eigenvectors[:, 1], [s, s])
 
 
 def test_diagonalize_residuals_random(rng):
@@ -152,38 +149,33 @@ def test_export_matrix_csv(tmp_path):
     assert len(lines) == 2
 
 
-def _fix_column_signs_loop(V, tol=1e-12):
-    # the column-by-column convention the vectorized form must reproduce
-    V = V.copy()
-    for k in range(V.shape[1]):
-        col = V[:, k]
-        piv = int(np.argmax(np.abs(col)))
-        if abs(col[piv]) > tol and col[piv] < 0:
-            V[:, k] = -col
-    return V
-
-
-def test_column_signs_match_loop_bitwise(rng):
-    V = rng.normal(size=(9, 9))
-    ties = np.array([[0.5, -0.5, 0.3, -0.3, 0.0],
-                     [-0.5, 0.5, -0.3, 0.3, 0.0],
-                     [0.1, 0.2, 0.0, 0.0, 0.0]])
-    tiny = np.array([[-1e-13, 5e-13, -2e-12], [1e-14, -4e-13, 1e-12]])
-    for X in (V, ties, tiny, -V, np.zeros((0, 0))):
-        got = ham._fix_column_signs(X)
-        ref = _fix_column_signs_loop(X)
-        assert got.tobytes() == ref.tobytes()
-    assert np.array_equal(ham._fix_column_signs(ties)[0], [0.5, 0.5, 0.3, 0.3, 0.0])
-    assert np.array_equal(ham._fix_column_signs(tiny), tiny * [1, 1, -1])
-
-
-def test_bogoliubov_pair_signs_follow_psi_pivots(rng):
+def test_outputs_do_not_depend_on_eigenvector_signs(rng):
+    # column signs are whatever the solvers return: negating eigenvectors of
+    # A and M, or the row pair of a Bogoliubov mode, changes no output
     ch = random_chain(rng, 7)
+    n = ch.n
+
+    def signs(count):
+        s = np.where(rng.random(count) < 0.5, -1.0, 1.0)
+        s[0] = -1.0
+        return s
+
+    sd_A = ham.diagonalize_A(ch)
+    sd_M = ham.diagonalize(ham.build_M(ch))
     bog = ham.bogoliubov(ch)
-    # rows 2j carry ((g+h)/2, (g-h)/2) interleaved, so g = W[2j,0::2] + W[2j,1::2]
-    psi = bog.W[0::2, 0::2] + bog.W[0::2, 1::2]
-    piv = psi[np.arange(7), np.argmax(np.abs(psi), axis=1)]
-    assert np.all(piv > 0)
+    sd_A2 = ham.SpectralDecomposition(sd_A.eigenvalues, sd_A.eigenvectors * signs(n))
+    sd_M2 = ham.SpectralDecomposition(sd_M.eigenvalues, sd_M.eigenvectors * signs(2 * n))
+    bog2 = dataclasses.replace(bog, W=bog.W * np.repeat(signs(n), 2)[:, None])
+    for sd, sd2, block in ((sd_A, sd_A2, False), (sd_M, sd_M2, True)):
+        assert np.array_equal(eigencorrelator_table(sd, block=block),
+                              eigencorrelator_table(sd2, block=block))
+    alpha = rng.integers(0, 2, n)
+    assert np.array_equal(qf.eigenstate_gamma(bog, alpha).gamma, qf.eigenstate_gamma(bog2, alpha).gamma)
+    args = (ch, ent.Cut(3), np.zeros(3, dtype=int), np.zeros(n - 3, dtype=int), np.linspace(0.0, 4.0, 9))
+    assert np.array_equal(ent.quench_entropy(*args, sd_M=sd_M), ent.quench_entropy(*args, sd_M=sd_M2))
+    for k, j in (((1,), (4,)), ((2, 5), (1, 3)), ((1, 3, 6), (2, 4, 7))):
+        assert abs(fock.slater_overlap(sd_A.eigenvectors, k, j)) == abs(
+            fock.slater_overlap(sd_A2.eigenvectors, k, j))
 
 
 def test_block_norms_match_svd_at_equal_singular_values(rng):

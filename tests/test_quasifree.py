@@ -202,6 +202,17 @@ def test_growth_series_linear_closed_form():
     assert val == pytest.approx(2.5027, abs=5e-5)
 
 
+@pytest.mark.parametrize("cut", [0.5, 7.0, 14.1])
+@pytest.mark.parametrize("mu0", [0.05, 3.0])
+def test_growth_series_thresholded_matches_partial_sums(cut, mu0):
+    # plateau head L(L+1)/2 plus the closed-form tail, L = ceil(cut)
+    K = qf.GrowthFunction("thresholded", tau_cut=cut)
+    brute = sum((1 + ell) * np.exp(-mu0 * K(ell)) for ell in range(3000))
+    assert qf.growth_series(K, mu0) == pytest.approx(brute, rel=1e-12)
+    with pytest.raises(ValueError, match="mu0"):
+        qf.growth_series(K, 0.0)
+
+
 def test_sw_bound_no_decay_at_zero_distance():
     K = qf.GrowthFunction("linear")
     C = 0.8
@@ -241,6 +252,11 @@ def test_ordered_configuration_validation():
         qf.ordered_configuration([0, 2], 5)
     with pytest.raises(ValueError):
         qf.ordered_configuration([2, 6], 5)
+    with pytest.raises(ValueError):
+        qf.ordered_configuration([2, 2], 5)
+    with pytest.raises(ValueError):
+        qf.ordered_configuration([1, 6], 5)
+    assert qf.ordered_configuration([], 5) == ()
     assert qf.configuration_distance((1, 5), (2, 9)) == 4
     with pytest.raises(ValueError):
         qf.configuration_distance((1,), (1, 2))
