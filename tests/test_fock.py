@@ -89,6 +89,20 @@ def test_slater_overlap_cardinality_mismatch_is_zero():
     assert fock.slater_overlap(U, (1, 2), (3,)) == 0.0
 
 
+def test_fermion_configuration_validation():
+    U = np.eye(5)
+    with pytest.raises(ValueError):
+        fock.slater_overlap(U, [2, 2], [1, 3])
+    with pytest.raises(ValueError):
+        fock.slater_overlap(U, [1, 3], [1, 6])
+    with pytest.raises(ValueError):
+        fock.occupation_number(U, [2, 2], 1)
+    with pytest.raises(ValueError):
+        fock.occupation_number(U, [1, 6], 1)
+    assert fock.slater_overlap(U, [], []) == 1.0
+    assert fock.occupation_number(U, [], 3) == 0.0
+
+
 def test_slater_overlap_magnitude_never_exceeds_one(rng):
     ch = random_chain(rng, 8, anisotropic=False)
     U = ham.diagonalize_A(ch).eigenvectors
