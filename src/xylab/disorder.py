@@ -4,7 +4,8 @@ Sampling is counter-based: realization i of an ensemble depends only on
 (base_seed, i), so realizations can be generated in any order or in
 parallel with identical results.  All randomness goes through an
 in-package SplitMix64 stream, so fixtures are stable across platforms
-and numpy versions.
+and numpy versions.  Per-realization values reduce in index order
+through aggregate.
 """
 
 from __future__ import annotations
@@ -141,6 +142,17 @@ class EnsembleSpec:
             base_seed=int(obj["base_seed"]),
             realizations=int(obj["realizations"]),
         )
+
+
+def aggregate(values) -> dict:
+    """Ordered reduction to {mean, stderr, count}; stderr is the sample
+    standard deviation over sqrt(count)."""
+    arr = np.asarray(list(values), dtype=float)
+    if arr.size == 0:
+        raise ValueError("aggregate needs at least one value")
+    mean = float(np.mean(arr))
+    stderr = float(np.std(arr, ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
+    return {"mean": mean, "stderr": stderr, "count": int(arr.size)}
 
 
 @dataclass(frozen=True)

@@ -76,23 +76,12 @@ def region_number_op(n: int, sites) -> np.ndarray:
 
 def build_H(chain: ChainSpec) -> np.ndarray:
     """Exact tensor-product assembly of the XY Hamiltonian."""
-    n = chain.n
-    _check_n(n)
-    H = np.zeros((2**n, 2**n), dtype=complex)
-    for j in range(1, n):
-        mu = chain.mu[j - 1]
-        gam = chain.gamma[j - 1]
-        xx = product_op(n, {j: "X", j + 1: "X"})
-        yy = product_op(n, {j: "Y", j + 1: "Y"})
-        H -= mu * ((1.0 + gam) * xx + (1.0 - gam) * yy)
-    for j in range(1, n + 1):
-        H -= chain.nu[j - 1] * site_op(n, j, "Z")
-    return H
+    return build_H_region(chain, 1, chain.n)
 
 
 def build_H_region(chain: ChainSpec, a: int, b: int) -> np.ndarray:
-    """Restriction of the isotropic-form Hamiltonian to the interval [a, b]
-    (interior bonds only), still acting on the full chain."""
+    """Restriction of the Hamiltonian to the interval [a, b] (its interior
+    bonds and fields), still acting on the full chain."""
     n = chain.n
     _check_n(n)
     H = np.zeros((2**n, 2**n), dtype=complex)
@@ -168,22 +157,19 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
 def correlation_blocks(state: np.ndarray, cs: list) -> np.ndarray:
     """Full 2n x 2n correlation matrix <C C^*> in the interleaved
-    (c_j, c_j^*) ordering for a vector or density-matrix state."""
-    n = len(cs)
-    ops = []
-    for c in cs:
-        ops.append(c)
-        ops.append(c.conj().T)
+    (c_j, c_j^*) ordering for a vector or density-matrix state.
 
-    def expect(op):
-        if state.ndim == 1:
-            return state.conj() @ (op @ state)
-        return np.trace(state @ op)
-
-    G = np.zeros((2 * n, 2 * n), dtype=complex)
-    for p in range(2 * n):
-        for q in range(2 * n):
-            G[p, q] = expect(ops[p] @ ops[q].conj().T)
+    G[p, q] = <o_p o_q^*> is the Gram matrix <o_p^* psi, o_q^* psi> of a
+    vector state; for a density matrix rho, G[p, q] = tr(o_q^* rho o_p),
+    one row at a time so that only one 4^n product is held."""
+    ops = [op for c in cs for op in (c, c.conj().T)]
+    if state.ndim == 1:
+        U = np.column_stack([op.conj().T @ state for op in ops])
+        return U.conj().T @ U
+    G = np.empty((len(ops), len(ops)), dtype=complex)
+    for p, op in enumerate(ops):
+        R = state @ op
+        G[p] = [np.vdot(o, R) for o in ops]
     return G
 
 

@@ -22,14 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import EnsembleSpec, sample_chain
-from .hamiltonian import (
-    SpectralDecomposition,
-    block_norms,
-    build_M,
-    diagonalize,
-    diagonalize_A,
-)
+from .hamiltonian import SpectralDecomposition, block_norms
 
 
 def eigencorrelator_table(sd: SpectralDecomposition, block: bool = False) -> np.ndarray:
@@ -219,30 +212,3 @@ def lr_commutator_bound(
     if kind == "local":
         return float(96.0 * fit.C * b_norm * np.exp(-fit.eta * d) / (1.0 - q) ** 2)
     raise ValueError(f"unknown bound kind {kind!r}")
-
-
-def averaged_eigencorrelator(
-    ensemble: EnsembleSpec, block: bool = False, max_distance: int | None = None
-) -> np.ndarray:
-    """Disorder-averaged distance profile of the eigencorrelator table,
-    accumulated in realization-index order."""
-    acc = None
-    for i in range(ensemble.realizations):
-        chain = sample_chain(ensemble, i)
-        sd = diagonalize(build_M(chain)) if block else diagonalize_A(chain)
-        prof = distance_profile(eigencorrelator_table(sd, block=block), max_distance)
-        acc = prof if acc is None else acc + prof
-    return acc / ensemble.realizations
-
-
-def averaged_amplitude_profile(
-    ensemble: EnsembleSpec, times, block: bool = False, max_distance: int | None = None
-) -> np.ndarray:
-    """Disorder-averaged distance profile of sup-over-grid amplitudes."""
-    acc = None
-    for i in range(ensemble.realizations):
-        chain = sample_chain(ensemble, i)
-        sd = diagonalize(build_M(chain)) if block else diagonalize_A(chain)
-        prof = distance_profile(dynamic_amplitude_sup(sd, times, block=block), max_distance)
-        acc = prof if acc is None else acc + prof
-    return acc / ensemble.realizations

@@ -17,6 +17,7 @@ from .disorder import ChainSpec
 from .hamiltonian import (
     BogoliubovDecomposition,
     SpectralDecomposition,
+    alpha_from_index,
     block_norms,
     build_M,
     diagonalize,
@@ -24,6 +25,7 @@ from .hamiltonian import (
 from .quasifree import (
     CorrelationMatrix,
     eigenstate_gamma,
+    mode_selector,
     quench_initial_gamma,
     restricted_series,
 )
@@ -106,9 +108,11 @@ def area_law_constant(C: float, eta: float) -> float:
     return float(2.0 * LN2 * C * q / (1.0 - q) ** 2)
 
 
-def _iter_alpha(n: int):
-    for a in range(2**n):
-        yield (a >> np.arange(n)) & 1
+def _label_entropy(WA: np.ndarray, alpha) -> float:
+    """Entropy of eigenstate alpha restricted to the columns of WA (a 2n x 2ell
+    slice of the Bogoliubov W): the spectrum of WA^t P_alpha WA."""
+    sel = mode_selector(alpha)
+    return float(_spectrum_entropy(np.linalg.eigvalsh(WA.T @ (sel[:, None] * WA))))
 
 
 def max_eigenstate_entropy(
@@ -126,7 +130,7 @@ def max_eigenstate_entropy(
     if strategy == "exhaustive":
         if n > 14:
             raise ValueError("exhaustive strategy capped at n=14")
-        labels = _iter_alpha(n)
+        labels = (alpha_from_index(a, n) for a in range(2**n))
         tag = "exhaustive"
     elif strategy == "sampled":
         rng = np.random.default_rng(seed)
@@ -135,16 +139,11 @@ def max_eigenstate_entropy(
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    # spectrum of the restricted block via the 2n x 2ell slice of W
     WA = bog.W[:, : 2 * cut.ell]
     best = -1.0
     best_alpha = None
     for alpha in labels:
-        sel = np.empty(2 * n)
-        sel[0::2] = 1 - alpha
-        sel[1::2] = alpha
-        block = WA.T @ (sel[:, None] * WA)
-        s = float(_spectrum_entropy(np.linalg.eigvalsh(block)))
+        s = _label_entropy(WA, alpha)
         if s > best:
             best = s
             best_alpha = np.array(alpha, dtype=int)
@@ -190,22 +189,16 @@ def thermal_entanglement_of_formation_bound(
     n = bog.n
     cut.check(n)
     WA = bog.W[:, : 2 * cut.ell]
-
-    def entropy_of(alpha):
-        sel = np.empty(2 * n)
-        sel[0::2] = 1 - alpha
-        sel[1::2] = alpha
-        return float(_spectrum_entropy(np.linalg.eigvalsh(WA.T @ (sel[:, None] * WA))))
-
     if n <= 14:
         if np.isinf(beta):
-            return entropy_of(np.zeros(n, dtype=int))
+            return _label_entropy(WA, np.zeros(n, dtype=int))
         # energies 2*sum(lam[occupied]) - E0; the E0 shift cancels in the weights
         total = 0.0
         norm = 0.0
-        for alpha in _iter_alpha(n):
+        for a in range(2**n):
+            alpha = alpha_from_index(a, n)
             w = float(np.exp(-2.0 * beta * np.sum(bog.lam[alpha == 1])))
-            total += w * entropy_of(alpha)
+            total += w * _label_entropy(WA, alpha)
             norm += w
         return total / norm
     from scipy.special import expit
@@ -215,5 +208,5 @@ def thermal_entanglement_of_formation_bound(
     acc = 0.0
     for _ in range(sample_count):
         alpha = (rng.random(n) < p_occ).astype(int)
-        acc += entropy_of(alpha)
+        acc += _label_entropy(WA, alpha)
     return acc / sample_count

@@ -25,7 +25,7 @@ import numpy as np
 from . import ed_oracle as ed
 from . import entanglement as ent
 from . import transport as tr
-from .disorder import ChainSpec, Distribution, EnsembleSpec, sample_chain
+from .disorder import ChainSpec, Distribution, EnsembleSpec, aggregate, sample_chain
 from .eigencorrelator import (
     DecayFit,
     clustering_sup,
@@ -158,17 +158,6 @@ def config_hash(obj: dict) -> str:
     compute the same science."""
     semantic = {k: obj[k] for k in _SEMANTIC_FIELDS if k in obj}
     return hashlib.sha256(json.dumps(semantic, sort_keys=True).encode()).hexdigest()[:16]
-
-
-def aggregate(values) -> dict:
-    """Ordered reduction to {mean, stderr, count}; stderr is the sample
-    standard deviation over sqrt(count)."""
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("aggregate needs at least one value")
-    mean = float(np.mean(arr))
-    stderr = float(np.std(arr, ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return {"mean": mean, "stderr": stderr, "count": int(arr.size)}
 
 
 def effective_workers(config_workers: int) -> int:

@@ -245,11 +245,3 @@ def all_many_body_energies(bog: BogoliubovDecomposition) -> np.ndarray:
 def alpha_from_index(a: int, n: int) -> np.ndarray:
     """Occupation bits of enumeration index a (alpha_j = bit j of a)."""
     return (a >> np.arange(n)) & 1
-
-
-def export_matrix_csv(X: np.ndarray, path) -> None:
-    """Dense row-major CSV dump for debugging."""
-    X = np.atleast_2d(np.asarray(X))
-    with open(path, "w") as fh:
-        for row in X:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")

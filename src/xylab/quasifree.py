@@ -46,10 +46,6 @@ class CorrelationMatrix:
                 f"gamma must be {2 * self.n}x{2 * self.n}, got {self.gamma.shape}"
             )
 
-    def block(self, j: int, k: int) -> np.ndarray:
-        """2x2 block for sites j, k (1-based)."""
-        return self.gamma[2 * j - 2 : 2 * j, 2 * k - 2 : 2 * k]
-
     def occupations(self) -> np.ndarray:
         """<c_j^* c_j> for j = 1..n."""
         return np.real(np.diag(self.gamma)[1::2]).copy()

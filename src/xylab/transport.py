@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import ChainSpec, EnsembleSpec, sample_chain
+from .disorder import ChainSpec, EnsembleSpec, aggregate
 from .eigencorrelator import DecayFit
 from .hamiltonian import SpectralDecomposition, build_A, build_M, diagonalize, diagonalize_A
 from .quasifree import CorrelationMatrix, profile_gamma, trace_series
@@ -123,21 +123,19 @@ def ensemble_report(
     mean series and the mean and standard error of their suprema (of the
     magnitudes, or of the values themselves when not absolute).  Without
     a bound the report carries NaN and passes."""
-    sups = np.array([float(np.max(np.abs(v) if absolute else v)) for v in series])
+    sups = aggregate(float(np.max(np.abs(v) if absolute else v)) for v in series)
     acc = np.zeros(len(times))
     for v in series:
         acc += v
-    mean_sup = float(np.mean(sups))
-    stderr = float(np.std(sups, ddof=1) / np.sqrt(len(sups))) if len(sups) > 1 else 0.0
     return EnsembleTransportReport(
         times=np.asarray(times, dtype=float),
         mean_values=acc / len(series),
-        mean_sup=mean_sup,
-        stderr_sup=stderr,
+        mean_sup=sups["mean"],
+        stderr_sup=sups["stderr"],
         bound=float("nan") if bound is None else bound,
         slack=slack,
-        passed=bound is None or bool(mean_sup <= slack * bound),
-        count=len(series),
+        passed=bound is None or bool(sups["mean"] <= slack * bound),
+        count=sups["count"],
     )
 
 
@@ -149,18 +147,16 @@ def particle_transport_check(
     times,
     fit: DecayFit,
     slack: float = 2.0,
-    series: list | None = None,
+    *,
+    series: list,
 ) -> EnsembleTransportReport:
-    """Disorder-averaged sup_t <N_{S1}> against the localization bound.
-    series, the per-realization particle_number_series of the ensemble
-    in index order, may be passed in when they were computed already."""
+    """Disorder-averaged sup_t <N_{S1}> against the localization bound;
+    series are the per-realization particle_number_series of the
+    ensemble in index order."""
     eta = np.asarray(eta_profile, dtype=float)
     _check_profile_geometry(ensemble.n, s1, s2, eta)
     d = region_distance(s1, s2)
     bound = particle_transport_bound(fit, d)
-    if series is None:
-        series = [particle_number_series(sample_chain(ensemble, i), s1, eta, times)
-                  for i in range(ensemble.realizations)]
     return ensemble_report(times, series, absolute=False, bound=bound, slack=slack)
 
 
@@ -170,18 +166,11 @@ def _interval_projector_indices(s1: Region) -> np.ndarray:
     return np.array(s1.sites) - 1
 
 
-def energy_in_region_isotropic(chain: ChainSpec, s1: Region, eta, t: float) -> float:
-    """<H_{S1}> - E_ref at time t for the isotropic chain, where the
-    reference E_ref = sum_{j in S1} nu_j is the t = 0 value when the
-    profile vanishes on S1.  Computed as the one-particle trace
-    2 tr(exp(2itA) A_S1 exp(-2itA) diag(eta))."""
-    return float(energy_series_isotropic(chain, s1, eta, [t])[0])
-
-
 def energy_series_isotropic(
     chain: ChainSpec, s1: Region, eta, times, sd: SpectralDecomposition | None = None
 ) -> np.ndarray:
-    """Series of <H_{S1}>_t - sum_{S1} nu_j along the profile evolution,
+    """Series of <H_{S1}>_t - sum_{S1} nu_j (the t = 0 value when the profile
+    vanishes on S1), the trace 2 tr(exp(2itA) A_S1 exp(-2itA) diag(eta)),
     evaluated in the eigenbasis (one O(n^2) contraction per time); sd as
     in particle_number_series."""
     if not chain.isotropic:
@@ -218,7 +207,8 @@ def energy_transport_check_isotropic(
     times,
     fit: DecayFit,
     slack: float = 2.0,
-    series: list | None = None,
+    *,
+    series: list,
 ) -> EnsembleTransportReport:
     """Disorder-averaged sup_t |<H_{S1}> - E_ref| against the bound;
     series as in particle_transport_check (of energy_series_isotropic)."""
@@ -226,9 +216,6 @@ def energy_transport_check_isotropic(
     _check_profile_geometry(ensemble.n, s1, s2, eta)
     d = region_distance(s1, s2)
     bound = energy_transport_bound(fit, d, matrix_norm_bound(ensemble))
-    if series is None:
-        series = [energy_series_isotropic(sample_chain(ensemble, i), s1, eta, times)
-                  for i in range(ensemble.realizations)]
     return ensemble_report(times, series, bound=bound, slack=slack)
 
 
@@ -251,21 +238,6 @@ def mean_energy(chain: ChainSpec, eta) -> float:
     """<H> in the profile state: sum nu_j (1 - 2 eta_j)."""
     eta = np.asarray(eta, dtype=float)
     return float(np.sum(chain.nu_array() * (1.0 - 2.0 * eta)))
-
-
-def energy_fluctuation_anisotropic(
-    ensemble: EnsembleSpec,
-    s1: Region,
-    eta_profile,
-    times,
-) -> EnsembleTransportReport:
-    """Disorder-averaged sup_t |<H_{S1}>_t - <H_{S1}>_0| for a general
-    profile; the bound field carries no inequality here (n-flatness is
-    judged across ensembles of different n)."""
-    eta = np.asarray(eta_profile, dtype=float)
-    series = [energy_fluctuation_series(sample_chain(ensemble, i), s1, eta, times)
-              for i in range(ensemble.realizations)]
-    return ensemble_report(times, series)
 
 
 def trace_norm_inequality_gap(chain: ChainSpec, s1: Region, s2: Region, eta, t: float):

@@ -2,11 +2,21 @@ import numpy as np
 import pytest
 
 from xylab import disorder
+from xylab import experiments as xp
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def ensemble_mean(worker, ensemble, params, part=None):
+    """Mean over the ensemble, accumulated in index order, of an experiment
+    worker xp._real_*; `part` picks one entry of a worker returning a tuple."""
+    results = xp.map_realizations(worker, ensemble, params, workers=1)
+    if part is not None:
+        results = [r[part] for r in results]
+    return np.mean(np.vstack(results), axis=0)
 
 
 def random_chain(rng, n, anisotropic=True, nu_scale=1.5):

@@ -27,6 +27,8 @@ from xylab.disorder import (
     uniform,
 )
 
+from conftest import ensemble_mean
+
 
 def report(number: int, ok: bool, detail: str) -> None:
     print(f"\nACCEPTANCE {number:02d}: {'PASS' if ok else 'FAIL'}  {detail}")
@@ -42,7 +44,7 @@ def random_chain(rng, n, anisotropic):
 @pytest.fixture(scope="module")
 def fit_eps005_n200():
     ens = high_disorder_ensemble(200, 0.05, uniform(-1.0, 1.0), seed=901, realizations=300)
-    prof = ec.averaged_eigencorrelator(ens, max_distance=40)
+    prof = ensemble_mean(xp._real_eigencorrelator, ens, {"max_distance": 40})
     return ens, ec.fit_decay(prof, min_distance=5, max_distance=35)
 
 
@@ -127,7 +129,7 @@ def test_03_entanglement_identity():
 def test_04_eigencorrelator_decay(fit_eps005_n200):
     _, fit = fit_eps005_n200
     ens2 = high_disorder_ensemble(200, 0.2, uniform(-1.0, 1.0), seed=904, realizations=500)
-    prof2 = ec.averaged_eigencorrelator(ens2, max_distance=40)
+    prof2 = ensemble_mean(xp._real_eigencorrelator, ens2, {"max_distance": 40})
     fit2 = ec.fit_decay(prof2, min_distance=5, max_distance=35)
     ok = fit.r_squared >= 0.95 and fit.eta > 0 and fit.eta > fit2.eta
     report(
@@ -159,7 +161,7 @@ def test_05_zero_velocity_contrast():
     n8 = 8
     ens8 = EnsembleSpec(n=n8, mu_dist=constant(1.0), gamma_dist=constant(0.0),
                         nu_dist=uniform(-5.0, 5.0), base_seed=905, realizations=60)
-    prof8 = ec.averaged_eigencorrelator(ens8, block=True)
+    prof8 = ensemble_mean(xp._real_eigencorrelator, ens8, {"block": True})
     fit8 = ec.fit_decay(prof8, min_distance=1)
     grid = np.arange(0.0, 20.0 + 1e-9, 0.5)
     pairs = [(1, 3), (1, 5), (2, 6), (1, 8)]
@@ -233,7 +235,7 @@ def test_07_area_law_flatness():
     a30 = xp.aggregate(stats[30])
     flat_static = abs(a10["mean"] - a30["mean"]) <= 2.0 * np.hypot(a10["stderr"], a30["stderr"])
 
-    prof = ec.averaged_eigencorrelator(ens, block=True, max_distance=30)
+    prof = ensemble_mean(xp._real_eigencorrelator, ens, {"block": True, "max_distance": 30})
     fitb = ec.fit_decay(prof, min_distance=2, max_distance=25)
     bound = ent.area_law_constant(fitb.C, fitb.eta)
     below = a10["mean"] <= 2.0 * bound and a30["mean"] <= 2.0 * bound
@@ -270,7 +272,7 @@ def test_07_area_law_flatness():
 @pytest.fixture(scope="module")
 def fit_eps005_n100():
     ens = high_disorder_ensemble(100, 0.05, uniform(-1.0, 1.0), seed=800, realizations=300)
-    prof = ec.averaged_eigencorrelator(ens, max_distance=40)
+    prof = ensemble_mean(xp._real_eigencorrelator, ens, {"max_distance": 40})
     return ens, ec.fit_decay(prof, min_distance=5, max_distance=35)
 
 
@@ -281,8 +283,15 @@ def test_08_transport(fit_eps005_n100):
     eta = np.zeros(100)
     eta[np.array(s2.sites) - 1] = 1.0
     times = np.arange(0.0, 50.0 + 1e-9, 0.5)
-    rep_p = tr.particle_transport_check(ens, s1, s2, eta, times, fit)
-    rep_e = tr.energy_transport_check_isotropic(ens, s1, s2, eta, times, fit)
+    series = {
+        observable: [r[1] for r in xp.map_realizations(
+            xp._real_transport, ens,
+            {"observable": observable, "s1": s1, "eta": eta, "times": times}, workers=1)]
+        for observable in ("particle", "energy")
+    }
+    rep_p = tr.particle_transport_check(ens, s1, s2, eta, times, fit, series=series["particle"])
+    rep_e = tr.energy_transport_check_isotropic(ens, s1, s2, eta, times, fit,
+                                                series=series["energy"])
 
     # anisotropic energy fluctuations flat across sizes (shared seed so
     # the disorder streams share prefixes)
@@ -291,14 +300,12 @@ def test_08_transport(fit_eps005_n100):
     for n in (40, 80, 160):
         ensn = EnsembleSpec(n=n, mu_dist=constant(0.05), gamma_dist=uniform(-0.5, 0.5),
                             nu_dist=uniform(0.5, 1.5), base_seed=900, realizations=100)
-        etan = np.ones(n)
-        rep = tr.energy_fluctuation_anisotropic(
-            ensn, tr.Region.of(range(1, 11)), etan, np.arange(0.0, 30.0 + 1e-9, 0.5)
-        )
-        sups[n] = rep
-        means[n] = float(np.mean([
-            tr.mean_energy(sample_chain(ensn, i), etan) for i in range(ensn.realizations)
-        ]))
+        timesn = np.arange(0.0, 30.0 + 1e-9, 0.5)
+        results = xp.map_realizations(
+            xp._real_energy_fluctuation, ensn,
+            {"s1": tr.Region.of(range(1, 11)), "eta": np.ones(n), "times": timesn}, workers=1)
+        sups[n] = tr.ensemble_report(timesn, [r[0] for r in results])
+        means[n] = float(np.mean([r[1] for r in results]))
     flat = all(
         abs(sups[a].mean_sup - sups[b].mean_sup)
         <= 2.0 * np.hypot(sups[a].stderr_sup, sups[b].stderr_sup)
@@ -329,7 +336,7 @@ def test_08_transport(fit_eps005_n100):
             else:
                 free_n = tr.particle_number_series(chain, tr.Region.of([1]), eta6, [t])[0]
                 worst = max(worst, abs(free_n - np.real(np.trace(rho_t @ NS1))))
-                free_e = tr.energy_in_region_isotropic(chain, tr.Region.of([1, 2]), eta6, t)
+                free_e = tr.energy_series_isotropic(chain, tr.Region.of([1, 2]), eta6, [t])[0]
                 ed_e = np.real(np.trace(rho_t @ HS1)) - (chain.nu[0] + chain.nu[1])
                 worst = max(worst, abs(free_e - ed_e))
 
@@ -391,7 +398,7 @@ def test_09_fock_localization(fit_eps005_n200):
 
     # overlap bound on the n = 120 ensemble
     ens2 = high_disorder_ensemble(120, 0.05, uniform(-1.0, 1.0), seed=902, realizations=100)
-    prof2 = ec.averaged_eigencorrelator(ens2, max_distance=40)
+    prof2 = ensemble_mean(xp._real_eigencorrelator, ens2, {"max_distance": 40})
     fit2 = ec.fit_decay(prof2, min_distance=5, max_distance=35)
     pairs = fock.sample_configuration_pairs(120, 0.4, 500, seed=11)
     eta2 = 0.5 * fit2.eta

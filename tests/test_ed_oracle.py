@@ -113,6 +113,33 @@ def test_thermal_state_properties(rng):
     assert np.max(np.abs(ed.thermal_state(H, 0.0) - np.eye(8) / 8)) < 1e-12
 
 
+def _pairwise_correlation_blocks(state, cs):
+    # reference: <o_p o_q^*> from the dense product of every operator pair
+    ops = [op for c in cs for op in (c, c.conj().T)]
+
+    def expect(op):
+        if state.ndim == 1:
+            return state.conj() @ (op @ state)
+        return np.trace(state @ op)
+
+    return np.array([[expect(op_p @ op_q.conj().T) for op_q in ops] for op_p in ops])
+
+
+def test_correlation_blocks_match_pairwise_products(rng):
+    # the Gram-form contraction against the operator-product double loop on
+    # an eigenvector, a thermal density matrix and an evolved complex vector
+    for n in (1, 2, 3, 4):
+        H = ed.build_H(random_chain(rng, n))
+        evals, evecs = ed.spectral(H)
+        cs = ed.all_c(n)
+        mixed = (evecs[:, 0] + 1j * evecs[:, -1]) / np.sqrt(2)
+        psi_t = ed.schroedinger_evolve_state(mixed, (evals, evecs), 0.7)
+        for state in (evecs[:, 0], ed.thermal_state(H, 0.9), psi_t):
+            G = ed.correlation_blocks(state, cs)
+            assert G.shape == (2 * n, 2 * n)
+            assert np.max(np.abs(G - _pairwise_correlation_blocks(state, cs))) < 1e-14
+
+
 def test_spin_basis_indexing():
     # all down is the last index, all up the first
     assert ed.spin_basis_index(3, []) == 7

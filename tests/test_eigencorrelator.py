@@ -3,6 +3,7 @@ import pytest
 
 from xylab import ed_oracle as ed
 from xylab import eigencorrelator as ec
+from xylab import experiments as xp
 from xylab import hamiltonian as ham
 from xylab.disorder import (
     EnsembleSpec,
@@ -13,7 +14,7 @@ from xylab.disorder import (
     uniform,
 )
 
-from conftest import random_chain
+from conftest import ensemble_mean, random_chain
 
 
 def test_decoupled_chain_identity_table():
@@ -141,7 +142,7 @@ def test_commutator_bound_holds_against_oracle(rng):
     n = 7
     ens = EnsembleSpec(n=n, mu_dist=constant(1.0), gamma_dist=constant(0.0),
                        nu_dist=uniform(-5.0, 5.0), base_seed=17, realizations=40)
-    prof = ec.averaged_eigencorrelator(ens, block=True)
+    prof = ensemble_mean(xp._real_eigencorrelator, ens, {"block": True})
     fit = ec.fit_decay(prof, min_distance=1)
     assert fit.eta > 0
     times = np.arange(0.0, 20.0 + 1e-9, 0.5)
@@ -178,7 +179,7 @@ def test_high_disorder_decay_rate_ordering():
     profs = {}
     for eps in (0.05, 0.2):
         ens = high_disorder_ensemble(64, eps, uniform(-1.0, 1.0), seed=7, realizations=60)
-        profs[eps] = ec.averaged_eigencorrelator(ens, max_distance=25)
+        profs[eps] = ensemble_mean(xp._real_eigencorrelator, ens, {"max_distance": 25})
     fit_005 = ec.fit_decay(profs[0.05], min_distance=2, max_distance=20)
     fit_02 = ec.fit_decay(profs[0.2], min_distance=2, max_distance=20)
     assert fit_005.eta > fit_02.eta > 0
@@ -190,7 +191,7 @@ def test_disordered_amplitudes_below_fitted_envelope():
     ens = EnsembleSpec(n=40, mu_dist=constant(1.0), gamma_dist=constant(0.0),
                        nu_dist=uniform(-5.0, 5.0), base_seed=21, realizations=30)
     times = np.arange(0.0, 20.0 + 1e-9, 0.25)
-    prof = ec.averaged_amplitude_profile(ens, times, max_distance=25)
+    prof = ensemble_mean(xp._real_amplitude, ens, {"times": times, "max_distance": 25}, part=0)
     fit = ec.fit_decay(prof, min_distance=2, max_distance=20)
     d = np.arange(2, 21)
     envelope = fit.C * np.exp(-fit.eta * d)

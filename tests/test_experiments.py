@@ -411,8 +411,13 @@ def test_transport_run_matches_public_check(tmp_path, experiment, check):
     s2 = tr.Region.of(params["s2"])
     eta = np.zeros(24)
     eta[np.array(s2.sites) - 1] = 1.0
-    report = getattr(tr, check)(cfg.ensemble, tr.Region.of(params["s1"]), s2, eta,
-                                   cfg.time_grid.times(), fit, slack=3.0)
+    s1 = tr.Region.of(params["s1"])
+    series_of = {"particle_transport_check": tr.particle_number_series,
+                 "energy_transport_check_isotropic": tr.energy_series_isotropic}[check]
+    series = [series_of(xp.sample_chain(cfg.ensemble, i), s1, eta, cfg.time_grid.times())
+              for i in range(3)]
+    report = getattr(tr, check)(cfg.ensemble, s1, s2, eta, cfg.time_grid.times(), fit,
+                                slack=3.0, series=series)
     assert payload["fit"] == {"C": fit.C, "eta": fit.eta, "r_squared": fit.r_squared}
     assert (payload["sup"], payload["bound"], payload["pass"]) == (
         report.mean_sup, report.bound, report.passed)
@@ -500,7 +505,7 @@ def test_anisotropic_energy_run_samples_each_chain_once(tmp_path, monkeypatch):
         calls[(ensemble.n, i)] += 1
         return sample_chain(ensemble, i)
 
-    for module in (xp, tr):
-        monkeypatch.setattr(module, "sample_chain", counting)
+    # experiments is the only module that samples chains
+    monkeypatch.setattr(xp, "sample_chain", counting)
     xp.run(xp.parse_config({**_aniso_energy_config(), "output_dir": str(tmp_path)}))
     assert calls == {(n, i): 1 for n in (12, 16) for i in range(3)}

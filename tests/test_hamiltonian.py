@@ -141,14 +141,6 @@ def test_one_particle_sector_embedding(rng):
     assert np.max(np.abs(np.sort(one_particle) - expected)) < 1e-8
 
 
-def test_export_matrix_csv(tmp_path):
-    path = tmp_path / "m.csv"
-    ham.export_matrix_csv(np.array([[1.5, -2.0], [0.25, 1e-17]]), path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "1.5,-2"
-    assert len(lines) == 2
-
-
 def test_outputs_do_not_depend_on_eigenvector_signs(rng):
     # column signs are whatever the solvers return: negating eigenvectors of
     # A and M, or the row pair of a Bogoliubov mode, changes no output

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from xylab import ed_oracle as ed
+from xylab import experiments as xp
 from xylab import quasifree as qf
 from xylab import transport as tr
 from xylab.disorder import EnsembleSpec, constant, make_chain, uniform
@@ -81,15 +82,15 @@ def test_energy_in_region_matches_oracle(rng):
     hd = ed.spectral(ed.build_H(ch))
     HS1 = ed.build_H_region(ch, 1, 2)
     e_ref = ch.nu[0] + ch.nu[1]
-    assert tr.energy_in_region_isotropic(ch, s1, eta, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert tr.energy_series_isotropic(ch, s1, eta, [0.0])[0] == pytest.approx(0.0, abs=1e-12)
     for t in (0.5, 2.0):
-        free = tr.energy_in_region_isotropic(ch, s1, eta, t)
+        free = tr.energy_series_isotropic(ch, s1, eta, [t])[0]
         rt = evolve_density(rho0, hd, t)
         ed_val = np.real(np.trace(rt @ HS1)) - e_ref
         assert abs(free - ed_val) < 1e-8
 
 
-def test_energy_fluctuation_anisotropic_matches_oracle(rng):
+def test_energy_fluctuation_series_matches_oracle(rng):
     n = 6
     ch = random_chain(rng, n, anisotropic=True)
     eta = np.array([1.0, 0.0, 0.5, 1.0, 0.0, 1.0])
@@ -151,12 +152,13 @@ def test_particle_transport_check_geometry_validation():
     s1 = tr.Region.of([5])
     s2_bad = tr.Region.of([5, 6])
     eta = np.zeros(10)
+    # the geometry is checked before any series is read
     with pytest.raises(ValueError):
-        tr.particle_transport_check(ens, s1, s2_bad, eta, [0.0, 1.0], fit)
+        tr.particle_transport_check(ens, s1, s2_bad, eta, [0.0, 1.0], fit, series=[])
     s2 = tr.Region.of([1, 9, 10])
     eta_bad = np.ones(10)
     with pytest.raises(ValueError):
-        tr.particle_transport_check(ens, s1, s2, eta_bad, [0.0, 1.0], fit)
+        tr.particle_transport_check(ens, s1, s2, eta_bad, [0.0, 1.0], fit, series=[])
 
 
 def test_particle_transport_check_small_ensemble():
@@ -168,7 +170,10 @@ def test_particle_transport_check_small_ensemble():
     eta[np.array(s2.sites) - 1] = 1.0
     fit = DecayFit(C=1.0, eta=2.0, r_squared=1.0, min_distance=1)
     times = np.linspace(0.0, 20.0, 41)
-    report = tr.particle_transport_check(ens, s1, s2, eta, times, fit)
+    results = xp.map_realizations(xp._real_transport, ens, {
+        "observable": "particle", "s1": s1, "eta": eta, "times": times}, workers=1)
+    report = tr.particle_transport_check(ens, s1, s2, eta, times, fit,
+                                         series=[r[1] for r in results])
     assert report.mean_values[0] == pytest.approx(0.0, abs=1e-12)
     assert report.passed
     assert report.mean_sup < report.bound
