@@ -152,13 +152,13 @@ def test_particle_transport_check_geometry_validation():
     s1 = tr.Region.of([5])
     s2_bad = tr.Region.of([5, 6])
     eta = np.zeros(10)
-    # the geometry is checked before any series is read
-    with pytest.raises(ValueError):
-        tr.particle_transport_check(ens, s1, s2_bad, eta, [0.0, 1.0], fit, series=[])
+    series = [np.zeros(2), np.zeros(2)]
+    with pytest.raises(ValueError, match="S2 must avoid"):
+        tr.particle_transport_check(ens, s1, s2_bad, eta, [0.0, 1.0], fit, series=series)
     s2 = tr.Region.of([1, 9, 10])
     eta_bad = np.ones(10)
-    with pytest.raises(ValueError):
-        tr.particle_transport_check(ens, s1, s2, eta_bad, [0.0, 1.0], fit, series=[])
+    with pytest.raises(ValueError, match="profile must vanish"):
+        tr.particle_transport_check(ens, s1, s2, eta_bad, [0.0, 1.0], fit, series=series)
 
 
 def test_particle_transport_check_small_ensemble():
