@@ -104,28 +104,23 @@ def spectral(H: np.ndarray):
 def heisenberg_evolve(op: np.ndarray, H, t: float) -> np.ndarray:
     """tau_t(op) = e^{itH} op e^{-itH}; H may be a matrix or a
     precomputed (evals, evecs) pair."""
-    if isinstance(H, tuple):
-        evals, evecs = H
-    else:
-        evals, evecs = spectral(H)
+    evals, evecs = H if isinstance(H, tuple) else spectral(H)
     phases = np.exp(1j * t * evals)
     tilde = evecs.conj().T @ op @ evecs
     return evecs @ (np.outer(phases, phases.conj()) * tilde) @ evecs.conj().T
 
 
 def schroedinger_evolve_state(psi: np.ndarray, H, t: float) -> np.ndarray:
-    """e^{-itH} psi."""
-    if isinstance(H, tuple):
-        evals, evecs = H
-    else:
-        evals, evecs = spectral(H)
+    """e^{-itH} psi; H may be a matrix or an (evals, evecs) pair."""
+    evals, evecs = H if isinstance(H, tuple) else spectral(H)
     return evecs @ (np.exp(-1j * t * evals) * (evecs.conj().T @ psi))
 
 
-def thermal_state(H: np.ndarray, beta: float) -> np.ndarray:
+def thermal_state(H, beta: float) -> np.ndarray:
     """Gibbs state e^{-beta H} / Z, computed spectrally with the ground
-    energy shifted out for stability."""
-    evals, evecs = spectral(H)
+    energy shifted out for stability; H may be a matrix or an (evals,
+    evecs) pair."""
+    evals, evecs = H if isinstance(H, tuple) else spectral(H)
     w = np.exp(-beta * (evals - evals[0]))
     w /= np.sum(w)
     return (evecs * w) @ evecs.conj().T

@@ -19,8 +19,7 @@ from .hamiltonian import (
     SpectralDecomposition,
     alpha_from_index,
     block_norms,
-    build_M,
-    diagonalize,
+    bogoliubov,
 )
 from .quasifree import (
     CorrelationMatrix,
@@ -162,13 +161,14 @@ def quench_entropy(
 
     The left block of the evolved correlation matrix is formed for the
     whole grid in the eigenbasis of M (restricted_series) and its spectra
-    are taken in one batched call.  sd_M, the decomposition of build_M(chain),
-    may be passed in so that one decomposition serves every cut of a chain.
+    are taken in one batched call.  sd_M, the decomposition of M
+    (bogoliubov(chain).spectral when omitted), may be passed in so that one
+    decomposition serves every cut of a chain.
     """
     cut.check(chain.n)
     gamma0, _, _ = quench_initial_gamma(chain, cut.ell, alpha_left, alpha_right)
     if sd_M is None:
-        sd_M = diagonalize(build_M(chain))
+        sd_M = bogoliubov(chain).spectral
     V = sd_M.eigenvectors
     G = V.T @ gamma0.gamma @ V
     blocks = restricted_series(V[: 2 * cut.ell, :], sd_M.eigenvalues, G, times)

@@ -42,12 +42,12 @@ from .fock import (
     sample_configuration_pairs,
 )
 from .hamiltonian import (
+    BogoliubovDecomposition,
     all_many_body_energies,
     alpha_from_index,
     bogoliubov,
     build_A,
     build_M,
-    diagonalize,
     diagonalize_A,
 )
 from .quasifree import eigenstate_gamma, evolve_gamma, thermal_gamma
@@ -225,14 +225,14 @@ def write_summary(path, config: ExperimentConfig, payload: dict) -> None:
 def _real_eigencorrelator(ensemble, i, params):
     chain = sample_chain(ensemble, i)
     block = params.get("block", False)
-    sd = diagonalize(build_M(chain)) if block else diagonalize_A(chain)
+    sd = bogoliubov(chain).spectral if block else diagonalize_A(chain)
     return distance_profile(eigencorrelator_table(sd, block=block), params.get("max_distance"))
 
 
 def _real_amplitude(ensemble, i, params):
     chain = sample_chain(ensemble, i)
     block = params.get("block", False)
-    sd = diagonalize(build_M(chain)) if block else diagonalize_A(chain)
+    sd = bogoliubov(chain).spectral if block else diagonalize_A(chain)
     times = np.asarray(params["times"])
     amp = dynamic_amplitude_sup(sd, times, block=block)
     q = eigencorrelator_table(sd, block=block)
@@ -265,14 +265,14 @@ def _real_entanglement_static(ensemble, i, params):
             seed=params.get("label_seed", 0) + i,
         )
         out.append((rec.entropy, rec.ps_bound))
-    table = eigencorrelator_table(diagonalize(build_M(chain)), block=True)
+    table = eigencorrelator_table(bog.spectral, block=True)
     return out, distance_profile(table, params.get("max_distance"))
 
 
 def _real_quench(ensemble, i, params):
     chain = sample_chain(ensemble, i)
     times = np.asarray(params["times"])
-    sd = diagonalize(build_M(chain))
+    sd = bogoliubov(chain).spectral
     sups = []
     for ell in params["ells"]:
         series = ent.quench_entropy(
@@ -587,7 +587,10 @@ def run_fock(config: ExperimentConfig, outdir: Path) -> dict:
 
 def oracle_suite(n: int = 6, seed: int = 42, realizations: int = 5) -> dict:
     """Brute-force identity checks on small random chains; returns one
-    boolean per check plus the worst deviations seen."""
+    boolean per check plus the worst deviations seen.  The Jordan-Wigner
+    and number operators are built once; per realization, H, its
+    eigensystem, the isotropic H and the Bogoliubov decomposition are built
+    once and shared by the checks."""
     if n > ed.MAX_SITES:
         raise ValueError(f"oracle suite capped at n={ed.MAX_SITES}")
     ens = EnsembleSpec(
@@ -603,20 +606,27 @@ def oracle_suite(n: int = 6, seed: int = 42, realizations: int = 5) -> dict:
         "car": 0.0, "eigenstate_gamma": 0.0, "thermal_gamma": 0.0,
         "entropy": 0.0, "occupation": 0.0, "evolved_gamma": 0.0,
     }
-    worst["car"] = _check_car(n)
+    cs = ed.all_c(n)
+    number_ops = [ed.number_op(n, x) for x in range(1, n + 1)]
+    worst["car"] = _check_car(cs)
     for i in range(realizations):
         chain = sample_chain(ens, i)
         iso = ChainSpec(n=n, mu=chain.mu, gamma=(0.0,) * (n - 1), nu=chain.nu,
                         realization_index=i)
-        worst["spectrum"] = max(worst["spectrum"], _check_spectrum(chain))
-        worst["quadratic_identity"] = max(worst["quadratic_identity"], _check_quadratic(chain))
-        worst["isotropic_identity"] = max(worst["isotropic_identity"], _check_isotropic(iso))
-        ge, gt, se, ev = _check_states(chain)
+        H = ed.build_H(chain)
+        eig = ed.spectral(H)
+        H_iso = ed.build_H(iso)
+        bog = bogoliubov(chain)
+        free = np.sort(all_many_body_energies(bog))
+        worst["spectrum"] = max(worst["spectrum"], float(np.max(np.abs(free - eig[0]))))
+        worst["quadratic_identity"] = max(worst["quadratic_identity"], _check_quadratic(chain, H, cs))
+        worst["isotropic_identity"] = max(worst["isotropic_identity"], _check_isotropic(iso, H_iso, cs))
+        ge, gt, se, ev = _check_states(bog, eig, cs)
         worst["eigenstate_gamma"] = max(worst["eigenstate_gamma"], ge)
         worst["thermal_gamma"] = max(worst["thermal_gamma"], gt)
         worst["entropy"] = max(worst["entropy"], se)
         worst["evolved_gamma"] = max(worst["evolved_gamma"], ev)
-        worst["occupation"] = max(worst["occupation"], _check_occupation(iso))
+        worst["occupation"] = max(worst["occupation"], _check_occupation(iso, H_iso, number_ops))
     tolerances = {
         "spectrum": 1e-8, "quadratic_identity": 1e-10, "isotropic_identity": 1e-10,
         "car": 1e-12, "eigenstate_gamma": 1e-8, "thermal_gamma": 1e-8,
@@ -630,22 +640,10 @@ def oracle_suite(n: int = 6, seed: int = 42, realizations: int = 5) -> dict:
     }
 
 
-def _check_spectrum(chain: ChainSpec) -> float:
-    bog = bogoliubov(chain)
-    free = np.sort(all_many_body_energies(bog))
-    edvals = np.linalg.eigvalsh(ed.build_H(chain))
-    return float(np.max(np.abs(free - edvals)))
-
-
-def _check_quadratic(chain: ChainSpec) -> float:
+def _check_quadratic(chain: ChainSpec, H: np.ndarray, cs: list) -> float:
     n = chain.n
-    H = ed.build_H(chain)
     M = build_M(chain)
-    cs = ed.all_c(n)
-    ops = []
-    for c in cs:
-        ops.append(c)
-        ops.append(c.conj().T)
+    ops = [op for c in cs for op in (c, c.conj().T)]
     H2 = np.zeros_like(H)
     for p_ in range(2 * n):
         for q_ in range(2 * n):
@@ -654,11 +652,9 @@ def _check_quadratic(chain: ChainSpec) -> float:
     return float(np.max(np.abs(H - H2)))
 
 
-def _check_isotropic(chain: ChainSpec) -> float:
+def _check_isotropic(chain: ChainSpec, H: np.ndarray, cs: list) -> float:
     n = chain.n
-    H = ed.build_H(chain)
     A = build_A(chain)
-    cs = ed.all_c(n)
     H2 = np.sum(chain.nu) * np.eye(2**n, dtype=complex)
     for j in range(n):
         for k in range(n):
@@ -667,8 +663,8 @@ def _check_isotropic(chain: ChainSpec) -> float:
     return float(np.max(np.abs(H - H2)))
 
 
-def _check_car(n: int) -> float:
-    cs = ed.all_c(n)
+def _check_car(cs: list) -> float:
+    n = len(cs)
     eye = np.eye(2**n)
     worst = 0.0
     for j in range(n):
@@ -680,16 +676,16 @@ def _check_car(n: int) -> float:
     return worst
 
 
-def _check_states(chain: ChainSpec) -> tuple:
-    n = chain.n
-    bog = bogoliubov(chain)
-    H = ed.build_H(chain)
-    evals, evecs = np.linalg.eigh(H)
-    cs = ed.all_c(n)
+def _check_states(bog: BogoliubovDecomposition, eig: tuple, cs: list) -> tuple:
+    """Eigenstate, evolved and thermal correlation matrices and cut
+    entropies of the free-fermion layer against the oracle eigensystem
+    eig = (evals, evecs) of H."""
+    n = bog.n
+    evals, evecs = eig
     energies = all_many_body_energies(bog)
     idxs, flags = ed.match_eigenstates(energies, evals)
-    sdM = diagonalize(build_M(chain))
-    g_err = s_err = o_err = e_err = 0.0
+    sdM = bog.spectral
+    g_err = s_err = e_err = 0.0
     labels = [0, 1, (1 << n) - 1] if n > 3 else list(range(2**n))
     for a in labels:
         if flags[a]:
@@ -704,21 +700,21 @@ def _check_states(chain: ChainSpec) -> tuple:
             s_ed = ed.von_neumann_entropy(ed.reduced_density(psi, n, ell))
             s_err = max(s_err, abs(s_free - s_ed))
         cmt = evolve_gamma(cm, sdM, 0.7)
-        psit = ed.schroedinger_evolve_state(psi, (evals, evecs), 0.7)
+        psit = ed.schroedinger_evolve_state(psi, eig, 0.7)
         e_err = max(e_err, float(np.max(np.abs(cmt.gamma - ed.correlation_blocks(psit, cs)))))
     beta = 0.8
     g_th = thermal_gamma(sdM, beta)
-    rho = ed.thermal_state(H, beta)
+    rho = ed.thermal_state(eig, beta)
     t_err = float(np.max(np.abs(g_th.gamma - ed.correlation_blocks(rho, cs))))
     return g_err, t_err, s_err, e_err
 
 
-def _check_occupation(chain: ChainSpec) -> float:
+def _check_occupation(chain: ChainSpec, H: np.ndarray, number_ops: list) -> float:
     """Site occupations of mode configurations vs the oracle, on the
-    particle-conserving chain."""
+    particle-conserving chain with oracle Hamiltonian H; number_ops[x-1]
+    is n_x."""
     n = chain.n
-    H = ed.build_H(chain)
-    evals, evecs = np.linalg.eigh(H)
+    evals, evecs = ed.spectral(H)
     sdA = diagonalize_A(chain)
     o_err = 0.0
     labels = [1, 3, (1 << n) - 1] if n > 3 else list(range(1, 2**n))
@@ -731,7 +727,7 @@ def _check_occupation(chain: ChainSpec) -> float:
         psi = evecs[:, j_idx[0]]
         for x in range(1, n + 1):
             occ_free = occupation_number(sdA.eigenvectors, k_modes, x)
-            occ_ed = float(np.real(psi.conj() @ (ed.number_op(n, x) @ psi)))
+            occ_ed = float(np.real(psi.conj() @ (number_ops[x - 1] @ psi)))
             o_err = max(o_err, abs(occ_free - occ_ed))
     return o_err
 

@@ -178,19 +178,31 @@ class BogoliubovDecomposition:
     def n(self) -> int:
         return len(self.lam)
 
+    @property
+    def spectral(self) -> SpectralDecomposition:
+        """The eigensystem of M read off W: row 2j of W is the eigenvector
+        of +lambda_j and row 2j+1 that of -lambda_j (Lieb-Schultz-Mattis),
+        ordered so the eigenvalues ascend."""
+        return SpectralDecomposition(
+            eigenvalues=np.concatenate([-self.lam[::-1], self.lam]),
+            eigenvectors=np.concatenate([self.W[1::2][::-1], self.W[0::2]]).T,
+        )
+
 
 def bogoliubov(chain: ChainSpec) -> BogoliubovDecomposition:
     """Bogoliubov decomposition from the SVD A + B = Phi diag(l) Psi^t.
 
     With g_j, h_j the right/left singular vector pairs, the rows
     (2j, 2j+1) of W are the interleavings of ((g+h)/2, (g-h)/2) and
-    ((g-h)/2, (g+h)/2); this satisfies all constraints identically, and
-    they are verified before returning.
+    ((g-h)/2, (g+h)/2); W J W^t = J holds by this construction.  W is
+    orthogonal with W M W^t = D exactly when Phi and Psi are orthogonal
+    and (A + B) Psi = Phi diag(l), which are verified at size n before
+    returning; A + B is tridiagonal, so its product is taken from its
+    three diagonals.
     """
     n = chain.n
-    A = build_A(chain)
-    B = build_B(chain)
-    Phi, lam, PsiT = np.linalg.svd(A + B)
+    T = build_A(chain) + build_B(chain)
+    Phi, lam, PsiT = np.linalg.svd(T)
     order = np.argsort(lam, kind="stable")
     lam = lam[order]
     Phi = Phi[:, order]
@@ -204,22 +216,19 @@ def bogoliubov(chain: ChainSpec) -> BogoliubovDecomposition:
     W[1::2, 0::2] = psi.T
     W[1::2, 1::2] = phi.T
 
-    M = build_M(chain)
-    J = block_j(n)
-    orth = np.max(np.abs(W @ W.T - np.eye(2 * n)))
-    jerr = np.max(np.abs(W @ J @ W.T - J))
-    D = W @ M @ W.T
-    target = np.zeros((2 * n, 2 * n))
-    target[0::2, 0::2] = np.diag(lam)
-    target[1::2, 1::2] = np.diag(-lam)
-    derr = np.max(np.abs(D - target))
-    if orth > 1e-10 or jerr > 1e-10 or derr > 1e-9 * max(1.0, np.max(lam, initial=1.0)):
+    eye = np.eye(n)
+    phi_orth = np.max(np.abs(Phi.T @ Phi - eye))
+    psi_orth = np.max(np.abs(Psi.T @ Psi - eye))
+    R = np.diagonal(T)[:, None] * Psi - Phi * lam
+    R[:-1] += np.diagonal(T, 1)[:, None] * Psi[1:]
+    R[1:] += np.diagonal(T, -1)[:, None] * Psi[:-1]
+    resid = np.max(np.abs(R))
+    if phi_orth > 1e-10 or psi_orth > 1e-10 or resid > 1e-9 * max(1.0, np.max(lam, initial=1.0)):
         raise EigensolverError(
-            f"bogoliubov constraints violated: |WW^t-I|={orth:.3e}, "
-            f"|WJW^t-J|={jerr:.3e}, |WMW^t-D|={derr:.3e}"
+            f"bogoliubov constraints violated: |Phi^tPhi-I|={phi_orth:.3e}, "
+            f"|Psi^tPsi-I|={psi_orth:.3e}, |(A+B)Psi-Phi L|={resid:.3e}"
         )
-    gaps = np.diff(lam) if n > 1 else np.array([np.inf])
-    degenerate = bool(lam[0] < 1e-12 or (n > 1 and np.min(gaps) < 1e-12))
+    degenerate = bool(lam[0] < 1e-12 or np.any(np.diff(lam) < 1e-12))
     return BogoliubovDecomposition(W=W, lam=lam, E0=float(np.sum(lam)), degenerate=degenerate)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.special import expit
 
 from .disorder import ChainSpec
-from .hamiltonian import BogoliubovDecomposition, SpectralDecomposition, diagonalize
+from .hamiltonian import BogoliubovDecomposition, SpectralDecomposition
 
 
 @dataclass
@@ -91,15 +91,14 @@ def eigenstate_gamma(bog: BogoliubovDecomposition, alpha) -> CorrelationMatrix:
     return CorrelationMatrix(gamma=gamma, n=bog.n, degenerate=bog.degenerate)
 
 
-def thermal_gamma(M, beta: float) -> CorrelationMatrix:
+def thermal_gamma(sd_M: SpectralDecomposition, beta: float) -> CorrelationMatrix:
     """Correlation matrix (1 + exp(-2 beta M))^{-1} of the Gibbs state,
-    computed spectrally (stable via the logistic function).  M may be a
-    matrix or a SpectralDecomposition."""
+    computed spectrally from the decomposition sd_M of M (stable via the
+    logistic function)."""
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    sd = M if isinstance(M, SpectralDecomposition) else diagonalize(M)
-    gamma = sd.function_of(lambda lam: expit(2.0 * beta * lam))
-    return CorrelationMatrix(gamma=gamma, n=sd.dim // 2)
+    gamma = sd_M.function_of(lambda lam: expit(2.0 * beta * lam))
+    return CorrelationMatrix(gamma=gamma, n=sd_M.dim // 2)
 
 
 def profile_gamma(eta_profile) -> CorrelationMatrix:

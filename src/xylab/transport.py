@@ -19,7 +19,7 @@ import numpy as np
 
 from .disorder import ChainSpec, EnsembleSpec, aggregate
 from .eigencorrelator import DecayFit
-from .hamiltonian import SpectralDecomposition, build_A, build_M, diagonalize, diagonalize_A
+from .hamiltonian import SpectralDecomposition, bogoliubov, build_A, build_M, diagonalize_A
 from .quasifree import CorrelationMatrix, profile_gamma, trace_series
 
 
@@ -225,7 +225,7 @@ def energy_fluctuation_series(chain: ChainSpec, s1: Region, eta, times) -> np.nd
     t = 0 value."""
     idx = _interval_projector_indices(s1)
     M = build_M(chain)
-    sd = diagonalize(M)
+    sd = bogoliubov(chain).spectral
     rows = np.sort(np.concatenate([2 * idx, 2 * idx + 1]))
     V = sd.eigenvectors
     core = V[rows, :].T @ (M[np.ix_(rows, rows)] @ V[rows, :])  # M_S1 in the eigenbasis

@@ -250,5 +250,6 @@ def test_quench_entropy_matches_per_step_evolution(rng, bonds):
         loop = [ent.entropy_from_gamma(qf.evolve_gamma(gamma0, sd, t), ent.Cut(ell))
                 for t in times]
         assert np.max(np.abs(series - loop)) <= 1e-10
-        shared = ent.quench_entropy(ch, ent.Cut(ell), a_left, a_right, times, sd_M=sd)
+        shared = ent.quench_entropy(ch, ent.Cut(ell), a_left, a_right, times,
+                                    sd_M=ham.bogoliubov(ch).spectral)
         assert np.array_equal(series, shared)

@@ -8,7 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from xylab import entanglement as ent
 from xylab import experiments as xp
+from xylab import hamiltonian as ham
+from xylab import quasifree as qf
 from xylab import transport as tr
 from xylab.disorder import sample_chain
 
@@ -509,3 +512,45 @@ def test_anisotropic_energy_run_samples_each_chain_once(tmp_path, monkeypatch):
     monkeypatch.setattr(xp, "sample_chain", counting)
     xp.run(xp.parse_config({**_aniso_energy_config(), "output_dir": str(tmp_path)}))
     assert calls == {(n, i): 1 for n in (12, 16) for i in range(3)}
+
+
+def test_one_decomposition_of_M_per_realization(tmp_path, monkeypatch):
+    # M's eigensystem is read off the Bogoliubov W: the dense 2n eigh runs
+    # on no production path, and entanglement_static decomposes each chain
+    # once for both its entropies and its block eigencorrelator profile
+    monkeypatch.delenv("XYLAB_WORKERS", raising=False)
+    dense = []
+    bogs = Counter()
+    bogoliubov = ham.bogoliubov
+
+    def counting_dense(X):
+        dense.append(len(X))
+        return ham.SpectralDecomposition(*np.linalg.eigh(X))
+
+    def counting_bog(chain):
+        bogs[chain.realization_index] += 1
+        return bogoliubov(chain)
+
+    for mod in (ham, xp, ent, tr, qf):
+        monkeypatch.setattr(mod, "diagonalize", counting_dense, raising=False)
+        monkeypatch.setattr(mod, "bogoliubov", counting_bog, raising=False)
+    aniso = {**ensemble_json(n=12, realizations=2, eps=0.3),
+             "gamma": {"kind": "uniform", "lo": -0.5, "hi": 0.5}}
+    runs = {
+        "eigencorrelator": {"experiment": "eigencorrelator", "ensemble": aniso,
+                            "params": {"block": True, "max_distance": 6}},
+        "lr_bound": {"experiment": "lr_bound", "ensemble": aniso,
+                     "time_grid": {"T": 2.0, "dt": 0.5},
+                     "params": {"block": True, "max_distance": 6}},
+        "entanglement_quench": {"experiment": "entanglement_quench", "ensemble": aniso,
+                                "time_grid": {"T": 2.0, "dt": 0.5}, "params": {"ells": [3, 6]}},
+        "transport_energy": {**_aniso_energy_config(), "time_grid": {"T": 2.0, "dt": 0.5}},
+        "oracle_check": {"experiment": "oracle_check",
+                         "params": {"n": 4, "seed": 5, "realizations": 2}},
+        "entanglement_static": _POOLED_RUNS["entanglement_static"],
+    }
+    for name, cfg in runs.items():
+        bogs.clear()
+        xp.run(xp.parse_config({**cfg, "output_dir": str(tmp_path / name), "workers": 1}))
+        assert dense == [], name
+    assert bogs == {i: 1 for i in range(3)}

@@ -178,3 +178,62 @@ def test_block_norms_match_svd_at_equal_singular_values(rng):
     assert np.max(np.abs(ham.block_norms(blocks.real, blocks.imag) - ref)) < 1e-15
     real = rng.normal(size=(5, 2, 2))
     assert np.max(np.abs(ham.block_norms(real) - np.linalg.norm(real, 2, axis=(-2, -1)))) < 1e-14
+
+
+def _spectral_cases(rng):
+    """Chains for the W-derived eigensystem of M, with whether the block
+    table is basis-independent there.  A +/-lambda collision at lambda = 0
+    leaves a two-dimensional eigenspace whose per-site norms depend on the
+    basis, so the table differs between solvers; the clean isotropic chain
+    at nu = 0 has exact degeneracies whose per-site norms do not."""
+    mu, gamma, nu = rng.uniform(-1, 1, 7), rng.uniform(-0.8, 0.8, 7), rng.uniform(-1.5, 1.5, 8)
+    zero_bond = mu.copy()
+    zero_bond[3] = 0.0
+    return {
+        "random": (random_chain(rng, 9), True),
+        "gamma_pm1": (make_chain(mu, rng.choice([-1.0, 1.0], 7), nu), True),
+        "zero_bond": (make_chain(zero_bond, gamma, nu), True),
+        "nu_zero": (make_chain(mu, gamma, np.zeros(8)), True),
+        "clean_degenerate": (make_chain(np.ones(7), np.zeros(7), np.zeros(8)), True),
+        "zero_mode": (make_chain(mu[:6], gamma[:6], np.zeros(7)), False),
+        "n1": (make_chain([], [], [0.7]), True),
+        "n2": (random_chain(rng, 2), True),
+    }
+
+
+@pytest.mark.parametrize("case", ["random", "gamma_pm1", "zero_bond", "nu_zero",
+                                  "clean_degenerate", "zero_mode", "n1", "n2"])
+def test_bogoliubov_spectral_matches_dense_eigh(rng, case):
+    ch, table_defined = _spectral_cases(rng)[case]
+    bog = ham.bogoliubov(ch)
+    sd = bog.spectral
+    M = ham.build_M(ch)
+    ref = ham.diagonalize(M)
+    V, lam = sd.eigenvectors, sd.eigenvalues
+    scale = max(1.0, float(np.max(np.abs(lam))))
+    assert np.all(np.diff(lam) >= 0.0)
+    assert np.max(np.abs(lam - ref.eigenvalues)) <= 1e-12 * scale
+    assert np.max(np.abs(M @ V - V * lam)) <= 1e-10
+    assert np.max(np.abs(V.T @ V - np.eye(2 * ch.n))) <= 1e-10
+    assert np.max(np.abs(sd.function_of(np.cos) - ref.function_of(np.cos))) <= 1e-10
+    if table_defined:
+        assert np.max(np.abs(eigencorrelator_table(sd, block=True)
+                             - eigencorrelator_table(ref, block=True))) <= 1e-10
+    else:
+        assert bog.degenerate and bog.lam[0] < 1e-12
+
+
+@pytest.mark.parametrize("factor", [0, 1, 2])  # Phi, lambda, Psi^t
+def test_bogoliubov_rejects_corrupted_svd(rng, monkeypatch, factor):
+    svd = np.linalg.svd
+
+    def corrupted(a, *args, **kwargs):
+        parts = [np.array(p) for p in svd(a, *args, **kwargs)]
+        parts[factor].flat[0] += 1e-6
+        return tuple(parts)
+
+    ch = random_chain(rng, 6)
+    ham.bogoliubov(ch)
+    monkeypatch.setattr(np.linalg, "svd", corrupted)
+    with pytest.raises(ham.EigensolverError, match="bogoliubov constraints violated"):
+        ham.bogoliubov(ch)
