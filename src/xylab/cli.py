@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
 from .eigencorrelator import fit_decay
-from .experiments import ConfigError, oracle_suite, parse_config, run
+from .experiments import ConfigError, oracle_suite, parse_config, run, write_json
 
 
 def _cmd_run(args) -> int:
@@ -48,28 +49,33 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
-    result = oracle_suite(n=args.n, seed=args.seed, realizations=args.realizations)
+    try:
+        result = oracle_suite(n=args.n, seed=args.seed, realizations=args.realizations)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     for name in sorted(result["checks"]):
         ok = result["checks"][name]
         print(f"{'PASS' if ok else 'FAIL'}  {name}  (max error {result['max_errors'][name]:.3e})")
     if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.output, result)
     return 0 if result["all_pass"] else 1
 
 
 def _cmd_fit(args) -> int:
     try:
-        rows = np.loadtxt(args.csv, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a file without data rows is reported below
+            rows = np.loadtxt(args.csv, delimiter=",", skiprows=1, ndmin=2)
+        if rows.size == 0 or rows.shape[1] < 2:
+            raise ValueError("csv needs data rows with columns distance, mean")
+        distances = rows[:, 0].astype(int)
+        values = np.zeros(int(distances.max()) + 1)
+        values[distances] = rows[:, 1]
+        fit = fit_decay(values, args.min_distance, args.max_distance)
     except OSError as exc:
         print(f"error: cannot read csv: {exc}", file=sys.stderr)
         return 2
-    distances = rows[:, 0].astype(int)
-    values = np.zeros(int(distances.max()) + 1)
-    values[distances] = rows[:, 1]
-    try:
-        fit = fit_decay(values, args.min_distance, args.max_distance)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

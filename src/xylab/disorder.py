@@ -145,14 +145,22 @@ class EnsembleSpec:
 
 
 def aggregate(values) -> dict:
-    """Ordered reduction to {mean, stderr, count}; stderr is the sample
-    standard deviation over sqrt(count)."""
+    """Reduction over the first axis (realizations), entry by entry, to
+    {mean, stderr, count}; stderr is the sample standard deviation over
+    sqrt(count).  Floats for 1-D input, arrays of the entry shape
+    otherwise.  The realizations are moved to a contiguous last axis, so
+    every entry is summed pairwise in index order, exactly as its own
+    1-D column would be."""
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError("aggregate needs at least one value")
-    mean = float(np.mean(arr))
-    stderr = float(np.std(arr, ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
-    return {"mean": mean, "stderr": stderr, "count": int(arr.size)}
+    count = arr.shape[0]
+    cols = np.ascontiguousarray(np.moveaxis(arr, 0, -1))
+    mean = cols.mean(axis=-1)
+    stderr = cols.std(axis=-1, ddof=1) / np.sqrt(count) if count > 1 else np.zeros_like(mean)
+    if arr.ndim == 1:
+        mean, stderr = float(mean), float(stderr)
+    return {"mean": mean, "stderr": stderr, "count": count}
 
 
 @dataclass(frozen=True)

@@ -62,12 +62,11 @@ def block_spectral_norms(gamma: np.ndarray, n: int) -> np.ndarray:
     return block_norms(blocks.real, blocks.imag if np.iscomplexobj(blocks) else None)
 
 
-def _spectrum_entropy(zeta: np.ndarray, checked: bool = False):
-    """-sum zeta ln zeta over the last axis of restricted-block spectra,
-    eigenvalues clamped to [1e-12, 1 - 1e-12] (projector spectra hit
-    exact 0/1).  `checked` first rejects any eigenvalue outside [0, 1]
-    by more than 1e-9."""
-    if checked and zeta.size and (zeta.min() < -1e-9 or zeta.max() > 1 + 1e-9):
+def _spectrum_entropy(zeta: np.ndarray):
+    """-sum zeta ln zeta over the last axis of restricted-block spectra.
+    Any eigenvalue outside [0, 1] by more than 1e-9 is an error; the rest
+    are clamped to [1e-12, 1 - 1e-12] (projector spectra hit exact 0/1)."""
+    if zeta.size and (zeta.min() < -1e-9 or zeta.max() > 1 + 1e-9):
         raise ValueError(
             f"restricted spectrum outside [0,1]: [{zeta.min():.3e}, {zeta.max():.3e}]"
         )
@@ -80,7 +79,7 @@ def entropy_from_gamma(cm: CorrelationMatrix, cut: Cut) -> float:
     over the upper-left 2*ell block spectrum."""
     cut.check(cm.n)
     block = cm.gamma[: 2 * cut.ell, : 2 * cut.ell]
-    return float(_spectrum_entropy(np.linalg.eigvalsh(block), checked=True))
+    return float(_spectrum_entropy(np.linalg.eigvalsh(block)))
 
 
 def entropy_from_right_block(cm: CorrelationMatrix, cut: Cut) -> float:
@@ -172,7 +171,7 @@ def quench_entropy(
     V = sd_M.eigenvectors
     G = V.T @ gamma0.gamma @ V
     blocks = restricted_series(V[: 2 * cut.ell, :], sd_M.eigenvalues, G, times)
-    return _spectrum_entropy(np.linalg.eigvalsh(blocks), checked=True)
+    return _spectrum_entropy(np.linalg.eigvalsh(blocks))
 
 
 def thermal_entanglement_of_formation_bound(

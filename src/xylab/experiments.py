@@ -2,8 +2,8 @@
 
 Each experiment maps a pure per-realization function over the ensemble
 (optionally on a process pool, XYLAB_WORKERS overriding the config) and
-reduces results in realization-index order, so outputs are byte
-identical across runs and worker counts.  There is one pass per
+reduces results in realization-index order with disorder.aggregate, so
+outputs are byte identical across runs and worker counts.  There is one pass per
 dependent phase: a worker samples its chain once and returns everything
 that phase reduces.  Summaries echo the config
 with a content hash and record pass/fail verdicts next to the fitted
@@ -16,7 +16,7 @@ import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from pathlib import Path
 
@@ -206,16 +206,17 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_summary(path, config: ExperimentConfig, payload: dict) -> None:
-    out = {
-        "experiment": config.experiment,
-        "config": config.raw,
-        "config_hash": config_hash(config.raw),
-    }
-    out.update(payload)
+def write_json(path, obj) -> None:
+    """The one JSON artifact format: sorted keys, two-space indent and a
+    trailing newline."""
     with open(path, "w") as fh:
-        json.dump(out, fh, indent=2, sort_keys=True)
+        json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_summary(path, config: ExperimentConfig, payload: dict) -> None:
+    write_json(path, {"experiment": config.experiment, "config": config.raw,
+                      "config_hash": config_hash(config.raw), **payload})
 
 
 # ---------------------------------------------------------------------------
@@ -327,18 +328,19 @@ def _real_fock(ensemble, i, params):
 # experiment drivers
 
 
-def _profile_stats(profiles: list) -> list:
-    """Rows (distance, mean, stderr, count) from per-realization profiles."""
-    stack = np.vstack(profiles)
-    rows = []
-    for d in range(stack.shape[1]):
-        agg = aggregate(stack[:, d])
-        rows.append((d, agg["mean"], agg["stderr"], agg["count"]))
-    return rows
-
-
 def _fit_block(fit: DecayFit) -> dict:
     return {"C": fit.C, "eta": fit.eta, "r_squared": fit.r_squared}
+
+
+def _write_table(path, key: str, labels, statistics: tuple, agg: dict, strategy: str) -> None:
+    """The labelled table (key, statistic, mean, stderr, count, strategy)
+    of an aggregate whose entries are indexed by (label, statistic): one
+    row per label and statistic, in that order."""
+    shape = (len(labels), len(statistics))
+    mean, stderr = np.reshape(agg["mean"], shape), np.reshape(agg["stderr"], shape)
+    write_csv(path, [key, "statistic", "mean", "stderr", "count", "strategy"],
+              [(label, stat, mean[i, j], stderr[i, j], agg["count"], strategy)
+               for i, label in enumerate(labels) for j, stat in enumerate(statistics)])
 
 
 def _flat_within_2sigma(stats) -> bool:
@@ -358,10 +360,10 @@ def _run_profile(config: ExperimentConfig, outdir: Path, worker, csv_name: str,
     if config.time_grid is not None:
         p["times"] = config.time_grid.times()
     results = map_realizations(worker, config.ensemble, p, effective_workers(config.workers))
-    rows = _profile_stats([profile_of(r) for r in results])
-    write_csv(outdir / csv_name, ["distance", "mean", "stderr", "count"], rows)
-    mean_profile = np.array([r[1] for r in rows])
-    fit = fit_decay(mean_profile, p.get("min_distance", 1), p.get("max_distance"))
+    agg = aggregate(profile_of(r) for r in results)
+    write_csv(outdir / csv_name, ["distance", "mean", "stderr", "count"],
+              ((d, m, s, agg["count"]) for d, (m, s) in enumerate(zip(agg["mean"], agg["stderr"]))))
+    fit = fit_decay(agg["mean"], p.get("min_distance", 1), p.get("max_distance"))
     return fit, {**_fit_block(fit), "min_distance": fit.min_distance}, results
 
 
@@ -399,8 +401,8 @@ def run_correlations(config: ExperimentConfig, outdir: Path) -> dict:
 def _mean_fit(profiles: list, p: dict) -> DecayFit:
     """Eigencorrelator fit of the mean of per-realization profiles over the
     params' fit window, used for bound checks."""
-    mean_profile = np.mean(np.vstack(profiles), axis=0)
-    return fit_decay(mean_profile, p.get("fit_min_distance", 1), p.get("fit_max_distance"))
+    return fit_decay(aggregate(profiles)["mean"], p.get("fit_min_distance", 1),
+                     p.get("fit_max_distance"))
 
 
 def run_entanglement_static(config: ExperimentConfig, outdir: Path) -> dict:
@@ -409,47 +411,27 @@ def run_entanglement_static(config: ExperimentConfig, outdir: Path) -> dict:
     p = config.params
     per_real = map_realizations(_real_entanglement_static, config.ensemble, p,
                                 effective_workers(config.workers))
-    strategy = p.get("strategy", "sampled")
-    rows = []
-    entropies = []
-    for idx, ell in enumerate(p["ells"]):
-        ent_agg = aggregate([r[0][idx][0] for r in per_real])
-        psb_agg = aggregate([r[0][idx][1] for r in per_real])
-        rows.append((ell, "max_entropy", ent_agg["mean"], ent_agg["stderr"], ent_agg["count"], strategy))
-        rows.append((ell, "ps_bound", psb_agg["mean"], psb_agg["stderr"], psb_agg["count"], strategy))
-        entropies.append((ent_agg["mean"], ent_agg["stderr"]))
-    write_csv(
-        outdir / "entanglement_static.csv",
-        ["ell", "statistic", "mean", "stderr", "count", "strategy"],
-        rows,
-    )
+    agg = aggregate(r[0] for r in per_real)  # entry (ell, [entropy, ps_bound])
+    _write_table(outdir / "entanglement_static.csv", "ell", p["ells"], ("max_entropy", "ps_bound"),
+                 agg, p.get("strategy", "sampled"))
     fit = _mean_fit([r[1] for r in per_real], p)
     bound = ent.area_law_constant(fit.C, fit.eta)
-    slack = p.get("slack", 2.0)
-    below = all(mean <= slack * bound for mean, _ in entropies)
+    entropies = agg["mean"][:, 0]
     return {
         "fit": _fit_block(fit),
         "area_law_bound": bound,
-        "verdicts": {"flat_in_ell": _flat_within_2sigma(entropies), "below_fitted_bound": bool(below)},
+        "verdicts": {"flat_in_ell": _flat_within_2sigma(zip(entropies, agg["stderr"][:, 0])),
+                     "below_fitted_bound": bool(np.all(entropies <= p.get("slack", 2.0) * bound))},
     }
 
 
 def run_entanglement_quench(config: ExperimentConfig, outdir: Path) -> dict:
     p = dict(config.params)
     p["times"] = config.time_grid.times()
-    per_real = map_realizations(_real_quench, config.ensemble, p, effective_workers(config.workers))
-    rows = []
-    sups = []
-    for idx, ell in enumerate(p["ells"]):
-        agg = aggregate([r[idx] for r in per_real])
-        rows.append((ell, "sup_entropy", agg["mean"], agg["stderr"], agg["count"], "vacuum_pair"))
-        sups.append((agg["mean"], agg["stderr"]))
-    write_csv(
-        outdir / "entanglement_quench.csv",
-        ["ell", "statistic", "mean", "stderr", "count", "strategy"],
-        rows,
-    )
-    return {"verdicts": {"flat_in_ell": _flat_within_2sigma(sups)}}
+    agg = aggregate(map_realizations(_real_quench, config.ensemble, p, effective_workers(config.workers)))
+    _write_table(outdir / "entanglement_quench.csv", "ell", p["ells"], ("sup_entropy",), agg,
+                 "vacuum_pair")
+    return {"verdicts": {"flat_in_ell": _flat_within_2sigma(zip(agg["mean"], agg["stderr"]))}}
 
 
 def _run_transport_isotropic(config: ExperimentConfig, outdir: Path, observable: str) -> dict:
@@ -499,29 +481,24 @@ def run_transport_energy(config: ExperimentConfig, outdir: Path) -> dict:
     s1 = tr.Region.of(p["s1"])
     times = config.time_grid.times()
     base = config.ensemble
-    reports = {}
-    mean_energies = {}
-    for n in sizes:
-        ens = EnsembleSpec(
-            n=n, mu_dist=base.mu_dist, gamma_dist=base.gamma_dist,
-            nu_dist=base.nu_dist, base_seed=base.base_seed + n,
-            realizations=base.realizations,
-        )
-        wp = {"s1": s1, "eta": _profile_from_spec(p.get("eta_profile", "ones"), n), "times": times}
-        results = map_realizations(_real_energy_fluctuation, ens, wp, workers)
-        reports[n] = tr.ensemble_report(times, [r[0] for r in results])
-        mean_energies[n] = float(np.mean([r[1] for r in results]))
-    rows = [(n, "sup_energy_fluctuation", reports[n].mean_sup, reports[n].stderr_sup,
-             reports[n].count, "profile") for n in sizes]
-    write_csv(outdir / "energy_fluctuation.csv",
-              ["n", "statistic", "mean", "stderr", "count", "strategy"], rows)
-    flat = _flat_within_2sigma([(reports[n].mean_sup, reports[n].stderr_sup) for n in sizes])
-    grows = abs(mean_energies[sizes[-1]]) > 2.0 * abs(mean_energies[sizes[0]])
+    per_size = [
+        map_realizations(_real_energy_fluctuation, replace(base, n=n, base_seed=base.base_seed + n),
+                         {"s1": s1, "eta": _profile_from_spec(p.get("eta_profile", "ones"), n),
+                          "times": times}, workers)
+        for n in sizes
+    ]
+    # realization-major stacks: entry (i, k) is realization i at sizes[k]
+    sups = aggregate(np.transpose([[np.max(np.abs(s)) for s, _ in res] for res in per_size]))
+    energies = aggregate(np.transpose([[e for _, e in res] for res in per_size]))["mean"].tolist()
+    _write_table(outdir / "energy_fluctuation.csv", "n", sizes, ("sup_energy_fluctuation",), sups,
+                 "profile")
+    grows = abs(energies[-1]) > 2.0 * abs(energies[0])
     return {
-        "mean_sup_by_n": {str(n): reports[n].mean_sup for n in sizes},
-        "stderr_sup_by_n": {str(n): reports[n].stderr_sup for n in sizes},
-        "mean_energy_by_n": {str(n): mean_energies[n] for n in sizes},
-        "verdicts": {"flat_in_n": flat, "total_energy_grows": bool(grows)},
+        "mean_sup_by_n": dict(zip(map(str, sizes), sups["mean"].tolist())),
+        "stderr_sup_by_n": dict(zip(map(str, sizes), sups["stderr"].tolist())),
+        "mean_energy_by_n": dict(zip(map(str, sizes), energies)),
+        "verdicts": {"flat_in_n": _flat_within_2sigma(zip(sups["mean"], sups["stderr"])),
+                     "total_energy_grows": bool(grows)},
     }
 
 
@@ -556,22 +533,17 @@ def run_fock(config: ExperimentConfig, outdir: Path) -> dict:
         "fit_C": fit.C, "fit_eta": fit.eta,
     }
     results = map_realizations(_real_fock, config.ensemble, wp, workers)
-    matched = np.array([r[0] for r in results])
-    fallbacks = np.array([r[1] for r in results])
-    certified = np.array([r[2] for r in results])
-    pass_fracs = np.array([r[3] for r in results])
+    matched, _, certified, passed = aggregate(results)["mean"].tolist()
     payload = {
         "alpha": alpha,
         "tau": tau,
         "eta": eta,
-        "matched_fraction": float(np.mean(matched)),
-        "certified_fraction": float(np.mean(certified)),
-        "overlap_pass_fraction": float(np.mean(pass_fracs)),
-        "fallback_total": int(np.sum(fallbacks)),
+        "matched_fraction": matched,
+        "certified_fraction": certified,
+        "overlap_pass_fraction": passed,
+        "fallback_total": sum(r[1] for r in results),
     }
-    with open(outdir / "fock_report.json", "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(outdir / "fock_report.json", payload)
     payload["fit"] = _fit_block(fit)
     payload["verdicts"] = {
         "matching": bool(payload["matched_fraction"] >= p.get("matched_min", 0.99)),
@@ -601,14 +573,9 @@ def oracle_suite(n: int = 6, seed: int = 42, realizations: int = 5) -> dict:
         base_seed=seed,
         realizations=realizations,
     )
-    worst = {
-        "spectrum": 0.0, "quadratic_identity": 0.0, "isotropic_identity": 0.0,
-        "car": 0.0, "eigenstate_gamma": 0.0, "thermal_gamma": 0.0,
-        "entropy": 0.0, "occupation": 0.0, "evolved_gamma": 0.0,
-    }
     cs = ed.all_c(n)
     number_ops = [ed.number_op(n, x) for x in range(1, n + 1)]
-    worst["car"] = _check_car(cs)
+    errors = []  # one dict of errors per realization
     for i in range(realizations):
         chain = sample_chain(ens, i)
         iso = ChainSpec(n=n, mu=chain.mu, gamma=(0.0,) * (n - 1), nu=chain.nu,
@@ -617,16 +584,14 @@ def oracle_suite(n: int = 6, seed: int = 42, realizations: int = 5) -> dict:
         eig = ed.spectral(H)
         H_iso = ed.build_H(iso)
         bog = bogoliubov(chain)
-        free = np.sort(all_many_body_energies(bog))
-        worst["spectrum"] = max(worst["spectrum"], float(np.max(np.abs(free - eig[0]))))
-        worst["quadratic_identity"] = max(worst["quadratic_identity"], _check_quadratic(chain, H, cs))
-        worst["isotropic_identity"] = max(worst["isotropic_identity"], _check_isotropic(iso, H_iso, cs))
-        ge, gt, se, ev = _check_states(bog, eig, cs)
-        worst["eigenstate_gamma"] = max(worst["eigenstate_gamma"], ge)
-        worst["thermal_gamma"] = max(worst["thermal_gamma"], gt)
-        worst["entropy"] = max(worst["entropy"], se)
-        worst["evolved_gamma"] = max(worst["evolved_gamma"], ev)
-        worst["occupation"] = max(worst["occupation"], _check_occupation(iso, H_iso, number_ops))
+        errors.append({
+            "spectrum": float(np.max(np.abs(np.sort(all_many_body_energies(bog)) - eig[0]))),
+            "quadratic_identity": _check_quadratic(chain, H, cs),
+            "isotropic_identity": _check_isotropic(iso, H_iso, cs),
+            "occupation": _check_occupation(iso, H_iso, number_ops),
+            **_check_states(bog, eig, cs),
+        })
+    worst = {"car": _check_car(cs), **{k: max(e[k] for e in errors) for k in errors[0]}}
     tolerances = {
         "spectrum": 1e-8, "quadratic_identity": 1e-10, "isotropic_identity": 1e-10,
         "car": 1e-12, "eigenstate_gamma": 1e-8, "thermal_gamma": 1e-8,
@@ -676,9 +641,10 @@ def _check_car(cs: list) -> float:
     return worst
 
 
-def _check_states(bog: BogoliubovDecomposition, eig: tuple, cs: list) -> tuple:
-    """Eigenstate, evolved and thermal correlation matrices and cut
-    entropies of the free-fermion layer against the oracle eigensystem
+def _check_states(bog: BogoliubovDecomposition, eig: tuple, cs: list) -> dict:
+    """Errors of the eigenstate, evolved and thermal correlation matrices
+    and of the cut entropies (every cut 1 <= ell < n of (1, n // 2, n - 1))
+    of the free-fermion layer against the oracle eigensystem
     eig = (evals, evecs) of H."""
     n = bog.n
     evals, evecs = eig
@@ -687,6 +653,7 @@ def _check_states(bog: BogoliubovDecomposition, eig: tuple, cs: list) -> tuple:
     sdM = bog.spectral
     g_err = s_err = e_err = 0.0
     labels = [0, 1, (1 << n) - 1] if n > 3 else list(range(2**n))
+    cuts = [ell for ell in (1, n // 2, n - 1) if 1 <= ell < n]
     for a in labels:
         if flags[a]:
             continue
@@ -695,7 +662,7 @@ def _check_states(bog: BogoliubovDecomposition, eig: tuple, cs: list) -> tuple:
         psi = evecs[:, idxs[a]]
         g_ed = ed.correlation_blocks(psi, cs)
         g_err = max(g_err, float(np.max(np.abs(cm.gamma - g_ed))))
-        for ell in (1, n // 2, n - 1):
+        for ell in cuts:
             s_free = ent.entropy_from_gamma(cm, ent.Cut(ell))
             s_ed = ed.von_neumann_entropy(ed.reduced_density(psi, n, ell))
             s_err = max(s_err, abs(s_free - s_ed))
@@ -706,7 +673,8 @@ def _check_states(bog: BogoliubovDecomposition, eig: tuple, cs: list) -> tuple:
     g_th = thermal_gamma(sdM, beta)
     rho = ed.thermal_state(eig, beta)
     t_err = float(np.max(np.abs(g_th.gamma - ed.correlation_blocks(rho, cs))))
-    return g_err, t_err, s_err, e_err
+    return {"eigenstate_gamma": g_err, "thermal_gamma": t_err, "entropy": s_err,
+            "evolved_gamma": e_err}
 
 
 def _check_occupation(chain: ChainSpec, H: np.ndarray, number_ops: list) -> float:
@@ -737,9 +705,7 @@ def run_oracle_check(config: ExperimentConfig, outdir: Path) -> dict:
     result = oracle_suite(
         n=p.get("n", 6), seed=p.get("seed", 42), realizations=p.get("realizations", 5)
     )
-    with open(outdir / "oracle_check.json", "w") as fh:
-        json.dump(result, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(outdir / "oracle_check.json", result)
     result["verdicts"] = dict(result["checks"])
     return result
 

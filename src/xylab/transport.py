@@ -50,18 +50,6 @@ def region_distance(s1: Region, s2: Region) -> int:
 
 
 @dataclass
-class TransportSeries:
-    times: np.ndarray
-    values: np.ndarray
-    baseline: float
-    bound: float
-
-    @property
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
-
-@dataclass
 class EnsembleTransportReport:
     times: np.ndarray
     mean_values: np.ndarray
@@ -119,17 +107,14 @@ def particle_transport_bound(fit: DecayFit, d: int) -> float:
 def ensemble_report(
     times, series, absolute: bool = True, bound: float | None = None, slack: float = 1.0
 ) -> EnsembleTransportReport:
-    """Reduce per-realization series, in realization-index order, to the
-    mean series and the mean and standard error of their suprema (of the
-    magnitudes, or of the values themselves when not absolute).  Without
-    a bound the report carries NaN and passes."""
+    """Reduce per-realization series with aggregate to the mean series
+    and the mean and standard error of their suprema (of the magnitudes,
+    or of the values themselves when not absolute).  Without a bound the
+    report carries NaN and passes."""
     sups = aggregate(float(np.max(np.abs(v) if absolute else v)) for v in series)
-    acc = np.zeros(len(times))
-    for v in series:
-        acc += v
     return EnsembleTransportReport(
         times=np.asarray(times, dtype=float),
-        mean_values=acc / len(series),
+        mean_values=aggregate(series)["mean"],
         mean_sup=sups["mean"],
         stderr_sup=sups["stderr"],
         bound=float("nan") if bound is None else bound,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,13 @@ def test_sampled_max_below_exhaustive(rng):
     assert sampled.strategy == "sampled(50)"
     # the exhaustive record reports a consistent cross-cut bound
     assert full.entropy <= full.ps_bound + 1e-8
+
+
+def test_restricted_spectrum_outside_unit_interval_is_an_error(rng):
+    bog = ham.bogoliubov(random_chain(rng, 6))
+    scaled = replace(bog, W=1.001 * bog.W)
+    with pytest.raises(ValueError, match=r"restricted spectrum outside \[0,1\]"):
+        ent.max_eigenstate_entropy(scaled, ent.Cut(3), strategy="exhaustive")
 
 
 def test_max_eigenstate_entropy_caps_exhaustive():

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from xylab import cli
 from xylab import entanglement as ent
 from xylab import experiments as xp
 from xylab import hamiltonian as ham
@@ -42,6 +43,24 @@ def test_aggregate():
     assert agg["mean"] == 2.0 and agg["stderr"] == pytest.approx(1.0) and agg["count"] == 2
     with pytest.raises(ValueError):
         xp.aggregate([])
+    # a stack reduces entry by entry, bitwise as each entry's own column
+    rng = np.random.default_rng(5)
+    stack = rng.standard_normal((37, 6)) * np.logspace(-6, 6, 6)
+    agg = xp.aggregate(stack)
+    assert agg["count"] == 37
+    for d in range(stack.shape[1]):
+        col = xp.aggregate(stack[:, d])
+        assert agg["mean"][d] == col["mean"] and agg["stderr"][d] == col["stderr"]
+    one = xp.aggregate(stack[:1])
+    assert one["count"] == 1
+    assert np.array_equal(one["mean"], stack[0]) and np.array_equal(one["stderr"], np.zeros(6))
+    cube = rng.standard_normal((9, 4, 2))
+    agg3 = xp.aggregate(cube)
+    assert agg3["mean"].shape == agg3["stderr"].shape == (4, 2)
+    for k in range(4):
+        for j in range(2):
+            col = xp.aggregate(cube[:, k, j])
+            assert agg3["mean"][k, j] == col["mean"] and agg3["stderr"][k, j] == col["stderr"]
 
 
 def test_parse_config_errors():
@@ -286,6 +305,29 @@ def test_cli_oracle_check(tmp_path):
     r = _run_cli(["oracle-check", "--n", "4", "--seed", "1", "--realizations", "1"], tmp_path)
     assert r.returncode == 0, r.stderr
     assert r.stdout.count("PASS") >= 8
+
+
+@pytest.mark.parametrize("argv, csv_text", [
+    (["oracle-check", "--n", "15"], None),
+    (["oracle-check", "--n", "0"], None),
+    (["oracle-check", "--realizations", "0"], None),
+    (["fit"], "distance,mean\n0,1.0\n1,abc\n"),
+    (["fit"], "distance,mean,stderr,count\n"),
+], ids=["oracle-n15", "oracle-n0", "oracle-realizations0", "fit-non-numeric", "fit-header-only"])
+def test_cli_bad_input_gives_one_line_error(tmp_path, capsys, argv, csv_text):
+    if csv_text is not None:
+        csv = tmp_path / "profile.csv"
+        csv.write_text(csv_text)
+        argv = [*argv, str(csv)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_oracle_suite_at_one_and_two_sites(n):
+    result = xp.oracle_suite(n, realizations=3)
+    assert result["all_pass"], result["max_errors"]
 
 
 def test_cli_fit(tmp_path):
