@@ -69,7 +69,10 @@ def _cmd_fit(args) -> int:
             rows = np.loadtxt(args.csv, delimiter=",", skiprows=1, ndmin=2)
         if rows.size == 0 or rows.shape[1] < 2:
             raise ValueError("csv needs data rows with columns distance, mean")
-        distances = rows[:, 0].astype(int)
+        d = rows[:, 0]
+        if not (np.all(np.isfinite(d) & (d >= 0) & (d == np.floor(d))) and len(np.unique(d)) == len(d)):
+            raise ValueError("column distance must hold distinct non-negative integers")
+        distances = d.astype(int)
         values = np.zeros(int(distances.max()) + 1)
         values[distances] = rows[:, 1]
         fit = fit_decay(values, args.min_distance, args.max_distance)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import SpectralDecomposition, block_norms
+from .quasifree import _grid_chunks
 
 
 def eigencorrelator_table(sd: SpectralDecomposition, block: bool = False) -> np.ndarray:
@@ -45,11 +46,6 @@ def eigencorrelator_table(sd: SpectralDecomposition, block: bool = False) -> np.
     return U @ U.T
 
 
-# Entries per stacked product of a whole-grid kernel (1 MiB of float64);
-# longer grids are taken in chunks of times, so memory stays bounded.
-_GRID_CHUNK_ENTRIES = 1 << 17
-
-
 def _upper_pairs(n: int, max_distance: int | None = None):
     """Index arrays (j, k) of the pairs j <= k <= j + max_distance (every
     pair j <= k when max_distance is None)."""
@@ -58,13 +54,6 @@ def _upper_pairs(n: int, max_distance: int | None = None):
         return j, k
     keep = k - j <= max_distance
     return j[keep], k[keep]
-
-
-def _grid_chunks(times: np.ndarray, per_time: int):
-    """Consecutive slices of the grid whose stacked products hold at most
-    _GRID_CHUNK_ENTRIES entries, per_time of them per time."""
-    step = max(1, _GRID_CHUNK_ENTRIES // per_time)
-    return (times[s : s + step] for s in range(0, len(times), step))
 
 
 def _trig(phase: np.ndarray, weights=(1.0,)) -> np.ndarray:

@@ -3,11 +3,12 @@
 Each experiment maps a pure per-realization function over the ensemble
 (optionally on a process pool, XYLAB_WORKERS overriding the config) and
 reduces results in realization-index order with disorder.aggregate, so
-outputs are byte identical across runs and worker counts.  There is one pass per
-dependent phase: a worker samples its chain once and returns everything
-that phase reduces.  Summaries echo the config
-with a content hash and record pass/fail verdicts next to the fitted
-constants they used.
+outputs are byte identical across runs and worker counts.  Every
+experiment makes one pass per realization: a worker samples and
+decomposes its chain once and returns what it measures, and the driver
+judges the measurements against the fitted constants.  Summaries echo
+the config with a content hash and record pass/fail verdicts next to
+the fitted constants they used.
 """
 
 from __future__ import annotations
@@ -36,9 +37,11 @@ from .eigencorrelator import (
 )
 from .fock import (
     certify_decay,
+    decay_envelope,
     fock_localization_check,
     locate_centers,
     occupation_number,
+    pair_overlaps,
     sample_configuration_pairs,
 )
 from .hamiltonian import (
@@ -223,17 +226,21 @@ def write_summary(path, config: ExperimentConfig, payload: dict) -> None:
 # per-realization workers (module level for picklability)
 
 
+def _decompose(chain, block: bool):
+    """M's eigensystem, read off the Bogoliubov W, for block tables; A's
+    eigensystem otherwise."""
+    return bogoliubov(chain).spectral if block else diagonalize_A(chain)
+
+
 def _real_eigencorrelator(ensemble, i, params):
-    chain = sample_chain(ensemble, i)
     block = params.get("block", False)
-    sd = bogoliubov(chain).spectral if block else diagonalize_A(chain)
+    sd = _decompose(sample_chain(ensemble, i), block)
     return distance_profile(eigencorrelator_table(sd, block=block), params.get("max_distance"))
 
 
 def _real_amplitude(ensemble, i, params):
-    chain = sample_chain(ensemble, i)
     block = params.get("block", False)
-    sd = bogoliubov(chain).spectral if block else diagonalize_A(chain)
+    sd = _decompose(sample_chain(ensemble, i), block)
     times = np.asarray(params["times"])
     amp = dynamic_amplitude_sup(sd, times, block=block)
     q = eigencorrelator_table(sd, block=block)
@@ -309,19 +316,15 @@ def _real_energy_fluctuation(ensemble, i, params):
 
 
 def _real_fock(ensemble, i, params):
-    chain = sample_chain(ensemble, i)
-    sd = diagonalize_A(chain)
+    """What fock measures of one decomposition of the chain, none of it
+    dependent on the fit: the eigencorrelator profile that feeds the fit,
+    the center matching, the decay envelope around the centers and the
+    overlaps of the sampled pairs."""
+    sd = diagonalize_A(sample_chain(ensemble, i))
     centers = locate_centers(sd, params["alpha"])
-    cert = certify_decay(sd, centers, params["eta"], params["tau"])
-    report = fock_localization_check(
-        sd.eigenvectors,
-        DecayFit(C=params["fit_C"], eta=params["fit_eta"], r_squared=1.0, min_distance=0),
-        params["tau"],
-        params["eta0"],
-        params["pairs"],
-        eta=params["eta"],
-    )
-    return centers.matched, centers.fallback_count, cert.certified, report.pass_fraction
+    return (distance_profile(eigencorrelator_table(sd), params.get("fit_max_distance")),
+            centers.matched, centers.fallback_count, decay_envelope(sd, centers),
+            pair_overlaps(sd.eigenvectors, params["pairs"]))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +362,7 @@ def _run_profile(config: ExperimentConfig, outdir: Path, worker, csv_name: str,
     p = dict(config.params)
     if config.time_grid is not None:
         p["times"] = config.time_grid.times()
-    results = map_realizations(worker, config.ensemble, p, effective_workers(config.workers))
+    results = map_realizations(worker, config.ensemble, p, config.workers)
     agg = aggregate(profile_of(r) for r in results)
     write_csv(outdir / csv_name, ["distance", "mean", "stderr", "count"],
               ((d, m, s, agg["count"]) for d, (m, s) in enumerate(zip(agg["mean"], agg["stderr"]))))
@@ -409,8 +412,7 @@ def run_entanglement_static(config: ExperimentConfig, outdir: Path) -> dict:
     """One pass over the ensemble yields the entropies, the ps_bounds and
     the block eigencorrelator profiles for the area-law fit."""
     p = config.params
-    per_real = map_realizations(_real_entanglement_static, config.ensemble, p,
-                                effective_workers(config.workers))
+    per_real = map_realizations(_real_entanglement_static, config.ensemble, p, config.workers)
     agg = aggregate(r[0] for r in per_real)  # entry (ell, [entropy, ps_bound])
     _write_table(outdir / "entanglement_static.csv", "ell", p["ells"], ("max_entropy", "ps_bound"),
                  agg, p.get("strategy", "sampled"))
@@ -428,7 +430,7 @@ def run_entanglement_static(config: ExperimentConfig, outdir: Path) -> dict:
 def run_entanglement_quench(config: ExperimentConfig, outdir: Path) -> dict:
     p = dict(config.params)
     p["times"] = config.time_grid.times()
-    agg = aggregate(map_realizations(_real_quench, config.ensemble, p, effective_workers(config.workers)))
+    agg = aggregate(map_realizations(_real_quench, config.ensemble, p, config.workers))
     _write_table(outdir / "entanglement_quench.csv", "ell", p["ells"], ("sup_entropy",), agg,
                  "vacuum_pair")
     return {"verdicts": {"flat_in_ell": _flat_within_2sigma(zip(agg["mean"], agg["stderr"]))}}
@@ -438,7 +440,6 @@ def _run_transport_isotropic(config: ExperimentConfig, outdir: Path, observable:
     """Particle or isotropic energy transport: one worker per realization
     returns both the profile for the fit and the series for the check."""
     p = config.params
-    workers = effective_workers(config.workers)
     s1 = tr.Region.of(p["s1"])
     s2 = tr.Region.of(p["s2"])
     eta = np.zeros(config.ensemble.n)
@@ -446,7 +447,7 @@ def _run_transport_isotropic(config: ExperimentConfig, outdir: Path, observable:
     times = config.time_grid.times()
     wp = {"observable": observable, "s1": s1, "eta": eta, "times": times,
           "fit_max_distance": p.get("fit_max_distance")}
-    results = map_realizations(_real_transport, config.ensemble, wp, workers)
+    results = map_realizations(_real_transport, config.ensemble, wp, config.workers)
     fit = _mean_fit([r[0] for r in results], p)
     check = {"particle": tr.particle_transport_check,
              "energy": tr.energy_transport_check_isotropic}[observable]
@@ -477,14 +478,13 @@ def run_transport_energy(config: ExperimentConfig, outdir: Path) -> dict:
         raise ConfigError(f"params.variant must be isotropic_bound or anisotropic_flatness, got {variant!r}")
     # one ensemble per size; one worker per realization samples its chain once
     sizes = p.get("sizes", [40, 80, 160])
-    workers = effective_workers(config.workers)
     s1 = tr.Region.of(p["s1"])
     times = config.time_grid.times()
     base = config.ensemble
     per_size = [
         map_realizations(_real_energy_fluctuation, replace(base, n=n, base_seed=base.base_seed + n),
                          {"s1": s1, "eta": _profile_from_spec(p.get("eta_profile", "ones"), n),
-                          "times": times}, workers)
+                          "times": times}, config.workers)
         for n in sizes
     ]
     # realization-major stacks: entry (i, k) is realization i at sizes[k]
@@ -514,25 +514,28 @@ def _profile_from_spec(spec, n: int) -> np.ndarray:
 
 
 def run_fock(config: ExperimentConfig, outdir: Path) -> dict:
+    """One pass: the workers measure, and the driver judges their
+    envelopes and overlaps against the thresholds of the fit."""
     p = config.params
-    workers = effective_workers(config.workers)
-    fit = _mean_fit(map_realizations(_real_eigencorrelator, config.ensemble,
-                                     {"block": False, "max_distance": p.get("fit_max_distance")},
-                                     workers), p)
     n = config.ensemble.n
     tau = p.get("tau", 0.5)
     alpha = p.get("alpha", 1.25)
-    eta = p.get("eta", 0.5 * fit.eta)
-    eta0 = p.get("eta0", 0.25 * eta)
     pairs = sample_configuration_pairs(
         n, tau, p.get("pair_count", 100), seed=p.get("pair_seed", 0),
         r_max=p.get("r_max", 5),
     )
-    wp = {
-        "alpha": alpha, "tau": tau, "eta": eta, "eta0": eta0, "pairs": pairs,
-        "fit_C": fit.C, "fit_eta": fit.eta,
-    }
-    results = map_realizations(_real_fock, config.ensemble, wp, workers)
+    measured = map_realizations(
+        _real_fock, config.ensemble,
+        {"alpha": alpha, "pairs": pairs, "fit_max_distance": p.get("fit_max_distance")},
+        config.workers)
+    fit = _mean_fit([m[0] for m in measured], p)
+    eta = p.get("eta", 0.5 * fit.eta)
+    eta0 = p.get("eta0", 0.25 * eta)
+    results = [
+        (matched, fallback, certify_decay(envelope, eta, tau),
+         fock_localization_check(overlaps, pairs, n, fit, tau, eta0, eta=eta).pass_fraction)
+        for _, matched, fallback, envelope, overlaps in measured
+    ]
     matched, _, certified, passed = aggregate(results)["mean"].tolist()
     payload = {
         "alpha": alpha,
@@ -733,6 +736,7 @@ def run(config: ExperimentConfig) -> dict:
     config.output_dir and returns the summary payload."""
     if config.experiment in _NEEDS_GRID and config.time_grid is None:
         raise ConfigError(f"experiment {config.experiment} requires time_grid")
+    config = replace(config, workers=effective_workers(config.workers))
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     payload = _RUNNERS[config.experiment](config, outdir)

@@ -122,40 +122,29 @@ def locate_centers(sd: SpectralDecomposition, alpha: float = 1.25) -> CenterAssi
     )
 
 
-@dataclass
-class DecayCertificate:
-    """Result of checking |phi_r(j)| <= exp(-eta |j - k_r|) beyond the
-    n^tau window; certified iff no violations."""
+def decay_envelope(sd: SpectralDecomposition, centers: CenterAssignment) -> np.ndarray:
+    """Entry d (0 <= d < n): the largest |phi_r(j)| over all entries at
+    distance |j - k_r| = d from their eigenvector's center (0 where no
+    entry lies that far)."""
+    V = np.abs(sd.eigenvectors)
+    n = V.shape[0]
+    dist = np.abs(np.arange(1, n + 1)[:, None] - np.asarray(centers.centers))
+    envelope = np.zeros(n)
+    np.maximum.at(envelope, dist, V)
+    return envelope
 
-    eta: float
-    tau: float
-    violations: list
-    certified: bool
 
-
-def certify_decay(
-    sd: SpectralDecomposition, centers: CenterAssignment, eta: float, tau: float
-) -> DecayCertificate:
-    """Check exponential decay around the assigned centers at rate eta,
-    for all site separations >= n^tau."""
+def certify_decay(envelope: np.ndarray, eta: float, tau: float) -> bool:
+    """Whether |phi_r(j)| <= exp(-eta |j - k_r|) at every separation
+    >= n^tau, read off the decay envelope: every entry at separation d
+    faces the same bound, so the largest one decides."""
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
     if not 0 < tau < 1:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    V = np.abs(sd.eigenvectors)
-    n = V.shape[0]
-    window = float(n) ** tau
-    sites = np.arange(1, n + 1)
-    violations = []
-    for r in range(n):
-        dist = np.abs(sites - centers.centers[r])
-        mask = dist >= window
-        bound = np.exp(-eta * dist[mask])
-        bad = np.nonzero(V[mask, r] > bound)[0]
-        for b in bad:
-            j = sites[mask][b]
-            violations.append((r + 1, int(j), float(V[j - 1, r]), float(np.exp(-eta * abs(j - centers.centers[r])))))
-    return DecayCertificate(eta=eta, tau=tau, violations=violations, certified=not violations)
+    d = np.arange(len(envelope))
+    far = d >= float(len(envelope)) ** tau
+    return bool(np.all(envelope[far] <= np.exp(-eta * d[far])))
 
 
 def slater_overlap(U: np.ndarray, k_config, j_config) -> float:
@@ -239,15 +228,22 @@ class OverlapCheckReport:
     worst_ratio: float
 
 
+def pair_overlaps(U: np.ndarray, pairs) -> np.ndarray:
+    """|slater_overlap(U, k, j)| of every sampled pair (k, j), in order."""
+    return np.array([abs(slater_overlap(U, k, j)) for k, j in pairs])
+
+
 def fock_localization_check(
-    U: np.ndarray,
+    overlaps,
+    pairs,
+    n: int,
     fit: DecayFit,
     tau: float,
     eta0: float,
-    pairs,
     eta: float | None = None,
 ) -> OverlapCheckReport:
-    """Check the configuration-distance decay of basis overlaps:
+    """Check the configuration-distance decay of the basis overlaps
+    |overlap(k, j)| of the pairs (from pair_overlaps) at chain size n:
 
         |overlap(k, j)| <= 8 max(I, sqrt(I)) n^{2 tau}
                            * exp(-(eta - eta0)/4 * D(k, j)),
@@ -257,7 +253,6 @@ def fock_localization_check(
     and C the fitted prefactor.  Pairs violating D >= 2 n^tau are
     skipped and reported.
     """
-    n = U.shape[0]
     if eta is None:
         eta = 0.5 * fit.eta
     if not 0 < eta0 < eta:
@@ -268,13 +263,12 @@ def fock_localization_check(
     const = 8.0 * max(I, np.sqrt(I)) * float(n) ** (2.0 * tau)
     checked = skipped = passed = 0
     worst = 0.0
-    for k, j in pairs:
+    for (k, j), val in zip(pairs, overlaps, strict=True):
         D = configuration_distance(k, j)
         if D < 2.0 * cut:
             skipped += 1
             continue
         checked += 1
-        val = abs(slater_overlap(U, k, j))
         bound = const * np.exp(-0.25 * (eta - eta0) * D)
         ratio = val / bound if bound > 0 else np.inf
         worst = max(worst, ratio)

@@ -137,9 +137,16 @@ def evolve_gamma(cm: CorrelationMatrix, sd_M: SpectralDecomposition, t: float) -
 # ---------------------------------------------------------------------------
 # eigenbasis time series: whole time grids after one change of basis
 
-# Complex entries per batched intermediate of restricted_series (1 MiB);
+# Float64 entries per batched intermediate of a whole-grid kernel (1 MiB);
 # longer grids are evaluated in chunks of times so memory stays bounded.
-_SERIES_CHUNK_ENTRIES = 1 << 16
+_GRID_CHUNK_ENTRIES = 1 << 17
+
+
+def _grid_chunks(times: np.ndarray, per_time: int):
+    """Consecutive slices of the grid whose batched intermediates hold at
+    most _GRID_CHUNK_ENTRIES float64 entries, per_time of them per time."""
+    step = max(1, _GRID_CHUNK_ENTRIES // per_time)
+    return (times[s : s + step] for s in range(0, len(times), step))
 
 
 def trace_series(lam: np.ndarray, K: np.ndarray, times, scale: float) -> np.ndarray:
@@ -166,14 +173,14 @@ def restricted_series(V_A: np.ndarray, lam: np.ndarray, G: np.ndarray, times) ->
     rows, dim = V_A.shape
     out = np.empty((len(times), rows, rows), dtype=complex)
     herm = np.max(np.abs(G - G.conj().T), initial=0.0)
-    chunk = max(1, _SERIES_CHUNK_ENTRIES // (rows * dim))
-    for start in range(0, len(times), chunk):
-        ph = np.exp(-2j * np.outer(times[start : start + chunk], lam))
-        Q = V_A[None, :, :] * ph[:, None, :]
+    start = 0
+    for ts in _grid_chunks(times, 2 * rows * dim):  # complex rows x dim per time
+        Q = V_A[None, :, :] * np.exp(-2j * np.outer(ts, lam))[:, None, :]
         blk = (Q @ G) @ Q.conj().transpose(0, 2, 1)
         blk_h = blk.conj().transpose(0, 2, 1)
         herm = max(herm, np.max(np.abs(blk - blk_h), initial=0.0))
-        out[start : start + chunk] = 0.5 * (blk + blk_h)
+        out[start : start + len(ts)] = 0.5 * (blk + blk_h)
+        start += len(ts)
     if herm > 1e-9:
         raise ValueError(f"evolved gamma lost Hermiticity: residual {herm:.3e}")
     return out

@@ -11,12 +11,13 @@ def rng():
 
 
 def ensemble_mean(worker, ensemble, params, part=None):
-    """Mean over the ensemble, accumulated in index order, of an experiment
-    worker xp._real_*; `part` picks one entry of a worker returning a tuple."""
+    """Mean over the ensemble, by the library's one reduction, of an
+    experiment worker xp._real_*; `part` picks one entry of a worker
+    returning a tuple."""
     results = xp.map_realizations(worker, ensemble, params, workers=1)
     if part is not None:
         results = [r[part] for r in results]
-    return np.mean(np.vstack(results), axis=0)
+    return disorder.aggregate(results)["mean"]
 
 
 def random_chain(rng, n, anisotropic=True, nu_scale=1.5):

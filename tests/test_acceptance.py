@@ -366,9 +366,9 @@ def test_09_fock_localization(fit_eps005_n200):
         ca = fock.locate_centers(sd, 1.25)
         matched += ca.matched
         fallbacks += ca.fallback_count
-        cert = fock.certify_decay(sd, ca, eta=eta_cert, tau=0.5)
-        certified += cert.certified
-        if cert.certified and i < 50:
+        cert = fock.certify_decay(fock.decay_envelope(sd, ca), eta=eta_cert, tau=0.5)
+        certified += cert
+        if cert and i < 50:
             centers = np.array(ca.centers)
             window = 200.0**0.5
             for k_modes in ((1, 2), (199, 200)):
@@ -406,7 +406,7 @@ def test_09_fock_localization(fit_eps005_n200):
     for i in range(ens2.realizations):
         sd = ham.diagonalize_A(sample_chain(ens2, i))
         rep = fock.fock_localization_check(
-            sd.eigenvectors, fit2, 0.4, 0.25 * eta2, pairs, eta=eta2
+            fock.pair_overlaps(sd.eigenvectors, pairs), pairs, 120, fit2, 0.4, 0.25 * eta2, eta=eta2
         )
         fracs.append(rep.pass_fraction)
     overlap_frac = float(np.mean(fracs))

@@ -5,6 +5,7 @@ from xylab import ed_oracle as ed
 from xylab import eigencorrelator as ec
 from xylab import experiments as xp
 from xylab import hamiltonian as ham
+from xylab import quasifree as qf
 from xylab.disorder import (
     EnsembleSpec,
     constant,
@@ -240,7 +241,7 @@ def test_amplitude_sup_matches_per_step_propagator(rng, monkeypatch, case, grid)
     times = {"single": [1.3], "long": np.linspace(0.0, 12.0, 301),
              "tiny_chunks": np.linspace(0.0, 3.0, 13)}[grid]
     if grid == "tiny_chunks":  # one time per chunk, and a few per chunk
-        monkeypatch.setattr(ec, "_GRID_CHUNK_ENTRIES", 64)
+        monkeypatch.setattr(qf, "_GRID_CHUNK_ENTRIES", 64)
     sdA = ham.diagonalize_A(make_chain(ch.mu, (0.0,) * (n - 1), ch.nu))
     sdM = ham.diagonalize(ham.build_M(ch))
     for sd, block in ((sdA, False), (sdM, True)):

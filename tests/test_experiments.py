@@ -11,6 +11,7 @@ import pytest
 from xylab import cli
 from xylab import entanglement as ent
 from xylab import experiments as xp
+from xylab import fock
 from xylab import hamiltonian as ham
 from xylab import quasifree as qf
 from xylab import transport as tr
@@ -225,14 +226,17 @@ def test_transport_energy_flatness_run(tmp_path):
     assert (tmp_path / "energy_fluctuation.csv").exists()
 
 
-def test_fock_run(tmp_path):
-    cfg = xp.parse_config({
+def _fock_config(eps=0.05, **params):
+    return {
         "experiment": "fock",
-        "ensemble": ensemble_json(n=40, realizations=5, eps=0.05),
+        "ensemble": ensemble_json(n=40, realizations=5, eps=eps),
         "params": {"alpha": 1.25, "tau": 0.5, "pair_count": 30,
-                   "fit_min_distance": 2, "fit_max_distance": 15},
-        "output_dir": str(tmp_path),
-    })
+                   "fit_min_distance": 2, "fit_max_distance": 15, **params},
+    }
+
+
+def test_fock_run(tmp_path):
+    cfg = xp.parse_config({**_fock_config(), "output_dir": str(tmp_path)})
     payload = xp.run(cfg)
     data = json.loads((tmp_path / "fock_report.json").read_text())
     assert set(data) == {"alpha", "tau", "eta", "matched_fraction",
@@ -313,7 +317,11 @@ def test_cli_oracle_check(tmp_path):
     (["oracle-check", "--realizations", "0"], None),
     (["fit"], "distance,mean\n0,1.0\n1,abc\n"),
     (["fit"], "distance,mean,stderr,count\n"),
-], ids=["oracle-n15", "oracle-n0", "oracle-realizations0", "fit-non-numeric", "fit-header-only"])
+    (["fit"], "distance,mean\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n-1,100.0\n"),
+    (["fit"], "distance,mean\n0,1.0\n1.7,0.5\n2,0.25\n3,0.125\n"),
+    (["fit"], "distance,mean\n0,1.0\n1,0.5\n1,0.4\n2,0.25\n3,0.125\n"),
+], ids=["oracle-n15", "oracle-n0", "oracle-realizations0", "fit-non-numeric", "fit-header-only",
+        "fit-negative-distance", "fit-fractional-distance", "fit-duplicate-distance"])
 def test_cli_bad_input_gives_one_line_error(tmp_path, capsys, argv, csv_text):
     if csv_text is not None:
         csv = tmp_path / "profile.csv"
@@ -452,7 +460,7 @@ def test_transport_run_matches_public_check(tmp_path, experiment, check):
     payload = xp.run(cfg)
     profiles = [xp.distance_profile(xp.eigencorrelator_table(
         xp.diagonalize_A(xp.sample_chain(cfg.ensemble, i))), 10) for i in range(3)]
-    fit = xp.fit_decay(np.mean(np.vstack(profiles), axis=0), 2, 10)
+    fit = xp.fit_decay(xp.aggregate(profiles)["mean"], 2, 10)
     s2 = tr.Region.of(params["s2"])
     eta = np.zeros(24)
     eta[np.array(s2.sites) - 1] = 1.0
@@ -522,6 +530,7 @@ _POOLED_RUNS = {
                    "fit_min_distance": 2, "fit_max_distance": 8},
     },
     "transport_energy_aniso": _aniso_energy_config(),
+    "fock": _fock_config(),
 }
 
 
@@ -596,3 +605,75 @@ def test_one_decomposition_of_M_per_realization(tmp_path, monkeypatch):
         xp.run(xp.parse_config({**cfg, "output_dir": str(tmp_path / name), "workers": 1}))
         assert dense == [], name
     assert bogs == {i: 1 for i in range(3)}
+
+
+def test_fock_run_decomposes_each_chain_once(tmp_path, monkeypatch):
+    # one pass: the worker that measures the fit's profile also measures
+    # the centers, the decay envelope and the pair overlaps
+    monkeypatch.delenv("XYLAB_WORKERS", raising=False)
+    samples, decompositions = Counter(), Counter()
+    diagonalize_A = ham.diagonalize_A
+
+    def counting_sample(ensemble, i):
+        samples[i] += 1
+        return sample_chain(ensemble, i)
+
+    def counting_diagonalize(chain):
+        decompositions[chain.realization_index] += 1
+        return diagonalize_A(chain)
+
+    monkeypatch.setattr(xp, "sample_chain", counting_sample)
+    monkeypatch.setattr(xp, "diagonalize_A", counting_diagonalize)
+    xp.run(xp.parse_config({**_fock_config(), "output_dir": str(tmp_path), "workers": 1}))
+    assert samples == decompositions == {i: 1 for i in range(5)}
+
+
+def _fock_two_pass(cfg):
+    """fock as two passes over the ensemble: a fit pass, then a pass that
+    checks every eigenvector entry against the decay envelope and every
+    pair's overlap against its bound."""
+    p, ens, n = cfg.params, cfg.ensemble, cfg.ensemble.n
+    tau = p["tau"]
+    profiles = [xp.distance_profile(xp.eigencorrelator_table(xp.diagonalize_A(
+        sample_chain(ens, i))), p["fit_max_distance"]) for i in range(ens.realizations)]
+    fit = xp.fit_decay(xp.aggregate(profiles)["mean"], p["fit_min_distance"], p["fit_max_distance"])
+    eta = p.get("eta", 0.5 * fit.eta)
+    eta0 = 0.25 * eta
+    pairs = fock.sample_configuration_pairs(n, tau, p["pair_count"])
+    I = fit.C * qf.growth_series(qf.GrowthFunction(kind="thresholded", tau_cut=n**tau), eta0)
+    const = 8.0 * max(I, np.sqrt(I)) * n ** (2 * tau)
+    rows = []
+    for i in range(ens.realizations):
+        sd = xp.diagonalize_A(sample_chain(ens, i))
+        ca = fock.locate_centers(sd, p["alpha"])
+        V = sd.eigenvectors
+        certified = True
+        for r in range(n):
+            for j in range(1, n + 1):
+                d = abs(j - ca.centers[r])
+                if d >= n**tau and abs(V[j - 1, r]) > np.exp(-eta * d):
+                    certified = False
+        passed = 0
+        for k, j in pairs:
+            D = qf.configuration_distance(k, j)
+            assert D >= 2 * n**tau
+            passed += abs(fock.slater_overlap(V, k, j)) <= const * np.exp(-0.25 * (eta - eta0) * D)
+        rows.append((ca.matched, ca.fallback_count, certified, passed / len(pairs)))
+    return fit, eta, rows
+
+
+@pytest.mark.parametrize("eps, params", [(0.05, {}), (0.5, {"eta": 2.0})],
+                         ids=["fitted-eta", "steep-eta"])
+def test_fock_one_pass_matches_two_pass_reference(tmp_path, eps, params):
+    cfg = xp.parse_config({**_fock_config(eps, **params), "output_dir": str(tmp_path)})
+    payload = xp.run(cfg)
+    fit, eta, rows = _fock_two_pass(cfg)
+    matched, _, certified, passed = xp.aggregate(rows)["mean"].tolist()
+    assert payload["fit"] == {"C": fit.C, "eta": fit.eta, "r_squared": fit.r_squared}
+    assert json.loads((tmp_path / "fock_report.json").read_text()) == {
+        "alpha": 1.25, "tau": 0.5, "eta": eta, "matched_fraction": matched,
+        "certified_fraction": certified, "overlap_pass_fraction": passed,
+        "fallback_total": sum(r[1] for r in rows),
+    }
+    # the cases reach both verdicts of the certificate and of the overlap bound
+    assert {r[2] for r in rows} == {True, False} or min(r[3] for r in rows) < 1.0

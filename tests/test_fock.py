@@ -50,26 +50,43 @@ def test_certify_decay_decoupled_and_clean():
     ch = make_chain([0.0] * 7, [0.0] * 7, [2.0, -1.0, 0.5, -3.0, 1.5, 0.1, -0.6, 2.5])
     sd = ham.diagonalize_A(ch)
     ca = fock.locate_centers(sd)
-    cert = fock.certify_decay(sd, ca, eta=1.0, tau=0.3)
-    assert cert.certified
+    assert fock.certify_decay(fock.decay_envelope(sd, ca), eta=1.0, tau=0.3)
     # extended states on the clean chain violate any exponential envelope
     n = 100
     clean = make_chain([1.0] * (n - 1), [0.0] * (n - 1), [0.0] * n)
     sd_clean = ham.diagonalize_A(clean)
     ca_clean = fock.locate_centers(sd_clean)
-    cert_clean = fock.certify_decay(sd_clean, ca_clean, eta=0.1, tau=0.5)
-    assert not cert_clean.certified
-    assert len(cert_clean.violations) > 0
+    envelope = fock.decay_envelope(sd_clean, ca_clean)
+    assert not fock.certify_decay(envelope, eta=0.1, tau=0.5)
+    d = np.arange(n)
+    far = d >= n**0.5
+    assert np.any(envelope[far] > np.exp(-0.1 * d[far]))
+
+
+def test_decay_envelope_is_the_largest_entry_per_distance(rng):
+    n = 12
+    sd = ham.diagonalize_A(random_chain(rng, n, anisotropic=False))
+    ca = fock.locate_centers(sd)
+    expected = np.zeros(n)
+    for r in range(n):
+        for j in range(1, n + 1):
+            d = abs(j - ca.centers[r])
+            expected[d] = max(expected[d], abs(sd.eigenvectors[j - 1, r]))
+    assert np.array_equal(fock.decay_envelope(sd, ca), expected)
+    # no center at an end of the chain: no entry lies n - 1 sites away
+    inner = fock.CenterAssignment(centers=(2,) * n, alpha_used=1.25, matched=False,
+                                  fallback_count=0)
+    assert fock.decay_envelope(sd, inner)[n - 1] == 0.0
 
 
 def test_certify_decay_validation():
     ch = make_chain([0.1], [0.0], [1.0, -1.0])
     sd = ham.diagonalize_A(ch)
-    ca = fock.locate_centers(sd)
+    envelope = fock.decay_envelope(sd, fock.locate_centers(sd))
     with pytest.raises(ValueError):
-        fock.certify_decay(sd, ca, eta=-1.0, tau=0.5)
+        fock.certify_decay(envelope, eta=-1.0, tau=0.5)
     with pytest.raises(ValueError):
-        fock.certify_decay(sd, ca, eta=1.0, tau=1.5)
+        fock.certify_decay(envelope, eta=1.0, tau=1.5)
 
 
 def test_slater_overlap_permutation_limit():
@@ -194,8 +211,7 @@ def test_occupation_bound_when_certified():
         chain = sample_chain(ens, i)
         sd = ham.diagonalize_A(chain)
         ca = fock.locate_centers(sd)
-        cert = fock.certify_decay(sd, ca, eta=eta, tau=tau)
-        if not cert.certified:
+        if not fock.certify_decay(fock.decay_envelope(sd, ca), eta=eta, tau=tau):
             continue
         centers = np.array(ca.centers)
         for k_modes in ((1, 2), (n - 1, n), (1, n)):
@@ -225,7 +241,7 @@ def test_certified_fraction_monotone_in_coupling():
         for i in range(ens.realizations):
             sd = ham.diagonalize_A(sample_chain(ens, i))
             ca = fock.locate_centers(sd)
-            good += fock.certify_decay(sd, ca, eta=eta_ref, tau=tau).certified
+            good += fock.certify_decay(fock.decay_envelope(sd, ca), eta=eta_ref, tau=tau)
         fracs[eps] = good / ens.realizations
     assert fracs[0.05] >= fracs[0.1] >= fracs[0.2]
 
@@ -245,11 +261,12 @@ def test_fock_localization_check_decoupled_all_pass():
     sd = ham.diagonalize_A(ch)
     fit = DecayFit(C=1.0, eta=2.0, r_squared=1.0, min_distance=1)
     pairs = fock.sample_configuration_pairs(20, 0.4, 40, seed=1)
-    report = fock.fock_localization_check(sd.eigenvectors, fit, 0.4, 0.25, pairs)
+    overlaps = fock.pair_overlaps(sd.eigenvectors, pairs)
+    report = fock.fock_localization_check(overlaps, pairs, 20, fit, 0.4, 0.25)
     assert report.checked > 0
     assert report.pass_fraction == 1.0
     with pytest.raises(ValueError):
-        fock.fock_localization_check(sd.eigenvectors, fit, 0.4, 2.0, pairs)
+        fock.fock_localization_check(overlaps, pairs, 20, fit, 0.4, 2.0)
 
 
 def test_single_mode_reduces_to_eigenfunction_decay(rng):

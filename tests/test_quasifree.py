@@ -303,3 +303,17 @@ def test_restricted_series_rejects_non_hermitian_state(rng):
     G[0, 3] = 1e-6  # anti-Hermitian part 1e-6, far above the 1e-9 tolerance
     with pytest.raises(ValueError, match="lost Hermiticity"):
         qf.restricted_series(sd.eigenvectors[:2], sd.eigenvalues, G, [0.0, 1.0])
+
+
+def test_restricted_series_chunks_do_not_move_the_blocks(rng, monkeypatch):
+    n, ell = 6, 2
+    ch = random_chain(rng, n)
+    sd = ham.diagonalize(ham.build_M(ch))
+    gamma0, _, _ = qf.quench_initial_gamma(ch, 3, [0, 1, 0], [1, 0, 0])
+    V = sd.eigenvectors
+    args = (V[: 2 * ell], sd.eigenvalues, V.T @ gamma0.gamma @ V, np.linspace(0.0, 3.0, 7))
+    whole = qf.restricted_series(*args)
+    per_time = 2 * (2 * ell) * (2 * n)  # float64 entries of one complex |A| x 2n phase block
+    for budget in (1, 3 * per_time):  # one time per chunk; chunks of 3, 3 and 1
+        monkeypatch.setattr(qf, "_GRID_CHUNK_ENTRIES", budget)
+        assert np.array_equal(qf.restricted_series(*args), whole)
