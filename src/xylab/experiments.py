@@ -7,8 +7,8 @@ outputs are byte identical across runs and worker counts.  Every
 experiment makes one pass per realization: a worker samples and
 decomposes its chain once and returns what it measures, and the driver
 judges the measurements against the fitted constants.  Summaries echo
-the config with a content hash and record pass/fail verdicts next to
-the fitted constants they used.
+the semantic config (not output_dir or workers) with a content hash
+and record pass/fail verdicts next to the fitted constants they used.
 """
 
 from __future__ import annotations
@@ -55,19 +55,6 @@ from .hamiltonian import (
 )
 from .quasifree import eigenstate_gamma, evolve_gamma, thermal_gamma
 
-EXPERIMENTS = (
-    "eigencorrelator",
-    "lr_bound",
-    "correlations",
-    "entanglement_static",
-    "entanglement_quench",
-    "transport_particle",
-    "transport_energy",
-    "fock",
-    "oracle_check",
-)
-
-
 class ConfigError(ValueError):
     """Invalid experiment config; the message names the offending field."""
 
@@ -92,6 +79,14 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _integer(value, field: str, minimum: int) -> int:
+    """An integer config field: a JSON integer, not a bool, of at least
+    minimum."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{field} must be an integer >= {minimum}, got {value!r}")
+    return value
+
+
 def _parse_time_grid(obj: dict, path: str) -> TimeGrid:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path} must be an object with T and dt")
@@ -111,20 +106,23 @@ class ExperimentConfig:
     params: dict
     output_dir: str
     workers: int
-    raw: dict
+    semantic: dict
 
 
 def parse_config(obj: dict) -> ExperimentConfig:
     if not isinstance(obj, dict):
         raise ConfigError("config root must be a JSON object")
     experiment = _require(obj, "experiment", "")
-    if experiment not in EXPERIMENTS:
+    if experiment not in _RUNNERS:
         raise ConfigError(
-            f"experiment must be one of {', '.join(EXPERIMENTS)}; got {experiment!r}"
+            f"experiment must be one of {', '.join(_RUNNERS)}; got {experiment!r}"
         )
     ensemble = None
     if experiment != "oracle_check":
         ens_obj = _require(obj, "ensemble", "")
+        for key, minimum in (("n", 1), ("realizations", 1), ("base_seed", 0)):
+            if isinstance(ens_obj, dict) and key in ens_obj:
+                _integer(ens_obj[key], f"ensemble.{key}", minimum)
         try:
             ensemble = EnsembleSpec.from_json(ens_obj)
         except (KeyError, TypeError, ValueError) as exc:
@@ -136,9 +134,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
-    workers = obj.get("workers", 1)
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
+    workers = _integer(obj.get("workers", 1), "workers", 1)
     output_dir = obj.get("output_dir", ".")
     return ExperimentConfig(
         experiment=experiment,
@@ -147,20 +143,20 @@ def parse_config(obj: dict) -> ExperimentConfig:
         params=params,
         output_dir=str(output_dir),
         workers=workers,
-        raw=obj,
+        semantic=_semantic(obj),
     )
 
 
-# The config fields that decide what is computed; output_dir and workers
-# change where and how fast, not what.
-_SEMANTIC_FIELDS = ("experiment", "ensemble", "params", "time_grid")
+def _semantic(obj: dict) -> dict:
+    """The config fields that decide what is computed; output_dir and
+    workers change where and how fast, not what."""
+    return {k: obj[k] for k in ("experiment", "ensemble", "params", "time_grid") if k in obj}
 
 
 def config_hash(obj: dict) -> str:
     """Hash of the semantic part of a config: two runs with equal hashes
     compute the same science."""
-    semantic = {k: obj[k] for k in _SEMANTIC_FIELDS if k in obj}
-    return hashlib.sha256(json.dumps(semantic, sort_keys=True).encode()).hexdigest()[:16]
+    return hashlib.sha256(json.dumps(_semantic(obj), sort_keys=True).encode()).hexdigest()[:16]
 
 
 def effective_workers(config_workers: int) -> int:
@@ -218,8 +214,8 @@ def write_json(path, obj) -> None:
 
 
 def write_summary(path, config: ExperimentConfig, payload: dict) -> None:
-    write_json(path, {"experiment": config.experiment, "config": config.raw,
-                      "config_hash": config_hash(config.raw), **payload})
+    write_json(path, {"experiment": config.experiment, "config": config.semantic,
+                      "config_hash": config_hash(config.semantic), **payload})
 
 
 # ---------------------------------------------------------------------------
@@ -514,29 +510,26 @@ def _profile_from_spec(spec, n: int) -> np.ndarray:
 
 
 def run_fock(config: ExperimentConfig, outdir: Path) -> dict:
-    """One pass: the workers measure, and the driver judges their
+    """One pass: the workers measure, and the driver judges the stacked
     envelopes and overlaps against the thresholds of the fit."""
     p = config.params
     n = config.ensemble.n
     tau = p.get("tau", 0.5)
     alpha = p.get("alpha", 1.25)
-    pairs = sample_configuration_pairs(
-        n, tau, p.get("pair_count", 100), seed=p.get("pair_seed", 0),
-        r_max=p.get("r_max", 5),
-    )
+    pairs = sample_configuration_pairs(n, tau, p.get("pair_count", 100),
+                                       seed=p.get("pair_seed", 0), r_max=p.get("r_max", 5))
     measured = map_realizations(
         _real_fock, config.ensemble,
         {"alpha": alpha, "pairs": pairs, "fit_max_distance": p.get("fit_max_distance")},
         config.workers)
-    fit = _mean_fit([m[0] for m in measured], p)
+    profiles, matched, fallbacks, envelopes, overlaps = zip(*measured)
+    fit = _mean_fit(profiles, p)
     eta = p.get("eta", 0.5 * fit.eta)
     eta0 = p.get("eta0", 0.25 * eta)
-    results = [
-        (matched, fallback, certify_decay(envelope, eta, tau),
-         fock_localization_check(overlaps, pairs, n, fit, tau, eta0, eta=eta).pass_fraction)
-        for _, matched, fallback, envelope, overlaps in measured
-    ]
-    matched, _, certified, passed = aggregate(results)["mean"].tolist()
+    certified = certify_decay(np.stack(envelopes), eta, tau)
+    passed = fock_localization_check(np.stack(overlaps), pairs, n, fit, tau, eta0, eta=eta)
+    agg = aggregate(zip(matched, fallbacks, certified, passed))
+    matched, _, certified, passed = agg["mean"].tolist()
     payload = {
         "alpha": alpha,
         "tau": tau,
@@ -544,7 +537,7 @@ def run_fock(config: ExperimentConfig, outdir: Path) -> dict:
         "matched_fraction": matched,
         "certified_fraction": certified,
         "overlap_pass_fraction": passed,
-        "fallback_total": sum(r[1] for r in results),
+        "fallback_total": sum(fallbacks),
     }
     write_json(outdir / "fock_report.json", payload)
     payload["fit"] = _fit_block(fit)
@@ -705,40 +698,37 @@ def _check_occupation(chain: ChainSpec, H: np.ndarray, number_ops: list) -> floa
 
 def run_oracle_check(config: ExperimentConfig, outdir: Path) -> dict:
     p = config.params
-    result = oracle_suite(
-        n=p.get("n", 6), seed=p.get("seed", 42), realizations=p.get("realizations", 5)
-    )
+    args = {key: _integer(p.get(key, default), f"params.{key}", minimum)
+            for key, default, minimum in (("n", 6, 1), ("seed", 42, 0), ("realizations", 5, 1))}
+    result = oracle_suite(**args)
     write_json(outdir / "oracle_check.json", result)
     result["verdicts"] = dict(result["checks"])
     return result
 
 
+# Each experiment's driver and whether it needs a time_grid.
 _RUNNERS = {
-    "eigencorrelator": run_eigencorrelator,
-    "lr_bound": run_lr_bound,
-    "correlations": run_correlations,
-    "entanglement_static": run_entanglement_static,
-    "entanglement_quench": run_entanglement_quench,
-    "transport_particle": run_transport_particle,
-    "transport_energy": run_transport_energy,
-    "fock": run_fock,
-    "oracle_check": run_oracle_check,
-}
-
-_NEEDS_GRID = {
-    "lr_bound", "correlations", "entanglement_quench",
-    "transport_particle", "transport_energy",
+    "eigencorrelator": (run_eigencorrelator, False),
+    "lr_bound": (run_lr_bound, True),
+    "correlations": (run_correlations, True),
+    "entanglement_static": (run_entanglement_static, False),
+    "entanglement_quench": (run_entanglement_quench, True),
+    "transport_particle": (run_transport_particle, True),
+    "transport_energy": (run_transport_energy, True),
+    "fock": (run_fock, False),
+    "oracle_check": (run_oracle_check, False),
 }
 
 
 def run(config: ExperimentConfig) -> dict:
     """Execute one experiment; writes artifacts and the summary JSON into
     config.output_dir and returns the summary payload."""
-    if config.experiment in _NEEDS_GRID and config.time_grid is None:
+    driver, needs_grid = _RUNNERS[config.experiment]
+    if needs_grid and config.time_grid is None:
         raise ConfigError(f"experiment {config.experiment} requires time_grid")
     config = replace(config, workers=effective_workers(config.workers))
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    payload = _RUNNERS[config.experiment](config, outdir)
+    payload = driver(config, outdir)
     write_summary(outdir / "summary.json", config, payload)
     return payload

@@ -134,17 +134,19 @@ def decay_envelope(sd: SpectralDecomposition, centers: CenterAssignment) -> np.n
     return envelope
 
 
-def certify_decay(envelope: np.ndarray, eta: float, tau: float) -> bool:
+def certify_decay(envelopes: np.ndarray, eta: float, tau: float) -> np.ndarray:
     """Whether |phi_r(j)| <= exp(-eta |j - k_r|) at every separation
     >= n^tau, read off the decay envelope: every entry at separation d
-    faces the same bound, so the largest one decides."""
+    faces the same bound, so the largest one decides.  One verdict per
+    envelope, for one of shape (n,) or a stack of shape (R, n)."""
     if eta <= 0:
         raise ValueError(f"eta must be positive, got {eta}")
     if not 0 < tau < 1:
         raise ValueError(f"tau must lie in (0, 1), got {tau}")
-    d = np.arange(len(envelope))
-    far = d >= float(len(envelope)) ** tau
-    return bool(np.all(envelope[far] <= np.exp(-eta * d[far])))
+    envelopes = np.asarray(envelopes)
+    d = np.arange(envelopes.shape[-1])
+    far = d >= float(len(d)) ** tau
+    return np.all(envelopes[..., far] <= np.exp(-eta * d[far]), axis=-1)
 
 
 def slater_overlap(U: np.ndarray, k_config, j_config) -> float:
@@ -187,14 +189,8 @@ def occupation_bound(eta: float, dmin: float) -> float:
     return 2.0 / np.expm1(2.0 * eta * dmin)
 
 
-def sample_configuration_pairs(
-    n: int,
-    tau: float,
-    count: int,
-    seed: int = 0,
-    r_max: int = 5,
-    max_tries: int = 200000,
-) -> list:
+def sample_configuration_pairs(n: int, tau: float, count: int, seed: int = 0, r_max: int = 5,
+                               max_tries: int = 200000) -> list:
     """Sample (k, j) configuration pairs with equal cardinality r in
     [1, r_max] conditioned on D(k, j) >= 2 n^tau, fixed seed."""
     rng = np.random.default_rng(seed)
@@ -209,23 +205,8 @@ def sample_configuration_pairs(
         if configuration_distance(k, j) >= dmin:
             pairs.append((k, j))
     if len(pairs) < count:
-        raise ValueError(
-            f"could not sample {count} pairs with D >= {dmin:.1f} at n={n}"
-        )
+        raise ValueError(f"could not sample {count} pairs with D >= {dmin:.1f} at n={n}")
     return pairs
-
-
-@dataclass
-class OverlapCheckReport:
-    checked: int
-    skipped: int
-    passed: int
-    pass_fraction: float
-    constant: float
-    eta: float
-    eta0: float
-    tau: float
-    worst_ratio: float
 
 
 def pair_overlaps(U: np.ndarray, pairs) -> np.ndarray:
@@ -233,56 +214,36 @@ def pair_overlaps(U: np.ndarray, pairs) -> np.ndarray:
     return np.array([abs(slater_overlap(U, k, j)) for k, j in pairs])
 
 
-def fock_localization_check(
-    overlaps,
-    pairs,
-    n: int,
-    fit: DecayFit,
-    tau: float,
-    eta0: float,
-    eta: float | None = None,
-) -> OverlapCheckReport:
-    """Check the configuration-distance decay of the basis overlaps
-    |overlap(k, j)| of the pairs (from pair_overlaps) at chain size n:
+def fock_localization_check(overlaps, pairs, n: int, fit: DecayFit, tau: float, eta0: float,
+                            eta: float | None = None) -> np.ndarray:
+    """Pass fraction of the configuration-distance decay of the basis
+    overlaps |overlap(k, j)| of the pairs (from pair_overlaps) at chain
+    size n:
 
         |overlap(k, j)| <= 8 max(I, sqrt(I)) n^{2 tau}
                            * exp(-(eta - eta0)/4 * D(k, j)),
 
     with I = C * sum_l (1 + l) exp(-eta0 K(l)) for the growth profile K
     thresholded at n^tau, eta defaulting to half the fitted decay rate,
-    and C the fitted prefactor.  Pairs violating D >= 2 n^tau are
-    skipped and reported.
+    and C the fitted prefactor.  Takes one overlap vector of shape
+    (pairs,) or a stack of shape (R, pairs), bounds each pair once and
+    gives one fraction per vector.  Pairs violating D >= 2 n^tau are
+    skipped; with none left the fraction is 1.
     """
     if eta is None:
         eta = 0.5 * fit.eta
     if not 0 < eta0 < eta:
         raise ValueError(f"need 0 < eta0 < eta, got eta0={eta0}, eta={eta}")
+    overlaps = np.asarray(overlaps, dtype=float)
+    if overlaps.shape[-1] != len(pairs):
+        raise ValueError(f"{overlaps.shape[-1]} overlaps for {len(pairs)} pairs")
     cut = float(n) ** tau
     K = GrowthFunction(kind="thresholded", tau_cut=cut)
     I = fit.C * growth_series(K, eta0)
     const = 8.0 * max(I, np.sqrt(I)) * float(n) ** (2.0 * tau)
-    checked = skipped = passed = 0
-    worst = 0.0
-    for (k, j), val in zip(pairs, overlaps, strict=True):
-        D = configuration_distance(k, j)
-        if D < 2.0 * cut:
-            skipped += 1
-            continue
-        checked += 1
-        bound = const * np.exp(-0.25 * (eta - eta0) * D)
-        ratio = val / bound if bound > 0 else np.inf
-        worst = max(worst, ratio)
-        if val <= bound:
-            passed += 1
-    frac = passed / checked if checked else 1.0
-    return OverlapCheckReport(
-        checked=checked,
-        skipped=skipped,
-        passed=passed,
-        pass_fraction=frac,
-        constant=const,
-        eta=eta,
-        eta0=eta0,
-        tau=tau,
-        worst_ratio=worst,
-    )
+    D = np.array([configuration_distance(k, j) for k, j in pairs], dtype=float)
+    far = D >= 2.0 * cut
+    if not far.any():
+        return np.ones(overlaps.shape[:-1])
+    bound = const * np.exp(-0.25 * (eta - eta0) * D[far])
+    return np.mean(overlaps[..., far] <= bound, axis=-1)

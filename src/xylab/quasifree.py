@@ -154,11 +154,18 @@ def trace_series(lam: np.ndarray, K: np.ndarray, times, scale: float) -> np.ndar
 
     This is the bilinear trace tr(exp(i scale t X) O exp(-i scale t X) G)
     of X = V diag(lam) V^t once K = (V^t O V) o (V^t G V)^t is formed: the
-    grid costs one (T x d) @ (d x d) product, with no propagator built.
-    Complex in general; real for Hermitian O and G.
+    grid costs (T x d) @ (d x d) products, taken over chunks of times so
+    memory stays bounded, with no propagator built.  Complex in general;
+    real for Hermitian O and G.
     """
-    P = np.exp(1j * scale * np.outer(np.asarray(times, dtype=float), lam))
-    return np.einsum("ta,ta->t", P @ K, P.conj())
+    times = np.asarray(times, dtype=float)
+    out = np.empty(len(times), dtype=complex)
+    start = 0
+    for ts in _grid_chunks(times, 2 * len(lam)):  # one complex phase row per time
+        P = np.exp(1j * scale * np.outer(ts, lam))
+        out[start : start + len(ts)] = np.einsum("ta,ta->t", P @ K, P.conj())
+        start += len(ts)
+    return out
 
 
 def restricted_series(V_A: np.ndarray, lam: np.ndarray, G: np.ndarray, times) -> np.ndarray:

@@ -5,8 +5,8 @@ the one-particle matrix X (A for the particle-conserving chain, the
 2n x 2n effective Hamiltonian M for the anisotropic energy).  After one
 change of basis to the eigenvectors V of X it reads
 sum_ab e^{it(lam_a - lam_b)} K_ab with K = (V^t O V) o (V^t G V)^t, so
-quasifree.trace_series evaluates a whole time grid as one matrix
-product: O(n^2) per time step and no propagator built.
+quasifree.trace_series evaluates a whole time grid as matrix products
+over chunks of times: O(n^2) per time step and no propagator built.
 Ensemble check helpers compare disorder-averaged suprema against the
 bounds implied by fitted eigencorrelator decay.
 """

@@ -402,13 +402,9 @@ def test_09_fock_localization(fit_eps005_n200):
     fit2 = ec.fit_decay(prof2, min_distance=5, max_distance=35)
     pairs = fock.sample_configuration_pairs(120, 0.4, 500, seed=11)
     eta2 = 0.5 * fit2.eta
-    fracs = []
-    for i in range(ens2.realizations):
-        sd = ham.diagonalize_A(sample_chain(ens2, i))
-        rep = fock.fock_localization_check(
-            fock.pair_overlaps(sd.eigenvectors, pairs), pairs, 120, fit2, 0.4, 0.25 * eta2, eta=eta2
-        )
-        fracs.append(rep.pass_fraction)
+    overlaps = np.stack([fock.pair_overlaps(ham.diagonalize_A(sample_chain(ens2, i)).eigenvectors, pairs)
+                         for i in range(ens2.realizations)])
+    fracs = fock.fock_localization_check(overlaps, pairs, 120, fit2, 0.4, 0.25 * eta2, eta=eta2)
     overlap_frac = float(np.mean(fracs))
 
     # occupation identity against the oracle at n = 6

@@ -115,7 +115,16 @@ def test_workers_do_not_change_output(tmp_path):
     parallel = tmp_path / "parallel"
     xp.run(xp.parse_config({**base, "output_dir": str(serial), "workers": 1}))
     xp.run(xp.parse_config({**base, "output_dir": str(parallel), "workers": 3}))
-    assert (serial / "eigencorrelator.csv").read_bytes() == (parallel / "eigencorrelator.csv").read_bytes()
+    _assert_same_files(serial, parallel)
+
+
+def _assert_same_files(a: Path, b: Path):
+    """Directories a and b hold the same files, summary.json among them,
+    byte for byte."""
+    names = sorted(f.name for f in a.iterdir())
+    assert "summary.json" in names and names == sorted(f.name for f in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_lr_bound_run(tmp_path):
@@ -388,15 +397,20 @@ def test_clustering_matches_dense_projector_formula():
     assert np.max(np.abs(profile - xp.distance_profile(sup))) < 1e-14
 
 
-@pytest.mark.parametrize("experiment, params, named", [
-    ("entanglement_static", {"strategy": "sampled", "samples": 4}, "params.ells"),
-    ("eigencorrelator", {"min_distance": 7, "max_distance": 8}, "fit window"),
+@pytest.mark.parametrize("experiment, params, named, ensemble", [
+    ("entanglement_static", {"strategy": "sampled", "samples": 4}, "params.ells", {}),
+    ("eigencorrelator", {"min_distance": 7, "max_distance": 8}, "fit window", {}),
+    ("eigencorrelator", {}, "ensemble.n", {"n": 20.7}),
+    ("eigencorrelator", {}, "ensemble.n", {"n": True}),
+    ("eigencorrelator", {}, "ensemble.realizations", {"realizations": 4.9}),
+    ("oracle_check", {"n": "6"}, "params.n", {}),
+    ("oracle_check", {"n": 4.5}, "params.n", {}),
 ])
-def test_cli_run_bad_params_give_one_line_error(tmp_path, experiment, params, named):
+def test_cli_run_bad_params_give_one_line_error(tmp_path, experiment, params, named, ensemble):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps({
         "experiment": experiment,
-        "ensemble": ensemble_json(n=8, realizations=2),
+        "ensemble": {**ensemble_json(n=8, realizations=2), **ensemble},
         "params": params,
         "output_dir": str(tmp_path / "out"),
     }))
@@ -486,6 +500,26 @@ def test_parse_config_rejects_non_integer_workers(workers):
                          "workers": workers})
 
 
+_NON_INTEGERS = [None, "4", 4.9, 4.0, True, False, -1, [4]]
+
+
+@pytest.mark.parametrize("value", _NON_INTEGERS)
+@pytest.mark.parametrize("field", ["n", "realizations", "base_seed"])
+def test_parse_config_rejects_non_integer_ensemble_fields(field, value):
+    with pytest.raises(xp.ConfigError, match=f"ensemble.{field}"):
+        xp.parse_config({"experiment": "eigencorrelator",
+                         "ensemble": {**ensemble_json(), field: value}})
+
+
+@pytest.mark.parametrize("value", _NON_INTEGERS)
+@pytest.mark.parametrize("field", ["n", "seed", "realizations"])
+def test_oracle_check_rejects_non_integer_params(tmp_path, field, value):
+    cfg = xp.parse_config({"experiment": "oracle_check", "params": {field: value},
+                           "output_dir": str(tmp_path)})
+    with pytest.raises(xp.ConfigError, match=f"params.{field}"):
+        xp.run(cfg)
+
+
 def test_parse_config_accepts_integer_workers():
     cfg = xp.parse_config({"experiment": "eigencorrelator", "ensemble": ensemble_json(),
                            "workers": 3})
@@ -541,14 +575,7 @@ def test_transport_workers_do_not_change_output(tmp_path, name):
     parallel = tmp_path / "parallel"
     xp.run(xp.parse_config({**base, "output_dir": str(serial), "workers": 1}))
     xp.run(xp.parse_config({**base, "output_dir": str(parallel), "workers": 2}))
-    artifacts = sorted(f.name for f in serial.iterdir() if f.name != "summary.json")
-    assert artifacts and artifacts == sorted(f.name for f in parallel.iterdir() if f.name != "summary.json")
-    for artifact in artifacts:
-        assert (serial / artifact).read_bytes() == (parallel / artifact).read_bytes()
-    summaries = [json.loads((d / "summary.json").read_text()) for d in (serial, parallel)]
-    for summary in summaries:
-        del summary["config"]  # echoes output_dir and workers
-    assert summaries[0] == summaries[1]
+    _assert_same_files(serial, parallel)
 
 
 def test_anisotropic_energy_run_samples_each_chain_once(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ from xylab import ed_oracle as ed
 from xylab import experiments as xp
 from xylab import fock
 from xylab import hamiltonian as ham
+from xylab import quasifree as qf
 from xylab.disorder import high_disorder_ensemble, make_chain, sample_chain, uniform
 from xylab.eigencorrelator import DecayFit, fit_decay
 
@@ -262,11 +263,49 @@ def test_fock_localization_check_decoupled_all_pass():
     fit = DecayFit(C=1.0, eta=2.0, r_squared=1.0, min_distance=1)
     pairs = fock.sample_configuration_pairs(20, 0.4, 40, seed=1)
     overlaps = fock.pair_overlaps(sd.eigenvectors, pairs)
-    report = fock.fock_localization_check(overlaps, pairs, 20, fit, 0.4, 0.25)
-    assert report.checked > 0
-    assert report.pass_fraction == 1.0
+    pass_fraction = fock.fock_localization_check(overlaps, pairs, 20, fit, 0.4, 0.25)
+    assert all(fock.configuration_distance(k, j) >= 2.0 * 20**0.4 for k, j in pairs)
+    assert pass_fraction == 1.0
     with pytest.raises(ValueError):
         fock.fock_localization_check(overlaps, pairs, 20, fit, 0.4, 2.0)
+
+
+def test_certify_decay_stack_matches_rows(rng):
+    n = 30
+    d = np.arange(n)
+    # envelopes straddling exp(-eta d) so both verdicts occur
+    envelopes = np.exp(-0.5 * d) * rng.uniform(0.5, 1.02, size=(40, n))
+    verdicts = fock.certify_decay(envelopes, eta=0.5, tau=0.5)
+    assert verdicts.shape == (40,)
+    assert verdicts.tolist() == [bool(fock.certify_decay(e, eta=0.5, tau=0.5)) for e in envelopes]
+    assert set(verdicts.tolist()) == {True, False}
+
+
+def test_fock_localization_check_stack_matches_rows(rng):
+    n, tau = 40, 0.4
+    fit = DecayFit(C=1.0, eta=1.0, r_squared=1.0, min_distance=1)
+    pairs = fock.sample_configuration_pairs(n, tau, 25, seed=3)
+    pairs[0] = ((5,), (6,))  # closer than 2 n^tau: skipped
+    D = np.array([fock.configuration_distance(k, j) for k, j in pairs])
+    I = qf.growth_series(qf.GrowthFunction(kind="thresholded", tau_cut=n**tau), 0.1)
+    bound = 8.0 * I * n ** (2 * tau) * np.exp(-0.25 * (0.5 - 0.1) * D)  # eta = fit.eta / 2
+    overlaps = bound * rng.uniform(0.2, 1.3, size=(30, len(pairs)))
+    fractions = fock.fock_localization_check(overlaps, pairs, n, fit, tau, 0.1)
+    assert fractions.shape == (30,)
+    rows = [fock.fock_localization_check(o, pairs, n, fit, tau, 0.1) for o in overlaps]
+    assert fractions.tolist() == [float(r) for r in rows]
+    assert 0.0 < fractions.min() < fractions.max() <= 1.0
+    # the near pair counts neither way, however large its overlap
+    overlaps[:, 0] = 1e9
+    assert np.array_equal(fock.fock_localization_check(overlaps, pairs, n, fit, tau, 0.1),
+                          fractions)
+    # with every pair near, nothing is checked and every row passes
+    near = [((1, 2), (2, 3)), ((7,), (9,))]
+    assert fock.fock_localization_check(np.full((3, 2), 1e9), near, n, fit, tau, 0.1).tolist() == [1.0] * 3
+    with pytest.raises(ValueError):
+        fock.fock_localization_check(overlaps[:, 1:], pairs, n, fit, tau, 0.1)
+    with pytest.raises(ValueError):
+        fock.fock_localization_check(overlaps[0], pairs[1:], n, fit, tau, 0.1)
 
 
 def test_single_mode_reduces_to_eigenfunction_decay(rng):

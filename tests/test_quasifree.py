@@ -282,6 +282,22 @@ def test_trace_series_matches_per_step_propagator(rng):
         assert abs(value - np.trace(U @ O @ U.conj().T @ G)) < 1e-12
 
 
+def test_trace_series_chunks_do_not_move_the_series(rng, monkeypatch):
+    n = 5
+    lam = rng.normal(size=2 * n)
+    K = rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n))
+    times = np.linspace(0.0, 3.0, 7)
+    whole = qf.trace_series(lam, K, times, scale=2.0)
+    # a grid within one chunk is the single whole-grid product, bit for bit
+    P = np.exp(2j * np.outer(times, lam))
+    assert np.array_equal(whole, np.einsum("ta,ta->t", P @ K, P.conj()))
+    per_time = 2 * (2 * n)  # float64 entries of one complex phase row
+    for budget in (1, 3 * per_time):  # one time per chunk; chunks of 3, 3 and 1
+        monkeypatch.setattr(qf, "_GRID_CHUNK_ENTRIES", budget)
+        # BLAS rounds a product's rows differently for different row counts
+        assert np.max(np.abs(qf.trace_series(lam, K, times, scale=2.0) - whole)) < 1e-13
+
+
 def test_restricted_series_matches_evolve_gamma_blocks(rng):
     n, ell = 6, 2
     ch = random_chain(rng, n)
