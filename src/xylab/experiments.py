@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -87,15 +88,42 @@ def _integer(value, field: str, minimum: int) -> int:
     return value
 
 
+def _number(value, field: str) -> float:
+    """A real config field: a finite JSON number (integer or float), not a
+    bool or a string."""
+    try:
+        finite = not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{field} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def _parse_time_grid(obj: dict, path: str) -> TimeGrid:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path} must be an object with T and dt")
-    try:
-        return TimeGrid(T=float(_require(obj, "T", path)), dt=float(_require(obj, "dt", path)))
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path} is malformed: {exc}") from exc
+    return TimeGrid(T=_number(_require(obj, "T", path), f"{path}.T"),
+                    dt=_number(_require(obj, "dt", path), f"{path}.dt"))
+
+
+# Counting params checked at parse time, per experiment: (field, minimum).
+_COUNT_PARAMS = {
+    "entanglement_static": (("samples", 1),),
+    "fock": (("pair_count", 1),),
+}
+
+_STRATEGIES = ("sampled", "exhaustive")
+
+
+def _check_params(experiment: str, params: dict) -> None:
+    """Reject bad params before any realization runs."""
+    for key, minimum in _COUNT_PARAMS.get(experiment, ()):
+        if key in params:
+            _integer(params[key], f"params.{key}", minimum)
+    if experiment == "entanglement_static" and params.get("strategy", "sampled") not in _STRATEGIES:
+        raise ConfigError(f"params.strategy must be one of {', '.join(_STRATEGIES)}; "
+                          f"got {params['strategy']!r}")
 
 
 @dataclass
@@ -134,6 +162,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
+    _check_params(experiment, params)
     workers = _integer(obj.get("workers", 1), "workers", 1)
     output_dir = obj.get("output_dir", ".")
     return ExperimentConfig(

@@ -7,7 +7,7 @@ from xylab import ed_oracle as ed
 from xylab import entanglement as ent
 from xylab import hamiltonian as ham
 from xylab import quasifree as qf
-from xylab.disorder import make_chain
+from xylab.disorder import high_disorder_ensemble, make_chain, sample_chain, uniform
 from xylab.hamiltonian import alpha_from_index
 
 from conftest import random_chain
@@ -135,6 +135,97 @@ def test_restricted_spectrum_outside_unit_interval_is_an_error(rng):
         ent.max_eigenstate_entropy(scaled, ent.Cut(3), strategy="exhaustive")
 
 
+def test_batched_kernel_fires_on_sigma_squared_above_one():
+    # decoupled sites: every sigma is 1, so scaling WA by (1 + 2e-9)^(1/4)
+    # puts sigma^2 at 1 + 2e-9, while (1 - sigma)/2 = -5e-10 alone would
+    # pass the spectrum check after the square root
+    bog = ham.bogoliubov(make_chain([0.0, 0.0], [0.0, 0.0], [1.0, -2.0, 0.7]))
+    WA = (1 + 2e-9) ** 0.25 * bog.W[:, :2]
+    with pytest.raises(ValueError, match=r"restricted spectrum outside \[0,1\]: sigma\^2"):
+        ent._label_entropies(WA, ent._every_label(3))
+    assert np.all(ent._label_entropies(bog.W[:, :2], ent._every_label(3)) < 1e-9)
+
+
+def _corner_chain(rng, corner):
+    n = {"n2": 2, "nu_zero": 7}.get(corner, 8)
+    mu = rng.uniform(-1, 1, n - 1)
+    gamma = rng.uniform(-0.8, 0.8, n - 1)
+    nu = rng.uniform(-1.5, 1.5, n)
+    if corner == "gamma_pm1":
+        gamma = rng.choice([-1.0, 1.0], n - 1)
+    elif corner == "zero_bond":
+        mu[3] = 0.0  # splits the chain between sites 4 and 5
+    elif corner == "nu_zero":
+        nu = np.zeros(n)  # odd n: a lambda = 0 mode
+    elif corner == "clean":
+        mu, gamma, nu = np.ones(n - 1), np.zeros(n - 1), np.zeros(n)
+    return make_chain(mu, gamma, nu)
+
+
+@pytest.mark.parametrize("corner", ["random", "gamma_pm1", "zero_bond", "nu_zero", "clean", "n2"])
+def test_batched_label_entropies_match_per_label(rng, corner):
+    bog = ham.bogoliubov(_corner_chain(rng, corner))
+    labels = ent._every_label(bog.n)
+    for ell in range(1, bog.n):
+        WA = bog.W[:, : 2 * ell]
+        batched = ent._label_entropies(WA, labels)
+        exact = [ent._label_entropy(WA, alpha) for alpha in labels]
+        assert np.max(np.abs(batched - exact)) <= 1e-12
+
+
+def _loop_max(bog, cut, labels):
+    """The per-label reference: exact score of every label, first maximum;
+    also the gap between the two best scores."""
+    WA = bog.W[:, : 2 * cut.ell]
+    scores = [ent._label_entropy(WA, alpha) for alpha in labels]
+    best, best_alpha = -1.0, None
+    for s, alpha in zip(scores, labels):
+        if s > best:
+            best, best_alpha = s, alpha
+    record = (best, tuple(int(a) for a in best_alpha),
+              ent.ps_bound(qf.eigenstate_gamma(bog, best_alpha), cut))
+    top = sorted(scores)
+    return record, top[-1] - top[-2]
+
+
+def _record(rec):
+    return rec.entropy, tuple(int(a) for a in rec.label), rec.ps_bound
+
+
+# perfbench `entanglement_static` at workload seed s: n=60, realization i
+# of base_seed 1000 s + 2, labels drawn from seed 1000 s + i.  At ell=10
+# the two best labels of these cuts score within 1e-12 of each other,
+# below the ~1e-13 error of the batched scores, which therefore may rank
+# them either way (some of them do, depending on the arithmetic).
+@pytest.mark.parametrize("seed, i", [(1, 3), (8, 8), (21, 2), (28, 11)])
+def test_max_eigenstate_entropy_is_the_loop_on_near_ties(seed, i):
+    ens = high_disorder_ensemble(60, 0.05, uniform(-1.0, 1.0), seed=1000 * seed + 2, realizations=12)
+    bog = ham.bogoliubov(sample_chain(ens, i))
+    for ell in (10, 30):
+        cut = ent.Cut(ell)
+        rng = np.random.default_rng(1000 * seed + i)
+        labels = [rng.integers(0, 2, size=60) for _ in range(200)]
+        expected, gap = _loop_max(bog, cut, labels)
+        rec = ent.max_eigenstate_entropy(bog, cut, strategy="sampled", samples=200, seed=1000 * seed + i)
+        assert _record(rec) == expected
+        if ell == 10:
+            assert gap < 1e-12
+
+
+def test_max_eigenstate_entropy_exhaustive_is_the_loop(rng):
+    bog = ham.bogoliubov(random_chain(rng, 9))
+    labels = [alpha_from_index(a, 9) for a in range(2**9)]
+    for ell in (1, 4, 8):
+        cut = ent.Cut(ell)
+        assert _record(ent.max_eigenstate_entropy(bog, cut)) == _loop_max(bog, cut, labels)[0]
+
+
+def test_sampled_max_rejects_zero_samples(rng):
+    bog = ham.bogoliubov(random_chain(rng, 6))
+    with pytest.raises(ValueError, match="samples"):
+        ent.max_eigenstate_entropy(bog, ent.Cut(3), strategy="sampled", samples=0)
+
+
 def test_max_eigenstate_entropy_caps_exhaustive():
     ch = make_chain([0.1] * 15, [0.0] * 15, [0.5] * 16)
     bog = ham.bogoliubov(ch)
@@ -198,6 +289,30 @@ def test_thermal_entanglement_of_formation_bound(rng):
     # sampled path agrees with the exact one within sampling error
     sampled = ent.thermal_entanglement_of_formation_bound(bog, cut, 1.0, sample_count=4000, seed=5)
     assert abs(sampled - val) < 0.1
+
+
+def test_thermal_bound_is_the_weighted_label_average(rng):
+    bog = ham.bogoliubov(random_chain(rng, 7))
+    cut = ent.Cut(3)
+    WA = bog.W[:, :6]
+    weights = [np.exp(-2.0 * 0.7 * np.sum(bog.lam[alpha_from_index(a, 7) == 1])) for a in range(2**7)]
+    entropies = [ent._label_entropy(WA, alpha_from_index(a, 7)) for a in range(2**7)]
+    expected = np.dot(weights, entropies) / np.sum(weights)
+    assert ent.thermal_entanglement_of_formation_bound(bog, cut, 0.7) == pytest.approx(expected, abs=1e-12)
+
+
+def test_thermal_bound_sampled_draws_one_row_per_sample(rng):
+    # n > 14 samples the Gibbs occupations: one rng.random(n) per sample
+    from scipy.special import expit
+
+    bog = ham.bogoliubov(random_chain(rng, 16))
+    cut = ent.Cut(5)
+    draws = np.random.default_rng(9)
+    p_occ = expit(-2.0 * 0.5 * bog.lam)
+    labels = [(draws.random(16) < p_occ).astype(int) for _ in range(30)]
+    expected = np.mean([ent._label_entropy(bog.W[:, :10], alpha) for alpha in labels])
+    got = ent.thermal_entanglement_of_formation_bound(bog, cut, 0.5, sample_count=30, seed=9)
+    assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_ensemble_ps_bound_below_fitted_constant():

@@ -528,6 +528,62 @@ def test_parse_config_accepts_integer_workers():
                             "ensemble": ensemble_json()}).workers == 1
 
 
+def _static_config(**params):
+    return {"experiment": "entanglement_static", "ensemble": ensemble_json(n=8, realizations=2),
+            "params": {"ells": [2, 4], **params}}
+
+
+@pytest.mark.parametrize("value", [0, -1, 2.5, 200.0, "200", True, None])
+def test_parse_config_rejects_bad_entanglement_samples(value):
+    with pytest.raises(xp.ConfigError, match="params.samples"):
+        xp.parse_config(_static_config(samples=value))
+
+
+@pytest.mark.parametrize("value", ["greedy", "Sampled", None, 1])
+def test_parse_config_rejects_unknown_entanglement_strategy(value):
+    with pytest.raises(xp.ConfigError, match="params.strategy"):
+        xp.parse_config(_static_config(strategy=value))
+
+
+@pytest.mark.parametrize("samples", [0, 2.5])
+def test_cli_rejects_bad_samples_before_any_realization(tmp_path, capsys, samples):
+    cfg = tmp_path / "bad.json"
+    out = tmp_path / "out"
+    cfg.write_text(json.dumps({**_static_config(samples=samples), "output_dir": str(out)}))
+    assert cli.main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "params.samples" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, 0, "3", True])
+def test_parse_config_rejects_bad_fock_pair_count(value):
+    with pytest.raises(xp.ConfigError, match="params.pair_count"):
+        xp.parse_config(_fock_config(pair_count=value))
+
+
+@pytest.mark.parametrize("grid, field", [
+    ({"T": "5", "dt": 1.0}, "T"),
+    ({"T": 5.0, "dt": True}, "dt"),
+    ({"T": None, "dt": 1.0}, "T"),
+    ({"T": 5.0, "dt": "0.5"}, "dt"),
+    ({"T": [5.0], "dt": 1.0}, "T"),
+    ({"T": float("inf"), "dt": 1.0}, "T"),
+    ({"T": 5.0, "dt": float("nan")}, "dt"),
+    ({"T": 10**400, "dt": 1.0}, "T"),
+], ids=["T-string", "dt-bool", "T-null", "dt-string", "T-list", "T-inf", "dt-nan", "T-huge-int"])
+def test_parse_config_rejects_non_numeric_time_grid(grid, field):
+    with pytest.raises(xp.ConfigError, match=f"time_grid.{field} must be a finite number"):
+        xp.parse_config({"experiment": "lr_bound", "ensemble": ensemble_json(), "time_grid": grid})
+
+
+def test_parse_config_accepts_integer_time_grid():
+    grid = xp.parse_config({"experiment": "lr_bound", "ensemble": ensemble_json(),
+                            "time_grid": {"T": 50, "dt": 1}}).time_grid
+    assert grid == xp.TimeGrid(T=50.0, dt=1.0)
+    assert type(grid.T) is float and type(grid.dt) is float
+
+
 def test_config_hash_covers_only_the_science():
     base = {"experiment": "eigencorrelator", "ensemble": ensemble_json(),
             "params": {"min_distance": 1, "max_distance": 10}}
