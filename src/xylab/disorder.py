@@ -243,21 +243,12 @@ def high_disorder_chain(
     n: int, eps: float, nu_dist: Distribution, seed: int, i: int
 ) -> ChainSpec:
     """Isotropic chain with constant coupling eps and random field: the
-    high-disorder model (eps close to 0 means strong relative disorder).
+    high-disorder model (eps close to 0 means strong relative disorder),
+    realization i of high_disorder_ensemble.
 
     eps = 0 gives the decoupled reference chain.
     """
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    spec = EnsembleSpec(
-        n=n,
-        mu_dist=constant(eps),
-        gamma_dist=constant(0.0),
-        nu_dist=nu_dist,
-        base_seed=seed,
-        realizations=i + 1,
-    )
-    return sample_chain(spec, i)
+    return sample_chain(high_disorder_ensemble(n, eps, nu_dist, seed, i + 1), i)
 
 
 def high_disorder_ensemble(

@@ -32,13 +32,9 @@ def _check_n(n: int) -> None:
 
 def site_op(n: int, j: int, kind: str) -> np.ndarray:
     """Single-site operator at site j (1-based) embedded in 2^n dims."""
-    _check_n(n)
     if not 1 <= j <= n:
         raise ValueError(f"site {j} outside [1, {n}]")
-    op = np.eye(1, dtype=complex)
-    for site in range(1, n + 1):
-        op = np.kron(op, _PAULI[kind] if site == j else _PAULI["I"])
-    return op
+    return product_op(n, {j: kind})
 
 
 def product_op(n: int, factors: dict) -> np.ndarray:

@@ -30,6 +30,9 @@ from .quasifree import (
 
 LN2 = float(np.log(2.0))
 
+# Largest chain whose 2^n eigenstate labels are enumerated exhaustively.
+MAX_EXHAUSTIVE_SITES = 14
+
 # Labels whose batched score lies this close to the batched maximum are
 # rescored exactly; the batched scores differ from the exact ones by ~1e-13.
 _RESCORE_WINDOW = 1e-9
@@ -178,8 +181,8 @@ def max_eigenstate_entropy(
     n = bog.n
     cut.check(n)
     if strategy == "exhaustive":
-        if n > 14:
-            raise ValueError("exhaustive strategy capped at n=14")
+        if n > MAX_EXHAUSTIVE_SITES:
+            raise ValueError(f"exhaustive strategy capped at n={MAX_EXHAUSTIVE_SITES}")
         alphas = _every_label(n)
         tag = "exhaustive"
     elif strategy == "sampled":
@@ -243,7 +246,7 @@ def thermal_entanglement_of_formation_bound(
     n = bog.n
     cut.check(n)
     WA = bog.W[:, : 2 * cut.ell]
-    if n <= 14:
+    if n <= MAX_EXHAUSTIVE_SITES:
         if np.isinf(beta):
             return float(_label_entropies(WA, np.zeros((1, n), dtype=int))[0])
         # energies 2*sum(lam[occupied]) - E0; the E0 shift cancels in the weights

@@ -27,7 +27,7 @@ import numpy as np
 from . import ed_oracle as ed
 from . import entanglement as ent
 from . import transport as tr
-from .disorder import ChainSpec, Distribution, EnsembleSpec, aggregate, sample_chain
+from .disorder import ChainSpec, EnsembleSpec, aggregate, sample_chain, uniform
 from .eigencorrelator import (
     DecayFit,
     clustering_sup,
@@ -80,12 +80,19 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _integer(value, field: str, minimum: int) -> int:
-    """An integer config field: a JSON integer, not a bool, of at least
-    minimum."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-        raise ConfigError(f"{field} must be an integer >= {minimum}, got {value!r}")
+def _integer(value, field: str, minimum: int, maximum: float = math.inf) -> int:
+    """An integer config field: a JSON integer, not a bool, in [minimum, maximum]."""
+    if isinstance(value, bool) or not isinstance(value, int) or not minimum <= value <= maximum:
+        bounds = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
+        raise ConfigError(f"{field} must be an integer {bounds}, got {value!r}")
     return value
+
+
+def _integers(value, field: str, minimum: int, maximum: float = math.inf) -> list:
+    """A nonempty JSON array of integers, each checked as by _integer."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{field} must be a nonempty array of integers, got {value!r}")
+    return [_integer(v, field, minimum, maximum) for v in value]
 
 
 def _number(value, field: str) -> float:
@@ -107,23 +114,53 @@ def _parse_time_grid(obj: dict, path: str) -> TimeGrid:
                     dt=_number(_require(obj, "dt", path), f"{path}.dt"))
 
 
-# Counting params checked at parse time, per experiment: (field, minimum).
+# Counting params checked at parse time, per experiment: (field, minimum[, maximum]).
 _COUNT_PARAMS = {
     "entanglement_static": (("samples", 1),),
     "fock": (("pair_count", 1),),
+    "oracle_check": (("n", 1, ed.MAX_SITES), ("seed", 0), ("realizations", 1)),
 }
 
-_STRATEGIES = ("sampled", "exhaustive")
+# Params with a fixed set of values, per experiment: (field, values); the
+# first value is the default.
+_CHOICES = {
+    "entanglement_static": ("strategy", ("sampled", "exhaustive")),
+    "transport_energy": ("variant", ("isotropic_bound", "anisotropic_flatness")),
+}
+
+# Chain sizes of the anisotropic energy flatness when params.sizes is absent.
+_FLATNESS_SIZES = [40, 80, 160]
 
 
-def _check_params(experiment: str, params: dict) -> None:
-    """Reject bad params before any realization runs."""
-    for key, minimum in _COUNT_PARAMS.get(experiment, ()):
+def _check_params(experiment: str, params: dict, ensemble: EnsembleSpec | None) -> None:
+    """Reject bad params before any realization runs.  Transport regions
+    are arrays of sites on the chain (on its smallest size for the
+    anisotropic energy flatness, whose S1 is an interval and which has no
+    S2), and S2 avoids the hull [min S1, max S1]."""
+    for key, *bounds in _COUNT_PARAMS.get(experiment, ()):
         if key in params:
-            _integer(params[key], f"params.{key}", minimum)
-    if experiment == "entanglement_static" and params.get("strategy", "sampled") not in _STRATEGIES:
-        raise ConfigError(f"params.strategy must be one of {', '.join(_STRATEGIES)}; "
-                          f"got {params['strategy']!r}")
+            _integer(params[key], f"params.{key}", *bounds)
+    if experiment in _CHOICES:
+        key, values = _CHOICES[experiment]
+        if params.get(key, values[0]) not in values:
+            raise ConfigError(f"params.{key} must be one of {', '.join(values)}; "
+                              f"got {params[key]!r}")
+    if (experiment == "entanglement_static" and params.get("strategy") == "exhaustive"
+            and ensemble.n > ent.MAX_EXHAUSTIVE_SITES):
+        raise ConfigError(f"params.strategy exhaustive needs ensemble.n <= "
+                          f"{ent.MAX_EXHAUSTIVE_SITES}, got {ensemble.n}")
+    if experiment not in ("transport_particle", "transport_energy"):
+        return
+    flatness = experiment == "transport_energy" and params.get("variant") == "anisotropic_flatness"
+    sizes = _integers(params.get("sizes", _FLATNESS_SIZES), "params.sizes", 1) if flatness else ()
+    n = min(sizes, default=ensemble.n)
+    s1 = _integers(_require(params, "s1", "params"), "params.s1", 1, n)
+    if flatness and max(s1) - min(s1) + 1 != len(set(s1)):
+        raise ConfigError(f"params.s1 must be an interval of sites, got {s1}")
+    s2 = [] if flatness else _integers(_require(params, "s2", "params"), "params.s2", 1, n)
+    if any(min(s1) <= x <= max(s1) for x in s2):
+        raise ConfigError(f"params.s2 must avoid [{min(s1)}, {max(s1)}], the hull of params.s1; "
+                          f"got {s2}")
 
 
 @dataclass
@@ -162,7 +199,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
     params = obj.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be an object")
-    _check_params(experiment, params)
+    _check_params(experiment, params, ensemble)
     workers = _integer(obj.get("workers", 1), "workers", 1)
     output_dir = obj.get("output_dir", ".")
     return ExperimentConfig(
@@ -496,13 +533,10 @@ def run_transport_particle(config: ExperimentConfig, outdir: Path) -> dict:
 
 def run_transport_energy(config: ExperimentConfig, outdir: Path) -> dict:
     p = config.params
-    variant = p.get("variant", "isotropic_bound")
-    if variant == "isotropic_bound":
+    if p.get("variant", "isotropic_bound") == "isotropic_bound":
         return _run_transport_isotropic(config, outdir, "energy")
-    if variant != "anisotropic_flatness":
-        raise ConfigError(f"params.variant must be isotropic_bound or anisotropic_flatness, got {variant!r}")
     # one ensemble per size; one worker per realization samples its chain once
-    sizes = p.get("sizes", [40, 80, 160])
+    sizes = p.get("sizes", _FLATNESS_SIZES)
     s1 = tr.Region.of(p["s1"])
     times = config.time_grid.times()
     base = config.ensemble
@@ -585,20 +619,17 @@ def run_fock(config: ExperimentConfig, outdir: Path) -> dict:
 def oracle_suite(n: int = 6, seed: int = 42, realizations: int = 5) -> dict:
     """Brute-force identity checks on small random chains; returns one
     boolean per check plus the worst deviations seen.  The Jordan-Wigner
-    and number operators are built once; per realization, H, its
-    eigensystem, the isotropic H and the Bogoliubov decomposition are built
-    once and shared by the checks."""
+    operators (also interleaved as (c_j, c_j^*)) and the number operators
+    are built once; per realization, H, its eigensystem, the isotropic H
+    and the Bogoliubov decomposition are built once and shared by the
+    checks."""
     if n > ed.MAX_SITES:
         raise ValueError(f"oracle suite capped at n={ed.MAX_SITES}")
-    ens = EnsembleSpec(
-        n=n,
-        mu_dist=Distribution("uniform", lo=-1.0, hi=1.0),
-        gamma_dist=Distribution("uniform", lo=-0.7, hi=0.7),
-        nu_dist=Distribution("uniform", lo=-1.5, hi=1.5),
-        base_seed=seed,
-        realizations=realizations,
-    )
+    ens = EnsembleSpec(n=n, mu_dist=uniform(-1.0, 1.0), gamma_dist=uniform(-0.7, 0.7),
+                       nu_dist=uniform(-1.5, 1.5), base_seed=seed, realizations=realizations)
     cs = ed.all_c(n)
+    # interleaved (c_j, c_j^*); c_j is real, so c_j^* is the view c_j^t
+    ops = [op for c in cs for op in (c, c.T)]
     number_ops = [ed.number_op(n, x) for x in range(1, n + 1)]
     errors = []  # one dict of errors per realization
     for i in range(realizations):
@@ -611,8 +642,10 @@ def oracle_suite(n: int = 6, seed: int = 42, realizations: int = 5) -> dict:
         bog = bogoliubov(chain)
         errors.append({
             "spectrum": float(np.max(np.abs(np.sort(all_many_body_energies(bog)) - eig[0]))),
-            "quadratic_identity": _check_quadratic(chain, H, cs),
-            "isotropic_identity": _check_isotropic(iso, H_iso, cs),
+            # H = sum_pq M_pq o_p^* o_q and H_iso = sum(nu) + 2 sum_jk A_jk c_j^* c_k
+            "quadratic_identity": float(np.max(np.abs(H - _quadratic_form(build_M(chain), ops)))),
+            "isotropic_identity": float(np.max(np.abs(
+                H_iso - np.sum(iso.nu) * np.eye(2**n) - _quadratic_form(2.0 * build_A(iso), cs)))),
             "occupation": _check_occupation(iso, H_iso, number_ops),
             **_check_states(bog, eig, cs),
         })
@@ -630,39 +663,26 @@ def oracle_suite(n: int = 6, seed: int = 42, realizations: int = 5) -> dict:
     }
 
 
-def _check_quadratic(chain: ChainSpec, H: np.ndarray, cs: list) -> float:
-    n = chain.n
-    M = build_M(chain)
-    ops = [op for c in cs for op in (c, c.conj().T)]
-    H2 = np.zeros_like(H)
-    for p_ in range(2 * n):
-        for q_ in range(2 * n):
-            if M[p_, q_] != 0.0:
-                H2 += M[p_, q_] * (ops[p_].conj().T @ ops[q_])
-    return float(np.max(np.abs(H - H2)))
-
-
-def _check_isotropic(chain: ChainSpec, H: np.ndarray, cs: list) -> float:
-    n = chain.n
-    A = build_A(chain)
-    H2 = np.sum(chain.nu) * np.eye(2**n, dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            if A[j, k] != 0.0:
-                H2 += 2.0 * A[j, k] * (cs[j].conj().T @ cs[k])
-    return float(np.max(np.abs(H - H2)))
+def _quadratic_form(X: np.ndarray, ops: list) -> np.ndarray:
+    """sum_pq X_pq o_p^* o_q, taken as sum_p o_p^* (sum_q X_pq o_q): one
+    dense product per nonzero row of X, one operator-sized sum at a time."""
+    out = np.zeros_like(ops[0])
+    for p in np.flatnonzero(np.any(X, axis=1)):
+        out += ops[p].conj().T @ sum(X[p, q] * ops[q] for q in np.flatnonzero(X[p]))
+    return out
 
 
 def _check_car(cs: list) -> float:
-    n = len(cs)
-    eye = np.eye(2**n)
+    """Worst residual of {c_j, c_k^*} = delta_jk and {c_j, c_k} = 0 over
+    j <= k; the pairs k < j are adjoints of these or equal to them."""
+    eye = np.eye(len(cs[0]))
     worst = 0.0
-    for j in range(n):
-        for k in range(n):
-            anti = cs[j] @ cs[k].conj().T + cs[k].conj().T @ cs[j]
-            worst = max(worst, float(np.max(np.abs(anti - (eye if j == k else 0.0)))))
-            anti2 = cs[j] @ cs[k] + cs[k] @ cs[j]
-            worst = max(worst, float(np.max(np.abs(anti2))))
+    for j, cj in enumerate(cs):
+        for k, ck in enumerate(cs[j:], start=j):
+            ckd = ck.conj().T
+            anti = cj @ ckd + ckd @ cj - (eye if j == k else 0.0)
+            anti2 = cj @ ck + ck @ cj
+            worst = max(worst, float(np.max(np.abs(anti))), float(np.max(np.abs(anti2))))
     return worst
 
 
@@ -726,10 +746,9 @@ def _check_occupation(chain: ChainSpec, H: np.ndarray, number_ops: list) -> floa
 
 
 def run_oracle_check(config: ExperimentConfig, outdir: Path) -> dict:
-    p = config.params
-    args = {key: _integer(p.get(key, default), f"params.{key}", minimum)
-            for key, default, minimum in (("n", 6, 1), ("seed", 42, 0), ("realizations", 5, 1))}
-    result = oracle_suite(**args)
+    # parse_config checked the params; absent ones take oracle_suite's defaults
+    result = oracle_suite(**{k: v for k, v in config.params.items()
+                             if k in ("n", "seed", "realizations")})
     write_json(outdir / "oracle_check.json", result)
     result["verdicts"] = dict(result["checks"])
     return result

@@ -112,10 +112,6 @@ class SpectralDecomposition:
         V = self.eigenvectors
         return (V * g(self.eigenvalues)) @ V.T
 
-    def propagator(self, t: float, scale: float = 1.0) -> np.ndarray:
-        """exp(-1j * scale * t * X)."""
-        return self.function_of(lambda lam: np.exp(-1j * scale * t * lam))
-
 
 class EigensolverError(RuntimeError):
     pass

@@ -27,7 +27,7 @@ from xylab.disorder import (
     uniform,
 )
 
-from conftest import ensemble_mean
+from conftest import ed_commutator_sups, ensemble_mean
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -167,19 +167,8 @@ def test_05_zero_velocity_contrast():
     pairs = [(1, 3), (1, 5), (2, 6), (1, 8)]
     sups = {p: [] for p in pairs}
     for i in range(4):
-        chain = sample_chain(ens8, i)
-        evals, evecs = np.linalg.eigh(ed.build_H(chain))
-        tilde = {}
-        for j in set(j for j, _ in pairs) | set(k for _, k in pairs):
-            tilde[j] = evecs.conj().T @ ed.site_op(n8, j, "X") @ evecs
-        for (j, k) in pairs:
-            sup = 0.0
-            for t in grid:
-                phases = np.exp(1j * t * evals)
-                evolved = np.outer(phases, phases.conj()) * tilde[j]
-                comm = evolved @ tilde[k] - tilde[k] @ evolved
-                sup = max(sup, float(np.linalg.norm(comm, 2)))
-            sups[(j, k)].append(sup)
+        for pair, sup in ed_commutator_sups(sample_chain(ens8, i), pairs, grid).items():
+            sups[pair].append(sup)
     bound_ok = all(
         np.mean(vals) <= 2.0 * ec.lr_commutator_bound(fit8, j, k)
         for (j, k), vals in sups.items()

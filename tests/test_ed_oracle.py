@@ -161,3 +161,23 @@ def test_match_eigenstates_flags_degeneracy():
 def test_site_cap():
     with pytest.raises(ValueError):
         ed.site_op(15, 1, "Z")
+
+
+_KINDS = {
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
+    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
+    "a": np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_site_op_equals_the_explicit_kron_chain(n):
+    for kind, matrix in _KINDS.items():
+        for j in range(1, n + 1):
+            op = np.eye(1, dtype=complex)
+            for site in range(1, n + 1):
+                op = np.kron(op, matrix if site == j else np.eye(2, dtype=complex))
+            assert np.array_equal(ed.site_op(n, j, kind), op)
+    with pytest.raises(ValueError, match=f"site {n + 1} outside"):
+        ed.site_op(n, n + 1, "X")

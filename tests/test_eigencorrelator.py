@@ -15,7 +15,7 @@ from xylab.disorder import (
     uniform,
 )
 
-from conftest import ensemble_mean, random_chain
+from conftest import ed_commutator_sups, ensemble_mean, random_chain
 
 
 def test_decoupled_chain_identity_table():
@@ -150,15 +150,8 @@ def test_commutator_bound_holds_against_oracle(rng):
     pairs = [(1, 3), (2, 5), (1, 6), (3, 7)]
     sups = {p: [] for p in pairs}
     for i in range(6):
-        chain = sample_chain(ens, i)
-        hd = ed.spectral(ed.build_H(chain))
-        for (j, k) in pairs:
-            xj = ed.site_op(n, j, "X")
-            xk = ed.site_op(n, k, "X")
-            sup = max(
-                ed.commutator_norm(ed.heisenberg_evolve(xj, hd, t), xk) for t in times
-            )
-            sups[(j, k)].append(sup)
+        for pair, sup in ed_commutator_sups(sample_chain(ens, i), pairs, times).items():
+            sups[pair].append(sup)
     for (j, k), vals in sups.items():
         assert np.mean(vals) <= 2.0 * ec.lr_commutator_bound(fit, j, k)
 

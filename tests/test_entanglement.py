@@ -286,9 +286,20 @@ def test_thermal_entanglement_of_formation_bound(rng):
     val = ent.thermal_entanglement_of_formation_bound(bog, cut, 1.0)
     mx = ent.max_eigenstate_entropy(bog, cut, strategy="exhaustive").entropy
     assert 0.0 <= val <= mx + 1e-12
-    # sampled path agrees with the exact one within sampling error
-    sampled = ent.thermal_entanglement_of_formation_bound(bog, cut, 1.0, sample_count=4000, seed=5)
-    assert abs(sampled - val) < 0.1
+    # n = 15 takes the sampled path: within 5 standard errors of the exact
+    # Gibbs average over all 2^15 labels
+    n, beta, count = 15, 1.0, 4000
+    bog15 = ham.bogoliubov(random_chain(rng, n))
+    cut15 = ent.Cut(6)
+    alphas = ent._every_label(n)
+    w = np.exp(-2.0 * beta * (alphas @ bog15.lam))
+    w /= np.sum(w)
+    entropies = ent._label_entropies(bog15.W[:, : 2 * cut15.ell], alphas)
+    exact = w @ entropies
+    stderr = np.sqrt(w @ (entropies - exact) ** 2 / count)
+    sampled = ent.thermal_entanglement_of_formation_bound(bog15, cut15, beta, sample_count=count, seed=5)
+    assert stderr > 0.0
+    assert abs(sampled - exact) <= 5.0 * stderr
 
 
 def test_thermal_bound_is_the_weighted_label_average(rng):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from xylab import cli
+from xylab import ed_oracle as ed
 from xylab import entanglement as ent
 from xylab import experiments as xp
 from xylab import fock
@@ -347,6 +348,44 @@ def test_oracle_suite_at_one_and_two_sites(n):
     assert result["all_pass"], result["max_errors"]
 
 
+def _interleaved(n):
+    return [op for c in ed.all_c(n) for op in (c, c.conj().T)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_quadratic_form_equals_the_explicit_double_sum(rng, n):
+    ops = _interleaved(n)
+    dense = rng.normal(size=(2 * n, 2 * n))
+    sparse = dense.copy()
+    sparse[::2] = 0.0  # the rows of every c_j are all zero
+    for X in (dense, sparse, np.zeros((2 * n, 2 * n))):
+        explicit = np.zeros((2**n, 2**n), dtype=complex)
+        for p in range(2 * n):
+            for q in range(2 * n):
+                explicit += X[p, q] * (ops[p].conj().T @ ops[q])
+        assert np.max(np.abs(xp._quadratic_form(X, ops) - explicit)) < 1e-12
+
+
+def _car_all_pairs(cs):
+    eye = np.eye(len(cs[0]))
+    worst = 0.0
+    for j in range(len(cs)):
+        for k in range(len(cs)):
+            anti = cs[j] @ cs[k].conj().T + cs[k].conj().T @ cs[j]
+            worst = max(worst, float(np.max(np.abs(anti - (eye if j == k else 0.0)))))
+            worst = max(worst, float(np.max(np.abs(cs[j] @ cs[k] + cs[k] @ cs[j]))))
+    return worst
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_check_car_over_j_le_k_equals_the_all_pairs_loop(rng, n):
+    cs = ed.all_c(n)
+    assert xp._check_car(cs) == _car_all_pairs(cs)
+    # operators that break CAR: multiples of 2^-10 keep every product exact
+    broken = [c + rng.integers(-3, 4, size=c.shape) / 1024.0 for c in cs]
+    assert xp._check_car(broken) == _car_all_pairs(broken) > 0.0
+
+
 def test_cli_fit(tmp_path):
     d = np.arange(0, 12)
     csv = tmp_path / "profile.csv"
@@ -514,10 +553,11 @@ def test_parse_config_rejects_non_integer_ensemble_fields(field, value):
 @pytest.mark.parametrize("value", _NON_INTEGERS)
 @pytest.mark.parametrize("field", ["n", "seed", "realizations"])
 def test_oracle_check_rejects_non_integer_params(tmp_path, field, value):
-    cfg = xp.parse_config({"experiment": "oracle_check", "params": {field: value},
-                           "output_dir": str(tmp_path)})
+    # checked at parse time, before any output directory is made
     with pytest.raises(xp.ConfigError, match=f"params.{field}"):
-        xp.run(cfg)
+        xp.parse_config({"experiment": "oracle_check", "params": {field: value},
+                         "output_dir": str(tmp_path / "out")})
+    assert not (tmp_path / "out").exists()
 
 
 def test_parse_config_accepts_integer_workers():
@@ -554,6 +594,60 @@ def test_cli_rejects_bad_samples_before_any_realization(tmp_path, capsys, sample
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "params.samples" in err
     assert not out.exists()
+
+
+def test_parse_config_rejects_exhaustive_strategy_beyond_14_sites():
+    config = _static_config(strategy="exhaustive")
+    with pytest.raises(xp.ConfigError, match="params.strategy exhaustive needs ensemble.n <= 14"):
+        xp.parse_config({**config, "ensemble": ensemble_json(n=15, realizations=2)})
+    assert xp.parse_config({**config, "ensemble": ensemble_json(n=14, realizations=2)}).ensemble.n == 14
+
+
+def test_parse_config_caps_oracle_check_n_at_the_oracle_size():
+    with pytest.raises(xp.ConfigError, match=r"params.n must be an integer in \[1, 14\]"):
+        xp.parse_config({"experiment": "oracle_check", "params": {"n": ed.MAX_SITES + 1}})
+    assert xp.parse_config({"experiment": "oracle_check",
+                            "params": {"n": ed.MAX_SITES}}).params["n"] == ed.MAX_SITES
+
+
+def _transport_config(experiment, **params):
+    return {"experiment": experiment, "ensemble": ensemble_json(n=20, realizations=2),
+            "time_grid": {"T": 1.0, "dt": 0.5}, "params": params}
+
+
+_FLATNESS = {"variant": "anisotropic_flatness", "sizes": [12, 16]}
+
+
+@pytest.mark.parametrize("experiment, params, named", [
+    ("transport_particle", {"s1": [10], "s2": [1, 21]}, "params.s2"),  # S2 past the chain
+    ("transport_particle", {"s1": [0], "s2": [1, 2]}, "params.s1"),  # site 0 wrapped to site n
+    ("transport_particle", {"s1": [10], "s2": [1, 2.0]}, "params.s2"),  # not an integer
+    ("transport_particle", {"s1": [10], "s2": []}, "params.s2"),  # empty
+    ("transport_particle", {"s1": [10]}, "params.s2"),  # missing
+    ("transport_energy", {"s1": [8, 12], "s2": [1, 10]}, "params.s2"),  # S2 inside S1's hull
+    ("transport_energy", {**_FLATNESS, "s1": [11, 12, 13]}, "params.s1"),  # past the smallest size
+    ("transport_energy", {**_FLATNESS, "s1": [1, 3]}, "params.s1"),  # not an interval
+    ("transport_energy", {"variant": "flat", "s1": [10], "s2": [1]}, "params.variant"),
+], ids=["s2-past-n", "s1-site-0", "s2-float", "s2-empty", "s2-missing", "s2-in-hull",
+        "flatness-s1-past-size", "flatness-s1-gap", "unknown-variant"])
+def test_cli_rejects_bad_transport_regions_before_any_realization(tmp_path, capsys, experiment,
+                                                                  params, named):
+    cfg = tmp_path / "bad.json"
+    out = tmp_path / "out"
+    cfg.write_text(json.dumps({**_transport_config(experiment, **params), "output_dir": str(out)}))
+    assert cli.main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: ") and err.count("\n") == 1 and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("transport_particle", {"s1": [10], "s2": [1, 20]}),
+    ("transport_energy", {"s1": [8, 9, 10], "s2": [11, 12]}),  # S2 next to S1's hull
+    ("transport_energy", {**_FLATNESS, "s1": [10, 11, 12]}),
+])
+def test_parse_config_accepts_transport_regions_on_the_chain(experiment, params):
+    assert xp.parse_config(_transport_config(experiment, **params)).params == params
 
 
 @pytest.mark.parametrize("value", [2.5, 3.0, 0, "3", True])
