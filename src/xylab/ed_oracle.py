@@ -1,13 +1,17 @@
-"""Brute-force full-Hilbert-space oracle for chains up to n = 14.
+"""Brute-force full-Hilbert-space oracle, capped at n = 14; measured
+reach: oracle_suite at n = 10 in about 0.65 s per realization on one core.
 
-Everything here is assembled directly from Pauli tensor products and
-dense linear algebra, independent of the free-fermion machinery, so it
-can certify that machinery.  Site 1 is the leftmost tensor factor; the
-single-site basis is (up, down) with sigma_z = diag(1, -1), and up-spins
-are the particles.
+Everything here is assembled from the Pauli and Jordan-Wigner definitions
+by bit operations on the spin basis, independent of the free-fermion
+machinery, so it can certify that machinery.  Site 1 is the most
+significant bit of a basis index; bit 0 means up (sigma_z = +1), and
+up-spins are the particles.  H is real, and each fermion operator is a
+signed partial permutation of the basis (JordanWigner).
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,64 +50,69 @@ def product_op(n: int, factors: dict) -> np.ndarray:
     return op
 
 
-def jordan_wigner_c(n: int, j: int) -> np.ndarray:
-    """c_j = sigma_z^(1) ... sigma_z^(j-1) a_j."""
-    factors = {site: "Z" for site in range(1, j)}
-    factors[j] = "a"
-    return product_op(n, factors)
+def _site_bits(n: int, j: int) -> np.ndarray:
+    """Bit of site j (1 = down) in every basis index 0 .. 2^n - 1."""
+    return (np.arange(2**n) >> (n - j)) & 1
 
 
-def all_c(n: int) -> list:
-    return [jordan_wigner_c(n, j) for j in range(1, n + 1)]
+@dataclass(frozen=True)
+class JordanWigner:
+    """The interleaved o = (c_1, c_1^*, ..., c_n, c_n^*) as signed partial
+    permutations, o_p e_s = sgn[p, s] e_{tgt[p, s]} (sgn 0 where o_p
+    annihilates e_s); all are real, so o_p^* = o_{p^1} = o_p^T."""
+
+    tgt: np.ndarray  # (2n, 2^n) target basis indices
+    sgn: np.ndarray  # (2n, 2^n) signs in {-1, 0, 1}
+
+    def product(self, p, q) -> tuple:
+        """(tgt, sgn) of o_p o_q; p or q may be an index array (one row each)."""
+        return self.tgt[p][..., self.tgt[q]], self.sgn[q] * self.sgn[p][..., self.tgt[q]]
 
 
-def number_op(n: int, x: int) -> np.ndarray:
-    """n_x = a_x^* a_x, the projector onto up-spin at site x."""
-    a = site_op(n, x, "a")
-    return a.conj().T @ a
+def all_c(n: int) -> JordanWigner:
+    """c_j = sigma_z^(1) ... sigma_z^(j-1) a_j flips site j from up to down
+    with sign (-1)^(down-spins left of j); c_j^* flips it back."""
+    _check_n(n)
+    s = np.arange(2**n)
+    string = np.ones(2**n)
+    tgt, sgn = [], []
+    for j in range(1, n + 1):
+        down = _site_bits(n, j)
+        tgt += [s ^ (1 << (n - j))] * 2
+        sgn += [string * (1 - down), string * down]
+        string = string * (1 - 2 * down)
+    return JordanWigner(np.array(tgt), np.array(sgn))
 
 
-def region_number_op(n: int, sites) -> np.ndarray:
-    out = np.zeros((2**n, 2**n), dtype=complex)
-    for x in sites:
-        out += number_op(n, x)
-    return out
+def occupation_mask(n: int, x: int) -> np.ndarray:
+    """Diagonal of n_x = a_x^* a_x: 1.0 on the basis states with site x up."""
+    return 1.0 - _site_bits(n, x)
 
 
 def build_H(chain: ChainSpec) -> np.ndarray:
-    """Exact tensor-product assembly of the XY Hamiltonian."""
+    """The real 2^n x 2^n XY Hamiltonian, from the Pauli action on bits."""
     return build_H_region(chain, 1, chain.n)
 
 
 def build_H_region(chain: ChainSpec, a: int, b: int) -> np.ndarray:
     """Restriction of the Hamiltonian to the interval [a, b] (its interior
-    bonds and fields), still acting on the full chain."""
+    bonds and fields), still acting on the full chain.  XX and YY flip bits
+    j, j + 1 and YY is -1 on equal bits, so a bond gives -2 mu_j on a hop
+    (unequal bits) and -2 mu_j gamma_j on a pair; Z is diagonal."""
     n = chain.n
     _check_n(n)
-    H = np.zeros((2**n, 2**n), dtype=complex)
+    s = np.arange(2**n)
+    H = np.zeros((2**n, 2**n))
     for j in range(a, b):
-        mu = chain.mu[j - 1]
-        gam = chain.gamma[j - 1]
-        xx = product_op(n, {j: "X", j + 1: "X"})
-        yy = product_op(n, {j: "Y", j + 1: "Y"})
-        H -= mu * ((1.0 + gam) * xx + (1.0 - gam) * yy)
-    for j in range(a, b + 1):
-        H -= chain.nu[j - 1] * site_op(n, j, "Z")
+        hop = _site_bits(n, j) != _site_bits(n, j + 1)
+        H[s ^ (3 << (n - j - 1)), s] = -2.0 * chain.mu[j - 1] * np.where(hop, 1.0, chain.gamma[j - 1])
+    H[s, s] = sum(-chain.nu[j - 1] * (1.0 - 2.0 * _site_bits(n, j)) for j in range(a, b + 1))
     return H
 
 
 def spectral(H: np.ndarray):
     """Hermitian eigendecomposition (ascending)."""
     return np.linalg.eigh(H)
-
-
-def heisenberg_evolve(op: np.ndarray, H, t: float) -> np.ndarray:
-    """tau_t(op) = e^{itH} op e^{-itH}; H may be a matrix or a
-    precomputed (evals, evecs) pair."""
-    evals, evecs = H if isinstance(H, tuple) else spectral(H)
-    phases = np.exp(1j * t * evals)
-    tilde = evecs.conj().T @ op @ evecs
-    return evecs @ (np.outer(phases, phases.conj()) * tilde) @ evecs.conj().T
 
 
 def schroedinger_evolve_state(psi: np.ndarray, H, t: float) -> np.ndarray:
@@ -120,12 +129,6 @@ def thermal_state(H, beta: float) -> np.ndarray:
     w = np.exp(-beta * (evals - evals[0]))
     w /= np.sum(w)
     return (evecs * w) @ evecs.conj().T
-
-
-def commutator_norm(op1: np.ndarray, op2: np.ndarray) -> float:
-    """Operator norm of [op1, op2]."""
-    comm = op1 @ op2 - op2 @ op1
-    return float(np.linalg.norm(comm, 2))
 
 
 def reduced_density(state: np.ndarray, n: int, ell: int) -> np.ndarray:
@@ -146,39 +149,21 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
     return float(-np.sum(p * np.log(p)))
 
 
-def correlation_blocks(state: np.ndarray, cs: list) -> np.ndarray:
-    """Full 2n x 2n correlation matrix <C C^*> in the interleaved
-    (c_j, c_j^*) ordering for a vector or density-matrix state.
-
-    G[p, q] = <o_p o_q^*> is the Gram matrix <o_p^* psi, o_q^* psi> of a
-    vector state; for a density matrix rho, G[p, q] = tr(o_q^* rho o_p),
-    one row at a time so that only one 4^n product is held."""
-    ops = [op for c in cs for op in (c, c.conj().T)]
+def correlation_blocks(state: np.ndarray, jw: JordanWigner) -> np.ndarray:
+    """G[p, q] = <o_p o_q^*> in the interleaved (c_j, c_j^*) ordering for a
+    vector state (the Gram matrix of the gathers o_q^* psi =
+    sgn_q psi[tgt_q]) or a density matrix rho, one row p at a time:
+    G[p, q] = sum_s sgn_q(s) sgn_p(s) rho[tgt_q(s), tgt_p(s)]."""
     if state.ndim == 1:
-        U = np.column_stack([op.conj().T @ state for op in ops])
-        return U.conj().T @ U
-    G = np.empty((len(ops), len(ops)), dtype=complex)
-    for p, op in enumerate(ops):
-        R = state @ op
-        G[p] = [np.vdot(o, R) for o in ops]
-    return G
+        U = jw.sgn * state[jw.tgt]
+        return U.conj() @ U.T
+    return np.array([np.sum(jw.sgn * jw.sgn[p] * state[jw.tgt, jw.tgt[p]], axis=1)
+                     for p in range(len(jw.tgt))])
 
 
 def spin_basis_index(n: int, up_sites) -> int:
-    """Index of the spin product basis vector with up-spins exactly at
-    `up_sites` (1-based); site 1 is the most significant bit and the
-    per-site index 0 means up."""
-    idx = 0
-    ups = set(up_sites)
-    for j in range(1, n + 1):
-        idx = 2 * idx + (0 if j in ups else 1)
-    return idx
-
-
-def spin_basis_vector(n: int, up_sites) -> np.ndarray:
-    e = np.zeros(2**n, dtype=complex)
-    e[spin_basis_index(n, up_sites)] = 1.0
-    return e
+    """Index of the basis vector with up-spins exactly at `up_sites` (1-based)."""
+    return sum(1 << (n - j) for j in range(1, n + 1) if j not in set(up_sites))
 
 
 def match_eigenstates(target_energies, evals, tol: float = 1e-6):

@@ -189,7 +189,7 @@ def max_eigenstate_entropy(
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
         rng = np.random.default_rng(seed)
-        alphas = np.array([rng.integers(0, 2, size=n) for _ in range(samples)])
+        alphas = rng.integers(0, 2, size=(samples, n))
         tag = f"sampled({samples})"
     else:
         raise ValueError(f"unknown strategy {strategy!r}")

@@ -95,15 +95,16 @@ def _integers(value, field: str, minimum: int, maximum: float = math.inf) -> lis
     return [_integer(v, field, minimum, maximum) for v in value]
 
 
-def _number(value, field: str) -> float:
+def _number(value, field: str, minimum: float = -math.inf, maximum: float = math.inf) -> float:
     """A real config field: a finite JSON number (integer or float), not a
-    bool or a string."""
+    bool or a string, in [minimum, maximum]."""
     try:
         finite = not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
         finite = False
-    if not finite:
-        raise ConfigError(f"{field} must be a finite number, got {value!r}")
+    if not (finite and minimum <= value <= maximum):
+        bounds = "" if (minimum, maximum) == (-math.inf, math.inf) else f" in [{minimum:g}, {maximum:g}]"
+        raise ConfigError(f"{field} must be a finite number{bounds}, got {value!r}")
     return float(value)
 
 
@@ -136,7 +137,8 @@ def _check_params(experiment: str, params: dict, ensemble: EnsembleSpec | None) 
     """Reject bad params before any realization runs.  Transport regions
     are arrays of sites on the chain (on its smallest size for the
     anisotropic energy flatness, whose S1 is an interval and which has no
-    S2), and S2 avoids the hull [min S1, max S1]."""
+    S2), S2 avoids the hull [min S1, max S1], and the initial occupations
+    (eta_value, or the anisotropic eta_profile) lie in [0, 1]."""
     for key, *bounds in _COUNT_PARAMS.get(experiment, ()):
         if key in params:
             _integer(params[key], f"params.{key}", *bounds)
@@ -161,6 +163,19 @@ def _check_params(experiment: str, params: dict, ensemble: EnsembleSpec | None) 
     if any(min(s1) <= x <= max(s1) for x in s2):
         raise ConfigError(f"params.s2 must avoid [{min(s1)}, {max(s1)}], the hull of params.s1; "
                           f"got {s2}")
+    if not flatness:
+        _number(params.get("eta_value", 1.0), "params.eta_value", 0.0, 1.0)
+        return
+    profile = params.get("eta_profile", "ones")
+    if profile in ("ones", "half"):
+        return
+    if not isinstance(profile, list):
+        raise ConfigError(f'params.eta_profile must be "ones", "half" or an array, got {profile!r}')
+    if {len(profile)} != set(sizes):
+        raise ConfigError(f"params.eta_profile has length {len(profile)}; every entry of "
+                          f"params.sizes must equal it, got {sizes}")
+    for value in profile:
+        _number(value, "params.eta_profile entry", 0.0, 1.0)
 
 
 @dataclass
@@ -540,10 +555,11 @@ def run_transport_energy(config: ExperimentConfig, outdir: Path) -> dict:
     s1 = tr.Region.of(p["s1"])
     times = config.time_grid.times()
     base = config.ensemble
+    eta = p.get("eta_profile", "ones")  # "ones", "half" or one entry per site, checked at parse time
+    eta = {"ones": 1.0, "half": 0.5}[eta] if isinstance(eta, str) else np.asarray(eta, dtype=float)
     per_size = [
         map_realizations(_real_energy_fluctuation, replace(base, n=n, base_seed=base.base_seed + n),
-                         {"s1": s1, "eta": _profile_from_spec(p.get("eta_profile", "ones"), n),
-                          "times": times}, config.workers)
+                         {"s1": s1, "eta": np.full(n, eta), "times": times}, config.workers)
         for n in sizes
     ]
     # realization-major stacks: entry (i, k) is realization i at sizes[k]
@@ -559,17 +575,6 @@ def run_transport_energy(config: ExperimentConfig, outdir: Path) -> dict:
         "verdicts": {"flat_in_n": _flat_within_2sigma(zip(sups["mean"], sups["stderr"])),
                      "total_energy_grows": bool(grows)},
     }
-
-
-def _profile_from_spec(spec, n: int) -> np.ndarray:
-    if spec == "ones":
-        return np.ones(n)
-    if spec == "half":
-        return np.full(n, 0.5)
-    arr = np.asarray(spec, dtype=float)
-    if len(arr) != n:
-        raise ConfigError(f"params.eta_profile has length {len(arr)}, expected {n}")
-    return arr
 
 
 def run_fock(config: ExperimentConfig, outdir: Path) -> dict:
@@ -619,18 +624,14 @@ def run_fock(config: ExperimentConfig, outdir: Path) -> dict:
 def oracle_suite(n: int = 6, seed: int = 42, realizations: int = 5) -> dict:
     """Brute-force identity checks on small random chains; returns one
     boolean per check plus the worst deviations seen.  The Jordan-Wigner
-    operators (also interleaved as (c_j, c_j^*)) and the number operators
-    are built once; per realization, H, its eigensystem, the isotropic H
-    and the Bogoliubov decomposition are built once and shared by the
-    checks."""
+    tables are built once; per realization, H, its eigensystem, the
+    isotropic H and the Bogoliubov decomposition are built once and shared
+    by the checks."""
     if n > ed.MAX_SITES:
         raise ValueError(f"oracle suite capped at n={ed.MAX_SITES}")
     ens = EnsembleSpec(n=n, mu_dist=uniform(-1.0, 1.0), gamma_dist=uniform(-0.7, 0.7),
                        nu_dist=uniform(-1.5, 1.5), base_seed=seed, realizations=realizations)
-    cs = ed.all_c(n)
-    # interleaved (c_j, c_j^*); c_j is real, so c_j^* is the view c_j^t
-    ops = [op for c in cs for op in (c, c.T)]
-    number_ops = [ed.number_op(n, x) for x in range(1, n + 1)]
+    jw = ed.all_c(n)
     errors = []  # one dict of errors per realization
     for i in range(realizations):
         chain = sample_chain(ens, i)
@@ -640,16 +641,19 @@ def oracle_suite(n: int = 6, seed: int = 42, realizations: int = 5) -> dict:
         eig = ed.spectral(H)
         H_iso = ed.build_H(iso)
         bog = bogoliubov(chain)
+        X_iso = np.zeros((2 * n, 2 * n))
+        X_iso[::2, ::2] = 2.0 * build_A(iso)
         errors.append({
             "spectrum": float(np.max(np.abs(np.sort(all_many_body_energies(bog)) - eig[0]))),
-            # H = sum_pq M_pq o_p^* o_q and H_iso = sum(nu) + 2 sum_jk A_jk c_j^* c_k
-            "quadratic_identity": float(np.max(np.abs(H - _quadratic_form(build_M(chain), ops)))),
+            # H = sum_pq M_pq o_p^* o_q and H_iso = sum(nu) + 2 sum_jk A_jk c_j^* c_k,
+            # 2A sitting on the (c_j^*, c_k) entries of the interleaved X_iso
+            "quadratic_identity": float(np.max(np.abs(H - _quadratic_form(build_M(chain), jw)))),
             "isotropic_identity": float(np.max(np.abs(
-                H_iso - np.sum(iso.nu) * np.eye(2**n) - _quadratic_form(2.0 * build_A(iso), cs)))),
-            "occupation": _check_occupation(iso, H_iso, number_ops),
-            **_check_states(bog, eig, cs),
+                H_iso - np.sum(iso.nu) * np.eye(2**n) - _quadratic_form(X_iso, jw)))),
+            "occupation": _check_occupation(iso, H_iso),
+            **_check_states(bog, eig, jw),
         })
-    worst = {"car": _check_car(cs), **{k: max(e[k] for e in errors) for k in errors[0]}}
+    worst = {"car": _check_car(jw), **{k: max(e[k] for e in errors) for k in errors[0]}}
     tolerances = {
         "spectrum": 1e-8, "quadratic_identity": 1e-10, "isotropic_identity": 1e-10,
         "car": 1e-12, "eigenstate_gamma": 1e-8, "thermal_gamma": 1e-8,
@@ -663,30 +667,37 @@ def oracle_suite(n: int = 6, seed: int = 42, realizations: int = 5) -> dict:
     }
 
 
-def _quadratic_form(X: np.ndarray, ops: list) -> np.ndarray:
-    """sum_pq X_pq o_p^* o_q, taken as sum_p o_p^* (sum_q X_pq o_q): one
-    dense product per nonzero row of X, one operator-sized sum at a time."""
-    out = np.zeros_like(ops[0])
-    for p in np.flatnonzero(np.any(X, axis=1)):
-        out += ops[p].conj().T @ sum(X[p, q] * ops[q] for q in np.flatnonzero(X[p]))
+def _quadratic_form(X: np.ndarray, jw: ed.JordanWigner) -> np.ndarray:
+    """sum_pq X_pq o_p^* o_q as a dense real matrix: each nonzero X_pq
+    scatters the 2^n entries of o_{p^1} o_q (o_p^* = o_{p^1})."""
+    dim = jw.tgt.shape[1]
+    out = np.zeros((dim, dim))
+    for p, q in zip(*np.nonzero(X)):
+        tgt, sgn = jw.product(p ^ 1, q)
+        out[tgt, np.arange(dim)] += X[p, q] * sgn
     return out
 
 
-def _check_car(cs: list) -> float:
-    """Worst residual of {c_j, c_k^*} = delta_jk and {c_j, c_k} = 0 over
-    j <= k; the pairs k < j are adjoints of these or equal to them."""
-    eye = np.eye(len(cs[0]))
+def _check_car(jw: ed.JordanWigner) -> float:
+    """Worst entry of {o_p, o_q} - delta_{q, p^1} over the interleaved
+    pairs p <= q: {c_j, c_k^*} = delta_jk, {c_j, c_k} = 0 and adjoints.
+    Column s holds o_p o_q e_s, o_q o_p e_s and -delta e_s at up to three
+    targets; each target's entry sums the terms that land on it."""
+    m, dim = jw.tgt.shape
+    s = np.arange(dim)
     worst = 0.0
-    for j, cj in enumerate(cs):
-        for k, ck in enumerate(cs[j:], start=j):
-            ckd = ck.conj().T
-            anti = cj @ ckd + ckd @ cj - (eye if j == k else 0.0)
-            anti2 = cj @ ck + ck @ cj
-            worst = max(worst, float(np.max(np.abs(anti))), float(np.max(np.abs(anti2))))
+    for p in range(m):
+        qs = np.arange(p, m)
+        t1, v1 = jw.product(p, qs)
+        t2, v2 = jw.product(qs, p)
+        d = np.where(qs == p ^ 1, -1.0, 0.0)[:, None]
+        for t in (t1, t2, s):
+            entry = v1 * (t1 == t) + v2 * (t2 == t) + d * (s == t)
+            worst = max(worst, float(np.max(np.abs(entry))))
     return worst
 
 
-def _check_states(bog: BogoliubovDecomposition, eig: tuple, cs: list) -> dict:
+def _check_states(bog: BogoliubovDecomposition, eig: tuple, jw: ed.JordanWigner) -> dict:
     """Errors of the eigenstate, evolved and thermal correlation matrices
     and of the cut entropies (every cut 1 <= ell < n of (1, n // 2, n - 1))
     of the free-fermion layer against the oracle eigensystem
@@ -705,7 +716,7 @@ def _check_states(bog: BogoliubovDecomposition, eig: tuple, cs: list) -> dict:
         alpha = alpha_from_index(a, n)
         cm = eigenstate_gamma(bog, alpha)
         psi = evecs[:, idxs[a]]
-        g_ed = ed.correlation_blocks(psi, cs)
+        g_ed = ed.correlation_blocks(psi, jw)
         g_err = max(g_err, float(np.max(np.abs(cm.gamma - g_ed))))
         for ell in cuts:
             s_free = ent.entropy_from_gamma(cm, ent.Cut(ell))
@@ -713,22 +724,22 @@ def _check_states(bog: BogoliubovDecomposition, eig: tuple, cs: list) -> dict:
             s_err = max(s_err, abs(s_free - s_ed))
         cmt = evolve_gamma(cm, sdM, 0.7)
         psit = ed.schroedinger_evolve_state(psi, eig, 0.7)
-        e_err = max(e_err, float(np.max(np.abs(cmt.gamma - ed.correlation_blocks(psit, cs)))))
+        e_err = max(e_err, float(np.max(np.abs(cmt.gamma - ed.correlation_blocks(psit, jw)))))
     beta = 0.8
     g_th = thermal_gamma(sdM, beta)
     rho = ed.thermal_state(eig, beta)
-    t_err = float(np.max(np.abs(g_th.gamma - ed.correlation_blocks(rho, cs))))
+    t_err = float(np.max(np.abs(g_th.gamma - ed.correlation_blocks(rho, jw))))
     return {"eigenstate_gamma": g_err, "thermal_gamma": t_err, "entropy": s_err,
             "evolved_gamma": e_err}
 
 
-def _check_occupation(chain: ChainSpec, H: np.ndarray, number_ops: list) -> float:
-    """Site occupations of mode configurations vs the oracle, on the
-    particle-conserving chain with oracle Hamiltonian H; number_ops[x-1]
-    is n_x."""
+def _check_occupation(chain: ChainSpec, H: np.ndarray) -> float:
+    """Site occupations of mode configurations vs the oracle's <n_x>
+    (|psi|^2 on the bit mask of x), on the particle-conserving chain H."""
     n = chain.n
     evals, evecs = ed.spectral(H)
     sdA = diagonalize_A(chain)
+    masks = np.array([ed.occupation_mask(n, x) for x in range(1, n + 1)])
     o_err = 0.0
     labels = [1, 3, (1 << n) - 1] if n > 3 else list(range(1, 2**n))
     for a in labels:
@@ -737,11 +748,10 @@ def _check_occupation(chain: ChainSpec, H: np.ndarray, number_ops: list) -> floa
         j_idx, j_flags = ed.match_eigenstates([e_free], evals)
         if j_flags[0]:
             continue
-        psi = evecs[:, j_idx[0]]
+        occ_ed = masks @ np.abs(evecs[:, j_idx[0]]) ** 2
         for x in range(1, n + 1):
             occ_free = occupation_number(sdA.eigenvectors, k_modes, x)
-            occ_ed = float(np.real(psi.conj() @ (number_ops[x - 1] @ psi)))
-            o_err = max(o_err, abs(occ_free - occ_ed))
+            o_err = max(o_err, abs(occ_free - occ_ed[x - 1]))
     return o_err
 
 

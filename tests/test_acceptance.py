@@ -27,7 +27,7 @@ from xylab.disorder import (
     uniform,
 )
 
-from conftest import ed_commutator_sups, ensemble_mean
+from conftest import dense_cs, ed_commutator_sups, ensemble_mean, region_number_op
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -69,7 +69,7 @@ def test_02_operator_identities():
         n = int(rng.integers(2, 7))
         chain = random_chain(rng, n, anisotropic=True)
         iso = make_chain(chain.mu, np.zeros(n - 1), chain.nu)
-        cs = ed.all_c(n)
+        cs = dense_cs(n)
         ops = []
         for c in cs:
             ops.append(c)
@@ -314,7 +314,7 @@ def test_08_transport(fit_eps005_n100):
         hd = ed.spectral(ed.build_H(chain))
         evals, evecs = hd
         HS1 = ed.build_H_region(chain, 1, 2)
-        NS1 = ed.region_number_op(6, [1])
+        NS1 = region_number_op(6, [1])
         for t in (0.5, 2.0):
             phases = np.exp(-1j * t * np.subtract.outer(evals, evals))
             rho_t = evecs @ ((evecs.conj().T @ rho0 @ evecs) * phases) @ evecs.conj().T
@@ -410,7 +410,7 @@ def test_09_fock_localization(fit_eps005_n200):
                 continue
             psi = evecs[:, idx[0]]
             for x in range(1, 7):
-                occ_ed = float(np.real(psi.conj() @ (ed.number_op(6, x) @ psi)))
+                occ_ed = float(np.sum(ed.occupation_mask(6, x) * np.abs(psi) ** 2))
                 occ_err = max(occ_err, abs(fock.occupation_number(sd6.eigenvectors, k, x) - occ_ed))
 
     ok = (

@@ -5,7 +5,8 @@ from xylab import ed_oracle as ed
 from xylab import hamiltonian as ham
 from xylab.disorder import make_chain
 
-from conftest import random_chain
+from conftest import (commutator_norm, dense_cs, dense_op, heisenberg_evolve, kron_build_H,
+                      kron_chain, kron_jordan_wigner_c, random_chain, spin_basis_vector)
 
 
 def test_single_site_hamiltonian():
@@ -23,7 +24,7 @@ def test_two_site_clean_spectrum():
 
 def test_car_relations():
     n = 3
-    cs = ed.all_c(n)
+    cs = dense_cs(n)
     eye = np.eye(2**n)
     for j in range(n):
         for k in range(n):
@@ -40,7 +41,7 @@ def test_quadratic_form_identities(rng):
         iso = random_chain(rng, n, anisotropic=False)
         H = ed.build_H(iso)
         A = ham.build_A(iso)
-        cs = ed.all_c(n)
+        cs = dense_cs(n)
         H2 = np.sum(iso.nu) * np.eye(2**n, dtype=complex)
         for j in range(n):
             for k in range(n):
@@ -51,7 +52,7 @@ def test_quadratic_form_identities(rng):
         Ha = ed.build_H(aniso)
         M = ham.build_M(aniso)
         ops = []
-        for c in ed.all_c(n):
+        for c in cs:
             ops.append(c)
             ops.append(c.conj().T)
         H3 = np.zeros_like(Ha)
@@ -66,7 +67,7 @@ def test_local_operators_commute_at_distance():
     n = 3
     x1 = ed.site_op(n, 1, "X")
     y3 = ed.site_op(n, 3, "Y")
-    assert ed.commutator_norm(x1, y3) < 1e-14
+    assert commutator_norm(x1, y3) < 1e-14
 
 
 def test_commutator_grows_under_evolution():
@@ -75,8 +76,8 @@ def test_commutator_grows_under_evolution():
     hd = ed.spectral(H)
     x1 = ed.site_op(3, 1, "X")
     x3 = ed.site_op(3, 3, "X")
-    at_zero = ed.commutator_norm(x1, x3)
-    evolved = ed.commutator_norm(ed.heisenberg_evolve(x1, hd, 1.0), x3)
+    at_zero = commutator_norm(x1, x3)
+    evolved = commutator_norm(heisenberg_evolve(x1, hd, 1.0), x3)
     assert at_zero < 1e-14
     assert evolved > 0.1  # information reaches distance 2 by t=1
 
@@ -85,12 +86,12 @@ def test_heisenberg_evolution_unitarity(rng):
     ch = random_chain(rng, 3)
     H = ed.build_H(ch)
     op = ed.site_op(3, 2, "X")
-    evolved = ed.heisenberg_evolve(op, H, 0.83)
+    evolved = heisenberg_evolve(op, H, 0.83)
     assert np.max(np.abs(evolved @ evolved - np.eye(8))) < 1e-12  # X_t^2 = 1
 
 
 def test_reduced_density_product_state():
-    psi = ed.spin_basis_vector(3, [1])  # up at site 1 only
+    psi = spin_basis_vector(3, [1])  # up at site 1 only
     rho = ed.reduced_density(psi, 3, 1)
     assert np.allclose(rho, [[1, 0], [0, 0]])
     assert ed.von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-12)
@@ -98,7 +99,7 @@ def test_reduced_density_product_state():
 
 def test_reduced_density_of_bell_pair():
     # (|ud> + |du>)/sqrt(2) has one bit of entanglement
-    psi = (ed.spin_basis_vector(2, [1]) + ed.spin_basis_vector(2, [2])) / np.sqrt(2)
+    psi = (spin_basis_vector(2, [1]) + spin_basis_vector(2, [2])) / np.sqrt(2)
     rho = ed.reduced_density(psi, 2, 1)
     assert ed.von_neumann_entropy(rho) == pytest.approx(np.log(2), abs=1e-12)
 
@@ -113,8 +114,10 @@ def test_thermal_state_properties(rng):
     assert np.max(np.abs(ed.thermal_state(H, 0.0) - np.eye(8) / 8)) < 1e-12
 
 
-def _pairwise_correlation_blocks(state, cs):
-    # reference: <o_p o_q^*> from the dense product of every operator pair
+def _pairwise_correlation_blocks(state, n):
+    # reference: <o_p o_q^*> from the dense product of every pair of the
+    # kron-chain operators
+    cs = [kron_jordan_wigner_c(n, j) for j in range(1, n + 1)]
     ops = [op for c in cs for op in (c, c.conj().T)]
 
     def expect(op):
@@ -126,18 +129,18 @@ def _pairwise_correlation_blocks(state, cs):
 
 
 def test_correlation_blocks_match_pairwise_products(rng):
-    # the Gram-form contraction against the operator-product double loop on
-    # an eigenvector, a thermal density matrix and an evolved complex vector
+    # the table gathers against the operator-product double loop on an
+    # eigenvector, a thermal density matrix and an evolved complex vector
     for n in (1, 2, 3, 4):
         H = ed.build_H(random_chain(rng, n))
         evals, evecs = ed.spectral(H)
-        cs = ed.all_c(n)
+        jw = ed.all_c(n)
         mixed = (evecs[:, 0] + 1j * evecs[:, -1]) / np.sqrt(2)
         psi_t = ed.schroedinger_evolve_state(mixed, (evals, evecs), 0.7)
         for state in (evecs[:, 0], ed.thermal_state(H, 0.9), psi_t):
-            G = ed.correlation_blocks(state, cs)
+            G = ed.correlation_blocks(state, jw)
             assert G.shape == (2 * n, 2 * n)
-            assert np.max(np.abs(G - _pairwise_correlation_blocks(state, cs))) < 1e-14
+            assert np.max(np.abs(G - _pairwise_correlation_blocks(state, n))) < 1e-14
 
 
 def test_spin_basis_indexing():
@@ -145,9 +148,9 @@ def test_spin_basis_indexing():
     assert ed.spin_basis_index(3, []) == 7
     assert ed.spin_basis_index(3, [1, 2, 3]) == 0
     # n_x picks out up-spins
-    psi = ed.spin_basis_vector(3, [2])
+    psi = spin_basis_vector(3, [2])
     for x, expected in ((1, 0.0), (2, 1.0), (3, 0.0)):
-        val = np.real(psi.conj() @ (ed.number_op(3, x) @ psi))
+        val = np.sum(ed.occupation_mask(3, x) * np.abs(psi) ** 2)
         assert val == pytest.approx(expected, abs=1e-12)
 
 
@@ -161,23 +164,49 @@ def test_match_eigenstates_flags_degeneracy():
 def test_site_cap():
     with pytest.raises(ValueError):
         ed.site_op(15, 1, "Z")
-
-
-_KINDS = {
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-    "a": np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex),
-}
+    with pytest.raises(ValueError, match="oracle capped at n=14"):
+        ed.all_c(15)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_site_op_equals_the_explicit_kron_chain(n):
-    for kind, matrix in _KINDS.items():
+    for kind in ("X", "Y", "Z", "a"):
         for j in range(1, n + 1):
-            op = np.eye(1, dtype=complex)
-            for site in range(1, n + 1):
-                op = np.kron(op, matrix if site == j else np.eye(2, dtype=complex))
-            assert np.array_equal(ed.site_op(n, j, kind), op)
+            assert np.array_equal(ed.site_op(n, j, kind), kron_chain(n, {j: kind}))
     with pytest.raises(ValueError, match=f"site {n + 1} outside"):
         ed.site_op(n, n + 1, "X")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_tables_give_the_kron_chain_operators_bit_for_bit(n):
+    jw = ed.all_c(n)
+    assert jw.tgt.shape == jw.sgn.shape == (2 * n, 2**n)
+    for j in range(1, n + 1):
+        c = kron_jordan_wigner_c(n, j)
+        assert not c.imag.any()
+        assert np.array_equal(dense_op(jw, 2 * j - 2), c.real)
+        assert np.array_equal(dense_op(jw, 2 * j - 1), c.real.T)
+        for p in (2 * j - 2, 2 * j - 1):
+            for q in range(2 * n):
+                tgt, sgn = jw.product(p, q)
+                product = np.zeros((2**n, 2**n))
+                product[tgt, np.arange(2**n)] = sgn
+                assert np.array_equal(product, dense_op(jw, p) @ dense_op(jw, q))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_bit_built_hamiltonian_equals_the_kron_sum(rng, n):
+    chains = [random_chain(rng, n, anisotropic=aniso) for aniso in (False, True)]
+    # the degenerate corners: gamma = +-1, a zero bond, no field
+    chains.append(make_chain(([0.0] + [1.0] * n)[: n - 1], np.resize([1.0, -1.0], n - 1), np.zeros(n)))
+    for ch in chains:
+        H = ed.build_H(ch)
+        assert H.dtype == np.float64
+        assert np.max(np.abs(H - kron_build_H(ch))) < 1e-14
+    # a region keeps its interior bonds and fields only
+    ch = chains[1]
+    for a in range(1, n + 1):
+        for b in range(a, n + 1):
+            sub = make_chain(ch.mu[a - 1:b - 1], ch.gamma[a - 1:b - 1], ch.nu[a - 1:b])
+            ref = np.kron(np.kron(np.eye(2 ** (a - 1)), kron_build_H(sub)), np.eye(2 ** (n - b)))
+            assert np.max(np.abs(ed.build_H_region(ch, a, b) - ref)) < 1e-14

@@ -15,7 +15,7 @@ from xylab.disorder import (
     uniform,
 )
 
-from conftest import ed_commutator_sups, ensemble_mean, random_chain
+from conftest import dense_cs, ed_commutator_sups, ensemble_mean, heisenberg_evolve, random_chain
 
 
 def test_decoupled_chain_identity_table():
@@ -82,14 +82,14 @@ def test_block_amplitude_matches_oracle_commutator_scale(rng):
     U = sdM.function_of(lambda lam: np.exp(-2j * t * lam))
     # oracle: tau_t(c_j) expanded in the operator basis (c_k, c_k^*)
     hd = ed.spectral(ed.build_H(ch))
-    cs = ed.all_c(n)
+    cs = dense_cs(n)
     ops = []
     for c in cs:
         ops.append(c)
         ops.append(c.conj().T)
     dim = 2**n
     for p in (0, 1, 3):
-        evolved = ed.heisenberg_evolve(ops[p], hd, t)
+        evolved = heisenberg_evolve(ops[p], hd, t)
         for q in range(2 * n):
             # expansion coefficient via the trace; tr(c c^†) = 2^n / 2
             coeff = 2.0 * np.trace(ops[q].conj().T @ evolved) / dim

@@ -18,6 +18,8 @@ from xylab import quasifree as qf
 from xylab import transport as tr
 from xylab.disorder import sample_chain
 
+from conftest import dense_op, kron_jordan_wigner_c
+
 
 def ensemble_json(n=16, realizations=4, seed=11, eps=0.1):
     return {
@@ -321,6 +323,11 @@ def test_cli_oracle_check(tmp_path):
     assert r.stdout.count("PASS") >= 8
 
 
+def test_cli_oracle_check_at_nine_sites(tmp_path):
+    r = _run_cli(["oracle-check", "--n", "9", "--realizations", "1"], tmp_path)
+    assert r.returncode == 0, r.stderr
+
+
 @pytest.mark.parametrize("argv, csv_text", [
     (["oracle-check", "--n", "15"], None),
     (["oracle-check", "--n", "0"], None),
@@ -348,42 +355,54 @@ def test_oracle_suite_at_one_and_two_sites(n):
     assert result["all_pass"], result["max_errors"]
 
 
-def _interleaved(n):
-    return [op for c in ed.all_c(n) for op in (c, c.conj().T)]
+def test_oracle_suite_at_ten_sites():
+    result = xp.oracle_suite(10, 42, 1)
+    assert result["all_pass"], result["max_errors"]
+
+
+def _kron_interleaved(n):
+    cs = [kron_jordan_wigner_c(n, j) for j in range(1, n + 1)]
+    return [op for c in cs for op in (c, c.conj().T)]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_quadratic_form_equals_the_explicit_double_sum(rng, n):
-    ops = _interleaved(n)
+    ops = _kron_interleaved(n)
     dense = rng.normal(size=(2 * n, 2 * n))
     sparse = dense.copy()
-    sparse[::2] = 0.0  # the rows of every c_j are all zero
+    sparse[::2] = 0.0  # zero entries, which the form skips
     for X in (dense, sparse, np.zeros((2 * n, 2 * n))):
         explicit = np.zeros((2**n, 2**n), dtype=complex)
         for p in range(2 * n):
             for q in range(2 * n):
                 explicit += X[p, q] * (ops[p].conj().T @ ops[q])
-        assert np.max(np.abs(xp._quadratic_form(X, ops) - explicit)) < 1e-12
+        assert np.max(np.abs(xp._quadratic_form(X, ed.all_c(n)) - explicit)) < 1e-12
 
 
-def _car_all_pairs(cs):
-    eye = np.eye(len(cs[0]))
+def _car_all_pairs(ops):
+    # {o_p, o_q} = 1 for {p, q} = {2j, 2j + 1} (c_j and c_j^*), else 0
+    eye = np.eye(len(ops[0]))
     worst = 0.0
-    for j in range(len(cs)):
-        for k in range(len(cs)):
-            anti = cs[j] @ cs[k].conj().T + cs[k].conj().T @ cs[j]
-            worst = max(worst, float(np.max(np.abs(anti - (eye if j == k else 0.0)))))
-            worst = max(worst, float(np.max(np.abs(cs[j] @ cs[k] + cs[k] @ cs[j]))))
+    for p in range(len(ops)):
+        for q in range(len(ops)):
+            anti = ops[p] @ ops[q] + ops[q] @ ops[p] - (eye if q == p ^ 1 else 0.0)
+            worst = max(worst, float(np.max(np.abs(anti))))
     return worst
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_check_car_over_j_le_k_equals_the_all_pairs_loop(rng, n):
-    cs = ed.all_c(n)
-    assert xp._check_car(cs) == _car_all_pairs(cs)
-    # operators that break CAR: multiples of 2^-10 keep every product exact
-    broken = [c + rng.integers(-3, 4, size=c.shape) / 1024.0 for c in cs]
-    assert xp._check_car(broken) == _car_all_pairs(broken) > 0.0
+def test_check_car_over_j_le_k_equals_the_all_pairs_loop(n):
+    jw = ed.all_c(n)
+    assert xp._check_car(jw) == _car_all_pairs(_kron_interleaved(n)) == 0.0
+    # one flipped sign, or one wrong target, breaks CAR
+    p, s = 2 * (n - 1), 0  # c_n acts on e_0, all up
+    flipped = ed.JordanWigner(jw.tgt, jw.sgn.copy())
+    flipped.sgn[p, s] *= -1.0
+    wrong = ed.JordanWigner(jw.tgt.copy(), jw.sgn)
+    wrong.tgt[p, s] = 2**n - 1 - jw.tgt[p, s]
+    for broken in (flipped, wrong):
+        ops = [dense_op(broken, q) for q in range(2 * n)]
+        assert xp._check_car(broken) == _car_all_pairs(ops) > 0.0
 
 
 def test_cli_fit(tmp_path):
@@ -616,6 +635,8 @@ def _transport_config(experiment, **params):
 
 
 _FLATNESS = {"variant": "anisotropic_flatness", "sizes": [12, 16]}
+_FLATNESS_12 = {"variant": "anisotropic_flatness", "sizes": [12], "s1": [1, 2]}
+_ISO = {"s1": [10], "s2": [1, 20]}
 
 
 @pytest.mark.parametrize("experiment, params, named", [
@@ -628,8 +649,26 @@ _FLATNESS = {"variant": "anisotropic_flatness", "sizes": [12, 16]}
     ("transport_energy", {**_FLATNESS, "s1": [11, 12, 13]}, "params.s1"),  # past the smallest size
     ("transport_energy", {**_FLATNESS, "s1": [1, 3]}, "params.s1"),  # not an interval
     ("transport_energy", {"variant": "flat", "s1": [10], "s2": [1]}, "params.variant"),
+    ("transport_particle", {**_ISO, "eta_value": "0.5"}, "params.eta_value"),
+    ("transport_particle", {**_ISO, "eta_value": 2.0}, "params.eta_value"),
+    ("transport_particle", {**_ISO, "eta_value": True}, "params.eta_value"),
+    ("transport_particle", {**_ISO, "eta_value": float("nan")}, "params.eta_value"),
+    ("transport_energy", {**_ISO, "eta_value": -0.5}, "params.eta_value"),
+    ("transport_energy", {**_FLATNESS, "s1": [1, 2], "eta_profile": "zeros"}, "params.eta_profile"),
+    ("transport_energy", {**_FLATNESS, "s1": [1, 2], "eta_profile": 0.5}, "params.eta_profile"),
+    ("transport_energy", {**_FLATNESS, "s1": [1, 2], "eta_profile": [1.0] * 12},
+     "params.eta_profile"),  # the length of one size, not of every size
+    ("transport_energy", {**_FLATNESS_12, "eta_profile": [0.5] * 11}, "params.eta_profile"),
+    ("transport_energy", {**_FLATNESS_12, "eta_profile": [0.5] * 11 + [1.5]}, "params.eta_profile"),
+    ("transport_energy", {**_FLATNESS_12, "eta_profile": [0.5] * 11 + ["1"]}, "params.eta_profile"),
+    ("transport_energy", {**_FLATNESS_12, "eta_profile": [0.5] * 11 + [float("inf")]},
+     "params.eta_profile"),
 ], ids=["s2-past-n", "s1-site-0", "s2-float", "s2-empty", "s2-missing", "s2-in-hull",
-        "flatness-s1-past-size", "flatness-s1-gap", "unknown-variant"])
+        "flatness-s1-past-size", "flatness-s1-gap", "unknown-variant", "eta-value-string",
+        "eta-value-above-1", "eta-value-bool", "eta-value-nan", "energy-eta-value-negative",
+        "eta-profile-unknown-name", "eta-profile-number", "eta-profile-one-size",
+        "eta-profile-short", "eta-profile-above-1", "eta-profile-string-entry",
+        "eta-profile-inf-entry"])
 def test_cli_rejects_bad_transport_regions_before_any_realization(tmp_path, capsys, experiment,
                                                                   params, named):
     cfg = tmp_path / "bad.json"
@@ -645,6 +684,10 @@ def test_cli_rejects_bad_transport_regions_before_any_realization(tmp_path, caps
     ("transport_particle", {"s1": [10], "s2": [1, 20]}),
     ("transport_energy", {"s1": [8, 9, 10], "s2": [11, 12]}),  # S2 next to S1's hull
     ("transport_energy", {**_FLATNESS, "s1": [10, 11, 12]}),
+    ("transport_particle", {**_ISO, "eta_value": 0}),
+    ("transport_energy", {**_ISO, "eta_value": 1.0}),
+    ("transport_energy", {**_FLATNESS, "s1": [1, 2], "eta_profile": "half"}),
+    ("transport_energy", {**_FLATNESS_12, "eta_profile": [0, 1.0] * 6}),
 ])
 def test_parse_config_accepts_transport_regions_on_the_chain(experiment, params):
     assert xp.parse_config(_transport_config(experiment, **params)).params == params

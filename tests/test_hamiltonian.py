@@ -11,7 +11,7 @@ from xylab import quasifree as qf
 from xylab.disorder import make_chain
 from xylab.eigencorrelator import eigencorrelator_table
 
-from conftest import random_chain
+from conftest import random_chain, region_number_op
 
 
 def test_build_A_explicit():
@@ -132,7 +132,7 @@ def test_one_particle_sector_embedding(rng):
     evals, evecs = np.linalg.eigh(ed.build_H(ch))
     n = ch.n
     one_particle = []
-    number_total = ed.region_number_op(n, range(1, n + 1))
+    number_total = region_number_op(n, range(1, n + 1))
     for k in range(2**n):
         count = np.real(evecs[:, k].conj() @ (number_total @ evecs[:, k]))
         if abs(count - 1.0) < 1e-9:

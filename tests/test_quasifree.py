@@ -7,7 +7,7 @@ from xylab import quasifree as qf
 from xylab.disorder import make_chain
 from xylab.hamiltonian import alpha_from_index
 
-from conftest import random_chain
+from conftest import dense_cs, heisenberg_evolve, random_chain, spin_basis_vector
 
 
 def test_vacuum_gamma_is_projector(rng):
@@ -44,14 +44,14 @@ def test_eigenstate_gamma_matches_oracle(rng):
     bog = ham.bogoliubov(ch)
     H = ed.build_H(ch)
     evals, evecs = np.linalg.eigh(H)
-    cs = ed.all_c(n)
+    jw = ed.all_c(n)
     energies = ham.all_many_body_energies(bog)
     idxs, flags = ed.match_eigenstates(energies, evals)
     for a in range(2**n):
         if flags[a]:
             continue
         cm = qf.eigenstate_gamma(bog, alpha_from_index(a, n))
-        G_ed = ed.correlation_blocks(evecs[:, idxs[a]], cs)
+        G_ed = ed.correlation_blocks(evecs[:, idxs[a]], jw)
         assert np.max(np.abs(cm.gamma - G_ed)) < 1e-8
 
 
@@ -92,7 +92,7 @@ def test_profile_gamma_occupation_convention_vs_oracle():
     # eta = (1, 0): one particle on site 1, none on site 2
     n = 2
     cm = qf.profile_gamma([1.0, 0.0])
-    psi = ed.spin_basis_vector(n, [1])
+    psi = spin_basis_vector(n, [1])
     G_ed = ed.correlation_blocks(psi, ed.all_c(n))
     assert np.max(np.abs(cm.gamma - G_ed)) < 1e-12
     assert cm.occupations()[0] == pytest.approx(1.0)
@@ -129,13 +129,13 @@ def test_evolve_gamma_matches_oracle_quench(rng):
     assert not fl[0] and not fr[0]
     psi0 = np.kron(vl[:, il[0]], vr[:, ir[0]])
     hd = ed.spectral(ed.build_H(ch))
-    cs = ed.all_c(n)
-    G0_ed = ed.correlation_blocks(psi0, cs)
+    jw = ed.all_c(n)
+    G0_ed = ed.correlation_blocks(psi0, jw)
     assert np.max(np.abs(gamma0.gamma - G0_ed)) < 1e-8
     for t in (0.3, 1.7):
         cmt = qf.evolve_gamma(gamma0, sd, t)
         psit = ed.schroedinger_evolve_state(psi0, hd, t)
-        Gt_ed = ed.correlation_blocks(psit, cs)
+        Gt_ed = ed.correlation_blocks(psit, jw)
         assert np.max(np.abs(cmt.gamma - Gt_ed)) < 1e-8
 
 
@@ -167,14 +167,14 @@ def test_multipoint_matches_oracle_dynamic(rng):
     for j in range(n):
         rho_full = np.kron(rho_full, np.diag([eta[j], 1 - eta[j]]).astype(complex))
     hd = ed.spectral(ed.build_H(ch))
-    cs = ed.all_c(n)
+    cs = dense_cs(n)
     x, y = (1, 4), (2, 5)
     for t in (0.0, 0.63):
         kernel = qf.dynamic_kernel(rho_1p, sdA, t)
         free_val = qf.multipoint_correlation(kernel, x, y)
         op = (
-            ed.heisenberg_evolve(cs[y[1] - 1].conj().T, hd, t)
-            @ ed.heisenberg_evolve(cs[y[0] - 1].conj().T, hd, t)
+            heisenberg_evolve(cs[y[1] - 1].conj().T, hd, t)
+            @ heisenberg_evolve(cs[y[0] - 1].conj().T, hd, t)
             @ cs[x[0] - 1]
             @ cs[x[1] - 1]
         )

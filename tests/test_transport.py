@@ -8,7 +8,7 @@ from xylab import transport as tr
 from xylab.disorder import EnsembleSpec, constant, make_chain, uniform
 from xylab.eigencorrelator import DecayFit
 
-from conftest import random_chain
+from conftest import random_chain, region_number_op
 
 
 def profile_density_matrix(eta):
@@ -66,7 +66,7 @@ def test_particle_number_matches_oracle(rng):
     eta = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
     rho0 = profile_density_matrix(eta)
     hd = ed.spectral(ed.build_H(ch))
-    NS1 = ed.region_number_op(n, [1])
+    NS1 = region_number_op(n, [1])
     for t in (0.5, 2.0):
         free = tr.particle_number_series(ch, tr.Region.of([1]), eta, [t])[0]
         rt = evolve_density(rho0, hd, t)
