@@ -48,7 +48,7 @@ from .eigencorrelator import (
     lr_commutator_bound,
 )
 from .entanglement import Cut, entropy_from_gamma, max_eigenstate_entropy, ps_bound
-from .transport import Region, particle_number
+from .transport import Region
 from .fock import locate_centers, occupation_number, slater_overlap
 
 __all__ = [name for name in dir() if not name.startswith("_")]

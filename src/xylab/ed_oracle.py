@@ -19,35 +19,10 @@ from .disorder import ChainSpec
 
 MAX_SITES = 14
 
-_PAULI = {
-    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
-    "Y": np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
-    "Z": np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-    "I": np.eye(2, dtype=complex),
-    # spin lowering operator a = (X - iY)/2 maps up to down
-    "a": np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex),
-}
-
 
 def _check_n(n: int) -> None:
     if n > MAX_SITES:
         raise ValueError(f"oracle capped at n={MAX_SITES}, got {n}")
-
-
-def site_op(n: int, j: int, kind: str) -> np.ndarray:
-    """Single-site operator at site j (1-based) embedded in 2^n dims."""
-    if not 1 <= j <= n:
-        raise ValueError(f"site {j} outside [1, {n}]")
-    return product_op(n, {j: kind})
-
-
-def product_op(n: int, factors: dict) -> np.ndarray:
-    """Tensor product with the given {site: kind} factors, identity elsewhere."""
-    _check_n(n)
-    op = np.eye(1, dtype=complex)
-    for site in range(1, n + 1):
-        op = np.kron(op, _PAULI[factors.get(site, "I")])
-    return op
 
 
 def _site_bits(n: int, j: int) -> np.ndarray:

@@ -7,8 +7,9 @@ change of basis to the eigenvectors V of X it reads
 sum_ab e^{it(lam_a - lam_b)} K_ab with K = (V^t O V) o (V^t G V)^t, so
 quasifree.trace_series evaluates a whole time grid as matrix products
 over chunks of times: O(n^2) per time step and no propagator built.
-Ensemble check helpers compare disorder-averaged suprema against the
-bounds implied by fitted eigencorrelator decay.
+The bounds C e^{-eta d} / (1 - e^{-eta})^2 take the fitted
+eigencorrelator constants and d = dist(S1, S2); the experiment driver
+judges the disorder-averaged suprema against them.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disorder import ChainSpec, EnsembleSpec, aggregate
+from .disorder import ChainSpec, EnsembleSpec
 from .eigencorrelator import DecayFit
 from .hamiltonian import SpectralDecomposition, bogoliubov, build_A, build_M, diagonalize_A
-from .quasifree import CorrelationMatrix, profile_gamma, trace_series
+from .quasifree import profile_gamma, trace_series
 
 
 @dataclass(frozen=True)
@@ -38,43 +39,10 @@ class Region:
         contiguous = ss[-1] - ss[0] + 1 == len(ss)
         return Region(sites=ss, interval_flag=contiguous)
 
-    def indicator(self, n: int) -> np.ndarray:
-        chi = np.zeros(n)
-        chi[np.array(self.sites) - 1] = 1.0
-        return chi
-
 
 def region_distance(s1: Region, s2: Region) -> int:
     """min |x - y| over x in S1, y in S2."""
     return int(min(abs(x - y) for x in s1.sites for y in s2.sites))
-
-
-@dataclass
-class EnsembleTransportReport:
-    times: np.ndarray
-    mean_values: np.ndarray
-    mean_sup: float
-    stderr_sup: float
-    bound: float
-    slack: float
-    passed: bool
-    count: int
-
-
-def particle_number(cm: CorrelationMatrix, region: Region) -> float:
-    """sum over the region of <c_j^* c_j> read from the correlation matrix."""
-    occ = cm.occupations()
-    return float(np.sum(occ[np.array(region.sites) - 1]))
-
-
-def _check_profile_geometry(n: int, s1: Region, s2: Region, eta: np.ndarray) -> None:
-    hull = set(range(min(s1.sites), max(s1.sites) + 1))
-    if set(s2.sites) & hull:
-        raise ValueError("S2 must avoid the interval [min S1, max S1]")
-    outside = np.ones(n, dtype=bool)
-    outside[np.array(s2.sites) - 1] = False
-    if np.any(eta[outside] != 0):
-        raise ValueError("profile must vanish off S2")
 
 
 def particle_number_series(
@@ -102,47 +70,6 @@ def particle_transport_bound(fit: DecayFit, d: int) -> float:
         raise ValueError("particle transport bound needs a positive decay rate")
     q = np.exp(-fit.eta)
     return float(2.0 * fit.C * np.exp(-fit.eta * d) / (1.0 - q) ** 2)
-
-
-def ensemble_report(
-    times, series, absolute: bool = True, bound: float | None = None, slack: float = 1.0
-) -> EnsembleTransportReport:
-    """Reduce per-realization series with aggregate to the mean series
-    and the mean and standard error of their suprema (of the magnitudes,
-    or of the values themselves when not absolute).  Without a bound the
-    report carries NaN and passes."""
-    sups = aggregate(float(np.max(np.abs(v) if absolute else v)) for v in series)
-    return EnsembleTransportReport(
-        times=np.asarray(times, dtype=float),
-        mean_values=aggregate(series)["mean"],
-        mean_sup=sups["mean"],
-        stderr_sup=sups["stderr"],
-        bound=float("nan") if bound is None else bound,
-        slack=slack,
-        passed=bound is None or bool(sups["mean"] <= slack * bound),
-        count=sups["count"],
-    )
-
-
-def particle_transport_check(
-    ensemble: EnsembleSpec,
-    s1: Region,
-    s2: Region,
-    eta_profile,
-    times,
-    fit: DecayFit,
-    slack: float = 2.0,
-    *,
-    series: list,
-) -> EnsembleTransportReport:
-    """Disorder-averaged sup_t <N_{S1}> against the localization bound;
-    series are the per-realization particle_number_series of the
-    ensemble in index order."""
-    eta = np.asarray(eta_profile, dtype=float)
-    _check_profile_geometry(ensemble.n, s1, s2, eta)
-    d = region_distance(s1, s2)
-    bound = particle_transport_bound(fit, d)
-    return ensemble_report(times, series, absolute=False, bound=bound, slack=slack)
 
 
 def _interval_projector_indices(s1: Region) -> np.ndarray:
@@ -182,26 +109,6 @@ def energy_transport_bound(fit: DecayFit, d: int, matrix_norm_bound: float) -> f
 def matrix_norm_bound(ensemble: EnsembleSpec) -> float:
     """Uniform bound D = 2 mu_max + nu_max on the one-particle matrix norm."""
     return 2.0 * ensemble.mu_dist.abs_max + ensemble.nu_dist.abs_max
-
-
-def energy_transport_check_isotropic(
-    ensemble: EnsembleSpec,
-    s1: Region,
-    s2: Region,
-    eta_profile,
-    times,
-    fit: DecayFit,
-    slack: float = 2.0,
-    *,
-    series: list,
-) -> EnsembleTransportReport:
-    """Disorder-averaged sup_t |<H_{S1}> - E_ref| against the bound;
-    series as in particle_transport_check (of energy_series_isotropic)."""
-    eta = np.asarray(eta_profile, dtype=float)
-    _check_profile_geometry(ensemble.n, s1, s2, eta)
-    d = region_distance(s1, s2)
-    bound = energy_transport_bound(fit, d, matrix_norm_bound(ensemble))
-    return ensemble_report(times, series, bound=bound, slack=slack)
 
 
 def energy_fluctuation_series(chain: ChainSpec, s1: Region, eta, times) -> np.ndarray:

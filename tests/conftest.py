@@ -29,7 +29,7 @@ def ed_commutator_sups(chain, pairs, times) -> dict:
     Hermitian i[X_j(t), X_k], whose largest modulus is the norm."""
     evals, evecs = ed.spectral(ed.build_H(chain))
     sites = {s for pair in pairs for s in pair}
-    tilde = {s: evecs.conj().T @ ed.site_op(chain.n, s, "X") @ evecs for s in sites}
+    tilde = {s: evecs.conj().T @ kron_chain(chain.n, {s: "X"}) @ evecs for s in sites}
     sups = dict.fromkeys(pairs, 0.0)
     for t in times:
         phases = np.exp(1j * t * evals)

@@ -278,9 +278,12 @@ def test_08_transport(fit_eps005_n100):
             {"observable": observable, "s1": s1, "eta": eta, "times": times}, workers=1)]
         for observable in ("particle", "energy")
     }
-    rep_p = tr.particle_transport_check(ens, s1, s2, eta, times, fit, series=series["particle"])
-    rep_e = tr.energy_transport_check_isotropic(ens, s1, s2, eta, times, fit,
-                                                series=series["energy"])
+    d = tr.region_distance(s1, s2)
+    sup_p = xp.aggregate(float(np.max(v)) for v in series["particle"])["mean"]
+    bound_p = tr.particle_transport_bound(fit, d)
+    sup_e = xp.aggregate(float(np.max(np.abs(v))) for v in series["energy"])["mean"]
+    bound_e = tr.energy_transport_bound(fit, d, tr.matrix_norm_bound(ens))
+    pass_p, pass_e = bool(sup_p <= 2.0 * bound_p), bool(sup_e <= 2.0 * bound_e)
 
     # anisotropic energy fluctuations flat across sizes (shared seed so
     # the disorder streams share prefixes)
@@ -293,11 +296,11 @@ def test_08_transport(fit_eps005_n100):
         results = xp.map_realizations(
             xp._real_energy_fluctuation, ensn,
             {"s1": tr.Region.of(range(1, 11)), "eta": np.ones(n), "times": timesn}, workers=1)
-        sups[n] = tr.ensemble_report(timesn, [r[0] for r in results])
+        sups[n] = xp.aggregate(float(np.max(np.abs(r[0]))) for r in results)
         means[n] = float(np.mean([r[1] for r in results]))
     flat = all(
-        abs(sups[a].mean_sup - sups[b].mean_sup)
-        <= 2.0 * np.hypot(sups[a].stderr_sup, sups[b].stderr_sup)
+        abs(sups[a]["mean"] - sups[b]["mean"])
+        <= 2.0 * np.hypot(sups[a]["stderr"], sups[b]["stderr"])
         for a, b in ((40, 80), (40, 160), (80, 160))
     )
     grows = abs(means[160]) > 2.0 * abs(means[40])
@@ -329,14 +332,14 @@ def test_08_transport(fit_eps005_n100):
                 ed_e = np.real(np.trace(rho_t @ HS1)) - (chain.nu[0] + chain.nu[1])
                 worst = max(worst, abs(free_e - ed_e))
 
-    ok = rep_p.passed and rep_e.passed and flat and grows and worst < 1e-8
+    ok = pass_p and pass_e and flat and grows and worst < 1e-8
     report(
         8,
         ok,
-        f"particle sup {rep_p.mean_sup:.2e} <= 2x{rep_p.bound:.2e}: {rep_p.passed}; "
-        f"energy sup {rep_e.mean_sup:.2e} <= 2x{rep_e.bound:.2e}: {rep_e.passed}; "
+        f"particle sup {sup_p:.2e} <= 2x{bound_p:.2e}: {pass_p}; "
+        f"energy sup {sup_e:.2e} <= 2x{bound_e:.2e}: {pass_e}; "
         f"fluctuation sup flat over n in (40,80,160): {flat} "
-        f"({sups[40].mean_sup:.1e}/{sups[80].mean_sup:.1e}/{sups[160].mean_sup:.1e}); "
+        f"({sups[40]['mean']:.1e}/{sups[80]['mean']:.1e}/{sups[160]['mean']:.1e}); "
         f"total energy grows: {grows}; trace formulas vs oracle {worst:.2e} < 1e-8",
     )
     assert ok

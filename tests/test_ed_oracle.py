@@ -65,8 +65,8 @@ def test_quadratic_form_identities(rng):
 
 def test_local_operators_commute_at_distance():
     n = 3
-    x1 = ed.site_op(n, 1, "X")
-    y3 = ed.site_op(n, 3, "Y")
+    x1 = kron_chain(n, {1: "X"})
+    y3 = kron_chain(n, {3: "Y"})
     assert commutator_norm(x1, y3) < 1e-14
 
 
@@ -74,8 +74,8 @@ def test_commutator_grows_under_evolution():
     ch = make_chain([1.0, 1.0], [0.0, 0.0], [0.3, -0.2, 0.5])
     H = ed.build_H(ch)
     hd = ed.spectral(H)
-    x1 = ed.site_op(3, 1, "X")
-    x3 = ed.site_op(3, 3, "X")
+    x1 = kron_chain(3, {1: "X"})
+    x3 = kron_chain(3, {3: "X"})
     at_zero = commutator_norm(x1, x3)
     evolved = commutator_norm(heisenberg_evolve(x1, hd, 1.0), x3)
     assert at_zero < 1e-14
@@ -85,7 +85,7 @@ def test_commutator_grows_under_evolution():
 def test_heisenberg_evolution_unitarity(rng):
     ch = random_chain(rng, 3)
     H = ed.build_H(ch)
-    op = ed.site_op(3, 2, "X")
+    op = kron_chain(3, {2: "X"})
     evolved = heisenberg_evolve(op, H, 0.83)
     assert np.max(np.abs(evolved @ evolved - np.eye(8))) < 1e-12  # X_t^2 = 1
 
@@ -162,19 +162,8 @@ def test_match_eigenstates_flags_degeneracy():
 
 
 def test_site_cap():
-    with pytest.raises(ValueError):
-        ed.site_op(15, 1, "Z")
     with pytest.raises(ValueError, match="oracle capped at n=14"):
         ed.all_c(15)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_site_op_equals_the_explicit_kron_chain(n):
-    for kind in ("X", "Y", "Z", "a"):
-        for j in range(1, n + 1):
-            assert np.array_equal(ed.site_op(n, j, kind), kron_chain(n, {j: kind}))
-    with pytest.raises(ValueError, match=f"site {n + 1} outside"):
-        ed.site_op(n, n + 1, "X")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])

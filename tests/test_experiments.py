@@ -516,8 +516,9 @@ def test_clustering_with_max_distance_matches_dense_formula():
     ("transport_energy", "energy_transport_check_isotropic"),
 ])
 def test_transport_run_matches_public_check(tmp_path, experiment, check):
-    # the experiment decomposes each chain once; the public check, fed the fit
-    # computed from a separate eigencorrelator pass, must give the same report
+    # the experiment decomposes each chain once; the public series and bound
+    # functions, fed the fit computed from a separate eigencorrelator pass
+    # and reduced by aggregate, must give the same payload and rows
     params = {"s1": [12], "s2": list(range(1, 5)) + list(range(21, 25)),
               "fit_min_distance": 2, "fit_max_distance": 10, "slack": 3.0}
     if experiment == "transport_energy":
@@ -537,18 +538,25 @@ def test_transport_run_matches_public_check(tmp_path, experiment, check):
     eta = np.zeros(24)
     eta[np.array(s2.sites) - 1] = 1.0
     s1 = tr.Region.of(params["s1"])
-    series_of = {"particle_transport_check": tr.particle_number_series,
-                 "energy_transport_check_isotropic": tr.energy_series_isotropic}[check]
-    series = [series_of(xp.sample_chain(cfg.ensemble, i), s1, eta, cfg.time_grid.times())
-              for i in range(3)]
-    report = getattr(tr, check)(cfg.ensemble, s1, s2, eta, cfg.time_grid.times(), fit,
-                                slack=3.0, series=series)
+    times = cfg.time_grid.times()
+    d = tr.region_distance(s1, s2)
+    if check == "particle_transport_check":
+        series = [tr.particle_number_series(xp.sample_chain(cfg.ensemble, i), s1, eta, times)
+                  for i in range(3)]
+        bound = tr.particle_transport_bound(fit, d)
+        sups = xp.aggregate(float(np.max(v)) for v in series)
+    else:
+        series = [tr.energy_series_isotropic(xp.sample_chain(cfg.ensemble, i), s1, eta, times)
+                  for i in range(3)]
+        bound = tr.energy_transport_bound(fit, d, tr.matrix_norm_bound(cfg.ensemble))
+        sups = xp.aggregate(float(np.max(np.abs(v))) for v in series)
+    mean = xp.aggregate(series)["mean"]
     assert payload["fit"] == {"C": fit.C, "eta": fit.eta, "r_squared": fit.r_squared}
-    assert (payload["sup"], payload["bound"], payload["pass"]) == (
-        report.mean_sup, report.bound, report.passed)
+    assert (payload["baseline"], payload["sup"], payload["bound"], payload["pass"]) == (
+        float(mean[0]), sups["mean"], bound, bool(sups["mean"] <= 3.0 * bound))
     name = "particle" if experiment == "transport_particle" else "energy"
     rows = (tmp_path / f"{name}_transport.csv").read_text().splitlines()[1:]
-    assert rows == [f"{t!r},{v!r}" for t, v in zip(report.times.tolist(), report.mean_values.tolist())]
+    assert rows == [f"{t!r},{v!r}" for t, v in zip(times.tolist(), mean.tolist())]
 
 
 @pytest.mark.parametrize("workers", [None, "abc", "2", 1.5, 2.0, True, False, 0, -1, [2]])
@@ -649,6 +657,7 @@ _ISO = {"s1": [10], "s2": [1, 20]}
     ("transport_energy", {**_FLATNESS, "s1": [11, 12, 13]}, "params.s1"),  # past the smallest size
     ("transport_energy", {**_FLATNESS, "s1": [1, 3]}, "params.s1"),  # not an interval
     ("transport_energy", {"variant": "flat", "s1": [10], "s2": [1]}, "params.variant"),
+    ("transport_energy", {"s1": [8, 10], "s2": [1, 20]}, "params.s1"),  # isotropic, not an interval
     ("transport_particle", {**_ISO, "eta_value": "0.5"}, "params.eta_value"),
     ("transport_particle", {**_ISO, "eta_value": 2.0}, "params.eta_value"),
     ("transport_particle", {**_ISO, "eta_value": True}, "params.eta_value"),
@@ -664,7 +673,8 @@ _ISO = {"s1": [10], "s2": [1, 20]}
     ("transport_energy", {**_FLATNESS_12, "eta_profile": [0.5] * 11 + [float("inf")]},
      "params.eta_profile"),
 ], ids=["s2-past-n", "s1-site-0", "s2-float", "s2-empty", "s2-missing", "s2-in-hull",
-        "flatness-s1-past-size", "flatness-s1-gap", "unknown-variant", "eta-value-string",
+        "flatness-s1-past-size", "flatness-s1-gap", "unknown-variant", "energy-s1-gap",
+        "eta-value-string",
         "eta-value-above-1", "eta-value-bool", "eta-value-nan", "energy-eta-value-negative",
         "eta-profile-unknown-name", "eta-profile-number", "eta-profile-one-size",
         "eta-profile-short", "eta-profile-above-1", "eta-profile-string-entry",
@@ -691,6 +701,55 @@ def test_cli_rejects_bad_transport_regions_before_any_realization(tmp_path, caps
 ])
 def test_parse_config_accepts_transport_regions_on_the_chain(experiment, params):
     assert xp.parse_config(_transport_config(experiment, **params)).params == params
+
+
+@pytest.mark.parametrize("experiment, params, ensemble, named", [
+    ("eigencorrelator", {"max_distance": "5"}, {}, "params.max_distance"),
+    ("eigencorrelator", {"min_distance": 2.5}, {}, "params.min_distance"),
+    ("lr_bound", {"min_distance": -1}, {}, "params.min_distance"),
+    ("correlations", {"state_seed": "a"}, {}, "params.state_seed"),
+    ("entanglement_static", {"ells": 5}, {}, "params.ells"),
+    ("entanglement_static", {"ells": [0]}, {}, "params.ells"),
+    ("entanglement_static", {"ells": [20]}, {}, "params.ells"),
+    ("entanglement_static", {"ells": [4], "label_seed": -1}, {}, "params.label_seed"),
+    ("entanglement_static", {"ells": [4], "fit_max_distance": 8.0}, {}, "params.fit_max_distance"),
+    ("entanglement_quench", {"ells": [25]}, {}, "params.ells"),
+    ("entanglement_quench", {"ells": []}, {}, "params.ells"),
+    ("fock", {"r_max": 0}, {}, "params.r_max"),
+    ("fock", {"pair_seed": -1}, {}, "params.pair_seed"),
+    ("eigencorrelator", {"block": "yes"}, {}, "params.block"),
+    ("lr_bound", {"block": 1}, {}, "params.block"),
+    ("eigencorrelator", {}, {"mu": {"kind": "constant", "value": "0.05"}}, "ensemble.mu.value"),
+    ("eigencorrelator", {}, {"nu": {"kind": "uniform", "lo": True, "hi": 1.0}}, "ensemble.nu.lo"),
+    ("eigencorrelator", {}, {"gamma": {"kind": "uniform", "lo": -0.5, "hi": float("inf")}},
+     "ensemble.gamma.hi"),
+], ids=["max-distance-string", "min-distance-float", "min-distance-negative", "state-seed-string",
+        "ells-number", "ells-0", "ells-n", "label-seed-negative", "fit-max-distance-float",
+        "quench-ells-past-n", "quench-ells-empty", "r-max-0", "pair-seed-negative",
+        "block-string", "block-int", "mu-value-string", "nu-lo-bool", "gamma-hi-inf"])
+def test_cli_rejects_bad_params_before_any_realization(tmp_path, capsys, experiment, params,
+                                                      ensemble, named):
+    cfg = tmp_path / "bad.json"
+    out = tmp_path / "out"
+    cfg.write_text(json.dumps({"experiment": experiment,
+                               "ensemble": {**ensemble_json(n=20, realizations=2), **ensemble},
+                               "time_grid": {"T": 1.0, "dt": 0.5}, "params": params,
+                               "output_dir": str(out)}))
+    assert cli.main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: ") and err.count("\n") == 1 and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("eigencorrelator", {"min_distance": 0, "max_distance": None, "block": False}),
+    ("entanglement_static", {"ells": [1, 19], "label_seed": 0, "fit_max_distance": None}),
+    ("fock", {"r_max": 1, "pair_seed": 0}),
+])
+def test_parse_config_accepts_params_at_their_edges(experiment, params):
+    cfg = {"experiment": experiment, "ensemble": ensemble_json(n=20, realizations=2),
+           "params": params}
+    assert xp.parse_config(cfg).params == params
 
 
 @pytest.mark.parametrize("value", [2.5, 3.0, 0, "3", True])
