@@ -31,7 +31,6 @@ from .hamiltonian import (
 )
 from .quasifree import (
     CorrelationMatrix,
-    GrowthFunction,
     dynamic_kernel,
     eigenstate_gamma,
     evolve_gamma,

@@ -151,6 +151,13 @@ class DecayFit:
     r_squared: float
     min_distance: int
 
+    def bound(self, factor: float, d, power: int = 2) -> float:
+        """factor C e^{-eta d} / (1 - e^{-eta})^power, the form of every
+        bound built from the fit; the paper's constant goes into factor."""
+        if self.eta <= 0:
+            raise ValueError(f"fitted bound needs a positive decay rate, got eta={self.eta}")
+        return float(factor * self.C * np.exp(-self.eta * d) / (1.0 - np.exp(-self.eta)) ** power)
+
 
 def fit_decay(averaged, min_distance: int, max_distance: int | None = None) -> DecayFit:
     """Least squares on (d, log v_d) over distances >= min_distance.
@@ -192,12 +199,7 @@ def lr_commutator_bound(
 
     the latter uniform over unit-norm observables at the two sites.
     """
-    if fit.eta <= 0:
-        raise ValueError("commutator bound needs a positive fitted decay rate")
-    d = abs(k - j)
-    q = np.exp(-fit.eta)
-    if kind == "fermion":
-        return float(4.0 * fit.C * b_norm * np.exp(-fit.eta * d) / (1.0 - q))
-    if kind == "local":
-        return float(96.0 * fit.C * b_norm * np.exp(-fit.eta * d) / (1.0 - q) ** 2)
-    raise ValueError(f"unknown bound kind {kind!r}")
+    if kind not in ("fermion", "local"):
+        raise ValueError(f"unknown bound kind {kind!r}")
+    factor, power = (4.0, 1) if kind == "fermion" else (96.0, 2)
+    return fit.bound(factor * b_norm, abs(k - j), power)

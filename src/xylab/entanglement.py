@@ -14,9 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .disorder import ChainSpec
+from .eigencorrelator import DecayFit
 from .hamiltonian import (
     BogoliubovDecomposition,
     SpectralDecomposition,
+    alpha_from_index,
     block_norms,
     bogoliubov,
 )
@@ -92,14 +94,6 @@ def entropy_from_gamma(cm: CorrelationMatrix, cut: Cut) -> float:
     return float(_spectrum_entropy(np.linalg.eigvalsh(block)))
 
 
-def entropy_from_right_block(cm: CorrelationMatrix, cut: Cut) -> float:
-    """Entropy computed from the complement block (equal to the left one
-    for pure states)."""
-    cut.check(cm.n)
-    block = cm.gamma[2 * cut.ell :, 2 * cut.ell :]
-    return float(_spectrum_entropy(np.linalg.eigvalsh(block)))
-
-
 def ps_bound(cm: CorrelationMatrix, cut: Cut) -> float:
     """Cross-cut bound 2 ln 2 * sum_{j<=ell} sum_{k>ell} ||gamma(j,k)||."""
     cut.check(cm.n)
@@ -107,13 +101,10 @@ def ps_bound(cm: CorrelationMatrix, cut: Cut) -> float:
     return float(2.0 * LN2 * np.sum(norms[: cut.ell, cut.ell :]))
 
 
-def area_law_constant(C: float, eta: float) -> float:
+def area_law_constant(fit: DecayFit) -> float:
     """2 ln 2 * C e^{-eta} / (1 - e^{-eta})^2: the disorder-averaged
-    entanglement bound implied by eigencorrelator decay at rate eta."""
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    q = np.exp(-eta)
-    return float(2.0 * LN2 * C * q / (1.0 - q) ** 2)
+    entanglement bound implied by the fitted eigencorrelator decay."""
+    return fit.bound(2.0 * LN2, 1)
 
 
 def _label_entropy(WA: np.ndarray, alpha) -> float:
@@ -158,11 +149,6 @@ def _label_entropies(WA: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     return out
 
 
-def _every_label(n: int) -> np.ndarray:
-    """All 2^n occupation patterns, row a = alpha_from_index(a, n)."""
-    return (np.arange(2**n)[:, None] >> np.arange(n)) & 1
-
-
 def max_eigenstate_entropy(
     bog: BogoliubovDecomposition,
     cut: Cut,
@@ -183,7 +169,7 @@ def max_eigenstate_entropy(
     if strategy == "exhaustive":
         if n > MAX_EXHAUSTIVE_SITES:
             raise ValueError(f"exhaustive strategy capped at n={MAX_EXHAUSTIVE_SITES}")
-        alphas = _every_label(n)
+        alphas = alpha_from_index(np.arange(2**n)[:, None], n)
         tag = "exhaustive"
     elif strategy == "sampled":
         if samples < 1:
@@ -250,7 +236,7 @@ def thermal_entanglement_of_formation_bound(
         if np.isinf(beta):
             return float(_label_entropies(WA, np.zeros((1, n), dtype=int))[0])
         # energies 2*sum(lam[occupied]) - E0; the E0 shift cancels in the weights
-        alphas = _every_label(n)
+        alphas = alpha_from_index(np.arange(2**n)[:, None], n)
         w = np.exp(-2.0 * beta * (alphas @ bog.lam))
         return float(w @ _label_entropies(WA, alphas) / np.sum(w))
     from scipy.special import expit

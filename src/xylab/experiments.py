@@ -131,6 +131,23 @@ _COUNT_PARAMS = {
     "oracle_check": (("n", 1, ed.MAX_SITES), ("seed", 0), ("realizations", 1)),
 }
 
+# Fit windows, per experiment: the field of the window's lower end, then the
+# fields whose least value (with n - 1) is its upper end, as the drivers clip
+# it: the profile stops at max_distance for the static entanglement.
+_PROFILE_WINDOW = ("min_distance", "max_distance")
+_FIT_WINDOWS = {
+    "eigencorrelator": _PROFILE_WINDOW,
+    "lr_bound": _PROFILE_WINDOW,
+    "correlations": _PROFILE_WINDOW,
+    "entanglement_static": ("fit_min_distance", "fit_max_distance", "max_distance"),
+    "transport_particle": ("fit_min_distance", "fit_max_distance"),
+    "transport_energy": ("fit_min_distance", "fit_max_distance"),
+    "fock": ("fit_min_distance", "fit_max_distance"),
+}
+
+# Largest configuration cardinality of the fock pairs when params.r_max is absent.
+_FOCK_R_MAX = 5
+
 # Params with a fixed set of values, per experiment: (field, values); the
 # first value is the default.
 _CHOICES = {
@@ -154,6 +171,19 @@ def _check_params(experiment: str, params: dict, ensemble: EnsembleSpec | None) 
             _integer(params[key], f"params.{key}", *bounds)
     if experiment in ("entanglement_static", "entanglement_quench"):
         _integers(_require(params, "ells", "params"), "params.ells", 1, ensemble.n - 1)
+    if experiment in _FIT_WINDOWS and params.get("variant") != "anisotropic_flatness":
+        low, *highs = _FIT_WINDOWS[experiment]
+        lo = params.get(low, 1)
+        hi = min([ensemble.n - 1] + [params[k] for k in highs if params.get(k) is not None])
+        if hi - lo + 1 < 3:
+            fields = ", ".join(f"params.{k}" for k in (low, *highs))
+            raise ConfigError(f"the fit window [{lo}, {hi}] of {fields} and ensemble.n = "
+                              f"{ensemble.n} holds fewer than 3 distances")
+    if experiment == "fock":
+        r_max = params.get("r_max", _FOCK_R_MAX)
+        if r_max > ensemble.n:
+            raise ConfigError(f"params.r_max (default {_FOCK_R_MAX}) must be at most "
+                              f"ensemble.n = {ensemble.n}, got {r_max}")
     if (experiment in ("eigencorrelator", "lr_bound")
             and not isinstance(params.get("block", False), bool)):
         raise ConfigError(f"params.block must be true or false, got {params['block']!r}")
@@ -516,7 +546,7 @@ def run_entanglement_static(config: ExperimentConfig, outdir: Path) -> dict:
     _write_table(outdir / "entanglement_static.csv", "ell", p["ells"], ("max_entropy", "ps_bound"),
                  agg, p.get("strategy", "sampled"))
     fit = _mean_fit([r[1] for r in per_real], p)
-    bound = ent.area_law_constant(fit.C, fit.eta)
+    bound = ent.area_law_constant(fit)
     entropies = agg["mean"][:, 0]
     return {
         "fit": _fit_block(fit),
@@ -615,7 +645,7 @@ def run_fock(config: ExperimentConfig, outdir: Path) -> dict:
     tau = p.get("tau", 0.5)
     alpha = p.get("alpha", 1.25)
     pairs = sample_configuration_pairs(n, tau, p.get("pair_count", 100),
-                                       seed=p.get("pair_seed", 0), r_max=p.get("r_max", 5))
+                                       seed=p.get("pair_seed", 0), r_max=p.get("r_max", _FOCK_R_MAX))
     measured = map_realizations(
         _real_fock, config.ensemble,
         {"alpha": alpha, "pairs": pairs, "fit_max_distance": p.get("fit_max_distance")},

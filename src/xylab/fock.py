@@ -18,7 +18,7 @@ import numpy as np
 
 from .eigencorrelator import DecayFit
 from .hamiltonian import SpectralDecomposition
-from .quasifree import GrowthFunction, configuration_distance, growth_series, ordered_configuration
+from .quasifree import configuration_distance, ordered_configuration, sw_bound
 
 
 def hopcroft_karp(adjacency: list, n_right: int) -> list:
@@ -220,30 +220,24 @@ def fock_localization_check(overlaps, pairs, n: int, fit: DecayFit, tau: float, 
     overlaps |overlap(k, j)| of the pairs (from pair_overlaps) at chain
     size n:
 
-        |overlap(k, j)| <= 8 max(I, sqrt(I)) n^{2 tau}
-                           * exp(-(eta - eta0)/4 * D(k, j)),
+        |overlap(k, j)| <= n^{2 tau} sw_bound(n^tau, eta0, eta, C, D(k, j)),
 
-    with I = C * sum_l (1 + l) exp(-eta0 K(l)) for the growth profile K
-    thresholded at n^tau, eta defaulting to half the fitted decay rate,
-    and C the fitted prefactor.  Takes one overlap vector of shape
-    (pairs,) or a stack of shape (R, pairs), bounds each pair once and
-    gives one fraction per vector.  Pairs violating D >= 2 n^tau are
-    skipped; with none left the fraction is 1.
+    the determinant bound for the growth profile thresholded at n^tau,
+    with eta defaulting to half the fitted decay rate and C the fitted
+    prefactor.  Takes one overlap vector of shape (pairs,) or a stack of
+    shape (R, pairs), bounds each pair once and gives one fraction per
+    vector.  Pairs violating D >= 2 n^tau are skipped; with none left the
+    fraction is 1.
     """
     if eta is None:
         eta = 0.5 * fit.eta
-    if not 0 < eta0 < eta:
-        raise ValueError(f"need 0 < eta0 < eta, got eta0={eta0}, eta={eta}")
     overlaps = np.asarray(overlaps, dtype=float)
     if overlaps.shape[-1] != len(pairs):
         raise ValueError(f"{overlaps.shape[-1]} overlaps for {len(pairs)} pairs")
     cut = float(n) ** tau
-    K = GrowthFunction(kind="thresholded", tau_cut=cut)
-    I = fit.C * growth_series(K, eta0)
-    const = 8.0 * max(I, np.sqrt(I)) * float(n) ** (2.0 * tau)
     D = np.array([configuration_distance(k, j) for k, j in pairs], dtype=float)
+    bound = float(n) ** (2.0 * tau) * sw_bound(cut, eta0, eta, fit.C, D)
     far = D >= 2.0 * cut
     if not far.any():
         return np.ones(overlaps.shape[:-1])
-    bound = const * np.exp(-0.25 * (eta - eta0) * D[far])
-    return np.mean(overlaps[..., far] <= bound, axis=-1)
+    return np.mean(overlaps[..., far] <= bound[far], axis=-1)

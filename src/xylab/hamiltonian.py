@@ -64,15 +64,6 @@ def build_M(chain: ChainSpec) -> np.ndarray:
     return M
 
 
-def block_j(n: int) -> np.ndarray:
-    """J = (sigma_x)^{+n}: swaps c_j and c_j^* within each block."""
-    J = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        J[2 * j, 2 * j + 1] = 1.0
-        J[2 * j + 1, 2 * j] = 1.0
-    return J
-
-
 def block_norms(re: np.ndarray, im: np.ndarray | None = None) -> np.ndarray:
     """Spectral norms of the 2x2 matrices re + i im stacked on the last two
     axes: the square root of the top eigenvalue of X X^*, whose gap is
@@ -247,6 +238,7 @@ def all_many_body_energies(bog: BogoliubovDecomposition) -> np.ndarray:
     return energies - bog.E0
 
 
-def alpha_from_index(a: int, n: int) -> np.ndarray:
-    """Occupation bits of enumeration index a (alpha_j = bit j of a)."""
+def alpha_from_index(a, n: int) -> np.ndarray:
+    """Occupation bits of enumeration index a (alpha_j = bit j of a); a
+    column of indices gives one row of bits per index."""
     return (a >> np.arange(n)) & 1

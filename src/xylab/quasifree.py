@@ -234,52 +234,35 @@ def multipoint_correlation(kernel: np.ndarray, x, y) -> complex:
 # structured-determinant bound
 
 
-@dataclass(frozen=True)
-class GrowthFunction:
-    """Monotone growth profile K: linear K(l) = l, or thresholded
-    K(l) = 0 below the cut and l at or above it."""
-
-    kind: str = "linear"
-    tau_cut: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("linear", "thresholded"):
-            raise ValueError(f"unknown growth function kind {self.kind!r}")
-
-    def __call__(self, ell):
-        ell = np.asarray(ell, dtype=float)
-        if self.kind == "linear":
-            out = ell
-        else:
-            out = np.where(ell < self.tau_cut, 0.0, ell)
-        return float(out) if out.ndim == 0 else out
-
-
-def growth_series(K: GrowthFunction, mu0: float) -> float:
-    """I(mu0) = sum_{l>=0} (1+l) exp(-mu0 K(l)) in closed form, with
-    q = exp(-mu0): 1/(1-q)^2 for linear K; for K thresholded at the cut,
-    with L = ceil(cut) the first term past the plateau, the plateau head
-    L(L+1)/2 plus the tail q^L (L+1-Lq)/(1-q)^2."""
+def growth_series(cut: float, mu0: float) -> float:
+    """I(mu0) = sum_{l>=0} (1+l) exp(-mu0 K(l)) in closed form for the
+    growth profile K(l) = 0 below the cut and l at or above it (cut 0 is
+    the linear K(l) = l): with q = exp(-mu0) and L = ceil(cut) the first
+    term past the plateau, the plateau head L(L+1)/2 plus the tail
+    q^L (L+1-Lq)/(1-q)^2."""
     if mu0 <= 0:
         raise ValueError(f"mu0 must be positive, got {mu0}")
-    L = max(0, math.ceil(K.tau_cut)) if K.kind == "thresholded" else 0
+    L = max(0, math.ceil(cut))
     q = math.exp(-mu0)
     return 0.5 * L * (L + 1) + math.exp(-mu0 * L) * (L + 1 - L * q) / math.expm1(-mu0) ** 2
 
 
-def sw_bound(K: GrowthFunction, mu0: float, mu: float, C: float, D: float) -> float:
+def sw_bound(cut: float, mu0: float, mu: float, C: float, D):
     """Upper bound on |det| of an m x m sample of a kernel whose entries
-    decay like C exp(-mu K(|x-y|)) with ||kernel|| <= 1:
+    decay like C exp(-mu K(|x-y|)) with ||kernel|| <= 1, K the growth
+    profile thresholded at the cut:
 
         8 max(C I(mu0), sqrt(C I(mu0))) * exp(-(mu-mu0)/2 * K(D/2)),
 
-    valid for any pair of ordered configurations at distance D, any m.
+    valid for any pair of ordered configurations at distance D, any m;
+    D may be an array of distances.
     """
     if not mu > mu0 > 0:
         raise ValueError(f"need mu > mu0 > 0, got mu={mu}, mu0={mu0}")
-    CI = C * growth_series(K, mu0)
+    CI = C * growth_series(cut, mu0)
     cprime = 8.0 * max(CI, math.sqrt(CI))
-    return cprime * math.exp(-0.5 * (mu - mu0) * K(D / 2.0))
+    half = np.asarray(D, dtype=float) / 2.0
+    return cprime * np.exp(-0.5 * (mu - mu0) * np.where(half < cut, 0.0, half))
 
 
 def quench_initial_gamma(chain: ChainSpec, ell: int, alpha_left, alpha_right):

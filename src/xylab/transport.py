@@ -7,8 +7,9 @@ change of basis to the eigenvectors V of X it reads
 sum_ab e^{it(lam_a - lam_b)} K_ab with K = (V^t O V) o (V^t G V)^t, so
 quasifree.trace_series evaluates a whole time grid as matrix products
 over chunks of times: O(n^2) per time step and no propagator built.
-The bounds C e^{-eta d} / (1 - e^{-eta})^2 take the fitted
-eigencorrelator constants and d = dist(S1, S2); the experiment driver
+Every series here is one such profile trace, with G the diagonal
+profile.  The bounds C e^{-eta d} / (1 - e^{-eta})^2 are DecayFit.bound
+of the fitted eigencorrelator constants at d = dist(S1, S2); the experiment driver
 judges the disorder-averaged suprema against them.
 """
 
@@ -45,31 +46,35 @@ def region_distance(s1: Region, s2: Region) -> int:
     return int(min(abs(x - y) for x in s1.sites for y in s2.sites))
 
 
+def _profile_trace(sd: SpectralDecomposition, rows, O: np.ndarray, occupations, times) -> np.ndarray:
+    """Re tr(e^{2itX} O_R e^{-2itX} diag(occupations)) for the operator O
+    on the rows R of X = V diag(lam) V^t: trace_series of
+    K = (V_R^t O V_R) o ((V^t diag(occupations)) V)^t."""
+    V = sd.eigenvectors
+    Vr = V[rows, :]
+    K = (Vr.T @ (O @ Vr)) * ((V.T * np.asarray(occupations, dtype=float)) @ V).T
+    return trace_series(sd.eigenvalues, K, times, scale=2.0).real
+
+
 def particle_number_series(
     chain: ChainSpec, s1: Region, eta, times, sd: SpectralDecomposition | None = None
 ) -> np.ndarray:
     """<N_{S1}> along the evolution of the profile state,
-    sum_{j in S1} sum_k |exp(-2itA)_{jk}|^2 eta_k, as the eigenbasis trace
-    series of K = (V_S1^t V_S1) o (V^t D_eta V).  sd, the decomposition
-    diagonalize_A(chain), may be passed in so that one decomposition per
-    chain serves several observables."""
+    sum_{j in S1} sum_k |exp(-2itA)_{jk}|^2 eta_k, as the profile trace of
+    the identity on S1.  sd, the decomposition diagonalize_A(chain), may be
+    passed in so that one decomposition per chain serves several
+    observables."""
     if not chain.isotropic:
         raise ValueError("particle transport applies to the isotropic chain")
-    eta = np.asarray(eta, dtype=float)
     if sd is None:
         sd = diagonalize_A(chain)
-    V = sd.eigenvectors
-    Vr = V[np.array(s1.sites) - 1, :]
-    K = (Vr.T @ Vr) * ((V.T * eta) @ V)
-    return trace_series(sd.eigenvalues, K, times, scale=-2.0).real
+    rows = np.array(s1.sites) - 1
+    return _profile_trace(sd, rows, np.eye(len(rows)), eta, times)
 
 
 def particle_transport_bound(fit: DecayFit, d: int) -> float:
     """2 C e^{-eta d} / (1 - e^{-eta})^2 from fitted eigencorrelator decay."""
-    if fit.eta <= 0:
-        raise ValueError("particle transport bound needs a positive decay rate")
-    q = np.exp(-fit.eta)
-    return float(2.0 * fit.C * np.exp(-fit.eta * d) / (1.0 - q) ** 2)
+    return fit.bound(2.0, d)
 
 
 def _interval_projector_indices(s1: Region) -> np.ndarray:
@@ -83,27 +88,19 @@ def energy_series_isotropic(
 ) -> np.ndarray:
     """Series of <H_{S1}>_t - sum_{S1} nu_j (the t = 0 value when the profile
     vanishes on S1), the trace 2 tr(exp(2itA) A_S1 exp(-2itA) diag(eta)),
-    evaluated in the eigenbasis (one O(n^2) contraction per time); sd as
-    in particle_number_series."""
+    twice the profile trace of A_S1; sd as in particle_number_series."""
     if not chain.isotropic:
         raise ValueError("isotropic energy formula requires gamma = 0")
     idx = _interval_projector_indices(s1)
-    eta = np.asarray(eta, dtype=float)
     A = build_A(chain)
     if sd is None:
         sd = diagonalize_A(chain)
-    V = sd.eigenvectors
-    core = V[idx, :].T @ (A[np.ix_(idx, idx)] @ V[idx, :])
-    weighted = (V.T * eta) @ V  # D_eta in the eigenbasis
-    return 2.0 * trace_series(sd.eigenvalues, core * weighted.T, times, scale=2.0).real
+    return 2.0 * _profile_trace(sd, idx, A[np.ix_(idx, idx)], eta, times)
 
 
 def energy_transport_bound(fit: DecayFit, d: int, matrix_norm_bound: float) -> float:
     """4 C D e^{-eta d} / (1 - e^{-eta})^2 with D a uniform bound on ||A||."""
-    if fit.eta <= 0:
-        raise ValueError("energy transport bound needs a positive decay rate")
-    q = np.exp(-fit.eta)
-    return float(4.0 * fit.C * matrix_norm_bound * np.exp(-fit.eta * d) / (1.0 - q) ** 2)
+    return fit.bound(4.0 * matrix_norm_bound, d)
 
 
 def matrix_norm_bound(ensemble: EnsembleSpec) -> float:
@@ -113,16 +110,13 @@ def matrix_norm_bound(ensemble: EnsembleSpec) -> float:
 
 def energy_fluctuation_series(chain: ChainSpec, s1: Region, eta, times) -> np.ndarray:
     """<H_{S1}>_t - <H_{S1}>_0 for a general profile on the (possibly
-    anisotropic) chain: -tr(exp(2itM) M_{S1} exp(-2itM) Gamma) minus its
-    t = 0 value."""
+    anisotropic) chain: minus the profile trace of M_{S1} against the
+    diagonal of Gamma, less its t = 0 value."""
     idx = _interval_projector_indices(s1)
     M = build_M(chain)
-    sd = bogoliubov(chain).spectral
     rows = np.sort(np.concatenate([2 * idx, 2 * idx + 1]))
-    V = sd.eigenvectors
-    core = V[rows, :].T @ (M[np.ix_(rows, rows)] @ V[rows, :])  # M_S1 in the eigenbasis
-    gv = (V.T * np.diag(profile_gamma(eta).gamma)) @ V
-    out = -trace_series(sd.eigenvalues, core * gv.T, times, scale=2.0).real
+    occupations = np.diag(profile_gamma(eta).gamma)
+    out = -_profile_trace(bogoliubov(chain).spectral, rows, M[np.ix_(rows, rows)], occupations, times)
     return out - out[0]
 
 

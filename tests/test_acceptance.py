@@ -194,7 +194,6 @@ def test_06_determinant_bound():
     envelope = C * np.exp(-mu * np.abs(np.subtract.outer(idx, idx)))
     raw = rng.uniform(-1, 1, (n, n)) * envelope
     raw /= max(1.0, np.linalg.norm(raw, 2))
-    K = qf.GrowthFunction("linear")
     mu0 = 0.3
     violations = 0
     for _ in range(200):
@@ -203,7 +202,7 @@ def test_06_determinant_bound():
         y = tuple(sorted(rng.choice(n, m, replace=False) + 1))
         D = qf.configuration_distance(x, y)
         det = qf.multipoint_correlation(raw, x, y)
-        if abs(det) > qf.sw_bound(K, mu0, mu, C, D):
+        if abs(det) > qf.sw_bound(0.0, mu0, mu, C, D):
             violations += 1
     ok = violations == 0
     report(6, ok, f"200 sampled configuration pairs, m <= 6: {violations} bound violations")
@@ -226,7 +225,7 @@ def test_07_area_law_flatness():
 
     prof = ensemble_mean(xp._real_eigencorrelator, ens, {"block": True, "max_distance": 30})
     fitb = ec.fit_decay(prof, min_distance=2, max_distance=25)
-    bound = ent.area_law_constant(fitb.C, fitb.eta)
+    bound = ent.area_law_constant(fitb)
     below = a10["mean"] <= 2.0 * bound and a30["mean"] <= 2.0 * bound
 
     times = np.arange(0.0, 30.0 + 1e-9, 0.5)

@@ -8,6 +8,7 @@ from xylab import entanglement as ent
 from xylab import hamiltonian as ham
 from xylab import quasifree as qf
 from xylab.disorder import high_disorder_ensemble, make_chain, sample_chain, uniform
+from xylab.eigencorrelator import DecayFit
 from xylab.hamiltonian import alpha_from_index
 
 from conftest import random_chain
@@ -60,7 +61,8 @@ def test_left_right_symmetry_for_pure_states(rng):
     cm = qf.eigenstate_gamma(bog, [1, 0, 1, 1, 0, 0, 1])
     for ell in (1, 3, 6):
         left = ent.entropy_from_gamma(cm, ent.Cut(ell))
-        right = ent.entropy_from_right_block(cm, ent.Cut(ell))
+        # the complement block's spectrum
+        right = ent._spectrum_entropy(np.linalg.eigvalsh(cm.gamma[2 * ell :, 2 * ell :]))
         assert abs(left - right) < 1e-8
 
 
@@ -142,8 +144,8 @@ def test_batched_kernel_fires_on_sigma_squared_above_one():
     bog = ham.bogoliubov(make_chain([0.0, 0.0], [0.0, 0.0], [1.0, -2.0, 0.7]))
     WA = (1 + 2e-9) ** 0.25 * bog.W[:, :2]
     with pytest.raises(ValueError, match=r"restricted spectrum outside \[0,1\]: sigma\^2"):
-        ent._label_entropies(WA, ent._every_label(3))
-    assert np.all(ent._label_entropies(bog.W[:, :2], ent._every_label(3)) < 1e-9)
+        ent._label_entropies(WA, alpha_from_index(np.arange(2**3)[:, None], 3))
+    assert np.all(ent._label_entropies(bog.W[:, :2], alpha_from_index(np.arange(2**3)[:, None], 3)) < 1e-9)
 
 
 def _corner_chain(rng, corner):
@@ -165,7 +167,7 @@ def _corner_chain(rng, corner):
 @pytest.mark.parametrize("corner", ["random", "gamma_pm1", "zero_bond", "nu_zero", "clean", "n2"])
 def test_batched_label_entropies_match_per_label(rng, corner):
     bog = ham.bogoliubov(_corner_chain(rng, corner))
-    labels = ent._every_label(bog.n)
+    labels = alpha_from_index(np.arange(2**bog.n)[:, None], bog.n)
     for ell in range(1, bog.n):
         WA = bog.W[:, : 2 * ell]
         batched = ent._label_entropies(WA, labels)
@@ -291,7 +293,7 @@ def test_thermal_entanglement_of_formation_bound(rng):
     n, beta, count = 15, 1.0, 4000
     bog15 = ham.bogoliubov(random_chain(rng, n))
     cut15 = ent.Cut(6)
-    alphas = ent._every_label(n)
+    alphas = alpha_from_index(np.arange(2**n)[:, None], n)
     w = np.exp(-2.0 * beta * (alphas @ bog15.lam))
     w /= np.sum(w)
     entropies = ent._label_entropies(bog15.W[:, : 2 * cut15.ell], alphas)
@@ -346,13 +348,17 @@ def test_ensemble_ps_bound_below_fitted_constant():
         prof = ec.distance_profile(Q, 40)
         prof_acc = prof if prof_acc is None else prof_acc + prof
     fit = ec.fit_decay(prof_acc / ens.realizations, min_distance=2, max_distance=30)
-    assert np.mean(sup_bounds) <= 2.0 * ent.area_law_constant(fit.C, fit.eta)
+    assert np.mean(sup_bounds) <= 2.0 * ent.area_law_constant(fit)
 
 
 def test_area_law_constant_formula():
     eta = np.log(2.0)
     # 2 ln 2 * C e^{-eta} / (1 - e^{-eta})^2 with C = 1, eta = ln 2: 2 ln 2 * 2
-    assert ent.area_law_constant(1.0, eta) == pytest.approx(2 * np.log(2) * 0.5 / 0.25)
+    fit = DecayFit(C=1.0, eta=eta, r_squared=1.0, min_distance=1)
+    assert ent.area_law_constant(fit) == pytest.approx(2 * np.log(2) * 0.5 / 0.25)
+    for bad in (0.0, -0.3):
+        with pytest.raises(ValueError, match="positive decay rate"):
+            ent.area_law_constant(DecayFit(C=1.0, eta=bad, r_squared=1.0, min_distance=1))
 
 
 def test_cut_validation():

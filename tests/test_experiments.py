@@ -723,10 +723,29 @@ def test_parse_config_accepts_transport_regions_on_the_chain(experiment, params)
     ("eigencorrelator", {}, {"nu": {"kind": "uniform", "lo": True, "hi": 1.0}}, "ensemble.nu.lo"),
     ("eigencorrelator", {}, {"gamma": {"kind": "uniform", "lo": -0.5, "hi": float("inf")}},
      "ensemble.gamma.hi"),
+    ("fock", {"r_max": 21}, {}, "params.r_max"),
+    ("fock", {}, {"n": 4}, "params.r_max"),  # the default r_max 5
+    # fit windows of two distances, clipped as the drivers clip them
+    ("eigencorrelator", {"min_distance": 7, "max_distance": 8}, {},
+     "params.min_distance, params.max_distance"),
+    ("lr_bound", {"min_distance": 18}, {}, "params.min_distance, params.max_distance"),
+    ("correlations", {"min_distance": 18, "max_distance": 40}, {},
+     "params.min_distance, params.max_distance"),
+    ("entanglement_static", {"ells": [4], "fit_min_distance": 4, "max_distance": 5}, {},
+     "params.fit_min_distance, params.fit_max_distance, params.max_distance"),
+    ("fock", {"fit_max_distance": 2}, {}, "params.fit_min_distance, params.fit_max_distance"),
+    ("transport_particle", {"s1": [10], "s2": [1, 20], "fit_min_distance": 18}, {},
+     "params.fit_min_distance, params.fit_max_distance"),
+    ("transport_energy", {"s1": [9, 10], "s2": [1, 20], "fit_min_distance": 5,
+                          "fit_max_distance": 6}, {},
+     "params.fit_min_distance, params.fit_max_distance"),
 ], ids=["max-distance-string", "min-distance-float", "min-distance-negative", "state-seed-string",
         "ells-number", "ells-0", "ells-n", "label-seed-negative", "fit-max-distance-float",
         "quench-ells-past-n", "quench-ells-empty", "r-max-0", "pair-seed-negative",
-        "block-string", "block-int", "mu-value-string", "nu-lo-bool", "gamma-hi-inf"])
+        "block-string", "block-int", "mu-value-string", "nu-lo-bool", "gamma-hi-inf",
+        "r-max-past-n", "r-max-default-past-n", "eigencorrelator-window", "lr-bound-window",
+        "correlations-window", "entanglement-static-window", "fock-window",
+        "transport-particle-window", "transport-energy-window"])
 def test_cli_rejects_bad_params_before_any_realization(tmp_path, capsys, experiment, params,
                                                       ensemble, named):
     cfg = tmp_path / "bad.json"
@@ -745,6 +764,11 @@ def test_cli_rejects_bad_params_before_any_realization(tmp_path, capsys, experim
     ("eigencorrelator", {"min_distance": 0, "max_distance": None, "block": False}),
     ("entanglement_static", {"ells": [1, 19], "label_seed": 0, "fit_max_distance": None}),
     ("fock", {"r_max": 1, "pair_seed": 0}),
+    ("fock", {"r_max": 20, "fit_min_distance": 2, "fit_max_distance": 4}),
+    # fit windows of exactly three distances
+    ("eigencorrelator", {"min_distance": 17}),
+    ("correlations", {"min_distance": 6, "max_distance": 8}),
+    ("entanglement_static", {"ells": [4], "fit_min_distance": 3, "max_distance": 5}),
 ])
 def test_parse_config_accepts_params_at_their_edges(experiment, params):
     cfg = {"experiment": experiment, "ensemble": ensemble_json(n=20, realizations=2),
@@ -919,7 +943,7 @@ def _fock_two_pass(cfg):
     eta = p.get("eta", 0.5 * fit.eta)
     eta0 = 0.25 * eta
     pairs = fock.sample_configuration_pairs(n, tau, p["pair_count"])
-    I = fit.C * qf.growth_series(qf.GrowthFunction(kind="thresholded", tau_cut=n**tau), eta0)
+    I = fit.C * qf.growth_series(n**tau, eta0)
     const = 8.0 * max(I, np.sqrt(I)) * n ** (2 * tau)
     rows = []
     for i in range(ens.realizations):

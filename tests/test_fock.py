@@ -287,7 +287,7 @@ def test_fock_localization_check_stack_matches_rows(rng):
     pairs = fock.sample_configuration_pairs(n, tau, 25, seed=3)
     pairs[0] = ((5,), (6,))  # closer than 2 n^tau: skipped
     D = np.array([fock.configuration_distance(k, j) for k, j in pairs])
-    I = qf.growth_series(qf.GrowthFunction(kind="thresholded", tau_cut=n**tau), 0.1)
+    I = qf.growth_series(n**tau, 0.1)
     bound = 8.0 * I * n ** (2 * tau) * np.exp(-0.25 * (0.5 - 0.1) * D)  # eta = fit.eta / 2
     overlaps = bound * rng.uniform(0.2, 1.3, size=(30, len(pairs)))
     fractions = fock.fock_localization_check(overlaps, pairs, n, fit, tau, 0.1)
@@ -304,6 +304,12 @@ def test_fock_localization_check_stack_matches_rows(rng):
     assert fock.fock_localization_check(np.full((3, 2), 1e9), near, n, fit, tau, 0.1).tolist() == [1.0] * 3
     with pytest.raises(ValueError):
         fock.fock_localization_check(overlaps[:, 1:], pairs, n, fit, tau, 0.1)
+    # eta0 >= eta is rejected, also when every pair is near and none is checked
+    for eta0 in (0.5, 0.7):
+        with pytest.raises(ValueError, match="mu > mu0 > 0"):
+            fock.fock_localization_check(overlaps, pairs, n, fit, tau, eta0)
+        with pytest.raises(ValueError, match="mu > mu0 > 0"):
+            fock.fock_localization_check(np.full((3, 2), 1e9), near, n, fit, tau, eta0)
     with pytest.raises(ValueError):
         fock.fock_localization_check(overlaps[0], pairs[1:], n, fit, tau, 0.1)
 

@@ -91,7 +91,7 @@ def test_bogoliubov_invariants(rng):
         ch = random_chain(rng, n)
         bog = ham.bogoliubov(ch)
         n2 = 2 * n
-        J = ham.block_j(n)
+        J = np.kron(np.eye(n), [[0, 1], [1, 0]])
         M = ham.build_M(ch)
         assert np.max(np.abs(bog.W @ bog.W.T - np.eye(n2))) < 1e-10
         assert np.max(np.abs(bog.W @ J @ bog.W.T - J)) < 1e-10

@@ -194,8 +194,7 @@ def test_multipoint_validation():
 
 def test_growth_series_linear_closed_form():
     # sum (1+l) e^{-l} = e^2 / (e-1)^2, via brute-force partial sums
-    K = qf.GrowthFunction("linear")
-    val = qf.growth_series(K, 1.0)
+    val = qf.growth_series(0.0, 1.0)  # cut 0: K(l) = l
     brute = sum((1 + ell) * np.exp(-float(ell)) for ell in range(200))
     assert val == pytest.approx(brute, rel=1e-12)
     assert val == pytest.approx(np.e**2 / (np.e - 1) ** 2, rel=1e-10)
@@ -206,21 +205,26 @@ def test_growth_series_linear_closed_form():
 @pytest.mark.parametrize("mu0", [0.05, 3.0])
 def test_growth_series_thresholded_matches_partial_sums(cut, mu0):
     # plateau head L(L+1)/2 plus the closed-form tail, L = ceil(cut)
-    K = qf.GrowthFunction("thresholded", tau_cut=cut)
-    brute = sum((1 + ell) * np.exp(-mu0 * K(ell)) for ell in range(3000))
-    assert qf.growth_series(K, mu0) == pytest.approx(brute, rel=1e-12)
+    brute = sum((1 + ell) * np.exp(-mu0 * (ell if ell >= cut else 0.0)) for ell in range(3000))
+    assert qf.growth_series(cut, mu0) == pytest.approx(brute, rel=1e-12)
     with pytest.raises(ValueError, match="mu0"):
-        qf.growth_series(K, 0.0)
+        qf.growth_series(cut, 0.0)
 
 
 def test_sw_bound_no_decay_at_zero_distance():
-    K = qf.GrowthFunction("linear")
     C = 0.8
-    I = qf.growth_series(K, 1.0)
+    I = qf.growth_series(0.0, 1.0)
     cprime = 8 * max(C * I, np.sqrt(C * I))
-    assert qf.sw_bound(K, 1.0, 2.5, C, 0.0) == pytest.approx(cprime, rel=1e-12)
+    assert qf.sw_bound(0.0, 1.0, 2.5, C, 0.0) == pytest.approx(cprime, rel=1e-12)
     with pytest.raises(ValueError):
-        qf.sw_bound(K, 1.0, 0.5, C, 3.0)
+        qf.sw_bound(0.0, 1.0, 0.5, C, 3.0)
+
+
+@pytest.mark.parametrize("cut", [0.0, 3.5])
+def test_sw_bound_of_an_array_equals_the_scalar_calls(cut):
+    D = np.array([0.0, 2.0, 6.0, 7.0, 40.0, 3000.0])
+    scalars = [qf.sw_bound(cut, 0.3, 0.8, 1.2, float(d)) for d in D]
+    assert qf.sw_bound(cut, 0.3, 0.8, 1.2, D).tolist() == pytest.approx(scalars, rel=1e-15)
 
 
 def test_sw_bound_dominates_sampled_determinants():
@@ -234,7 +238,6 @@ def test_sw_bound_dominates_sampled_determinants():
     raw = rng.uniform(-1, 1, (n, n)) * envelope
     # normalize to ||rho|| <= 1 without breaking the entry bound
     raw /= max(1.0, np.linalg.norm(raw, 2))
-    K = qf.GrowthFunction("linear")
     mu0 = 0.3
     for _ in range(200):
         m = int(rng.integers(1, 7))
@@ -242,7 +245,7 @@ def test_sw_bound_dominates_sampled_determinants():
         y = tuple(sorted(rng.choice(n, m, replace=False) + 1))
         D = qf.configuration_distance(x, y)
         det = qf.multipoint_correlation(raw, x, y)
-        assert abs(det) <= qf.sw_bound(K, mu0, mu, C, D) + 1e-12
+        assert abs(det) <= qf.sw_bound(0.0, mu0, mu, C, D) + 1e-12
 
 
 def test_ordered_configuration_validation():

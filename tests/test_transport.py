@@ -140,6 +140,12 @@ def test_transport_bounds_formulas():
     assert tr.particle_transport_bound(fit, 0) == pytest.approx(8.0)
     # 4CD e^{-eta d}/(1-e^{-eta})^2 with D = 7
     assert tr.energy_transport_bound(fit, 0, 7.0) == pytest.approx(112.0)
+    for bad in (0.0, -0.3):
+        flat = DecayFit(C=1.0, eta=bad, r_squared=1.0, min_distance=1)
+        with pytest.raises(ValueError, match="positive decay rate"):
+            tr.particle_transport_bound(flat, 2)
+        with pytest.raises(ValueError, match="positive decay rate"):
+            tr.energy_transport_bound(flat, 2, 7.0)
     ens = EnsembleSpec(n=4, mu_dist=uniform(-1, 1), gamma_dist=constant(0.0),
                        nu_dist=uniform(-5, 5), base_seed=0, realizations=1)
     assert tr.matrix_norm_bound(ens) == pytest.approx(7.0)
