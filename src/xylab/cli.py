@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 
 from .eigencorrelator import fit_decay
+from .config import DEFAULTS
 from .experiments import ConfigError, oracle_suite, parse_config, run, write_json
 
 
@@ -33,10 +34,6 @@ def _cmd_run(args) -> int:
         payload = run(config)
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"error: invalid config: missing required field params.{exc.args[0]}",
-              file=sys.stderr)
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -110,9 +107,8 @@ def main(argv=None) -> int:
     p_run.set_defaults(fn=_cmd_run)
 
     p_oracle = sub.add_parser("oracle-check", help="run the brute-force identity suite")
-    p_oracle.add_argument("--n", type=int, default=6)
-    p_oracle.add_argument("--seed", type=int, default=42)
-    p_oracle.add_argument("--realizations", type=int, default=5)
+    for key, default in DEFAULTS["oracle_check"].items():
+        p_oracle.add_argument(f"--{key}", type=int, default=default)
     p_oracle.add_argument("--output", help="optional JSON output path")
     p_oracle.set_defaults(fn=_cmd_oracle_check)
 

@@ -1,0 +1,257 @@
+"""Experiment configs: the params table, parsing and the content hash.
+
+PARAMS declares every params key of every experiment once, with its
+kind, default and range.  parse_config rejects undeclared keys and fills
+the defaults into config.params; summaries echo and hash the raw config.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+from dataclasses import dataclass, replace
+from typing import NamedTuple
+
+import numpy as np
+
+from .disorder import EnsembleSpec
+from .ed_oracle import MAX_SITES
+from .entanglement import MAX_EXHAUSTIVE_SITES
+
+
+class ConfigError(ValueError):
+    """Invalid experiment config; the message names the offending field."""
+
+
+@dataclass(frozen=True)
+class TimeGrid:
+    T: float
+    dt: float
+
+    def __post_init__(self):
+        if not 0 < self.dt <= self.T:
+            raise ConfigError(f"time_grid requires 0 < dt <= T, got dt={self.dt}, T={self.T}")
+
+    def times(self) -> np.ndarray:
+        steps = int(round(self.T / self.dt))
+        return np.arange(steps + 1) * self.dt
+
+
+def _require(obj: dict, key: str, path: str):
+    if key not in obj:
+        raise ConfigError(f"missing required field {path}.{key}" if path else f"missing required field {key}")
+    return obj[key]
+
+
+REQUIRED = "required"  # the default of a field that every config gives
+
+
+@dataclass(frozen=True)
+class Param:
+    """One config field: kind ("int", "float", "bool", "ints": a nonempty
+    array of int, "profile": "ones", "half" or an array of float, or the
+    tuple of the strings allowed), default (None: null is allowed too) and
+    the range [lo, hi], open when open, of a number or each array entry."""
+
+    kind: str | tuple
+    default: object = REQUIRED
+    lo: float = -math.inf
+    hi: float = math.inf
+    open: bool = False
+    KINDS = {"int": "an integer", "float": "a finite number", "bool": "true or false",  # not a field
+             "ints": "a nonempty array of integers", "profile": '"ones", "half" or a nonempty array of numbers'}
+
+    def check(self, value, field: str):
+        """value, or a one-line ConfigError that names field."""
+        kind, lo, hi = self.kind, self.lo, self.hi
+        if value is None and self.default is None or kind == "profile" and value in ("ones", "half"):
+            return value
+        if kind in ("ints", "profile") and isinstance(value, list) and value:
+            entry = replace(self, kind={"ints": "int", "profile": "float"}[kind], default=REQUIRED)
+            return [entry.check(v, field if kind == "ints" else f"{field} entry") for v in value]
+        try:  # type() rules out bool; an integer beyond the float range overflows
+            ok = (type(value) in {"int": (int,), "float": (int, float)}.get(kind, ()) and math.isfinite(value)
+                  and (lo < value < hi if self.open else lo <= value <= hi))
+        except OverflowError:
+            ok = False
+        if ok or kind == "bool" and type(value) is bool or isinstance(kind, tuple) and value in kind:
+            return value
+        if isinstance(kind, tuple):
+            raise ConfigError(f"{field} must be one of {', '.join(kind)}; got {value!r}")
+        left, right = "()" if self.open else "[]"
+        bounds = ("" if (lo, hi) == (-math.inf, math.inf) else f" >= {lo}" if hi == math.inf and not self.open
+                  else f" in {left}{lo:g}, {hi:g}{right}")
+        raise ConfigError(f"{field} must be {self.KINDS[kind]}{bounds}, got {value!r}")
+
+
+class Experiment(NamedTuple):
+    time_grid: bool  # whether the experiment needs one
+    window: tuple  # fit window: low-end field, then fields whose least value (and n - 1) is its top
+    params: dict
+
+
+_PROFILE_WINDOW = ("min_distance", "max_distance")
+_FIT_WINDOW = ("fit_min_distance", "fit_max_distance")
+_SEED = Param("int", 0, 0)
+_MAX_DISTANCE = Param("int", None, 0)  # null: no limit
+_CUTS = {"ells": Param("ints", REQUIRED, 1)}
+_DISTANCES = {"min_distance": Param("int", 1, 0), "max_distance": _MAX_DISTANCE}
+_FIT_DISTANCES = {"fit_min_distance": Param("int", 1, 0), "fit_max_distance": _MAX_DISTANCE}
+_SLACK = {"slack": Param("float", 2.0, 0, open=True)}
+# max_distance is accepted and ignored by fock and the transport
+# experiments, whose profiles stop at fit_max_distance
+_TRANSPORT = {"s1": Param("ints", REQUIRED, 1), "s2": Param("ints", REQUIRED, 1),
+              "eta_value": Param("float", 1.0, 0, 1), **_FIT_DISTANCES, **_SLACK,
+              "max_distance": _MAX_DISTANCE}
+
+PARAMS = {
+    "eigencorrelator": Experiment(False, _PROFILE_WINDOW, {
+        **_DISTANCES, "block": Param("bool", False), "r2_min": Param("float", 0.95)}),
+    "lr_bound": Experiment(True, _PROFILE_WINDOW, {**_DISTANCES, "block": Param("bool", False)}),
+    "correlations": Experiment(True, _PROFILE_WINDOW, {**_DISTANCES, "state_seed": _SEED}),
+    # the static entanglement's profile stops at max_distance
+    "entanglement_static": Experiment(False, (*_FIT_WINDOW, "max_distance"), {
+        **_CUTS, "strategy": Param(("sampled", "exhaustive"), "sampled"),
+        "samples": Param("int", 200, 1), "label_seed": _SEED, "max_distance": _MAX_DISTANCE,
+        **_FIT_DISTANCES, **_SLACK}),
+    "entanglement_quench": Experiment(True, (), _CUTS),
+    "transport_particle": Experiment(True, _FIT_WINDOW, _TRANSPORT),
+    # the anisotropic flatness fits nothing and needs no S2
+    "transport_energy": Experiment(True, _FIT_WINDOW, {
+        "variant": Param(("isotropic_bound", "anisotropic_flatness"), "isotropic_bound"),
+        **_TRANSPORT, "s2": Param("ints", None, 1), "sizes": Param("ints", (40, 80, 160), 1),
+        "eta_profile": Param("profile", "ones", 0, 1)}),
+    "fock": Experiment(False, _FIT_WINDOW, {
+        "alpha": Param("float", 1.25, 1, open=True), "tau": Param("float", 0.5, 0, 1, open=True),
+        "pair_count": Param("int", 100, 1), "pair_seed": _SEED, "r_max": Param("int", 5, 1),
+        # null: eta is half the fitted rate, and eta0 a quarter of eta
+        "eta": Param("float", None, 0, open=True), "eta0": Param("float", None, 0, open=True),
+        "matched_min": Param("float", 0.99, 0, 1), "certified_min": Param("float", 0.95, 0, 1),
+        "overlap_min": Param("float", 0.95, 0, 1), **_FIT_DISTANCES, "max_distance": _MAX_DISTANCE}),
+    "oracle_check": Experiment(False, (), {"n": Param("int", 6, 1, MAX_SITES), "seed": Param("int", 42, 0),
+                                           "realizations": Param("int", 5, 1)}),
+}
+
+
+# per experiment, the default of every key that has one
+DEFAULTS = {name: {k: p.default for k, p in e.params.items() if p.default != REQUIRED}
+            for name, e in PARAMS.items()}
+
+
+def _check_params(experiment: str, params, n: int | None) -> dict:
+    """params checked against the table, with its defaults filled in, then
+    against the rules that tie fields to each other or to ensemble.n: the
+    cuts, fit window, fock's pairs and thresholds, transport regions."""
+    if not isinstance(params, dict):
+        raise ConfigError("params must be an object")
+    table = PARAMS[experiment].params
+    unknown = [f"params.{k}" for k in params if k not in table]
+    if unknown:
+        raise ConfigError(f"unknown field {', '.join(unknown)} for {experiment}, whose params "
+                          f"are {', '.join(table)}")
+    for key, param in table.items():
+        if key in params:
+            param.check(params[key], f"params.{key}")
+        elif param.default == REQUIRED:
+            raise ConfigError(f"missing required field params.{key}")
+    p = {**DEFAULTS[experiment], **params}
+    if n is None:
+        return p
+    if "ells" in p:
+        Param("ints", lo=1, hi=n - 1).check(p["ells"], "params.ells")
+    flatness = p.get("variant") == "anisotropic_flatness"
+    if PARAMS[experiment].window and not flatness:
+        low, *highs = PARAMS[experiment].window
+        hi = min([n - 1] + [p[k] for k in highs if p[k] is not None])
+        if hi - p[low] + 1 < 3:
+            raise ConfigError(f"the fit window [{p[low]}, {hi}] of "
+                              f"{', '.join('params.' + k for k in (low, *highs))} and "
+                              f"ensemble.n = {n} holds fewer than 3 distances")
+    if experiment == "fock":
+        Param("int", lo=1, hi=n).check(p["r_max"], f"params.r_max (default {table['r_max'].default})")
+        # the pairs lie at configuration distance D >= 2 n^tau, and D <= n - 1
+        if 2.0 * float(n) ** p["tau"] > n - 1:
+            raise ConfigError(f"params.tau = {p['tau']} asks for pairs at D >= 2 n^tau = "
+                              f"{2.0 * float(n) ** p['tau']:.1f}, past ensemble.n - 1 = {n - 1}")
+        # the default eta, half the fitted rate, is known only after the run
+        if p["eta0"] is not None and (p["eta"] is None or p["eta0"] >= p["eta"]):
+            raise ConfigError(f"params.eta0 must come with a params.eta above it, got eta0 = "
+                              f"{p['eta0']} and eta = {p['eta']}")
+    if p.get("strategy") == "exhaustive" and n > MAX_EXHAUSTIVE_SITES:
+        raise ConfigError(f"params.strategy exhaustive needs ensemble.n <= "
+                          f"{MAX_EXHAUSTIVE_SITES}, got {n}")
+    if "s1" in p:  # transport: the anisotropic flatness has no S2 and runs at params.sizes
+        sizes = p["sizes"] if flatness else ()
+        s1 = Param("ints", lo=1, hi=min(sizes, default=n)).check(p["s1"], "params.s1")
+        s2 = [] if flatness else Param("ints", lo=1, hi=n).check(p["s2"], "params.s2")
+        if any(min(s1) <= x <= max(s1) for x in s2):
+            raise ConfigError(f"params.s2 must avoid [{min(s1)}, {max(s1)}], the hull of "
+                              f"params.s1; got {s2}")
+        if experiment == "transport_energy" and max(s1) - min(s1) + 1 != len(set(s1)):
+            raise ConfigError(f"params.s1 must be an interval of sites, got {s1}")
+        if flatness and isinstance(p["eta_profile"], list) and {len(p["eta_profile"])} != set(sizes):
+            raise ConfigError(f"params.eta_profile has length {len(p['eta_profile'])}; every "
+                              f"entry of params.sizes must equal it, got {list(sizes)}")
+    return p
+
+
+@dataclass
+class ExperimentConfig:
+    experiment: str
+    ensemble: EnsembleSpec
+    time_grid: TimeGrid | None
+    params: dict
+    output_dir: str
+    workers: int
+    semantic: dict
+
+
+def parse_config(obj: dict) -> ExperimentConfig:
+    if not isinstance(obj, dict):
+        raise ConfigError("config root must be a JSON object")
+    experiment = _require(obj, "experiment", "")
+    if experiment not in PARAMS:
+        raise ConfigError(f"experiment must be one of {', '.join(PARAMS)}; got {experiment!r}")
+    ensemble = None
+    if experiment != "oracle_check":
+        ens_obj = _require(obj, "ensemble", "")
+        if isinstance(ens_obj, dict):
+            for key, lo in (("n", 1), ("realizations", 1), ("base_seed", 0)):
+                if key in ens_obj:
+                    Param("int", lo=lo).check(ens_obj[key], f"ensemble.{key}")
+            for name in ("mu", "gamma", "nu"):
+                dist = ens_obj.get(name)
+                kind = dist.get("kind") if isinstance(dist, dict) else None
+                for key in {"uniform": ("lo", "hi"), "constant": ("value",)}.get(kind, ()):
+                    if key in dist:
+                        Param("float").check(dist[key], f"ensemble.{name}.{key}")
+        try:
+            ensemble = EnsembleSpec.from_json(ens_obj)
+        except (KeyError, TypeError, ValueError) as exc:
+            field = exc.args[0] if isinstance(exc, KeyError) else exc
+            raise ConfigError(f"ensemble is malformed: {field}") from exc
+    grid = obj.get("time_grid")
+    if "time_grid" in obj:
+        if not isinstance(grid, dict):
+            raise ConfigError("time_grid must be an object with T and dt")
+        grid = TimeGrid(*(float(Param("float").check(_require(grid, k, "time_grid"), f"time_grid.{k}"))
+                          for k in ("T", "dt")))
+    elif PARAMS[experiment].time_grid:
+        raise ConfigError(f"experiment {experiment} requires time_grid")
+    params = _check_params(experiment, obj.get("params", {}), ensemble.n if ensemble else None)
+    workers = Param("int", lo=1).check(obj.get("workers", 1), "workers")
+    return ExperimentConfig(experiment, ensemble, grid, params, str(obj.get("output_dir", ".")),
+                            workers, semantic=_semantic(obj))
+
+
+def _semantic(obj: dict) -> dict:
+    """The config fields that decide what is computed; output_dir and
+    workers change where and how fast, not what."""
+    return {k: obj[k] for k in ("experiment", "ensemble", "params", "time_grid") if k in obj}
+
+
+def config_hash(obj: dict) -> str:
+    """Hash of the semantic part of a config: two runs with equal hashes
+    compute the same science."""
+    return hashlib.sha256(json.dumps(_semantic(obj), sort_keys=True).encode()).hexdigest()[:16]

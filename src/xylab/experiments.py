@@ -13,12 +13,10 @@ and record pass/fail verdicts next to the fitted constants they used.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -27,6 +25,9 @@ import numpy as np
 from . import ed_oracle as ed
 from . import entanglement as ent
 from . import transport as tr
+# parse_config and ConfigError are this module's API too: the CLI and the
+# benchmark harness call them through it
+from .config import PARAMS, ConfigError, ExperimentConfig, TimeGrid, config_hash, parse_config
 from .disorder import ChainSpec, EnsembleSpec, aggregate, sample_chain, uniform
 from .eigencorrelator import (
     DecayFit,
@@ -55,241 +56,6 @@ from .hamiltonian import (
     diagonalize_A,
 )
 from .quasifree import eigenstate_gamma, evolve_gamma, thermal_gamma
-
-class ConfigError(ValueError):
-    """Invalid experiment config; the message names the offending field."""
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    T: float
-    dt: float
-
-    def __post_init__(self):
-        if not 0 < self.dt <= self.T:
-            raise ConfigError(f"time_grid requires 0 < dt <= T, got dt={self.dt}, T={self.T}")
-
-    def times(self) -> np.ndarray:
-        steps = int(round(self.T / self.dt))
-        return np.arange(steps + 1) * self.dt
-
-
-def _require(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise ConfigError(f"missing required field {path}.{key}" if path else f"missing required field {key}")
-    return obj[key]
-
-
-def _integer(value, field: str, minimum: int, maximum: float = math.inf) -> int:
-    """An integer config field: a JSON integer, not a bool, in [minimum, maximum]."""
-    if isinstance(value, bool) or not isinstance(value, int) or not minimum <= value <= maximum:
-        bounds = f">= {minimum}" if maximum == math.inf else f"in [{minimum}, {maximum}]"
-        raise ConfigError(f"{field} must be an integer {bounds}, got {value!r}")
-    return value
-
-
-def _integers(value, field: str, minimum: int, maximum: float = math.inf) -> list:
-    """A nonempty JSON array of integers, each checked as by _integer."""
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{field} must be a nonempty array of integers, got {value!r}")
-    return [_integer(v, field, minimum, maximum) for v in value]
-
-
-def _number(value, field: str, minimum: float = -math.inf, maximum: float = math.inf) -> float:
-    """A real config field: a finite JSON number (integer or float), not a
-    bool or a string, in [minimum, maximum]."""
-    try:
-        finite = not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        finite = False
-    if not (finite and minimum <= value <= maximum):
-        bounds = "" if (minimum, maximum) == (-math.inf, math.inf) else f" in [{minimum:g}, {maximum:g}]"
-        raise ConfigError(f"{field} must be a finite number{bounds}, got {value!r}")
-    return float(value)
-
-
-def _parse_time_grid(obj: dict, path: str) -> TimeGrid:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path} must be an object with T and dt")
-    return TimeGrid(T=_number(_require(obj, "T", path), f"{path}.T"),
-                    dt=_number(_require(obj, "dt", path), f"{path}.dt"))
-
-
-# Integer params checked at parse time, per experiment: (field, minimum[, maximum]);
-# the upper ends of the distance windows (_NULLABLE) may also be null, no limit.
-_WINDOW = (("min_distance", 0), ("max_distance", 0))
-_FIT_WINDOW = (("fit_min_distance", 0), ("fit_max_distance", 0))
-_NULLABLE = ("max_distance", "fit_max_distance")
-_COUNT_PARAMS = {
-    "eigencorrelator": _WINDOW,
-    "lr_bound": _WINDOW,
-    "correlations": (*_WINDOW, ("state_seed", 0)),
-    "entanglement_static": (("samples", 1), ("label_seed", 0), ("max_distance", 0), *_FIT_WINDOW),
-    "transport_particle": _FIT_WINDOW,
-    "transport_energy": _FIT_WINDOW,
-    "fock": (("pair_count", 1), ("pair_seed", 0), ("r_max", 1), *_FIT_WINDOW),
-    "oracle_check": (("n", 1, ed.MAX_SITES), ("seed", 0), ("realizations", 1)),
-}
-
-# Fit windows, per experiment: the field of the window's lower end, then the
-# fields whose least value (with n - 1) is its upper end, as the drivers clip
-# it: the profile stops at max_distance for the static entanglement.
-_PROFILE_WINDOW = ("min_distance", "max_distance")
-_FIT_WINDOWS = {
-    "eigencorrelator": _PROFILE_WINDOW,
-    "lr_bound": _PROFILE_WINDOW,
-    "correlations": _PROFILE_WINDOW,
-    "entanglement_static": ("fit_min_distance", "fit_max_distance", "max_distance"),
-    "transport_particle": ("fit_min_distance", "fit_max_distance"),
-    "transport_energy": ("fit_min_distance", "fit_max_distance"),
-    "fock": ("fit_min_distance", "fit_max_distance"),
-}
-
-# Largest configuration cardinality of the fock pairs when params.r_max is absent.
-_FOCK_R_MAX = 5
-
-# Params with a fixed set of values, per experiment: (field, values); the
-# first value is the default.
-_CHOICES = {
-    "entanglement_static": ("strategy", ("sampled", "exhaustive")),
-    "transport_energy": ("variant", ("isotropic_bound", "anisotropic_flatness")),
-}
-
-# Chain sizes of the anisotropic energy flatness when params.sizes is absent.
-_FLATNESS_SIZES = [40, 80, 160]
-
-
-def _check_params(experiment: str, params: dict, ensemble: EnsembleSpec | None) -> None:
-    """Reject bad params before any realization runs.  The cuts ells lie
-    in [1, n - 1] and block is a bool.  Transport regions are arrays of
-    sites on the chain (on its smallest size for the anisotropic energy
-    flatness, which has no S2), the energy's S1 is an interval, S2 avoids
-    the hull [min S1, max S1], and the initial occupations (eta_value, or
-    the anisotropic eta_profile) lie in [0, 1]."""
-    for key, *bounds in _COUNT_PARAMS.get(experiment, ()):
-        if key in params and not (params[key] is None and key in _NULLABLE):
-            _integer(params[key], f"params.{key}", *bounds)
-    if experiment in ("entanglement_static", "entanglement_quench"):
-        _integers(_require(params, "ells", "params"), "params.ells", 1, ensemble.n - 1)
-    if experiment in _FIT_WINDOWS and params.get("variant") != "anisotropic_flatness":
-        low, *highs = _FIT_WINDOWS[experiment]
-        lo = params.get(low, 1)
-        hi = min([ensemble.n - 1] + [params[k] for k in highs if params.get(k) is not None])
-        if hi - lo + 1 < 3:
-            fields = ", ".join(f"params.{k}" for k in (low, *highs))
-            raise ConfigError(f"the fit window [{lo}, {hi}] of {fields} and ensemble.n = "
-                              f"{ensemble.n} holds fewer than 3 distances")
-    if experiment == "fock":
-        r_max = params.get("r_max", _FOCK_R_MAX)
-        if r_max > ensemble.n:
-            raise ConfigError(f"params.r_max (default {_FOCK_R_MAX}) must be at most "
-                              f"ensemble.n = {ensemble.n}, got {r_max}")
-    if (experiment in ("eigencorrelator", "lr_bound")
-            and not isinstance(params.get("block", False), bool)):
-        raise ConfigError(f"params.block must be true or false, got {params['block']!r}")
-    if experiment in _CHOICES:
-        key, values = _CHOICES[experiment]
-        if params.get(key, values[0]) not in values:
-            raise ConfigError(f"params.{key} must be one of {', '.join(values)}; "
-                              f"got {params[key]!r}")
-    if (experiment == "entanglement_static" and params.get("strategy") == "exhaustive"
-            and ensemble.n > ent.MAX_EXHAUSTIVE_SITES):
-        raise ConfigError(f"params.strategy exhaustive needs ensemble.n <= "
-                          f"{ent.MAX_EXHAUSTIVE_SITES}, got {ensemble.n}")
-    if experiment not in ("transport_particle", "transport_energy"):
-        return
-    flatness = experiment == "transport_energy" and params.get("variant") == "anisotropic_flatness"
-    sizes = _integers(params.get("sizes", _FLATNESS_SIZES), "params.sizes", 1) if flatness else ()
-    n = min(sizes, default=ensemble.n)
-    s1 = _integers(_require(params, "s1", "params"), "params.s1", 1, n)
-    s2 = [] if flatness else _integers(_require(params, "s2", "params"), "params.s2", 1, n)
-    if any(min(s1) <= x <= max(s1) for x in s2):
-        raise ConfigError(f"params.s2 must avoid [{min(s1)}, {max(s1)}], the hull of params.s1; "
-                          f"got {s2}")
-    if experiment == "transport_energy" and max(s1) - min(s1) + 1 != len(set(s1)):
-        raise ConfigError(f"params.s1 must be an interval of sites, got {s1}")
-    if not flatness:
-        _number(params.get("eta_value", 1.0), "params.eta_value", 0.0, 1.0)
-        return
-    profile = params.get("eta_profile", "ones")
-    if profile in ("ones", "half"):
-        return
-    if not isinstance(profile, list):
-        raise ConfigError(f'params.eta_profile must be "ones", "half" or an array, got {profile!r}')
-    if {len(profile)} != set(sizes):
-        raise ConfigError(f"params.eta_profile has length {len(profile)}; every entry of "
-                          f"params.sizes must equal it, got {sizes}")
-    for value in profile:
-        _number(value, "params.eta_profile entry", 0.0, 1.0)
-
-
-@dataclass
-class ExperimentConfig:
-    experiment: str
-    ensemble: EnsembleSpec
-    time_grid: TimeGrid | None
-    params: dict
-    output_dir: str
-    workers: int
-    semantic: dict
-
-
-def parse_config(obj: dict) -> ExperimentConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError("config root must be a JSON object")
-    experiment = _require(obj, "experiment", "")
-    if experiment not in _RUNNERS:
-        raise ConfigError(
-            f"experiment must be one of {', '.join(_RUNNERS)}; got {experiment!r}"
-        )
-    ensemble = None
-    if experiment != "oracle_check":
-        ens_obj = _require(obj, "ensemble", "")
-        if isinstance(ens_obj, dict):
-            for key, minimum in (("n", 1), ("realizations", 1), ("base_seed", 0)):
-                if key in ens_obj:
-                    _integer(ens_obj[key], f"ensemble.{key}", minimum)
-            for name in ("mu", "gamma", "nu"):
-                dist = ens_obj.get(name)
-                kind = dist.get("kind") if isinstance(dist, dict) else None
-                for key in {"uniform": ("lo", "hi"), "constant": ("value",)}.get(kind, ()):
-                    if key in dist:
-                        _number(dist[key], f"ensemble.{name}.{key}")
-        try:
-            ensemble = EnsembleSpec.from_json(ens_obj)
-        except (KeyError, TypeError, ValueError) as exc:
-            field = exc.args[0] if isinstance(exc, KeyError) else exc
-            raise ConfigError(f"ensemble is malformed: {field}") from exc
-    grid = None
-    if "time_grid" in obj:
-        grid = _parse_time_grid(obj["time_grid"], "time_grid")
-    params = obj.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("params must be an object")
-    _check_params(experiment, params, ensemble)
-    workers = _integer(obj.get("workers", 1), "workers", 1)
-    output_dir = obj.get("output_dir", ".")
-    return ExperimentConfig(
-        experiment=experiment,
-        ensemble=ensemble,
-        time_grid=grid,
-        params=params,
-        output_dir=str(output_dir),
-        workers=workers,
-        semantic=_semantic(obj),
-    )
-
-
-def _semantic(obj: dict) -> dict:
-    """The config fields that decide what is computed; output_dir and
-    workers change where and how fast, not what."""
-    return {k: obj[k] for k in ("experiment", "ensemble", "params", "time_grid") if k in obj}
-
-
-def config_hash(obj: dict) -> str:
-    """Hash of the semantic part of a config: two runs with equal hashes
-    compute the same science."""
-    return hashlib.sha256(json.dumps(_semantic(obj), sort_keys=True).encode()).hexdigest()[:16]
 
 
 def effective_workers(config_workers: int) -> int:
@@ -362,29 +128,29 @@ def _decompose(chain, block: bool):
 
 
 def _real_eigencorrelator(ensemble, i, params):
-    block = params.get("block", False)
+    block = params["block"]
     sd = _decompose(sample_chain(ensemble, i), block)
-    return distance_profile(eigencorrelator_table(sd, block=block), params.get("max_distance"))
+    return distance_profile(eigencorrelator_table(sd, block=block), params["max_distance"])
 
 
 def _real_amplitude(ensemble, i, params):
-    block = params.get("block", False)
+    block = params["block"]
     sd = _decompose(sample_chain(ensemble, i), block)
     times = np.asarray(params["times"])
     amp = dynamic_amplitude_sup(sd, times, block=block)
     q = eigencorrelator_table(sd, block=block)
     violation = float(np.max(amp - q))
-    return distance_profile(amp, params.get("max_distance")), violation
+    return distance_profile(amp, params["max_distance"]), violation
 
 
 def _real_clustering(ensemble, i, params):
     chain = sample_chain(ensemble, i)
     sd = diagonalize_A(chain)
-    rng = np.random.default_rng(params.get("state_seed", 0) + i)
+    rng = np.random.default_rng(params["state_seed"] + i)
     occ = rng.integers(0, 2, size=chain.n)
     # only the pairs within max_distance reach the profile
-    sup = clustering_sup(sd, occ, params["times"], params.get("max_distance"))
-    return distance_profile(sup, params.get("max_distance"))
+    sup = clustering_sup(sd, occ, params["times"], params["max_distance"])
+    return distance_profile(sup, params["max_distance"])
 
 
 def _real_entanglement_static(ensemble, i, params):
@@ -394,16 +160,11 @@ def _real_entanglement_static(ensemble, i, params):
     bog = bogoliubov(chain)
     out = []
     for ell in params["ells"]:
-        rec = ent.max_eigenstate_entropy(
-            bog,
-            ent.Cut(ell),
-            strategy=params.get("strategy", "sampled"),
-            samples=params.get("samples", 200),
-            seed=params.get("label_seed", 0) + i,
-        )
+        rec = ent.max_eigenstate_entropy(bog, ent.Cut(ell), strategy=params["strategy"],
+                                         samples=params["samples"], seed=params["label_seed"] + i)
         out.append((rec.entropy, rec.ps_bound))
     table = eigencorrelator_table(bog.spectral, block=True)
-    return out, distance_profile(table, params.get("max_distance"))
+    return out, distance_profile(table, params["max_distance"])
 
 
 def _real_quench(ensemble, i, params):
@@ -429,7 +190,7 @@ def _real_transport(ensemble, i, params):
     profile that feeds the fit and the transport series."""
     chain = sample_chain(ensemble, i)
     sd = diagonalize_A(chain)
-    profile = distance_profile(eigencorrelator_table(sd), params.get("fit_max_distance"))
+    profile = distance_profile(eigencorrelator_table(sd), params["fit_max_distance"])
     series_of = {"particle": tr.particle_number_series, "energy": tr.energy_series_isotropic}
     series = series_of[params["observable"]](chain, params["s1"], params["eta"], params["times"], sd=sd)
     return profile, series
@@ -451,7 +212,7 @@ def _real_fock(ensemble, i, params):
     overlaps of the sampled pairs."""
     sd = diagonalize_A(sample_chain(ensemble, i))
     centers = locate_centers(sd, params["alpha"])
-    return (distance_profile(eigencorrelator_table(sd), params.get("fit_max_distance")),
+    return (distance_profile(eigencorrelator_table(sd), params["fit_max_distance"]),
             centers.matched, centers.fallback_count, decay_envelope(sd, centers),
             pair_overlaps(sd.eigenvectors, params["pairs"]))
 
@@ -495,7 +256,7 @@ def _run_profile(config: ExperimentConfig, outdir: Path, worker, csv_name: str,
     agg = aggregate(profile_of(r) for r in results)
     write_csv(outdir / csv_name, ["distance", "mean", "stderr", "count"],
               ((d, m, s, agg["count"]) for d, (m, s) in enumerate(zip(agg["mean"], agg["stderr"]))))
-    fit = fit_decay(agg["mean"], p.get("min_distance", 1), p.get("max_distance"))
+    fit = fit_decay(agg["mean"], p["min_distance"], p["max_distance"])
     return fit, {**_fit_block(fit), "min_distance": fit.min_distance}, results
 
 
@@ -504,7 +265,7 @@ def run_eigencorrelator(config: ExperimentConfig, outdir: Path) -> dict:
     return {
         "fit": block,
         "verdicts": {
-            "log_linear": bool(fit.r_squared >= config.params.get("r2_min", 0.95)),
+            "log_linear": bool(fit.r_squared >= config.params["r2_min"]),
             "eta_positive": bool(fit.eta > 0),
         },
     }
@@ -533,8 +294,7 @@ def run_correlations(config: ExperimentConfig, outdir: Path) -> dict:
 def _mean_fit(profiles: list, p: dict) -> DecayFit:
     """Eigencorrelator fit of the mean of per-realization profiles over the
     params' fit window, used for bound checks."""
-    return fit_decay(aggregate(profiles)["mean"], p.get("fit_min_distance", 1),
-                     p.get("fit_max_distance"))
+    return fit_decay(aggregate(profiles)["mean"], p["fit_min_distance"], p["fit_max_distance"])
 
 
 def run_entanglement_static(config: ExperimentConfig, outdir: Path) -> dict:
@@ -544,7 +304,7 @@ def run_entanglement_static(config: ExperimentConfig, outdir: Path) -> dict:
     per_real = map_realizations(_real_entanglement_static, config.ensemble, p, config.workers)
     agg = aggregate(r[0] for r in per_real)  # entry (ell, [entropy, ps_bound])
     _write_table(outdir / "entanglement_static.csv", "ell", p["ells"], ("max_entropy", "ps_bound"),
-                 agg, p.get("strategy", "sampled"))
+                 agg, p["strategy"])
     fit = _mean_fit([r[1] for r in per_real], p)
     bound = ent.area_law_constant(fit)
     entropies = agg["mean"][:, 0]
@@ -552,7 +312,7 @@ def run_entanglement_static(config: ExperimentConfig, outdir: Path) -> dict:
         "fit": _fit_block(fit),
         "area_law_bound": bound,
         "verdicts": {"flat_in_ell": _flat_within_2sigma(zip(entropies, agg["stderr"][:, 0])),
-                     "below_fitted_bound": bool(np.all(entropies <= p.get("slack", 2.0) * bound))},
+                     "below_fitted_bound": bool(np.all(entropies <= p["slack"] * bound))},
     }
 
 
@@ -574,10 +334,10 @@ def _run_transport_isotropic(config: ExperimentConfig, outdir: Path, observable:
     s1 = tr.Region.of(p["s1"])
     s2 = tr.Region.of(p["s2"])
     eta = np.zeros(config.ensemble.n)
-    eta[np.array(s2.sites) - 1] = p.get("eta_value", 1.0)
+    eta[np.array(s2.sites) - 1] = p["eta_value"]
     times = config.time_grid.times()
     wp = {"observable": observable, "s1": s1, "eta": eta, "times": times,
-          "fit_max_distance": p.get("fit_max_distance")}
+          "fit_max_distance": p["fit_max_distance"]}
     results = map_realizations(_real_transport, config.ensemble, wp, config.workers)
     fit = _mean_fit([r[0] for r in results], p)
     series = [r[1] for r in results]
@@ -589,7 +349,7 @@ def _run_transport_isotropic(config: ExperimentConfig, outdir: Path, observable:
         bound = tr.energy_transport_bound(fit, d, tr.matrix_norm_bound(config.ensemble))
         sups = aggregate(float(np.max(np.abs(v))) for v in series)
     mean = aggregate(series)["mean"]
-    passed = bool(sups["mean"] <= p.get("slack", 2.0) * bound)
+    passed = bool(sups["mean"] <= p["slack"] * bound)
     write_csv(outdir / f"{observable}_transport.csv", ["t", "value"],
               zip(times.tolist(), mean.tolist()))
     return {
@@ -608,14 +368,14 @@ def run_transport_particle(config: ExperimentConfig, outdir: Path) -> dict:
 
 def run_transport_energy(config: ExperimentConfig, outdir: Path) -> dict:
     p = config.params
-    if p.get("variant", "isotropic_bound") == "isotropic_bound":
+    if p["variant"] == "isotropic_bound":
         return _run_transport_isotropic(config, outdir, "energy")
     # one ensemble per size; one worker per realization samples its chain once
-    sizes = p.get("sizes", _FLATNESS_SIZES)
+    sizes = p["sizes"]
     s1 = tr.Region.of(p["s1"])
     times = config.time_grid.times()
     base = config.ensemble
-    eta = p.get("eta_profile", "ones")  # "ones", "half" or one entry per site, checked at parse time
+    eta = p["eta_profile"]  # "ones", "half" or one entry per site
     eta = {"ones": 1.0, "half": 0.5}[eta] if isinstance(eta, str) else np.asarray(eta, dtype=float)
     per_size = [
         map_realizations(_real_energy_fluctuation, replace(base, n=n, base_seed=base.base_seed + n),
@@ -641,19 +401,15 @@ def run_fock(config: ExperimentConfig, outdir: Path) -> dict:
     """One pass: the workers measure, and the driver judges the stacked
     envelopes and overlaps against the thresholds of the fit."""
     p = config.params
-    n = config.ensemble.n
-    tau = p.get("tau", 0.5)
-    alpha = p.get("alpha", 1.25)
-    pairs = sample_configuration_pairs(n, tau, p.get("pair_count", 100),
-                                       seed=p.get("pair_seed", 0), r_max=p.get("r_max", _FOCK_R_MAX))
-    measured = map_realizations(
-        _real_fock, config.ensemble,
-        {"alpha": alpha, "pairs": pairs, "fit_max_distance": p.get("fit_max_distance")},
-        config.workers)
+    n, tau, alpha = config.ensemble.n, p["tau"], p["alpha"]
+    pairs = sample_configuration_pairs(n, tau, p["pair_count"], seed=p["pair_seed"],
+                                       r_max=p["r_max"])
+    measured = map_realizations(_real_fock, config.ensemble, {
+        "alpha": alpha, "pairs": pairs, "fit_max_distance": p["fit_max_distance"]}, config.workers)
     profiles, matched, fallbacks, envelopes, overlaps = zip(*measured)
     fit = _mean_fit(profiles, p)
-    eta = p.get("eta", 0.5 * fit.eta)
-    eta0 = p.get("eta0", 0.25 * eta)
+    eta = 0.5 * fit.eta if p["eta"] is None else p["eta"]
+    eta0 = 0.25 * eta if p["eta0"] is None else p["eta0"]
     certified = certify_decay(np.stack(envelopes), eta, tau)
     passed = fock_localization_check(np.stack(overlaps), pairs, n, fit, tau, eta0, eta=eta)
     agg = aggregate(zip(matched, fallbacks, certified, passed))
@@ -670,9 +426,9 @@ def run_fock(config: ExperimentConfig, outdir: Path) -> dict:
     write_json(outdir / "fock_report.json", payload)
     payload["fit"] = _fit_block(fit)
     payload["verdicts"] = {
-        "matching": bool(payload["matched_fraction"] >= p.get("matched_min", 0.99)),
-        "certification": bool(payload["certified_fraction"] >= p.get("certified_min", 0.95)),
-        "overlap_bound": bool(payload["overlap_pass_fraction"] >= p.get("overlap_min", 0.95)),
+        "matching": bool(payload["matched_fraction"] >= p["matched_min"]),
+        "certification": bool(payload["certified_fraction"] >= p["certified_min"]),
+        "overlap_bound": bool(payload["overlap_pass_fraction"] >= p["overlap_min"]),
     }
     return payload
 
@@ -681,14 +437,12 @@ def run_fock(config: ExperimentConfig, outdir: Path) -> dict:
 # oracle identity suite
 
 
-def oracle_suite(n: int = 6, seed: int = 42, realizations: int = 5) -> dict:
+def oracle_suite(n: int, seed: int, realizations: int) -> dict:
     """Brute-force identity checks on small random chains; returns one
     boolean per check plus the worst deviations seen.  The Jordan-Wigner
     tables are built once; per realization, H, its eigensystem, the
     isotropic H and the Bogoliubov decomposition are built once and shared
     by the checks."""
-    if n > ed.MAX_SITES:
-        raise ValueError(f"oracle suite capped at n={ed.MAX_SITES}")
     ens = EnsembleSpec(n=n, mu_dist=uniform(-1.0, 1.0), gamma_dist=uniform(-0.7, 0.7),
                        nu_dist=uniform(-1.5, 1.5), base_seed=seed, realizations=realizations)
     jw = ed.all_c(n)
@@ -818,37 +572,23 @@ def _check_occupation(chain: ChainSpec, H: np.ndarray) -> float:
 
 
 def run_oracle_check(config: ExperimentConfig, outdir: Path) -> dict:
-    # parse_config checked the params; absent ones take oracle_suite's defaults
-    result = oracle_suite(**{k: v for k, v in config.params.items()
-                             if k in ("n", "seed", "realizations")})
+    result = oracle_suite(**config.params)
     write_json(outdir / "oracle_check.json", result)
     result["verdicts"] = dict(result["checks"])
     return result
 
 
-# Each experiment's driver and whether it needs a time_grid.
-_RUNNERS = {
-    "eigencorrelator": (run_eigencorrelator, False),
-    "lr_bound": (run_lr_bound, True),
-    "correlations": (run_correlations, True),
-    "entanglement_static": (run_entanglement_static, False),
-    "entanglement_quench": (run_entanglement_quench, True),
-    "transport_particle": (run_transport_particle, True),
-    "transport_energy": (run_transport_energy, True),
-    "fock": (run_fock, False),
-    "oracle_check": (run_oracle_check, False),
-}
+# Each experiment of the params table runs as run_<experiment>.
+_RUNNERS = {experiment: globals()[f"run_{experiment}"] for experiment in PARAMS}
 
 
 def run(config: ExperimentConfig) -> dict:
     """Execute one experiment; writes artifacts and the summary JSON into
     config.output_dir and returns the summary payload."""
-    driver, needs_grid = _RUNNERS[config.experiment]
-    if needs_grid and config.time_grid is None:
-        raise ConfigError(f"experiment {config.experiment} requires time_grid")
+    runner = _RUNNERS[config.experiment]
     config = replace(config, workers=effective_workers(config.workers))
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    payload = driver(config, outdir)
+    payload = runner(config, outdir)
     write_summary(outdir / "summary.json", config, payload)
     return payload

@@ -44,7 +44,7 @@ def random_chain(rng, n, anisotropic):
 @pytest.fixture(scope="module")
 def fit_eps005_n200():
     ens = high_disorder_ensemble(200, 0.05, uniform(-1.0, 1.0), seed=901, realizations=300)
-    prof = ensemble_mean(xp._real_eigencorrelator, ens, {"max_distance": 40})
+    prof = ensemble_mean(xp._real_eigencorrelator, ens, {"block": False, "max_distance": 40})
     return ens, ec.fit_decay(prof, min_distance=5, max_distance=35)
 
 
@@ -129,7 +129,7 @@ def test_03_entanglement_identity():
 def test_04_eigencorrelator_decay(fit_eps005_n200):
     _, fit = fit_eps005_n200
     ens2 = high_disorder_ensemble(200, 0.2, uniform(-1.0, 1.0), seed=904, realizations=500)
-    prof2 = ensemble_mean(xp._real_eigencorrelator, ens2, {"max_distance": 40})
+    prof2 = ensemble_mean(xp._real_eigencorrelator, ens2, {"block": False, "max_distance": 40})
     fit2 = ec.fit_decay(prof2, min_distance=5, max_distance=35)
     ok = fit.r_squared >= 0.95 and fit.eta > 0 and fit.eta > fit2.eta
     report(
@@ -161,7 +161,7 @@ def test_05_zero_velocity_contrast():
     n8 = 8
     ens8 = EnsembleSpec(n=n8, mu_dist=constant(1.0), gamma_dist=constant(0.0),
                         nu_dist=uniform(-5.0, 5.0), base_seed=905, realizations=60)
-    prof8 = ensemble_mean(xp._real_eigencorrelator, ens8, {"block": True})
+    prof8 = ensemble_mean(xp._real_eigencorrelator, ens8, {"block": True, "max_distance": None})
     fit8 = ec.fit_decay(prof8, min_distance=1)
     grid = np.arange(0.0, 20.0 + 1e-9, 0.5)
     pairs = [(1, 3), (1, 5), (2, 6), (1, 8)]
@@ -260,7 +260,7 @@ def test_07_area_law_flatness():
 @pytest.fixture(scope="module")
 def fit_eps005_n100():
     ens = high_disorder_ensemble(100, 0.05, uniform(-1.0, 1.0), seed=800, realizations=300)
-    prof = ensemble_mean(xp._real_eigencorrelator, ens, {"max_distance": 40})
+    prof = ensemble_mean(xp._real_eigencorrelator, ens, {"block": False, "max_distance": 40})
     return ens, ec.fit_decay(prof, min_distance=5, max_distance=35)
 
 
@@ -274,7 +274,8 @@ def test_08_transport(fit_eps005_n100):
     series = {
         observable: [r[1] for r in xp.map_realizations(
             xp._real_transport, ens,
-            {"observable": observable, "s1": s1, "eta": eta, "times": times}, workers=1)]
+            {"observable": observable, "s1": s1, "eta": eta, "times": times,
+             "fit_max_distance": None}, workers=1)]
         for observable in ("particle", "energy")
     }
     d = tr.region_distance(s1, s2)
@@ -389,7 +390,7 @@ def test_09_fock_localization(fit_eps005_n200):
 
     # overlap bound on the n = 120 ensemble
     ens2 = high_disorder_ensemble(120, 0.05, uniform(-1.0, 1.0), seed=902, realizations=100)
-    prof2 = ensemble_mean(xp._real_eigencorrelator, ens2, {"max_distance": 40})
+    prof2 = ensemble_mean(xp._real_eigencorrelator, ens2, {"block": False, "max_distance": 40})
     fit2 = ec.fit_decay(prof2, min_distance=5, max_distance=35)
     pairs = fock.sample_configuration_pairs(120, 0.4, 500, seed=11)
     eta2 = 0.5 * fit2.eta

@@ -143,7 +143,7 @@ def test_commutator_bound_holds_against_oracle(rng):
     n = 7
     ens = EnsembleSpec(n=n, mu_dist=constant(1.0), gamma_dist=constant(0.0),
                        nu_dist=uniform(-5.0, 5.0), base_seed=17, realizations=40)
-    prof = ensemble_mean(xp._real_eigencorrelator, ens, {"block": True})
+    prof = ensemble_mean(xp._real_eigencorrelator, ens, {"block": True, "max_distance": None})
     fit = ec.fit_decay(prof, min_distance=1)
     assert fit.eta > 0
     times = np.arange(0.0, 20.0 + 1e-9, 0.5)
@@ -173,7 +173,7 @@ def test_high_disorder_decay_rate_ordering():
     profs = {}
     for eps in (0.05, 0.2):
         ens = high_disorder_ensemble(64, eps, uniform(-1.0, 1.0), seed=7, realizations=60)
-        profs[eps] = ensemble_mean(xp._real_eigencorrelator, ens, {"max_distance": 25})
+        profs[eps] = ensemble_mean(xp._real_eigencorrelator, ens, {"block": False, "max_distance": 25})
     fit_005 = ec.fit_decay(profs[0.05], min_distance=2, max_distance=20)
     fit_02 = ec.fit_decay(profs[0.2], min_distance=2, max_distance=20)
     assert fit_005.eta > fit_02.eta > 0
@@ -185,7 +185,8 @@ def test_disordered_amplitudes_below_fitted_envelope():
     ens = EnsembleSpec(n=40, mu_dist=constant(1.0), gamma_dist=constant(0.0),
                        nu_dist=uniform(-5.0, 5.0), base_seed=21, realizations=30)
     times = np.arange(0.0, 20.0 + 1e-9, 0.25)
-    prof = ensemble_mean(xp._real_amplitude, ens, {"times": times, "max_distance": 25}, part=0)
+    prof = ensemble_mean(xp._real_amplitude, ens,
+                         {"times": times, "block": False, "max_distance": 25}, part=0)
     fit = ec.fit_decay(prof, min_distance=2, max_distance=20)
     d = np.arange(2, 21)
     envelope = fit.C * np.exp(-fit.eta * d)

@@ -16,6 +16,7 @@ from xylab import fock
 from xylab import hamiltonian as ham
 from xylab import quasifree as qf
 from xylab import transport as tr
+from xylab.config import DEFAULTS
 from xylab.disorder import sample_chain
 
 from conftest import dense_op, kron_jordan_wigner_c
@@ -351,7 +352,7 @@ def test_cli_bad_input_gives_one_line_error(tmp_path, capsys, argv, csv_text):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_oracle_suite_at_one_and_two_sites(n):
-    result = xp.oracle_suite(n, realizations=3)
+    result = xp.oracle_suite(n, 42, 3)
     assert result["all_pass"], result["max_errors"]
 
 
@@ -443,7 +444,8 @@ def test_pool_size_clamps_to_realizations_and_cpus():
 def test_clustering_matches_dense_projector_formula():
     ensemble = xp.EnsembleSpec.from_json(ensemble_json(n=12, realizations=1, eps=0.3))
     times = np.arange(0.0, 4.01, 0.5)
-    profile = xp._real_clustering(ensemble, 0, {"times": times, "state_seed": 3})
+    profile = xp._real_clustering(ensemble, 0, {"times": times, "state_seed": 3,
+                                                "max_distance": None})
     sd = xp.diagonalize_A(xp.sample_chain(ensemble, 0))
     V, lam = sd.eigenvectors, sd.eigenvalues
     occ = np.random.default_rng(3).integers(0, 2, size=12)
@@ -700,7 +702,9 @@ def test_cli_rejects_bad_transport_regions_before_any_realization(tmp_path, caps
     ("transport_energy", {**_FLATNESS_12, "eta_profile": [0, 1.0] * 6}),
 ])
 def test_parse_config_accepts_transport_regions_on_the_chain(experiment, params):
-    assert xp.parse_config(_transport_config(experiment, **params)).params == params
+    # each given key comes back unchanged and every other key holds its default
+    assert xp.parse_config(_transport_config(experiment, **params)).params == {
+        **DEFAULTS[experiment], **params}
 
 
 @pytest.mark.parametrize("experiment, params, ensemble, named", [
@@ -739,13 +743,34 @@ def test_parse_config_accepts_transport_regions_on_the_chain(experiment, params)
     ("transport_energy", {"s1": [9, 10], "s2": [1, 20], "fit_min_distance": 5,
                           "fit_max_distance": 6}, {},
      "params.fit_min_distance, params.fit_max_distance"),
+    # fock's floats: tau in (0, 1) with 2 n^tau <= n - 1, alpha > 1, 0 < eta0 < eta
+    ("fock", {"tau": 1.5}, {"n": 30}, "params.tau"),
+    ("fock", {"tau": 0.99}, {"n": 30}, "params.tau"),
+    ("fock", {"eta0": 10.0}, {"n": 30}, "params.eta0"),
+    ("fock", {"eta": 1.0, "eta0": 10.0}, {"n": 30}, "params.eta0"),
+    ("fock", {"eta": 0.0}, {}, "params.eta"),
+    ("fock", {"alpha": "a"}, {}, "params.alpha"),
+    ("fock", {"alpha": 1.0}, {}, "params.alpha"),
+    ("fock", {"matched_min": "a"}, {}, "params.matched_min"),
+    # unknown keys, bad thresholds and a missing required key
+    ("entanglement_static", {"sampels": 3, "stratgy": "exhaustive"}, {},
+     "params.sampels, params.stratgy"),
+    ("eigencorrelator", {"r2_min": "high"}, {}, "params.r2_min"),
+    ("entanglement_static", {"ells": [4], "slack": -1.0}, {}, "params.slack"),
+    ("transport_particle", {"s1": [10], "s2": [1, 20], "slack": 0}, {}, "params.slack"),
+    ("oracle_check", {"sede": 3}, {}, "params.sede"),
+    ("fock", {"max_distnace": 8}, {}, "params.max_distnace"),
+    ("entanglement_static", {}, {}, "params.ells"),
 ], ids=["max-distance-string", "min-distance-float", "min-distance-negative", "state-seed-string",
         "ells-number", "ells-0", "ells-n", "label-seed-negative", "fit-max-distance-float",
         "quench-ells-past-n", "quench-ells-empty", "r-max-0", "pair-seed-negative",
         "block-string", "block-int", "mu-value-string", "nu-lo-bool", "gamma-hi-inf",
         "r-max-past-n", "r-max-default-past-n", "eigencorrelator-window", "lr-bound-window",
         "correlations-window", "entanglement-static-window", "fock-window",
-        "transport-particle-window", "transport-energy-window"])
+        "transport-particle-window", "transport-energy-window", "tau-above-1",
+        "tau-pairs-past-n", "eta0-without-eta", "eta0-above-eta", "eta-0", "alpha-string",
+        "alpha-1", "matched-min-string", "unknown-keys", "r2-min-string", "slack-negative",
+        "transport-slack-0", "oracle-unknown-key", "fock-unknown-key", "ells-missing"])
 def test_cli_rejects_bad_params_before_any_realization(tmp_path, capsys, experiment, params,
                                                       ensemble, named):
     cfg = tmp_path / "bad.json"
@@ -760,6 +785,17 @@ def test_cli_rejects_bad_params_before_any_realization(tmp_path, capsys, experim
     assert not out.exists()
 
 
+def test_cli_rejects_a_missing_time_grid_before_any_realization(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    out = tmp_path / "out"
+    cfg.write_text(json.dumps({"experiment": "lr_bound", "ensemble": ensemble_json(n=12),
+                               "params": {"max_distance": 8}, "output_dir": str(out)}))
+    assert cli.main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: invalid config: experiment lr_bound requires time_grid\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("experiment, params", [
     ("eigencorrelator", {"min_distance": 0, "max_distance": None, "block": False}),
     ("entanglement_static", {"ells": [1, 19], "label_seed": 0, "fit_max_distance": None}),
@@ -769,11 +805,17 @@ def test_cli_rejects_bad_params_before_any_realization(tmp_path, capsys, experim
     ("eigencorrelator", {"min_distance": 17}),
     ("correlations", {"min_distance": 6, "max_distance": 8}),
     ("entanglement_static", {"ells": [4], "fit_min_distance": 3, "max_distance": 5}),
+    # fock's floats at their edges: 2 n^tau = 18.9 <= n - 1 at tau 0.75, eta0 just below eta
+    ("fock", {"tau": 0.75, "alpha": 1.01, "eta": 0.5, "eta0": 0.499, "matched_min": 1,
+              "certified_min": 0, "overlap_min": 1.0}),
+    ("fock", {"eta": 0.5, "eta0": None, "max_distance": 8}),
+    ("transport_particle", {"s1": [10], "s2": [1, 20], "slack": 1e-9, "max_distance": None}),
 ])
 def test_parse_config_accepts_params_at_their_edges(experiment, params):
     cfg = {"experiment": experiment, "ensemble": ensemble_json(n=20, realizations=2),
-           "params": params}
-    assert xp.parse_config(cfg).params == params
+           "time_grid": {"T": 1.0, "dt": 0.5}, "params": params}
+    # each given key comes back unchanged and every other key holds its default
+    assert xp.parse_config(cfg).params == {**DEFAULTS[experiment], **params}
 
 
 @pytest.mark.parametrize("value", [2.5, 3.0, 0, "3", True])
@@ -940,7 +982,7 @@ def _fock_two_pass(cfg):
     profiles = [xp.distance_profile(xp.eigencorrelator_table(xp.diagonalize_A(
         sample_chain(ens, i))), p["fit_max_distance"]) for i in range(ens.realizations)]
     fit = xp.fit_decay(xp.aggregate(profiles)["mean"], p["fit_min_distance"], p["fit_max_distance"])
-    eta = p.get("eta", 0.5 * fit.eta)
+    eta = 0.5 * fit.eta if p["eta"] is None else p["eta"]
     eta0 = 0.25 * eta
     pairs = fock.sample_configuration_pairs(n, tau, p["pair_count"])
     I = fit.C * qf.growth_series(n**tau, eta0)
@@ -980,3 +1022,32 @@ def test_fock_one_pass_matches_two_pass_reference(tmp_path, eps, params):
     }
     # the cases reach both verdicts of the certificate and of the overlap bound
     assert {r[2] for r in rows} == {True, False} or min(r[3] for r in rows) < 1.0
+
+
+_REPO = Path(__file__).resolve().parent.parent
+
+
+def test_parse_config_accepts_every_benchmark_config(tmp_path, monkeypatch):
+    # the benchmark's job configs (perfbench/workloads.py, standard library
+    # only) must pass the params table, at full size and tiny
+    monkeypatch.syspath_prepend(str(_REPO / "perfbench"))
+    import workloads
+
+    for workload in workloads.WORKLOADS:
+        for tiny in (False, True):
+            jobs = workloads.job_configs(workload, 1, str(tmp_path), tiny=tiny)
+            jobs += workloads.warmup_configs(jobs)
+            for name, cfg in jobs:
+                assert xp.parse_config(cfg).experiment == cfg["experiment"], name
+
+
+def test_readme_params_reference_lists_the_table_keys():
+    # README's "Params reference": one "#### `experiment`" table per
+    # experiment, one row per key, in the table's order
+    text = (_REPO / "README.md").read_text()
+    section = text.split("### Params reference", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for block in section.split("#### `")[1:]:
+        name, body = block.split("`", 1)
+        listed[name] = [line.split("`")[1] for line in body.splitlines() if line.startswith("| `")]
+    assert listed == {name: list(e.params) for name, e in xp.PARAMS.items()}

@@ -202,7 +202,7 @@ def test_occupation_bound_when_certified():
     n = 64
     eps = 0.05
     ens = high_disorder_ensemble(n, eps, uniform(-1.0, 1.0), seed=23, realizations=25)
-    prof = ensemble_mean(xp._real_eigencorrelator, ens, {"max_distance": 25})
+    prof = ensemble_mean(xp._real_eigencorrelator, ens, {"block": False, "max_distance": 25})
     fit = fit_decay(prof, min_distance=2, max_distance=20)
     eta = 0.5 * fit.eta
     tau = 0.5
@@ -236,7 +236,7 @@ def test_certified_fraction_monotone_in_coupling():
     for eps in (0.2, 0.1, 0.05):
         ens = high_disorder_ensemble(64, eps, uniform(-1.0, 1.0), seed=31, realizations=40)
         if eta_ref is None:
-            prof = ensemble_mean(xp._real_eigencorrelator, ens, {"max_distance": 25})
+            prof = ensemble_mean(xp._real_eigencorrelator, ens, {"block": False, "max_distance": 25})
             eta_ref = 0.5 * fit_decay(prof, min_distance=2, max_distance=20).eta
         good = 0
         for i in range(ens.realizations):
