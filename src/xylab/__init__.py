@@ -11,8 +11,6 @@ from .disorder import (
     Distribution,
     EnsembleSpec,
     constant,
-    high_disorder_chain,
-    high_disorder_ensemble,
     make_chain,
     sample_chain,
     uniform,
@@ -27,14 +25,11 @@ from .hamiltonian import (
     build_M,
     diagonalize,
     diagonalize_A,
-    many_body_energy,
 )
 from .quasifree import (
     CorrelationMatrix,
-    dynamic_kernel,
     eigenstate_gamma,
     evolve_gamma,
-    multipoint_correlation,
     profile_gamma,
     sw_bound,
     thermal_gamma,

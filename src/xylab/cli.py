@@ -46,10 +46,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    params = {key: getattr(args, key) for key in DEFAULTS["oracle_check"]}
     try:
-        result = oracle_suite(n=args.n, seed=args.seed, realizations=args.realizations)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        result = oracle_suite(**parse_config({"experiment": "oracle_check", "params": params}).params)
+    except ValueError as exc:  # the params of oracle_check are the command's flags
+        print(f"error: {str(exc).replace('params.', '--')}", file=sys.stderr)
         return 2
     for name in sorted(result["checks"]):
         ok = result["checks"][name]

@@ -81,7 +81,7 @@ class Param:
             raise ConfigError(f"{field} must be one of {', '.join(kind)}; got {value!r}")
         left, right = "()" if self.open else "[]"
         bounds = ("" if (lo, hi) == (-math.inf, math.inf) else f" >= {lo}" if hi == math.inf and not self.open
-                  else f" in {left}{lo:g}, {hi:g}{right}")
+                  else f" in {left}{lo}, {hi}{right}")
         raise ConfigError(f"{field} must be {self.KINDS[kind]}{bounds}, got {value!r}")
 
 
@@ -89,6 +89,7 @@ class Experiment(NamedTuple):
     time_grid: bool  # whether the experiment needs one
     window: tuple  # fit window: low-end field, then fields whose least value (and n - 1) is its top
     params: dict
+    unread: dict = {}  # variant -> the keys of params that it does not read, and rejects
 
 
 _PROFILE_WINDOW = ("min_distance", "max_distance")
@@ -121,7 +122,9 @@ PARAMS = {
     "transport_energy": Experiment(True, _FIT_WINDOW, {
         "variant": Param(("isotropic_bound", "anisotropic_flatness"), "isotropic_bound"),
         **_TRANSPORT, "s2": Param("ints", None, 1), "sizes": Param("ints", (40, 80, 160), 1),
-        "eta_profile": Param("profile", "ones", 0, 1)}),
+        "eta_profile": Param("profile", "ones", 0, 1)}, unread={
+        "isotropic_bound": ("sizes", "eta_profile"),
+        "anisotropic_flatness": ("s2", "eta_value", *_FIT_WINDOW, "slack", "max_distance")}),
     "fock": Experiment(False, _FIT_WINDOW, {
         "alpha": Param("float", 1.25, 1, open=True), "tau": Param("float", 0.5, 0, 1, open=True),
         "pair_count": Param("int", 100, 1), "pair_seed": _SEED, "r_max": Param("int", 5, 1),
@@ -129,7 +132,9 @@ PARAMS = {
         "eta": Param("float", None, 0, open=True), "eta0": Param("float", None, 0, open=True),
         "matched_min": Param("float", 0.99, 0, 1), "certified_min": Param("float", 0.95, 0, 1),
         "overlap_min": Param("float", 0.95, 0, 1), **_FIT_DISTANCES, "max_distance": _MAX_DISTANCE}),
-    "oracle_check": Experiment(False, (), {"n": Param("int", 6, 1, MAX_SITES), "seed": Param("int", 42, 0),
+    # the seed is the oracle ensemble's base_seed
+    "oracle_check": Experiment(False, (), {"n": Param("int", 6, 1, MAX_SITES),
+                                           "seed": Param("int", 42, 0, 2**64 - 1),
                                            "realizations": Param("int", 5, 1)}),
 }
 
@@ -156,6 +161,12 @@ def _check_params(experiment: str, params, n: int | None) -> dict:
         elif param.default == REQUIRED:
             raise ConfigError(f"missing required field params.{key}")
     p = {**DEFAULTS[experiment], **params}
+    unread = PARAMS[experiment].unread.get(p.get("variant"), ())
+    foreign = [f"params.{k}" for k in params if k in unread]
+    if foreign:
+        raise ConfigError(f"unknown field {', '.join(foreign)} for {experiment} variant "
+                          f"{p['variant']}, whose params are "
+                          f"{', '.join(k for k in table if k not in unread)}")
     if n is None:
         return p
     if "ells" in p:

@@ -66,32 +66,19 @@ class Distribution:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
 
     @property
-    def mean(self) -> float:
-        return 0.5 * (self.lo + self.hi) if self.kind == "uniform" else self.value
-
-    @property
-    def variance(self) -> float:
-        return (self.hi - self.lo) ** 2 / 12.0 if self.kind == "uniform" else 0.0
-
-    @property
     def abs_max(self) -> float:
         """Largest |value| the distribution can produce."""
         if self.kind == "uniform":
             return max(abs(self.lo), abs(self.hi))
         return abs(self.value)
 
-    def to_json(self) -> dict:
-        if self.kind == "uniform":
-            return {"kind": "uniform", "lo": self.lo, "hi": self.hi}
-        return {"kind": "constant", "value": self.value}
-
     @staticmethod
     def from_json(obj: dict) -> "Distribution":
         kind = obj.get("kind")
         if kind == "uniform":
-            return Distribution("uniform", lo=float(obj["lo"]), hi=float(obj["hi"]))
+            return uniform(float(obj["lo"]), float(obj["hi"]))
         if kind == "constant":
-            return Distribution("constant", value=float(obj["value"]))
+            return constant(float(obj["value"]))
         raise ValueError(f"unknown distribution kind {kind!r}")
 
 
@@ -121,16 +108,6 @@ class EnsembleSpec:
             raise ValueError(f"realizations must be >= 1, got {self.realizations}")
         if not 0 <= self.base_seed <= _MASK64:
             raise ValueError("base_seed must fit in 64 bits")
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "mu": self.mu_dist.to_json(),
-            "gamma": self.gamma_dist.to_json(),
-            "nu": self.nu_dist.to_json(),
-            "base_seed": self.base_seed,
-            "realizations": self.realizations,
-        }
 
     @staticmethod
     def from_json(obj: dict) -> "EnsembleSpec":
@@ -237,31 +214,3 @@ def sample_chain(spec: EnsembleSpec, i: int) -> ChainSpec:
     gamma, off = _sample_dist(spec.gamma_dist, seed, off, n - 1)
     nu, _ = _sample_dist(spec.nu_dist, seed, off, n)
     return ChainSpec(n=n, mu=mu, gamma=gamma, nu=nu, realization_index=i)
-
-
-def high_disorder_chain(
-    n: int, eps: float, nu_dist: Distribution, seed: int, i: int
-) -> ChainSpec:
-    """Isotropic chain with constant coupling eps and random field: the
-    high-disorder model (eps close to 0 means strong relative disorder),
-    realization i of high_disorder_ensemble.
-
-    eps = 0 gives the decoupled reference chain.
-    """
-    return sample_chain(high_disorder_ensemble(n, eps, nu_dist, seed, i + 1), i)
-
-
-def high_disorder_ensemble(
-    n: int, eps: float, nu_dist: Distribution, seed: int, realizations: int
-) -> EnsembleSpec:
-    """EnsembleSpec for the high-disorder model."""
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    return EnsembleSpec(
-        n=n,
-        mu_dist=constant(eps),
-        gamma_dist=constant(0.0),
-        nu_dist=nu_dist,
-        base_seed=seed,
-        realizations=realizations,
-    )

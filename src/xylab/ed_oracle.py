@@ -136,11 +136,6 @@ def correlation_blocks(state: np.ndarray, jw: JordanWigner) -> np.ndarray:
                      for p in range(len(jw.tgt))])
 
 
-def spin_basis_index(n: int, up_sites) -> int:
-    """Index of the basis vector with up-spins exactly at `up_sites` (1-based)."""
-    return sum(1 << (n - j) for j in range(1, n + 1) if j not in set(up_sites))
-
-
 def match_eigenstates(target_energies, evals, tol: float = 1e-6):
     """Pair each target energy with the index of the nearest oracle
     eigenvalue.  Returns (indices, degenerate_flags): a flag is set when

@@ -216,32 +216,3 @@ def quench_entropy(
     G = V.T @ gamma0.gamma @ V
     blocks = restricted_series(V[: 2 * cut.ell, :], sd_M.eigenvalues, G, times)
     return _spectrum_entropy(np.linalg.eigvalsh(blocks))
-
-
-def thermal_entanglement_of_formation_bound(
-    bog: BogoliubovDecomposition,
-    cut: Cut,
-    beta: float,
-    sample_count: int = 200,
-    seed: int = 0,
-) -> float:
-    """Upper bound on the entanglement of formation of the Gibbs state:
-    the Gibbs-weighted average of eigenstate entanglements.  Exact mode
-    enumeration for n <= 14; otherwise the factorized Gibbs weights are
-    sampled (occupations are independent Bernoulli)."""
-    n = bog.n
-    cut.check(n)
-    WA = bog.W[:, : 2 * cut.ell]
-    if n <= MAX_EXHAUSTIVE_SITES:
-        if np.isinf(beta):
-            return float(_label_entropies(WA, np.zeros((1, n), dtype=int))[0])
-        # energies 2*sum(lam[occupied]) - E0; the E0 shift cancels in the weights
-        alphas = alpha_from_index(np.arange(2**n)[:, None], n)
-        w = np.exp(-2.0 * beta * (alphas @ bog.lam))
-        return float(w @ _label_entropies(WA, alphas) / np.sum(w))
-    from scipy.special import expit
-
-    rng = np.random.default_rng(seed)
-    p_occ = expit(-2.0 * beta * bog.lam)
-    alphas = np.array([rng.random(n) < p_occ for _ in range(sample_count)], dtype=int)
-    return float(np.mean(_label_entropies(WA, alphas)))

@@ -27,7 +27,7 @@ from . import entanglement as ent
 from . import transport as tr
 # parse_config and ConfigError are this module's API too: the CLI and the
 # benchmark harness call them through it
-from .config import PARAMS, ConfigError, ExperimentConfig, TimeGrid, config_hash, parse_config
+from .config import PARAMS, ConfigError, ExperimentConfig, config_hash, parse_config
 from .disorder import ChainSpec, EnsembleSpec, aggregate, sample_chain, uniform
 from .eigencorrelator import (
     DecayFit,
@@ -411,7 +411,7 @@ def run_fock(config: ExperimentConfig, outdir: Path) -> dict:
     eta = 0.5 * fit.eta if p["eta"] is None else p["eta"]
     eta0 = 0.25 * eta if p["eta0"] is None else p["eta0"]
     certified = certify_decay(np.stack(envelopes), eta, tau)
-    passed = fock_localization_check(np.stack(overlaps), pairs, n, fit, tau, eta0, eta=eta)
+    passed = fock_localization_check(np.stack(overlaps), pairs, n, fit, tau, eta0, eta)
     agg = aggregate(zip(matched, fallbacks, certified, passed))
     matched, _, certified, passed = agg["mean"].tolist()
     payload = {

@@ -80,7 +80,6 @@ class CenterAssignment:
     greedy repairs otherwise."""
 
     centers: tuple
-    alpha_used: float
     matched: bool
     fallback_count: int
 
@@ -116,7 +115,6 @@ def locate_centers(sd: SpectralDecomposition, alpha: float = 1.25) -> CenterAssi
                         break
     return CenterAssignment(
         centers=tuple(c + 1 for c in centers),
-        alpha_used=alpha,
         matched=matched,
         fallback_count=fallback,
     )
@@ -183,12 +181,6 @@ def occupation_number(U: np.ndarray, k_config, x: int) -> float:
     return float(np.sum(U[x - 1, np.array(k) - 1] ** 2))
 
 
-def occupation_bound(eta: float, dmin: float) -> float:
-    """2 / (e^{2 eta dmin} - 1): decay-certified bound on the occupation
-    at distance dmin from the nearest occupied-mode center."""
-    return 2.0 / np.expm1(2.0 * eta * dmin)
-
-
 def sample_configuration_pairs(n: int, tau: float, count: int, seed: int = 0, r_max: int = 5,
                                max_tries: int = 200000) -> list:
     """Sample (k, j) configuration pairs with equal cardinality r in
@@ -215,7 +207,7 @@ def pair_overlaps(U: np.ndarray, pairs) -> np.ndarray:
 
 
 def fock_localization_check(overlaps, pairs, n: int, fit: DecayFit, tau: float, eta0: float,
-                            eta: float | None = None) -> np.ndarray:
+                            eta: float) -> np.ndarray:
     """Pass fraction of the configuration-distance decay of the basis
     overlaps |overlap(k, j)| of the pairs (from pair_overlaps) at chain
     size n:
@@ -223,14 +215,11 @@ def fock_localization_check(overlaps, pairs, n: int, fit: DecayFit, tau: float, 
         |overlap(k, j)| <= n^{2 tau} sw_bound(n^tau, eta0, eta, C, D(k, j)),
 
     the determinant bound for the growth profile thresholded at n^tau,
-    with eta defaulting to half the fitted decay rate and C the fitted
-    prefactor.  Takes one overlap vector of shape (pairs,) or a stack of
-    shape (R, pairs), bounds each pair once and gives one fraction per
-    vector.  Pairs violating D >= 2 n^tau are skipped; with none left the
-    fraction is 1.
+    with C the fitted prefactor.  Takes one overlap vector of shape
+    (pairs,) or a stack of shape (R, pairs), bounds each pair once and
+    gives one fraction per vector.  Pairs violating D >= 2 n^tau are
+    skipped; with none left the fraction is 1.
     """
-    if eta is None:
-        eta = 0.5 * fit.eta
     overlaps = np.asarray(overlaps, dtype=float)
     if overlaps.shape[-1] != len(pairs):
         raise ValueError(f"{overlaps.shape[-1]} overlaps for {len(pairs)} pairs")

@@ -219,12 +219,6 @@ def bogoliubov(chain: ChainSpec) -> BogoliubovDecomposition:
     return BogoliubovDecomposition(W=W, lam=lam, E0=float(np.sum(lam)), degenerate=degenerate)
 
 
-def many_body_energy(bog: BogoliubovDecomposition, alpha) -> float:
-    """Eigenvalue of H for occupation pattern alpha: 2*sum(lam[alpha=1]) - E0."""
-    alpha = np.asarray(alpha)
-    return float(2.0 * np.sum(bog.lam[alpha == 1]) - bog.E0)
-
-
 def all_many_body_energies(bog: BogoliubovDecomposition) -> np.ndarray:
     """All 2^n eigenvalues of H, in alpha-bit order (alpha_1 the fastest bit
     would be ambiguous; here index a runs 0..2^n-1 with alpha_j = bit j of a)."""

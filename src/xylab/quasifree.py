@@ -10,9 +10,7 @@ Eigenstates and thermal states of the chain are spectral functions of
 the effective Hamiltonian M; particle profiles are diagonal.  Under the
 chain dynamics the matrix evolves by conjugation with exp(-2itM); the
 result is Hermitian but in general complex (off-diagonal currents), and
-is kept as such.  Multi-point functions in the particle-conserving
-sector are determinants of a one-particle kernel, with a structured
-bound controlling them in terms of the kernel's entry decay.
+is kept as such.
 """
 
 from __future__ import annotations
@@ -45,28 +43,6 @@ class CorrelationMatrix:
             raise ValueError(
                 f"gamma must be {2 * self.n}x{2 * self.n}, got {self.gamma.shape}"
             )
-
-    def occupations(self) -> np.ndarray:
-        """<c_j^* c_j> for j = 1..n."""
-        return np.real(np.diag(self.gamma)[1::2]).copy()
-
-    def one_particle_density(self) -> np.ndarray:
-        """Matrix rho with rho[j, k] = <c_k^* c_j> (the kernel entering
-        determinantal multi-point functions)."""
-        return self.gamma[1::2, 1::2].T.copy()
-
-    def validate(self, atol: float = 1e-9) -> None:
-        """Check Hermiticity and the spectral bounds 0 <= gamma <= 1."""
-        herm = np.max(np.abs(self.gamma - self.gamma.conj().T))
-        if herm > atol:
-            raise ValueError(f"gamma not Hermitian: residual {herm:.3e}")
-        w = np.linalg.eigvalsh(self.gamma)
-        if w[0] < -atol or w[-1] > 1 + atol:
-            raise ValueError(f"gamma spectrum outside [0,1]: [{w[0]:.3e}, {w[-1]:.3e}]")
-
-    def purity_defect(self) -> float:
-        """max |gamma^2 - gamma|; ~0 for pure quasi-free states."""
-        return float(np.max(np.abs(self.gamma @ self.gamma - self.gamma)))
 
 
 def mode_selector(alpha) -> np.ndarray:
@@ -187,7 +163,7 @@ def restricted_series(V_A: np.ndarray, lam: np.ndarray, G: np.ndarray, times) ->
 
 
 # ---------------------------------------------------------------------------
-# ordered configurations and determinantal correlations
+# ordered configurations
 
 
 def ordered_configuration(seq, n: int | None = None) -> tuple:
@@ -205,29 +181,6 @@ def configuration_distance(x, y) -> int:
     if len(x) != len(y):
         raise ValueError("configuration distance needs equal cardinalities")
     return int(max(abs(a - b) for a, b in zip(x, y))) if x else 0
-
-
-def dynamic_kernel(rho_1p: np.ndarray, sd_A: SpectralDecomposition, t: float) -> np.ndarray:
-    """One-particle kernel rho * exp(2itA) whose (x, y) entry is the
-    dynamic pair correlation <tau_t(c_y^*) c_x> in the particle
-    sector (tau_t(X) = e^{itH} X e^{-itH})."""
-    return rho_1p @ sd_A.function_of(lambda lam: np.exp(2j * t * lam))
-
-
-def multipoint_correlation(kernel: np.ndarray, x, y) -> complex:
-    """Determinant of the kernel sampled on ordered configurations:
-    the m-point function <tau_t(c^*_{y_m}) .. tau_t(c^*_{y_1}) c_{x_1} .. c_{x_m}>.
-
-    The kernel is the one-particle density of the state (possibly times
-    the propagator, see dynamic_kernel); complex in general.
-    """
-    x = ordered_configuration(x, kernel.shape[0])
-    y = ordered_configuration(y, kernel.shape[1])
-    if len(x) != len(y) or len(x) == 0:
-        raise ValueError("configurations must have equal cardinality m >= 1")
-    rows = np.array(x) - 1
-    cols = np.array(y) - 1
-    return complex(np.linalg.det(kernel[np.ix_(rows, cols)]))
 
 
 # ---------------------------------------------------------------------------

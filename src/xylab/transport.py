@@ -124,20 +124,3 @@ def mean_energy(chain: ChainSpec, eta) -> float:
     """<H> in the profile state: sum nu_j (1 - 2 eta_j)."""
     eta = np.asarray(eta, dtype=float)
     return float(np.sum(chain.nu_array() * (1.0 - 2.0 * eta)))
-
-
-def trace_norm_inequality_gap(chain: ChainSpec, s1: Region, s2: Region, eta, t: float):
-    """(lhs, rhs) of the per-realization trace bound: the energy trace
-    restricted to S2 against 2 ||A|| sum_{j in S2, k in S1} |exp(2itA)_{jk}|."""
-    idx1 = _interval_projector_indices(s1)
-    idx2 = np.array(s2.sites) - 1
-    eta = np.asarray(eta, dtype=float)
-    A = build_A(chain)
-    sd = diagonalize_A(chain)
-    AS1 = np.zeros_like(A)
-    AS1[np.ix_(idx1, idx1)] = A[np.ix_(idx1, idx1)]
-    U = sd.function_of(lambda lam: np.exp(2j * t * lam))
-    evolved = U @ AS1 @ U.conj().T
-    lhs = abs(float(np.real(np.sum(np.diag(evolved)[idx2] * eta[idx2]))))
-    rhs = 2.0 * np.linalg.norm(A, 2) * float(np.sum(np.abs(U[np.ix_(idx2, idx1)])))
-    return lhs, rhs

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from xylab import disorder
 from xylab import ed_oracle as ed
+from xylab import entanglement as ent
 from xylab import experiments as xp
+from xylab import quasifree as qf
+from xylab import transport as tr
+from xylab.hamiltonian import alpha_from_index, build_A, diagonalize_A
 
 
 @pytest.fixture
@@ -120,12 +125,122 @@ def commutator_norm(op1, op2):
     return float(np.linalg.norm(op1 @ op2 - op2 @ op1, 2))
 
 
+def spin_basis_index(n, up_sites):
+    """Index of the basis vector with up-spins exactly at `up_sites` (1-based)."""
+    return sum(1 << (n - j) for j in range(1, n + 1) if j not in set(up_sites))
+
+
 def spin_basis_vector(n, up_sites):
     e = np.zeros(2**n, dtype=complex)
-    e[ed.spin_basis_index(n, up_sites)] = 1.0
+    e[spin_basis_index(n, up_sites)] = 1.0
     return e
 
 
 def region_number_op(n, sites):
     """sum_{x in sites} n_x as a dense diagonal matrix."""
     return np.diag(sum(ed.occupation_mask(n, x) for x in sites))
+
+
+# ---------------------------------------------------------------------------
+# references that no experiment reads: the high-disorder model, functions of
+# a correlation matrix, multi-point determinants and the unreported bounds
+
+
+def high_disorder_ensemble(n, eps, nu_dist, seed, realizations):
+    """Isotropic chains with constant coupling eps >= 0 (close to 0: strong
+    relative disorder; 0: decoupled) and random field."""
+    if eps < 0:
+        raise ValueError(f"eps must be >= 0, got {eps}")
+    return disorder.EnsembleSpec(n=n, mu_dist=disorder.constant(eps),
+                                 gamma_dist=disorder.constant(0.0), nu_dist=nu_dist,
+                                 base_seed=seed, realizations=realizations)
+
+
+def high_disorder_chain(n, eps, nu_dist, seed, i):
+    """Realization i of high_disorder_ensemble."""
+    return disorder.sample_chain(high_disorder_ensemble(n, eps, nu_dist, seed, i + 1), i)
+
+
+def occupations(cm):
+    """<c_j^* c_j> for j = 1..n."""
+    return np.real(np.diag(cm.gamma)[1::2]).copy()
+
+
+def one_particle_density(cm):
+    """rho[j, k] = <c_k^* c_j>, the kernel of the multi-point determinants."""
+    return cm.gamma[1::2, 1::2].T.copy()
+
+
+def validate(cm, atol=1e-9):
+    """Check Hermiticity and the spectral bounds 0 <= gamma <= 1."""
+    herm = np.max(np.abs(cm.gamma - cm.gamma.conj().T))
+    if herm > atol:
+        raise ValueError(f"gamma not Hermitian: residual {herm:.3e}")
+    w = np.linalg.eigvalsh(cm.gamma)
+    if w[0] < -atol or w[-1] > 1 + atol:
+        raise ValueError(f"gamma spectrum outside [0,1]: [{w[0]:.3e}, {w[-1]:.3e}]")
+
+
+def purity_defect(cm):
+    """max |gamma^2 - gamma|; ~0 for pure quasi-free states."""
+    return float(np.max(np.abs(cm.gamma @ cm.gamma - cm.gamma)))
+
+
+def dynamic_kernel(rho_1p, sd_A, t):
+    """One-particle kernel rho * exp(2itA) whose (x, y) entry is the
+    dynamic pair correlation <tau_t(c_y^*) c_x> in the particle
+    sector (tau_t(X) = e^{itH} X e^{-itH})."""
+    return rho_1p @ sd_A.function_of(lambda lam: np.exp(2j * t * lam))
+
+
+def multipoint_correlation(kernel, x, y):
+    """Determinant of the kernel sampled on ordered configurations:
+    the m-point function <tau_t(c^*_{y_m}) .. tau_t(c^*_{y_1}) c_{x_1} .. c_{x_m}>,
+    for the one-particle density (or dynamic_kernel) as the kernel."""
+    x = qf.ordered_configuration(x, kernel.shape[0])
+    y = qf.ordered_configuration(y, kernel.shape[1])
+    if len(x) != len(y) or len(x) == 0:
+        raise ValueError("configurations must have equal cardinality m >= 1")
+    return complex(np.linalg.det(kernel[np.ix_(np.array(x) - 1, np.array(y) - 1)]))
+
+
+def occupation_bound(eta, dmin):
+    """2 / (e^{2 eta dmin} - 1): decay-certified bound on the occupation
+    at distance dmin from the nearest occupied-mode center."""
+    return 2.0 / np.expm1(2.0 * eta * dmin)
+
+
+def trace_norm_inequality_gap(chain, s1, s2, eta, t):
+    """(lhs, rhs) of the per-realization trace bound: the energy trace
+    restricted to S2 against 2 ||A|| sum_{j in S2, k in S1} |exp(2itA)_{jk}|."""
+    idx1 = tr._interval_projector_indices(s1)
+    idx2 = np.array(s2.sites) - 1
+    eta = np.asarray(eta, dtype=float)
+    A = build_A(chain)
+    AS1 = np.zeros_like(A)
+    AS1[np.ix_(idx1, idx1)] = A[np.ix_(idx1, idx1)]
+    U = diagonalize_A(chain).function_of(lambda lam: np.exp(2j * t * lam))
+    evolved = U @ AS1 @ U.conj().T
+    lhs = abs(float(np.real(np.sum(np.diag(evolved)[idx2] * eta[idx2]))))
+    rhs = 2.0 * np.linalg.norm(A, 2) * float(np.sum(np.abs(U[np.ix_(idx2, idx1)])))
+    return lhs, rhs
+
+
+def thermal_entanglement_of_formation_bound(bog, cut, beta, sample_count=200, seed=0):
+    """Gibbs-weighted average of eigenstate entanglements, a bound on the
+    Gibbs state's entanglement of formation: all labels for n <= 14, else
+    sample_count labels of independent Bernoulli occupations."""
+    n = bog.n
+    cut.check(n)
+    WA = bog.W[:, : 2 * cut.ell]
+    if n <= ent.MAX_EXHAUSTIVE_SITES:
+        if np.isinf(beta):
+            return float(ent._label_entropies(WA, np.zeros((1, n), dtype=int))[0])
+        # energies 2*sum(lam[occupied]) - E0; the E0 shift cancels in the weights
+        alphas = alpha_from_index(np.arange(2**n)[:, None], n)
+        w = np.exp(-2.0 * beta * (alphas @ bog.lam))
+        return float(w @ ent._label_entropies(WA, alphas) / np.sum(w))
+    rng = np.random.default_rng(seed)
+    p_occ = expit(-2.0 * beta * bog.lam)
+    alphas = np.array([rng.random(n) < p_occ for _ in range(sample_count)], dtype=int)
+    return float(np.mean(ent._label_entropies(WA, alphas)))

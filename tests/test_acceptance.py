@@ -21,24 +21,17 @@ from xylab import transport as tr
 from xylab.disorder import (
     EnsembleSpec,
     constant,
-    high_disorder_ensemble,
     make_chain,
     sample_chain,
     uniform,
 )
 
-from conftest import dense_cs, ed_commutator_sups, ensemble_mean, region_number_op
+from conftest import (dense_cs, ed_commutator_sups, ensemble_mean, high_disorder_ensemble,
+                      multipoint_correlation, occupation_bound, random_chain, region_number_op)
 
 
 def report(number: int, ok: bool, detail: str) -> None:
     print(f"\nACCEPTANCE {number:02d}: {'PASS' if ok else 'FAIL'}  {detail}")
-
-
-def random_chain(rng, n, anisotropic):
-    mu = rng.uniform(-1, 1, n - 1)
-    gamma = rng.uniform(-0.8, 0.8, n - 1) if anisotropic else np.zeros(n - 1)
-    nu = rng.uniform(-1.5, 1.5, n)
-    return make_chain(mu, gamma, nu)
 
 
 @pytest.fixture(scope="module")
@@ -201,7 +194,7 @@ def test_06_determinant_bound():
         x = tuple(sorted(rng.choice(n, m, replace=False) + 1))
         y = tuple(sorted(rng.choice(n, m, replace=False) + 1))
         D = qf.configuration_distance(x, y)
-        det = qf.multipoint_correlation(raw, x, y)
+        det = multipoint_correlation(raw, x, y)
         if abs(det) > qf.sw_bound(0.0, mu0, mu, C, D):
             violations += 1
     ok = violations == 0
@@ -370,7 +363,7 @@ def test_09_fock_localization(fit_eps005_n200):
                     if dmin < window:
                         continue
                     occ = fock.occupation_number(sd.eigenvectors, k_modes, x)
-                    if occ > fock.occupation_bound(eta_cert, dmin) + 1e-12:
+                    if occ > occupation_bound(eta_cert, dmin) + 1e-12:
                         bound54_ok = False
     matched_frac = matched / ens.realizations
     certified_frac = certified / ens.realizations

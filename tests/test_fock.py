@@ -8,10 +8,11 @@ from xylab import experiments as xp
 from xylab import fock
 from xylab import hamiltonian as ham
 from xylab import quasifree as qf
-from xylab.disorder import high_disorder_ensemble, make_chain, sample_chain, uniform
+from xylab.disorder import make_chain, sample_chain, uniform
 from xylab.eigencorrelator import DecayFit, fit_decay
 
-from conftest import ensemble_mean, random_chain
+from conftest import (ensemble_mean, high_disorder_ensemble, occupation_bound, random_chain,
+                      spin_basis_index)
 
 
 def test_hopcroft_karp_small_graphs():
@@ -75,8 +76,7 @@ def test_decay_envelope_is_the_largest_entry_per_distance(rng):
             expected[d] = max(expected[d], abs(sd.eigenvectors[j - 1, r]))
     assert np.array_equal(fock.decay_envelope(sd, ca), expected)
     # no center at an end of the chain: no entry lies n - 1 sites away
-    inner = fock.CenterAssignment(centers=(2,) * n, alpha_used=1.25, matched=False,
-                                  fallback_count=0)
+    inner = fock.CenterAssignment(centers=(2,) * n, matched=False, fallback_count=0)
     assert fock.decay_envelope(sd, inner)[n - 1] == 0.0
 
 
@@ -158,7 +158,7 @@ def test_slater_overlap_matches_oracle(rng):
             continue
         psi = evecs[:, idx[0]]
         for j in itertools.combinations(range(1, n + 1), 2):
-            ed_val = abs(psi[ed.spin_basis_index(n, j)])
+            ed_val = abs(psi[spin_basis_index(n, j)])
             assert abs(abs(fock.slater_overlap(U, k, j)) - ed_val) < 1e-8
 
 
@@ -223,7 +223,7 @@ def test_occupation_bound_when_certified():
                     continue
                 hits += 1
                 occ = fock.occupation_number(sd.eigenvectors, k_modes, x)
-                assert occ <= fock.occupation_bound(eta, dmin) + 1e-12
+                assert occ <= occupation_bound(eta, dmin) + 1e-12
     assert hits > 0
 
 
@@ -263,11 +263,12 @@ def test_fock_localization_check_decoupled_all_pass():
     fit = DecayFit(C=1.0, eta=2.0, r_squared=1.0, min_distance=1)
     pairs = fock.sample_configuration_pairs(20, 0.4, 40, seed=1)
     overlaps = fock.pair_overlaps(sd.eigenvectors, pairs)
-    pass_fraction = fock.fock_localization_check(overlaps, pairs, 20, fit, 0.4, 0.25)
+    pass_fraction = fock.fock_localization_check(overlaps, pairs, 20, fit, 0.4, 0.25,
+                                                 eta=0.5 * fit.eta)
     assert all(fock.configuration_distance(k, j) >= 2.0 * 20**0.4 for k, j in pairs)
     assert pass_fraction == 1.0
     with pytest.raises(ValueError):
-        fock.fock_localization_check(overlaps, pairs, 20, fit, 0.4, 2.0)
+        fock.fock_localization_check(overlaps, pairs, 20, fit, 0.4, 2.0, eta=0.5 * fit.eta)
 
 
 def test_certify_decay_stack_matches_rows(rng):
@@ -284,34 +285,36 @@ def test_certify_decay_stack_matches_rows(rng):
 def test_fock_localization_check_stack_matches_rows(rng):
     n, tau = 40, 0.4
     fit = DecayFit(C=1.0, eta=1.0, r_squared=1.0, min_distance=1)
+    eta = 0.5 * fit.eta
     pairs = fock.sample_configuration_pairs(n, tau, 25, seed=3)
     pairs[0] = ((5,), (6,))  # closer than 2 n^tau: skipped
     D = np.array([fock.configuration_distance(k, j) for k, j in pairs])
     I = qf.growth_series(n**tau, 0.1)
-    bound = 8.0 * I * n ** (2 * tau) * np.exp(-0.25 * (0.5 - 0.1) * D)  # eta = fit.eta / 2
+    bound = 8.0 * I * n ** (2 * tau) * np.exp(-0.25 * (eta - 0.1) * D)
     overlaps = bound * rng.uniform(0.2, 1.3, size=(30, len(pairs)))
-    fractions = fock.fock_localization_check(overlaps, pairs, n, fit, tau, 0.1)
+    fractions = fock.fock_localization_check(overlaps, pairs, n, fit, tau, 0.1, eta)
     assert fractions.shape == (30,)
-    rows = [fock.fock_localization_check(o, pairs, n, fit, tau, 0.1) for o in overlaps]
+    rows = [fock.fock_localization_check(o, pairs, n, fit, tau, 0.1, eta) for o in overlaps]
     assert fractions.tolist() == [float(r) for r in rows]
     assert 0.0 < fractions.min() < fractions.max() <= 1.0
     # the near pair counts neither way, however large its overlap
     overlaps[:, 0] = 1e9
-    assert np.array_equal(fock.fock_localization_check(overlaps, pairs, n, fit, tau, 0.1),
+    assert np.array_equal(fock.fock_localization_check(overlaps, pairs, n, fit, tau, 0.1, eta),
                           fractions)
     # with every pair near, nothing is checked and every row passes
     near = [((1, 2), (2, 3)), ((7,), (9,))]
-    assert fock.fock_localization_check(np.full((3, 2), 1e9), near, n, fit, tau, 0.1).tolist() == [1.0] * 3
+    all_near = fock.fock_localization_check(np.full((3, 2), 1e9), near, n, fit, tau, 0.1, eta)
+    assert all_near.tolist() == [1.0] * 3
     with pytest.raises(ValueError):
-        fock.fock_localization_check(overlaps[:, 1:], pairs, n, fit, tau, 0.1)
+        fock.fock_localization_check(overlaps[:, 1:], pairs, n, fit, tau, 0.1, eta)
     # eta0 >= eta is rejected, also when every pair is near and none is checked
     for eta0 in (0.5, 0.7):
         with pytest.raises(ValueError, match="mu > mu0 > 0"):
-            fock.fock_localization_check(overlaps, pairs, n, fit, tau, eta0)
+            fock.fock_localization_check(overlaps, pairs, n, fit, tau, eta0, eta)
         with pytest.raises(ValueError, match="mu > mu0 > 0"):
-            fock.fock_localization_check(np.full((3, 2), 1e9), near, n, fit, tau, eta0)
+            fock.fock_localization_check(np.full((3, 2), 1e9), near, n, fit, tau, eta0, eta)
     with pytest.raises(ValueError):
-        fock.fock_localization_check(overlaps[0], pairs[1:], n, fit, tau, 0.1)
+        fock.fock_localization_check(overlaps[0], pairs[1:], n, fit, tau, 0.1, eta)
 
 
 def test_single_mode_reduces_to_eigenfunction_decay(rng):

@@ -8,7 +8,8 @@ from xylab import transport as tr
 from xylab.disorder import EnsembleSpec, constant, make_chain, uniform
 from xylab.eigencorrelator import DecayFit
 
-from conftest import random_chain, region_number_op
+from conftest import (heisenberg_evolve, occupations, random_chain, region_number_op,
+                      trace_norm_inequality_gap)
 
 
 def profile_density_matrix(eta):
@@ -16,12 +17,6 @@ def profile_density_matrix(eta):
     for e in eta:
         rho = np.kron(rho, np.diag([e, 1 - e]).astype(complex))
     return rho
-
-
-def evolve_density(rho, hd, t):
-    evals, evecs = hd
-    phases = np.exp(-1j * t * np.subtract.outer(evals, evals))
-    return evecs @ ((evecs.conj().T @ rho @ evecs) * phases) @ evecs.conj().T
 
 
 def test_region_of():
@@ -36,7 +31,7 @@ def test_region_of():
 
 def test_particle_number_initial_profile():
     eta = [0.2, 0.7, 0.0, 1.0]
-    occ = qf.profile_gamma(eta).occupations()
+    occ = occupations(qf.profile_gamma(eta))
     assert occ[0] + occ[1] == pytest.approx(0.9)
     assert occ[3] == pytest.approx(1.0)
 
@@ -69,7 +64,7 @@ def test_particle_number_matches_oracle(rng):
     NS1 = region_number_op(n, [1])
     for t in (0.5, 2.0):
         free = tr.particle_number_series(ch, tr.Region.of([1]), eta, [t])[0]
-        rt = evolve_density(rho0, hd, t)
+        rt = heisenberg_evolve(rho0, hd, -t)  # Schroedinger picture
         assert abs(free - np.real(np.trace(rt @ NS1))) < 1e-8
 
 
@@ -85,7 +80,7 @@ def test_energy_in_region_matches_oracle(rng):
     assert tr.energy_series_isotropic(ch, s1, eta, [0.0])[0] == pytest.approx(0.0, abs=1e-12)
     for t in (0.5, 2.0):
         free = tr.energy_series_isotropic(ch, s1, eta, [t])[0]
-        rt = evolve_density(rho0, hd, t)
+        rt = heisenberg_evolve(rho0, hd, -t)  # Schroedinger picture
         ed_val = np.real(np.trace(rt @ HS1)) - e_ref
         assert abs(free - ed_val) < 1e-8
 
@@ -102,7 +97,7 @@ def test_energy_fluctuation_series_matches_oracle(rng):
     series = tr.energy_fluctuation_series(ch, s1, eta, [0.0, 0.5, 2.0])
     assert series[0] == pytest.approx(0.0, abs=1e-12)
     for i, t in enumerate((0.0, 0.5, 2.0)):
-        rt = evolve_density(rho0, hd, t)
+        rt = heisenberg_evolve(rho0, hd, -t)  # Schroedinger picture
         assert abs(series[i] - (np.real(np.trace(rt @ HS1)) - e0)) < 1e-8
 
 
@@ -176,7 +171,7 @@ def test_trace_norm_inequality(rng):
         ch = random_chain(rng, 8, anisotropic=False)
         eta = np.zeros(8)
         eta[5:] = 1.0
-        lhs, rhs = tr.trace_norm_inequality_gap(
+        lhs, rhs = trace_norm_inequality_gap(
             ch, tr.Region.of([1, 2]), tr.Region.of([6, 7, 8]), eta, 1.3
         )
         assert lhs <= rhs + 1e-12
