@@ -2,7 +2,7 @@
 
 PARAMS declares every params key of every experiment once, with its
 kind, default and range.  parse_config rejects undeclared keys and fills
-the defaults into config.params; summaries echo and hash the raw config.
+in the defaults a variant reads; summaries echo and hash the raw config.
 """
 
 from __future__ import annotations
@@ -145,7 +145,8 @@ DEFAULTS = {name: {k: p.default for k, p in e.params.items() if p.default != REQ
 
 
 def _check_params(experiment: str, params, n: int | None) -> dict:
-    """params checked against the table, with its defaults filled in, then
+    """params checked against the table, with the defaults filled in of the
+    keys that the variant reads (the ones it rejects are left out), then
     against the rules that tie fields to each other or to ensemble.n: the
     cuts, fit window, fock's pairs and thresholds, transport regions."""
     if not isinstance(params, dict):
@@ -167,6 +168,7 @@ def _check_params(experiment: str, params, n: int | None) -> dict:
         raise ConfigError(f"unknown field {', '.join(foreign)} for {experiment} variant "
                           f"{p['variant']}, whose params are "
                           f"{', '.join(k for k in table if k not in unread)}")
+    p = {k: v for k, v in p.items() if k not in unread}
     if n is None:
         return p
     if "ells" in p:

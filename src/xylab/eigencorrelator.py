@@ -12,8 +12,9 @@ The sup-over-time kernels (the propagator amplitudes and the clustering
 kernel) never build a propagator.  Every entry (j, k) of a symmetric
 spectral function of X is w . g(lam) with w = V[j] o V[k], so for the
 pairs j <= k that reach the output a chunk of the time grid is one real
-product of the stacked w against cos/sin rows, and the running max is
-kept in place: O(n^2) per time step instead of an O(n^3) product.
+product of the stacked w against the cos/sin rows of quasifree.phase_rows,
+the one time-series engine, and the running max is kept in place: O(n^2)
+per time step instead of an O(n^3) product.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hamiltonian import SpectralDecomposition, block_norms
-from .quasifree import _grid_chunks
+from .quasifree import phase_rows
 
 
 def eigencorrelator_table(sd: SpectralDecomposition, block: bool = False) -> np.ndarray:
@@ -56,15 +57,7 @@ def _upper_pairs(n: int, max_distance: int | None = None):
     return j[keep], k[keep]
 
 
-def _trig(phase: np.ndarray, weights=(1.0,)) -> np.ndarray:
-    """Rows w cos(phase) then w sin(phase) for each weight w, stacked."""
-    c, s = np.cos(phase), np.sin(phase)
-    return np.vstack([part for w in weights for part in (w * c, w * s)])
-
-
-def dynamic_amplitude_sup(
-    sd: SpectralDecomposition, times, block: bool = False
-) -> np.ndarray:
+def dynamic_amplitude_sup(sd: SpectralDecomposition, times, block: bool = False) -> np.ndarray:
     """Entrywise max over the time grid of the propagator amplitudes:
     |exp(-itX)_{jk}| in the scalar case, the 2x2-block spectral norms of
     exp(-2itM) in the block case (the mode dynamics carries the factor 2).
@@ -74,8 +67,7 @@ def dynamic_amplitude_sup(
     imaginary part -w . sin(t lam), so a chunk of times is one real
     product against the stacked cos/sin rows and no propagator is built.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size == 0:
+    if np.size(times) == 0:
         raise ValueError("time grid must be nonempty")
     V = sd.eigenvectors
     lam = sd.eigenvalues
@@ -86,17 +78,17 @@ def dynamic_amplitude_sup(
     best = np.zeros(len(j))
     if not block:
         W = V[j] * V[k]
-        for ts in _grid_chunks(times, 2 * len(j)):
-            ri = _trig(np.outer(ts, lam)) @ W.T
+        for m, R in phase_rows(lam, times, 1.0, 2 * len(j)):
+            ri = R @ W.T
             ri *= ri
-            np.maximum(best, np.max(ri[: len(ts)] + ri[len(ts) :], axis=0), out=best)
+            np.maximum(best, np.max(ri[:m] + ri[m:], axis=0), out=best)
         best = np.sqrt(best)
     else:
         # entry (a, b) of every block (j, k), for (a, b) = (0,0), (0,1), (1,0), (1,1)
         W = np.vstack([V[2 * j + a] * V[2 * k + b] for a in (0, 1) for b in (0, 1)])
-        for ts in _grid_chunks(times, 2 * len(W)):
-            ri = _trig(2.0 * np.outer(ts, lam)) @ W.T
-            parts = np.moveaxis(ri.reshape(2, len(ts), 2, 2, len(j)), 4, 2)
+        for m, R in phase_rows(lam, times, 2.0, 2 * len(W)):
+            ri = R @ W.T
+            parts = ri.reshape(2, m, 2, 2, len(j)).transpose(0, 1, 4, 2, 3)
             np.maximum(best, np.max(block_norms(parts[0], parts[1]), axis=0), out=best)
     out = np.zeros((n, n))
     out[j, k] = best
@@ -115,15 +107,13 @@ def clustering_sup(
     product of w = V[j] o V[k] against the occupation-weighted cos/sin
     rows, and a chunk of times takes one product.
     """
-    times = np.asarray(times, dtype=float)
     V = sd.eigenvectors
     occ = np.asarray(occ, dtype=float)
     j, k = _upper_pairs(sd.dim, max_distance)
     W = V[j] * V[k]
     best = np.zeros(len(j))
-    for ts in _grid_chunks(times, 4 * len(j)):
-        m = len(ts)
-        ri = _trig(2.0 * np.outer(ts, sd.eigenvalues), (occ, 1.0 - occ)) @ W.T
+    for m, R in phase_rows(sd.eigenvalues, times, 2.0, 4 * len(j), (occ, 1.0 - occ)):
+        ri = R @ W.T
         ri *= ri
         prod = (ri[:m] + ri[m : 2 * m]) * (ri[2 * m : 3 * m] + ri[3 * m :])
         np.maximum(best, np.max(prod, axis=0), out=best)

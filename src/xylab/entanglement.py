@@ -149,13 +149,8 @@ def _label_entropies(WA: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     return out
 
 
-def max_eigenstate_entropy(
-    bog: BogoliubovDecomposition,
-    cut: Cut,
-    strategy: str = "exhaustive",
-    samples: int = 200,
-    seed: int = 0,
-) -> EntanglementRecord:
+def max_eigenstate_entropy(bog: BogoliubovDecomposition, cut: Cut, strategy: str, samples: int,
+                           seed: int) -> EntanglementRecord:
     """Maximum entanglement over eigenstate labels: exhaustive for
     n <= 14, uniform sampling otherwise (a lower bound on the sup,
     recorded in the strategy field).

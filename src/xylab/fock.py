@@ -20,6 +20,8 @@ from .eigencorrelator import DecayFit
 from .hamiltonian import SpectralDecomposition
 from .quasifree import configuration_distance, ordered_configuration, sw_bound
 
+_MAX_PAIR_TRIES = 200000  # draws before sample_configuration_pairs gives up
+
 
 def hopcroft_karp(adjacency: list, n_right: int) -> list:
     """Maximum-cardinality matching of a bipartite graph.
@@ -84,7 +86,7 @@ class CenterAssignment:
     fallback_count: int
 
 
-def locate_centers(sd: SpectralDecomposition, alpha: float = 1.25) -> CenterAssignment:
+def locate_centers(sd: SpectralDecomposition, alpha: float) -> CenterAssignment:
     """Assign a center site to each eigenvector.
 
     Candidate sites for eigenvector r are those with |phi_r(j)| >= n^-alpha;
@@ -181,15 +183,14 @@ def occupation_number(U: np.ndarray, k_config, x: int) -> float:
     return float(np.sum(U[x - 1, np.array(k) - 1] ** 2))
 
 
-def sample_configuration_pairs(n: int, tau: float, count: int, seed: int = 0, r_max: int = 5,
-                               max_tries: int = 200000) -> list:
+def sample_configuration_pairs(n: int, tau: float, count: int, seed: int, r_max: int) -> list:
     """Sample (k, j) configuration pairs with equal cardinality r in
     [1, r_max] conditioned on D(k, j) >= 2 n^tau, fixed seed."""
     rng = np.random.default_rng(seed)
     dmin = 2.0 * float(n) ** tau
     pairs = []
     tries = 0
-    while len(pairs) < count and tries < max_tries:
+    while len(pairs) < count and tries < _MAX_PAIR_TRIES:
         tries += 1
         r = int(rng.integers(1, r_max + 1))
         k = tuple(sorted(rng.choice(n, size=r, replace=False) + 1))

@@ -8,9 +8,11 @@ functions in the interleaved (c_j, c_j^*) ordering; block (j, k) is
 
 Eigenstates and thermal states of the chain are spectral functions of
 the effective Hamiltonian M; particle profiles are diagonal.  Under the
-chain dynamics the matrix evolves by conjugation with exp(-2itM); the
-result is Hermitian but in general complex (off-diagonal currents), and
-is kept as such.
+chain dynamics the matrix evolves by conjugation with exp(-2itM) into a
+Hermitian, in general complex matrix (off-diagonal currents).
+phase_rows is the one time-series engine: every whole-grid kernel, here
+and in eigencorrelator, reads the real cos/sin rows of a chunk of times
+from it, so memory stays bounded and no propagator is built.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .disorder import ChainSpec
-from .hamiltonian import BogoliubovDecomposition, SpectralDecomposition
+from .disorder import ChainSpec, make_chain
+from .hamiltonian import BogoliubovDecomposition, SpectralDecomposition, bogoliubov
 
 
 @dataclass
@@ -91,15 +93,13 @@ def evolve_gamma(cm: CorrelationMatrix, sd_M: SpectralDecomposition, t: float) -
     """Heisenberg-picture update exp(-2itM) gamma exp(+2itM): the whole
     matrix as the one-time restricted_series over every row of V.
 
-    The result is Hermitian but genuinely complex at t != 0 for states
-    that do not commute with M (the imaginary parts carry the currents);
-    it is verified Hermitian to 1e-9 and returned complex, collapsing to
-    the real dtype only when the imaginary part is negligible.
+    The state must be real, as every state at time zero is; the result
+    is Hermitian but genuinely complex at t != 0 for states that do not
+    commute with M (the imaginary parts carry the currents), verified
+    Hermitian to 1e-9 and returned complex.
     """
     V = sd_M.eigenvectors
     gt = restricted_series(V, sd_M.eigenvalues, V.T @ cm.gamma @ V, [t])[0]
-    if np.max(np.abs(gt.imag)) < 1e-12:
-        gt = gt.real
     return CorrelationMatrix(gamma=gt, n=cm.n, degenerate=cm.degenerate)
 
 
@@ -111,52 +111,65 @@ def evolve_gamma(cm: CorrelationMatrix, sd_M: SpectralDecomposition, t: float) -
 _GRID_CHUNK_ENTRIES = 1 << 17
 
 
-def _grid_chunks(times: np.ndarray, per_time: int):
-    """Consecutive slices of the grid whose batched intermediates hold at
-    most _GRID_CHUNK_ENTRIES float64 entries, per_time of them per time."""
-    step = max(1, _GRID_CHUNK_ENTRIES // per_time)
-    return (times[s : s + step] for s in range(0, len(times), step))
-
-
-def trace_series(lam: np.ndarray, K: np.ndarray, times, scale: float) -> np.ndarray:
-    """sum_ab exp(i scale t (lam_a - lam_b)) K_ab for every t of the grid.
-
-    This is the bilinear trace tr(exp(i scale t X) O exp(-i scale t X) G)
-    of X = V diag(lam) V^t once K = (V^t O V) o (V^t G V)^t is formed: the
-    grid costs (T x d) @ (d x d) products, taken over chunks of times so
-    memory stays bounded, with no propagator built.  Complex in general;
-    real for Hermitian O and G.
-    """
+def phase_rows(lam: np.ndarray, times, scale: float, per_time: int, weights=(1.0,)):
+    """The one time-series engine: yields (m, R) for consecutive chunks of
+    m times of the grid, R stacking w cos(scale t lam) and then
+    w sin(scale t lam), one row per time, for each weight w in turn.  A
+    chunk holds the times whose batched intermediates, per_time float64
+    entries per time, fit in _GRID_CHUNK_ENTRIES."""
     times = np.asarray(times, dtype=float)
-    out = np.empty(len(times), dtype=complex)
+    step = max(1, _GRID_CHUNK_ENTRIES // per_time)
+    for start in range(0, len(times), step):
+        phase = scale * np.outer(times[start : start + step], lam)
+        c, s = np.cos(phase), np.sin(phase)
+        yield len(phase), np.vstack([part for w in weights for part in (w * c, w * s)])
+
+
+def trace_series(lam: np.ndarray, K: np.ndarray, times) -> np.ndarray:
+    """Re sum_ab exp(2it(lam_a - lam_b)) K_ab = c^t K c + s^t K s, with c, s
+    the cos and sin rows of 2t lam, for every t of the grid and a real K:
+    the bilinear trace tr(exp(2itX) O exp(-2itX) G) of X = V diag(lam) V^t
+    and symmetric O and G once K = (V^t O V) o (V^t G V)^t is formed.  A
+    chunk of m times costs one (2m x d) @ (d x d) product.
+    """
+    if np.iscomplexobj(K):
+        raise ValueError("trace_series takes a real K")
+    out = np.empty(len(times))
     start = 0
-    for ts in _grid_chunks(times, 2 * len(lam)):  # one complex phase row per time
-        P = np.exp(1j * scale * np.outer(ts, lam))
-        out[start : start + len(ts)] = np.einsum("ta,ta->t", P @ K, P.conj())
-        start += len(ts)
+    for m, R in phase_rows(lam, times, 2.0, 2 * len(lam)):
+        q = np.einsum("ra,ra->r", R @ K, R)
+        out[start : start + m] = q[:m] + q[m:]
+        start += m
     return out
 
 
 def restricted_series(V_A: np.ndarray, lam: np.ndarray, G: np.ndarray, times) -> np.ndarray:
     """Stack of the evolved blocks gamma_t[A, A] = V_A e^{-2it lam} G e^{2it lam} V_A^t,
     with V_A the rows of the eigenvectors of M on the block and
-    G = V^t gamma V the initial state in the eigenbasis of M.
+    G = V^t gamma V the real symmetric initial state in the eigenbasis of M.
 
-    The A-block of evolve_gamma at every t, at O(|A| d^2) per step;
+    With X_c, X_s the rows of V_A scaled by cos and sin of 2t lam and
+    Z = X G, the block is Z_c X_c^t + Z_s X_s^t + i (Z_c X_s^t - (Z_c X_s^t)^t):
+    the A-block of evolve_gamma at every t, at O(|A| d^2) per step;
     verified Hermitian to 1e-9 and returned Hermitized and complex.
     """
-    times = np.asarray(times, dtype=float)
+    if np.iscomplexobj(V_A) or np.iscomplexobj(G):
+        raise ValueError("restricted_series takes a real V_A and G")
     rows, dim = V_A.shape
     out = np.empty((len(times), rows, rows), dtype=complex)
-    herm = np.max(np.abs(G - G.conj().T), initial=0.0)
+    herm = np.max(np.abs(G - G.T), initial=0.0)
     start = 0
-    for ts in _grid_chunks(times, 2 * rows * dim):  # complex rows x dim per time
-        Q = V_A[None, :, :] * np.exp(-2j * np.outer(ts, lam))[:, None, :]
-        blk = (Q @ G) @ Q.conj().transpose(0, 2, 1)
-        blk_h = blk.conj().transpose(0, 2, 1)
-        herm = max(herm, np.max(np.abs(blk - blk_h), initial=0.0))
-        out[start : start + len(ts)] = 0.5 * (blk + blk_h)
-        start += len(ts)
+    for m, R in phase_rows(lam, times, 2.0, 4 * rows * dim):  # X and Z: 2 rows x dim each per time
+        X = V_A[None, :, :] * R[:, None, :]
+        Z = (X.reshape(-1, dim) @ G).reshape(X.shape)
+        Xt = X.transpose(0, 2, 1)
+        re = Z[:m] @ Xt[:m] + Z[m:] @ Xt[m:]
+        cs = Z[:m] @ Xt[m:]
+        herm = max(herm, np.max(np.abs(re - re.transpose(0, 2, 1)), initial=0.0))
+        blk = out[start : start + m]
+        blk.real = 0.5 * (re + re.transpose(0, 2, 1))
+        blk.imag = cs - cs.transpose(0, 2, 1)
+        start += m
     if herm > 1e-9:
         raise ValueError(f"evolved gamma lost Hermiticity: residual {herm:.3e}")
     return out
@@ -225,9 +238,6 @@ def quench_initial_gamma(chain: ChainSpec, ell: int, alpha_left, alpha_right):
     The halves are the open-boundary restrictions of the chain; the bond
     mu_ell, gamma_ell is dropped.
     """
-    from .disorder import make_chain
-    from .hamiltonian import bogoliubov
-
     n = chain.n
     if not 1 <= ell < n:
         raise ValueError(f"ell must be in [1, {n - 1}], got {ell}")

@@ -1,15 +1,15 @@
 """Particle and energy observables of evolved particle profiles.
 
-Every observable here is a bilinear trace tr(e^{itX} O e^{-itX} G) of
+Every observable here is a bilinear trace tr(e^{2itX} O e^{-2itX} G) of
 the one-particle matrix X (A for the particle-conserving chain, the
-2n x 2n effective Hamiltonian M for the anisotropic energy).  After one
-change of basis to the eigenvectors V of X it reads
-sum_ab e^{it(lam_a - lam_b)} K_ab with K = (V^t O V) o (V^t G V)^t, so
-quasifree.trace_series evaluates a whole time grid as matrix products
-over chunks of times: O(n^2) per time step and no propagator built.
-Every series here is one such profile trace, with G the diagonal
-profile.  The bounds C e^{-eta d} / (1 - e^{-eta})^2 are DecayFit.bound
-of the fitted eigencorrelator constants at d = dist(S1, S2); the experiment driver
+2n x 2n effective Hamiltonian M for the anisotropic energy), with G the
+diagonal profile.  After one change of basis to the eigenvectors V of X
+it reads c^t K c + s^t K s with K = (V^t O V) o (V^t G V)^t and c, s the
+cos/sin rows of the one time-series engine, quasifree.phase_rows, so
+quasifree.trace_series takes a whole time grid as real matrix products
+over chunks of times: O(n^2) per step and no propagator built.  The
+bounds C e^{-eta d} / (1 - e^{-eta})^2 are DecayFit.bound of the fitted
+eigencorrelator constants at d = dist(S1, S2); the experiment driver
 judges the disorder-averaged suprema against them.
 """
 
@@ -53,7 +53,7 @@ def _profile_trace(sd: SpectralDecomposition, rows, O: np.ndarray, occupations, 
     V = sd.eigenvectors
     Vr = V[rows, :]
     K = (Vr.T @ (O @ Vr)) * ((V.T * np.asarray(occupations, dtype=float)) @ V).T
-    return trace_series(sd.eigenvalues, K, times, scale=2.0).real
+    return trace_series(sd.eigenvalues, K, times)
 
 
 def particle_number_series(

@@ -385,7 +385,7 @@ def test_09_fock_localization(fit_eps005_n200):
     ens2 = high_disorder_ensemble(120, 0.05, uniform(-1.0, 1.0), seed=902, realizations=100)
     prof2 = ensemble_mean(xp._real_eigencorrelator, ens2, {"block": False, "max_distance": 40})
     fit2 = ec.fit_decay(prof2, min_distance=5, max_distance=35)
-    pairs = fock.sample_configuration_pairs(120, 0.4, 500, seed=11)
+    pairs = fock.sample_configuration_pairs(120, 0.4, 500, seed=11, r_max=5)
     eta2 = 0.5 * fit2.eta
     overlaps = np.stack([fock.pair_overlaps(ham.diagonalize_A(sample_chain(ens2, i)).eigenvectors, pairs)
                          for i in range(ens2.realizations)])

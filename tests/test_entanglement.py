@@ -114,7 +114,7 @@ def test_block_spectral_norms_against_svd(rng):
 def test_max_eigenstate_entropy_decoupled_is_zero():
     ch = make_chain([0.0, 0.0], [0.0, 0.0], [1.0, -2.0, 0.7])
     bog = ham.bogoliubov(ch)
-    rec = ent.max_eigenstate_entropy(bog, ent.Cut(1), strategy="exhaustive")
+    rec = ent.max_eigenstate_entropy(bog, ent.Cut(1), strategy="exhaustive", samples=200, seed=0)
     assert rec.entropy == pytest.approx(0.0, abs=1e-9)
 
 
@@ -122,7 +122,7 @@ def test_sampled_max_below_exhaustive(rng):
     ch = random_chain(rng, 8)
     bog = ham.bogoliubov(ch)
     cut = ent.Cut(4)
-    full = ent.max_eigenstate_entropy(bog, cut, strategy="exhaustive")
+    full = ent.max_eigenstate_entropy(bog, cut, strategy="exhaustive", samples=200, seed=0)
     sampled = ent.max_eigenstate_entropy(bog, cut, strategy="sampled", samples=50, seed=3)
     assert sampled.entropy <= full.entropy + 1e-12
     assert full.strategy == "exhaustive"
@@ -135,7 +135,7 @@ def test_restricted_spectrum_outside_unit_interval_is_an_error(rng):
     bog = ham.bogoliubov(random_chain(rng, 6))
     scaled = replace(bog, W=1.001 * bog.W)
     with pytest.raises(ValueError, match=r"restricted spectrum outside \[0,1\]"):
-        ent.max_eigenstate_entropy(scaled, ent.Cut(3), strategy="exhaustive")
+        ent.max_eigenstate_entropy(scaled, ent.Cut(3), strategy="exhaustive", samples=200, seed=0)
 
 
 def test_batched_kernel_fires_on_sigma_squared_above_one():
@@ -220,20 +220,21 @@ def test_max_eigenstate_entropy_exhaustive_is_the_loop(rng):
     labels = [alpha_from_index(a, 9) for a in range(2**9)]
     for ell in (1, 4, 8):
         cut = ent.Cut(ell)
-        assert _record(ent.max_eigenstate_entropy(bog, cut)) == _loop_max(bog, cut, labels)[0]
+        rec = ent.max_eigenstate_entropy(bog, cut, strategy="exhaustive", samples=200, seed=0)
+        assert _record(rec) == _loop_max(bog, cut, labels)[0]
 
 
 def test_sampled_max_rejects_zero_samples(rng):
     bog = ham.bogoliubov(random_chain(rng, 6))
     with pytest.raises(ValueError, match="samples"):
-        ent.max_eigenstate_entropy(bog, ent.Cut(3), strategy="sampled", samples=0)
+        ent.max_eigenstate_entropy(bog, ent.Cut(3), strategy="sampled", samples=0, seed=0)
 
 
 def test_max_eigenstate_entropy_caps_exhaustive():
     ch = make_chain([0.1] * 15, [0.0] * 15, [0.5] * 16)
     bog = ham.bogoliubov(ch)
     with pytest.raises(ValueError):
-        ent.max_eigenstate_entropy(bog, ent.Cut(8), strategy="exhaustive")
+        ent.max_eigenstate_entropy(bog, ent.Cut(8), strategy="exhaustive", samples=200, seed=0)
 
 
 def test_quench_entropy_starts_at_zero_and_matches_oracle(rng):
@@ -287,7 +288,7 @@ def test_thermal_entanglement_of_formation_bound(rng):
     assert thermal_entanglement_of_formation_bound(bog_dec, cut, 1.0) == pytest.approx(0.0, abs=1e-9)
     # convex-combination bound lies between 0 and the max over labels
     val = thermal_entanglement_of_formation_bound(bog, cut, 1.0)
-    mx = ent.max_eigenstate_entropy(bog, cut, strategy="exhaustive").entropy
+    mx = ent.max_eigenstate_entropy(bog, cut, strategy="exhaustive", samples=200, seed=0).entropy
     assert 0.0 <= val <= mx + 1e-12
     # n = 15 takes the sampled path: within 5 standard errors of the exact
     # Gibbs average over all 2^15 labels

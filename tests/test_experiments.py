@@ -17,7 +17,7 @@ from xylab import fock
 from xylab import hamiltonian as ham
 from xylab import quasifree as qf
 from xylab import transport as tr
-from xylab.config import DEFAULTS, TimeGrid
+from xylab.config import DEFAULTS, PARAMS, TimeGrid
 from xylab.disorder import sample_chain
 
 from conftest import dense_op, kron_jordan_wigner_c
@@ -707,9 +707,11 @@ def test_cli_rejects_bad_transport_regions_before_any_realization(tmp_path, caps
     ("transport_energy", {**_FLATNESS_12, "eta_profile": [0, 1.0] * 6}),
 ])
 def test_parse_config_accepts_transport_regions_on_the_chain(experiment, params):
-    # each given key comes back unchanged and every other key holds its default
+    # each given key comes back unchanged, every other key that the variant
+    # reads holds its default, and the keys that it rejects are absent
+    unread = PARAMS[experiment].unread.get(params.get("variant", "isotropic_bound"), ())
     assert xp.parse_config(_transport_config(experiment, **params)).params == {
-        **DEFAULTS[experiment], **params}
+        k: v for k, v in {**DEFAULTS[experiment], **params}.items() if k not in unread}
 
 
 @pytest.mark.parametrize("experiment, params, ensemble, named", [
@@ -998,7 +1000,7 @@ def _fock_two_pass(cfg):
     fit = xp.fit_decay(xp.aggregate(profiles)["mean"], p["fit_min_distance"], p["fit_max_distance"])
     eta = 0.5 * fit.eta if p["eta"] is None else p["eta"]
     eta0 = 0.25 * eta
-    pairs = fock.sample_configuration_pairs(n, tau, p["pair_count"])
+    pairs = fock.sample_configuration_pairs(n, tau, p["pair_count"], p["pair_seed"], p["r_max"])
     I = fit.C * qf.growth_series(n**tau, eta0)
     const = 8.0 * max(I, np.sqrt(I)) * n ** (2 * tau)
     rows = []

@@ -51,13 +51,13 @@ def test_locate_centers_two_site_symmetric():
 def test_certify_decay_decoupled_and_clean():
     ch = make_chain([0.0] * 7, [0.0] * 7, [2.0, -1.0, 0.5, -3.0, 1.5, 0.1, -0.6, 2.5])
     sd = ham.diagonalize_A(ch)
-    ca = fock.locate_centers(sd)
+    ca = fock.locate_centers(sd, 1.25)
     assert fock.certify_decay(fock.decay_envelope(sd, ca), eta=1.0, tau=0.3)
     # extended states on the clean chain violate any exponential envelope
     n = 100
     clean = make_chain([1.0] * (n - 1), [0.0] * (n - 1), [0.0] * n)
     sd_clean = ham.diagonalize_A(clean)
-    ca_clean = fock.locate_centers(sd_clean)
+    ca_clean = fock.locate_centers(sd_clean, 1.25)
     envelope = fock.decay_envelope(sd_clean, ca_clean)
     assert not fock.certify_decay(envelope, eta=0.1, tau=0.5)
     d = np.arange(n)
@@ -68,7 +68,7 @@ def test_certify_decay_decoupled_and_clean():
 def test_decay_envelope_is_the_largest_entry_per_distance(rng):
     n = 12
     sd = ham.diagonalize_A(random_chain(rng, n, anisotropic=False))
-    ca = fock.locate_centers(sd)
+    ca = fock.locate_centers(sd, 1.25)
     expected = np.zeros(n)
     for r in range(n):
         for j in range(1, n + 1):
@@ -83,7 +83,7 @@ def test_decay_envelope_is_the_largest_entry_per_distance(rng):
 def test_certify_decay_validation():
     ch = make_chain([0.1], [0.0], [1.0, -1.0])
     sd = ham.diagonalize_A(ch)
-    envelope = fock.decay_envelope(sd, fock.locate_centers(sd))
+    envelope = fock.decay_envelope(sd, fock.locate_centers(sd, 1.25))
     with pytest.raises(ValueError):
         fock.certify_decay(envelope, eta=-1.0, tau=0.5)
     with pytest.raises(ValueError):
@@ -211,7 +211,7 @@ def test_occupation_bound_when_certified():
     for i in range(10):
         chain = sample_chain(ens, i)
         sd = ham.diagonalize_A(chain)
-        ca = fock.locate_centers(sd)
+        ca = fock.locate_centers(sd, 1.25)
         if not fock.certify_decay(fock.decay_envelope(sd, ca), eta=eta, tau=tau):
             continue
         centers = np.array(ca.centers)
@@ -241,15 +241,15 @@ def test_certified_fraction_monotone_in_coupling():
         good = 0
         for i in range(ens.realizations):
             sd = ham.diagonalize_A(sample_chain(ens, i))
-            ca = fock.locate_centers(sd)
+            ca = fock.locate_centers(sd, 1.25)
             good += fock.certify_decay(fock.decay_envelope(sd, ca), eta=eta_ref, tau=tau)
         fracs[eps] = good / ens.realizations
     assert fracs[0.05] >= fracs[0.1] >= fracs[0.2]
 
 
 def test_sample_configuration_pairs_determinism_and_distance():
-    pairs = fock.sample_configuration_pairs(50, 0.4, 30, seed=9)
-    pairs2 = fock.sample_configuration_pairs(50, 0.4, 30, seed=9)
+    pairs = fock.sample_configuration_pairs(50, 0.4, 30, seed=9, r_max=5)
+    pairs2 = fock.sample_configuration_pairs(50, 0.4, 30, seed=9, r_max=5)
     assert pairs == pairs2
     dmin = 2.0 * 50**0.4
     for k, j in pairs:
@@ -261,7 +261,7 @@ def test_fock_localization_check_decoupled_all_pass():
     ch = make_chain([0.0] * 19, [0.0] * 19, list(np.linspace(-2, 2, 20)))
     sd = ham.diagonalize_A(ch)
     fit = DecayFit(C=1.0, eta=2.0, r_squared=1.0, min_distance=1)
-    pairs = fock.sample_configuration_pairs(20, 0.4, 40, seed=1)
+    pairs = fock.sample_configuration_pairs(20, 0.4, 40, seed=1, r_max=5)
     overlaps = fock.pair_overlaps(sd.eigenvectors, pairs)
     pass_fraction = fock.fock_localization_check(overlaps, pairs, 20, fit, 0.4, 0.25,
                                                  eta=0.5 * fit.eta)
@@ -286,7 +286,7 @@ def test_fock_localization_check_stack_matches_rows(rng):
     n, tau = 40, 0.4
     fit = DecayFit(C=1.0, eta=1.0, r_squared=1.0, min_distance=1)
     eta = 0.5 * fit.eta
-    pairs = fock.sample_configuration_pairs(n, tau, 25, seed=3)
+    pairs = fock.sample_configuration_pairs(n, tau, 25, seed=3, r_max=5)
     pairs[0] = ((5,), (6,))  # closer than 2 n^tau: skipped
     D = np.array([fock.configuration_distance(k, j) for k, j in pairs])
     I = qf.growth_series(n**tau, 0.1)

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from xylab import ed_oracle as ed
+from xylab import eigencorrelator as ec
 from xylab import hamiltonian as ham
 from xylab import quasifree as qf
 from xylab.disorder import make_chain
@@ -281,7 +284,7 @@ def test_trace_series_matches_per_step_propagator(rng):
     G = qf.profile_gamma(rng.uniform(0, 1, n)).gamma
     K = (V.T @ O @ V) * (V.T @ G @ V).T
     times = np.array([0.0, 0.35, 1.2, 4.0])
-    series = qf.trace_series(lam, K, times, scale=2.0)
+    series = qf.trace_series(lam, K, times)
     for t, value in zip(times, series):
         U = sd.function_of(lambda x: np.exp(2j * t * x))
         assert abs(value - np.trace(U @ O @ U.conj().T @ G)) < 1e-12
@@ -290,17 +293,46 @@ def test_trace_series_matches_per_step_propagator(rng):
 def test_trace_series_chunks_do_not_move_the_series(rng, monkeypatch):
     n = 5
     lam = rng.normal(size=2 * n)
-    K = rng.normal(size=(2 * n, 2 * n)) + 1j * rng.normal(size=(2 * n, 2 * n))
+    K = rng.normal(size=(2 * n, 2 * n))
+    K = K + K.T  # real symmetric, as every profile trace's K
     times = np.linspace(0.0, 3.0, 7)
-    whole = qf.trace_series(lam, K, times, scale=2.0)
+    whole = qf.trace_series(lam, K, times)
     # a grid within one chunk is the single whole-grid product, bit for bit
-    P = np.exp(2j * np.outer(times, lam))
-    assert np.array_equal(whole, np.einsum("ta,ta->t", P @ K, P.conj()))
-    per_time = 2 * (2 * n)  # float64 entries of one complex phase row
+    phase = 2.0 * np.outer(times, lam)
+    R = np.vstack([np.cos(phase), np.sin(phase)])
+    q = np.einsum("ra,ra->r", R @ K, R)
+    assert np.array_equal(whole, q[:7] + q[7:])
+    per_time = 2 * (2 * n)  # float64 entries of one time's cos and sin rows
     for budget in (1, 3 * per_time):  # one time per chunk; chunks of 3, 3 and 1
         monkeypatch.setattr(qf, "_GRID_CHUNK_ENTRIES", budget)
         # BLAS rounds a product's rows differently for different row counts
-        assert np.max(np.abs(qf.trace_series(lam, K, times, scale=2.0) - whole)) < 1e-13
+        assert np.max(np.abs(qf.trace_series(lam, K, times) - whole)) < 1e-13
+
+
+def test_series_reject_complex_input(rng):
+    sd = ham.diagonalize(ham.build_M(random_chain(rng, 3)))
+    V, lam = sd.eigenvectors, sd.eigenvalues
+    with pytest.raises(ValueError, match="real K"):
+        qf.trace_series(lam, np.eye(6) + 1j * np.eye(6), [0.0, 1.0])
+    with pytest.raises(ValueError, match="real V_A and G"):
+        qf.restricted_series(V[:2], lam, np.eye(6) + 0j, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("bond", [1.0, -1.0])
+def test_restricted_series_matches_dense_propagator(rng, bond):
+    n, ell = 6, 3
+    gamma = rng.uniform(-0.5, 0.5, n - 1)
+    gamma[2] = bond  # an Ising bond in the left half
+    ch = make_chain(rng.uniform(0.2, 1.0, n - 1), gamma, rng.uniform(-1.0, 1.0, n))
+    sd = ham.diagonalize(ham.build_M(ch))
+    gamma0, _, _ = qf.quench_initial_gamma(ch, 4, [1, 0, 1, 1], [0, 1])
+    V = sd.eigenvectors
+    times = np.array([0.0, 0.45, 1.7, 6.3])
+    blocks = qf.restricted_series(V[: 2 * ell], sd.eigenvalues, V.T @ gamma0.gamma @ V, times)
+    for t, blk in zip(times, blocks):
+        U = sd.function_of(lambda x: np.exp(-2j * t * x))
+        dense = U @ gamma0.gamma @ U.conj().T
+        assert np.max(np.abs(blk - dense[: 2 * ell, : 2 * ell])) < 1e-12
 
 
 def test_restricted_series_matches_evolve_gamma_blocks(rng):
@@ -315,6 +347,40 @@ def test_restricted_series_matches_evolve_gamma_blocks(rng):
     for t, blk in zip(times, blocks):
         full = qf.evolve_gamma(gamma0, sd, t).gamma
         assert np.max(np.abs(blk - full[: 2 * ell, : 2 * ell])) < 1e-12
+
+
+@pytest.mark.parametrize("kernel", ["amplitude", "amplitude_block", "clustering", "trace",
+                                    "restricted"])
+def test_grid_kernels_hold_memory_to_a_chunk(rng, monkeypatch, kernel):
+    # a 16 KiB budget, so that a 50-step grid already spans several whole chunks
+    monkeypatch.setattr(qf, "_GRID_CHUNK_ENTRIES", 1 << 11)
+    sdA = ham.diagonalize_A(random_chain(rng, 12, anisotropic=False))
+    sdM = ham.diagonalize(ham.build_M(random_chain(rng, 6)))
+    V = sdM.eigenvectors
+    G = V.T @ qf.profile_gamma([1, 0, 1, 1, 0, 0]).gamma @ V
+    lam = rng.normal(size=48)
+    K = rng.normal(size=(48, 48))
+    run = {"amplitude": lambda ts: ec.dynamic_amplitude_sup(sdA, ts),
+           "amplitude_block": lambda ts: ec.dynamic_amplitude_sup(sdM, ts, block=True),
+           "clustering": lambda ts: ec.clustering_sup(sdA, rng.integers(0, 2, 12), ts),
+           "trace": lambda ts: qf.trace_series(lam, K + K.T, ts),
+           "restricted": lambda ts: qf.restricted_series(V[:4], sdM.eigenvalues, G, ts)}[kernel]
+
+    def net_peak(steps):
+        """Traced peak of one call less the bytes of its output."""
+        times = np.linspace(0.0, 10.0, steps)
+        tracemalloc.start()
+        try:
+            out = run(times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - out.nbytes
+
+    net_peak(500)  # warm-up: first calls fill numpy's and the interpreter's caches
+    # a grid held whole would add 500 x per_time x 8 bytes, over 300 KiB for
+    # each kernel here; 4 KiB covers the allocator's noise
+    assert net_peak(500) <= net_peak(50) + 4096
 
 
 def test_restricted_series_rejects_non_hermitian_state(rng):
@@ -334,7 +400,7 @@ def test_restricted_series_chunks_do_not_move_the_blocks(rng, monkeypatch):
     V = sd.eigenvectors
     args = (V[: 2 * ell], sd.eigenvalues, V.T @ gamma0.gamma @ V, np.linspace(0.0, 3.0, 7))
     whole = qf.restricted_series(*args)
-    per_time = 2 * (2 * ell) * (2 * n)  # float64 entries of one complex |A| x 2n phase block
+    per_time = 4 * (2 * ell) * (2 * n)  # X and Z: cos and sin |A| x 2n blocks of one time
     for budget in (1, 3 * per_time):  # one time per chunk; chunks of 3, 3 and 1
         monkeypatch.setattr(qf, "_GRID_CHUNK_ENTRIES", budget)
         assert np.array_equal(qf.restricted_series(*args), whole)
