@@ -16,7 +16,7 @@ import numpy as np
 
 from .eigencorrelator import fit_decay
 from .config import DEFAULTS
-from .experiments import ConfigError, oracle_suite, parse_config, run, write_json
+from .experiments import ConfigError, RealizationError, oracle_suite, parse_config, run, write_json
 
 
 def _cmd_run(args) -> int:
@@ -35,7 +35,7 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, RealizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     verdicts = payload.get("verdicts", {})

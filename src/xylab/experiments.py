@@ -1,12 +1,14 @@
 """Experiment runner: JSON configs in, CSV/JSON artifacts out.
 
 Each experiment maps a pure per-realization function over the ensemble
-(optionally on a process pool, XYLAB_WORKERS overriding the config) and
-reduces results in realization-index order with disorder.aggregate, so
-outputs are byte identical across runs and worker counts.  Every
-experiment makes one pass per realization: a worker samples and
-decomposes its chain once and returns what it measures, and the driver
-judges the measurements against the fitted constants.  Summaries echo
+(optionally on a process pool, one contiguous chunk of realizations per
+worker, XYLAB_WORKERS overriding the config) and reduces results in
+realization-index order with disorder.aggregate, so outputs are byte
+identical across runs and worker counts.  A worker's failure names the
+realization and the ensemble seed that replay it.  Every experiment
+makes one pass per realization: a worker samples and decomposes its
+chain once and returns what it measures, and the driver judges the
+measurements against the fitted constants.  Summaries echo
 the semantic config (not output_dir or workers) with a content hash
 and record pass/fail verdicts next to the fitted constants they used.
 """
@@ -14,10 +16,11 @@ and record pass/fail verdicts next to the fitted constants they used.
 from __future__ import annotations
 
 import json
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, repeat
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +58,7 @@ from .hamiltonian import (
     build_M,
     diagonalize_A,
 )
-from .quasifree import eigenstate_gamma, evolve_gamma, thermal_gamma
+from .quasifree import eigenstate_gamma, evolve_gamma, profile_gamma, thermal_gamma
 
 
 def effective_workers(config_workers: int) -> int:
@@ -79,16 +82,34 @@ def pool_size(requested: int, realizations: int, cpus: int | None) -> int:
     return max(1, min(requested, realizations, cpus or 1))
 
 
+class RealizationError(RuntimeError):
+    """A worker failed on one realization; the message names the
+    realization index and the ensemble (n, base_seed) that replay it."""
+
+
+def _measure(fn, ensemble: EnsembleSpec, i: int, params: dict):
+    """fn(ensemble, i, params), a failure re-raised as a RealizationError."""
+    try:
+        return fn(ensemble, i, params)
+    except Exception as exc:
+        raise RealizationError(
+            f"realization {i} (n={ensemble.n}, base_seed {ensemble.base_seed}) failed: "
+            f"{type(exc).__name__}: {exc}") from exc
+
+
 def map_realizations(fn, ensemble: EnsembleSpec, params: dict, workers: int) -> list:
-    """fn(ensemble, i, params) for i = 0..realizations-1, results in
-    index order regardless of completion order."""
-    indices = range(ensemble.realizations)
-    workers = pool_size(workers, ensemble.realizations, os.cpu_count())
+    """fn(ensemble, i, params) for i = 0..realizations-1, results in index
+    order.  On the pool each worker takes one contiguous chunk of indices,
+    and params travel once per chunk; forked workers (Linux's default)
+    inherit every module this one imports, scipy.linalg among them."""
+    realizations = ensemble.realizations
+    indices = range(realizations)
+    workers = pool_size(workers, realizations, os.cpu_count())
     if workers <= 1:
-        return [fn(ensemble, i, params) for i in indices]
+        return [_measure(fn, ensemble, i, params) for i in indices]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, ensemble, i, params) for i in indices]
-        return [f.result() for f in futures]
+        return list(pool.map(_measure, repeat(fn), repeat(ensemble), indices, repeat(params),
+                             chunksize=math.ceil(realizations / workers)))
 
 
 def write_csv(path, header: list, rows) -> None:
@@ -512,16 +533,16 @@ def _check_car(jw: ed.JordanWigner) -> float:
 
 
 def _check_states(bog: BogoliubovDecomposition, eig: tuple, jw: ed.JordanWigner) -> dict:
-    """Errors of the eigenstate, evolved and thermal correlation matrices
-    and of the cut entropies (every cut 1 <= ell < n of (1, n // 2, n - 1))
-    of the free-fermion layer against the oracle eigensystem
-    eig = (evals, evecs) of H."""
+    """Errors of the eigenstate, thermal and evolved (from a basis product
+    state) correlation matrices and of the cut entropies (every cut
+    1 <= ell < n of (1, n // 2, n - 1)) of the free-fermion layer against
+    the oracle eigensystem eig = (evals, evecs) of H."""
     n = bog.n
     evals, evecs = eig
     labels = [0, 1, (1 << n) - 1] if n > 3 else list(range(2**n))
     idxs, flags = ed.match_eigenstates(all_many_body_energies(bog)[labels], evals)
     sdM = bog.spectral
-    g_err = s_err = e_err = 0.0
+    g_err = s_err = 0.0
     cuts = [ell for ell in (1, n // 2, n - 1) if 1 <= ell < n]
     for a, k, degenerate in zip(labels, idxs, flags):
         if degenerate:
@@ -538,9 +559,15 @@ def _check_states(bog: BogoliubovDecomposition, eig: tuple, jw: ed.JordanWigner)
             small = psi if 2 * ell <= n else psi.reshape(2**ell, -1).T.ravel()
             s_ed = ed.von_neumann_entropy(ed.reduced_density(small, n, min(ell, n - ell)))
             s_err = max(s_err, abs(s_free - s_ed))
-        cmt = evolve_gamma(cm, sdM, 0.7)
-        psit = ed.schroedinger_evolve_state(psi, eig, 0.7)
-        e_err = max(e_err, float(np.max(np.abs(cmt.gamma - ed.correlation_blocks(psit, jw)))))
+    # an eigenstate's gamma commutes with M and would not move, so the
+    # evolution starts from the basis state with sites 1, 3, 5, ... occupied,
+    # whose currents the dynamics creates (site 1 is the top bit; 0 is up)
+    occupied = np.arange(n) % 2 == 0
+    psi0 = np.zeros(2**n)
+    psi0[int("".join("0" if o else "1" for o in occupied), 2)] = 1.0
+    cmt = evolve_gamma(profile_gamma(occupied), sdM, 0.7)
+    psit = ed.schroedinger_evolve_state(psi0, eig, 0.7)
+    e_err = float(np.max(np.abs(cmt.gamma - ed.correlation_blocks(psit, jw))))
     beta = 0.8
     g_th = thermal_gamma(sdM, beta)
     rho = ed.thermal_state(eig, beta)

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .disorder import ChainSpec
 
@@ -111,8 +112,6 @@ class EigensolverError(RuntimeError):
 def diagonalize_A(chain: ChainSpec) -> SpectralDecomposition:
     """Fast path for the tridiagonal one-particle matrix of a chain
     (scipy's tridiagonal solver), same conventions as diagonalize."""
-    from scipy.linalg import eigh_tridiagonal
-
     if chain.n == 1:
         return SpectralDecomposition(
             eigenvalues=np.array([-chain.nu[0]]), eigenvectors=np.eye(1)

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .disorder import ChainSpec, make_chain
 from .hamiltonian import BogoliubovDecomposition, SpectralDecomposition, bogoliubov
@@ -71,11 +70,12 @@ def eigenstate_gamma(bog: BogoliubovDecomposition, alpha) -> CorrelationMatrix:
 
 def thermal_gamma(sd_M: SpectralDecomposition, beta: float) -> CorrelationMatrix:
     """Correlation matrix (1 + exp(-2 beta M))^{-1} of the Gibbs state,
-    computed spectrally from the decomposition sd_M of M (stable via the
-    logistic function)."""
+    computed spectrally from the decomposition sd_M of M.  The Fermi
+    function 1 / (1 + exp(-2 beta lam)) is taken as (1 + tanh(beta lam)) / 2,
+    equal in exact arithmetic, which cannot overflow."""
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    gamma = sd_M.function_of(lambda lam: expit(2.0 * beta * lam))
+    gamma = sd_M.function_of(lambda lam: 0.5 * (1.0 + np.tanh(beta * lam)))
     return CorrelationMatrix(gamma=gamma, n=sd_M.dim // 2)
 
 

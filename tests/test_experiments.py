@@ -274,17 +274,21 @@ def test_oracle_check_run(tmp_path):
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
-def _run_cli(args, cwd):
-    # The child runs from `cwd`, where a relative PYTHONPATH entry such as
-    # `src` points nowhere; put this checkout's absolute src first so the
-    # CLI imports the same xylab as the in-process tests.
+def _child_env() -> dict:
+    # A child may run from another directory, where a relative PYTHONPATH
+    # entry such as `src` points nowhere; put this checkout's absolute src
+    # first so the child imports the same xylab as the in-process tests.
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC_DIR), env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+def _run_cli(args, cwd):
     return subprocess.run(
         [sys.executable, "-m", "xylab.cli", *args],
-        capture_output=True, text=True, cwd=cwd, env=env,
+        capture_output=True, text=True, cwd=cwd, env=_child_env(),
     )
 
 
@@ -444,6 +448,72 @@ def test_pool_size_clamps_to_realizations_and_cpus():
     assert xp.pool_size(2, 50, 16) == 2
     assert xp.pool_size(4, 10, None) == 1
     assert xp.pool_size(4, 0, 8) == 1
+
+
+def _index_seed_pid(ensemble, i, params):
+    return i, ensemble.base_seed, params["tag"], os.getpid()
+
+
+def _fail_on_realization_1(ensemble, i, params):
+    if i == 1:
+        raise ham.EigensolverError("injected")
+    return np.zeros(3)
+
+
+@pytest.mark.parametrize("realizations, workers", [(5, 2), (7, 3)])
+def test_pool_returns_the_serial_list_in_index_order(monkeypatch, realizations, workers):
+    monkeypatch.setattr(xp.os, "cpu_count", lambda: 8)  # the pool size, whatever the host
+    ensemble = xp.EnsembleSpec.from_json(ensemble_json(n=12, realizations=realizations))
+    p = {"block": False, "max_distance": 6}
+    serial = xp.map_realizations(xp._real_eigencorrelator, ensemble, p, 1)
+    pooled = xp.map_realizations(xp._real_eigencorrelator, ensemble, p, workers)
+    assert len(pooled) == realizations
+    assert all(np.array_equal(a, b) for a, b in zip(serial, pooled))
+    # one contiguous chunk of ceil(R / workers) indices per task, run off the parent
+    seen = xp.map_realizations(_index_seed_pid, ensemble, {"tag": "t"}, workers)
+    assert [s[:3] for s in seen] == [(i, 11, "t") for i in range(realizations)]
+    chunk = -(-realizations // workers)
+    for start in range(0, realizations, chunk):
+        assert len({s[3] for s in seen[start:start + chunk]}) == 1
+    assert os.getpid() not in {s[3] for s in seen}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_worker_failure_names_the_realization_and_seed(monkeypatch, workers):
+    monkeypatch.setattr(xp.os, "cpu_count", lambda: 8)
+    ensemble = xp.EnsembleSpec.from_json(ensemble_json(n=8, realizations=4))
+    with pytest.raises(xp.RealizationError) as info:
+        xp.map_realizations(_fail_on_realization_1, ensemble, {}, workers)
+    assert str(info.value) == "realization 1 (n=8, base_seed 11) failed: EigensolverError: injected"
+    cause = info.value.__cause__
+    if workers == 1:
+        assert isinstance(cause, ham.EigensolverError)
+    else:  # the pool chains the worker's formatted traceback, the original in it
+        assert "EigensolverError: injected" in str(cause)
+
+
+def test_cli_run_reports_a_worker_failure_in_one_line(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(xp, "_real_eigencorrelator", _fail_on_realization_1)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({
+        "experiment": "eigencorrelator",
+        "ensemble": ensemble_json(n=8, realizations=3),
+        "output_dir": str(tmp_path / "out"),
+    }))
+    assert cli.main(["run", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: realization 1 (n=8, base_seed 11) failed: "
+                   "EigensolverError: injected\n")
+
+
+def test_import_loads_scipy_linalg_and_not_scipy_special():
+    # the pool's forked workers inherit scipy.linalg; scipy.special is not needed
+    r = subprocess.run(
+        [sys.executable, "-c", "import sys, xylab.experiments; "
+         "print('scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)"],
+        capture_output=True, text=True, env=_child_env())
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split() == ["True", "False"]
 
 
 def test_clustering_matches_dense_projector_formula():

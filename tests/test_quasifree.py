@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,22 @@ def test_thermal_gamma_limits(rng):
     cm_inf = qf.thermal_gamma(sd, beta)
     vac = qf.eigenstate_gamma(bog, np.zeros(4, dtype=int))
     assert np.max(np.abs(cm_inf.gamma - vac.gamma)) < 1e-6
+
+
+def test_thermal_gamma_is_the_logistic_function_without_overflow():
+    # (1 + tanh(beta lam)) / 2 against expit(2 beta lam) out to |beta lam| = 1e3,
+    # where exp(2 beta lam) overflows; the identity eigenvectors put the
+    # Fermi function itself on the diagonal
+    from scipy.special import expit
+
+    lam = np.concatenate([-np.logspace(-3, 3, 40), [0.0, 0.0], np.logspace(-3, 3, 40)])
+    sd = ham.SpectralDecomposition(eigenvalues=lam, eigenvectors=np.eye(len(lam)))
+    for beta in (0.0, 0.37, 1.0):
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            gamma = qf.thermal_gamma(sd, beta).gamma
+        assert np.max(np.abs(np.diag(gamma) - expit(2.0 * beta * lam))) <= 1e-15
+        assert np.count_nonzero(gamma - np.diag(np.diag(gamma))) == 0
 
 
 def test_thermal_gamma_matches_oracle(rng):
