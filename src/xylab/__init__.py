@@ -27,7 +27,6 @@ from .hamiltonian import (
     diagonalize_A,
 )
 from .quasifree import (
-    CorrelationMatrix,
     eigenstate_gamma,
     evolve_gamma,
     profile_gamma,
@@ -41,8 +40,7 @@ from .eigencorrelator import (
     fit_decay,
     lr_commutator_bound,
 )
-from .entanglement import Cut, entropy_from_gamma, max_eigenstate_entropy, ps_bound
-from .transport import Region
+from .entanglement import entropy_from_gamma, max_eigenstate_entropy, ps_bound
 from .fock import locate_centers, occupation_number, slater_overlap
 
 __all__ = [name for name in dir() if not name.startswith("_")]

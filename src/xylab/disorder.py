@@ -149,7 +149,6 @@ class ChainSpec:
     mu: tuple
     gamma: tuple
     nu: tuple
-    realization_index: int = 0
 
     def __post_init__(self):
         if self.n < 1:
@@ -176,15 +175,14 @@ class ChainSpec:
         return np.asarray(self.nu, dtype=float)
 
 
-def make_chain(mu, gamma, nu, realization_index: int = 0) -> ChainSpec:
-    """ChainSpec from raw sequences (convenience for tests and fixtures)."""
+def make_chain(mu, gamma, nu) -> ChainSpec:
+    """ChainSpec from raw sequences (quench halves and test fixtures)."""
     nu = tuple(float(v) for v in nu)
     return ChainSpec(
         n=len(nu),
         mu=tuple(float(v) for v in mu),
         gamma=tuple(float(v) for v in gamma),
         nu=nu,
-        realization_index=realization_index,
     )
 
 
@@ -213,4 +211,4 @@ def sample_chain(spec: EnsembleSpec, i: int) -> ChainSpec:
     mu, off = _sample_dist(spec.mu_dist, seed, 0, n - 1)
     gamma, off = _sample_dist(spec.gamma_dist, seed, off, n - 1)
     nu, _ = _sample_dist(spec.nu_dist, seed, off, n)
-    return ChainSpec(n=n, mu=mu, gamma=gamma, nu=nu, realization_index=i)
+    return ChainSpec(n=n, mu=mu, gamma=gamma, nu=nu)

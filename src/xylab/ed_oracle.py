@@ -90,31 +90,25 @@ def spectral(H: np.ndarray):
     return np.linalg.eigh(H)
 
 
-def schroedinger_evolve_state(psi: np.ndarray, H, t: float) -> np.ndarray:
-    """e^{-itH} psi; H may be a matrix or an (evals, evecs) pair."""
-    evals, evecs = H if isinstance(H, tuple) else spectral(H)
+def schroedinger_evolve_state(psi: np.ndarray, eig: tuple, t: float) -> np.ndarray:
+    """e^{-itH} psi from the eigensystem eig = (evals, evecs) of H."""
+    evals, evecs = eig
     return evecs @ (np.exp(-1j * t * evals) * (evecs.conj().T @ psi))
 
 
-def thermal_state(H, beta: float) -> np.ndarray:
-    """Gibbs state e^{-beta H} / Z, computed spectrally with the ground
-    energy shifted out for stability; H may be a matrix or an (evals,
-    evecs) pair."""
-    evals, evecs = H if isinstance(H, tuple) else spectral(H)
+def thermal_state(eig: tuple, beta: float) -> np.ndarray:
+    """Gibbs state e^{-beta H} / Z from the eigensystem eig = (evals, evecs)
+    of H, with the ground energy shifted out for stability."""
+    evals, evecs = eig
     w = np.exp(-beta * (evals - evals[0]))
     w /= np.sum(w)
     return (evecs * w) @ evecs.conj().T
 
 
-def reduced_density(state: np.ndarray, n: int, ell: int) -> np.ndarray:
-    """Reduced state on sites [1, ell]; accepts a pure-state vector or a
-    density matrix."""
-    dA, dB = 2**ell, 2 ** (n - ell)
-    if state.ndim == 1:
-        m = state.reshape(dA, dB)
-        return m @ m.conj().T
-    rho = state.reshape(dA, dB, dA, dB)
-    return np.trace(rho, axis1=1, axis2=3)
+def reduced_density(psi: np.ndarray, n: int, ell: int) -> np.ndarray:
+    """Reduced state on sites [1, ell] of the pure state psi."""
+    m = psi.reshape(2**ell, 2 ** (n - ell))
+    return m @ m.conj().T
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:

@@ -35,6 +35,14 @@ def eigencorrelator_table(sd: SpectralDecomposition, block: bool = False) -> np.
     spectral norms of the eigenprojector blocks, an upper bound for the
     supremum; each projector block is rank one, so its norm is the
     product of the per-site Euclidean norms of the eigenvector.
+
+    At a repeated eigenvalue of M the block table depends on the
+    eigenbasis chosen inside that eigenspace, for example at a lambda = 0
+    mode (nu = 0 at odd n) or on clean chains: two solvers' tables differ
+    there.  Every choice is a valid bound, since g(M) = sum_r g(lam_r) v_r v_r^t
+    in any orthonormal eigenbasis and the block norm is subadditive; the
+    propagator, and so the amplitudes it bounds, does not depend on the
+    choice.
     """
     V = sd.eigenvectors
     if not block:

@@ -9,8 +9,6 @@ area-law checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .disorder import ChainSpec
@@ -20,10 +18,8 @@ from .hamiltonian import (
     SpectralDecomposition,
     alpha_from_index,
     block_norms,
-    bogoliubov,
 )
 from .quasifree import (
-    CorrelationMatrix,
     eigenstate_gamma,
     mode_selector,
     quench_initial_gamma,
@@ -44,32 +40,15 @@ _RESCORE_WINDOW = 1e-9
 _LABEL_CHUNK_ENTRIES = 1 << 15
 
 
-@dataclass(frozen=True)
-class Cut:
-    """Bipartition [1, ell] | [ell+1, n]."""
-
-    ell: int
-
-    def __post_init__(self):
-        if self.ell < 1:
-            raise ValueError(f"ell must be >= 1, got {self.ell}")
-
-    def check(self, n: int) -> None:
-        if not 1 <= self.ell < n:
-            raise ValueError(f"cut ell={self.ell} requires 1 <= ell < n={n}")
+def _check_cut(ell: int, n: int) -> None:
+    """The cut [1, ell] | [ell+1, n] must leave both sides nonempty."""
+    if not 1 <= ell < n:
+        raise ValueError(f"cut ell={ell} requires 1 <= ell < n={n}")
 
 
-@dataclass
-class EntanglementRecord:
-    entropy: float
-    ps_bound: float
-    label: object
-    ell: int
-    strategy: str = "exact"
-
-
-def block_spectral_norms(gamma: np.ndarray, n: int) -> np.ndarray:
-    """n x n table of spectral norms of the 2x2 blocks."""
+def block_spectral_norms(gamma: np.ndarray) -> np.ndarray:
+    """n x n table of spectral norms of the 2x2 blocks of a 2n x 2n gamma."""
+    n = len(gamma) // 2
     blocks = gamma.reshape(n, 2, n, 2).transpose(0, 2, 1, 3)
     return block_norms(blocks.real, blocks.imag if np.iscomplexobj(blocks) else None)
 
@@ -86,19 +65,17 @@ def _spectrum_entropy(zeta: np.ndarray):
     return -np.sum(zeta * np.log(zeta), axis=-1)
 
 
-def entropy_from_gamma(cm: CorrelationMatrix, cut: Cut) -> float:
+def entropy_from_gamma(gamma: np.ndarray, ell: int) -> float:
     """Von Neumann entropy of the reduction to [1, ell]: -sum zeta ln zeta
     over the upper-left 2*ell block spectrum."""
-    cut.check(cm.n)
-    block = cm.gamma[: 2 * cut.ell, : 2 * cut.ell]
-    return float(_spectrum_entropy(np.linalg.eigvalsh(block)))
+    _check_cut(ell, len(gamma) // 2)
+    return float(_spectrum_entropy(np.linalg.eigvalsh(gamma[: 2 * ell, : 2 * ell])))
 
 
-def ps_bound(cm: CorrelationMatrix, cut: Cut) -> float:
+def ps_bound(gamma: np.ndarray, ell: int) -> float:
     """Cross-cut bound 2 ln 2 * sum_{j<=ell} sum_{k>ell} ||gamma(j,k)||."""
-    cut.check(cm.n)
-    norms = block_spectral_norms(cm.gamma, cm.n)
-    return float(2.0 * LN2 * np.sum(norms[: cut.ell, cut.ell :]))
+    _check_cut(ell, len(gamma) // 2)
+    return float(2.0 * LN2 * np.sum(block_spectral_norms(gamma)[:ell, ell:]))
 
 
 def area_law_constant(fit: DecayFit) -> float:
@@ -149,33 +126,31 @@ def _label_entropies(WA: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     return out
 
 
-def max_eigenstate_entropy(bog: BogoliubovDecomposition, cut: Cut, strategy: str, samples: int,
-                           seed: int) -> EntanglementRecord:
-    """Maximum entanglement over eigenstate labels: exhaustive for
-    n <= 14, uniform sampling otherwise (a lower bound on the sup,
-    recorded in the strategy field).
+def max_eigenstate_entropy(bog: BogoliubovDecomposition, ell: int, strategy: str, samples: int,
+                           seed: int) -> tuple:
+    """(entropy, ps_bound) of the most entangled eigenstate label across
+    the cut after site ell: over every label (exhaustive, n <= 14) or
+    over `samples` uniform labels (sampled, a lower bound on the sup).
 
     Every label is scored by the batched _label_entropies; the labels
     within _RESCORE_WINDOW of the batched maximum are rescored exactly by
     _label_entropy, and the first exact maximum in label order wins, so
     near-ties resolve bitwise as a per-label loop resolves them."""
     n = bog.n
-    cut.check(n)
+    _check_cut(ell, n)
     if strategy == "exhaustive":
         if n > MAX_EXHAUSTIVE_SITES:
             raise ValueError(f"exhaustive strategy capped at n={MAX_EXHAUSTIVE_SITES}")
         alphas = alpha_from_index(np.arange(2**n)[:, None], n)
-        tag = "exhaustive"
     elif strategy == "sampled":
         if samples < 1:
             raise ValueError(f"samples must be >= 1, got {samples}")
         rng = np.random.default_rng(seed)
         alphas = rng.integers(0, 2, size=(samples, n))
-        tag = f"sampled({samples})"
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    WA = bog.W[:, : 2 * cut.ell]
+    WA = bog.W[:, : 2 * ell]
     scores = _label_entropies(WA, alphas)
     best = -1.0
     best_alpha = None
@@ -184,30 +159,21 @@ def max_eigenstate_entropy(bog: BogoliubovDecomposition, cut: Cut, strategy: str
         if s > best:
             best = s
             best_alpha = np.array(alphas[k], dtype=int)
-    bound = ps_bound(eigenstate_gamma(bog, best_alpha), cut)
-    return EntanglementRecord(
-        entropy=best, ps_bound=bound, label=tuple(best_alpha), ell=cut.ell, strategy=tag
-    )
+    return best, ps_bound(eigenstate_gamma(bog, best_alpha), ell)
 
 
-def quench_entropy(
-    chain: ChainSpec, cut: Cut, alpha_left, alpha_right, times,
-    sd_M: SpectralDecomposition | None = None,
-) -> np.ndarray:
+def quench_entropy(chain: ChainSpec, ell: int, alpha_left, alpha_right, times,
+                   sd_M: SpectralDecomposition) -> np.ndarray:
     """Entanglement of an initially unentangled pair of half-chain
     eigenstates, evolved under the full chain; one entropy per time.
 
     The left block of the evolved correlation matrix is formed for the
-    whole grid in the eigenbasis of M (restricted_series) and its spectra
-    are taken in one batched call.  sd_M, the decomposition of M
-    (bogoliubov(chain).spectral when omitted), may be passed in so that one
-    decomposition serves every cut of a chain.
+    whole grid in the eigenbasis of M (restricted_series, from sd_M, the
+    decomposition of M that serves every cut of the chain) and its
+    spectra are taken in one batched call.  quench_initial_gamma checks
+    the cut.
     """
-    cut.check(chain.n)
-    gamma0, _, _ = quench_initial_gamma(chain, cut.ell, alpha_left, alpha_right)
-    if sd_M is None:
-        sd_M = bogoliubov(chain).spectral
     V = sd_M.eigenvectors
-    G = V.T @ gamma0.gamma @ V
-    blocks = restricted_series(V[: 2 * cut.ell, :], sd_M.eigenvalues, G, times)
+    G = V.T @ quench_initial_gamma(chain, ell, alpha_left, alpha_right) @ V
+    blocks = restricted_series(V[: 2 * ell, :], sd_M.eigenvalues, G, times)
     return _spectrum_entropy(np.linalg.eigvalsh(blocks))

@@ -5,10 +5,10 @@ Each experiment maps a pure per-realization function over the ensemble
 worker, XYLAB_WORKERS overriding the config) and reduces results in
 realization-index order with disorder.aggregate, so outputs are byte
 identical across runs and worker counts.  A worker's failure names the
-realization and the ensemble seed that replay it.  Every experiment
-makes one pass per realization: a worker samples and decomposes its
-chain once and returns what it measures, and the driver judges the
-measurements against the fitted constants.  Summaries echo
+experiment, the realization and the ensemble seed that replay it.
+Every experiment makes one pass per realization: a worker samples and
+decomposes its chain once and returns what it measures, and the driver
+judges the measurements against the fitted constants.  Summaries echo
 the semantic config (not output_dir or workers) with a content hash
 and record pass/fail verdicts next to the fitted constants they used.
 """
@@ -84,7 +84,8 @@ def pool_size(requested: int, realizations: int, cpus: int | None) -> int:
 
 class RealizationError(RuntimeError):
     """A worker failed on one realization; the message names the
-    realization index and the ensemble (n, base_seed) that replay it."""
+    realization index and the ensemble (n, base_seed) that replay it, and
+    run puts the experiment in front."""
 
 
 def _measure(fn, ensemble: EnsembleSpec, i: int, params: dict):
@@ -179,11 +180,9 @@ def _real_entanglement_static(ensemble, i, params):
     that feeds the area-law fit, from one sample of the chain."""
     chain = sample_chain(ensemble, i)
     bog = bogoliubov(chain)
-    out = []
-    for ell in params["ells"]:
-        rec = ent.max_eigenstate_entropy(bog, ent.Cut(ell), strategy=params["strategy"],
-                                         samples=params["samples"], seed=params["label_seed"] + i)
-        out.append((rec.entropy, rec.ps_bound))
+    out = [ent.max_eigenstate_entropy(bog, ell, strategy=params["strategy"],
+                                      samples=params["samples"], seed=params["label_seed"] + i)
+           for ell in params["ells"]]
     table = eigencorrelator_table(bog.spectral, block=True)
     return out, distance_profile(table, params["max_distance"])
 
@@ -194,14 +193,8 @@ def _real_quench(ensemble, i, params):
     sd = bogoliubov(chain).spectral
     sups = []
     for ell in params["ells"]:
-        series = ent.quench_entropy(
-            chain,
-            ent.Cut(ell),
-            np.zeros(ell, dtype=int),
-            np.zeros(chain.n - ell, dtype=int),
-            times,
-            sd_M=sd,
-        )
+        series = ent.quench_entropy(chain, ell, np.zeros(ell, dtype=int),
+                                    np.zeros(chain.n - ell, dtype=int), times, sd_M=sd)
         sups.append(float(np.max(series)))
     return sups
 
@@ -352,10 +345,9 @@ def _run_transport_isotropic(config: ExperimentConfig, outdir: Path, observable:
     judges the mean supremum (of the particle numbers, or of the energy
     magnitudes) against the bound at d = dist(S1, S2)."""
     p = config.params
-    s1 = tr.Region.of(p["s1"])
-    s2 = tr.Region.of(p["s2"])
+    s1, s2 = sorted(set(p["s1"])), sorted(set(p["s2"]))
     eta = np.zeros(config.ensemble.n)
-    eta[np.array(s2.sites) - 1] = p["eta_value"]
+    eta[np.array(s2) - 1] = p["eta_value"]
     times = config.time_grid.times()
     wp = {"observable": observable, "s1": s1, "eta": eta, "times": times,
           "fit_max_distance": p["fit_max_distance"]}
@@ -393,7 +385,7 @@ def run_transport_energy(config: ExperimentConfig, outdir: Path) -> dict:
         return _run_transport_isotropic(config, outdir, "energy")
     # one ensemble per size; one worker per realization samples its chain once
     sizes = p["sizes"]
-    s1 = tr.Region.of(p["s1"])
+    s1 = sorted(set(p["s1"]))
     times = config.time_grid.times()
     base = config.ensemble
     eta = p["eta_profile"]  # "ones", "half" or one entry per site
@@ -470,8 +462,7 @@ def oracle_suite(n: int, seed: int, realizations: int) -> dict:
     errors = []  # one dict of errors per realization
     for i in range(realizations):
         chain = sample_chain(ens, i)
-        iso = ChainSpec(n=n, mu=chain.mu, gamma=(0.0,) * (n - 1), nu=chain.nu,
-                        realization_index=i)
+        iso = ChainSpec(n=n, mu=chain.mu, gamma=(0.0,) * (n - 1), nu=chain.nu)
         H = ed.build_H(chain)
         eig = ed.spectral(H)
         H_iso = ed.build_H(iso)
@@ -548,12 +539,12 @@ def _check_states(bog: BogoliubovDecomposition, eig: tuple, jw: ed.JordanWigner)
         if degenerate:
             continue
         alpha = alpha_from_index(a, n)
-        cm = eigenstate_gamma(bog, alpha)
+        gamma = eigenstate_gamma(bog, alpha)
         psi = evecs[:, k]
         g_ed = ed.correlation_blocks(psi, jw)
-        g_err = max(g_err, float(np.max(np.abs(cm.gamma - g_ed))))
+        g_err = max(g_err, float(np.max(np.abs(gamma - g_ed))))
         for ell in cuts:
-            s_free = ent.entropy_from_gamma(cm, ent.Cut(ell))
+            s_free = ent.entropy_from_gamma(gamma, ell)
             # both sides of a pure state's cut share one spectrum: reduce onto
             # the smaller side, swapping psi's two blocks when that is the right
             small = psi if 2 * ell <= n else psi.reshape(2**ell, -1).T.ravel()
@@ -565,13 +556,13 @@ def _check_states(bog: BogoliubovDecomposition, eig: tuple, jw: ed.JordanWigner)
     occupied = np.arange(n) % 2 == 0
     psi0 = np.zeros(2**n)
     psi0[int("".join("0" if o else "1" for o in occupied), 2)] = 1.0
-    cmt = evolve_gamma(profile_gamma(occupied), sdM, 0.7)
+    gt = evolve_gamma(profile_gamma(occupied), sdM, 0.7)
     psit = ed.schroedinger_evolve_state(psi0, eig, 0.7)
-    e_err = float(np.max(np.abs(cmt.gamma - ed.correlation_blocks(psit, jw))))
+    e_err = float(np.max(np.abs(gt - ed.correlation_blocks(psit, jw))))
     beta = 0.8
     g_th = thermal_gamma(sdM, beta)
     rho = ed.thermal_state(eig, beta)
-    t_err = float(np.max(np.abs(g_th.gamma - ed.correlation_blocks(rho, jw))))
+    t_err = float(np.max(np.abs(g_th - ed.correlation_blocks(rho, jw))))
     return {"eigenstate_gamma": g_err, "thermal_gamma": t_err, "entropy": s_err,
             "evolved_gamma": e_err}
 
@@ -616,6 +607,9 @@ def run(config: ExperimentConfig) -> dict:
     config = replace(config, workers=effective_workers(config.workers))
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    payload = runner(config, outdir)
+    try:
+        payload = runner(config, outdir)
+    except RealizationError as exc:
+        raise RealizationError(f"{config.experiment}: {exc}") from exc
     write_summary(outdir / "summary.json", config, payload)
     return payload

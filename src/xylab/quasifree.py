@@ -4,8 +4,9 @@ A quasi-free state is fully encoded by the 2n x 2n matrix of two-point
 functions in the interleaved (c_j, c_j^*) ordering; block (j, k) is
 
     [[ <c_j c_k^*>,   <c_j c_k>   ],
-     [ <c_j^* c_k^*>, <c_j^* c_k> ]].
+     [ <c_j^* c_k^*>, <c_j^* c_k> ]],
 
+passed between modules as a plain array (n = len(gamma) // 2).
 Eigenstates and thermal states of the chain are spectral functions of
 the effective Hamiltonian M; particle profiles are diagonal.  Under the
 chain dynamics the matrix evolves by conjugation with exp(-2itM) into a
@@ -18,32 +19,11 @@ from it, so memory stays bounded and no propagator is built.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .disorder import ChainSpec, make_chain
 from .hamiltonian import BogoliubovDecomposition, SpectralDecomposition, bogoliubov
-
-
-@dataclass
-class CorrelationMatrix:
-    """Two-point function matrix of a quasi-free state.
-
-    gamma is real symmetric for the states constructed at time zero and
-    complex Hermitian after time evolution.  `degenerate` propagates the
-    mode-collision flag of the defining decomposition.
-    """
-
-    gamma: np.ndarray
-    n: int
-    degenerate: bool = False
-
-    def __post_init__(self):
-        if self.gamma.shape != (2 * self.n, 2 * self.n):
-            raise ValueError(
-                f"gamma must be {2 * self.n}x{2 * self.n}, got {self.gamma.shape}"
-            )
 
 
 def mode_selector(alpha) -> np.ndarray:
@@ -56,7 +36,7 @@ def mode_selector(alpha) -> np.ndarray:
     return sel
 
 
-def eigenstate_gamma(bog: BogoliubovDecomposition, alpha) -> CorrelationMatrix:
+def eigenstate_gamma(bog: BogoliubovDecomposition, alpha) -> np.ndarray:
     """Correlation matrix of the eigenstate with occupation pattern alpha:
     the spectral projection W^t P W selecting +lambda_j for empty modes
     and -lambda_j for occupied ones."""
@@ -64,32 +44,30 @@ def eigenstate_gamma(bog: BogoliubovDecomposition, alpha) -> CorrelationMatrix:
     if len(alpha) != bog.n or not np.all((alpha == 0) | (alpha == 1)):
         raise ValueError("alpha must be a 0/1 vector of length n")
     P = mode_selector(alpha)
-    gamma = (bog.W.T * P) @ bog.W
-    return CorrelationMatrix(gamma=gamma, n=bog.n, degenerate=bog.degenerate)
+    return (bog.W.T * P) @ bog.W
 
 
-def thermal_gamma(sd_M: SpectralDecomposition, beta: float) -> CorrelationMatrix:
+def thermal_gamma(sd_M: SpectralDecomposition, beta: float) -> np.ndarray:
     """Correlation matrix (1 + exp(-2 beta M))^{-1} of the Gibbs state,
     computed spectrally from the decomposition sd_M of M.  The Fermi
     function 1 / (1 + exp(-2 beta lam)) is taken as (1 + tanh(beta lam)) / 2,
     equal in exact arithmetic, which cannot overflow."""
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    gamma = sd_M.function_of(lambda lam: 0.5 * (1.0 + np.tanh(beta * lam)))
-    return CorrelationMatrix(gamma=gamma, n=sd_M.dim // 2)
+    return sd_M.function_of(lambda lam: 0.5 * (1.0 + np.tanh(beta * lam)))
 
 
-def profile_gamma(eta_profile) -> CorrelationMatrix:
+def profile_gamma(eta_profile) -> np.ndarray:
     """Product state with site occupations eta_j: diagonal blocks
     diag(1 - eta_j, eta_j).  (The occupation slot is the <c^* c> one;
     fixed against the brute-force oracle at n = 2.)"""
     eta = np.asarray(eta_profile, dtype=float)
     if np.any((eta < 0) | (eta > 1)):
         raise ValueError("profile entries must lie in [0, 1]")
-    return CorrelationMatrix(gamma=np.diag(mode_selector(eta)), n=len(eta))
+    return np.diag(mode_selector(eta))
 
 
-def evolve_gamma(cm: CorrelationMatrix, sd_M: SpectralDecomposition, t: float) -> CorrelationMatrix:
+def evolve_gamma(gamma: np.ndarray, sd_M: SpectralDecomposition, t: float) -> np.ndarray:
     """Heisenberg-picture update exp(-2itM) gamma exp(+2itM): the whole
     matrix as the one-time restricted_series over every row of V.
 
@@ -99,8 +77,7 @@ def evolve_gamma(cm: CorrelationMatrix, sd_M: SpectralDecomposition, t: float) -
     Hermitian to 1e-9 and returned complex.
     """
     V = sd_M.eigenvectors
-    gt = restricted_series(V, sd_M.eigenvalues, V.T @ cm.gamma @ V, [t])[0]
-    return CorrelationMatrix(gamma=gt, n=cm.n, degenerate=cm.degenerate)
+    return restricted_series(V, sd_M.eigenvalues, V.T @ gamma @ V, [t])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -231,24 +208,19 @@ def sw_bound(cut: float, mu0: float, mu: float, C: float, D):
     return cprime * np.exp(-0.5 * (mu - mu0) * np.where(half < cut, 0.0, half))
 
 
-def quench_initial_gamma(chain: ChainSpec, ell: int, alpha_left, alpha_right):
+def quench_initial_gamma(chain: ChainSpec, ell: int, alpha_left, alpha_right) -> np.ndarray:
     """Correlation matrix of (left eigenstate) x (right eigenstate) for
-    the chain split after site ell, together with the two mode spectra.
+    the chain split after site ell.
 
     The halves are the open-boundary restrictions of the chain; the bond
     mu_ell, gamma_ell is dropped.
     """
     n = chain.n
     if not 1 <= ell < n:
-        raise ValueError(f"ell must be in [1, {n - 1}], got {ell}")
+        raise ValueError(f"cut ell={ell} requires 1 <= ell < n={n}")
     left = make_chain(chain.mu[: ell - 1], chain.gamma[: ell - 1], chain.nu[:ell])
     right = make_chain(chain.mu[ell:], chain.gamma[ell:], chain.nu[ell:])
-    bog_l = bogoliubov(left)
-    bog_r = bogoliubov(right)
-    g_l = eigenstate_gamma(bog_l, alpha_left)
-    g_r = eigenstate_gamma(bog_r, alpha_right)
     gamma = np.zeros((2 * n, 2 * n))
-    gamma[: 2 * ell, : 2 * ell] = g_l.gamma
-    gamma[2 * ell :, 2 * ell :] = g_r.gamma
-    degenerate = g_l.degenerate or g_r.degenerate
-    return CorrelationMatrix(gamma=gamma, n=n, degenerate=degenerate), bog_l, bog_r
+    gamma[: 2 * ell, : 2 * ell] = eigenstate_gamma(bogoliubov(left), alpha_left)
+    gamma[2 * ell :, 2 * ell :] = eigenstate_gamma(bogoliubov(right), alpha_right)
+    return gamma

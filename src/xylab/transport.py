@@ -10,40 +10,23 @@ quasifree.trace_series takes a whole time grid as real matrix products
 over chunks of times: O(n^2) per step and no propagator built.  The
 bounds C e^{-eta d} / (1 - e^{-eta})^2 are DecayFit.bound of the fitted
 eigencorrelator constants at d = dist(S1, S2); the experiment driver
-judges the disorder-averaged suprema against them.
+judges the disorder-averaged suprema against them.  A region S is a
+sorted list of distinct 1-based sites.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .disorder import ChainSpec, EnsembleSpec
 from .eigencorrelator import DecayFit
-from .hamiltonian import SpectralDecomposition, bogoliubov, build_A, build_M, diagonalize_A
+from .hamiltonian import SpectralDecomposition, bogoliubov, build_A, build_M
 from .quasifree import profile_gamma, trace_series
 
 
-@dataclass(frozen=True)
-class Region:
-    """Sorted set of sites; interval_flag marks contiguity."""
-
-    sites: tuple
-    interval_flag: bool
-
-    @staticmethod
-    def of(sites) -> "Region":
-        ss = tuple(sorted(set(int(s) for s in sites)))
-        if not ss:
-            raise ValueError("region must be nonempty")
-        contiguous = ss[-1] - ss[0] + 1 == len(ss)
-        return Region(sites=ss, interval_flag=contiguous)
-
-
-def region_distance(s1: Region, s2: Region) -> int:
-    """min |x - y| over x in S1, y in S2."""
-    return int(min(abs(x - y) for x in s1.sites for y in s2.sites))
+def region_distance(s1, s2) -> int:
+    """min |x - y| over sites x in S1, y in S2."""
+    return int(min(abs(x - y) for x in s1 for y in s2))
 
 
 def _profile_trace(sd: SpectralDecomposition, rows, O: np.ndarray, occupations, times) -> np.ndarray:
@@ -56,19 +39,14 @@ def _profile_trace(sd: SpectralDecomposition, rows, O: np.ndarray, occupations, 
     return trace_series(sd.eigenvalues, K, times)
 
 
-def particle_number_series(
-    chain: ChainSpec, s1: Region, eta, times, sd: SpectralDecomposition | None = None
-) -> np.ndarray:
+def particle_number_series(chain: ChainSpec, s1, eta, times, sd: SpectralDecomposition) -> np.ndarray:
     """<N_{S1}> along the evolution of the profile state,
     sum_{j in S1} sum_k |exp(-2itA)_{jk}|^2 eta_k, as the profile trace of
-    the identity on S1.  sd, the decomposition diagonalize_A(chain), may be
-    passed in so that one decomposition per chain serves several
-    observables."""
+    the identity on S1, from sd = diagonalize_A(chain), the one
+    decomposition per chain that serves several observables."""
     if not chain.isotropic:
         raise ValueError("particle transport applies to the isotropic chain")
-    if sd is None:
-        sd = diagonalize_A(chain)
-    rows = np.array(s1.sites) - 1
+    rows = np.array(s1) - 1
     return _profile_trace(sd, rows, np.eye(len(rows)), eta, times)
 
 
@@ -77,15 +55,14 @@ def particle_transport_bound(fit: DecayFit, d: int) -> float:
     return fit.bound(2.0, d)
 
 
-def _interval_projector_indices(s1: Region) -> np.ndarray:
-    if not s1.interval_flag:
+def _interval_projector_indices(s1) -> np.ndarray:
+    """0-based indices of a region that must be an interval of sites."""
+    if s1[-1] - s1[0] + 1 != len(s1):
         raise ValueError("energy restriction requires an interval region")
-    return np.array(s1.sites) - 1
+    return np.array(s1) - 1
 
 
-def energy_series_isotropic(
-    chain: ChainSpec, s1: Region, eta, times, sd: SpectralDecomposition | None = None
-) -> np.ndarray:
+def energy_series_isotropic(chain: ChainSpec, s1, eta, times, sd: SpectralDecomposition) -> np.ndarray:
     """Series of <H_{S1}>_t - sum_{S1} nu_j (the t = 0 value when the profile
     vanishes on S1), the trace 2 tr(exp(2itA) A_S1 exp(-2itA) diag(eta)),
     twice the profile trace of A_S1; sd as in particle_number_series."""
@@ -93,8 +70,6 @@ def energy_series_isotropic(
         raise ValueError("isotropic energy formula requires gamma = 0")
     idx = _interval_projector_indices(s1)
     A = build_A(chain)
-    if sd is None:
-        sd = diagonalize_A(chain)
     return 2.0 * _profile_trace(sd, idx, A[np.ix_(idx, idx)], eta, times)
 
 
@@ -108,14 +83,14 @@ def matrix_norm_bound(ensemble: EnsembleSpec) -> float:
     return 2.0 * ensemble.mu_dist.abs_max + ensemble.nu_dist.abs_max
 
 
-def energy_fluctuation_series(chain: ChainSpec, s1: Region, eta, times) -> np.ndarray:
+def energy_fluctuation_series(chain: ChainSpec, s1, eta, times) -> np.ndarray:
     """<H_{S1}>_t - <H_{S1}>_0 for a general profile on the (possibly
     anisotropic) chain: minus the profile trace of M_{S1} against the
     diagonal of Gamma, less its t = 0 value."""
     idx = _interval_projector_indices(s1)
     M = build_M(chain)
     rows = np.sort(np.concatenate([2 * idx, 2 * idx + 1]))
-    occupations = np.diag(profile_gamma(eta).gamma)
+    occupations = np.diag(profile_gamma(eta))
     out = -_profile_trace(bogoliubov(chain).spectral, rows, M[np.ix_(rows, rows)], occupations, times)
     return out - out[0]
 

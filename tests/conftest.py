@@ -161,29 +161,29 @@ def high_disorder_chain(n, eps, nu_dist, seed, i):
     return disorder.sample_chain(high_disorder_ensemble(n, eps, nu_dist, seed, i + 1), i)
 
 
-def occupations(cm):
+def occupations(gamma):
     """<c_j^* c_j> for j = 1..n."""
-    return np.real(np.diag(cm.gamma)[1::2]).copy()
+    return np.real(np.diag(gamma)[1::2]).copy()
 
 
-def one_particle_density(cm):
+def one_particle_density(gamma):
     """rho[j, k] = <c_k^* c_j>, the kernel of the multi-point determinants."""
-    return cm.gamma[1::2, 1::2].T.copy()
+    return gamma[1::2, 1::2].T.copy()
 
 
-def validate(cm, atol=1e-9):
+def validate(gamma, atol=1e-9):
     """Check Hermiticity and the spectral bounds 0 <= gamma <= 1."""
-    herm = np.max(np.abs(cm.gamma - cm.gamma.conj().T))
+    herm = np.max(np.abs(gamma - gamma.conj().T))
     if herm > atol:
         raise ValueError(f"gamma not Hermitian: residual {herm:.3e}")
-    w = np.linalg.eigvalsh(cm.gamma)
+    w = np.linalg.eigvalsh(gamma)
     if w[0] < -atol or w[-1] > 1 + atol:
         raise ValueError(f"gamma spectrum outside [0,1]: [{w[0]:.3e}, {w[-1]:.3e}]")
 
 
-def purity_defect(cm):
+def purity_defect(gamma):
     """max |gamma^2 - gamma|; ~0 for pure quasi-free states."""
-    return float(np.max(np.abs(cm.gamma @ cm.gamma - cm.gamma)))
+    return float(np.max(np.abs(gamma @ gamma - gamma)))
 
 
 def dynamic_kernel(rho_1p, sd_A, t):
@@ -214,7 +214,7 @@ def trace_norm_inequality_gap(chain, s1, s2, eta, t):
     """(lhs, rhs) of the per-realization trace bound: the energy trace
     restricted to S2 against 2 ||A|| sum_{j in S2, k in S1} |exp(2itA)_{jk}|."""
     idx1 = tr._interval_projector_indices(s1)
-    idx2 = np.array(s2.sites) - 1
+    idx2 = np.array(s2) - 1
     eta = np.asarray(eta, dtype=float)
     A = build_A(chain)
     AS1 = np.zeros_like(A)
@@ -226,13 +226,13 @@ def trace_norm_inequality_gap(chain, s1, s2, eta, t):
     return lhs, rhs
 
 
-def thermal_entanglement_of_formation_bound(bog, cut, beta, sample_count=200, seed=0):
+def thermal_entanglement_of_formation_bound(bog, ell, beta, sample_count=200, seed=0):
     """Gibbs-weighted average of eigenstate entanglements, a bound on the
     Gibbs state's entanglement of formation: all labels for n <= 14, else
     sample_count labels of independent Bernoulli occupations."""
     n = bog.n
-    cut.check(n)
-    WA = bog.W[:, : 2 * cut.ell]
+    ent._check_cut(ell, n)
+    WA = bog.W[:, : 2 * ell]
     if n <= ent.MAX_EXHAUSTIVE_SITES:
         if np.isinf(beta):
             return float(ent._label_entropies(WA, np.zeros((1, n), dtype=int))[0])

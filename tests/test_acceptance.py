@@ -104,11 +104,10 @@ def test_03_entanglement_identity():
             psi = evecs[:, idxs[a]]
             states += 1
             for ell in range(1, n):
-                cut = ent.Cut(ell)
-                s_free = ent.entropy_from_gamma(cm, cut)
+                s_free = ent.entropy_from_gamma(cm, ell)
                 s_ed = ed.von_neumann_entropy(ed.reduced_density(psi, n, ell))
                 worst_entropy = max(worst_entropy, abs(s_free - s_ed))
-                worst_gap = max(worst_gap, s_free - ent.ps_bound(cm, cut))
+                worst_gap = max(worst_gap, s_free - ent.ps_bound(cm, ell))
     ok = worst_entropy < 1e-7 and worst_gap <= 1e-8
     report(
         3,
@@ -208,10 +207,10 @@ def test_07_area_law_flatness():
     for i in range(ens.realizations):
         bog = ham.bogoliubov(sample_chain(ens, i))
         for ell in (10, 30):
-            rec = ent.max_eigenstate_entropy(
-                bog, ent.Cut(ell), strategy="sampled", samples=200, seed=1000 + i
+            entropy, _ = ent.max_eigenstate_entropy(
+                bog, ell, strategy="sampled", samples=200, seed=1000 + i
             )
-            stats[ell].append(rec.entropy)
+            stats[ell].append(entropy)
     a10 = xp.aggregate(stats[10])
     a30 = xp.aggregate(stats[30])
     flat_static = abs(a10["mean"] - a30["mean"]) <= 2.0 * np.hypot(a10["stderr"], a30["stderr"])
@@ -225,17 +224,19 @@ def test_07_area_law_flatness():
     qs = {10: [], 30: []}
     for i in range(20):
         chain = sample_chain(ens, i)
+        sd_M = ham.bogoliubov(chain).spectral
         for ell in (10, 30):
             a_left = ([1, 0] * ((ell + 1) // 2))[:ell]
             a_right = ([0, 1] * ((60 - ell + 1) // 2))[: 60 - ell]
-            series = ent.quench_entropy(chain, ent.Cut(ell), a_left, a_right, times)
+            series = ent.quench_entropy(chain, ell, a_left, a_right, times, sd_M)
             qs[ell].append(float(np.max(series)))
     q10 = xp.aggregate(qs[10])
     q30 = xp.aggregate(qs[30])
     flat_quench = abs(q10["mean"] - q30["mean"]) <= 2.0 * np.hypot(q10["stderr"], q30["stderr"])
 
     clean = make_chain([1.0] * 59, [0.0] * 59, [0.0] * 60)
-    series = ent.quench_entropy(clean, ent.Cut(30), [1, 0] * 15, [0, 1] * 15, times)
+    series = ent.quench_entropy(clean, 30, [1, 0] * 15, [0, 1] * 15, times,
+                                ham.bogoliubov(clean).spectral)
     growth = float(np.max(series) / np.mean(series[times <= 1.0]))
 
     ok = flat_static and below and flat_quench and growth >= 3.0
@@ -259,10 +260,10 @@ def fit_eps005_n100():
 
 def test_08_transport(fit_eps005_n100):
     ens, fit = fit_eps005_n100
-    s1 = tr.Region.of([50])
-    s2 = tr.Region.of(list(range(1, 31)) + list(range(70, 101)))
+    s1 = [50]
+    s2 = list(range(1, 31)) + list(range(70, 101))
     eta = np.zeros(100)
-    eta[np.array(s2.sites) - 1] = 1.0
+    eta[np.array(s2) - 1] = 1.0
     times = np.arange(0.0, 50.0 + 1e-9, 0.5)
     series = {
         observable: [r[1] for r in xp.map_realizations(
@@ -288,7 +289,7 @@ def test_08_transport(fit_eps005_n100):
         timesn = np.arange(0.0, 30.0 + 1e-9, 0.5)
         results = xp.map_realizations(
             xp._real_energy_fluctuation, ensn,
-            {"s1": tr.Region.of(range(1, 11)), "eta": np.ones(n), "times": timesn}, workers=1)
+            {"s1": list(range(1, 11)), "eta": np.ones(n), "times": timesn}, workers=1)
         sups[n] = xp.aggregate(float(np.max(np.abs(r[0]))) for r in results)
         means[n] = float(np.mean([r[1] for r in results]))
     flat = all(
@@ -315,13 +316,14 @@ def test_08_transport(fit_eps005_n100):
             phases = np.exp(-1j * t * np.subtract.outer(evals, evals))
             rho_t = evecs @ ((evecs.conj().T @ rho0 @ evecs) * phases) @ evecs.conj().T
             if aniso:
-                free = tr.energy_fluctuation_series(chain, tr.Region.of([1, 2]), eta6, [0.0, t])[1]
+                free = tr.energy_fluctuation_series(chain, [1, 2], eta6, [0.0, t])[1]
                 ed_val = np.real(np.trace(rho_t @ HS1)) - np.real(np.trace(rho0 @ HS1))
                 worst = max(worst, abs(free - ed_val))
             else:
-                free_n = tr.particle_number_series(chain, tr.Region.of([1]), eta6, [t])[0]
+                sd = ham.diagonalize_A(chain)
+                free_n = tr.particle_number_series(chain, [1], eta6, [t], sd)[0]
                 worst = max(worst, abs(free_n - np.real(np.trace(rho_t @ NS1))))
-                free_e = tr.energy_series_isotropic(chain, tr.Region.of([1, 2]), eta6, [t])[0]
+                free_e = tr.energy_series_isotropic(chain, [1, 2], eta6, [t], sd)[0]
                 ed_e = np.real(np.trace(rho_t @ HS1)) - (chain.nu[0] + chain.nu[1])
                 worst = max(worst, abs(free_e - ed_e))
 

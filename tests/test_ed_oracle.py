@@ -107,12 +107,12 @@ def test_reduced_density_of_bell_pair():
 
 def test_thermal_state_properties(rng):
     ch = random_chain(rng, 3)
-    H = ed.build_H(ch)
-    rho = ed.thermal_state(H, 1.3)
+    eig = ed.spectral(ed.build_H(ch))
+    rho = ed.thermal_state(eig, 1.3)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
     assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
     # infinite temperature: maximally mixed
-    assert np.max(np.abs(ed.thermal_state(H, 0.0) - np.eye(8) / 8)) < 1e-12
+    assert np.max(np.abs(ed.thermal_state(eig, 0.0) - np.eye(8) / 8)) < 1e-12
 
 
 def _pairwise_correlation_blocks(state, n):
@@ -138,7 +138,7 @@ def test_correlation_blocks_match_pairwise_products(rng):
         jw = ed.all_c(n)
         mixed = (evecs[:, 0] + 1j * evecs[:, -1]) / np.sqrt(2)
         psi_t = ed.schroedinger_evolve_state(mixed, (evals, evecs), 0.7)
-        for state in (evecs[:, 0], ed.thermal_state(H, 0.9), psi_t):
+        for state in (evecs[:, 0], ed.thermal_state((evals, evecs), 0.9), psi_t):
             G = ed.correlation_blocks(state, jw)
             assert G.shape == (2 * n, 2 * n)
             assert np.max(np.abs(G - _pairwise_correlation_blocks(state, n))) < 1e-14

@@ -53,6 +53,24 @@ def test_block_table_symmetry_and_dominance(rng):
         assert np.max(norms - Q) < 1e-9
 
 
+@pytest.mark.parametrize("corner", ["nu_zero_odd_n", "clean_ising", "clean_xx"])
+def test_block_table_bounds_amplitudes_in_either_eigenbasis(rng, corner):
+    # at a repeated eigenvalue of M the block table depends on the basis the
+    # solver picks inside the eigenspace (on these chains the Bogoliubov and
+    # the dense tables differ by up to 1.0); every choice must still bound the
+    # amplitudes, which depend on the propagator alone
+    if corner == "nu_zero_odd_n":  # a lambda = 0 mode
+        ch = make_chain(rng.uniform(-1, 1, 6), rng.uniform(-0.8, 0.8, 6), np.zeros(7))
+    else:
+        ch = make_chain(np.ones(7), np.full(7, 1.0 if corner == "clean_ising" else 0.0), np.zeros(8))
+    times = np.linspace(0.0, 6.0, 25)
+    amps = []
+    for sd in (ham.bogoliubov(ch).spectral, ham.diagonalize(ham.build_M(ch))):
+        amps.append(ec.dynamic_amplitude_sup(sd, times, block=True))
+        assert np.all(amps[-1] <= ec.eigencorrelator_table(sd, block=True) + 1e-12)
+    assert np.max(np.abs(amps[0] - amps[1])) <= 1e-12
+
+
 def test_amplitude_identity_at_time_zero(rng):
     ch = random_chain(rng, 5, anisotropic=False)
     sd = ham.diagonalize_A(ch)

@@ -502,7 +502,7 @@ def test_cli_run_reports_a_worker_failure_in_one_line(monkeypatch, tmp_path, cap
     }))
     assert cli.main(["run", str(cfg_path)]) == 2
     err = capsys.readouterr().err
-    assert err == ("error: realization 1 (n=8, base_seed 11) failed: "
+    assert err == ("error: eigencorrelator: realization 1 (n=8, base_seed 11) failed: "
                    "EigensolverError: injected\n")
 
 
@@ -611,20 +611,18 @@ def test_transport_run_matches_public_check(tmp_path, experiment, check):
     profiles = [xp.distance_profile(xp.eigencorrelator_table(
         xp.diagonalize_A(xp.sample_chain(cfg.ensemble, i))), 10) for i in range(3)]
     fit = xp.fit_decay(xp.aggregate(profiles)["mean"], 2, 10)
-    s2 = tr.Region.of(params["s2"])
+    s1, s2 = sorted(set(params["s1"])), sorted(set(params["s2"]))
     eta = np.zeros(24)
-    eta[np.array(s2.sites) - 1] = 1.0
-    s1 = tr.Region.of(params["s1"])
+    eta[np.array(s2) - 1] = 1.0
+    chains = [xp.sample_chain(cfg.ensemble, i) for i in range(3)]
     times = cfg.time_grid.times()
     d = tr.region_distance(s1, s2)
     if check == "particle_transport_check":
-        series = [tr.particle_number_series(xp.sample_chain(cfg.ensemble, i), s1, eta, times)
-                  for i in range(3)]
+        series = [tr.particle_number_series(ch, s1, eta, times, xp.diagonalize_A(ch)) for ch in chains]
         bound = tr.particle_transport_bound(fit, d)
         sups = xp.aggregate(float(np.max(v)) for v in series)
     else:
-        series = [tr.energy_series_isotropic(xp.sample_chain(cfg.ensemble, i), s1, eta, times)
-                  for i in range(3)]
+        series = [tr.energy_series_isotropic(ch, s1, eta, times, xp.diagonalize_A(ch)) for ch in chains]
         bound = tr.energy_transport_bound(fit, d, tr.matrix_norm_bound(cfg.ensemble))
         sups = xp.aggregate(float(np.max(np.abs(v))) for v in series)
     mean = xp.aggregate(series)["mean"]
@@ -1010,7 +1008,7 @@ def test_one_decomposition_of_M_per_realization(tmp_path, monkeypatch):
         return ham.SpectralDecomposition(*np.linalg.eigh(X))
 
     def counting_bog(chain):
-        bogs[chain.realization_index] += 1
+        bogs[chain] += 1
         return bogoliubov(chain)
 
     for mod in (ham, xp, ent, tr, qf):
@@ -1035,7 +1033,8 @@ def test_one_decomposition_of_M_per_realization(tmp_path, monkeypatch):
         bogs.clear()
         xp.run(xp.parse_config({**cfg, "output_dir": str(tmp_path / name), "workers": 1}))
         assert dense == [], name
-    assert bogs == {i: 1 for i in range(3)}
+    ensemble = xp.parse_config({**runs["entanglement_static"], "output_dir": str(tmp_path)}).ensemble
+    assert bogs == {sample_chain(ensemble, i): 1 for i in range(3)}
 
 
 def test_fock_run_decomposes_each_chain_once(tmp_path, monkeypatch):
@@ -1050,13 +1049,15 @@ def test_fock_run_decomposes_each_chain_once(tmp_path, monkeypatch):
         return sample_chain(ensemble, i)
 
     def counting_diagonalize(chain):
-        decompositions[chain.realization_index] += 1
+        decompositions[chain] += 1
         return diagonalize_A(chain)
 
     monkeypatch.setattr(xp, "sample_chain", counting_sample)
     monkeypatch.setattr(xp, "diagonalize_A", counting_diagonalize)
     xp.run(xp.parse_config({**_fock_config(), "output_dir": str(tmp_path), "workers": 1}))
-    assert samples == decompositions == {i: 1 for i in range(5)}
+    ensemble = xp.parse_config({**_fock_config(), "output_dir": str(tmp_path)}).ensemble
+    assert samples == {i: 1 for i in range(5)}
+    assert decompositions == {sample_chain(ensemble, i): 1 for i in range(5)}
 
 
 def _fock_two_pass(cfg):
@@ -1139,6 +1140,14 @@ def test_readme_params_reference_lists_the_table_keys():
     assert listed == {name: list(e.params) for name, e in xp.PARAMS.items()}
 
 
+def _library_trees():
+    """The modules of src/xylab but __init__, and {path: AST} of those and
+    of perfbench's non-test code."""
+    src = [f for f in (_REPO / "src" / "xylab").glob("*.py") if f.name != "__init__.py"]
+    bench = [f for f in (_REPO / "perfbench").rglob("*.py") if "tests" not in f.parts]
+    return src, {f: ast.parse(f.read_text()) for f in src + bench}
+
+
 _UNCALLED = {"eigencorrelator.lr_commutator_bound",  # the lr_bound experiment reports it once wired
              "hamiltonian.diagonalize"}  # the tests' dense reference; perfbench traces it by name
 
@@ -1147,9 +1156,7 @@ def test_every_public_name_in_src_has_a_caller_outside_the_tests():
     # every public function, class and method defined in src/xylab is named
     # outside its own definition and __init__, in src/xylab or in perfbench's
     # non-test code; the run_<experiment> drivers are reached through _RUNNERS
-    src = [f for f in (_REPO / "src" / "xylab").glob("*.py") if f.name != "__init__.py"]
-    bench = [f for f in (_REPO / "perfbench").rglob("*.py") if "tests" not in f.parts]
-    trees = {f: ast.parse(f.read_text()) for f in src + bench}
+    src, trees = _library_trees()
     uses = [(f, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
             for f, tree in trees.items() for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))]
@@ -1166,3 +1173,25 @@ def test_every_public_name_in_src_has_a_caller_outside_the_tests():
             if not (name.startswith("_") or runner or called):
                 unreached.add(f"{f.stem}.{qualname}")
     assert unreached == _UNCALLED
+
+
+# ROADMAP item 3 asserts the flag where the spectrum collides, and item 10's
+# numerical-health record counts it
+_UNREAD_FIELDS = {"hamiltonian.BogoliubovDecomposition.degenerate"}
+
+
+def test_every_field_in_src_is_read_outside_the_tests():
+    # every field declared on a dataclass or NamedTuple in src/xylab is loaded
+    # as an attribute somewhere in src/xylab or in perfbench's non-test code
+    src, trees = _library_trees()
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = set()
+    for f in src:
+        for c in trees[f].body:
+            if isinstance(c, ast.ClassDef) and (
+                    any("dataclass" in ast.unparse(d) for d in c.decorator_list)
+                    or any(ast.unparse(b) == "NamedTuple" for b in c.bases)):
+                unread |= {f"{f.stem}.{c.name}.{a.target.id}" for a in c.body
+                           if isinstance(a, ast.AnnAssign) and a.target.id not in loaded}
+    assert unread == _UNREAD_FIELDS

@@ -162,8 +162,8 @@ def test_outputs_do_not_depend_on_eigenvector_signs(rng):
         assert np.array_equal(eigencorrelator_table(sd, block=block),
                               eigencorrelator_table(sd2, block=block))
     alpha = rng.integers(0, 2, n)
-    assert np.array_equal(qf.eigenstate_gamma(bog, alpha).gamma, qf.eigenstate_gamma(bog2, alpha).gamma)
-    args = (ch, ent.Cut(3), np.zeros(3, dtype=int), np.zeros(n - 3, dtype=int), np.linspace(0.0, 4.0, 9))
+    assert np.array_equal(qf.eigenstate_gamma(bog, alpha), qf.eigenstate_gamma(bog2, alpha))
+    args = (ch, 3, np.zeros(3, dtype=int), np.zeros(n - 3, dtype=int), np.linspace(0.0, 4.0, 9))
     assert np.array_equal(ent.quench_entropy(*args, sd_M=sd_M), ent.quench_entropy(*args, sd_M=sd_M2))
     for k, j in (((1,), (4,)), ((2, 5), (1, 3)), ((1, 3, 6), (2, 4, 7))):
         assert abs(fock.slater_overlap(sd_A.eigenvectors, k, j)) == abs(

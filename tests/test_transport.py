@@ -7,6 +7,7 @@ from xylab import quasifree as qf
 from xylab import transport as tr
 from xylab.disorder import EnsembleSpec, constant, make_chain, uniform
 from xylab.eigencorrelator import DecayFit
+from xylab.hamiltonian import diagonalize_A
 
 from conftest import (heisenberg_evolve, occupations, random_chain, region_number_op,
                       trace_norm_inequality_gap)
@@ -19,14 +20,12 @@ def profile_density_matrix(eta):
     return rho
 
 
-def test_region_of():
-    r = tr.Region.of([3, 1, 2])
-    assert r.sites == (1, 2, 3) and r.interval_flag
-    r2 = tr.Region.of([1, 4])
-    assert not r2.interval_flag
-    assert tr.region_distance(tr.Region.of([5]), tr.Region.of([1, 2])) == 3
-    with pytest.raises(ValueError):
-        tr.Region.of([])
+def test_region_distance():
+    assert tr.region_distance([5], [1, 2]) == 3
+    assert tr.region_distance([1, 4], [2, 6]) == 1
+    assert tr._interval_projector_indices([2, 3, 4]).tolist() == [1, 2, 3]
+    with pytest.raises(ValueError, match="interval region"):
+        tr._interval_projector_indices([1, 4])
 
 
 def test_particle_number_initial_profile():
@@ -41,7 +40,7 @@ def test_total_particle_number_conserved(rng):
     eta = np.zeros(8)
     eta[4:] = 1.0
     times = np.linspace(0.0, 5.0, 11)
-    series = tr.particle_number_series(ch, tr.Region.of(range(1, 9)), eta, times)
+    series = tr.particle_number_series(ch, list(range(1, 9)), eta, times, diagonalize_A(ch))
     assert np.max(np.abs(series - series[0])) < 1e-9
 
 
@@ -49,9 +48,10 @@ def test_decoupled_chain_no_transport():
     ch = make_chain([0.0] * 5, [0.0] * 5, [0.3, -1.0, 0.5, 2.0, -0.7, 1.1])
     eta = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
     times = np.linspace(0.0, 4.0, 9)
-    series = tr.particle_number_series(ch, tr.Region.of([1]), eta, times)
+    sd = diagonalize_A(ch)
+    series = tr.particle_number_series(ch, [1], eta, times, sd)
     assert np.max(np.abs(series)) < 1e-12
-    energy = tr.energy_series_isotropic(ch, tr.Region.of([1, 2]), eta, times)
+    energy = tr.energy_series_isotropic(ch, [1, 2], eta, times, sd)
     assert np.max(np.abs(energy)) < 1e-12
 
 
@@ -62,8 +62,9 @@ def test_particle_number_matches_oracle(rng):
     rho0 = profile_density_matrix(eta)
     hd = ed.spectral(ed.build_H(ch))
     NS1 = region_number_op(n, [1])
+    sd = diagonalize_A(ch)
     for t in (0.5, 2.0):
-        free = tr.particle_number_series(ch, tr.Region.of([1]), eta, [t])[0]
+        free = tr.particle_number_series(ch, [1], eta, [t], sd)[0]
         rt = heisenberg_evolve(rho0, hd, -t)  # Schroedinger picture
         assert abs(free - np.real(np.trace(rt @ NS1))) < 1e-8
 
@@ -72,14 +73,15 @@ def test_energy_in_region_matches_oracle(rng):
     n = 6
     ch = random_chain(rng, n, anisotropic=False)
     eta = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
-    s1 = tr.Region.of([1, 2])
+    s1 = [1, 2]
     rho0 = profile_density_matrix(eta)
     hd = ed.spectral(ed.build_H(ch))
     HS1 = ed.build_H_region(ch, 1, 2)
     e_ref = ch.nu[0] + ch.nu[1]
-    assert tr.energy_series_isotropic(ch, s1, eta, [0.0])[0] == pytest.approx(0.0, abs=1e-12)
+    sd = diagonalize_A(ch)
+    assert tr.energy_series_isotropic(ch, s1, eta, [0.0], sd)[0] == pytest.approx(0.0, abs=1e-12)
     for t in (0.5, 2.0):
-        free = tr.energy_series_isotropic(ch, s1, eta, [t])[0]
+        free = tr.energy_series_isotropic(ch, s1, eta, [t], sd)[0]
         rt = heisenberg_evolve(rho0, hd, -t)  # Schroedinger picture
         ed_val = np.real(np.trace(rt @ HS1)) - e_ref
         assert abs(free - ed_val) < 1e-8
@@ -89,7 +91,7 @@ def test_energy_fluctuation_series_matches_oracle(rng):
     n = 6
     ch = random_chain(rng, n, anisotropic=True)
     eta = np.array([1.0, 0.0, 0.5, 1.0, 0.0, 1.0])
-    s1 = tr.Region.of([1, 2])
+    s1 = [1, 2]
     rho0 = profile_density_matrix(eta)
     hd = ed.spectral(ed.build_H(ch))
     HS1 = ed.build_H_region(ch, 1, 2)
@@ -105,9 +107,9 @@ def test_isotropic_reduction_of_anisotropic_formula(rng):
     ch = random_chain(rng, 7, anisotropic=False)
     eta = np.zeros(7)
     eta[5:] = 1.0
-    s1 = tr.Region.of([1, 2])
+    s1 = [1, 2]
     times = np.linspace(0.0, 3.0, 7)
-    iso = tr.energy_series_isotropic(ch, s1, eta, times)
+    iso = tr.energy_series_isotropic(ch, s1, eta, times, diagonalize_A(ch))
     aniso = tr.energy_fluctuation_series(ch, s1, eta, times)
     # both series start at 0 here (profile off S1), so they must agree
     assert np.max(np.abs(iso - aniso)) < 1e-9
@@ -116,7 +118,7 @@ def test_isotropic_reduction_of_anisotropic_formula(rng):
 def test_total_energy_conserved(rng):
     ch = random_chain(rng, 7)
     eta = np.ones(7) * 0.5
-    s1 = tr.Region.of(range(1, 8))
+    s1 = list(range(1, 8))
     series = tr.energy_fluctuation_series(ch, s1, eta, np.linspace(0, 4, 9))
     assert np.max(np.abs(series)) < 1e-9
 
@@ -172,6 +174,6 @@ def test_trace_norm_inequality(rng):
         eta = np.zeros(8)
         eta[5:] = 1.0
         lhs, rhs = trace_norm_inequality_gap(
-            ch, tr.Region.of([1, 2]), tr.Region.of([6, 7, 8]), eta, 1.3
+            ch, [1, 2], [6, 7, 8], eta, 1.3
         )
         assert lhs <= rhs + 1e-12
