@@ -17,6 +17,7 @@ import numpy as np
 from .eigencorrelator import fit_decay
 from .config import DEFAULTS
 from .experiments import ConfigError, RealizationError, oracle_suite, parse_config, run, write_json
+from .hamiltonian import EigensolverError
 
 
 def _cmd_run(args) -> int:
@@ -35,7 +36,7 @@ def _cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RealizationError) as exc:
+    except (ValueError, RealizationError, EigensolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     verdicts = payload.get("verdicts", {})
@@ -51,6 +52,9 @@ def _cmd_oracle_check(args) -> int:
         result = oracle_suite(**parse_config({"experiment": "oracle_check", "params": params}).params)
     except ValueError as exc:  # the params of oracle_check are the command's flags
         print(f"error: {str(exc).replace('params.', '--')}", file=sys.stderr)
+        return 2
+    except EigensolverError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     for name in sorted(result["checks"]):
         ok = result["checks"][name]

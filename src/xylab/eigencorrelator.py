@@ -13,8 +13,12 @@ kernel) never build a propagator.  Every entry (j, k) of a symmetric
 spectral function of X is w . g(lam) with w = V[j] o V[k], so for the
 pairs j <= k that reach the output a chunk of the time grid is one real
 product of the stacked w against the cos/sin rows of quasifree.phase_rows,
-the one time-series engine, and the running max is kept in place: O(n^2)
-per time step instead of an O(n^3) product.
+the one time-series engine, and the running max is kept in place.  For a
+matrix of dimension N a time step costs a cos and a sin dot product of
+length N per pair: about N^3 multiply-adds for the amplitude sup, which
+evaluates all N^2/2 pairs because the dominance verdict reads every one
+(the same order as forming the propagator, in one real product), and
+O(N^2 d) for the clustering kernel's pairs within distance d.
 """
 
 from __future__ import annotations

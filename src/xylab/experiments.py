@@ -102,7 +102,8 @@ def map_realizations(fn, ensemble: EnsembleSpec, params: dict, workers: int) -> 
     """fn(ensemble, i, params) for i = 0..realizations-1, results in index
     order.  On the pool each worker takes one contiguous chunk of indices,
     and params travel once per chunk; forked workers (Linux's default)
-    inherit every module this one imports, scipy.linalg among them."""
+    inherit every module this one imports, scipy's LAPACK extension among
+    them."""
     realizations = ensemble.realizations
     indices = range(realizations)
     workers = pool_size(workers, realizations, os.cpu_count())

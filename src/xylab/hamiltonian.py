@@ -13,12 +13,38 @@ modes) - E0 with E0 = sum(lambda_j).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .disorder import ChainSpec
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK extension scipy/linalg/_flapack, loaded from its
+    file: importing the scipy.linalg package would also import its
+    array-API layer, which pulls in numpy.f2py, numpy.testing and numpy.ma
+    (about 0.15 s and 20 MiB per process).  Forked pool workers inherit the
+    loaded module."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError("scipy is not installed: xylab needs its LAPACK extension _flapack")
+    searched = [os.path.join(d, "linalg") for d in spec.submodule_search_locations]
+    for d in searched:
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(d, "_flapack" + suffix)
+            if os.path.isfile(path):
+                ext = importlib.util.spec_from_file_location("scipy.linalg._flapack", path)
+                module = importlib.util.module_from_spec(ext)
+                ext.loader.exec_module(module)
+                return module
+    raise ImportError(f"scipy's LAPACK extension _flapack not found in {', '.join(searched)}")
+
+
+_flapack = _load_flapack()
 
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
@@ -110,16 +136,21 @@ class EigensolverError(RuntimeError):
 
 
 def diagonalize_A(chain: ChainSpec) -> SpectralDecomposition:
-    """Fast path for the tridiagonal one-particle matrix of a chain
-    (scipy's tridiagonal solver), same conventions as diagonalize."""
+    """Eigensystem of the tridiagonal one-particle matrix of a chain, same
+    conventions as diagonalize: LAPACK's divide-and-conquer dstevd, the
+    routine and wrapper scipy.linalg.eigh_tridiagonal runs for a full
+    spectrum, so the results are bitwise those of that function.  The
+    chain's entries are finite (ChainSpec checks them)."""
     if chain.n == 1:
         return SpectralDecomposition(
             eigenvalues=np.array([-chain.nu[0]]), eigenvectors=np.eye(1)
         )
-    try:
-        lam, V = eigh_tridiagonal(-chain.nu_array(), chain.mu_array())
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"tridiagonal eigensolver failed: {exc}") from exc
+    lam, V, info = _flapack.dstevd(-chain.nu_array(), chain.mu_array())
+    if info > 0:
+        raise EigensolverError(
+            f"tridiagonal eigensolver failed: dstevd did not converge (LAPACK info={info})")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dstevd")
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=V)
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -359,6 +360,23 @@ def test_cli_bad_input_gives_one_line_error(tmp_path, capsys, argv, csv_text):
         assert err.startswith(f"error: {argv[1]} ") and "base_seed" not in err
 
 
+@pytest.mark.parametrize("argv", [["oracle-check", "--n", "4", "--realizations", "1"],
+                                  ["run", "CONFIG"]], ids=["oracle-check", "run"])
+def test_cli_reports_an_eigensolver_failure_outside_the_pool_in_one_line(monkeypatch, tmp_path,
+                                                                          capsys, argv):
+    # oracle_check decomposes its chains in the main process, outside the pool
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"experiment": "oracle_check",
+                                    "params": {"n": 4, "realizations": 1},
+                                    "output_dir": str(tmp_path / "out")}))
+    monkeypatch.setattr(ham, "_flapack",
+                        types.SimpleNamespace(dstevd=lambda d, e: (d, np.eye(len(d)), 1)))
+    assert cli.main([str(cfg_path) if a == "CONFIG" else a for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: tridiagonal eigensolver failed: dstevd did not converge "
+                   "(LAPACK info=1)\n")
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_oracle_suite_at_one_and_two_sites(n):
     result = xp.oracle_suite(n, 42, 3)
@@ -506,14 +524,18 @@ def test_cli_run_reports_a_worker_failure_in_one_line(monkeypatch, tmp_path, cap
                    "EigensolverError: injected\n")
 
 
-def test_import_loads_scipy_linalg_and_not_scipy_special():
-    # the pool's forked workers inherit scipy.linalg; scipy.special is not needed
+def test_import_loads_lapack_without_the_scipy_linalg_package():
+    # hamiltonian loads scipy's _flapack extension from its file; the
+    # scipy.linalg package, its array-API layer and scipy.special stay out,
+    # and the pool's forked workers inherit the loaded extension
     r = subprocess.run(
-        [sys.executable, "-c", "import sys, xylab.experiments; "
-         "print('scipy.linalg' in sys.modules, 'scipy.special' in sys.modules)"],
+        [sys.executable, "-c", "import sys, xylab.cli, xylab.hamiltonian as h; "
+         "print(*(m in sys.modules for m in "
+         "('scipy.linalg', 'scipy.special', 'scipy._lib._array_api')), "
+         "h._flapack.__name__, callable(h._flapack.dstevd))"],
         capture_output=True, text=True, env=_child_env())
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split() == ["True", "False"]
+    assert r.stdout.split() == ["False", "False", "False", "scipy.linalg._flapack", "True"]
 
 
 def test_clustering_matches_dense_projector_formula():

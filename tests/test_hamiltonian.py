@@ -1,4 +1,7 @@
 import dataclasses
+import importlib.util
+import re
+import types
 
 import numpy as np
 import pytest
@@ -65,6 +68,45 @@ def test_diagonalize_residuals_random(rng):
     sd2 = ham.diagonalize_A(ch)
     assert np.allclose(sd.eigenvalues, sd2.eigenvalues, atol=1e-10)
     assert np.max(np.abs(sd.eigenvectors - sd2.eigenvectors)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60, 200])
+@pytest.mark.parametrize("kind", ["zero_bond", "clean"])
+def test_diagonalize_A_is_bitwise_scipy_eigh_tridiagonal(rng, n, kind):
+    from scipy.linalg import eigh_tridiagonal
+
+    if kind == "clean":  # uniform hopping, zero field
+        ch = make_chain(np.ones(n - 1), np.zeros(n - 1), np.zeros(n))
+    else:
+        mu = rng.uniform(-1, 1, n - 1)
+        if n > 1:
+            mu[(n - 1) // 2] = 0.0  # an exact zero bond splits the chain
+        ch = make_chain(mu, np.zeros(n - 1), rng.uniform(-1.5, 1.5, n))
+    sd = ham.diagonalize_A(ch)
+    lam, V = eigh_tridiagonal(-ch.nu_array(), ch.mu_array())
+    assert sd.eigenvalues.dtype == lam.dtype and sd.eigenvectors.shape == V.shape
+    assert sd.eigenvalues.tobytes() == lam.tobytes()
+    assert sd.eigenvectors.tobytes(order="F") == V.tobytes(order="F")
+
+
+@pytest.mark.parametrize("info, error, message", [
+    (1, ham.EigensolverError, r"tridiagonal eigensolver failed: dstevd did not converge "
+                              r"\(LAPACK info=1\)"),
+    (-2, ValueError, r"illegal value in argument 2 of dstevd"),
+])
+def test_diagonalize_A_maps_lapack_info(rng, monkeypatch, info, error, message):
+    ch = random_chain(rng, 6, anisotropic=False)
+    monkeypatch.setattr(ham, "_flapack",
+                        types.SimpleNamespace(dstevd=lambda d, e: (d, np.eye(len(d)), info)))
+    with pytest.raises(error, match=message):
+        ham.diagonalize_A(ch)
+
+
+def test_missing_lapack_extension_is_one_import_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(importlib.util, "find_spec",
+                        lambda name: types.SimpleNamespace(submodule_search_locations=[str(tmp_path)]))
+    with pytest.raises(ImportError, match=re.escape(f"_flapack not found in {tmp_path / 'linalg'}")):
+        ham._load_flapack()
 
 
 def test_diagonalize_rejects_asymmetric():
