@@ -1,9 +1,9 @@
 """Experiment runner: JSON configs in, CSV/JSON artifacts out.
 
 Each experiment maps a pure per-realization function over the ensemble
-(optionally on a process pool, one contiguous chunk of realizations per
-worker, XYLAB_WORKERS overriding the config) and reduces results in
-realization-index order with disorder.aggregate, so outputs are byte
+(with workers, forked children take a contiguous chunk each and the idle
+parent collects; XYLAB_WORKERS overrides the config) and reduces results
+in realization-index order with disorder.aggregate, so outputs are byte
 identical across runs and worker counts.  A worker's failure names the
 experiment, the realization and the ensemble seed that replay it.
 Every experiment makes one pass per realization: a worker samples and
@@ -16,11 +16,12 @@ and record pass/fail verdicts next to the fitted constants they used.
 from __future__ import annotations
 
 import json
-import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import pickle
+import signal
+import traceback
 from dataclasses import replace
-from itertools import combinations, repeat
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -98,20 +99,63 @@ def _measure(fn, ensemble: EnsembleSpec, i: int, params: dict):
             f"{type(exc).__name__}: {exc}") from exc
 
 
+def _run_chunk(fn, ensemble: EnsembleSpec, indices: range, params: dict, fd: int):
+    """A forked child's whole life: (ok, payload) for its chunk pickled to fd, then os._exit."""
+    try:
+        try:
+            payload = True, [_measure(fn, ensemble, i, params) for i in indices]
+        except RealizationError as exc:
+            payload = False, (str(exc), traceback.format_exc())
+        with open(fd, "wb") as pipe:
+            pickle.dump(payload, pipe, pickle.HIGHEST_PROTOCOL)
+        os._exit(0)
+    finally:
+        os._exit(1)
+
+
 def map_realizations(fn, ensemble: EnsembleSpec, params: dict, workers: int) -> list:
     """fn(ensemble, i, params) for i = 0..realizations-1, results in index
-    order.  On the pool each worker takes one contiguous chunk of indices,
-    and params travel once per chunk; forked workers (Linux's default)
-    inherit every module this one imports, scipy's LAPACK extension among
-    them."""
+    order.  With more workers the idle parent forks one child per chunk of
+    ceil(realizations / workers) indices and reads their pickled results
+    back in chunk order.  The children inherit every loaded module, scipy's
+    LAPACK extension among them, whatever multiprocessing's default start
+    method (forkserver on Linux from Python 3.14); without os.fork, serial."""
     realizations = ensemble.realizations
-    indices = range(realizations)
-    workers = pool_size(workers, realizations, os.cpu_count())
+    workers = pool_size(workers, realizations, os.cpu_count() if hasattr(os, "fork") else 1)
     if workers <= 1:
-        return [_measure(fn, ensemble, i, params) for i in indices]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_measure, repeat(fn), repeat(ensemble), indices, repeat(params),
-                             chunksize=math.ceil(realizations / workers)))
+        return [_measure(fn, ensemble, i, params) for i in range(realizations)]
+    step = -(-realizations // workers)  # ceil
+    chunks = [range(s, min(s + step, realizations)) for s in range(0, realizations, step)]
+    pipes, pids = [], []  # read ends in chunk order; children not yet reaped
+    try:
+        for indices in chunks:
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            if (pid := os.fork()) == 0:
+                _run_chunk(fn, ensemble, indices, params, w)
+            pids.append(pid)
+            os.close(w)  # before the next fork, so no later child holds this pipe open
+        results = []
+        for pipe, pid, indices in zip(pipes, list(pids), chunks):
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            pids.remove(pid)
+            if code or not data:
+                how = f"signal {-code}" if code < 0 else f"exit status {code}"
+                raise RealizationError(f"realizations {indices[0]}-{indices[-1]} (n={ensemble.n}, "
+                                       f"base_seed {ensemble.base_seed}) failed: their worker "
+                                       f"process died ({how})")
+            ok, payload = pickle.loads(data)
+            if not ok:
+                raise RealizationError(payload[0]) from RuntimeError(payload[1])
+            results += payload
+        return results
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def write_csv(path, header: list, rows) -> None:

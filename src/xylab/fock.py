@@ -100,7 +100,8 @@ def locate_centers(sd: SpectralDecomposition, alpha: float) -> CenterAssignment:
     V = np.abs(sd.eigenvectors)
     n = V.shape[0]
     thresh = float(n) ** (-alpha)
-    adjacency = [list(np.nonzero(V[:, r] >= thresh)[0]) for r in range(n)]
+    rows, sites = np.nonzero(V.T >= thresh)  # row-major: eigenvector by eigenvector
+    adjacency = [a.tolist() for a in np.split(sites, np.searchsorted(rows, np.arange(1, n)))]
     match = hopcroft_karp(adjacency, n)
     matched = all(m != -1 for m in match)
     centers = list(match)
@@ -128,10 +129,10 @@ def decay_envelope(sd: SpectralDecomposition, centers: CenterAssignment) -> np.n
     entry lies that far)."""
     V = np.abs(sd.eigenvectors)
     n = V.shape[0]
-    dist = np.abs(np.arange(1, n + 1)[:, None] - np.asarray(centers.centers))
-    envelope = np.zeros(n)
-    np.maximum.at(envelope, dist, V)
-    return envelope
+    shifted = np.zeros((2 * n - 1, n))  # column r moved so its center lands on row n - 1
+    shifted[np.arange(n)[:, None] - np.asarray(centers.centers) + n, np.arange(n)] = V
+    peak = shifted.max(axis=1)  # row n - 1 +- d: the largest entry d sites from its center
+    return np.maximum(peak[n - 1:], peak[n - 1::-1])
 
 
 def certify_decay(envelopes: np.ndarray, eta: float, tau: float) -> np.ndarray:
@@ -166,7 +167,7 @@ def slater_overlap(U: np.ndarray, k_config, j_config) -> float:
     if len(k) == 0:
         return 1.0
     r = len(k)
-    sub = U[np.ix_(np.array(j) - 1, np.array(k) - 1)].T  # rows modes, cols sites
+    sub = U[np.array(j)[None, :] - 1, np.array(k)[:, None] - 1]  # rows modes, cols sites
     sign = -1.0 if (sum(j) - r) % 2 else 1.0
     return float(sign * np.linalg.det(sub))
 

@@ -27,8 +27,8 @@ def _load_flapack():
     """scipy's f2py LAPACK extension scipy/linalg/_flapack, loaded from its
     file: importing the scipy.linalg package would also import its
     array-API layer, which pulls in numpy.f2py, numpy.testing and numpy.ma
-    (about 0.15 s and 20 MiB per process).  Forked pool workers inherit the
-    loaded module."""
+    (about 0.15 s and 20 MiB per process).  The children that
+    experiments.map_realizations forks inherit the loaded module."""
     spec = importlib.util.find_spec("scipy")
     if spec is None:
         raise ImportError("scipy is not installed: xylab needs its LAPACK extension _flapack")

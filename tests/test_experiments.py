@@ -1,8 +1,10 @@
 import ast
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 import types
 from collections import Counter
 from pathlib import Path
@@ -510,6 +512,127 @@ def test_worker_failure_names_the_realization_and_seed(monkeypatch, workers):
         assert "EigensolverError: injected" in str(cause)
 
 
+_TEST_PID = os.getpid()
+
+
+def _die_on_realization_1(ensemble, i, params):
+    if i == 1:
+        if os.getpid() == _TEST_PID:  # never end the test process itself
+            raise AssertionError("the map ran a worker in the test process")
+        if params["how"] == "sigkill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if params["how"] == "exit_3":
+            os._exit(3)
+        raise SystemExit(0)
+    return np.zeros(3)
+
+
+def _one_mib(ensemble, i, params):
+    return np.random.default_rng(i).bytes(1 << 20)
+
+
+class _InterruptOnLoad:
+    def __reduce__(self):
+        return _interrupt, ()
+
+
+def _interrupt():
+    raise KeyboardInterrupt
+
+
+def _interrupt_the_parent(ensemble, i, params):
+    if i >= 2:  # the second chunk would outlive the test unless killed
+        time.sleep(60)
+    return _InterruptOnLoad()
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def deadline():
+    """Fail, instead of hanging, if a map waits on a pipe that never closes."""
+    def expire(signum, frame):
+        raise TimeoutError("map_realizations hung")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("how, status", [("sigkill", "signal 9"), ("exit_3", "exit status 3"),
+                                         ("system_exit", "exit status 1")],
+                         ids=["sigkill", "exit_3", "system_exit"])
+def test_a_worker_process_that_dies_is_one_error(monkeypatch, tmp_path, deadline, how, status):
+    monkeypatch.setattr(xp.os, "cpu_count", lambda: 8)
+    ensemble = xp.EnsembleSpec.from_json(ensemble_json(n=8, realizations=4))
+    try:
+        with pytest.raises(xp.RealizationError) as info:
+            xp.map_realizations(_die_on_realization_1, ensemble, {"how": how}, 2)
+    finally:
+        if os.getpid() != _TEST_PID:  # a child came back out of the map
+            (tmp_path / f"escaped-{os.getpid()}").write_text("")
+            os._exit(0)
+    assert str(info.value) == ("realizations 0-1 (n=8, base_seed 11) failed: "
+                               f"their worker process died ({status})")
+    _assert_no_child_left()
+    assert not list(tmp_path.iterdir())
+
+
+def test_results_larger_than_a_pipe_buffer_come_back_intact(monkeypatch, deadline):
+    monkeypatch.setattr(xp.os, "cpu_count", lambda: 8)
+    ensemble = xp.EnsembleSpec.from_json(ensemble_json(n=8, realizations=4))
+    pooled = xp.map_realizations(_one_mib, ensemble, {}, 2)
+    _assert_no_child_left()
+    assert pooled == [_one_mib(ensemble, i, {}) for i in range(4)]
+
+
+def test_a_parent_side_interrupt_kills_and_reaps_every_child(monkeypatch, deadline):
+    monkeypatch.setattr(xp.os, "cpu_count", lambda: 8)
+    ensemble = xp.EnsembleSpec.from_json(ensemble_json(n=8, realizations=4))
+    with pytest.raises(KeyboardInterrupt):  # not the deadline's TimeoutError: no wait on a sleeper
+        xp.map_realizations(_interrupt_the_parent, ensemble, {}, 2)
+    _assert_no_child_left()
+
+
+def test_maps_leave_no_child_and_run_serially_without_fork(monkeypatch):
+    monkeypatch.setattr(xp.os, "cpu_count", lambda: 8)
+    ensemble = xp.EnsembleSpec.from_json(ensemble_json(n=8, realizations=4))
+    seen = xp.map_realizations(_index_seed_pid, ensemble, {"tag": "t"}, 2)
+    assert os.getpid() not in {s[3] for s in seen}
+    _assert_no_child_left()
+    with pytest.raises(xp.RealizationError):
+        xp.map_realizations(_fail_on_realization_1, ensemble, {}, 2)
+    _assert_no_child_left()
+    monkeypatch.delattr(xp.os, "fork")
+    seen = xp.map_realizations(_index_seed_pid, ensemble, {"tag": "t"}, 2)
+    assert [s[0] for s in seen] == [0, 1, 2, 3]
+    assert {s[3] for s in seen} == {os.getpid()}
+
+
+def test_cli_run_reports_a_killed_worker_process_in_one_line(monkeypatch, tmp_path, capsys,
+                                                             deadline):
+    monkeypatch.setattr(xp.os, "cpu_count", lambda: 8)
+    monkeypatch.delenv("XYLAB_WORKERS", raising=False)
+    monkeypatch.setattr(xp, "_real_eigencorrelator",
+                        lambda ensemble, i, params: _die_on_realization_1(ensemble, i, {"how": "sigkill"}))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({
+        "experiment": "eigencorrelator",
+        "ensemble": ensemble_json(n=8, realizations=3),
+        "output_dir": str(tmp_path / "out"),
+        "workers": 2,
+    }))
+    assert cli.main(["run", str(cfg_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: eigencorrelator: realizations 0-1 (n=8, base_seed 11) failed: "
+        "their worker process died (signal 9)\n")
+    _assert_no_child_left()
+
+
 def test_cli_run_reports_a_worker_failure_in_one_line(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(xp, "_real_eigencorrelator", _fail_on_realization_1)
     cfg_path = tmp_path / "config.json"
@@ -527,15 +650,17 @@ def test_cli_run_reports_a_worker_failure_in_one_line(monkeypatch, tmp_path, cap
 def test_import_loads_lapack_without_the_scipy_linalg_package():
     # hamiltonian loads scipy's _flapack extension from its file; the
     # scipy.linalg package, its array-API layer and scipy.special stay out,
-    # and the pool's forked workers inherit the loaded extension
+    # and the map's forked children inherit the loaded extension; the map
+    # forks them itself, so neither process-pool package is imported either
     r = subprocess.run(
         [sys.executable, "-c", "import sys, xylab.cli, xylab.hamiltonian as h; "
          "print(*(m in sys.modules for m in "
-         "('scipy.linalg', 'scipy.special', 'scipy._lib._array_api')), "
+         "('scipy.linalg', 'scipy.special', 'scipy._lib._array_api', "
+         "'concurrent.futures', 'multiprocessing')), "
          "h._flapack.__name__, callable(h._flapack.dstevd))"],
         capture_output=True, text=True, env=_child_env())
     assert r.returncode == 0, r.stderr
-    assert r.stdout.split() == ["False", "False", "False", "scipy.linalg._flapack", "True"]
+    assert r.stdout.split() == ["False"] * 5 + ["scipy.linalg._flapack", "True"]
 
 
 def test_clustering_matches_dense_projector_formula():

@@ -80,6 +80,43 @@ def test_decay_envelope_is_the_largest_entry_per_distance(rng):
     assert fock.decay_envelope(sd, inner)[n - 1] == 0.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 9, 60])
+def test_decay_envelope_equals_the_scatter_max_formula_bitwise(rng, n):
+    sd = ham.diagonalize_A(random_chain(rng, n, anisotropic=False))
+    for ca in (fock.locate_centers(sd, 1.25),
+               fock.CenterAssignment(centers=(n,) * n, matched=False, fallback_count=0)):
+        V = np.abs(sd.eigenvectors)
+        expected = np.zeros(n)
+        np.maximum.at(expected, np.abs(np.arange(1, n + 1)[:, None] - np.asarray(ca.centers)), V)
+        assert fock.decay_envelope(sd, ca).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [1.1, 1.25, 2.0])
+def test_locate_centers_matches_on_the_per_column_candidate_lists(rng, monkeypatch, alpha):
+    n = 40
+    sd = ham.diagonalize_A(random_chain(rng, n, anisotropic=False))
+    seen = []
+    match = fock.hopcroft_karp
+    monkeypatch.setattr(fock, "hopcroft_karp", lambda adj, right: seen.append(adj) or match(adj, right))
+    fock.locate_centers(sd, alpha)
+    V = np.abs(sd.eigenvectors)
+    assert seen == [[list(np.nonzero(V[:, r] >= n ** -alpha)[0]) for r in range(n)]]
+
+
+def test_pair_overlaps_call_slater_overlap_once_per_pair(rng, monkeypatch):
+    n = 30
+    U = ham.diagonalize_A(random_chain(rng, n, anisotropic=False)).eigenvectors
+    pairs = fock.sample_configuration_pairs(n, 0.5, 25, 4, 5)
+    calls = []
+    overlap = fock.slater_overlap
+    monkeypatch.setattr(fock, "slater_overlap", lambda *a: calls.append(a[1:]) or overlap(*a))
+    got = fock.pair_overlaps(U, pairs)
+    assert calls == pairs
+    # the submatrix rows are the modes k and its columns the sites j
+    expected = [abs(np.linalg.det(U[np.ix_(np.array(j) - 1, np.array(k) - 1)].T)) for k, j in pairs]
+    assert got.tobytes() == np.array(expected).tobytes()
+
+
 def test_certify_decay_validation():
     ch = make_chain([0.1], [0.0], [1.0, -1.0])
     sd = ham.diagonalize_A(ch)
