@@ -4,7 +4,10 @@ The entropy of the reduction to the left end [1, ell] is the entropy of
 the upper-left 2*ell block of the correlation matrix, -sum zeta ln zeta
 over its eigenvalues (natural-log units).  The cross-cut block norms
 give a computable upper bound, 2 ln 2 times their sum, which feeds the
-area-law checks.
+area-law checks.  The eigenstate-label and quench kernels take the
+block in real Majorana form, whose spectrum (1 +- sigma) / 2 comes from
+a real symmetric eigvalsh of sigma^2 (Peschel 2003), through one
+sigma^2-to-entropy function, _sigma_entropy; no complex block is formed.
 """
 
 from __future__ import annotations
@@ -13,18 +16,8 @@ import numpy as np
 
 from .disorder import ChainSpec
 from .eigencorrelator import DecayFit
-from .hamiltonian import (
-    BogoliubovDecomposition,
-    SpectralDecomposition,
-    alpha_from_index,
-    block_norms,
-)
-from .quasifree import (
-    eigenstate_gamma,
-    mode_selector,
-    quench_initial_gamma,
-    restricted_series,
-)
+from .hamiltonian import BogoliubovDecomposition, alpha_from_index, block_norms
+from .quasifree import eigenstate_gamma, mode_selector, phase_rows, quench_initial_gamma
 
 LN2 = float(np.log(2.0))
 
@@ -65,6 +58,21 @@ def _spectrum_entropy(zeta: np.ndarray):
     return -np.sum(zeta * np.log(zeta), axis=-1)
 
 
+def _sigma_entropy(sigma2: np.ndarray) -> np.ndarray:
+    """_spectrum_entropy of the spectra (1 +- sigma) / 2 over the last axis,
+    given sigma^2: the restricted blocks in Majorana form, whose sigma are
+    the singular values of their off-diagonal part.  sigma^2 outside
+    [0, 1] by more than 1e-9 is an error."""
+    if sigma2.min() < -1e-9 or sigma2.max() > 1 + 1e-9:
+        raise ValueError(
+            f"restricted spectrum outside [0,1]: sigma^2 in "
+            f"[{sigma2.min():.3e}, {sigma2.max():.3e}]"
+        )
+    sigma = np.sqrt(np.maximum(sigma2, 0.0))
+    zeta = np.concatenate([0.5 * (1.0 + sigma), 0.5 * (1.0 - sigma)], axis=-1)
+    return _spectrum_entropy(zeta)
+
+
 def entropy_from_gamma(gamma: np.ndarray, ell: int) -> float:
     """Von Neumann entropy of the reduction to [1, ell]: -sum zeta ln zeta
     over the upper-left 2*ell block spectrum."""
@@ -102,8 +110,7 @@ def _label_entropies(WA: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     spectrum is (1 +- sigma) / 2 over the singular values sigma of Y.  The
     Y of a chunk of labels are one batched product and their sigma^2 one
     batched eigvalsh of Y Y^t; a chunk holds its ell x n signed copies of
-    Psi_A^t, its Y and its Y Y^t in _LABEL_CHUNK_ENTRIES.  sigma^2 above 1
-    by more than 1e-9 is an error.
+    Psi_A^t, its Y and its Y Y^t in _LABEL_CHUNK_ENTRIES.
     """
     n, ell = WA.shape[0] // 2, WA.shape[1] // 2
     Psi = WA[0::2, 0::2] + WA[0::2, 1::2]
@@ -114,15 +121,7 @@ def _label_entropies(WA: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     for start in range(0, len(alphas), step):
         chunk = alphas[start : start + step]
         Y = (Psi.T * (1.0 - 2.0 * chunk)[:, None, :]) @ Phi
-        sigma2 = np.linalg.eigvalsh(Y @ Y.transpose(0, 2, 1))
-        if sigma2.min() < -1e-9 or sigma2.max() > 1 + 1e-9:
-            raise ValueError(
-                f"restricted spectrum outside [0,1]: sigma^2 in "
-                f"[{sigma2.min():.3e}, {sigma2.max():.3e}]"
-            )
-        sigma = np.sqrt(np.maximum(sigma2, 0.0))
-        zeta = np.concatenate([0.5 * (1.0 + sigma), 0.5 * (1.0 - sigma)], axis=-1)
-        out[start : start + step] = _spectrum_entropy(zeta)
+        out[start : start + step] = _sigma_entropy(np.linalg.eigvalsh(Y @ Y.transpose(0, 2, 1)))
     return out
 
 
@@ -163,17 +162,52 @@ def max_eigenstate_entropy(bog: BogoliubovDecomposition, ell: int, strategy: str
 
 
 def quench_entropy(chain: ChainSpec, ell: int, alpha_left, alpha_right, times,
-                   sd_M: SpectralDecomposition) -> np.ndarray:
+                   bog: BogoliubovDecomposition) -> np.ndarray:
     """Entanglement of an initially unentangled pair of half-chain
     eigenstates, evolved under the full chain; one entropy per time.
 
-    The left block of the evolved correlation matrix is formed for the
-    whole grid in the eigenbasis of M (restricted_series, from sd_M, the
-    decomposition of M that serves every cut of the chain) and its
-    spectra are taken in one batched call.  quench_initial_gamma checks
-    the cut.
+    bog is the chain's Bogoliubov decomposition, which serves every cut.
+    With Psi and Phi the SVD factors of A + B read off its W (rows sites,
+    columns modes), the site Majoranas of c_j + c_j^* and of c_j - c_j^*
+    are Psi and Phi applied to mode Majorana pairs (a_q, b_q) that
+    rotate by 2t lam_q.  The real initial state (quench_initial_gamma,
+    which checks the cut) couples only a to b, through
+    K = Psi^t (G11 - G12 + G21 - G22) Phi with Gxy its (c, c^*)
+    sub-blocks.  With Pc, Ps, Fc, Fs the rows of Psi and Phi
+    on the block scaled by the cos and sin rows of 2t lam (phase_rows),
+    the block is (I + i Omega) / 2 for the real antisymmetric
+
+        Omega = [[X - X^t, Pc K Fc^t + Ps K^t Fs^t], [.., Z - Z^t]],
+        X = Pc K Ps^t,  Z = Fc K^t Fs^t,
+
+    at 3 ell n^2 + 4 ell^2 n multiply-adds per time.  Each sigma^2 of
+    Omega^t Omega, one batched real eigvalsh per chunk of times, appears
+    twice, so each of the 2 ell values weighs 1/2 in _sigma_entropy.
     """
-    V = sd_M.eigenvectors
-    G = V.T @ quench_initial_gamma(chain, ell, alpha_left, alpha_right) @ V
-    blocks = restricted_series(V[: 2 * ell, :], sd_M.eigenvalues, G, times)
-    return _spectrum_entropy(np.linalg.eigvalsh(blocks))
+    g = quench_initial_gamma(chain, ell, alpha_left, alpha_right)
+    W = bog.W
+    Psi = (W[0::2, 0::2] + W[0::2, 1::2]).T  # sites x modes
+    Phi = (W[0::2, 0::2] - W[0::2, 1::2]).T
+    K = Psi.T @ (g[0::2, 0::2] - g[0::2, 1::2] + g[1::2, 0::2] - g[1::2, 1::2]) @ Phi
+    Kt, PA, FA = K.T, Psi[:ell], Phi[:ell]
+    n = len(K)
+    out = np.empty(len(times))
+    start = 0
+    # float64 entries per time: seven ell x n arrays (Pc, Ps, Fc, Fs and
+    # three products), and Omega, Omega^t Omega and the blocks that build
+    # Omega, about five 2 ell x 2 ell arrays
+    for m, R in phase_rows(bog.lam, times, 2.0, 7 * ell * n + 20 * ell * ell):
+        C, S = R[:m, None, :], R[m:, None, :]
+        Pc, Ps, Fc, Fs = PA * C, PA * S, FA * C, FA * S
+        PcK = (Pc.reshape(-1, n) @ K).reshape(Pc.shape)
+        PsKt = (Ps.reshape(-1, n) @ Kt).reshape(Ps.shape)
+        FcKt = (Fc.reshape(-1, n) @ Kt).reshape(Fc.shape)
+        X = PcK @ Ps.transpose(0, 2, 1)
+        Z = FcKt @ Fs.transpose(0, 2, 1)
+        ab = PcK @ Fc.transpose(0, 2, 1) + PsKt @ Fs.transpose(0, 2, 1)
+        omega = np.block([[X - X.transpose(0, 2, 1), ab],
+                          [-ab.transpose(0, 2, 1), Z - Z.transpose(0, 2, 1)]])
+        sigma2 = np.linalg.eigvalsh(omega.transpose(0, 2, 1) @ omega)
+        out[start : start + m] = 0.5 * _sigma_entropy(sigma2)
+        start += m
+    return out

@@ -49,11 +49,6 @@ _flapack = _load_flapack()
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
-def s_gamma(gamma: float) -> np.ndarray:
-    """Bond block of M: S(gamma) = [[1, gamma], [-gamma, -1]]."""
-    return np.array([[1.0, gamma], [-gamma, -1.0]])
-
-
 def build_A(chain: ChainSpec) -> np.ndarray:
     """Tridiagonal matrix with diagonal -nu and off-diagonal mu."""
     A = np.diag(-chain.nu_array())
@@ -79,15 +74,20 @@ def build_B(chain: ChainSpec) -> np.ndarray:
 def build_M(chain: ChainSpec) -> np.ndarray:
     """2n x 2n block-Jacobi effective Hamiltonian in the interleaved
     (c_j, c_j^*) ordering: diagonal blocks -nu_j sigma_z, bond blocks
-    mu_j S(gamma_j) above and its transpose below."""
+    mu_j S(gamma_j) with S(g) = [[1, g], [-g, -1]] above and its transpose
+    below.  Every entry is the product mu_j S or -nu_j sigma_z gives it,
+    signed zeros included, scattered through the (site, 2, site, 2) view."""
     n = chain.n
     M = np.zeros((2 * n, 2 * n))
-    for j in range(n):
-        M[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = -chain.nu[j] * SIGMA_Z
-    for j in range(n - 1):
-        blk = chain.mu[j] * s_gamma(chain.gamma[j])
-        M[2 * j : 2 * j + 2, 2 * j + 2 : 2 * j + 4] = blk
-        M[2 * j + 2 : 2 * j + 4, 2 * j : 2 * j + 2] = blk.T
+    blocks = M.reshape(n, 2, n, 2)  # blocks[j, :, k, :] is the (j, k) block of M
+    site, bond = np.arange(n), np.arange(n - 1)
+    blocks[site, :, site, :] = -chain.nu_array()[:, None, None] * SIGMA_Z
+    g = chain.gamma_array()
+    S = np.empty((n - 1, 2, 2))
+    S[:, 0, 0], S[:, 0, 1], S[:, 1, 0], S[:, 1, 1] = 1.0, g, -g, -1.0
+    S *= chain.mu_array()[:, None, None]
+    blocks[bond, :, bond + 1, :] = S
+    blocks[bond + 1, :, bond, :] = S.transpose(0, 2, 1)
     return M
 
 

@@ -10,10 +10,12 @@ passed between modules as a plain array (n = len(gamma) // 2).
 Eigenstates and thermal states of the chain are spectral functions of
 the effective Hamiltonian M; particle profiles are diagonal.  Under the
 chain dynamics the matrix evolves by conjugation with exp(-2itM) into a
-Hermitian, in general complex matrix (off-diagonal currents).
-phase_rows is the one time-series engine: every whole-grid kernel, here
-and in eigencorrelator, reads the real cos/sin rows of a chunk of times
-from it, so memory stays bounded and no propagator is built.
+Hermitian, in general complex matrix (off-diagonal currents);
+evolve_gamma makes that dense conjugation at one time.  phase_rows is
+the one time-series engine: every whole-grid kernel, here, in
+eigencorrelator and in entanglement's quench, reads the real cos/sin
+rows of a chunk of times from it, so memory stays bounded and no
+propagator is built.
 """
 
 from __future__ import annotations
@@ -68,16 +70,33 @@ def profile_gamma(eta_profile) -> np.ndarray:
 
 
 def evolve_gamma(gamma: np.ndarray, sd_M: SpectralDecomposition, t: float) -> np.ndarray:
-    """Heisenberg-picture update exp(-2itM) gamma exp(+2itM): the whole
-    matrix as the one-time restricted_series over every row of V.
+    """Heisenberg-picture update exp(-2itM) gamma exp(+2itM) of the whole
+    matrix, by one dense conjugation in the eigenbasis of M.
 
-    The state must be real, as every state at time zero is; the result
-    is Hermitian but genuinely complex at t != 0 for states that do not
-    commute with M (the imaginary parts carry the currents), verified
-    Hermitian to 1e-9 and returned complex.
+    With X_c, X_s the eigenvectors scaled by cos and sin of 2t lam and
+    Z = X G, G = V^t gamma V, the result is
+    Z_c X_c^t + Z_s X_s^t + i (Z_c X_s^t - (Z_c X_s^t)^t).  The state must
+    be real, as every state at time zero is; the result is Hermitian but
+    genuinely complex at t != 0 for states that do not commute with M (the
+    imaginary parts carry the currents), verified Hermitian to 1e-9 and
+    returned Hermitized and complex.
     """
+    if np.iscomplexobj(gamma):
+        raise ValueError("evolve_gamma takes a real gamma")
     V = sd_M.eigenvectors
-    return restricted_series(V, sd_M.eigenvalues, V.T @ gamma @ V, [t])[0]
+    G = V.T @ gamma @ V
+    phase = 2.0 * t * sd_M.eigenvalues
+    X = np.stack([V * np.cos(phase), V * np.sin(phase)])
+    Z = (X.reshape(-1, len(V)) @ G).reshape(X.shape)
+    re = Z[0] @ X[0].T + Z[1] @ X[1].T
+    cs = Z[0] @ X[1].T
+    herm = max(np.max(np.abs(G - G.T), initial=0.0), np.max(np.abs(re - re.T), initial=0.0))
+    if herm > 1e-9:
+        raise ValueError(f"evolved gamma lost Hermiticity: residual {herm:.3e}")
+    out = np.empty(re.shape, dtype=complex)
+    out.real = 0.5 * (re + re.T)
+    out.imag = cs - cs.T
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -117,38 +136,6 @@ def trace_series(lam: np.ndarray, K: np.ndarray, times) -> np.ndarray:
         q = np.einsum("ra,ra->r", R @ K, R)
         out[start : start + m] = q[:m] + q[m:]
         start += m
-    return out
-
-
-def restricted_series(V_A: np.ndarray, lam: np.ndarray, G: np.ndarray, times) -> np.ndarray:
-    """Stack of the evolved blocks gamma_t[A, A] = V_A e^{-2it lam} G e^{2it lam} V_A^t,
-    with V_A the rows of the eigenvectors of M on the block and
-    G = V^t gamma V the real symmetric initial state in the eigenbasis of M.
-
-    With X_c, X_s the rows of V_A scaled by cos and sin of 2t lam and
-    Z = X G, the block is Z_c X_c^t + Z_s X_s^t + i (Z_c X_s^t - (Z_c X_s^t)^t):
-    the A-block of evolve_gamma at every t, at O(|A| d^2) per step;
-    verified Hermitian to 1e-9 and returned Hermitized and complex.
-    """
-    if np.iscomplexobj(V_A) or np.iscomplexobj(G):
-        raise ValueError("restricted_series takes a real V_A and G")
-    rows, dim = V_A.shape
-    out = np.empty((len(times), rows, rows), dtype=complex)
-    herm = np.max(np.abs(G - G.T), initial=0.0)
-    start = 0
-    for m, R in phase_rows(lam, times, 2.0, 4 * rows * dim):  # X and Z: 2 rows x dim each per time
-        X = V_A[None, :, :] * R[:, None, :]
-        Z = (X.reshape(-1, dim) @ G).reshape(X.shape)
-        Xt = X.transpose(0, 2, 1)
-        re = Z[:m] @ Xt[:m] + Z[m:] @ Xt[m:]
-        cs = Z[:m] @ Xt[m:]
-        herm = max(herm, np.max(np.abs(re - re.transpose(0, 2, 1)), initial=0.0))
-        blk = out[start : start + m]
-        blk.real = 0.5 * (re + re.transpose(0, 2, 1))
-        blk.imag = cs - cs.transpose(0, 2, 1)
-        start += m
-    if herm > 1e-9:
-        raise ValueError(f"evolved gamma lost Hermiticity: residual {herm:.3e}")
     return out
 
 

@@ -224,19 +224,18 @@ def test_07_area_law_flatness():
     qs = {10: [], 30: []}
     for i in range(20):
         chain = sample_chain(ens, i)
-        sd_M = ham.bogoliubov(chain).spectral
+        bog = ham.bogoliubov(chain)
         for ell in (10, 30):
             a_left = ([1, 0] * ((ell + 1) // 2))[:ell]
             a_right = ([0, 1] * ((60 - ell + 1) // 2))[: 60 - ell]
-            series = ent.quench_entropy(chain, ell, a_left, a_right, times, sd_M)
+            series = ent.quench_entropy(chain, ell, a_left, a_right, times, bog)
             qs[ell].append(float(np.max(series)))
     q10 = xp.aggregate(qs[10])
     q30 = xp.aggregate(qs[30])
     flat_quench = abs(q10["mean"] - q30["mean"]) <= 2.0 * np.hypot(q10["stderr"], q30["stderr"])
 
     clean = make_chain([1.0] * 59, [0.0] * 59, [0.0] * 60)
-    series = ent.quench_entropy(clean, 30, [1, 0] * 15, [0, 1] * 15, times,
-                                ham.bogoliubov(clean).spectral)
+    series = ent.quench_entropy(clean, 30, [1, 0] * 15, [0, 1] * 15, times, ham.bogoliubov(clean))
     growth = float(np.max(series) / np.mean(series[times <= 1.0]))
 
     ok = flat_static and below and flat_quench and growth >= 3.0

@@ -132,6 +132,25 @@ def test_restricted_spectrum_outside_unit_interval_is_an_error(rng):
         ent.max_eigenstate_entropy(scaled, 3, strategy="exhaustive", samples=200, seed=0)
 
 
+def test_quench_entropy_fires_on_a_spectrum_outside_the_unit_interval(rng):
+    ch = random_chain(rng, 6)
+    bog = ham.bogoliubov(ch)
+    scaled = replace(bog, W=1.001 * bog.W)
+    with pytest.raises(ValueError, match=r"restricted spectrum outside \[0,1\]: sigma\^2"):
+        ent.quench_entropy(ch, 3, [0, 1, 0], [1, 0, 0], [0.0, 0.5], scaled)
+
+
+def test_quench_entropy_chunks_do_not_move_the_series(rng, monkeypatch):
+    n, ell = 6, 2
+    ch = random_chain(rng, n)
+    args = (ch, ell, [0, 1], [1, 0, 0, 1], np.linspace(0.0, 3.0, 7), ham.bogoliubov(ch))
+    whole = ent.quench_entropy(*args)
+    per_time = 7 * ell * n + 20 * ell * ell  # the kernel's float64 entries per time
+    for budget in (1, 3 * per_time):  # one time per chunk; chunks of 3, 3 and 1
+        monkeypatch.setattr(qf, "_GRID_CHUNK_ENTRIES", budget)
+        assert np.array_equal(ent.quench_entropy(*args), whole)
+
+
 def test_batched_kernel_fires_on_sigma_squared_above_one():
     # decoupled sites: every sigma is 1, so scaling WA by (1 + 2e-9)^(1/4)
     # puts sigma^2 at 1 + 2e-9, while (1 - sigma)/2 = -5e-10 alone would
@@ -227,7 +246,7 @@ def test_quench_entropy_starts_at_zero_and_matches_oracle(rng):
     n = 6
     ch = random_chain(rng, n)
     times = np.array([0.0, 0.4, 1.1])
-    series = ent.quench_entropy(ch, 3, [0, 0, 1], [0, 1, 0], times, ham.bogoliubov(ch).spectral)
+    series = ent.quench_entropy(ch, 3, [0, 0, 1], [0, 1, 0], times, ham.bogoliubov(ch))
     assert series[0] == pytest.approx(0.0, abs=1e-8)
     # oracle re-computation
     left = make_chain(ch.mu[:2], ch.gamma[:2], ch.nu[:3])
@@ -254,10 +273,10 @@ def test_quench_clean_chain_grows():
     h = n // 2
     ch = make_chain([1.0] * (n - 1), [0.0] * (n - 1), [0.0] * n)
     times = np.arange(0.0, 30.0 + 1e-9, 0.5)
-    sd_M = ham.bogoliubov(ch).spectral
-    vac = ent.quench_entropy(ch, h, [0] * h, [0] * h, times, sd_M)
+    bog = ham.bogoliubov(ch)
+    vac = ent.quench_entropy(ch, h, [0] * h, [0] * h, times, bog)
     assert np.max(vac) > 2.0 * np.mean(vac[times <= 1.0])
-    alt = ent.quench_entropy(ch, h, [1, 0] * (h // 2), [0, 1] * (h // 2), times, sd_M)
+    alt = ent.quench_entropy(ch, h, [1, 0] * (h // 2), [0, 1] * (h // 2), times, bog)
     assert np.max(alt) > 3.0 * np.mean(alt[times <= 1.0])
 
 
@@ -353,25 +372,33 @@ def test_cut_validation():
             ent.entropy_from_gamma(cm, ell)
 
 
-@pytest.mark.parametrize("bonds", ["anisotropic", "gamma_pm1", "zero_bond"])
+@pytest.mark.parametrize("bonds", ["anisotropic", "gamma_pm1", "zero_bond", "nu_zero", "clean"])
 def test_quench_entropy_matches_per_step_evolution(rng, bonds):
-    # the eigenbasis series against evolving the full correlation matrix
-    # step by step and taking each restricted spectrum
+    # the Majorana-form series against evolving the full correlation matrix
+    # step by step and taking each restricted spectrum; nu = 0 and the clean
+    # chain give A + B repeated singular values (and zero modes)
     n = 8
     mu = rng.uniform(-1, 1, n - 1)
     gamma = rng.uniform(-0.8, 0.8, n - 1)
+    nu = rng.uniform(-1.5, 1.5, n)
     if bonds == "gamma_pm1":
         gamma = rng.choice([-1.0, 1.0], n - 1)
     if bonds == "zero_bond":
         mu[4] = 0.0  # splits the chain between sites 5 and 6
-    ch = make_chain(mu, gamma, rng.uniform(-1.5, 1.5, n))
+    if bonds == "nu_zero":
+        nu[:] = 0.0
+    if bonds == "clean":
+        mu[:], gamma[:], nu[:] = 1.0, 0.0, 0.0
+    ch = make_chain(mu, gamma, nu)
+    bog = ham.bogoliubov(ch)
+    if bonds == "clean":
+        assert np.min(np.diff(bog.lam)) < 1e-12  # +-k modes share a singular value
     sd = ham.diagonalize(ham.build_M(ch))
-    sd_M = ham.bogoliubov(ch).spectral
     times = np.arange(0.0, 6.0, 0.5)
     for ell in (1, 3, 5, 7):
         a_left = rng.integers(0, 2, ell)
         a_right = rng.integers(0, 2, n - ell)
-        series = ent.quench_entropy(ch, ell, a_left, a_right, times, sd_M=sd_M)
+        series = ent.quench_entropy(ch, ell, a_left, a_right, times, bog)
         gamma0 = qf.quench_initial_gamma(ch, ell, a_left, a_right)
         loop = [ent.entropy_from_gamma(qf.evolve_gamma(gamma0, sd, t), ell) for t in times]
         assert np.max(np.abs(series - loop)) <= 1e-10

@@ -36,6 +36,25 @@ def test_build_M_single_site():
     assert np.allclose(ham.build_M(ch), [[-2.0, 0.0], [0.0, 2.0]])
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 160])
+def test_build_M_is_the_blockwise_loop_bit_for_bit(rng, n):
+    # the per-site loop build_M replaced, signed zeros included: nu = 0
+    # gives -0.0 on the diagonal, and zero bonds and gamma give zero blocks
+    nu = rng.uniform(-2.0, 2.0, n)
+    nu[::3] = 0.0
+    mu, gamma = rng.uniform(-1.0, 1.0, n - 1), rng.uniform(-1.0, 1.0, n - 1)
+    mu[1::4], gamma[::5] = 0.0, 0.0
+    ch = make_chain(mu, gamma, nu)
+    loop = np.zeros((2 * n, 2 * n))
+    for j in range(n):
+        loop[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = -ch.nu[j] * np.array([[1.0, 0.0], [0.0, -1.0]])
+    for j in range(n - 1):
+        blk = ch.mu[j] * np.array([[1.0, ch.gamma[j]], [-ch.gamma[j], -1.0]])
+        loop[2 * j : 2 * j + 2, 2 * j + 2 : 2 * j + 4] = blk
+        loop[2 * j + 2 : 2 * j + 4, 2 * j : 2 * j + 2] = blk.T
+    assert ham.build_M(ch).tobytes() == loop.tobytes()
+
+
 def test_build_M_isotropic_spectrum_symmetry(rng):
     ch = random_chain(rng, 5, anisotropic=False)
     A = ham.build_A(ch)
@@ -206,7 +225,7 @@ def test_outputs_do_not_depend_on_eigenvector_signs(rng):
     alpha = rng.integers(0, 2, n)
     assert np.array_equal(qf.eigenstate_gamma(bog, alpha), qf.eigenstate_gamma(bog2, alpha))
     args = (ch, 3, np.zeros(3, dtype=int), np.zeros(n - 3, dtype=int), np.linspace(0.0, 4.0, 9))
-    assert np.array_equal(ent.quench_entropy(*args, sd_M=sd_M), ent.quench_entropy(*args, sd_M=sd_M2))
+    assert np.array_equal(ent.quench_entropy(*args, bog), ent.quench_entropy(*args, bog2))
     for k, j in (((1,), (4,)), ((2, 5), (1, 3)), ((1, 3, 6), (2, 4, 7))):
         assert abs(fock.slater_overlap(sd_A.eigenvectors, k, j)) == abs(
             fock.slater_overlap(sd_A2.eigenvectors, k, j))

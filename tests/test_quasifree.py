@@ -6,6 +6,7 @@ import pytest
 
 from xylab import ed_oracle as ed
 from xylab import eigencorrelator as ec
+from xylab import entanglement as ent
 from xylab import hamiltonian as ham
 from xylab import quasifree as qf
 from xylab.disorder import make_chain
@@ -319,42 +320,29 @@ def test_trace_series_chunks_do_not_move_the_series(rng, monkeypatch):
 
 def test_series_reject_complex_input(rng):
     sd = ham.diagonalize(ham.build_M(random_chain(rng, 3)))
-    V, lam = sd.eigenvectors, sd.eigenvalues
     with pytest.raises(ValueError, match="real K"):
-        qf.trace_series(lam, np.eye(6) + 1j * np.eye(6), [0.0, 1.0])
-    with pytest.raises(ValueError, match="real V_A and G"):
-        qf.restricted_series(V[:2], lam, np.eye(6) + 0j, [0.0, 1.0])
+        qf.trace_series(sd.eigenvalues, np.eye(6) + 1j * np.eye(6), [0.0, 1.0])
+    with pytest.raises(ValueError, match="real gamma"):
+        qf.evolve_gamma(np.eye(6) + 0j, sd, 1.0)
 
 
 @pytest.mark.parametrize("bond", [1.0, -1.0])
-def test_restricted_series_matches_dense_propagator(rng, bond):
-    n, ell = 6, 3
+def test_evolution_matches_dense_propagator(rng, bond):
+    # evolve_gamma and the Majorana-form quench against U gamma U^* with the
+    # dense propagator U = exp(-2itM), across an Ising bond in the left half
+    n = 6
     gamma = rng.uniform(-0.5, 0.5, n - 1)
-    gamma[2] = bond  # an Ising bond in the left half
+    gamma[2] = bond
     ch = make_chain(rng.uniform(0.2, 1.0, n - 1), gamma, rng.uniform(-1.0, 1.0, n))
     sd = ham.diagonalize(ham.build_M(ch))
     gamma0 = qf.quench_initial_gamma(ch, 4, [1, 0, 1, 1], [0, 1])
-    V = sd.eigenvectors
     times = np.array([0.0, 0.45, 1.7, 6.3])
-    blocks = qf.restricted_series(V[: 2 * ell], sd.eigenvalues, V.T @ gamma0 @ V, times)
-    for t, blk in zip(times, blocks):
+    series = ent.quench_entropy(ch, 4, [1, 0, 1, 1], [0, 1], times, ham.bogoliubov(ch))
+    for t, s in zip(times, series):
         U = sd.function_of(lambda x: np.exp(-2j * t * x))
         dense = U @ gamma0 @ U.conj().T
-        assert np.max(np.abs(blk - dense[: 2 * ell, : 2 * ell])) < 1e-12
-
-
-def test_restricted_series_matches_evolve_gamma_blocks(rng):
-    n, ell = 6, 2
-    ch = random_chain(rng, n)
-    sd = ham.diagonalize(ham.build_M(ch))
-    gamma0 = qf.quench_initial_gamma(ch, 3, [0, 1, 0], [1, 0, 0])
-    V = sd.eigenvectors
-    times = np.array([0.0, 0.4, 2.5])
-    blocks = qf.restricted_series(V[: 2 * ell], sd.eigenvalues, V.T @ gamma0 @ V, times)
-    assert blocks.shape == (3, 2 * ell, 2 * ell)
-    for t, blk in zip(times, blocks):
-        full = qf.evolve_gamma(gamma0, sd, t)
-        assert np.max(np.abs(blk - full[: 2 * ell, : 2 * ell])) < 1e-12
+        assert np.max(np.abs(qf.evolve_gamma(gamma0, sd, t) - dense)) < 1e-12
+        assert abs(s - ent._spectrum_entropy(np.linalg.eigvalsh(dense[:8, :8]))) < 1e-12
 
 
 @pytest.mark.parametrize("kernel", ["amplitude", "amplitude_block", "clustering", "trace",
@@ -363,16 +351,17 @@ def test_grid_kernels_hold_memory_to_a_chunk(rng, monkeypatch, kernel):
     # a 16 KiB budget, so that a 50-step grid already spans several whole chunks
     monkeypatch.setattr(qf, "_GRID_CHUNK_ENTRIES", 1 << 11)
     sdA = ham.diagonalize_A(random_chain(rng, 12, anisotropic=False))
-    sdM = ham.diagonalize(ham.build_M(random_chain(rng, 6)))
-    V = sdM.eigenvectors
-    G = V.T @ qf.profile_gamma([1, 0, 1, 1, 0, 0]) @ V
+    ch = random_chain(rng, 6)
+    sdM = ham.diagonalize(ham.build_M(ch))
+    bog = ham.bogoliubov(ch)
     lam = rng.normal(size=48)
     K = rng.normal(size=(48, 48))
     run = {"amplitude": lambda ts: ec.dynamic_amplitude_sup(sdA, ts),
            "amplitude_block": lambda ts: ec.dynamic_amplitude_sup(sdM, ts, block=True),
            "clustering": lambda ts: ec.clustering_sup(sdA, rng.integers(0, 2, 12), ts),
            "trace": lambda ts: qf.trace_series(lam, K + K.T, ts),
-           "restricted": lambda ts: qf.restricted_series(V[:4], sdM.eigenvalues, G, ts)}[kernel]
+           # the quench's evolved restricted block
+           "restricted": lambda ts: ent.quench_entropy(ch, 2, [1, 0], [1, 1, 0, 0], ts, bog)}[kernel]
 
     def net_peak(steps):
         """Traced peak of one call less the bytes of its output."""
@@ -391,24 +380,10 @@ def test_grid_kernels_hold_memory_to_a_chunk(rng, monkeypatch, kernel):
     assert net_peak(500) <= net_peak(50) + 4096
 
 
-def test_restricted_series_rejects_non_hermitian_state(rng):
+def test_evolve_gamma_rejects_non_hermitian_state(rng):
     n = 4
     sd = ham.diagonalize(ham.build_M(random_chain(rng, n)))
-    G = np.eye(2 * n)
-    G[0, 3] = 1e-6  # anti-Hermitian part 1e-6, far above the 1e-9 tolerance
+    gamma = np.eye(2 * n)
+    gamma[0, 3] = 1e-6  # anti-Hermitian part 1e-6, far above the 1e-9 tolerance
     with pytest.raises(ValueError, match="lost Hermiticity"):
-        qf.restricted_series(sd.eigenvectors[:2], sd.eigenvalues, G, [0.0, 1.0])
-
-
-def test_restricted_series_chunks_do_not_move_the_blocks(rng, monkeypatch):
-    n, ell = 6, 2
-    ch = random_chain(rng, n)
-    sd = ham.diagonalize(ham.build_M(ch))
-    gamma0 = qf.quench_initial_gamma(ch, 3, [0, 1, 0], [1, 0, 0])
-    V = sd.eigenvectors
-    args = (V[: 2 * ell], sd.eigenvalues, V.T @ gamma0 @ V, np.linspace(0.0, 3.0, 7))
-    whole = qf.restricted_series(*args)
-    per_time = 4 * (2 * ell) * (2 * n)  # X and Z: cos and sin |A| x 2n blocks of one time
-    for budget in (1, 3 * per_time):  # one time per chunk; chunks of 3, 3 and 1
-        monkeypatch.setattr(qf, "_GRID_CHUNK_ENTRIES", budget)
-        assert np.array_equal(qf.restricted_series(*args), whole)
+        qf.evolve_gamma(gamma, sd, 1.0)
