@@ -24,6 +24,9 @@ class ConfigError(ValueError):
     """Invalid experiment config; the message names the offending field."""
 
 
+MAX_TIME_STEPS = 10**6  # most steps T / dt of a time grid; the grids in use take up to 200
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     T: float
@@ -32,6 +35,8 @@ class TimeGrid:
     def __post_init__(self):
         if not 0 < self.dt <= self.T:
             raise ConfigError(f"time_grid requires 0 < dt <= T, got dt={self.dt}, T={self.T}")
+        if self.T / self.dt > MAX_TIME_STEPS:
+            raise ConfigError(f"time_grid takes T / dt = {self.T / self.dt:.3g} steps, over {MAX_TIME_STEPS}")
 
     def times(self) -> np.ndarray:
         steps = int(round(self.T / self.dt))

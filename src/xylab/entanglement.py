@@ -5,19 +5,20 @@ the upper-left 2*ell block of the correlation matrix, -sum zeta ln zeta
 over its eigenvalues (natural-log units).  The cross-cut block norms
 give a computable upper bound, 2 ln 2 times their sum, which feeds the
 area-law checks.  The eigenstate-label and quench kernels take the
-block in real Majorana form, whose spectrum (1 +- sigma) / 2 comes from
-a real symmetric eigvalsh of sigma^2 (Peschel 2003), through one
-sigma^2-to-entropy function, _sigma_entropy; no complex block is formed.
+block in real Majorana form, from the SVD factors Psi and Phi, whose
+spectrum (1 +- sigma) / 2 comes from a real symmetric eigvalsh of
+sigma^2 (Peschel 2003), through one sigma^2-to-entropy function,
+_sigma_entropy; neither forms a complex or a 2n x 2n matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .disorder import ChainSpec
+from .disorder import ChainSpec, make_chain
 from .eigencorrelator import DecayFit
-from .hamiltonian import BogoliubovDecomposition, alpha_from_index, block_norms
-from .quasifree import eigenstate_gamma, mode_selector, phase_rows, quench_initial_gamma
+from .hamiltonian import BogoliubovDecomposition, alpha_from_index, block_norms, bogoliubov
+from .quasifree import eigenstate_gamma, mode_selector, phase_rows
 
 LN2 = float(np.log(2.0))
 
@@ -99,28 +100,26 @@ def _label_entropy(WA: np.ndarray, alpha) -> float:
     return float(_spectrum_entropy(np.linalg.eigvalsh(WA.T @ (sel[:, None] * WA))))
 
 
-def _label_entropies(WA: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+def _label_entropies(bog: BogoliubovDecomposition, ell: int, alphas: np.ndarray) -> np.ndarray:
     """_label_entropy of every row of alphas (S labels of length n), to
     round-off, from the ell x ell Majorana form of the restricted block
     (Peschel 2003; Vidal, Latorre, Rico and Kitaev 2003).
 
-    With Psi_A, Phi_A the rows of the SVD factors of A + B on the block,
-    rotating each site to (c + c^*, c - c^*) turns WA^t P_alpha WA into
-    [[I, Y], [Y^t, I]] / 2 with Y = Psi_A^t diag(1 - 2 alpha) Phi_A, whose
+    With Psi_A, Phi_A the first ell rows of bog.Psi and bog.Phi,
+    rotating each site to (c + c^*, c - c^*) turns the block into
+    [[I, Y], [Y^t, I]] / 2 with Y = Psi_A diag(1 - 2 alpha) Phi_A^t, whose
     spectrum is (1 +- sigma) / 2 over the singular values sigma of Y.  The
     Y of a chunk of labels are one batched product and their sigma^2 one
     batched eigvalsh of Y Y^t; a chunk holds its ell x n signed copies of
-    Psi_A^t, its Y and its Y Y^t in _LABEL_CHUNK_ENTRIES.
+    Psi_A, its Y and its Y Y^t in _LABEL_CHUNK_ENTRIES.
     """
-    n, ell = WA.shape[0] // 2, WA.shape[1] // 2
-    Psi = WA[0::2, 0::2] + WA[0::2, 1::2]
-    Phi = WA[0::2, 0::2] - WA[0::2, 1::2]
+    n, PsiA, PhiAt = bog.n, bog.Psi[:ell], bog.Phi[:ell].T
     alphas = np.asarray(alphas)
     out = np.empty(len(alphas))
     step = max(1, _LABEL_CHUNK_ENTRIES // (ell * (n + 2 * ell)))
     for start in range(0, len(alphas), step):
         chunk = alphas[start : start + step]
-        Y = (Psi.T * (1.0 - 2.0 * chunk)[:, None, :]) @ Phi
+        Y = (PsiA * (1.0 - 2.0 * chunk)[:, None, :]) @ PhiAt
         out[start : start + step] = _sigma_entropy(np.linalg.eigvalsh(Y @ Y.transpose(0, 2, 1)))
     return out
 
@@ -149,8 +148,8 @@ def max_eigenstate_entropy(bog: BogoliubovDecomposition, ell: int, strategy: str
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
 
+    scores = _label_entropies(bog, ell, alphas)
     WA = bog.W[:, : 2 * ell]
-    scores = _label_entropies(WA, alphas)
     best = -1.0
     best_alpha = None
     for k in np.flatnonzero(scores >= scores.max() - _RESCORE_WINDOW):
@@ -167,15 +166,16 @@ def quench_entropy(chain: ChainSpec, ell: int, alpha_left, alpha_right, times,
     eigenstates, evolved under the full chain; one entropy per time.
 
     bog is the chain's Bogoliubov decomposition, which serves every cut.
-    With Psi and Phi the SVD factors of A + B read off its W (rows sites,
-    columns modes), the site Majoranas of c_j + c_j^* and of c_j - c_j^*
-    are Psi and Phi applied to mode Majorana pairs (a_q, b_q) that
-    rotate by 2t lam_q.  The real initial state (quench_initial_gamma,
-    which checks the cut) couples only a to b, through
-    K = Psi^t (G11 - G12 + G21 - G22) Phi with Gxy its (c, c^*)
-    sub-blocks.  With Pc, Ps, Fc, Fs the rows of Psi and Phi
-    on the block scaled by the cos and sin rows of 2t lam (phase_rows),
-    the block is (I + i Omega) / 2 for the real antisymmetric
+    With Psi and Phi its SVD factors (rows sites, columns modes), the site
+    Majoranas of c_j + c_j^* and c_j - c_j^* are Psi and Phi applied to
+    mode Majorana pairs (a_q, b_q) that rotate by 2t lam_q.  The initial
+    state, the eigenstates alpha of the two open halves (the bond at the
+    cut dropped), couples only a to b, through K = Psi^t G Phi with
+    G = G11 - G12 + G21 - G22 over its (c, c^*) sub-blocks: block-diagonal,
+    Psi_h diag(1 - 2 alpha) Phi_h^t from each half's own factors.  With
+    Pc, Ps, Fc, Fs the rows of Psi and Phi on the block scaled by the cos
+    and sin rows of 2t lam (phase_rows), the block is (I + i Omega) / 2
+    for the real antisymmetric
 
         Omega = [[X - X^t, Pc K Fc^t + Ps K^t Fs^t], [.., Z - Z^t]],
         X = Pc K Ps^t,  Z = Fc K^t Fs^t,
@@ -184,13 +184,17 @@ def quench_entropy(chain: ChainSpec, ell: int, alpha_left, alpha_right, times,
     Omega^t Omega, one batched real eigvalsh per chunk of times, appears
     twice, so each of the 2 ell values weighs 1/2 in _sigma_entropy.
     """
-    g = quench_initial_gamma(chain, ell, alpha_left, alpha_right)
-    W = bog.W
-    Psi = (W[0::2, 0::2] + W[0::2, 1::2]).T  # sites x modes
-    Phi = (W[0::2, 0::2] - W[0::2, 1::2]).T
-    K = Psi.T @ (g[0::2, 0::2] - g[0::2, 1::2] + g[1::2, 0::2] - g[1::2, 1::2]) @ Phi
-    Kt, PA, FA = K.T, Psi[:ell], Phi[:ell]
-    n = len(K)
+    n = chain.n
+    _check_cut(ell, n)
+    G = np.zeros((n, n))
+    for a, b, alpha, name in ((0, ell, alpha_left, "alpha_left"), (ell, n, alpha_right, "alpha_right")):
+        alpha = np.asarray(alpha)
+        if alpha.shape != (b - a,) or not np.all((alpha == 0) | (alpha == 1)):
+            raise ValueError(f"{name} must be a 0/1 vector of length {b - a}")
+        half = bogoliubov(make_chain(chain.mu[a : b - 1], chain.gamma[a : b - 1], chain.nu[a:b]))
+        G[a:b, a:b] = (half.Psi * (1.0 - 2.0 * alpha)) @ half.Phi.T
+    K = bog.Psi.T @ G @ bog.Phi
+    Kt, PA, FA = K.T, bog.Psi[:ell], bog.Phi[:ell]
     out = np.empty(len(times))
     start = 0
     # float64 entries per time: seven ell x n arrays (Pc, Ps, Fc, Fs and

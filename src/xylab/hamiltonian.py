@@ -7,8 +7,9 @@ alone; the anisotropic chain by the 2x2-block Jacobi matrix M acting on
 the interleaved vector (c_1, c_1^*, ..., c_n, c_n^*).  A Bogoliubov
 transformation W (orthogonal, W J W^t = J with J = sigma_x per block)
 brings M to +/-lambda_j block-diagonal form, with lambda_j the singular
-values of A + B.  Many-body energies are sum(2 lambda_j over occupied
-modes) - E0 with E0 = sum(lambda_j).
+values of A + B = Phi diag(lambda) Psi^t; the decomposition stores Psi
+and Phi, and W is built from them here only.  Many-body energies are
+sum(2 lambda_j over occupied modes) - E0 with E0 = sum(lambda_j).
 """
 
 from __future__ import annotations
@@ -181,12 +182,13 @@ def diagonalize(X: np.ndarray) -> SpectralDecomposition:
 
 @dataclass
 class BogoliubovDecomposition:
-    """Orthogonal W with W J W^t = J and W M W^t = diag(+l_j, -l_j) blocks;
-    lambda ascending >= 0, E0 = sum(lambda).  `degenerate` flags mode
-    energies that collide (or vanish) within 1e-12; eigenstate-resolved
-    quantities downstream inherit the flag."""
+    """The SVD A + B = Phi diag(lam) Psi^t, Psi and Phi sites x modes, lam
+    ascending >= 0, E0 = sum(lam).  `degenerate` flags mode energies that
+    collide (or vanish) within 1e-12; eigenstate-resolved quantities
+    downstream inherit the flag."""
 
-    W: np.ndarray
+    Psi: np.ndarray
+    Phi: np.ndarray
     lam: np.ndarray
     E0: float
     degenerate: bool
@@ -196,27 +198,36 @@ class BogoliubovDecomposition:
         return len(self.lam)
 
     @property
+    def W(self) -> np.ndarray:
+        """Orthogonal, W J W^t = J, W M W^t = diag(+l_j, -l_j) blocks: rows (2j, 2j+1)
+        interleave ((g+h)/2, (g-h)/2) and ((g-h)/2, (g+h)/2), g, h column j of Psi, Phi."""
+        W = np.zeros((2 * self.n, 2 * self.n))
+        phi = 0.5 * (self.Psi + self.Phi)  # c-components of the +lambda eigenvectors
+        psi = 0.5 * (self.Psi - self.Phi)  # c^*-components
+        W[0::2, 0::2] = phi.T
+        W[0::2, 1::2] = psi.T
+        W[1::2, 0::2] = psi.T
+        W[1::2, 1::2] = phi.T
+        return W
+
+    @property
     def spectral(self) -> SpectralDecomposition:
         """The eigensystem of M read off W: row 2j of W is the eigenvector
         of +lambda_j and row 2j+1 that of -lambda_j (Lieb-Schultz-Mattis),
         ordered so the eigenvalues ascend."""
+        W = self.W
         return SpectralDecomposition(
             eigenvalues=np.concatenate([-self.lam[::-1], self.lam]),
-            eigenvectors=np.concatenate([self.W[1::2][::-1], self.W[0::2]]).T,
+            eigenvectors=np.concatenate([W[1::2][::-1], W[0::2]]).T,
         )
 
 
 def bogoliubov(chain: ChainSpec) -> BogoliubovDecomposition:
-    """Bogoliubov decomposition from the SVD A + B = Phi diag(l) Psi^t.
-
-    With g_j, h_j the right/left singular vector pairs, the rows
-    (2j, 2j+1) of W are the interleavings of ((g+h)/2, (g-h)/2) and
-    ((g-h)/2, (g+h)/2); W J W^t = J holds by this construction.  W is
-    orthogonal with W M W^t = D exactly when Phi and Psi are orthogonal
-    and (A + B) Psi = Phi diag(l), which are verified at size n before
-    returning; A + B is tridiagonal, so its product is taken from its
-    three diagonals.
-    """
+    """Bogoliubov decomposition from the SVD A + B = Phi diag(l) Psi^t,
+    modes in ascending l.  W is orthogonal with W M W^t = D exactly when
+    Phi and Psi are orthogonal and (A + B) Psi = Phi diag(l), which are
+    verified at size n before returning; A + B is tridiagonal, so its
+    product is taken from its three diagonals."""
     n = chain.n
     T = build_A(chain) + build_B(chain)
     Phi, lam, PsiT = np.linalg.svd(T)
@@ -224,14 +235,6 @@ def bogoliubov(chain: ChainSpec) -> BogoliubovDecomposition:
     lam = lam[order]
     Phi = Phi[:, order]
     Psi = PsiT.T[:, order]
-
-    W = np.zeros((2 * n, 2 * n))
-    phi = 0.5 * (Psi + Phi)  # c-components of the +lambda eigenvectors
-    psi = 0.5 * (Psi - Phi)  # c^*-components
-    W[0::2, 0::2] = phi.T
-    W[0::2, 1::2] = psi.T
-    W[1::2, 0::2] = psi.T
-    W[1::2, 1::2] = phi.T
 
     eye = np.eye(n)
     phi_orth = np.max(np.abs(Phi.T @ Phi - eye))
@@ -246,7 +249,7 @@ def bogoliubov(chain: ChainSpec) -> BogoliubovDecomposition:
             f"|Psi^tPsi-I|={psi_orth:.3e}, |(A+B)Psi-Phi L|={resid:.3e}"
         )
     degenerate = bool(lam[0] < 1e-12 or np.any(np.diff(lam) < 1e-12))
-    return BogoliubovDecomposition(W=W, lam=lam, E0=float(np.sum(lam)), degenerate=degenerate)
+    return BogoliubovDecomposition(Psi, Phi, lam, float(np.sum(lam)), degenerate)
 
 
 def all_many_body_energies(bog: BogoliubovDecomposition) -> np.ndarray:

@@ -8,7 +8,9 @@ functions in the interleaved (c_j, c_j^*) ordering; block (j, k) is
 
 passed between modules as a plain array (n = len(gamma) // 2).
 Eigenstates and thermal states of the chain are spectral functions of
-the effective Hamiltonian M; particle profiles are diagonal.  Under the
+the effective Hamiltonian M (the quench's initial product state is
+never formed: entanglement builds its Majorana block from the halves'
+SVD factors); particle profiles are diagonal.  Under the
 chain dynamics the matrix evolves by conjugation with exp(-2itM) into a
 Hermitian, in general complex matrix (off-diagonal currents);
 evolve_gamma makes that dense conjugation at one time.  phase_rows is
@@ -24,8 +26,7 @@ import math
 
 import numpy as np
 
-from .disorder import ChainSpec, make_chain
-from .hamiltonian import BogoliubovDecomposition, SpectralDecomposition, bogoliubov
+from .hamiltonian import BogoliubovDecomposition, SpectralDecomposition
 
 
 def mode_selector(alpha) -> np.ndarray:
@@ -45,8 +46,8 @@ def eigenstate_gamma(bog: BogoliubovDecomposition, alpha) -> np.ndarray:
     alpha = np.asarray(alpha)
     if len(alpha) != bog.n or not np.all((alpha == 0) | (alpha == 1)):
         raise ValueError("alpha must be a 0/1 vector of length n")
-    P = mode_selector(alpha)
-    return (bog.W.T * P) @ bog.W
+    W = bog.W
+    return (W.T * mode_selector(alpha)) @ W
 
 
 def thermal_gamma(sd_M: SpectralDecomposition, beta: float) -> np.ndarray:
@@ -193,21 +194,3 @@ def sw_bound(cut: float, mu0: float, mu: float, C: float, D):
     cprime = 8.0 * max(CI, math.sqrt(CI))
     half = np.asarray(D, dtype=float) / 2.0
     return cprime * np.exp(-0.5 * (mu - mu0) * np.where(half < cut, 0.0, half))
-
-
-def quench_initial_gamma(chain: ChainSpec, ell: int, alpha_left, alpha_right) -> np.ndarray:
-    """Correlation matrix of (left eigenstate) x (right eigenstate) for
-    the chain split after site ell.
-
-    The halves are the open-boundary restrictions of the chain; the bond
-    mu_ell, gamma_ell is dropped.
-    """
-    n = chain.n
-    if not 1 <= ell < n:
-        raise ValueError(f"cut ell={ell} requires 1 <= ell < n={n}")
-    left = make_chain(chain.mu[: ell - 1], chain.gamma[: ell - 1], chain.nu[:ell])
-    right = make_chain(chain.mu[ell:], chain.gamma[ell:], chain.nu[ell:])
-    gamma = np.zeros((2 * n, 2 * n))
-    gamma[: 2 * ell, : 2 * ell] = eigenstate_gamma(bogoliubov(left), alpha_left)
-    gamma[2 * ell :, 2 * ell :] = eigenstate_gamma(bogoliubov(right), alpha_right)
-    return gamma

@@ -8,7 +8,7 @@ from xylab import entanglement as ent
 from xylab import experiments as xp
 from xylab import quasifree as qf
 from xylab import transport as tr
-from xylab.hamiltonian import alpha_from_index, build_A, diagonalize_A
+from xylab.hamiltonian import alpha_from_index, bogoliubov, build_A, diagonalize_A
 
 
 @pytest.fixture
@@ -28,21 +28,32 @@ def ensemble_mean(worker, ensemble, params, part=None):
 
 def ed_commutator_sups(chain, pairs, times) -> dict:
     """sup over the time grid of ||[X_j(t), X_k]|| per pair (j, k), on the
-    2^n oracle of the chain.  The X operators move into H's eigenbasis
-    once; each step costs a phase product, the commutator P - P^* with
-    P = X_j(t) X_k (both factors Hermitian) and the eigenvalues of the
-    Hermitian i[X_j(t), X_k], whose largest modulus is the norm."""
-    evals, evecs = ed.spectral(ed.build_H(chain))
+    2^n oracle of the chain, one parity sector at a time.  H is real and
+    keeps the parity of the down-spin count, so one eigh per 2^(n-1) block
+    gives its eigenbasis.  X_s flips one spin: in that basis it is the
+    even-odd block A_s and its transpose.  P = X_j(t) X_k (both factors
+    Hermitian) is then block-diagonal, with P_ee = (R o A_j) A_k^t and
+    P_oo = (R o A_j)^* A_k for the phases R_ab = e^{it(e_a - e_b)}, and
+    the norm is the largest eigenvalue modulus of the Hermitian
+    i(P - P^*) over the two blocks."""
+    n = chain.n
+    H = ed.build_H(chain)
+    index = np.arange(2**n)
+    parity = np.bitwise_count(index) % 2
+    even, odd = index[parity == 0], index[parity == 1]
+    position = np.empty(2**n, dtype=int)
+    position[even] = position[odd] = np.arange(2 ** (n - 1))
+    (e_even, V_even), (e_odd, V_odd) = (ed.spectral(H[np.ix_(sector, sector)]) for sector in (even, odd))
     sites = {s for pair in pairs for s in pair}
-    tilde = {s: evecs.conj().T @ kron_chain(chain.n, {s: "X"}) @ evecs for s in sites}
+    A = {s: V_even.T @ V_odd[position[even ^ (1 << (n - s))]] for s in sites}
     sups = dict.fromkeys(pairs, 0.0)
     for t in times:
-        phases = np.exp(1j * t * evals)
-        rotation = np.outer(phases, phases.conj())
+        rotation = np.outer(np.exp(1j * t * e_even), np.exp(-1j * t * e_odd))
         for j, k in pairs:
-            P = (rotation * tilde[j]) @ tilde[k]
-            norm = float(np.max(np.abs(np.linalg.eigvalsh(1j * (P - P.conj().T)))))
-            sups[(j, k)] = max(sups[(j, k)], norm)
+            Xj = rotation * A[j]
+            for P in (Xj @ A[k].T, Xj.conj().T @ A[k]):
+                norm = float(np.max(np.abs(np.linalg.eigvalsh(1j * (P - P.conj().T)))))
+                sups[(j, k)] = max(sups[(j, k)], norm)
     return sups
 
 
@@ -232,15 +243,28 @@ def thermal_entanglement_of_formation_bound(bog, ell, beta, sample_count=200, se
     sample_count labels of independent Bernoulli occupations."""
     n = bog.n
     ent._check_cut(ell, n)
-    WA = bog.W[:, : 2 * ell]
     if n <= ent.MAX_EXHAUSTIVE_SITES:
         if np.isinf(beta):
-            return float(ent._label_entropies(WA, np.zeros((1, n), dtype=int))[0])
+            return float(ent._label_entropies(bog, ell, np.zeros((1, n), dtype=int))[0])
         # energies 2*sum(lam[occupied]) - E0; the E0 shift cancels in the weights
         alphas = alpha_from_index(np.arange(2**n)[:, None], n)
         w = np.exp(-2.0 * beta * (alphas @ bog.lam))
-        return float(w @ ent._label_entropies(WA, alphas) / np.sum(w))
+        return float(w @ ent._label_entropies(bog, ell, alphas) / np.sum(w))
     rng = np.random.default_rng(seed)
     p_occ = expit(-2.0 * beta * bog.lam)
     alphas = np.array([rng.random(n) < p_occ for _ in range(sample_count)], dtype=int)
-    return float(np.mean(ent._label_entropies(WA, alphas)))
+    return float(np.mean(ent._label_entropies(bog, ell, alphas)))
+
+
+def quench_initial_gamma(chain, ell, alpha_left, alpha_right):
+    """The dense 2n x 2n correlation matrix of (left eigenstate) x (right
+    eigenstate) for the chain split after site ell: the initial state of
+    entanglement.quench_entropy.  The halves are the open-boundary
+    restrictions of the chain; the bond mu_ell, gamma_ell is dropped."""
+    n = chain.n
+    left = disorder.make_chain(chain.mu[: ell - 1], chain.gamma[: ell - 1], chain.nu[:ell])
+    right = disorder.make_chain(chain.mu[ell:], chain.gamma[ell:], chain.nu[ell:])
+    gamma = np.zeros((2 * n, 2 * n))
+    gamma[: 2 * ell, : 2 * ell] = qf.eigenstate_gamma(bogoliubov(left), alpha_left)
+    gamma[2 * ell :, 2 * ell :] = qf.eigenstate_gamma(bogoliubov(right), alpha_right)
+    return gamma

@@ -5,9 +5,9 @@ from xylab import ed_oracle as ed
 from xylab import hamiltonian as ham
 from xylab.disorder import make_chain
 
-from conftest import (commutator_norm, dense_cs, dense_op, heisenberg_evolve, kron_build_H,
-                      kron_chain, kron_jordan_wigner_c, random_chain, spin_basis_index,
-                      spin_basis_vector)
+from conftest import (commutator_norm, dense_cs, dense_op, ed_commutator_sups, heisenberg_evolve,
+                      kron_build_H, kron_chain, kron_jordan_wigner_c, random_chain,
+                      spin_basis_index, spin_basis_vector)
 
 
 def test_single_site_hamiltonian():
@@ -200,3 +200,25 @@ def test_bit_built_hamiltonian_equals_the_kron_sum(rng, n):
             sub = make_chain(ch.mu[a - 1:b - 1], ch.gamma[a - 1:b - 1], ch.nu[a - 1:b])
             ref = np.kron(np.kron(np.eye(2 ** (a - 1)), kron_build_H(sub)), np.eye(2 ** (n - b)))
             assert np.max(np.abs(ed.build_H_region(ch, a, b) - ref)) < 1e-14
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
+def test_sector_commutator_sweep_matches_the_dense_sweep(rng, n):
+    # the parity-sector sweep against the whole 2^n eigenbasis: X_j(t) by
+    # dense phases, the norm from eigvalsh of the dense Hermitian i[X_j(t), X_k]
+    ch = random_chain(rng, n)
+    if n == 6:
+        ch = make_chain(ch.mu[:2] + (0.0,) + ch.mu[3:], ch.gamma, ch.nu)  # a zero bond
+    pairs = [(j, k) for j in range(1, n + 1) for k in range(j, n + 1)]
+    times = np.linspace(0.0, 4.0, 9)
+    evals, evecs = ed.spectral(ed.build_H(ch))
+    tilde = {s: evecs.T @ kron_chain(n, {s: "X"}) @ evecs for s in range(1, n + 1)}
+    dense = dict.fromkeys(pairs, 0.0)
+    for t in times:
+        rotation = np.exp(1j * t * np.subtract.outer(evals, evals))
+        for j, k in pairs:
+            P = (rotation * tilde[j]) @ tilde[k]
+            dense[(j, k)] = max(dense[(j, k)], np.max(np.abs(np.linalg.eigvalsh(1j * (P - P.conj().T)))))
+    sectors = ed_commutator_sups(ch, pairs, times)
+    assert max(abs(sectors[p] - dense[p]) for p in pairs) < 1e-12
+    assert max(dense.values()) > 0.5  # the sweeps do not agree by both reading zeros

@@ -11,7 +11,7 @@ from xylab.disorder import make_chain, sample_chain, uniform
 from xylab.eigencorrelator import DecayFit
 from xylab.hamiltonian import alpha_from_index
 
-from conftest import (high_disorder_ensemble, purity_defect, random_chain,
+from conftest import (high_disorder_ensemble, purity_defect, quench_initial_gamma, random_chain,
                       thermal_entanglement_of_formation_bound, validate)
 
 
@@ -127,7 +127,7 @@ def test_sampled_max_below_exhaustive(rng):
 
 def test_restricted_spectrum_outside_unit_interval_is_an_error(rng):
     bog = ham.bogoliubov(random_chain(rng, 6))
-    scaled = replace(bog, W=1.001 * bog.W)
+    scaled = replace(bog, Psi=1.001 * bog.Psi, Phi=1.001 * bog.Phi)
     with pytest.raises(ValueError, match=r"restricted spectrum outside \[0,1\]"):
         ent.max_eigenstate_entropy(scaled, 3, strategy="exhaustive", samples=200, seed=0)
 
@@ -135,7 +135,7 @@ def test_restricted_spectrum_outside_unit_interval_is_an_error(rng):
 def test_quench_entropy_fires_on_a_spectrum_outside_the_unit_interval(rng):
     ch = random_chain(rng, 6)
     bog = ham.bogoliubov(ch)
-    scaled = replace(bog, W=1.001 * bog.W)
+    scaled = replace(bog, Psi=1.001 * bog.Psi, Phi=1.001 * bog.Phi)
     with pytest.raises(ValueError, match=r"restricted spectrum outside \[0,1\]: sigma\^2"):
         ent.quench_entropy(ch, 3, [0, 1, 0], [1, 0, 0], [0.0, 0.5], scaled)
 
@@ -152,14 +152,15 @@ def test_quench_entropy_chunks_do_not_move_the_series(rng, monkeypatch):
 
 
 def test_batched_kernel_fires_on_sigma_squared_above_one():
-    # decoupled sites: every sigma is 1, so scaling WA by (1 + 2e-9)^(1/4)
-    # puts sigma^2 at 1 + 2e-9, while (1 - sigma)/2 = -5e-10 alone would
-    # pass the spectrum check after the square root
+    # decoupled sites: every sigma is 1, so scaling Psi and Phi by
+    # (1 + 2e-9)^(1/4) puts sigma^2 at 1 + 2e-9, while (1 - sigma)/2 = -5e-10
+    # alone would pass the spectrum check after the square root
     bog = ham.bogoliubov(make_chain([0.0, 0.0], [0.0, 0.0], [1.0, -2.0, 0.7]))
-    WA = (1 + 2e-9) ** 0.25 * bog.W[:, :2]
+    scale = (1 + 2e-9) ** 0.25
+    scaled = replace(bog, Psi=scale * bog.Psi, Phi=scale * bog.Phi)
     with pytest.raises(ValueError, match=r"restricted spectrum outside \[0,1\]: sigma\^2"):
-        ent._label_entropies(WA, alpha_from_index(np.arange(2**3)[:, None], 3))
-    assert np.all(ent._label_entropies(bog.W[:, :2], alpha_from_index(np.arange(2**3)[:, None], 3)) < 1e-9)
+        ent._label_entropies(scaled, 1, alpha_from_index(np.arange(2**3)[:, None], 3))
+    assert np.all(ent._label_entropies(bog, 1, alpha_from_index(np.arange(2**3)[:, None], 3)) < 1e-9)
 
 
 def _corner_chain(rng, corner):
@@ -184,7 +185,7 @@ def test_batched_label_entropies_match_per_label(rng, corner):
     labels = alpha_from_index(np.arange(2**bog.n)[:, None], bog.n)
     for ell in range(1, bog.n):
         WA = bog.W[:, : 2 * ell]
-        batched = ent._label_entropies(WA, labels)
+        batched = ent._label_entropies(bog, ell, labels)
         exact = [ent._label_entropy(WA, alpha) for alpha in labels]
         assert np.max(np.abs(batched - exact)) <= 1e-12
 
@@ -302,7 +303,7 @@ def test_thermal_entanglement_of_formation_bound(rng):
     alphas = alpha_from_index(np.arange(2**n)[:, None], n)
     w = np.exp(-2.0 * beta * (alphas @ bog15.lam))
     w /= np.sum(w)
-    entropies = ent._label_entropies(bog15.W[:, :12], alphas)
+    entropies = ent._label_entropies(bog15, 6, alphas)
     exact = w @ entropies
     stderr = np.sqrt(w @ (entropies - exact) ** 2 / count)
     sampled = thermal_entanglement_of_formation_bound(bog15, 6, beta, sample_count=count, seed=5)
@@ -372,12 +373,14 @@ def test_cut_validation():
             ent.entropy_from_gamma(cm, ell)
 
 
-@pytest.mark.parametrize("bonds", ["anisotropic", "gamma_pm1", "zero_bond", "nu_zero", "clean"])
+@pytest.mark.parametrize("bonds", ["anisotropic", "gamma_pm1", "zero_bond", "nu_zero", "clean",
+                                   "n2", "n3"])
 def test_quench_entropy_matches_per_step_evolution(rng, bonds):
     # the Majorana-form series against evolving the full correlation matrix
     # step by step and taking each restricted spectrum; nu = 0 and the clean
-    # chain give A + B repeated singular values (and zero modes)
-    n = 8
+    # chain give A + B repeated singular values (and zero modes); at n = 2
+    # both halves are single sites
+    n = {"n2": 2, "n3": 3}.get(bonds, 8)
     mu = rng.uniform(-1, 1, n - 1)
     gamma = rng.uniform(-0.8, 0.8, n - 1)
     nu = rng.uniform(-1.5, 1.5, n)
@@ -395,10 +398,23 @@ def test_quench_entropy_matches_per_step_evolution(rng, bonds):
         assert np.min(np.diff(bog.lam)) < 1e-12  # +-k modes share a singular value
     sd = ham.diagonalize(ham.build_M(ch))
     times = np.arange(0.0, 6.0, 0.5)
-    for ell in (1, 3, 5, 7):
+    for ell in (1, 3, 5, 7) if n == 8 else range(1, n):
         a_left = rng.integers(0, 2, ell)
         a_right = rng.integers(0, 2, n - ell)
         series = ent.quench_entropy(ch, ell, a_left, a_right, times, bog)
-        gamma0 = qf.quench_initial_gamma(ch, ell, a_left, a_right)
+        gamma0 = quench_initial_gamma(ch, ell, a_left, a_right)
         loop = [ent.entropy_from_gamma(qf.evolve_gamma(gamma0, sd, t), ell) for t in times]
         assert np.max(np.abs(series - loop)) <= 1e-10
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("label", ["short", "long", "not_binary"])
+def test_quench_entropy_rejects_a_label_that_does_not_fit_its_half(rng, side, label):
+    # without the check, broadcasting would apply a length-1 label to every mode
+    n, ell = 6, 2
+    ch = random_chain(rng, n)
+    size = ell if side == "left" else n - ell
+    bad = {"short": [1], "long": [0] * (size + 1), "not_binary": [0] * (size - 1) + [2]}[label]
+    labels = {"left": np.zeros(ell, dtype=int), "right": np.zeros(n - ell, dtype=int), side: bad}
+    with pytest.raises(ValueError, match=f"^alpha_{side} must be a 0/1 vector of length {size}$"):
+        ent.quench_entropy(ch, ell, labels["left"], labels["right"], [0.0, 0.5], ham.bogoliubov(ch))

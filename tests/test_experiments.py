@@ -1071,6 +1071,23 @@ def test_cli_rejects_a_missing_time_grid_before_any_realization(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("grid", [{"T": 1e15, "dt": 1}, {"T": 1e300, "dt": 1e-300}],
+                         ids=["too-many-steps", "steps-overflow"])
+def test_cli_rejects_an_oversized_time_grid_before_any_realization(tmp_path, capsys, grid):
+    # these grids used to end in a MemoryError and an OverflowError traceback
+    cfg = tmp_path / "bad.json"
+    out = tmp_path / "out"
+    cfg.write_text(json.dumps({"experiment": "lr_bound", "ensemble": ensemble_json(n=12),
+                               "time_grid": grid, "params": {"max_distance": 8},
+                               "output_dir": str(out)}))
+    assert cli.main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: time_grid ") and err.count("\n") == 1
+    assert "steps, over 1000000" in err
+    assert not out.exists()
+    TimeGrid(T=1e6, dt=1.0)  # the cap itself is allowed
+
+
 @pytest.mark.parametrize("experiment, params", [
     ("eigencorrelator", {"min_distance": 0, "max_distance": None, "block": False}),
     ("entanglement_static", {"ells": [1, 19], "label_seed": 0, "fit_max_distance": None}),

@@ -218,7 +218,8 @@ def test_outputs_do_not_depend_on_eigenvector_signs(rng):
     bog = ham.bogoliubov(ch)
     sd_A2 = ham.SpectralDecomposition(sd_A.eigenvalues, sd_A.eigenvectors * signs(n))
     sd_M2 = ham.SpectralDecomposition(sd_M.eigenvalues, sd_M.eigenvectors * signs(2 * n))
-    bog2 = dataclasses.replace(bog, W=bog.W * np.repeat(signs(n), 2)[:, None])
+    mode_signs = signs(n)
+    bog2 = dataclasses.replace(bog, Psi=bog.Psi * mode_signs, Phi=bog.Phi * mode_signs)
     for sd, sd2, block in ((sd_A, sd_A2, False), (sd_M, sd_M2, True)):
         assert np.array_equal(eigencorrelator_table(sd, block=block),
                               eigencorrelator_table(sd2, block=block))

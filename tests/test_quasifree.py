@@ -13,8 +13,8 @@ from xylab.disorder import make_chain
 from xylab.hamiltonian import alpha_from_index
 
 from conftest import (dense_cs, dynamic_kernel, heisenberg_evolve, multipoint_correlation,
-                      occupations, one_particle_density, purity_defect, random_chain,
-                      spin_basis_vector, validate)
+                      occupations, one_particle_density, purity_defect, quench_initial_gamma,
+                      random_chain, spin_basis_vector, validate)
 
 
 def test_vacuum_gamma_is_projector(rng):
@@ -129,7 +129,7 @@ def test_evolve_gamma_matches_oracle_quench(rng):
     n = 4
     ch = random_chain(rng, n)
     ell = 2
-    gamma0 = qf.quench_initial_gamma(ch, ell, [0, 1], [0, 0])
+    gamma0 = quench_initial_gamma(ch, ell, [0, 1], [0, 0])
     sd = ham.diagonalize(ham.build_M(ch))
     # oracle initial state: product of the matched half-chain eigenstates
     left = make_chain(ch.mu[: ell - 1], ch.gamma[: ell - 1], ch.nu[:ell])
@@ -335,7 +335,7 @@ def test_evolution_matches_dense_propagator(rng, bond):
     gamma[2] = bond
     ch = make_chain(rng.uniform(0.2, 1.0, n - 1), gamma, rng.uniform(-1.0, 1.0, n))
     sd = ham.diagonalize(ham.build_M(ch))
-    gamma0 = qf.quench_initial_gamma(ch, 4, [1, 0, 1, 1], [0, 1])
+    gamma0 = quench_initial_gamma(ch, 4, [1, 0, 1, 1], [0, 1])
     times = np.array([0.0, 0.45, 1.7, 6.3])
     series = ent.quench_entropy(ch, 4, [1, 0, 1, 1], [0, 1], times, ham.bogoliubov(ch))
     for t, s in zip(times, series):
