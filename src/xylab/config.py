@@ -39,7 +39,10 @@ class TimeGrid:
             raise ConfigError(f"time_grid takes T / dt = {self.T / self.dt:.3g} steps, over {MAX_TIME_STEPS}")
 
     def times(self) -> np.ndarray:
-        steps = int(round(self.T / self.dt))
+        """The lattice k dt up to the largest k dt <= T, with a relative
+        slack of 1e-12 on T / dt so that 0.3 / 0.1 = 2.9999999999999996
+        keeps its 3 steps."""
+        steps = math.floor(self.T / self.dt * (1.0 + 1e-12))
         return np.arange(steps + 1) * self.dt
 
 

@@ -79,8 +79,6 @@ def dynamic_amplitude_sup(sd: SpectralDecomposition, times, block: bool = False)
     imaginary part -w . sin(t lam), so a chunk of times is one real
     product against the stacked cos/sin rows and no propagator is built.
     """
-    if np.size(times) == 0:
-        raise ValueError("time grid must be nonempty")
     V = sd.eigenvectors
     lam = sd.eigenvalues
     if block and sd.dim % 2:

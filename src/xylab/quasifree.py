@@ -17,7 +17,10 @@ evolve_gamma makes that dense conjugation at one time.  phase_rows is
 the one time-series engine: every whole-grid kernel, here, in
 eigencorrelator and in entanglement's quench, reads the real cos/sin
 rows of a chunk of times from it, so memory stays bounded and no
-propagator is built.
+propagator is built.  On a lattice grid t_k = k dt it evaluates cos and
+sin only on a 16-row table of t_0..t_15 and on the anchor rows t_16q,
+and builds every other row by angle addition from those exact rows, with
+no recurrence, so the error does not grow with k.
 """
 
 from __future__ import annotations
@@ -107,19 +110,75 @@ def evolve_gamma(gamma: np.ndarray, sd_M: SpectralDecomposition, t: float) -> np
 # longer grids are evaluated in chunks of times so memory stays bounded.
 _GRID_CHUNK_ENTRIES = 1 << 17
 
+# Rows of phase_rows' exact table: on a lattice grid, time k = qB + r
+# reads its cos/sin from the anchor row at qB and the table row at r.
+_PHASE_TABLE_ROWS = 16
+
 
 def phase_rows(lam: np.ndarray, times, scale: float, per_time: int, weights=(1.0,)):
     """The one time-series engine: yields (m, R) for consecutive chunks of
     m times of the grid, R stacking w cos(scale t lam) and then
     w sin(scale t lam), one row per time, for each weight w in turn.  A
     chunk holds the times whose batched intermediates, per_time float64
-    entries per time, fit in _GRID_CHUNK_ENTRIES."""
+    entries per time, fit in _GRID_CHUNK_ENTRIES.
+
+    On a lattice grid (at least 2 times and times == arange(K) * times[1]
+    bitwise, as TimeGrid gives) row k = qB + r, with B the smaller of
+    _PHASE_TABLE_ROWS and K, comes by angle addition from two exact rows:
+    the table row of t_r, from one B x n table per call, and the anchor
+    row of t_qB, per chunk.  So cos and sin are evaluated on about
+    B + K / B rows instead of K, with no recurrence: each entry is within
+    8 eps max(1, |scale t lam|) of the direct cos and sin, whatever k.
+    Rows k < B are bitwise the direct rows, and since the split of k does
+    not depend on the chunk, every row is bitwise the same under any
+    chunk budget.  Any other grid takes B = 1, whose table is the t = 0
+    row, so each row is the direct one.  Between chunks only the B x n
+    table, the anchor rows and two index arrays of at most a chunk and B
+    entries stay allocated.  An empty grid is a ValueError.
+    """
     times = np.asarray(times, dtype=float)
+    K, n = len(times), len(lam)
+    if K == 0:
+        raise ValueError("time grid must be nonempty")
+    lattice = K >= 2 and bool((times == np.arange(K) * times[1]).all())
+    B = min(_PHASE_TABLE_ROWS, K) if lattice else 1
+    phase = scale * ((np.arange(B) * (times[1] if lattice else 0.0))[:, None] * lam)
+    cs = np.stack((np.cos(phase), np.sin(phase)))
+    table = np.stack([w * cs for w in weights])
     step = max(1, _GRID_CHUNK_ENTRIES // per_time)
-    for start in range(0, len(times), step):
-        phase = scale * np.outer(times[start : start + step], lam)
-        c, s = np.cos(phase), np.sin(phase)
-        yield len(phase), np.vstack([part for w in weights for part in (w * c, w * s)])
+    # time start + i of a chunk at offset o = start % B reads anchor
+    # qj[o + i], counted from the chunk's first block, and table row rj[o + i]
+    j = np.arange(min(K, step) + B - 1)
+    qj, rj = j // B, j % B
+    span = None
+    for start in range(0, K, step):
+        stop = min(start + step, K)
+        m, q0, q1, o = stop - start, start // B, (stop - 1) // B + 1, start % B
+        if span != (q0, q1):  # chunks within one block share its anchor
+            span = q0, q1
+            phase = scale * (times[q0 * B : q1 * B : B, None] * lam)
+            anchor = np.stack((np.cos(phase), np.sin(phase)))
+        yield m, _add_angles(anchor, qj[o : o + m], table, rj[o : o + m]).reshape(-1, n)
+
+
+def _add_angles(anchor, q, table, r) -> np.ndarray:
+    """(w cos, w sin) of t_qB + t_r for the rows of one chunk, stacked per
+    weight: anchor holds cos and sin of the chunk's anchor times, table
+    the weighted cos and sin of t_r, and q and r give each row's anchor
+    and table row.  Both factors are laid out over the chunk's rows first,
+    so that every product is one contiguous ufunc call; the table's copy
+    becomes the result in place, and the rest is freed on return."""
+    R = table.take(r, axis=2)
+    ac, as_ = anchor.take(q, axis=1)
+    sc, ss = np.empty_like(ac), np.empty_like(ac)
+    for c, s in R:  # in place: (c, s) becomes (ac c - as s, ac s + as c)
+        np.multiply(as_, c, out=sc)
+        np.multiply(as_, s, out=ss)
+        c *= ac
+        c -= ss
+        s *= ac
+        s += sc
+    return R
 
 
 def trace_series(lam: np.ndarray, K: np.ndarray, times) -> np.ndarray:

@@ -46,6 +46,15 @@ def test_time_grid():
         TimeGrid(T=1.0, dt=2.0)
 
 
+@pytest.mark.parametrize("T, dt, expected", [(0.9, 0.6, [0.0, 0.6]),  # 1.5 steps: not rounded up
+                                             (0.3, 0.1, [0.0, 0.1, 0.2, 0.3]),  # 2.9999999999999996 steps
+                                             (1.0, 0.25, [0.0, 0.25, 0.5, 0.75, 1.0])])
+def test_time_grid_ends_at_the_last_step_within_T(T, dt, expected):
+    times = TimeGrid(T=T, dt=dt).times()
+    assert np.allclose(times, expected, rtol=0.0, atol=1e-15)
+    assert np.array_equal(times, np.arange(len(times)) * times[1])  # a lattice
+
+
 def test_aggregate():
     assert xp.aggregate([5.0]) == {"mean": 5.0, "stderr": 0.0, "count": 1}
     agg = xp.aggregate([1.0, 3.0])

@@ -318,6 +318,65 @@ def test_trace_series_chunks_do_not_move_the_series(rng, monkeypatch):
         assert np.max(np.abs(qf.trace_series(lam, K, times) - whole)) < 1e-13
 
 
+def _phase_rows(lam, times, per_time=1, weights=(1.0,)):
+    """phase_rows' chunks joined: (2 per weight, times, modes)."""
+    return np.concatenate([R.reshape(2 * len(weights), m, -1)
+                           for m, R in qf.phase_rows(lam, times, 2.0, per_time, weights)], axis=1)
+
+
+def _direct_rows(lam, times, weights=(1.0,)):
+    phase = 2.0 * np.outer(times, lam)
+    return np.stack([part for w in weights for part in (w * np.cos(phase), w * np.sin(phase))])
+
+
+def test_phase_rows_stay_within_round_off_on_a_long_lattice(rng):
+    # angle addition from exact rows, no power recurrence: the error does not
+    # grow with k, even 10^4 steps out.  The slow modes keep the bound near
+    # 8 eps, where a recurrence's drift of about k eps would show.
+    lam = np.concatenate([rng.uniform(-5.0, 5.0, 10), [1e-3, -3e-4]])
+    times = np.arange(10**4 + 1) * 0.1
+    phase = 2.0 * np.outer(times, lam)
+    tol = 8 * np.finfo(float).eps * np.maximum(1.0, np.abs(phase))
+    assert np.all(np.abs(_phase_rows(lam, times) - _direct_rows(lam, times)) <= tol)
+
+
+def test_phase_rows_do_not_depend_on_the_chunk_budget(rng, monkeypatch):
+    lam = rng.uniform(-5.0, 5.0, 9)
+    weights = (rng.uniform(0.0, 1.0, 9), 1.0)
+    times = np.arange(53) * 0.3  # a lattice over three whole tables and a part
+    whole = _phase_rows(lam, times, weights=weights)
+    for budget in (1, 3):  # one time per chunk; chunks of 3
+        monkeypatch.setattr(qf, "_GRID_CHUNK_ENTRIES", budget)
+        assert np.array_equal(_phase_rows(lam, times, weights=weights), whole)
+
+
+@pytest.mark.parametrize("times", [[0.0, 0.35, 1.2, 4.0], [1.3]])
+def test_phase_rows_off_a_lattice_are_the_direct_rows(rng, times):
+    lam = rng.uniform(-5.0, 5.0, 7)
+    weights = (rng.uniform(0.0, 1.0, 7), 1.0)
+    assert np.array_equal(_phase_rows(lam, times, weights=weights), _direct_rows(lam, times, weights))
+
+
+def test_phase_rows_open_a_lattice_with_the_direct_rows(rng):
+    lam = rng.uniform(-5.0, 5.0, 7)
+    times = np.arange(40) * 0.25
+    B = qf._PHASE_TABLE_ROWS
+    assert np.array_equal(_phase_rows(lam, times)[:, :B], _direct_rows(lam, times[:B]))
+
+
+@pytest.mark.parametrize("kernel", ["amplitude_block", "clustering", "trace", "quench"])
+def test_grid_kernels_reject_an_empty_grid(rng, kernel):
+    # a sup over no times would pass any bound
+    ch = random_chain(rng, 4)
+    sdA = ham.diagonalize_A(ch)
+    run = {"amplitude_block": lambda: ec.dynamic_amplitude_sup(ham.diagonalize(ham.build_M(ch)), [], block=True),
+           "clustering": lambda: ec.clustering_sup(sdA, [1, 0, 1, 0], []),
+           "trace": lambda: qf.trace_series(sdA.eigenvalues, np.eye(4), []),
+           "quench": lambda: ent.quench_entropy(ch, 2, [1, 0], [0, 1], [], ham.bogoliubov(ch))}[kernel]
+    with pytest.raises(ValueError, match="^time grid must be nonempty$"):
+        run()
+
+
 def test_series_reject_complex_input(rng):
     sd = ham.diagonalize(ham.build_M(random_chain(rng, 3)))
     with pytest.raises(ValueError, match="real K"):
