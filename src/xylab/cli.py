@@ -20,25 +20,29 @@ from .experiments import ConfigError, RealizationError, oracle_suite, parse_conf
 from .hamiltonian import EigensolverError
 
 
+def _error(message: str) -> int:
+    """Report bad input or an unwritable output in one line; exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def _cmd_run(args) -> int:
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
     except OSError as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return 2
+        return _error(f"cannot read config: {exc}")
     except json.JSONDecodeError as exc:
-        print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-        return 2
+        return _error(f"config is not valid JSON: {exc}")
     try:
         config = parse_config(raw)
         payload = run(config)
     except ConfigError as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return 2
+        return _error(f"invalid config: {exc}")
     except (ValueError, RealizationError, EigensolverError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(str(exc))
+    except OSError as exc:
+        return _error(f"cannot write artifacts: {exc}")
     verdicts = payload.get("verdicts", {})
     for name, ok in sorted(verdicts.items()):
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
@@ -50,17 +54,16 @@ def _cmd_oracle_check(args) -> int:
     params = {key: getattr(args, key) for key in DEFAULTS["oracle_check"]}
     try:
         result = oracle_suite(**parse_config({"experiment": "oracle_check", "params": params}).params)
-    except ValueError as exc:  # the params of oracle_check are the command's flags
-        print(f"error: {str(exc).replace('params.', '--')}", file=sys.stderr)
-        return 2
-    except EigensolverError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ValueError, EigensolverError) as exc:  # the params of oracle_check are the command's flags
+        return _error(str(exc).replace("params.", "--"))
     for name in sorted(result["checks"]):
         ok = result["checks"][name]
         print(f"{'PASS' if ok else 'FAIL'}  {name}  (max error {result['max_errors'][name]:.3e})")
     if args.output:
-        write_json(args.output, result)
+        try:
+            write_json(args.output, result)
+        except OSError as exc:
+            return _error(f"cannot write artifacts: {exc}")
     return 0 if result["all_pass"] else 1
 
 
@@ -79,11 +82,9 @@ def _cmd_fit(args) -> int:
         values[distances] = rows[:, 1]
         fit = fit_decay(values, args.min_distance, args.max_distance)
     except OSError as exc:
-        print(f"error: cannot read csv: {exc}", file=sys.stderr)
-        return 2
+        return _error(f"cannot read csv: {exc}")
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(str(exc))
     print(json.dumps(
         {"C": fit.C, "eta": fit.eta, "r_squared": fit.r_squared,
          "min_distance": fit.min_distance},

@@ -6,19 +6,18 @@ the effective Hamiltonian entrywise; in particular it dominates the
 time-evolution amplitudes uniformly in t.  Disorder-averaged tables are
 fitted log-linearly in distance, and the fitted constants (C, eta) feed
 the zero-velocity commutator bounds and the transport/entanglement
-bounds downstream.
+bounds downstream.  A's SpectralDecomposition gives the scalar table and
+amplitudes, a BogoliubovDecomposition the 2x2-block ones of M, over n
+modes from its SVD factors Psi and Phi.
 
-The sup-over-time kernels (the propagator amplitudes and the clustering
-kernel) never build a propagator.  Every entry (j, k) of a symmetric
-spectral function of X is w . g(lam) with w = V[j] o V[k], so for the
-pairs j <= k that reach the output a chunk of the time grid is one real
-product of the stacked w against the cos/sin rows of quasifree.phase_rows,
-the one time-series engine, and the running max is kept in place.  For a
-matrix of dimension N a time step costs a cos and a sin dot product of
-length N per pair: about N^3 multiply-adds for the amplitude sup, which
-evaluates all N^2/2 pairs because the dominance verdict reads every one
-(the same order as forming the propagator, in one real product), and
-O(N^2 d) for the clustering kernel's pairs within distance d.
+The sup-over-time kernels never build a propagator: for the pairs
+j <= k that reach the output, a chunk of the time grid is one real
+product of the stacked pair weights against the cos/sin rows of
+quasifree.phase_rows, the one time-series engine, with the running max
+kept in place.  Per pair and time step that is 2n multiply-adds for the
+scalar amplitudes and 4n for the blocks, over all n^2/2 pairs since the
+dominance verdict reads every one, and 4n for the clustering kernel,
+over the pairs within distance d.
 """
 
 from __future__ import annotations
@@ -27,35 +26,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hamiltonian import SpectralDecomposition, block_norms
+from .hamiltonian import BogoliubovDecomposition, SpectralDecomposition, block_norms
 from .quasifree import phase_rows
 
 
-def eigencorrelator_table(sd: SpectralDecomposition, block: bool = False) -> np.ndarray:
+def eigencorrelator_table(dec: SpectralDecomposition | BogoliubovDecomposition) -> np.ndarray:
     """n x n table Q(j,k) majorizing |g(X)_{jk}| over all |g| <= 1.
 
-    Scalar case: Q(j,k) = sum_r |phi_r(j)| |phi_r(k)| (exact supremum).
-    Block case (2n x 2n input, 2x2 blocks per site pair): the sum of
-    spectral norms of the eigenprojector blocks, an upper bound for the
-    supremum; each projector block is rank one, so its norm is the
-    product of the per-site Euclidean norms of the eigenvector.
+    Scalar case (A's eigensystem): Q(j,k) = sum_r |phi_r(j)| |phi_r(k)|,
+    the exact supremum.  Block case (Bogoliubov): the sum over M's
+    eigenprojectors of the spectral norms of their 2x2 blocks, an upper
+    bound; each is the product of the eigenvector's per-site norms, and
+    those of +-lambda_q are both sqrt((Psi_jq^2 + Phi_jq^2) / 2), so the
+    table is U U^t with the n x n U = sqrt(Psi^2 + Phi^2).
 
-    At a repeated eigenvalue of M the block table depends on the
-    eigenbasis chosen inside that eigenspace, for example at a lambda = 0
-    mode (nu = 0 at odd n) or on clean chains: two solvers' tables differ
-    there.  Every choice is a valid bound, since g(M) = sum_r g(lam_r) v_r v_r^t
-    in any orthonormal eigenbasis and the block norm is subadditive; the
-    propagator, and so the amplitudes it bounds, does not depend on the
-    choice.
+    At a repeated lambda the block table depends on the basis the SVD
+    picks in the eigenspace (a lambda = 0 mode at nu = 0 and odd n, clean
+    chains); every choice is a valid bound, since the block norm is
+    subadditive over any orthonormal eigenbasis, and the amplitudes it
+    bounds do not depend on it.
     """
-    V = sd.eigenvectors
-    if not block:
-        aV = np.abs(V)
-        return aV @ aV.T
-    if sd.dim % 2:
-        raise ValueError("block table requires even dimension")
-    n = sd.dim // 2
-    U = np.sqrt(V[0::2, :] ** 2 + V[1::2, :] ** 2)  # n x 2n per-site norms
+    if isinstance(dec, BogoliubovDecomposition):
+        U = np.sqrt(dec.Psi**2 + dec.Phi**2)
+    else:
+        U = np.abs(dec.eigenvectors)
     return U @ U.T
 
 
@@ -69,37 +63,42 @@ def _upper_pairs(n: int, max_distance: int | None = None):
     return j[keep], k[keep]
 
 
-def dynamic_amplitude_sup(sd: SpectralDecomposition, times, block: bool = False) -> np.ndarray:
+def dynamic_amplitude_sup(dec: SpectralDecomposition | BogoliubovDecomposition,
+                          times) -> np.ndarray:
     """Entrywise max over the time grid of the propagator amplitudes:
-    |exp(-itX)_{jk}| in the scalar case, the 2x2-block spectral norms of
-    exp(-2itM) in the block case (the mode dynamics carries the factor 2).
+    |exp(-itA)_{jk}| from A's eigensystem, the 2x2-block spectral norms of
+    exp(-2itM) from the Bogoliubov decomposition (the mode dynamics
+    carries the factor 2).  The propagator is symmetric, so only the
+    pairs j <= k are evaluated.  Scalar: with w = V[j] o V[k], the entry
+    is w . cos(t lam) - i w . sin(t lam).  Block: the Majoranas c + c^*
+    and -i(c - c^*) of a site, a unitary change from (c, c^*), evolve
+    through the mode pairs (a_q, b_q), which rotate by 2t lam_q, so block
+    (j, k) has the singular values of the real
 
-    The propagator is symmetric, so only the pairs j <= k are evaluated:
-    with w = V[j] o V[k], its entry has real part w . cos(t lam) and
-    imaginary part -w . sin(t lam), so a chunk of times is one real
-    product against the stacked cos/sin rows and no propagator is built.
+        [[ sum_q Psi_jq Psi_kq cos,  sum_q Psi_jq Phi_kq sin],
+         [-sum_q Phi_jq Psi_kq sin,  sum_q Phi_jq Phi_kq cos]].
     """
-    V = sd.eigenvectors
-    lam = sd.eigenvalues
-    if block and sd.dim % 2:
-        raise ValueError("block amplitudes require even dimension")
-    n = sd.dim // 2 if block else sd.dim
-    j, k = _upper_pairs(n)
-    best = np.zeros(len(j))
-    if not block:
+    if isinstance(dec, BogoliubovDecomposition):
+        n, Psi, Phi = dec.n, dec.Psi, dec.Phi
+        j, k = _upper_pairs(n)
+        p = len(j)
+        Wc = np.vstack([Psi[j] * Psi[k], Phi[j] * Phi[k]])  # the diagonal of each block
+        Ws = np.vstack([Psi[j] * Phi[k], -Phi[j] * Psi[k]])  # and its off-diagonal
+        best = np.zeros(p)
+        for m, R in phase_rows(dec.lam, times, 2.0, 8 * p):  # c and s, then their stack re
+            c, s = R[:m] @ Wc.T, R[m:] @ Ws.T
+            re = np.stack([c[:, :p], s[:, :p], s[:, p:], c[:, p:]], axis=-1)
+            np.maximum(best, np.max(block_norms(re.reshape(m, p, 2, 2)), axis=0), out=best)
+    else:
+        V, n = dec.eigenvectors, dec.dim
+        j, k = _upper_pairs(n)
         W = V[j] * V[k]
-        for m, R in phase_rows(lam, times, 1.0, 2 * len(j)):
+        best = np.zeros(len(j))
+        for m, R in phase_rows(dec.eigenvalues, times, 1.0, 2 * len(j)):
             ri = R @ W.T
             ri *= ri
             np.maximum(best, np.max(ri[:m] + ri[m:], axis=0), out=best)
         best = np.sqrt(best)
-    else:
-        # entry (a, b) of every block (j, k), for (a, b) = (0,0), (0,1), (1,0), (1,1)
-        W = np.vstack([V[2 * j + a] * V[2 * k + b] for a in (0, 1) for b in (0, 1)])
-        for m, R in phase_rows(lam, times, 2.0, 2 * len(W)):
-            ri = R @ W.T
-            parts = ri.reshape(2, m, 2, 2, len(j)).transpose(0, 1, 4, 2, 3)
-            np.maximum(best, np.max(block_norms(parts[0], parts[1]), axis=0), out=best)
     out = np.zeros((n, n))
     out[j, k] = best
     out[k, j] = best
@@ -171,6 +170,10 @@ def fit_decay(averaged, min_distance: int, max_distance: int | None = None) -> D
     if len(d) < 3:
         raise ValueError("need at least 3 distances in the fit window")
     vals = v[d]
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise ValueError(f"fit window contains non-finite values {vals[bad].tolist()} "
+                         f"at distances {d[bad].tolist()}")
     if np.any(vals <= 0):
         raise ValueError("fit window contains nonpositive values")
     y = np.log(vals)

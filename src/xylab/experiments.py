@@ -230,24 +230,19 @@ def write_summary(path, config: ExperimentConfig, payload: dict) -> None:
 
 
 def _decompose(chain, block: bool):
-    """M's eigensystem, read off the Bogoliubov W, for block tables; A's
-    eigensystem otherwise."""
-    return bogoliubov(chain).spectral if block else diagonalize_A(chain)
+    """The Bogoliubov decomposition for the block form, A's eigensystem otherwise."""
+    return bogoliubov(chain) if block else diagonalize_A(chain)
 
 
 def _real_eigencorrelator(ensemble, i, params):
-    block = params["block"]
-    sd = _decompose(sample_chain(ensemble, i), block)
-    return distance_profile(eigencorrelator_table(sd, block=block), params["max_distance"])
+    dec = _decompose(sample_chain(ensemble, i), params["block"])
+    return distance_profile(eigencorrelator_table(dec), params["max_distance"])
 
 
 def _real_amplitude(ensemble, i, params):
-    block = params["block"]
-    sd = _decompose(sample_chain(ensemble, i), block)
-    times = np.asarray(params["times"])
-    amp = dynamic_amplitude_sup(sd, times, block=block)
-    q = eigencorrelator_table(sd, block=block)
-    violation = float(np.max(amp - q))
+    dec = _decompose(sample_chain(ensemble, i), params["block"])
+    amp = dynamic_amplitude_sup(dec, np.asarray(params["times"]))
+    violation = float(np.max(amp - eigencorrelator_table(dec)))
     return distance_profile(amp, params["max_distance"]), violation
 
 
@@ -269,8 +264,7 @@ def _real_entanglement_static(ensemble, i, params):
     out = [ent.max_eigenstate_entropy(bog, ell, strategy=params["strategy"],
                                       samples=params["samples"], seed=params["label_seed"] + i)
            for ell in params["ells"]]
-    table = eigencorrelator_table(bog.spectral, block=True)
-    return out, distance_profile(table, params["max_distance"])
+    return out, distance_profile(eigencorrelator_table(bog), params["max_distance"])
 
 
 def _real_quench(ensemble, i, params):

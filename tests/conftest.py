@@ -8,7 +8,7 @@ from xylab import entanglement as ent
 from xylab import experiments as xp
 from xylab import quasifree as qf
 from xylab import transport as tr
-from xylab.hamiltonian import alpha_from_index, bogoliubov, build_A, diagonalize_A
+from xylab.hamiltonian import alpha_from_index, block_norms, bogoliubov, build_A, diagonalize_A
 
 
 @pytest.fixture
@@ -268,3 +268,40 @@ def quench_initial_gamma(chain, ell, alpha_left, alpha_right):
     gamma[: 2 * ell, : 2 * ell] = qf.eigenstate_gamma(bogoliubov(left), alpha_left)
     gamma[2 * ell :, 2 * ell :] = qf.eigenstate_gamma(bogoliubov(right), alpha_right)
     return gamma
+
+
+# ---------------------------------------------------------------------------
+# the 2n block kernels on an eigensystem of M, the references of
+# eigencorrelator's n-mode block forms
+
+
+def block_table_2n(sd):
+    """Block eigencorrelator table of the 2n x 2n eigensystem sd of M: the
+    sum over eigenvectors of the products of their per-site norms."""
+    V = sd.eigenvectors
+    if sd.dim % 2:
+        raise ValueError("block table requires even dimension")
+    U = np.sqrt(V[0::2, :] ** 2 + V[1::2, :] ** 2)  # n x 2n per-site norms
+    return U @ U.T
+
+
+def block_amplitude_sup_2n(sd, times):
+    """Entrywise max over the grid of the 2x2-block spectral norms of
+    exp(-2itM), from the 2n x 2n eigensystem sd of M, over the pairs j <= k."""
+    V = sd.eigenvectors
+    lam = sd.eigenvalues
+    if sd.dim % 2:
+        raise ValueError("block amplitudes require even dimension")
+    n = sd.dim // 2
+    j, k = np.triu_indices(n)
+    best = np.zeros(len(j))
+    # entry (a, b) of every block (j, k), for (a, b) = (0,0), (0,1), (1,0), (1,1)
+    W = np.vstack([V[2 * j + a] * V[2 * k + b] for a in (0, 1) for b in (0, 1)])
+    for m, R in qf.phase_rows(lam, times, 2.0, 2 * len(W)):
+        ri = R @ W.T
+        parts = ri.reshape(2, m, 2, 2, len(j)).transpose(0, 1, 4, 2, 3)
+        np.maximum(best, np.max(block_norms(parts[0], parts[1]), axis=0), out=best)
+    out = np.zeros((n, n))
+    out[j, k] = best
+    out[k, j] = best
+    return out

@@ -11,8 +11,8 @@ from xylab.disorder import make_chain, sample_chain, uniform
 from xylab.eigencorrelator import DecayFit
 from xylab.hamiltonian import alpha_from_index
 
-from conftest import (high_disorder_ensemble, purity_defect, quench_initial_gamma, random_chain,
-                      thermal_entanglement_of_formation_bound, validate)
+from conftest import (block_table_2n, high_disorder_ensemble, purity_defect, quench_initial_gamma,
+                      random_chain, thermal_entanglement_of_formation_bound, validate)
 
 
 def test_product_state_has_zero_entropy():
@@ -348,7 +348,7 @@ def test_ensemble_ps_bound_below_fitted_constant():
     for i in range(ens.realizations):
         ch = sample_chain(ens, i)
         sd = ham.diagonalize(ham.build_M(ch))
-        Q = ec.eigencorrelator_table(sd, block=True)
+        Q = block_table_2n(sd)
         sup_bounds.append(2.0 * np.log(2.0) * float(np.sum(Q[:ell, ell:])))
         prof = ec.distance_profile(Q, 40)
         prof_acc = prof if prof_acc is None else prof_acc + prof

@@ -356,19 +356,30 @@ def test_cli_oracle_check_at_nine_sites(tmp_path):
     (["fit"], "distance,mean\n0,1.0\n1,0.5\n2,0.25\n3,0.125\n-1,100.0\n"),
     (["fit"], "distance,mean\n0,1.0\n1.7,0.5\n2,0.25\n3,0.125\n"),
     (["fit"], "distance,mean\n0,1.0\n1,0.5\n1,0.4\n2,0.25\n3,0.125\n"),
+    (["fit"], "distance,mean\n0,1.0\n1,nan\n2,0.25\n3,0.125\n"),
+    (["oracle-check", "--n", "2", "--realizations", "1", "--output", "UNWRITABLE"], None),
 ], ids=["oracle-n15", "oracle-n0", "oracle-realizations0", "oracle-seed-negative",
         "fit-non-numeric", "fit-header-only",
-        "fit-negative-distance", "fit-fractional-distance", "fit-duplicate-distance"])
+        "fit-negative-distance", "fit-fractional-distance", "fit-duplicate-distance",
+        "fit-non-finite", "oracle-output-unwritable"])
 def test_cli_bad_input_gives_one_line_error(tmp_path, capsys, argv, csv_text):
     if csv_text is not None:
         csv = tmp_path / "profile.csv"
         csv.write_text(csv_text)
         argv = [*argv, str(csv)]
+    unwritable = "UNWRITABLE" in argv
+    if unwritable:  # a path under a regular file
+        (tmp_path / "blocker").write_text("")
+        argv = [str(tmp_path / "blocker" / "out.json") if a == "UNWRITABLE" else a for a in argv]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    if argv[0] == "oracle-check":  # the line names the bad flag, not the field it feeds
+    if unwritable:
+        assert err.startswith("error: cannot write artifacts: ")
+    elif argv[0] == "oracle-check":  # the line names the bad flag, not the field it feeds
         assert err.startswith(f"error: {argv[1]} ") and "base_seed" not in err
+    elif "nan" in csv_text:
+        assert "non-finite values [nan] at distances [1]" in err
 
 
 @pytest.mark.parametrize("argv", [["oracle-check", "--n", "4", "--realizations", "1"],
@@ -740,14 +751,19 @@ def test_clustering_matches_dense_projector_formula():
     ("eigencorrelator", {}, "ensemble.realizations", {"realizations": 4.9}),
     ("oracle_check", {"n": "6"}, "params.n", {}),
     ("oracle_check", {"n": 4.5}, "params.n", {}),
+    ("oracle_check", {"n": 2, "realizations": 1}, "cannot write artifacts: ", {}),
 ])
 def test_cli_run_bad_params_give_one_line_error(tmp_path, experiment, params, named, ensemble):
     cfg_path = tmp_path / "config.json"
+    out = tmp_path / "out"
+    if named.startswith("cannot write"):  # output_dir under a regular file
+        (tmp_path / "blocker").write_text("")
+        out = tmp_path / "blocker" / "out"
     cfg_path.write_text(json.dumps({
         "experiment": experiment,
         "ensemble": {**ensemble_json(n=8, realizations=2), **ensemble},
         "params": params,
-        "output_dir": str(tmp_path / "out"),
+        "output_dir": str(out),
     }))
     r = _run_cli(["run", str(cfg_path)], tmp_path)
     assert r.returncode == 2

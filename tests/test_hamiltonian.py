@@ -12,9 +12,9 @@ from xylab import fock
 from xylab import hamiltonian as ham
 from xylab import quasifree as qf
 from xylab.disorder import make_chain
-from xylab.eigencorrelator import eigencorrelator_table
+from xylab.eigencorrelator import dynamic_amplitude_sup, eigencorrelator_table
 
-from conftest import random_chain, region_number_op
+from conftest import block_table_2n, random_chain, region_number_op
 
 
 def test_build_A_explicit():
@@ -204,7 +204,7 @@ def test_one_particle_sector_embedding(rng):
 
 def test_outputs_do_not_depend_on_eigenvector_signs(rng):
     # column signs are whatever the solvers return: negating eigenvectors of
-    # A and M, or the row pair of a Bogoliubov mode, changes no output
+    # A, or the column pair of a Bogoliubov mode, changes no output
     ch = random_chain(rng, 7)
     n = ch.n
 
@@ -214,15 +214,14 @@ def test_outputs_do_not_depend_on_eigenvector_signs(rng):
         return s
 
     sd_A = ham.diagonalize_A(ch)
-    sd_M = ham.diagonalize(ham.build_M(ch))
     bog = ham.bogoliubov(ch)
     sd_A2 = ham.SpectralDecomposition(sd_A.eigenvalues, sd_A.eigenvectors * signs(n))
-    sd_M2 = ham.SpectralDecomposition(sd_M.eigenvalues, sd_M.eigenvectors * signs(2 * n))
     mode_signs = signs(n)
     bog2 = dataclasses.replace(bog, Psi=bog.Psi * mode_signs, Phi=bog.Phi * mode_signs)
-    for sd, sd2, block in ((sd_A, sd_A2, False), (sd_M, sd_M2, True)):
-        assert np.array_equal(eigencorrelator_table(sd, block=block),
-                              eigencorrelator_table(sd2, block=block))
+    times = np.linspace(0.0, 4.0, 9)
+    for dec, dec2 in ((sd_A, sd_A2), (bog, bog2)):
+        assert np.array_equal(eigencorrelator_table(dec), eigencorrelator_table(dec2))
+        assert np.array_equal(dynamic_amplitude_sup(dec, times), dynamic_amplitude_sup(dec2, times))
     alpha = rng.integers(0, 2, n)
     assert np.array_equal(qf.eigenstate_gamma(bog, alpha), qf.eigenstate_gamma(bog2, alpha))
     args = (ch, 3, np.zeros(3, dtype=int), np.zeros(n - 3, dtype=int), np.linspace(0.0, 4.0, 9))
@@ -279,8 +278,7 @@ def test_bogoliubov_spectral_matches_dense_eigh(rng, case):
     assert np.max(np.abs(V.T @ V - np.eye(2 * ch.n))) <= 1e-10
     assert np.max(np.abs(sd.function_of(np.cos) - ref.function_of(np.cos))) <= 1e-10
     if table_defined:
-        assert np.max(np.abs(eigencorrelator_table(sd, block=True)
-                             - eigencorrelator_table(ref, block=True))) <= 1e-10
+        assert np.max(np.abs(eigencorrelator_table(bog) - block_table_2n(ref))) <= 1e-10
     else:
         assert bog.degenerate and bog.lam[0] < 1e-12
 

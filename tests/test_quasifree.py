@@ -369,7 +369,7 @@ def test_grid_kernels_reject_an_empty_grid(rng, kernel):
     # a sup over no times would pass any bound
     ch = random_chain(rng, 4)
     sdA = ham.diagonalize_A(ch)
-    run = {"amplitude_block": lambda: ec.dynamic_amplitude_sup(ham.diagonalize(ham.build_M(ch)), [], block=True),
+    run = {"amplitude_block": lambda: ec.dynamic_amplitude_sup(ham.bogoliubov(ch), []),
            "clustering": lambda: ec.clustering_sup(sdA, [1, 0, 1, 0], []),
            "trace": lambda: qf.trace_series(sdA.eigenvalues, np.eye(4), []),
            "quench": lambda: ent.quench_entropy(ch, 2, [1, 0], [0, 1], [], ham.bogoliubov(ch))}[kernel]
@@ -411,12 +411,11 @@ def test_grid_kernels_hold_memory_to_a_chunk(rng, monkeypatch, kernel):
     monkeypatch.setattr(qf, "_GRID_CHUNK_ENTRIES", 1 << 11)
     sdA = ham.diagonalize_A(random_chain(rng, 12, anisotropic=False))
     ch = random_chain(rng, 6)
-    sdM = ham.diagonalize(ham.build_M(ch))
     bog = ham.bogoliubov(ch)
     lam = rng.normal(size=48)
     K = rng.normal(size=(48, 48))
     run = {"amplitude": lambda ts: ec.dynamic_amplitude_sup(sdA, ts),
-           "amplitude_block": lambda ts: ec.dynamic_amplitude_sup(sdM, ts, block=True),
+           "amplitude_block": lambda ts: ec.dynamic_amplitude_sup(bog, ts),
            "clustering": lambda ts: ec.clustering_sup(sdA, rng.integers(0, 2, 12), ts),
            "trace": lambda ts: qf.trace_series(lam, K + K.T, ts),
            # the quench's evolved restricted block
