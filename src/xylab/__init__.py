@@ -23,7 +23,6 @@ from .hamiltonian import (
     build_A,
     build_B,
     build_M,
-    diagonalize,
     diagonalize_A,
 )
 from .quasifree import (
@@ -40,7 +39,7 @@ from .eigencorrelator import (
     fit_decay,
     lr_commutator_bound,
 )
-from .entanglement import entropy_from_gamma, max_eigenstate_entropy, ps_bound
+from .entanglement import max_eigenstate_entropy, ps_bound
 from .fock import locate_centers, occupation_number, slater_overlap
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,14 +1,15 @@
-"""Bipartite entanglement of quasi-free states from correlation matrices.
+"""Bipartite entanglement of quasi-free states from the SVD factors.
 
 The entropy of the reduction to the left end [1, ell] is the entropy of
 the upper-left 2*ell block of the correlation matrix, -sum zeta ln zeta
 over its eigenvalues (natural-log units).  The cross-cut block norms
 give a computable upper bound, 2 ln 2 times their sum, which feeds the
-area-law checks.  The eigenstate-label and quench kernels take the
-block in real Majorana form, from the SVD factors Psi and Phi, whose
-spectrum (1 +- sigma) / 2 comes from a real symmetric eigvalsh of
-sigma^2 (Peschel 2003), through one sigma^2-to-entropy function,
-_sigma_entropy; neither forms a complex or a 2n x 2n matrix.
+area-law checks.  No correlation matrix is formed here: ps_bound reads
+an eigenstate's block norms off Psi and Phi, and the eigenstate-label
+and quench kernels take the block in real Majorana form, whose spectrum
+(1 +- sigma) / 2 comes from a real symmetric eigvalsh of sigma^2
+(Peschel 2003), through one sigma^2-to-entropy function, _sigma_entropy;
+neither forms a complex or a 2n x 2n matrix.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 
 from .disorder import ChainSpec, make_chain
 from .eigencorrelator import DecayFit
-from .hamiltonian import BogoliubovDecomposition, alpha_from_index, block_norms, bogoliubov
-from .quasifree import eigenstate_gamma, mode_selector, phase_rows
+from .hamiltonian import BogoliubovDecomposition, _w_columns, alpha_from_index, bogoliubov
+from .quasifree import mode_selector, phase_rows
 
 LN2 = float(np.log(2.0))
 
@@ -38,13 +39,6 @@ def _check_cut(ell: int, n: int) -> None:
     """The cut [1, ell] | [ell+1, n] must leave both sides nonempty."""
     if not 1 <= ell < n:
         raise ValueError(f"cut ell={ell} requires 1 <= ell < n={n}")
-
-
-def block_spectral_norms(gamma: np.ndarray) -> np.ndarray:
-    """n x n table of spectral norms of the 2x2 blocks of a 2n x 2n gamma."""
-    n = len(gamma) // 2
-    blocks = gamma.reshape(n, 2, n, 2).transpose(0, 2, 1, 3)
-    return block_norms(blocks.real, blocks.imag if np.iscomplexobj(blocks) else None)
 
 
 def _spectrum_entropy(zeta: np.ndarray):
@@ -74,17 +68,20 @@ def _sigma_entropy(sigma2: np.ndarray) -> np.ndarray:
     return _spectrum_entropy(zeta)
 
 
-def entropy_from_gamma(gamma: np.ndarray, ell: int) -> float:
-    """Von Neumann entropy of the reduction to [1, ell]: -sum zeta ln zeta
-    over the upper-left 2*ell block spectrum."""
-    _check_cut(ell, len(gamma) // 2)
-    return float(_spectrum_entropy(np.linalg.eigvalsh(gamma[: 2 * ell, : 2 * ell])))
-
-
-def ps_bound(gamma: np.ndarray, ell: int) -> float:
-    """Cross-cut bound 2 ln 2 * sum_{j<=ell} sum_{k>ell} ||gamma(j,k)||."""
-    _check_cut(ell, len(gamma) // 2)
-    return float(2.0 * LN2 * np.sum(block_spectral_norms(gamma)[:ell, ell:]))
+def ps_bound(bog: BogoliubovDecomposition, alpha, ell: int) -> float:
+    """Cross-cut bound 2 ln 2 * sum_{j<=ell} sum_{k>ell} ||gamma(j,k)|| of
+    the eigenstate alpha.  With Y = Psi diag(1 - 2 alpha) Phi^t, block
+    (j, k) of its gamma in Majorana form is [[0, i Y_jk], [-i Y_kj, 0]] / 2,
+    so the bound is ln 2 * sum max(|Y_jk|, |Y_kj|) over the cross-cut
+    pairs, from the two off-diagonal ell x (n - ell) corners of Y."""
+    _check_cut(ell, bog.n)
+    alpha = np.asarray(alpha)
+    if alpha.shape != (bog.n,) or not np.all((alpha == 0) | (alpha == 1)):
+        raise ValueError("alpha must be a 0/1 vector of length n")
+    s, Psi, Phi = 1.0 - 2.0 * alpha, bog.Psi, bog.Phi
+    upper = (Psi[:ell] * s) @ Phi[ell:].T  # Y_jk, j <= ell < k
+    lower = (Phi[:ell] * s) @ Psi[ell:].T  # Y_kj, transposed
+    return float(LN2 * np.sum(np.maximum(np.abs(upper), np.abs(lower))))
 
 
 def area_law_constant(fit: DecayFit) -> float:
@@ -94,8 +91,9 @@ def area_law_constant(fit: DecayFit) -> float:
 
 
 def _label_entropy(WA: np.ndarray, alpha) -> float:
-    """Entropy of eigenstate alpha restricted to the columns of WA (a 2n x 2ell
-    slice of the Bogoliubov W): the spectrum of WA^t P_alpha WA."""
+    """Entropy of eigenstate alpha restricted to the columns of WA (the
+    2n x 2ell slice hamiltonian._w_columns gives for the sites of the
+    block): the spectrum of WA^t P_alpha WA."""
     sel = mode_selector(alpha)
     return float(_spectrum_entropy(np.linalg.eigvalsh(WA.T @ (sel[:, None] * WA))))
 
@@ -149,7 +147,7 @@ def max_eigenstate_entropy(bog: BogoliubovDecomposition, ell: int, strategy: str
         raise ValueError(f"unknown strategy {strategy!r}")
 
     scores = _label_entropies(bog, ell, alphas)
-    WA = bog.W[:, : 2 * ell]
+    WA = _w_columns(bog, slice(0, ell))
     best = -1.0
     best_alpha = None
     for k in np.flatnonzero(scores >= scores.max() - _RESCORE_WINDOW):
@@ -157,7 +155,7 @@ def max_eigenstate_entropy(bog: BogoliubovDecomposition, ell: int, strategy: str
         if s > best:
             best = s
             best_alpha = np.array(alphas[k], dtype=int)
-    return best, ps_bound(eigenstate_gamma(bog, best_alpha), ell)
+    return best, ps_bound(bog, best_alpha, ell)
 
 
 def quench_entropy(chain: ChainSpec, ell: int, alpha_left, alpha_right, times,

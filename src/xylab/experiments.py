@@ -135,13 +135,17 @@ def _chunk_failed(ensemble: EnsembleSpec, indices: range, why: str) -> str:
 
 def _run_chunk(fn, ensemble: EnsembleSpec, indices: range, params: dict, fd: int):
     """A forked child's whole life: (ok, payload) for its chunk pickled to
-    bytes, written to fd, then os._exit.  Results that do not pickle come
-    back as a failure of the chunk that names the pickling error."""
+    bytes, written to fd, then os._exit.  Results that do not pickle, and
+    a SystemExit or other BaseException that _measure lets through, come
+    back as a failure of the chunk that names the exception."""
     try:
         try:
             payload = True, [_measure(fn, ensemble, i, params) for i in indices]
         except RealizationError as exc:
             payload = False, (str(exc), traceback.format_exc())
+        except BaseException as exc:
+            why = f"{type(exc).__name__}: {exc}"
+            payload = False, (_chunk_failed(ensemble, indices, why), traceback.format_exc())
         try:
             data = pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
@@ -606,25 +610,24 @@ def _check_car(jw: ed.JordanWigner) -> float:
 def _check_states(bog: BogoliubovDecomposition, eig: tuple, jw: ed.JordanWigner) -> dict:
     """Errors of the eigenstate, thermal and evolved (from a basis product
     state) correlation matrices and of the cut entropies (every cut
-    1 <= ell < n of (1, n // 2, n - 1)) of the free-fermion layer against
-    the oracle eigensystem eig = (evals, evecs) of H."""
+    1 <= ell < n of (1, n // 2, n - 1), scored by the batched
+    _label_entropies that entanglement_static runs) of the free-fermion
+    layer against the oracle eigensystem eig = (evals, evecs) of H."""
     n = bog.n
     evals, evecs = eig
     labels = [0, 1, (1 << n) - 1] if n > 3 else list(range(2**n))
     idxs, flags = ed.match_eigenstates(all_many_body_energies(bog)[labels], evals)
-    sdM = bog.spectral
-    g_err = s_err = 0.0
+    alphas = alpha_from_index(np.array(labels)[~flags, None], n)
     cuts = [ell for ell in (1, n // 2, n - 1) if 1 <= ell < n]
-    for a, k, degenerate in zip(labels, idxs, flags):
-        if degenerate:
-            continue
-        alpha = alpha_from_index(a, n)
+    scores = {ell: ent._label_entropies(bog, ell, alphas) for ell in cuts}
+    g_err = s_err = 0.0
+    for r, (alpha, k) in enumerate(zip(alphas, idxs[~flags])):
         gamma = eigenstate_gamma(bog, alpha)
         psi = evecs[:, k]
         g_ed = ed.correlation_blocks(psi, jw)
         g_err = max(g_err, float(np.max(np.abs(gamma - g_ed))))
         for ell in cuts:
-            s_free = ent.entropy_from_gamma(gamma, ell)
+            s_free = float(scores[ell][r])
             # both sides of a pure state's cut share one spectrum: reduce onto
             # the smaller side, swapping psi's two blocks when that is the right
             small = psi if 2 * ell <= n else psi.reshape(2**ell, -1).T.ravel()
@@ -636,11 +639,11 @@ def _check_states(bog: BogoliubovDecomposition, eig: tuple, jw: ed.JordanWigner)
     occupied = np.arange(n) % 2 == 0
     psi0 = np.zeros(2**n)
     psi0[int("".join("0" if o else "1" for o in occupied), 2)] = 1.0
-    gt = evolve_gamma(profile_gamma(occupied), sdM, 0.7)
+    gt = evolve_gamma(profile_gamma(occupied), bog, 0.7)
     psit = ed.schroedinger_evolve_state(psi0, eig, 0.7)
     e_err = float(np.max(np.abs(gt - ed.correlation_blocks(psit, jw))))
     beta = 0.8
-    g_th = thermal_gamma(sdM, beta)
+    g_th = thermal_gamma(bog, beta)
     rho = ed.thermal_state(eig, beta)
     t_err = float(np.max(np.abs(g_th - ed.correlation_blocks(rho, jw))))
     return {"eigenstate_gamma": g_err, "thermal_gamma": t_err, "entropy": s_err,

@@ -4,12 +4,12 @@ diagonalization.
 The chain maps onto quasi-free fermions with tridiagonal matrices A
 (hopping/field) and B (pairing).  The isotropic chain is governed by A
 alone; the anisotropic chain by the 2x2-block Jacobi matrix M acting on
-the interleaved vector (c_1, c_1^*, ..., c_n, c_n^*).  A Bogoliubov
-transformation W (orthogonal, W J W^t = J with J = sigma_x per block)
-brings M to +/-lambda_j block-diagonal form, with lambda_j the singular
-values of A + B = Phi diag(lambda) Psi^t; the decomposition stores Psi
-and Phi, and W is built from them here only.  Many-body energies are
-sum(2 lambda_j over occupied modes) - E0 with E0 = sum(lambda_j).
+the interleaved vector (c_1, c_1^*, ..., c_n, c_n^*), whose one
+decomposition is the SVD A + B = Phi diag(lambda) Psi^t (Lieb, Schultz
+and Mattis): M has the mode pairs +/-lambda_j, and every anisotropic
+state and propagator is built from Psi, Phi and lambda.  Many-body
+energies are sum(2 lambda_j over occupied modes) - E0 with
+E0 = sum(lambda_j).
 """
 
 from __future__ import annotations
@@ -125,20 +125,14 @@ class SpectralDecomposition:
     def dim(self) -> int:
         return len(self.eigenvalues)
 
-    def function_of(self, g) -> np.ndarray:
-        """g(X) via the spectral theorem; g applied elementwise to the
-        eigenvalues (may return complex values, e.g. g = exp(-it.))."""
-        V = self.eigenvectors
-        return (V * g(self.eigenvalues)) @ V.T
-
 
 class EigensolverError(RuntimeError):
     pass
 
 
 def diagonalize_A(chain: ChainSpec) -> SpectralDecomposition:
-    """Eigensystem of the tridiagonal one-particle matrix of a chain, same
-    conventions as diagonalize: LAPACK's divide-and-conquer dstevd, the
+    """Eigensystem of the tridiagonal one-particle matrix of a chain:
+    LAPACK's divide-and-conquer dstevd, the
     routine and wrapper scipy.linalg.eigh_tridiagonal runs for a full
     spectrum, so the results are bitwise those of that function.  The
     chain's entries are finite (ChainSpec checks them)."""
@@ -152,31 +146,6 @@ def diagonalize_A(chain: ChainSpec) -> SpectralDecomposition:
             f"tridiagonal eigensolver failed: dstevd did not converge (LAPACK info={info})")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dstevd")
-    return SpectralDecomposition(eigenvalues=lam, eigenvectors=V)
-
-
-def diagonalize(X: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a real symmetric matrix; residuals are
-    verified."""
-    X = np.asarray(X, dtype=float)
-    sym_err = np.max(np.abs(X - X.T)) if X.size else 0.0
-    if sym_err > 1e-12:
-        raise ValueError(f"matrix not symmetric: max asymmetry {sym_err:.3e}")
-    try:
-        lam, V = np.linalg.eigh(X)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(
-            f"eigh failed for {X.shape[0]}x{X.shape[0]} matrix "
-            f"(norm {np.linalg.norm(X):.3e}): {exc}"
-        ) from exc
-    scale = max(np.max(np.abs(lam)), 1.0) if lam.size else 1.0
-    resid = np.max(np.abs(X @ V - V * lam)) if lam.size else 0.0
-    orth = np.max(np.abs(V.T @ V - np.eye(len(lam)))) if lam.size else 0.0
-    if resid > 1e-10 * scale or orth > 1e-10:
-        raise EigensolverError(
-            f"eigensolver residuals too large: |XV-VL|={resid:.3e}, "
-            f"|V^tV-I|={orth:.3e}"
-        )
     return SpectralDecomposition(eigenvalues=lam, eigenvectors=V)
 
 
@@ -197,34 +166,25 @@ class BogoliubovDecomposition:
     def n(self) -> int:
         return len(self.lam)
 
-    @property
-    def W(self) -> np.ndarray:
-        """Orthogonal, W J W^t = J, W M W^t = diag(+l_j, -l_j) blocks: rows (2j, 2j+1)
-        interleave ((g+h)/2, (g-h)/2) and ((g-h)/2, (g+h)/2), g, h column j of Psi, Phi."""
-        W = np.zeros((2 * self.n, 2 * self.n))
-        phi = 0.5 * (self.Psi + self.Phi)  # c-components of the +lambda eigenvectors
-        psi = 0.5 * (self.Psi - self.Phi)  # c^*-components
-        W[0::2, 0::2] = phi.T
-        W[0::2, 1::2] = psi.T
-        W[1::2, 0::2] = psi.T
-        W[1::2, 1::2] = phi.T
-        return W
 
-    @property
-    def spectral(self) -> SpectralDecomposition:
-        """The eigensystem of M read off W: row 2j of W is the eigenvector
-        of +lambda_j and row 2j+1 that of -lambda_j (Lieb-Schultz-Mattis),
-        ordered so the eigenvalues ascend."""
-        W = self.W
-        return SpectralDecomposition(
-            eigenvalues=np.concatenate([-self.lam[::-1], self.lam]),
-            eigenvectors=np.concatenate([W[1::2][::-1], W[0::2]]).T,
-        )
+def _w_columns(bog: BogoliubovDecomposition, sites) -> np.ndarray:
+    """Columns (2j, 2j+1) of the Bogoliubov W (W M W^t = diag(+l_q, -l_q)
+    blocks) at the 0-based sites j indexed by `sites`: rows 2q and 2q+1
+    are the eigenvectors of M for +lambda_q and -lambda_q there,
+    ((g+h)/2, (g-h)/2) and ((g-h)/2, (g+h)/2) with g, h rows of Psi, Phi."""
+    phi = 0.5 * (bog.Psi[sites] + bog.Phi[sites])  # c-components of the +lambda eigenvectors
+    psi = 0.5 * (bog.Psi[sites] - bog.Phi[sites])  # c^*-components
+    out = np.empty((2 * bog.n, 2 * len(phi)))
+    out[0::2, 0::2] = phi.T
+    out[0::2, 1::2] = psi.T
+    out[1::2, 0::2] = psi.T
+    out[1::2, 1::2] = phi.T
+    return out
 
 
 def bogoliubov(chain: ChainSpec) -> BogoliubovDecomposition:
     """Bogoliubov decomposition from the SVD A + B = Phi diag(l) Psi^t,
-    modes in ascending l.  W is orthogonal with W M W^t = D exactly when
+    modes in ascending l.  The mode pairs diagonalize M exactly when
     Phi and Psi are orthogonal and (A + B) Psi = Phi diag(l), which are
     verified at size n before returning; A + B is tridiagonal, so its
     product is taken from its three diagonals."""

@@ -8,12 +8,12 @@ functions in the interleaved (c_j, c_j^*) ordering; block (j, k) is
 
 passed between modules as a plain array (n = len(gamma) // 2).
 Eigenstates and thermal states of the chain are spectral functions of
-the effective Hamiltonian M (the quench's initial product state is
-never formed: entanglement builds its Majorana block from the halves'
-SVD factors); particle profiles are diagonal.  Under the
-chain dynamics the matrix evolves by conjugation with exp(-2itM) into a
-Hermitian, in general complex matrix (off-diagonal currents);
-evolve_gamma makes that dense conjugation at one time.  phase_rows is
+the effective Hamiltonian M, one n x n product of its SVD factors Psi
+and Phi (the quench's initial product state is never formed); particle
+profiles are diagonal.  Under the chain dynamics the matrix evolves by
+conjugation with exp(-2itM) into a Hermitian, in general complex matrix
+(off-diagonal currents); evolve_gamma makes that dense conjugation at
+one time, from the rotating mode pairs.  phase_rows is
 the one time-series engine: every whole-grid kernel, here, in
 eigencorrelator and in entanglement's quench, reads the real cos/sin
 rows of a chunk of times from it, so memory stays bounded and no
@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .hamiltonian import BogoliubovDecomposition, SpectralDecomposition
+from .hamiltonian import BogoliubovDecomposition
 
 
 def mode_selector(alpha) -> np.ndarray:
@@ -42,56 +42,80 @@ def mode_selector(alpha) -> np.ndarray:
     return sel
 
 
+def _mode_gamma(bog: BogoliubovDecomposition, s: np.ndarray) -> np.ndarray:
+    """Correlation matrix of the quasi-free state that weighs the +lambda_q
+    and -lambda_q eigenvectors of M by (1 + s_q) / 2 and (1 - s_q) / 2.
+    With Y = Psi diag(s) Phi^t, S = Y + Y^t and A = Y - Y^t, block (j, k)
+    is delta_jk I / 2 + [[S_jk, -A_jk], [A_jk, -S_jk]] / 4."""
+    n, Y = bog.n, (bog.Psi * s) @ bog.Phi.T
+    A = 0.25 * (Y - Y.T)
+    gamma = np.empty((n, 2, n, 2))  # gamma[j, :, k, :] is block (j, k)
+    gamma[:, 0, :, 0] = 0.25 * (Y + Y.T) + 0.5 * np.eye(n)
+    gamma[:, 1, :, 1] = np.eye(n) - gamma[:, 0, :, 0]
+    gamma[:, 0, :, 1] = -A
+    gamma[:, 1, :, 0] = A
+    return gamma.reshape(2 * n, 2 * n)
+
+
 def eigenstate_gamma(bog: BogoliubovDecomposition, alpha) -> np.ndarray:
     """Correlation matrix of the eigenstate with occupation pattern alpha:
-    the spectral projection W^t P W selecting +lambda_j for empty modes
-    and -lambda_j for occupied ones."""
+    the spectral projection selecting +lambda_j for empty modes and
+    -lambda_j for occupied ones, s = 1 - 2 alpha in _mode_gamma."""
     alpha = np.asarray(alpha)
     if len(alpha) != bog.n or not np.all((alpha == 0) | (alpha == 1)):
         raise ValueError("alpha must be a 0/1 vector of length n")
-    W = bog.W
-    return (W.T * mode_selector(alpha)) @ W
+    return _mode_gamma(bog, 1.0 - 2.0 * alpha)
 
 
-def thermal_gamma(sd_M: SpectralDecomposition, beta: float) -> np.ndarray:
-    """Correlation matrix (1 + exp(-2 beta M))^{-1} of the Gibbs state,
-    computed spectrally from the decomposition sd_M of M.  The Fermi
-    function 1 / (1 + exp(-2 beta lam)) is taken as (1 + tanh(beta lam)) / 2,
-    equal in exact arithmetic, which cannot overflow."""
+def thermal_gamma(bog: BogoliubovDecomposition, beta: float) -> np.ndarray:
+    """Correlation matrix (1 + exp(-2 beta M))^{-1} of the Gibbs state:
+    s = tanh(beta lambda) in _mode_gamma, as the Fermi function of +/-lambda
+    is (1 +/- tanh(beta lambda)) / 2, which cannot overflow."""
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    return sd_M.function_of(lambda lam: 0.5 * (1.0 + np.tanh(beta * lam)))
+    return _mode_gamma(bog, np.tanh(beta * bog.lam))
 
 
 def profile_gamma(eta_profile) -> np.ndarray:
     """Product state with site occupations eta_j: diagonal blocks
     diag(1 - eta_j, eta_j).  (The occupation slot is the <c^* c> one;
     fixed against the brute-force oracle at n = 2.)"""
+    return np.diag(mode_selector(_occupations(eta_profile)))
+
+
+def _occupations(eta_profile) -> np.ndarray:
+    """A profile as floats, every entry an occupation in [0, 1]."""
     eta = np.asarray(eta_profile, dtype=float)
     if np.any((eta < 0) | (eta > 1)):
         raise ValueError("profile entries must lie in [0, 1]")
-    return np.diag(mode_selector(eta))
+    return eta
 
 
-def evolve_gamma(gamma: np.ndarray, sd_M: SpectralDecomposition, t: float) -> np.ndarray:
+def evolve_gamma(gamma: np.ndarray, bog: BogoliubovDecomposition, t: float) -> np.ndarray:
     """Heisenberg-picture update exp(-2itM) gamma exp(+2itM) of the whole
-    matrix, by one dense conjugation in the eigenbasis of M.
-
-    With X_c, X_s the eigenvectors scaled by cos and sin of 2t lam and
-    Z = X G, G = V^t gamma V, the result is
+    matrix, by one dense conjugation.  The site Majoranas c +- c^*, on
+    x, z = (e_2j +- e_2j+1) / sqrt2, are Psi and Phi applied to mode pairs
+    (a_q, b_q) rotating by 2t lambda_q; so with V the orthogonal matrix of
+    columns (Psi x, Phi z) / sqrt2 and C, S the cos and sin of 2t lambda,
+    exp(-2itM) = (X_c - i X_s) V^t, X_c = V diag(C, C), X_s =
+    V [[0, S], [S, 0]].  With Z = X G, G = V^t gamma V, the result is
     Z_c X_c^t + Z_s X_s^t + i (Z_c X_s^t - (Z_c X_s^t)^t).  The state must
-    be real, as every state at time zero is; the result is Hermitian but
-    genuinely complex at t != 0 for states that do not commute with M (the
-    imaginary parts carry the currents), verified Hermitian to 1e-9 and
-    returned Hermitized and complex.
-    """
+    be real, as every state at time zero is; the result, complex at t != 0
+    (the currents), is verified Hermitian to 1e-9 and Hermitized."""
     if np.iscomplexobj(gamma):
         raise ValueError("evolve_gamma takes a real gamma")
-    V = sd_M.eigenvectors
+    n = bog.n
+    V = np.empty((2 * n, 2 * n))
+    V[0::2, :n] = V[1::2, :n] = math.sqrt(0.5) * bog.Psi
+    V[0::2, n:] = math.sqrt(0.5) * bog.Phi
+    V[1::2, n:] = -V[0::2, n:]
     G = V.T @ gamma @ V
-    phase = 2.0 * t * sd_M.eigenvalues
-    X = np.stack([V * np.cos(phase), V * np.sin(phase)])
-    Z = (X.reshape(-1, len(V)) @ G).reshape(X.shape)
+    phase = 2.0 * t * bog.lam
+    c, s = np.cos(phase), np.sin(phase)
+    X = np.empty((2, 2 * n, 2 * n))
+    X[0, :, :n], X[0, :, n:] = V[:, :n] * c, V[:, n:] * c
+    X[1, :, :n], X[1, :, n:] = V[:, n:] * s, V[:, :n] * s
+    Z = (X.reshape(-1, 2 * n) @ G).reshape(X.shape)
     re = Z[0] @ X[0].T + Z[1] @ X[1].T
     cs = Z[0] @ X[1].T
     herm = max(np.max(np.abs(G - G.T), initial=0.0), np.max(np.abs(re - re.T), initial=0.0))

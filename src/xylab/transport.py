@@ -7,11 +7,13 @@ diagonal profile.  After one change of basis to the eigenvectors V of X
 it reads c^t K c + s^t K s with K = (V^t O V) o (V^t G V)^t and c, s the
 cos/sin rows of the one time-series engine, quasifree.phase_rows, so
 quasifree.trace_series takes a whole time grid as real matrix products
-over chunks of times: O(n^2) per step and no propagator built.  The
-bounds C e^{-eta d} / (1 - e^{-eta})^2 are DecayFit.bound of the fitted
-eigencorrelator constants at d = dist(S1, S2); the experiment driver
-judges the disorder-averaged suprema against them.  A region S is a
-sorted list of distinct 1-based sites.
+over chunks of times: O(n^2) per step and no propagator built.  For M,
+V is read at the region's sites only, and V^t G V comes from Psi and
+Phi by one n x n product.  The bounds C e^{-eta d} / (1 - e^{-eta})^2
+are DecayFit.bound of the fitted eigencorrelator constants at
+d = dist(S1, S2); the experiment driver judges the disorder-averaged
+suprema against them.  A region S is a sorted list of distinct 1-based
+sites.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 
 from .disorder import ChainSpec, EnsembleSpec
 from .eigencorrelator import DecayFit
-from .hamiltonian import SpectralDecomposition, bogoliubov, build_A, build_M
-from .quasifree import profile_gamma, trace_series
+from .hamiltonian import SpectralDecomposition, _w_columns, bogoliubov, build_A, build_M
+from .quasifree import _occupations, trace_series
 
 
 def region_distance(s1, s2) -> int:
@@ -86,12 +88,20 @@ def matrix_norm_bound(ensemble: EnsembleSpec) -> float:
 def energy_fluctuation_series(chain: ChainSpec, s1, eta, times) -> np.ndarray:
     """<H_{S1}>_t - <H_{S1}>_0 for a general profile on the (possibly
     anisotropic) chain: minus the profile trace of M_{S1} against the
-    diagonal of Gamma, less its t = 0 value."""
+    diagonal of Gamma, less its t = 0 value, over M's eigenvectors ordered
+    (+lambda, -lambda).  With P = Psi^t diag(1 - 2 eta) Phi, the profile
+    factor is [[2I + P + P^t, P^t - P], [P - P^t, 2I - P - P^t]] / 4."""
     idx = _interval_projector_indices(s1)
-    M = build_M(chain)
-    rows = np.sort(np.concatenate([2 * idx, 2 * idx + 1]))
-    occupations = np.diag(profile_gamma(eta))
-    out = -_profile_trace(bogoliubov(chain).spectral, rows, M[np.ix_(rows, rows)], occupations, times)
+    bog = bogoliubov(chain)
+    rows = slice(2 * idx[0], 2 * idx[-1] + 2)
+    W = _w_columns(bog, idx)
+    V = np.concatenate([W[0::2], W[1::2]])
+    P = (bog.Psi.T * (1.0 - 2.0 * _occupations(eta))) @ bog.Phi
+    S, A = P + P.T, P.T - P
+    I2 = 2.0 * np.eye(bog.n)
+    profile = 0.25 * np.block([[I2 + S, A], [-A, I2 - S]])
+    K = (V @ build_M(chain)[rows, rows] @ V.T) * profile
+    out = -trace_series(np.concatenate([bog.lam, -bog.lam]), K, times)
     return out - out[0]
 
 

@@ -6,9 +6,10 @@ from xylab import disorder
 from xylab import ed_oracle as ed
 from xylab import entanglement as ent
 from xylab import experiments as xp
+from xylab import hamiltonian as ham
 from xylab import quasifree as qf
 from xylab import transport as tr
-from xylab.hamiltonian import alpha_from_index, block_norms, bogoliubov, build_A, diagonalize_A
+from xylab.hamiltonian import alpha_from_index, block_norms, bogoliubov, build_A, build_M, diagonalize_A
 
 
 @pytest.fixture
@@ -61,6 +62,28 @@ def random_chain(rng, n, anisotropic=True, nu_scale=1.5):
     mu = rng.uniform(-1, 1, n - 1)
     gamma = rng.uniform(-0.8, 0.8, n - 1) if anisotropic else np.zeros(n - 1)
     nu = rng.uniform(-nu_scale, nu_scale, n)
+    return disorder.make_chain(mu, gamma, nu)
+
+
+CORNERS = ("random", "gamma_pm1", "zero_bond", "nu_zero", "clean")
+
+
+def corner_chain(rng, n, corner):
+    """A random anisotropic chain of n sites, or one at a degenerate corner:
+    Ising bonds gamma = +-1, a zero bond that splits the chain, zero field
+    (a lambda = 0 mode at odd n) or the clean chain mu = 1, gamma = nu = 0
+    (A + B with repeated singular values)."""
+    mu = rng.uniform(-1, 1, n - 1)
+    gamma = rng.uniform(-0.8, 0.8, n - 1)
+    nu = rng.uniform(-1.5, 1.5, n)
+    if corner == "gamma_pm1":
+        gamma = rng.choice([-1.0, 1.0], n - 1)
+    elif corner == "zero_bond" and n > 1:
+        mu[(n - 1) // 2] = 0.0
+    elif corner == "nu_zero":
+        nu = np.zeros(n)
+    elif corner == "clean":
+        mu, gamma, nu = np.ones(n - 1), np.zeros(n - 1), np.zeros(n)
     return disorder.make_chain(mu, gamma, nu)
 
 
@@ -201,7 +224,7 @@ def dynamic_kernel(rho_1p, sd_A, t):
     """One-particle kernel rho * exp(2itA) whose (x, y) entry is the
     dynamic pair correlation <tau_t(c_y^*) c_x> in the particle
     sector (tau_t(X) = e^{itH} X e^{-itH})."""
-    return rho_1p @ sd_A.function_of(lambda lam: np.exp(2j * t * lam))
+    return rho_1p @ function_of(sd_A, lambda lam: np.exp(2j * t * lam))
 
 
 def multipoint_correlation(kernel, x, y):
@@ -230,7 +253,7 @@ def trace_norm_inequality_gap(chain, s1, s2, eta, t):
     A = build_A(chain)
     AS1 = np.zeros_like(A)
     AS1[np.ix_(idx1, idx1)] = A[np.ix_(idx1, idx1)]
-    U = diagonalize_A(chain).function_of(lambda lam: np.exp(2j * t * lam))
+    U = function_of(diagonalize_A(chain), lambda lam: np.exp(2j * t * lam))
     evolved = U @ AS1 @ U.conj().T
     lhs = abs(float(np.real(np.sum(np.diag(evolved)[idx2] * eta[idx2]))))
     rhs = 2.0 * np.linalg.norm(A, 2) * float(np.sum(np.abs(U[np.ix_(idx2, idx1)])))
@@ -271,8 +294,108 @@ def quench_initial_gamma(chain, ell, alpha_left, alpha_right):
 
 
 # ---------------------------------------------------------------------------
-# the 2n block kernels on an eigensystem of M, the references of
-# eigencorrelator's n-mode block forms
+# the 2n x 2n forms: the dense eigensolver, W and M's eigensystem read off
+# it, and the kernels on them, the references of the n-mode forms in src
+
+
+def diagonalize(X):
+    """Eigendecomposition of a real symmetric matrix; residuals are
+    verified."""
+    X = np.asarray(X, dtype=float)
+    sym_err = np.max(np.abs(X - X.T)) if X.size else 0.0
+    if sym_err > 1e-12:
+        raise ValueError(f"matrix not symmetric: max asymmetry {sym_err:.3e}")
+    lam, V = np.linalg.eigh(X)
+    scale = max(np.max(np.abs(lam)), 1.0) if lam.size else 1.0
+    resid = np.max(np.abs(X @ V - V * lam)) if lam.size else 0.0
+    orth = np.max(np.abs(V.T @ V - np.eye(len(lam)))) if lam.size else 0.0
+    if resid > 1e-10 * scale or orth > 1e-10:
+        raise ham.EigensolverError(
+            f"eigensolver residuals too large: |XV-VL|={resid:.3e}, |V^tV-I|={orth:.3e}")
+    return ham.SpectralDecomposition(eigenvalues=lam, eigenvectors=V)
+
+
+def function_of(sd, g):
+    """g(X) of X = V diag(lam) V^t via the spectral theorem; g applied
+    elementwise to the eigenvalues (may return complex values)."""
+    V = sd.eigenvectors
+    return (V * g(sd.eigenvalues)) @ V.T
+
+
+def bogoliubov_W(bog):
+    """Orthogonal, W J W^t = J, W M W^t = diag(+l_j, -l_j) blocks: rows (2j, 2j+1)
+    interleave ((g+h)/2, (g-h)/2) and ((g-h)/2, (g+h)/2), g, h column j of Psi, Phi."""
+    n = bog.n
+    W = np.zeros((2 * n, 2 * n))
+    phi = 0.5 * (bog.Psi + bog.Phi)  # c-components of the +lambda eigenvectors
+    psi = 0.5 * (bog.Psi - bog.Phi)  # c^*-components
+    W[0::2, 0::2] = phi.T
+    W[0::2, 1::2] = psi.T
+    W[1::2, 0::2] = psi.T
+    W[1::2, 1::2] = phi.T
+    return W
+
+
+def spectral_M(bog):
+    """The eigensystem of M read off W: row 2j of W is the eigenvector of
+    +lambda_j and row 2j+1 that of -lambda_j (Lieb-Schultz-Mattis),
+    ordered so the eigenvalues ascend."""
+    W = bogoliubov_W(bog)
+    return ham.SpectralDecomposition(
+        eigenvalues=np.concatenate([-bog.lam[::-1], bog.lam]),
+        eigenvectors=np.concatenate([W[1::2][::-1], W[0::2]]).T,
+    )
+
+
+def eigenstate_gamma_2n(bog, alpha):
+    """W^t P W, the spectral projection selecting +lambda_j for empty modes
+    and -lambda_j for occupied ones."""
+    W = bogoliubov_W(bog)
+    return (W.T * qf.mode_selector(alpha)) @ W
+
+
+def thermal_gamma_2n(sd_M, beta):
+    """(1 + exp(-2 beta M))^{-1} from the eigensystem sd_M of M."""
+    return function_of(sd_M, lambda lam: 0.5 * (1.0 + np.tanh(beta * lam)))
+
+
+def evolve_gamma_2n(gamma, sd_M, t):
+    """exp(-2itM) gamma exp(+2itM) by the dense propagator of the
+    eigensystem sd_M of M."""
+    U = function_of(sd_M, lambda lam: np.exp(-2j * t * lam))
+    return U @ gamma @ U.conj().T
+
+
+def block_spectral_norms(gamma):
+    """n x n table of spectral norms of the 2x2 blocks of a 2n x 2n gamma."""
+    n = len(gamma) // 2
+    blocks = gamma.reshape(n, 2, n, 2).transpose(0, 2, 1, 3)
+    return block_norms(blocks.real, blocks.imag if np.iscomplexobj(blocks) else None)
+
+
+def entropy_from_gamma(gamma, ell):
+    """Von Neumann entropy of the reduction to [1, ell]: -sum zeta ln zeta
+    over the upper-left 2*ell block spectrum."""
+    ent._check_cut(ell, len(gamma) // 2)
+    return float(ent._spectrum_entropy(np.linalg.eigvalsh(gamma[: 2 * ell, : 2 * ell])))
+
+
+def ps_bound_gamma(gamma, ell):
+    """Cross-cut bound 2 ln 2 * sum_{j<=ell} sum_{k>ell} ||gamma(j,k)|| of
+    any correlation matrix."""
+    ent._check_cut(ell, len(gamma) // 2)
+    return float(2.0 * ent.LN2 * np.sum(block_spectral_norms(gamma)[:ell, ell:]))
+
+
+def energy_fluctuation_series_2n(chain, s1, eta, times):
+    """transport.energy_fluctuation_series as the profile trace of M_{S1}
+    over M's eigensystem read off W."""
+    idx = tr._interval_projector_indices(s1)
+    M = build_M(chain)
+    rows = np.sort(np.concatenate([2 * idx, 2 * idx + 1]))
+    out = -tr._profile_trace(spectral_M(bogoliubov(chain)), rows, M[np.ix_(rows, rows)],
+                             np.diag(qf.profile_gamma(eta)), times)
+    return out - out[0]
 
 
 def block_table_2n(sd):

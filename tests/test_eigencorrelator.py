@@ -14,9 +14,10 @@ from xylab.disorder import (
     uniform,
 )
 
-from conftest import (block_amplitude_sup_2n, block_table_2n, dense_cs, ed_commutator_sups,
-                      ensemble_mean, heisenberg_evolve, high_disorder_chain,
-                      high_disorder_ensemble, random_chain)
+from conftest import (block_amplitude_sup_2n, block_table_2n, corner_chain, dense_cs,
+                      diagonalize, ed_commutator_sups, ensemble_mean, function_of,
+                      heisenberg_evolve, high_disorder_chain, high_disorder_ensemble, random_chain,
+                      spectral_M)
 
 
 def test_decoupled_chain_identity_table():
@@ -27,7 +28,7 @@ def test_decoupled_chain_identity_table():
 
 
 def test_two_site_closed_form():
-    sd = ham.diagonalize(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    sd = diagonalize(np.array([[0.0, 1.0], [1.0, 0.0]]))
     Q = ec.eigencorrelator_table(sd)
     assert Q[0, 1] == pytest.approx(1.0, abs=1e-12)
     assert Q[0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -42,31 +43,16 @@ def test_scalar_diagonal_is_one(rng):
 
 def test_block_table_symmetry_and_dominance(rng):
     ch = random_chain(rng, 6)
-    sd = ham.diagonalize(ham.build_M(ch))
+    sd = diagonalize(ham.build_M(ch))
     for Q in (ec.eigencorrelator_table(ham.bogoliubov(ch)), block_table_2n(sd)):
         assert Q.shape == (6, 6)
         assert np.max(np.abs(Q - Q.T)) < 1e-12
         # dominates |g(M)| blocks for a sample of bounded spectral functions
         for g in (lambda x: np.sign(x), lambda x: np.cos(3.0 * x), lambda x: np.clip(x, -1, 1)):
-            gm = sd.function_of(g)
+            gm = function_of(sd, g)
             blocks = gm.reshape(6, 2, 6, 2).transpose(0, 2, 1, 3)
             norms = np.array([[np.linalg.norm(blocks[j, k], 2) for k in range(6)] for j in range(6)])
             assert np.max(norms - Q) < 1e-9
-
-
-def _corner_chain(rng, corner, n):
-    """A chain of n sites at a corner of the block kernels: gamma = +-1 on
-    every bond, a zero bond, nu = 0 or the clean XX chain."""
-    mu, gamma, nu = rng.uniform(-1, 1, n - 1), rng.uniform(-0.8, 0.8, n - 1), rng.uniform(-1.5, 1.5, n)
-    if corner == "gamma_pm1":
-        gamma = rng.choice([-1.0, 1.0], n - 1)
-    elif corner == "zero_bond" and n > 1:
-        mu[(n - 1) // 2] = 0.0
-    elif corner == "nu_zero":
-        nu = np.zeros(n)
-    elif corner == "clean":
-        mu, gamma, nu = np.ones(n - 1), np.zeros(n - 1), np.zeros(n)
-    return make_chain(mu, gamma, nu)
 
 
 @pytest.mark.parametrize("corner", ["gamma_pm1", "zero_bond", "nu_zero", "clean"])
@@ -74,11 +60,12 @@ def _corner_chain(rng, corner, n):
 def test_n_mode_block_kernels_match_the_2n_references(rng, n, corner):
     # the n-mode forms read Psi and Phi; the references run on the 2n
     # eigensystem of M that W gives, the same eigenbasis
-    bog = ham.bogoliubov(_corner_chain(rng, corner, n))
+    bog = ham.bogoliubov(corner_chain(rng, n, corner))
     times = np.linspace(0.0, 8.0, 33 if n < 200 else 6)
-    assert np.max(np.abs(ec.eigencorrelator_table(bog) - block_table_2n(bog.spectral))) <= 1e-13
+    sd = spectral_M(bog)
+    assert np.max(np.abs(ec.eigencorrelator_table(bog) - block_table_2n(sd))) <= 1e-13
     got = ec.dynamic_amplitude_sup(bog, times)
-    assert np.max(np.abs(got - block_amplitude_sup_2n(bog.spectral, times))) <= 1e-13
+    assert np.max(np.abs(got - block_amplitude_sup_2n(sd, times))) <= 1e-13
     assert np.array_equal(got, got.T)
 
 
@@ -93,7 +80,7 @@ def test_block_table_bounds_amplitudes_in_either_eigenbasis(rng, corner):
     else:
         ch = make_chain(np.ones(7), np.full(7, 1.0 if corner == "clean_ising" else 0.0), np.zeros(8))
     times = np.linspace(0.0, 6.0, 25)
-    bog, sd = ham.bogoliubov(ch), ham.diagonalize(ham.build_M(ch))
+    bog, sd = ham.bogoliubov(ch), diagonalize(ham.build_M(ch))
     amps = [ec.dynamic_amplitude_sup(bog, times), block_amplitude_sup_2n(sd, times)]
     assert np.all(amps[0] <= ec.eigencorrelator_table(bog) + 1e-12)
     assert np.all(amps[1] <= block_table_2n(sd) + 1e-12)
@@ -122,9 +109,9 @@ def test_block_amplitude_matches_oracle_commutator_scale(rng):
     # |exp(-2itM)| blocks are the one-particle amplitudes of the mode dynamics
     n = 4
     ch = random_chain(rng, n)
-    sdM = ham.diagonalize(ham.build_M(ch))
+    sdM = diagonalize(ham.build_M(ch))
     t = 0.9
-    U = sdM.function_of(lambda lam: np.exp(-2j * t * lam))
+    U = function_of(sdM, lambda lam: np.exp(-2j * t * lam))
     # oracle: tau_t(c_j) expanded in the operator basis (c_k, c_k^*)
     hd = ed.spectral(ed.build_H(ch))
     cs = dense_cs(n)
@@ -281,7 +268,7 @@ def test_amplitude_sup_matches_per_step_propagator(rng, monkeypatch, case, grid)
     if grid == "tiny_chunks":  # one time per chunk, and a few per chunk
         monkeypatch.setattr(qf, "_GRID_CHUNK_ENTRIES", 64)
     sdA = ham.diagonalize_A(make_chain(ch.mu, (0.0,) * (n - 1), ch.nu))
-    sdM = ham.diagonalize(ham.build_M(ch))
+    sdM = diagonalize(ham.build_M(ch))
     for dec, sd, block in ((sdA, sdA, False), (ham.bogoliubov(ch), sdM, True)):
         got = ec.dynamic_amplitude_sup(dec, times)
         assert np.max(np.abs(got - _amplitude_per_step(sd, times, block))) <= 1e-13

@@ -11,14 +11,16 @@ from xylab.disorder import make_chain, sample_chain, uniform
 from xylab.eigencorrelator import DecayFit
 from xylab.hamiltonian import alpha_from_index
 
-from conftest import (block_table_2n, high_disorder_ensemble, purity_defect, quench_initial_gamma,
-                      random_chain, thermal_entanglement_of_formation_bound, validate)
+from conftest import (CORNERS, block_spectral_norms, block_table_2n, bogoliubov_W, corner_chain,
+                      diagonalize, eigenstate_gamma_2n, entropy_from_gamma, high_disorder_ensemble,
+                      ps_bound_gamma, purity_defect, quench_initial_gamma, random_chain,
+                      thermal_entanglement_of_formation_bound, validate)
 
 
 def test_product_state_has_zero_entropy():
     cm = qf.profile_gamma([1.0, 0.0, 1.0])
     for ell in (1, 2):
-        assert ent.entropy_from_gamma(cm, ell) == pytest.approx(0.0, abs=1e-9)
+        assert entropy_from_gamma(cm, ell) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_single_bell_mode_gives_ln2():
@@ -31,7 +33,7 @@ def test_single_bell_mode_gives_ln2():
     gamma[0, 2] = gamma[2, 0] = -0.5
     validate(gamma)
     assert purity_defect(gamma) < 1e-12
-    assert ent.entropy_from_gamma(gamma, 1) == pytest.approx(np.log(2), abs=1e-9)
+    assert entropy_from_gamma(gamma, 1) == pytest.approx(np.log(2), abs=1e-9)
 
 
 def test_entropy_matches_oracle_every_eigenstate_every_cut(rng):
@@ -48,7 +50,7 @@ def test_entropy_matches_oracle_every_eigenstate_every_cut(rng):
         cm = qf.eigenstate_gamma(bog, alpha_from_index(a, n))
         psi = evecs[:, idxs[a]]
         for ell in range(1, n):
-            s_free = ent.entropy_from_gamma(cm, ell)
+            s_free = entropy_from_gamma(cm, ell)
             s_ed = ed.von_neumann_entropy(ed.reduced_density(psi, n, ell))
             assert abs(s_free - s_ed) < 1e-7
             checked += 1
@@ -60,7 +62,7 @@ def test_left_right_symmetry_for_pure_states(rng):
     bog = ham.bogoliubov(ch)
     cm = qf.eigenstate_gamma(bog, [1, 0, 1, 1, 0, 0, 1])
     for ell in (1, 3, 6):
-        left = ent.entropy_from_gamma(cm, ell)
+        left = entropy_from_gamma(cm, ell)
         # the complement block's spectrum
         right = ent._spectrum_entropy(np.linalg.eigvalsh(cm[2 * ell :, 2 * ell :]))
         assert abs(left - right) < 1e-8
@@ -71,13 +73,16 @@ def test_entropy_bounded_by_volume(rng):
     bog = ham.bogoliubov(ch)
     cm = qf.eigenstate_gamma(bog, [1, 0, 1, 0, 1, 0, 1, 0])
     for ell in (2, 4, 7):
-        s = ent.entropy_from_gamma(cm, ell)
+        s = entropy_from_gamma(cm, ell)
         assert s <= min(ell, 8 - ell) * 2 * np.log(2) + 1e-8
 
 
 def test_ps_bound_diagonal_gamma_is_zero():
     cm = qf.profile_gamma([0.3, 0.8, 0.1])
-    assert ent.ps_bound(cm, 1) == pytest.approx(0.0, abs=1e-14)
+    assert ps_bound_gamma(cm, 1) == pytest.approx(0.0, abs=1e-14)
+    # a decoupled chain's eigenstates are product states
+    bog = ham.bogoliubov(make_chain([0.0, 0.0], [0.0, 0.0], [1.0, -2.0, 0.7]))
+    assert ent.ps_bound(bog, [1, 0, 1], 1) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_ps_bound_dominates_entropy(rng):
@@ -87,21 +92,20 @@ def test_ps_bound_dominates_entropy(rng):
         alpha = (np.random.default_rng(1).integers(0, 2, 6))
         cm = qf.eigenstate_gamma(bog, alpha)
         for ell in range(1, 6):
-            assert ent.entropy_from_gamma(cm, ell) <= ent.ps_bound(cm, ell) + 1e-8
+            assert entropy_from_gamma(cm, ell) <= ent.ps_bound(bog, alpha, ell) + 1e-8
 
 
 def test_ps_bound_on_evolved_state(rng):
     # the cross-block bound applies to the complex evolved matrices too
     ch = random_chain(rng, 5)
-    sd = ham.diagonalize(ham.build_M(ch))
-    cm = qf.evolve_gamma(qf.profile_gamma([1, 0, 0, 1, 0]), sd, 1.3)
-    assert ent.entropy_from_gamma(cm, 2) <= ent.ps_bound(cm, 2) + 1e-8
+    cm = qf.evolve_gamma(qf.profile_gamma([1, 0, 0, 1, 0]), ham.bogoliubov(ch), 1.3)
+    assert entropy_from_gamma(cm, 2) <= ps_bound_gamma(cm, 2) + 1e-8
 
 
 def test_block_spectral_norms_against_svd(rng):
     g = rng.normal(size=(8, 8))
     g = g + g.T
-    norms = ent.block_spectral_norms(g)
+    norms = block_spectral_norms(g)
     for j in range(4):
         for k in range(4):
             ref = np.linalg.norm(g[2 * j : 2 * j + 2, 2 * k : 2 * k + 2], 2)
@@ -164,19 +168,8 @@ def test_batched_kernel_fires_on_sigma_squared_above_one():
 
 
 def _corner_chain(rng, corner):
-    n = {"n2": 2, "nu_zero": 7}.get(corner, 8)
-    mu = rng.uniform(-1, 1, n - 1)
-    gamma = rng.uniform(-0.8, 0.8, n - 1)
-    nu = rng.uniform(-1.5, 1.5, n)
-    if corner == "gamma_pm1":
-        gamma = rng.choice([-1.0, 1.0], n - 1)
-    elif corner == "zero_bond":
-        mu[3] = 0.0  # splits the chain between sites 4 and 5
-    elif corner == "nu_zero":
-        nu = np.zeros(n)  # odd n: a lambda = 0 mode
-    elif corner == "clean":
-        mu, gamma, nu = np.ones(n - 1), np.zeros(n - 1), np.zeros(n)
-    return make_chain(mu, gamma, nu)
+    n = {"n2": 2, "nu_zero": 7}.get(corner, 8)  # odd n: a lambda = 0 mode at nu = 0
+    return corner_chain(rng, n, "random" if corner == "n2" else corner)
 
 
 @pytest.mark.parametrize("corner", ["random", "gamma_pm1", "zero_bond", "nu_zero", "clean", "n2"])
@@ -184,23 +177,51 @@ def test_batched_label_entropies_match_per_label(rng, corner):
     bog = ham.bogoliubov(_corner_chain(rng, corner))
     labels = alpha_from_index(np.arange(2**bog.n)[:, None], bog.n)
     for ell in range(1, bog.n):
-        WA = bog.W[:, : 2 * ell]
+        WA = ham._w_columns(bog, slice(0, ell))
         batched = ent._label_entropies(bog, ell, labels)
         exact = [ent._label_entropy(WA, alpha) for alpha in labels]
         assert np.max(np.abs(batched - exact)) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 60])
+@pytest.mark.parametrize("corner", CORNERS)
+def test_rescorer_slice_is_bitwise_the_w_columns(rng, n, corner):
+    bog = ham.bogoliubov(corner_chain(rng, n, corner))
+    W = bogoliubov_W(bog)
+    for ell in range(n + 1):
+        WA = ham._w_columns(bog, slice(0, ell))
+        assert WA.shape == (2 * n, 2 * ell) and WA.tobytes() == W[:, : 2 * ell].tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 7, 60])
+@pytest.mark.parametrize("corner", CORNERS)
+def test_ps_bound_is_the_bound_of_the_eigenstate_gamma(rng, n, corner):
+    # Y = Psi diag(1 - 2 alpha) Phi^t against the cross-cut block norms of
+    # the eigenstate's 2n x 2n gamma
+    bog = ham.bogoliubov(corner_chain(rng, n, corner))
+    for alpha in (np.zeros(n, dtype=int), np.ones(n, dtype=int), rng.integers(0, 2, n)):
+        gamma = eigenstate_gamma_2n(bog, alpha)
+        for ell in sorted({1, n // 2, n - 1}):
+            ref = ps_bound_gamma(gamma, ell)
+            assert abs(ent.ps_bound(bog, alpha, ell) - ref) <= 1e-13 + 1e-12 * ref
+    with pytest.raises(ValueError, match="1 <= ell < n"):
+        ent.ps_bound(bog, np.zeros(n, dtype=int), n)
+    for bad in ([1], np.zeros(n + 1, dtype=int), np.full(n, 2)):  # [1] would broadcast
+        with pytest.raises(ValueError, match="^alpha must be a 0/1 vector of length n$"):
+            ent.ps_bound(bog, bad, 1)
+
+
 def _loop_max(bog, ell, labels):
     """The per-label reference: (entropy, ps_bound) of the first label of
     maximal exact score; also the gap between the two best scores."""
-    WA = bog.W[:, : 2 * ell]
+    WA = bogoliubov_W(bog)[:, : 2 * ell]
     scores = [ent._label_entropy(WA, alpha) for alpha in labels]
     best, best_alpha = -1.0, None
     for s, alpha in zip(scores, labels):
         if s > best:
             best, best_alpha = s, alpha
     top = sorted(scores)
-    return (best, ent.ps_bound(qf.eigenstate_gamma(bog, best_alpha), ell)), top[-1] - top[-2]
+    return (best, ent.ps_bound(bog, best_alpha, ell)), top[-1] - top[-2]
 
 
 # perfbench `entanglement_static` at workload seed s: n=60, realization i
@@ -286,7 +307,7 @@ def test_thermal_entanglement_of_formation_bound(rng):
     bog = ham.bogoliubov(ch)
     # beta -> inf: ground state only
     ground = qf.eigenstate_gamma(bog, np.zeros(6, dtype=int))
-    s0 = ent.entropy_from_gamma(ground, 3)
+    s0 = entropy_from_gamma(ground, 3)
     assert thermal_entanglement_of_formation_bound(bog, 3, np.inf) == pytest.approx(s0, abs=1e-10)
     # decoupled chain: zero at any beta
     dec = make_chain([0.0] * 5, [0.0] * 5, [1.0, -2.0, 0.5, 3.0, -0.4, 1.7])
@@ -313,7 +334,7 @@ def test_thermal_entanglement_of_formation_bound(rng):
 
 def test_thermal_bound_is_the_weighted_label_average(rng):
     bog = ham.bogoliubov(random_chain(rng, 7))
-    WA = bog.W[:, :6]
+    WA = bogoliubov_W(bog)[:, :6]
     weights = [np.exp(-2.0 * 0.7 * np.sum(bog.lam[alpha_from_index(a, 7) == 1])) for a in range(2**7)]
     entropies = [ent._label_entropy(WA, alpha_from_index(a, 7)) for a in range(2**7)]
     expected = np.dot(weights, entropies) / np.sum(weights)
@@ -328,7 +349,7 @@ def test_thermal_bound_sampled_draws_one_row_per_sample(rng):
     draws = np.random.default_rng(9)
     p_occ = expit(-2.0 * 0.5 * bog.lam)
     labels = [(draws.random(16) < p_occ).astype(int) for _ in range(30)]
-    expected = np.mean([ent._label_entropy(bog.W[:, :10], alpha) for alpha in labels])
+    expected = np.mean([ent._label_entropy(bogoliubov_W(bog)[:, :10], alpha) for alpha in labels])
     got = thermal_entanglement_of_formation_bound(bog, 5, 0.5, sample_count=30, seed=9)
     assert got == pytest.approx(expected, abs=1e-12)
 
@@ -347,8 +368,7 @@ def test_ensemble_ps_bound_below_fitted_constant():
     prof_acc = None
     for i in range(ens.realizations):
         ch = sample_chain(ens, i)
-        sd = ham.diagonalize(ham.build_M(ch))
-        Q = block_table_2n(sd)
+        Q = block_table_2n(diagonalize(ham.build_M(ch)))
         sup_bounds.append(2.0 * np.log(2.0) * float(np.sum(Q[:ell, ell:])))
         prof = ec.distance_profile(Q, 40)
         prof_acc = prof if prof_acc is None else prof_acc + prof
@@ -370,7 +390,7 @@ def test_cut_validation():
     cm = qf.profile_gamma([0.0, 0.0])
     for ell in (0, 2):
         with pytest.raises(ValueError, match="1 <= ell < n"):
-            ent.entropy_from_gamma(cm, ell)
+            entropy_from_gamma(cm, ell)
 
 
 @pytest.mark.parametrize("bonds", ["anisotropic", "gamma_pm1", "zero_bond", "nu_zero", "clean",
@@ -396,14 +416,13 @@ def test_quench_entropy_matches_per_step_evolution(rng, bonds):
     bog = ham.bogoliubov(ch)
     if bonds == "clean":
         assert np.min(np.diff(bog.lam)) < 1e-12  # +-k modes share a singular value
-    sd = ham.diagonalize(ham.build_M(ch))
     times = np.arange(0.0, 6.0, 0.5)
     for ell in (1, 3, 5, 7) if n == 8 else range(1, n):
         a_left = rng.integers(0, 2, ell)
         a_right = rng.integers(0, 2, n - ell)
         series = ent.quench_entropy(ch, ell, a_left, a_right, times, bog)
         gamma0 = quench_initial_gamma(ch, ell, a_left, a_right)
-        loop = [ent.entropy_from_gamma(qf.evolve_gamma(gamma0, sd, t), ell) for t in times]
+        loop = [entropy_from_gamma(qf.evolve_gamma(gamma0, bog, t), ell) for t in times]
         assert np.max(np.abs(series - loop)) <= 1e-10
 
 

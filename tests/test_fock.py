@@ -11,8 +11,8 @@ from xylab import quasifree as qf
 from xylab.disorder import make_chain, sample_chain, uniform
 from xylab.eigencorrelator import DecayFit, fit_decay
 
-from conftest import (ensemble_mean, high_disorder_ensemble, occupation_bound, random_chain,
-                      spin_basis_index)
+from conftest import (diagonalize, ensemble_mean, high_disorder_ensemble, occupation_bound,
+                      random_chain, spin_basis_index)
 
 
 def test_hopcroft_karp_small_graphs():
@@ -40,7 +40,7 @@ def test_locate_centers_decoupled():
 
 
 def test_locate_centers_two_site_symmetric():
-    sd = ham.diagonalize(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    sd = diagonalize(np.array([[0.0, 1.0], [1.0, 0.0]]))
     ca = fock.locate_centers(sd, alpha=1.5)
     assert ca.matched
     assert sorted(ca.centers) == [1, 2]

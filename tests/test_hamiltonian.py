@@ -14,7 +14,8 @@ from xylab import quasifree as qf
 from xylab.disorder import make_chain
 from xylab.eigencorrelator import dynamic_amplitude_sup, eigencorrelator_table
 
-from conftest import block_table_2n, random_chain, region_number_op
+from conftest import (block_table_2n, bogoliubov_W, diagonalize, function_of, random_chain,
+                      region_number_op, spectral_M)
 
 
 def test_build_A_explicit():
@@ -73,7 +74,7 @@ def test_spectrum_of_M_symmetric_about_zero(rng):
 
 
 def test_diagonalize_diagonal_matrix():
-    sd = ham.diagonalize(np.diag([3.0, -1.0, 2.0]))
+    sd = diagonalize(np.diag([3.0, -1.0, 2.0]))
     assert np.allclose(sd.eigenvalues, [-1.0, 2.0, 3.0])
     # a permutation matrix up to column signs
     assert np.allclose(np.abs(sd.eigenvectors), np.eye(3)[:, [1, 2, 0]])
@@ -82,7 +83,7 @@ def test_diagonalize_diagonal_matrix():
 def test_diagonalize_residuals_random(rng):
     ch = random_chain(rng, 50, anisotropic=False, nu_scale=5.0)
     A = ham.build_A(ch)
-    sd = ham.diagonalize(A)
+    sd = diagonalize(A)
     assert np.max(np.abs(A @ sd.eigenvectors - sd.eigenvectors * sd.eigenvalues)) < 1e-10 * np.linalg.norm(A)
     sd2 = ham.diagonalize_A(ch)
     assert np.allclose(sd.eigenvalues, sd2.eigenvalues, atol=1e-10)
@@ -130,7 +131,7 @@ def test_missing_lapack_extension_is_one_import_error(tmp_path, monkeypatch):
 
 def test_diagonalize_rejects_asymmetric():
     with pytest.raises(ValueError):
-        ham.diagonalize(np.array([[0.0, 1.0], [0.5, 0.0]]))
+        diagonalize(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
 
 def test_bogoliubov_decoupled_lambda_sorted_abs_nu():
@@ -154,9 +155,10 @@ def test_bogoliubov_invariants(rng):
         n2 = 2 * n
         J = np.kron(np.eye(n), [[0, 1], [1, 0]])
         M = ham.build_M(ch)
-        assert np.max(np.abs(bog.W @ bog.W.T - np.eye(n2))) < 1e-10
-        assert np.max(np.abs(bog.W @ J @ bog.W.T - J)) < 1e-10
-        D = bog.W @ M @ bog.W.T
+        W = bogoliubov_W(bog)
+        assert np.max(np.abs(W @ W.T - np.eye(n2))) < 1e-10
+        assert np.max(np.abs(W @ J @ W.T - J)) < 1e-10
+        D = W @ M @ W.T
         target = np.zeros((n2, n2))
         target[0::2, 0::2] = np.diag(bog.lam)
         target[1::2, 1::2] = np.diag(-bog.lam)
@@ -267,16 +269,16 @@ def _spectral_cases(rng):
 def test_bogoliubov_spectral_matches_dense_eigh(rng, case):
     ch, table_defined = _spectral_cases(rng)[case]
     bog = ham.bogoliubov(ch)
-    sd = bog.spectral
+    sd = spectral_M(bog)
     M = ham.build_M(ch)
-    ref = ham.diagonalize(M)
+    ref = diagonalize(M)
     V, lam = sd.eigenvectors, sd.eigenvalues
     scale = max(1.0, float(np.max(np.abs(lam))))
     assert np.all(np.diff(lam) >= 0.0)
     assert np.max(np.abs(lam - ref.eigenvalues)) <= 1e-12 * scale
     assert np.max(np.abs(M @ V - V * lam)) <= 1e-10
     assert np.max(np.abs(V.T @ V - np.eye(2 * ch.n))) <= 1e-10
-    assert np.max(np.abs(sd.function_of(np.cos) - ref.function_of(np.cos))) <= 1e-10
+    assert np.max(np.abs(function_of(sd, np.cos) - function_of(ref, np.cos))) <= 1e-10
     if table_defined:
         assert np.max(np.abs(eigencorrelator_table(bog) - block_table_2n(ref))) <= 1e-10
     else:

@@ -12,16 +12,19 @@ from xylab import quasifree as qf
 from xylab.disorder import make_chain
 from xylab.hamiltonian import alpha_from_index
 
-from conftest import (dense_cs, dynamic_kernel, heisenberg_evolve, multipoint_correlation,
-                      occupations, one_particle_density, purity_defect, quench_initial_gamma,
-                      random_chain, spin_basis_vector, validate)
+from conftest import (CORNERS, bogoliubov_W, corner_chain, dense_cs, diagonalize, dynamic_kernel,
+                      eigenstate_gamma_2n, evolve_gamma_2n, function_of, heisenberg_evolve,
+                      multipoint_correlation, occupations, one_particle_density, purity_defect,
+                      quench_initial_gamma, random_chain, spectral_M, spin_basis_vector,
+                      thermal_gamma_2n, validate)
 
 
 def test_vacuum_gamma_is_projector(rng):
     ch = make_chain([0.0, 0.0], [0.0, 0.0], [1.0, -2.0, 3.0])
     bog = ham.bogoliubov(ch)
     cm = qf.eigenstate_gamma(bog, [0, 0, 0])
-    expected = bog.W.T @ np.diag([1.0, 0.0] * 3) @ bog.W
+    W = bogoliubov_W(bog)
+    expected = W.T @ np.diag([1.0, 0.0] * 3) @ W
     assert np.max(np.abs(cm - expected)) < 1e-12
     assert purity_defect(cm) < 1e-12
 
@@ -54,41 +57,59 @@ def test_eigenstate_gamma_matches_oracle(rng):
 
 def test_thermal_gamma_limits(rng):
     ch = random_chain(rng, 4)
-    M = ham.build_M(ch)
-    sd = ham.diagonalize(M)
-    cm0 = qf.thermal_gamma(sd, 0.0)
-    assert np.max(np.abs(cm0 - np.eye(8) / 2)) < 1e-12
     bog = ham.bogoliubov(ch)
+    cm0 = qf.thermal_gamma(bog, 0.0)
+    assert np.max(np.abs(cm0 - np.eye(8) / 2)) < 1e-12
     beta = 1e3 / bog.lam[0]
-    cm_inf = qf.thermal_gamma(sd, beta)
+    cm_inf = qf.thermal_gamma(bog, beta)
     vac = qf.eigenstate_gamma(bog, np.zeros(4, dtype=int))
     assert np.max(np.abs(cm_inf - vac)) < 1e-6
 
 
 def test_thermal_gamma_is_the_logistic_function_without_overflow():
     # (1 + tanh(beta lam)) / 2 against expit(2 beta lam) out to |beta lam| = 1e3,
-    # where exp(2 beta lam) overflows; the identity eigenvectors put the
-    # Fermi function itself on the diagonal
+    # where exp(2 beta lam) overflows; identity factors Psi = Phi = I put the
+    # Fermi function of +lam and of -lam on the diagonal of each site
     from scipy.special import expit
 
-    lam = np.concatenate([-np.logspace(-3, 3, 40), [0.0, 0.0], np.logspace(-3, 3, 40)])
-    sd = ham.SpectralDecomposition(eigenvalues=lam, eigenvectors=np.eye(len(lam)))
+    lam = np.concatenate([[0.0, 0.0], np.logspace(-3, 3, 40)])
+    eye = np.eye(len(lam))
+    bog = ham.BogoliubovDecomposition(eye, eye, lam, float(np.sum(lam)), True)
     for beta in (0.0, 0.37, 1.0):
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            gamma = qf.thermal_gamma(sd, beta)
-        assert np.max(np.abs(np.diag(gamma) - expit(2.0 * beta * lam))) <= 1e-15
+            gamma = qf.thermal_gamma(bog, beta)
+        assert np.max(np.abs(np.diag(gamma)[0::2] - expit(2.0 * beta * lam))) <= 1e-15
+        assert np.max(np.abs(np.diag(gamma)[1::2] - expit(-2.0 * beta * lam))) <= 1e-15
         assert np.count_nonzero(gamma - np.diag(np.diag(gamma))) == 0
 
 
 def test_thermal_gamma_matches_oracle(rng):
     n = 4
     ch = random_chain(rng, n)
-    sd = ham.diagonalize(ham.build_M(ch))
-    cm = qf.thermal_gamma(sd, 1.0)
+    cm = qf.thermal_gamma(ham.bogoliubov(ch), 1.0)
     rho = ed.thermal_state(ed.spectral(ed.build_H(ch)), 1.0)
     G_ed = ed.correlation_blocks(rho, ed.all_c(n))
     assert np.max(np.abs(cm - G_ed)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60])
+@pytest.mark.parametrize("corner", CORNERS)
+def test_states_and_propagator_match_the_2n_forms(rng, n, corner):
+    # the n x n product Y = Psi diag(s) Phi^t and the mode-pair propagator
+    # against the 2n x 2n references on W and M's eigensystem
+    bog = ham.bogoliubov(corner_chain(rng, n, corner))
+    sd = spectral_M(bog)
+    for alpha in (np.zeros(n, dtype=int), np.ones(n, dtype=int), rng.integers(0, 2, n)):
+        assert np.max(np.abs(qf.eigenstate_gamma(bog, alpha) - eigenstate_gamma_2n(bog, alpha))) <= 1e-13
+    for beta in (0.0, 0.7, 40.0):
+        assert np.max(np.abs(qf.thermal_gamma(bog, beta) - thermal_gamma_2n(sd, beta))) <= 1e-13
+    mixed = rng.normal(size=(2 * n, 2 * n))
+    states = (qf.profile_gamma(rng.uniform(0, 1, n)), qf.eigenstate_gamma(bog, rng.integers(0, 2, n)),
+              0.05 * (mixed + mixed.T))
+    for gamma in states:
+        for t in (0.0, 0.7, 3.3):
+            assert np.max(np.abs(qf.evolve_gamma(gamma, bog, t) - evolve_gamma_2n(gamma, sd, t))) <= 1e-12
 
 
 def test_profile_gamma_basics():
@@ -113,12 +134,11 @@ def test_profile_gamma_occupation_convention_vs_oracle():
 
 
 def test_evolve_gamma_identity_and_isospectrality(rng):
-    ch = random_chain(rng, 4)
-    sd = ham.diagonalize(ham.build_M(ch))
+    bog = ham.bogoliubov(random_chain(rng, 4))
     cm = qf.profile_gamma([1.0, 0.0, 1.0, 0.0])
-    cm0 = qf.evolve_gamma(cm, sd, 0.0)
+    cm0 = qf.evolve_gamma(cm, bog, 0.0)
     assert np.max(np.abs(cm0 - cm)) < 1e-12
-    cmt = qf.evolve_gamma(cm, sd, 2.7)
+    cmt = qf.evolve_gamma(cm, bog, 2.7)
     s0 = np.sort(np.linalg.eigvalsh(cm))
     st = np.sort(np.linalg.eigvalsh(cmt))
     assert np.max(np.abs(s0 - st)) < 1e-10
@@ -130,7 +150,7 @@ def test_evolve_gamma_matches_oracle_quench(rng):
     ch = random_chain(rng, n)
     ell = 2
     gamma0 = quench_initial_gamma(ch, ell, [0, 1], [0, 0])
-    sd = ham.diagonalize(ham.build_M(ch))
+    bog = ham.bogoliubov(ch)
     # oracle initial state: product of the matched half-chain eigenstates
     left = make_chain(ch.mu[: ell - 1], ch.gamma[: ell - 1], ch.nu[:ell])
     right = make_chain(ch.mu[ell:], ch.gamma[ell:], ch.nu[ell:])
@@ -147,7 +167,7 @@ def test_evolve_gamma_matches_oracle_quench(rng):
     G0_ed = ed.correlation_blocks(psi0, jw)
     assert np.max(np.abs(gamma0 - G0_ed)) < 1e-8
     for t in (0.3, 1.7):
-        cmt = qf.evolve_gamma(gamma0, sd, t)
+        cmt = qf.evolve_gamma(gamma0, bog, t)
         psit = ed.schroedinger_evolve_state(psi0, hd, t)
         Gt_ed = ed.correlation_blocks(psit, jw)
         assert np.max(np.abs(cmt - Gt_ed)) < 1e-8
@@ -275,18 +295,16 @@ def test_ordered_configuration_validation():
 
 
 def test_purity_preserved_under_evolution(rng):
-    ch = random_chain(rng, 5)
-    sd = ham.diagonalize(ham.build_M(ch))
-    bog = ham.bogoliubov(ch)
+    bog = ham.bogoliubov(random_chain(rng, 5))
     cm = qf.eigenstate_gamma(bog, [1, 0, 0, 1, 0])
-    evolved = qf.evolve_gamma(cm, sd, 3.3)
+    evolved = qf.evolve_gamma(cm, bog, 3.3)
     assert purity_defect(evolved) < 1e-8
 
 
 def test_trace_series_matches_per_step_propagator(rng):
     n = 7
     ch = random_chain(rng, n)
-    sd = ham.diagonalize(ham.build_M(ch))
+    sd = diagonalize(ham.build_M(ch))
     V, lam = sd.eigenvectors, sd.eigenvalues
     O = rng.normal(size=(2 * n, 2 * n))
     O = O + O.T
@@ -295,7 +313,7 @@ def test_trace_series_matches_per_step_propagator(rng):
     times = np.array([0.0, 0.35, 1.2, 4.0])
     series = qf.trace_series(lam, K, times)
     for t, value in zip(times, series):
-        U = sd.function_of(lambda x: np.exp(2j * t * x))
+        U = function_of(sd, lambda x: np.exp(2j * t * x))
         assert abs(value - np.trace(U @ O @ U.conj().T @ G)) < 1e-12
 
 
@@ -378,11 +396,11 @@ def test_grid_kernels_reject_an_empty_grid(rng, kernel):
 
 
 def test_series_reject_complex_input(rng):
-    sd = ham.diagonalize(ham.build_M(random_chain(rng, 3)))
+    bog = ham.bogoliubov(random_chain(rng, 3))
     with pytest.raises(ValueError, match="real K"):
-        qf.trace_series(sd.eigenvalues, np.eye(6) + 1j * np.eye(6), [0.0, 1.0])
+        qf.trace_series(bog.lam, np.eye(3) + 1j * np.eye(3), [0.0, 1.0])
     with pytest.raises(ValueError, match="real gamma"):
-        qf.evolve_gamma(np.eye(6) + 0j, sd, 1.0)
+        qf.evolve_gamma(np.eye(6) + 0j, bog, 1.0)
 
 
 @pytest.mark.parametrize("bond", [1.0, -1.0])
@@ -393,14 +411,15 @@ def test_evolution_matches_dense_propagator(rng, bond):
     gamma = rng.uniform(-0.5, 0.5, n - 1)
     gamma[2] = bond
     ch = make_chain(rng.uniform(0.2, 1.0, n - 1), gamma, rng.uniform(-1.0, 1.0, n))
-    sd = ham.diagonalize(ham.build_M(ch))
+    sd = diagonalize(ham.build_M(ch))
+    bog = ham.bogoliubov(ch)
     gamma0 = quench_initial_gamma(ch, 4, [1, 0, 1, 1], [0, 1])
     times = np.array([0.0, 0.45, 1.7, 6.3])
-    series = ent.quench_entropy(ch, 4, [1, 0, 1, 1], [0, 1], times, ham.bogoliubov(ch))
+    series = ent.quench_entropy(ch, 4, [1, 0, 1, 1], [0, 1], times, bog)
     for t, s in zip(times, series):
-        U = sd.function_of(lambda x: np.exp(-2j * t * x))
+        U = function_of(sd, lambda x: np.exp(-2j * t * x))
         dense = U @ gamma0 @ U.conj().T
-        assert np.max(np.abs(qf.evolve_gamma(gamma0, sd, t) - dense)) < 1e-12
+        assert np.max(np.abs(qf.evolve_gamma(gamma0, bog, t) - dense)) < 1e-12
         assert abs(s - ent._spectrum_entropy(np.linalg.eigvalsh(dense[:8, :8]))) < 1e-12
 
 
@@ -440,8 +459,8 @@ def test_grid_kernels_hold_memory_to_a_chunk(rng, monkeypatch, kernel):
 
 def test_evolve_gamma_rejects_non_hermitian_state(rng):
     n = 4
-    sd = ham.diagonalize(ham.build_M(random_chain(rng, n)))
+    bog = ham.bogoliubov(random_chain(rng, n))
     gamma = np.eye(2 * n)
     gamma[0, 3] = 1e-6  # anti-Hermitian part 1e-6, far above the 1e-9 tolerance
     with pytest.raises(ValueError, match="lost Hermiticity"):
-        qf.evolve_gamma(gamma, sd, 1.0)
+        qf.evolve_gamma(gamma, bog, 1.0)

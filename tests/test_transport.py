@@ -9,8 +9,8 @@ from xylab.disorder import EnsembleSpec, constant, make_chain, uniform
 from xylab.eigencorrelator import DecayFit
 from xylab.hamiltonian import diagonalize_A
 
-from conftest import (heisenberg_evolve, occupations, random_chain, region_number_op,
-                      trace_norm_inequality_gap)
+from conftest import (CORNERS, corner_chain, energy_fluctuation_series_2n, heisenberg_evolve,
+                      occupations, random_chain, region_number_op, trace_norm_inequality_gap)
 
 
 def profile_density_matrix(eta):
@@ -101,6 +101,23 @@ def test_energy_fluctuation_series_matches_oracle(rng):
     for i, t in enumerate((0.0, 0.5, 2.0)):
         rt = heisenberg_evolve(rho0, hd, -t)  # Schroedinger picture
         assert abs(series[i] - (np.real(np.trace(rt @ HS1)) - e0)) < 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 60])
+@pytest.mark.parametrize("corner", CORNERS)
+def test_energy_fluctuation_series_matches_the_2n_form(rng, n, corner):
+    # the (+lambda, -lambda) mode-pair form against the profile trace over
+    # M's 2n eigensystem, on a random, a 0/1 and the uniform profile
+    ch = corner_chain(rng, n, corner)
+    times = np.linspace(0.0, 6.0, 25)
+    regions = {(1,), (n,), tuple(range(1, n + 1)), tuple(range(max(1, n // 3), max(1, n // 2) + 1))}
+    for eta in (rng.uniform(0, 1, n), rng.integers(0, 2, n), np.full(n, 0.5)):
+        for s1 in sorted(regions):
+            got = tr.energy_fluctuation_series(ch, list(s1), eta, times)
+            ref = energy_fluctuation_series_2n(ch, list(s1), eta, times)
+            assert np.max(np.abs(got - ref)) <= 1e-12
+    with pytest.raises(ValueError, match=r"profile entries must lie in \[0, 1\]"):
+        tr.energy_fluctuation_series(ch, [1], np.full(n, 1.5), times)
 
 
 def test_isotropic_reduction_of_anisotropic_formula(rng):
