@@ -16,7 +16,8 @@ import numpy as np
 
 from .eigencorrelator import fit_decay
 from .config import DEFAULTS
-from .experiments import ConfigError, RealizationError, oracle_suite, parse_config, run, write_json
+from .certify import oracle_suite
+from .experiments import ConfigError, RealizationError, parse_config, run, write_json
 from .hamiltonian import EigensolverError
 
 

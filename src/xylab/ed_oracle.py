@@ -1,12 +1,17 @@
 """Brute-force full-Hilbert-space oracle, capped at n = 14; measured
-reach: oracle_suite at n = 10 in about 0.65 s per realization on one core.
+reach: oracle_suite at n = 10 in about 0.15 s, n = 12 in 4.4 s and n = 13
+in 30 s (1.3 GiB peak RSS) per realization on one core.
 
 Everything here is assembled from the Pauli and Jordan-Wigner definitions
 by bit operations on the spin basis, independent of the free-fermion
 machinery, so it can certify that machinery.  Site 1 is the most
 significant bit of a basis index; bit 0 means up (sigma_z = +1), and
 up-spins are the particles.  H is real, and each fermion operator is a
-signed partial permutation of the basis (JordanWigner).
+signed partial permutation of the basis (JordanWigner).  H keeps the
+parity of the down-spin count and the isotropic H keeps the count itself,
+so eigensystems and Gibbs states are held one symmetry sector at a time
+(Sectors, SectorEigensystem); no 2^n x 2^n eigenvector matrix or density
+matrix is formed.
 """
 
 from __future__ import annotations
@@ -85,24 +90,97 @@ def build_H_region(chain: ChainSpec, a: int, b: int) -> np.ndarray:
     return H
 
 
-def spectral(H: np.ndarray):
-    """Hermitian eigendecomposition (ascending)."""
-    return np.linalg.eigh(H)
+@dataclass(frozen=True)
+class Sectors:
+    """A split of the 2^n basis indices into symmetry sectors: index[k]
+    holds sector k's basis indices in ascending order, and basis index s
+    lies in sector label[s] at position[s] of index[label[s]]."""
+
+    index: tuple
+    label: np.ndarray
+    position: np.ndarray
 
 
-def schroedinger_evolve_state(psi: np.ndarray, eig: tuple, t: float) -> np.ndarray:
-    """e^{-itH} psi from the eigensystem eig = (evals, evecs) of H."""
-    evals, evecs = eig
-    return evecs @ (np.exp(-1j * t * evals) * (evecs.conj().T @ psi))
+def _sectors(charge: np.ndarray) -> Sectors:
+    """Sectors of the basis indices by the integer charge of each, 0 .. max."""
+    index = tuple(np.flatnonzero(charge == q) for q in range(int(charge.max()) + 1))
+    position = np.empty(len(charge), dtype=np.intp)
+    for idx in index:
+        position[idx] = np.arange(len(idx))
+    return Sectors(index, charge.astype(np.intp), position)
 
 
-def thermal_state(eig: tuple, beta: float) -> np.ndarray:
-    """Gibbs state e^{-beta H} / Z from the eigensystem eig = (evals, evecs)
-    of H, with the ground energy shifted out for stability."""
-    evals, evecs = eig
-    w = np.exp(-beta * (evals - evals[0]))
-    w /= np.sum(w)
-    return (evecs * w) @ evecs.conj().T
+def parity_sectors(n: int) -> Sectors:
+    """The even and odd down-spin-count sectors, 2^(n-1) states each: H
+    keeps them, and so does o_p o_q^*."""
+    _check_n(n)
+    return _sectors(np.bitwise_count(np.arange(2**n)) % 2)
+
+
+def number_sectors(n: int) -> Sectors:
+    """The sectors of 0 .. n down spins, which the isotropic H keeps; the
+    largest holds C(n, n // 2) states."""
+    _check_n(n)
+    return _sectors(np.bitwise_count(np.arange(2**n)))
+
+
+@dataclass(frozen=True)
+class SectorEigensystem:
+    """Eigenpairs of H one sector at a time: (evals[k], evecs[k]) of H
+    restricted to sectors.index[k], evals ascending.  energies is the
+    merged ascending spectrum of all sectors; its entry i is eigenvalue
+    column[i] of sector sector[i]."""
+
+    sectors: Sectors
+    evals: tuple
+    evecs: tuple
+    energies: np.ndarray
+    sector: np.ndarray
+    column: np.ndarray
+
+    def vector(self, i: int) -> np.ndarray:
+        """The eigenvector of energies[i] as a 2^n vector, zero off its sector."""
+        k = self.sector[i]
+        out = np.zeros(len(self.sectors.label))
+        out[self.sectors.index[k]] = self.evecs[k][:, self.column[i]]
+        return out
+
+
+def spectral(H: np.ndarray, sectors: Sectors) -> SectorEigensystem:
+    """Eigendecomposition of the real symmetric H, one eigh per sector.  An
+    H with a nonzero entry between two sectors is an error: its spectrum is
+    not the union of the blocks'."""
+    rows, cols = np.nonzero(H)
+    if np.any(sectors.label[rows] != sectors.label[cols]):
+        raise ValueError("H couples two symmetry sectors")
+    evals, evecs = zip(*(np.linalg.eigh(H[np.ix_(idx, idx)]) for idx in sectors.index))
+    merged = np.concatenate(evals)
+    order = np.argsort(merged, kind="stable")
+    sector = np.repeat(np.arange(len(evals)), [len(e) for e in evals])
+    column = np.concatenate([np.arange(len(e)) for e in evals])
+    return SectorEigensystem(sectors, evals, evecs, merged[order], sector[order], column[order])
+
+
+def schroedinger_evolve_state(psi: np.ndarray, eig: SectorEigensystem, t: float) -> np.ndarray:
+    """e^{-itH} psi, sector by sector; a sector where psi vanishes (all but
+    one for a basis state) is skipped."""
+    out = np.zeros(len(psi), dtype=complex)
+    for idx, evals, evecs in zip(eig.sectors.index, eig.evals, eig.evecs):
+        part = psi[idx]
+        if part.any():
+            out[idx] = evecs @ (np.exp(-1j * t * evals) * (evecs.T @ part))
+    return out
+
+
+def thermal_state(eig: SectorEigensystem, beta: float) -> tuple:
+    """Gibbs state e^{-beta H} / Z as its diagonal blocks, one per sector of
+    eig (it has no others), with the ground energy shifted out for
+    stability.  Each block is B B^t for B = V diag(sqrt(w)), one symmetric
+    rank-k product."""
+    weights = [np.exp(-beta * (evals - eig.energies[0])) for evals in eig.evals]
+    z = sum(np.sum(w) for w in weights)
+    roots = (evecs * np.sqrt(w / z) for w, evecs in zip(weights, eig.evecs))
+    return tuple(b @ b.T for b in roots)
 
 
 def reduced_density(psi: np.ndarray, n: int, ell: int) -> np.ndarray:
@@ -112,22 +190,37 @@ def reduced_density(psi: np.ndarray, n: int, ell: int) -> np.ndarray:
 
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
-    """-tr rho ln rho in natural-log units."""
+    """-tr rho ln rho in natural-log units.  An eigenvalue of rho outside
+    [0, 1] by more than 1e-9 is an error; the rest below 1e-14 add 0."""
     p = np.linalg.eigvalsh(rho)
+    if p[0] < -1e-9 or p[-1] > 1 + 1e-9:
+        raise ValueError(f"density spectrum outside [0,1]: [{p[0]:.3e}, {p[-1]:.3e}]")
     p = p[p > 1e-14]
     return float(-np.sum(p * np.log(p)))
 
 
-def correlation_blocks(state: np.ndarray, jw: JordanWigner) -> np.ndarray:
-    """G[p, q] = <o_p o_q^*> in the interleaved (c_j, c_j^*) ordering for a
+def correlation_blocks(state, jw: JordanWigner, sectors: Sectors | None = None) -> np.ndarray:
+    """G[p, q] = <o_p o_q^*> in the interleaved (c_j, c_j^*) ordering, for a
     vector state (the Gram matrix of the gathers o_q^* psi =
-    sgn_q psi[tgt_q]) or a density matrix rho, one row p at a time:
-    G[p, q] = sum_s sgn_q(s) sgn_p(s) rho[tgt_q(s), tgt_p(s)]."""
-    if state.ndim == 1:
+    sgn_q psi[tgt_q]) or, with its sectors, for a density matrix given as
+    its diagonal blocks, one per sector, one row p at a time:
+    G[p, q] = sum_s sgn_q(s) sgn_p(s) rho[tgt_q(s), tgt_p(s)], an entry that
+    is 0 unless both targets lie in one sector, which parity sectors always
+    give (each target flips one bit of s)."""
+    if sectors is None:
         U = jw.sgn * state[jw.tgt]
         return U.conj() @ U.T
-    return np.array([np.sum(jw.sgn * jw.sgn[p] * state[jw.tgt, jw.tgt[p]], axis=1)
-                     for p in range(len(jw.tgt))])
+    dims = np.array([len(idx) for idx in sectors.index])
+    offset = np.concatenate([[0], np.cumsum(dims**2)[:-1]])
+    flat = np.concatenate([block.ravel() for block in state])
+    label, position = sectors.label[jw.tgt], sectors.position[jw.tgt]
+    row = offset[label] + position * dims[label]  # start of row tgt_q(s) in its block
+    G = np.empty((len(jw.tgt), len(jw.tgt)), dtype=flat.dtype)
+    for p in range(len(jw.tgt)):
+        inside = label == label[p]
+        entry = flat[np.where(inside, row + position[p], 0)]
+        G[p] = np.sum(np.where(inside, jw.sgn * jw.sgn[p] * entry, 0.0), axis=1)
+    return G
 
 
 def match_eigenstates(target_energies, evals, tol: float = 1e-6):

@@ -29,13 +29,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ed_oracle as ed
 from . import entanglement as ent
 from . import transport as tr
+from .certify import oracle_suite
 # parse_config and ConfigError are this module's API too: the CLI and the
 # benchmark harness call them through it
 from .config import PARAMS, ConfigError, ExperimentConfig, config_hash, parse_config
-from .disorder import ChainSpec, EnsembleSpec, aggregate, sample_chain, uniform
+from .disorder import EnsembleSpec, aggregate, sample_chain
 from .eigencorrelator import (
     DecayFit,
     clustering_sup,
@@ -49,20 +49,10 @@ from .fock import (
     decay_envelope,
     fock_localization_check,
     locate_centers,
-    occupation_number,
     pair_overlaps,
     sample_configuration_pairs,
 )
-from .hamiltonian import (
-    BogoliubovDecomposition,
-    all_many_body_energies,
-    alpha_from_index,
-    bogoliubov,
-    build_A,
-    build_M,
-    diagonalize_A,
-)
-from .quasifree import eigenstate_gamma, evolve_gamma, profile_gamma, thermal_gamma
+from .hamiltonian import bogoliubov, diagonalize_A
 
 
 # glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD
@@ -532,144 +522,6 @@ def run_fock(config: ExperimentConfig, outdir: Path) -> dict:
 
 # ---------------------------------------------------------------------------
 # oracle identity suite
-
-
-def oracle_suite(n: int, seed: int, realizations: int) -> dict:
-    """Brute-force identity checks on small random chains; returns one
-    boolean per check plus the worst deviations seen.  The Jordan-Wigner
-    tables are built once; per realization, H, its eigensystem, the
-    isotropic H and the Bogoliubov decomposition are built once and shared
-    by the checks."""
-    ens = EnsembleSpec(n=n, mu_dist=uniform(-1.0, 1.0), gamma_dist=uniform(-0.7, 0.7),
-                       nu_dist=uniform(-1.5, 1.5), base_seed=seed, realizations=realizations)
-    jw = ed.all_c(n)
-    errors = []  # one dict of errors per realization
-    for i in range(realizations):
-        chain = sample_chain(ens, i)
-        iso = ChainSpec(n=n, mu=chain.mu, gamma=(0.0,) * (n - 1), nu=chain.nu)
-        H = ed.build_H(chain)
-        eig = ed.spectral(H)
-        H_iso = ed.build_H(iso)
-        bog = bogoliubov(chain)
-        X_iso = np.zeros((2 * n, 2 * n))
-        X_iso[::2, ::2] = 2.0 * build_A(iso)
-        errors.append({
-            "spectrum": float(np.max(np.abs(np.sort(all_many_body_energies(bog)) - eig[0]))),
-            # H = sum_pq M_pq o_p^* o_q and H_iso = sum(nu) + 2 sum_jk A_jk c_j^* c_k,
-            # 2A sitting on the (c_j^*, c_k) entries of the interleaved X_iso
-            "quadratic_identity": float(np.max(np.abs(H - _quadratic_form(build_M(chain), jw)))),
-            "isotropic_identity": float(np.max(np.abs(
-                H_iso - np.sum(iso.nu) * np.eye(2**n) - _quadratic_form(X_iso, jw)))),
-            "occupation": _check_occupation(iso, H_iso),
-            **_check_states(bog, eig, jw),
-        })
-    worst = {"car": _check_car(jw), **{k: max(e[k] for e in errors) for k in errors[0]}}
-    tolerances = {
-        "spectrum": 1e-8, "quadratic_identity": 1e-10, "isotropic_identity": 1e-10,
-        "car": 1e-12, "eigenstate_gamma": 1e-8, "thermal_gamma": 1e-8,
-        "entropy": 1e-7, "occupation": 1e-8, "evolved_gamma": 1e-8,
-    }
-    checks = {k: bool(worst[k] <= tolerances[k]) for k in worst}
-    return {
-        "n": n, "seed": seed, "realizations": realizations,
-        "max_errors": worst, "tolerances": tolerances, "checks": checks,
-        "all_pass": bool(all(checks.values())),
-    }
-
-
-def _quadratic_form(X: np.ndarray, jw: ed.JordanWigner) -> np.ndarray:
-    """sum_pq X_pq o_p^* o_q as a dense real matrix: each nonzero X_pq
-    scatters the 2^n entries of o_{p^1} o_q (o_p^* = o_{p^1})."""
-    dim = jw.tgt.shape[1]
-    out = np.zeros((dim, dim))
-    for p, q in zip(*np.nonzero(X)):
-        tgt, sgn = jw.product(p ^ 1, q)
-        out[tgt, np.arange(dim)] += X[p, q] * sgn
-    return out
-
-
-def _check_car(jw: ed.JordanWigner) -> float:
-    """Worst entry of {o_p, o_q} - delta_{q, p^1} over the interleaved
-    pairs p <= q: {c_j, c_k^*} = delta_jk, {c_j, c_k} = 0 and adjoints.
-    Column s holds o_p o_q e_s, o_q o_p e_s and -delta e_s at up to three
-    targets; each target's entry sums the terms that land on it."""
-    m, dim = jw.tgt.shape
-    s = np.arange(dim)
-    worst = 0.0
-    for p in range(m):
-        qs = np.arange(p, m)
-        t1, v1 = jw.product(p, qs)
-        t2, v2 = jw.product(qs, p)
-        d = np.where(qs == p ^ 1, -1.0, 0.0)[:, None]
-        for t in (t1, t2, s):
-            entry = v1 * (t1 == t) + v2 * (t2 == t) + d * (s == t)
-            worst = max(worst, float(np.max(np.abs(entry))))
-    return worst
-
-
-def _check_states(bog: BogoliubovDecomposition, eig: tuple, jw: ed.JordanWigner) -> dict:
-    """Errors of the eigenstate, thermal and evolved (from a basis product
-    state) correlation matrices and of the cut entropies (every cut
-    1 <= ell < n of (1, n // 2, n - 1), scored by the batched
-    _label_entropies that entanglement_static runs) of the free-fermion
-    layer against the oracle eigensystem eig = (evals, evecs) of H."""
-    n = bog.n
-    evals, evecs = eig
-    labels = [0, 1, (1 << n) - 1] if n > 3 else list(range(2**n))
-    idxs, flags = ed.match_eigenstates(all_many_body_energies(bog)[labels], evals)
-    alphas = alpha_from_index(np.array(labels)[~flags, None], n)
-    cuts = [ell for ell in (1, n // 2, n - 1) if 1 <= ell < n]
-    scores = {ell: ent._label_entropies(bog, ell, alphas) for ell in cuts}
-    g_err = s_err = 0.0
-    for r, (alpha, k) in enumerate(zip(alphas, idxs[~flags])):
-        gamma = eigenstate_gamma(bog, alpha)
-        psi = evecs[:, k]
-        g_ed = ed.correlation_blocks(psi, jw)
-        g_err = max(g_err, float(np.max(np.abs(gamma - g_ed))))
-        for ell in cuts:
-            s_free = float(scores[ell][r])
-            # both sides of a pure state's cut share one spectrum: reduce onto
-            # the smaller side, swapping psi's two blocks when that is the right
-            small = psi if 2 * ell <= n else psi.reshape(2**ell, -1).T.ravel()
-            s_ed = ed.von_neumann_entropy(ed.reduced_density(small, n, min(ell, n - ell)))
-            s_err = max(s_err, abs(s_free - s_ed))
-    # an eigenstate's gamma commutes with M and would not move, so the
-    # evolution starts from the basis state with sites 1, 3, 5, ... occupied,
-    # whose currents the dynamics creates (site 1 is the top bit; 0 is up)
-    occupied = np.arange(n) % 2 == 0
-    psi0 = np.zeros(2**n)
-    psi0[int("".join("0" if o else "1" for o in occupied), 2)] = 1.0
-    gt = evolve_gamma(profile_gamma(occupied), bog, 0.7)
-    psit = ed.schroedinger_evolve_state(psi0, eig, 0.7)
-    e_err = float(np.max(np.abs(gt - ed.correlation_blocks(psit, jw))))
-    beta = 0.8
-    g_th = thermal_gamma(bog, beta)
-    rho = ed.thermal_state(eig, beta)
-    t_err = float(np.max(np.abs(g_th - ed.correlation_blocks(rho, jw))))
-    return {"eigenstate_gamma": g_err, "thermal_gamma": t_err, "entropy": s_err,
-            "evolved_gamma": e_err}
-
-
-def _check_occupation(chain: ChainSpec, H: np.ndarray) -> float:
-    """Site occupations of mode configurations vs the oracle's <n_x>
-    (|psi|^2 on the bit mask of x), on the particle-conserving chain H."""
-    n = chain.n
-    evals, evecs = ed.spectral(H)
-    sdA = diagonalize_A(chain)
-    masks = np.array([ed.occupation_mask(n, x) for x in range(1, n + 1)])
-    o_err = 0.0
-    labels = [1, 3, (1 << n) - 1] if n > 3 else list(range(1, 2**n))
-    for a in labels:
-        k_modes = tuple(int(j) + 1 for j in np.nonzero(alpha_from_index(a, n))[0])
-        e_free = 2.0 * np.sum(sdA.eigenvalues[np.array(k_modes) - 1]) + np.sum(chain.nu)
-        j_idx, j_flags = ed.match_eigenstates([e_free], evals)
-        if j_flags[0]:
-            continue
-        occ_ed = masks @ np.abs(evecs[:, j_idx[0]]) ** 2
-        for x in range(1, n + 1):
-            occ_free = occupation_number(sdA.eigenvectors, k_modes, x)
-            o_err = max(o_err, abs(occ_free - occ_ed[x - 1]))
-    return o_err
 
 
 def run_oracle_check(config: ExperimentConfig, outdir: Path) -> dict:

@@ -38,13 +38,9 @@ def ed_commutator_sups(chain, pairs, times) -> dict:
     the norm is the largest eigenvalue modulus of the Hermitian
     i(P - P^*) over the two blocks."""
     n = chain.n
-    H = ed.build_H(chain)
-    index = np.arange(2**n)
-    parity = np.bitwise_count(index) % 2
-    even, odd = index[parity == 0], index[parity == 1]
-    position = np.empty(2**n, dtype=int)
-    position[even] = position[odd] = np.arange(2 ** (n - 1))
-    (e_even, V_even), (e_odd, V_odd) = (ed.spectral(H[np.ix_(sector, sector)]) for sector in (even, odd))
+    eig = ed.spectral(ed.build_H(chain), ed.parity_sectors(n))
+    even, position = eig.sectors.index[0], eig.sectors.position
+    (e_even, e_odd), (V_even, V_odd) = eig.evals, eig.evecs
     sites = {s for pair in pairs for s in pair}
     A = {s: V_even.T @ V_odd[position[even ^ (1 << (n - s))]] for s in sites}
     sups = dict.fromkeys(pairs, 0.0)
@@ -147,8 +143,8 @@ def dense_cs(n):
 
 def heisenberg_evolve(op, H, t):
     """tau_t(op) = e^{itH} op e^{-itH}; H may be a matrix or a
-    precomputed (evals, evecs) pair."""
-    evals, evecs = H if isinstance(H, tuple) else ed.spectral(H)
+    precomputed (evals, evecs) pair of np.linalg.eigh."""
+    evals, evecs = H if isinstance(H, tuple) else np.linalg.eigh(H)
     phases = np.exp(1j * t * evals)
     tilde = evecs.conj().T @ op @ evecs
     return evecs @ (np.outer(phases, phases.conj()) * tilde) @ evecs.conj().T

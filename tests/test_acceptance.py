@@ -307,8 +307,7 @@ def test_08_transport(fit_eps005_n100):
         rho0 = np.eye(1, dtype=complex)
         for e in eta6:
             rho0 = np.kron(rho0, np.diag([e, 1 - e]).astype(complex))
-        hd = ed.spectral(ed.build_H(chain))
-        evals, evecs = hd
+        evals, evecs = np.linalg.eigh(ed.build_H(chain))
         HS1 = ed.build_H_region(chain, 1, 2)
         NS1 = region_number_op(6, [1])
         for t in (0.5, 2.0):

@@ -5,8 +5,8 @@ from xylab import ed_oracle as ed
 from xylab import hamiltonian as ham
 from xylab.disorder import make_chain
 
-from conftest import (commutator_norm, dense_cs, dense_op, ed_commutator_sups, heisenberg_evolve,
-                      kron_build_H, kron_chain, kron_jordan_wigner_c, random_chain,
+from conftest import (CORNERS, commutator_norm, corner_chain, dense_cs, dense_op, ed_commutator_sups,
+                      heisenberg_evolve, kron_build_H, kron_chain, kron_jordan_wigner_c, random_chain,
                       spin_basis_index, spin_basis_vector)
 
 
@@ -74,7 +74,7 @@ def test_local_operators_commute_at_distance():
 def test_commutator_grows_under_evolution():
     ch = make_chain([1.0, 1.0], [0.0, 0.0], [0.3, -0.2, 0.5])
     H = ed.build_H(ch)
-    hd = ed.spectral(H)
+    hd = np.linalg.eigh(H)
     x1 = kron_chain(3, {1: "X"})
     x3 = kron_chain(3, {3: "X"})
     at_zero = commutator_norm(x1, x3)
@@ -107,12 +107,20 @@ def test_reduced_density_of_bell_pair():
 
 def test_thermal_state_properties(rng):
     ch = random_chain(rng, 3)
-    eig = ed.spectral(ed.build_H(ch))
-    rho = ed.thermal_state(eig, 1.3)
-    assert np.trace(rho).real == pytest.approx(1.0, abs=1e-10)
-    assert np.min(np.linalg.eigvalsh(rho)) > -1e-12
+    eig = ed.spectral(ed.build_H(ch), ed.parity_sectors(3))
+    blocks = ed.thermal_state(eig, 1.3)
+    assert sum(np.trace(b) for b in blocks) == pytest.approx(1.0, abs=1e-10)
+    assert min(np.min(np.linalg.eigvalsh(b)) for b in blocks) > -1e-12
     # infinite temperature: maximally mixed
-    assert np.max(np.abs(ed.thermal_state(eig, 0.0) - np.eye(8) / 8)) < 1e-12
+    assert max(np.max(np.abs(b - np.eye(4) / 8)) for b in ed.thermal_state(eig, 0.0)) < 1e-12
+
+
+def _dense(blocks, sectors):
+    # the 2^n x 2^n matrix with the given diagonal blocks on the sectors
+    out = np.zeros((len(sectors.label),) * 2)
+    for idx, block in zip(sectors.index, blocks):
+        out[np.ix_(idx, idx)] = block
+    return out
 
 
 def _pairwise_correlation_blocks(state, n):
@@ -131,17 +139,95 @@ def _pairwise_correlation_blocks(state, n):
 
 def test_correlation_blocks_match_pairwise_products(rng):
     # the table gathers against the operator-product double loop on an
-    # eigenvector, a thermal density matrix and an evolved complex vector
+    # eigenvector, a thermal density matrix held as its parity blocks (and
+    # as the unequal number blocks of an isotropic chain) and an evolved
+    # complex vector of mixed parity
     for n in (1, 2, 3, 4):
-        H = ed.build_H(random_chain(rng, n))
-        evals, evecs = ed.spectral(H)
         jw = ed.all_c(n)
-        mixed = (evecs[:, 0] + 1j * evecs[:, -1]) / np.sqrt(2)
-        psi_t = ed.schroedinger_evolve_state(mixed, (evals, evecs), 0.7)
-        for state in (evecs[:, 0], ed.thermal_state((evals, evecs), 0.9), psi_t):
-            G = ed.correlation_blocks(state, jw)
+        eig = ed.spectral(ed.build_H(random_chain(rng, n)), ed.parity_sectors(n))
+        iso = ed.spectral(ed.build_H(random_chain(rng, n, anisotropic=False)), ed.number_sectors(n))
+        ground = eig.vector(0)
+        mixed = (ground + 1j * eig.vector(2**n - 1)) / np.sqrt(2)
+        psi_t = ed.schroedinger_evolve_state(mixed, eig, 0.7)
+        cases = [(ground, ed.correlation_blocks(ground, jw)),
+                 (psi_t, ed.correlation_blocks(psi_t, jw))]
+        for e in (eig, iso):
+            blocks = ed.thermal_state(e, 0.9)
+            cases.append((_dense(blocks, e.sectors), ed.correlation_blocks(blocks, jw, e.sectors)))
+        for state, G in cases:
             assert G.shape == (2 * n, 2 * n)
             assert np.max(np.abs(G - _pairwise_correlation_blocks(state, n))) < 1e-14
+
+
+def _dense_thermal(evals, evecs, beta):
+    w = np.exp(-beta * (evals - evals[0]))
+    return (evecs * (w / np.sum(w))) @ evecs.T
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+@pytest.mark.parametrize("corner", CORNERS)
+def test_sector_eigensystem_matches_dense_eigh(rng, n, corner):
+    # the per-sector path against np.linalg.eigh of the whole 2^n H: the
+    # merged spectrum, the ambiguity flags of the matching (the clean chain
+    # has exact degeneracies across sectors), the Gibbs blocks and the
+    # evolved basis state
+    ch = corner_chain(rng, n, corner)
+    H = ed.build_H(ch)
+    evals, evecs = np.linalg.eigh(H)
+    eig = ed.spectral(H, ed.parity_sectors(n))
+    assert np.max(np.abs(eig.energies - evals)) < 1e-12
+    targets = ham.all_many_body_energies(ham.bogoliubov(ch))
+    idx, flags = ed.match_eigenstates(targets, eig.energies)
+    dense_idx, dense_flags = ed.match_eigenstates(targets, evals)
+    assert np.array_equal(flags, dense_flags)
+    assert np.array_equal(idx[~flags], dense_idx[~flags])
+    for k in idx[~flags]:  # an unambiguous eigenvector is the dense one up to sign
+        assert abs(abs(eig.vector(k) @ evecs[:, k]) - 1.0) < 1e-10
+    rho = _dense_thermal(evals, evecs, 0.8)
+    assert np.max(np.abs(_dense(ed.thermal_state(eig, 0.8), eig.sectors) - rho)) < 1e-12
+    psi0 = spin_basis_vector(n, range(1, n + 1, 2))
+    psit = evecs @ (np.exp(-0.7j * evals) * (evecs.T @ psi0))
+    assert np.max(np.abs(ed.schroedinger_evolve_state(psi0, eig, 0.7) - psit)) < 1e-12
+    if corner == "clean" and n > 1:
+        assert flags.any()  # the comparison covers ambiguous matches
+
+
+def test_number_sectors_of_the_isotropic_chain(rng):
+    n = 6
+    iso = ed.build_H(random_chain(rng, n, anisotropic=False))
+    eig = ed.spectral(iso, ed.number_sectors(n))
+    assert [len(idx) for idx in eig.sectors.index] == [1, 6, 15, 20, 15, 6, 1]
+    assert np.max(np.abs(eig.energies - np.linalg.eigvalsh(iso))) < 1e-12
+
+
+def test_an_h_coupling_two_sectors_is_rejected(rng):
+    n = 4
+    H = ed.build_H(random_chain(rng, n))
+    broken = H.copy()
+    broken[0, 1] = broken[1, 0] = 0.1  # basis states 0 and 1 differ in parity
+    with pytest.raises(ValueError, match="H couples two symmetry sectors"):
+        ed.spectral(broken, ed.parity_sectors(n))
+    # the pairing terms of an anisotropic H change the particle number by 2
+    with pytest.raises(ValueError, match="H couples two symmetry sectors"):
+        ed.spectral(H, ed.number_sectors(n))
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_sectors_partition_the_basis(n):
+    for sectors in (ed.parity_sectors(n), ed.number_sectors(n)):
+        assert np.array_equal(np.sort(np.concatenate(sectors.index)), np.arange(2**n))
+        for k, idx in enumerate(sectors.index):
+            assert np.all(np.diff(idx) > 0)
+            assert np.all(sectors.label[idx] == k)
+            assert np.array_equal(sectors.position[idx], np.arange(len(idx)))
+    assert [len(idx) for idx in ed.parity_sectors(n).index] == [2 ** (n - 1)] * 2
+
+
+def test_von_neumann_entropy_rejects_a_spectrum_outside_the_unit_interval():
+    assert ed.von_neumann_entropy(np.diag([0.5, 0.5, -1e-10])) == pytest.approx(np.log(2), abs=1e-12)
+    for bad in ([0.5, 0.5 + 1e-6, -1e-6], [1.0 + 1e-6, 0.0]):
+        with pytest.raises(ValueError, match="density spectrum outside"):
+            ed.von_neumann_entropy(np.diag(bad))
 
 
 def test_spin_basis_indexing():
@@ -211,7 +297,7 @@ def test_sector_commutator_sweep_matches_the_dense_sweep(rng, n):
         ch = make_chain(ch.mu[:2] + (0.0,) + ch.mu[3:], ch.gamma, ch.nu)  # a zero bond
     pairs = [(j, k) for j in range(1, n + 1) for k in range(j, n + 1)]
     times = np.linspace(0.0, 4.0, 9)
-    evals, evecs = ed.spectral(ed.build_H(ch))
+    evals, evecs = np.linalg.eigh(ed.build_H(ch))
     tilde = {s: evecs.T @ kron_chain(n, {s: "X"}) @ evecs for s in range(1, n + 1)}
     dense = dict.fromkeys(pairs, 0.0)
     for t in times:

@@ -113,7 +113,7 @@ def test_block_amplitude_matches_oracle_commutator_scale(rng):
     t = 0.9
     U = function_of(sdM, lambda lam: np.exp(-2j * t * lam))
     # oracle: tau_t(c_j) expanded in the operator basis (c_k, c_k^*)
-    hd = ed.spectral(ed.build_H(ch))
+    hd = np.linalg.eigh(ed.build_H(ch))
     cs = dense_cs(n)
     ops = []
     for c in cs:

@@ -280,7 +280,7 @@ def test_quench_entropy_starts_at_zero_and_matches_oracle(rng):
     ir, fr = ed.match_eigenstates([ham.all_many_body_energies(bog_r)[2]], er)  # alpha (0, 1, 0)
     assert not fl[0] and not fr[0]
     psi0 = np.kron(vl[:, il[0]], vr[:, ir[0]])
-    hd = ed.spectral(ed.build_H(ch))
+    hd = ed.spectral(ed.build_H(ch), ed.parity_sectors(n))
     for i, t in enumerate(times):
         psit = ed.schroedinger_evolve_state(psi0, hd, t)
         s_ed = ed.von_neumann_entropy(ed.reduced_density(psit, n, 3))

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from xylab import certify
 from xylab import cli
 from xylab import ed_oracle as ed
 from xylab import entanglement as ent
@@ -401,12 +402,12 @@ def test_cli_reports_an_eigensolver_failure_outside_the_pool_in_one_line(monkeyp
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_oracle_suite_at_one_and_two_sites(n):
-    result = xp.oracle_suite(n, 42, 3)
+    result = certify.oracle_suite(n, 42, 3)
     assert result["all_pass"], result["max_errors"]
 
 
 def test_oracle_suite_at_ten_sites():
-    result = xp.oracle_suite(10, 42, 1)
+    result = certify.oracle_suite(10, 42, 1)
     assert result["all_pass"], result["max_errors"]
 
 
@@ -426,7 +427,7 @@ def test_quadratic_form_equals_the_explicit_double_sum(rng, n):
         for p in range(2 * n):
             for q in range(2 * n):
                 explicit += X[p, q] * (ops[p].conj().T @ ops[q])
-        assert np.max(np.abs(xp._quadratic_form(X, ed.all_c(n)) - explicit)) < 1e-12
+        assert np.max(np.abs(certify._quadratic_form(X, ed.all_c(n)) - explicit)) < 1e-12
 
 
 def _car_all_pairs(ops):
@@ -443,7 +444,7 @@ def _car_all_pairs(ops):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_check_car_over_j_le_k_equals_the_all_pairs_loop(n):
     jw = ed.all_c(n)
-    assert xp._check_car(jw) == _car_all_pairs(_kron_interleaved(n)) == 0.0
+    assert certify.check_car(jw) == _car_all_pairs(_kron_interleaved(n)) == 0.0
     # one flipped sign, or one wrong target, breaks CAR
     p, s = 2 * (n - 1), 0  # c_n acts on e_0, all up
     flipped = ed.JordanWigner(jw.tgt, jw.sgn.copy())
@@ -452,7 +453,7 @@ def test_check_car_over_j_le_k_equals_the_all_pairs_loop(n):
     wrong.tgt[p, s] = 2**n - 1 - jw.tgt[p, s]
     for broken in (flipped, wrong):
         ops = [dense_op(broken, q) for q in range(2 * n)]
-        assert xp._check_car(broken) == _car_all_pairs(ops) > 0.0
+        assert certify.check_car(broken) == _car_all_pairs(ops) > 0.0
 
 
 def test_cli_fit(tmp_path):

@@ -88,8 +88,8 @@ def test_thermal_gamma_matches_oracle(rng):
     n = 4
     ch = random_chain(rng, n)
     cm = qf.thermal_gamma(ham.bogoliubov(ch), 1.0)
-    rho = ed.thermal_state(ed.spectral(ed.build_H(ch)), 1.0)
-    G_ed = ed.correlation_blocks(rho, ed.all_c(n))
+    eig = ed.spectral(ed.build_H(ch), ed.parity_sectors(n))
+    G_ed = ed.correlation_blocks(ed.thermal_state(eig, 1.0), ed.all_c(n), eig.sectors)
     assert np.max(np.abs(cm - G_ed)) < 1e-8
 
 
@@ -162,7 +162,7 @@ def test_evolve_gamma_matches_oracle_quench(rng):
     ir, fr = ed.match_eigenstates([ham.all_many_body_energies(bog_r)[0]], er)  # alpha (0, 0)
     assert not fl[0] and not fr[0]
     psi0 = np.kron(vl[:, il[0]], vr[:, ir[0]])
-    hd = ed.spectral(ed.build_H(ch))
+    hd = ed.spectral(ed.build_H(ch), ed.parity_sectors(n))
     jw = ed.all_c(n)
     G0_ed = ed.correlation_blocks(psi0, jw)
     assert np.max(np.abs(gamma0 - G0_ed)) < 1e-8
@@ -200,7 +200,7 @@ def test_multipoint_matches_oracle_dynamic(rng):
     rho_full = np.eye(1, dtype=complex)
     for j in range(n):
         rho_full = np.kron(rho_full, np.diag([eta[j], 1 - eta[j]]).astype(complex))
-    hd = ed.spectral(ed.build_H(ch))
+    hd = np.linalg.eigh(ed.build_H(ch))
     cs = dense_cs(n)
     x, y = (1, 4), (2, 5)
     for t in (0.0, 0.63):
