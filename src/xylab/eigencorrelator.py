@@ -164,6 +164,8 @@ def fit_decay(averaged, min_distance: int, max_distance: int | None = None) -> D
     `averaged` is indexed by distance (entry d is the mean at separation
     d).  Degenerate (constant) data fits eta = 0 with r_squared = 0.
     """
+    if min_distance < 0:
+        raise ValueError(f"min_distance must be >= 0, got {min_distance}")
     v = np.asarray(averaged, dtype=float)
     dmax = len(v) - 1 if max_distance is None else min(max_distance, len(v) - 1)
     d = np.arange(min_distance, dmax + 1)

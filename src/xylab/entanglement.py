@@ -18,7 +18,7 @@ import numpy as np
 
 from .disorder import ChainSpec, make_chain
 from .eigencorrelator import DecayFit
-from .hamiltonian import BogoliubovDecomposition, _w_columns, alpha_from_index, bogoliubov
+from .hamiltonian import BogoliubovDecomposition, alpha_from_index, bogoliubov
 from .quasifree import mode_selector, phase_rows
 
 LN2 = float(np.log(2.0))
@@ -90,10 +90,25 @@ def area_law_constant(fit: DecayFit) -> float:
     return fit.bound(2.0 * LN2, 1)
 
 
+def _w_columns(bog: BogoliubovDecomposition, sites) -> np.ndarray:
+    """Columns (2j, 2j+1) of the Bogoliubov W (W M W^t = diag(+l_q, -l_q)
+    blocks) at the 0-based sites j indexed by `sites`: rows 2q and 2q+1
+    are the eigenvectors of M for +lambda_q and -lambda_q there,
+    ((g+h)/2, (g-h)/2) and ((g-h)/2, (g+h)/2) with g, h rows of Psi, Phi."""
+    phi = 0.5 * (bog.Psi[sites] + bog.Phi[sites])  # c-components of the +lambda eigenvectors
+    psi = 0.5 * (bog.Psi[sites] - bog.Phi[sites])  # c^*-components
+    out = np.empty((2 * bog.n, 2 * len(phi)))
+    out[0::2, 0::2] = phi.T
+    out[0::2, 1::2] = psi.T
+    out[1::2, 0::2] = psi.T
+    out[1::2, 1::2] = phi.T
+    return out
+
+
 def _label_entropy(WA: np.ndarray, alpha) -> float:
     """Entropy of eigenstate alpha restricted to the columns of WA (the
-    2n x 2ell slice hamiltonian._w_columns gives for the sites of the
-    block): the spectrum of WA^t P_alpha WA."""
+    2n x 2ell slice _w_columns gives for the block's sites): the spectrum
+    of WA^t P_alpha WA."""
     sel = mode_selector(alpha)
     return float(_spectrum_entropy(np.linalg.eigvalsh(WA.T @ (sel[:, None] * WA))))
 

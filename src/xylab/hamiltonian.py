@@ -167,21 +167,6 @@ class BogoliubovDecomposition:
         return len(self.lam)
 
 
-def _w_columns(bog: BogoliubovDecomposition, sites) -> np.ndarray:
-    """Columns (2j, 2j+1) of the Bogoliubov W (W M W^t = diag(+l_q, -l_q)
-    blocks) at the 0-based sites j indexed by `sites`: rows 2q and 2q+1
-    are the eigenvectors of M for +lambda_q and -lambda_q there,
-    ((g+h)/2, (g-h)/2) and ((g-h)/2, (g+h)/2) with g, h rows of Psi, Phi."""
-    phi = 0.5 * (bog.Psi[sites] + bog.Phi[sites])  # c-components of the +lambda eigenvectors
-    psi = 0.5 * (bog.Psi[sites] - bog.Phi[sites])  # c^*-components
-    out = np.empty((2 * bog.n, 2 * len(phi)))
-    out[0::2, 0::2] = phi.T
-    out[0::2, 1::2] = psi.T
-    out[1::2, 0::2] = psi.T
-    out[1::2, 1::2] = phi.T
-    return out
-
-
 def bogoliubov(chain: ChainSpec) -> BogoliubovDecomposition:
     """Bogoliubov decomposition from the SVD A + B = Phi diag(l) Psi^t,
     modes in ascending l.  The mode pairs diagonalize M exactly when

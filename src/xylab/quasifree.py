@@ -205,20 +205,19 @@ def _add_angles(anchor, q, table, r) -> np.ndarray:
     return R
 
 
-def trace_series(lam: np.ndarray, K: np.ndarray, times) -> np.ndarray:
-    """Re sum_ab exp(2it(lam_a - lam_b)) K_ab = c^t K c + s^t K s, with c, s
-    the cos and sin rows of 2t lam, for every t of the grid and a real K:
-    the bilinear trace tr(exp(2itX) O exp(-2itX) G) of X = V diag(lam) V^t
-    and symmetric O and G once K = (V^t O V) o (V^t G V)^t is formed.  A
-    chunk of m times costs one (2m x d) @ (d x d) product.
-    """
-    if np.iscomplexobj(K):
-        raise ValueError("trace_series takes a real K")
+def trace_series(lam: np.ndarray, Kc: np.ndarray, Ks: np.ndarray, times) -> np.ndarray:
+    """c^t Kc c + s^t Ks s, with c, s the cos and sin rows of 2t lam, for
+    every t of the grid and real kernels.  Kc = Ks = (V^t O V) o (V^t G V)^t
+    gives the bilinear trace tr(exp(2itX) O exp(-2itX) G) of
+    X = V diag(lam) V^t and symmetric O and G.  A chunk of m times costs
+    two (m x d) @ (d x d) products."""
+    if np.iscomplexobj(Kc) or np.iscomplexobj(Ks):
+        raise ValueError("trace_series takes real Kc and Ks")
     out = np.empty(len(times))
     start = 0
     for m, R in phase_rows(lam, times, 2.0, 2 * len(lam)):
-        q = np.einsum("ra,ra->r", R @ K, R)
-        out[start : start + m] = q[:m] + q[m:]
+        C, S = R[:m], R[m:]
+        out[start : start + m] = np.einsum("ra,ra->r", C @ Kc, C) + np.einsum("ra,ra->r", S @ Ks, S)
         start += m
     return out
 

@@ -243,7 +243,7 @@ def occupation_bound(eta, dmin):
 def trace_norm_inequality_gap(chain, s1, s2, eta, t):
     """(lhs, rhs) of the per-realization trace bound: the energy trace
     restricted to S2 against 2 ||A|| sum_{j in S2, k in S1} |exp(2itA)_{jk}|."""
-    idx1 = tr._interval_projector_indices(s1)
+    idx1 = tr._region_rows(s1, chain.n, interval=True)
     idx2 = np.array(s2) - 1
     eta = np.asarray(eta, dtype=float)
     A = build_A(chain)
@@ -386,7 +386,7 @@ def ps_bound_gamma(gamma, ell):
 def energy_fluctuation_series_2n(chain, s1, eta, times):
     """transport.energy_fluctuation_series as the profile trace of M_{S1}
     over M's eigensystem read off W."""
-    idx = tr._interval_projector_indices(s1)
+    idx = tr._region_rows(s1, chain.n, interval=True)
     M = build_M(chain)
     rows = np.sort(np.concatenate([2 * idx, 2 * idx + 1]))
     out = -tr._profile_trace(spectral_M(bogoliubov(chain)), rows, M[np.ix_(rows, rows)],

@@ -148,6 +148,9 @@ def test_fit_decay_errors():
         ec.fit_decay(np.array([1.0, 0.5, 0.0, 0.1]), min_distance=1)
     with pytest.raises(ValueError):
         ec.fit_decay(np.array([1.0, 0.5, 0.2]), min_distance=1)
+    # v[-1] would wrap to the last entry and fit it at distance -1
+    with pytest.raises(ValueError, match=r"^min_distance must be >= 0, got -1$"):
+        ec.fit_decay(0.5 ** np.arange(12), min_distance=-1)
 
 
 def test_lr_bound_arithmetic():

@@ -177,7 +177,7 @@ def test_batched_label_entropies_match_per_label(rng, corner):
     bog = ham.bogoliubov(_corner_chain(rng, corner))
     labels = alpha_from_index(np.arange(2**bog.n)[:, None], bog.n)
     for ell in range(1, bog.n):
-        WA = ham._w_columns(bog, slice(0, ell))
+        WA = ent._w_columns(bog, slice(0, ell))
         batched = ent._label_entropies(bog, ell, labels)
         exact = [ent._label_entropy(WA, alpha) for alpha in labels]
         assert np.max(np.abs(batched - exact)) <= 1e-12
@@ -189,7 +189,7 @@ def test_rescorer_slice_is_bitwise_the_w_columns(rng, n, corner):
     bog = ham.bogoliubov(corner_chain(rng, n, corner))
     W = bogoliubov_W(bog)
     for ell in range(n + 1):
-        WA = ham._w_columns(bog, slice(0, ell))
+        WA = ent._w_columns(bog, slice(0, ell))
         assert WA.shape == (2 * n, 2 * ell) and WA.tobytes() == W[:, : 2 * ell].tobytes()
 
 

@@ -469,6 +469,14 @@ def test_cli_fit(tmp_path):
     assert out["eta"] == pytest.approx(0.7, rel=1e-6)
 
 
+def test_cli_fit_rejects_a_negative_min_distance(tmp_path):
+    csv = tmp_path / "profile.csv"
+    csv.write_text("distance,mean\n" + "".join(f"{d},{0.5 ** d!r}\n" for d in range(12)))
+    r = _run_cli(["fit", str(csv), "--min-distance", "-1"], tmp_path)
+    assert r.returncode == 2
+    assert r.stderr == "error: min_distance must be >= 0, got -1\n"
+
+
 def test_xylab_workers_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("XYLAB_WORKERS", "2")
     assert xp.effective_workers(1) == 2

@@ -311,10 +311,17 @@ def test_trace_series_matches_per_step_propagator(rng):
     G = qf.profile_gamma(rng.uniform(0, 1, n))
     K = (V.T @ O @ V) * (V.T @ G @ V).T
     times = np.array([0.0, 0.35, 1.2, 4.0])
-    series = qf.trace_series(lam, K, times)
+    series = qf.trace_series(lam, K, K, times)
     for t, value in zip(times, series):
         U = function_of(sd, lambda x: np.exp(2j * t * x))
         assert abs(value - np.trace(U @ O @ U.conj().T @ G)) < 1e-12
+    # Kc != Ks: the cos and the sin quadratic forms of each time, entry by entry
+    Kc, Ks = rng.normal(size=(2, 2 * n, 2 * n))
+    series = qf.trace_series(lam, Kc, Ks, times)
+    for t, value in zip(times, series):
+        c, s = np.cos(2 * t * lam), np.sin(2 * t * lam)
+        assert abs(value - sum(c[a] * Kc[a, b] * c[b] + s[a] * Ks[a, b] * s[b]
+                               for a in range(2 * n) for b in range(2 * n))) < 1e-12
 
 
 def test_trace_series_chunks_do_not_move_the_series(rng, monkeypatch):
@@ -323,17 +330,16 @@ def test_trace_series_chunks_do_not_move_the_series(rng, monkeypatch):
     K = rng.normal(size=(2 * n, 2 * n))
     K = K + K.T  # real symmetric, as every profile trace's K
     times = np.linspace(0.0, 3.0, 7)
-    whole = qf.trace_series(lam, K, times)
-    # a grid within one chunk is the single whole-grid product, bit for bit
+    whole = qf.trace_series(lam, K, K, times)
+    # a grid within one chunk is one whole-grid product per kernel, bit for bit
     phase = 2.0 * np.outer(times, lam)
-    R = np.vstack([np.cos(phase), np.sin(phase)])
-    q = np.einsum("ra,ra->r", R @ K, R)
-    assert np.array_equal(whole, q[:7] + q[7:])
+    c, s = np.cos(phase), np.sin(phase)
+    assert np.array_equal(whole, np.einsum("ra,ra->r", c @ K, c) + np.einsum("ra,ra->r", s @ K, s))
     per_time = 2 * (2 * n)  # float64 entries of one time's cos and sin rows
     for budget in (1, 3 * per_time):  # one time per chunk; chunks of 3, 3 and 1
         monkeypatch.setattr(qf, "_GRID_CHUNK_ENTRIES", budget)
         # BLAS rounds a product's rows differently for different row counts
-        assert np.max(np.abs(qf.trace_series(lam, K, times) - whole)) < 1e-13
+        assert np.max(np.abs(qf.trace_series(lam, K, K, times) - whole)) < 1e-13
 
 
 def _phase_rows(lam, times, per_time=1, weights=(1.0,)):
@@ -389,7 +395,7 @@ def test_grid_kernels_reject_an_empty_grid(rng, kernel):
     sdA = ham.diagonalize_A(ch)
     run = {"amplitude_block": lambda: ec.dynamic_amplitude_sup(ham.bogoliubov(ch), []),
            "clustering": lambda: ec.clustering_sup(sdA, [1, 0, 1, 0], []),
-           "trace": lambda: qf.trace_series(sdA.eigenvalues, np.eye(4), []),
+           "trace": lambda: qf.trace_series(sdA.eigenvalues, np.eye(4), np.eye(4), []),
            "quench": lambda: ent.quench_entropy(ch, 2, [1, 0], [0, 1], [], ham.bogoliubov(ch))}[kernel]
     with pytest.raises(ValueError, match="^time grid must be nonempty$"):
         run()
@@ -397,8 +403,10 @@ def test_grid_kernels_reject_an_empty_grid(rng, kernel):
 
 def test_series_reject_complex_input(rng):
     bog = ham.bogoliubov(random_chain(rng, 3))
-    with pytest.raises(ValueError, match="real K"):
-        qf.trace_series(bog.lam, np.eye(3) + 1j * np.eye(3), [0.0, 1.0])
+    real, cplx = np.eye(3), np.eye(3) + 1j * np.eye(3)
+    for Kc, Ks in ((cplx, real), (real, cplx)):
+        with pytest.raises(ValueError, match="^trace_series takes real Kc and Ks$"):
+            qf.trace_series(bog.lam, Kc, Ks, [0.0, 1.0])
     with pytest.raises(ValueError, match="real gamma"):
         qf.evolve_gamma(np.eye(6) + 0j, bog, 1.0)
 
@@ -436,7 +444,7 @@ def test_grid_kernels_hold_memory_to_a_chunk(rng, monkeypatch, kernel):
     run = {"amplitude": lambda ts: ec.dynamic_amplitude_sup(sdA, ts),
            "amplitude_block": lambda ts: ec.dynamic_amplitude_sup(bog, ts),
            "clustering": lambda ts: ec.clustering_sup(sdA, rng.integers(0, 2, 12), ts),
-           "trace": lambda ts: qf.trace_series(lam, K + K.T, ts),
+           "trace": lambda ts: qf.trace_series(lam, K + K.T, K - K.T, ts),
            # the quench's evolved restricted block
            "restricted": lambda ts: ent.quench_entropy(ch, 2, [1, 0], [1, 1, 0, 0], ts, bog)}[kernel]
 

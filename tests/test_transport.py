@@ -23,9 +23,37 @@ def profile_density_matrix(eta):
 def test_region_distance():
     assert tr.region_distance([5], [1, 2]) == 3
     assert tr.region_distance([1, 4], [2, 6]) == 1
-    assert tr._interval_projector_indices([2, 3, 4]).tolist() == [1, 2, 3]
+    assert tr._region_rows([2, 3, 4], 4, interval=True).tolist() == [1, 2, 3]
+    assert tr._region_rows([1, 4], 4).tolist() == [0, 3]
     with pytest.raises(ValueError, match="interval region"):
-        tr._interval_projector_indices([1, 4])
+        tr._region_rows([1, 4], 4, interval=True)
+
+
+@pytest.mark.parametrize("series", ["particle", "energy", "fluctuation"])
+def test_series_reject_sites_off_the_chain_and_profiles_of_the_wrong_length(rng, series):
+    # row -1 would wrap to the last site; a short profile would fail in numpy
+    n = 3
+    ch = random_chain(rng, n, anisotropic=False)
+    sd = diagonalize_A(ch)
+    run = {"particle": lambda s1, eta: tr.particle_number_series(ch, s1, eta, [0.0, 1.0], sd),
+           "energy": lambda s1, eta: tr.energy_series_isotropic(ch, s1, eta, [0.0, 1.0], sd),
+           "fluctuation": lambda s1, eta: tr.energy_fluctuation_series(ch, s1, eta, [0.0, 1.0])}[series]
+    for s1 in ([0], [3, 4], []):
+        with pytest.raises(ValueError, match=r"^region must be nonempty sites in \[1, 3\], got "):
+            run(s1, np.zeros(n))
+    for eta in (np.zeros(n - 1), np.zeros(n + 1), np.zeros((n, 1))):
+        with pytest.raises(ValueError, match=r"^profile must have one entry per site, n = 3; got shape"):
+            run([1], eta)
+    with pytest.raises(ValueError, match=r"profile entries must lie in \[0, 1\]"):
+        run([1], np.full(n, -0.5))
+
+
+def test_mean_energy_validates_its_profile(rng):
+    ch = random_chain(rng, 3)
+    with pytest.raises(ValueError, match=r"^profile must have one entry per site, n = 3; got shape"):
+        tr.mean_energy(ch, [1.0, 0.0])
+    with pytest.raises(ValueError, match=r"profile entries must lie in \[0, 1\]"):
+        tr.mean_energy(ch, [1.0, 0.0, 2.0])
 
 
 def test_particle_number_initial_profile():
@@ -106,7 +134,7 @@ def test_energy_fluctuation_series_matches_oracle(rng):
 @pytest.mark.parametrize("n", [1, 2, 7, 60])
 @pytest.mark.parametrize("corner", CORNERS)
 def test_energy_fluctuation_series_matches_the_2n_form(rng, n, corner):
-    # the (+lambda, -lambda) mode-pair form against the profile trace over
+    # the n-mode Majorana form against the profile trace over
     # M's 2n eigensystem, on a random, a 0/1 and the uniform profile
     ch = corner_chain(rng, n, corner)
     times = np.linspace(0.0, 6.0, 25)
