@@ -58,7 +58,7 @@ def chain_errors(chain: ChainSpec, jw: ed.JordanWigner, parity: ed.Sectors,
     """The worst error of every per-chain check on one chain.  H, its
     eigensystem (per parity sector), the isotropic (gamma = 0) H, its
     eigensystem (per number sector) and one Bogoliubov decomposition are
-    built once and shared; H is dropped before the isotropic H is built."""
+    built once and shared."""
     n = chain.n
     iso = ChainSpec(n=n, mu=chain.mu, gamma=(0.0,) * (n - 1), nu=chain.nu)
     H = ed.build_H(chain)
@@ -66,13 +66,11 @@ def chain_errors(chain: ChainSpec, jw: ed.JordanWigner, parity: ed.Sectors,
     # 2A sitting on the (c_j^*, c_k) entries of the interleaved X_iso
     quadratic = check_quadratic_form(H, build_M(chain), jw)
     eig = ed.spectral(H, parity)
-    del H
     H_iso = ed.build_H(iso)
     X_iso = np.zeros((2 * n, 2 * n))
     X_iso[::2, ::2] = 2.0 * build_A(iso)
     isotropic = check_quadratic_form(H_iso, X_iso, jw, float(np.sum(iso.nu)))
     iso_eig = ed.spectral(H_iso, number)
-    del H_iso
     bog = bogoliubov(chain)
     g_err, s_err = check_eigenstates(bog, eig, jw)
     return {
@@ -87,25 +85,20 @@ def chain_errors(chain: ChainSpec, jw: ed.JordanWigner, parity: ed.Sectors,
     }
 
 
-def _quadratic_form(X: np.ndarray, jw: ed.JordanWigner) -> np.ndarray:
-    """sum_pq X_pq o_p^* o_q as a dense real matrix: each nonzero X_pq
-    scatters the 2^n entries of o_{p^1} o_q (o_p^* = o_{p^1})."""
-    dim = jw.tgt.shape[1]
-    out = np.zeros((dim, dim))
+def check_quadratic_form(H: dict, X: np.ndarray, jw: ed.JordanWigner,
+                         constant: float = 0.0) -> float:
+    """Worst entry of constant + sum_pq X_pq o_p^* o_q - H, one bit-flip
+    diagonal at a time: o_p^* o_q = o_{p^1} o_q flips the same bits of
+    every basis state, so each nonzero X_pq adds X_pq sgn to the diagonal
+    of its mask tgt[0], and each entry sums its terms in the order of
+    np.nonzero(X)."""
+    form = {}
     for p, q in zip(*np.nonzero(X)):
         tgt, sgn = jw.product(p ^ 1, q)
-        out[tgt, np.arange(dim)] += X[p, q] * sgn
-    return out
-
-
-def check_quadratic_form(H: np.ndarray, X: np.ndarray, jw: ed.JordanWigner,
-                         constant: float = 0.0) -> float:
-    """Worst entry of constant + sum_pq X_pq o_p^* o_q - H, formed in place
-    on the one dense form."""
-    form = _quadratic_form(X, jw)
-    form[np.diag_indices_from(form)] += constant
-    form -= H
-    return float(np.max(np.abs(form, out=form)))
+        mask = int(tgt[0])
+        form[mask] = form.get(mask, 0.0) + X[p, q] * sgn
+    form[0] = form.get(0, 0.0) + constant
+    return max(float(np.max(np.abs(form.get(m, 0.0) - H.get(m, 0.0)))) for m in form.keys() | H.keys())
 
 
 def check_car(jw: ed.JordanWigner) -> float:

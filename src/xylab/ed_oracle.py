@@ -1,17 +1,18 @@
 """Brute-force full-Hilbert-space oracle, capped at n = 14; measured
-reach: oracle_suite at n = 10 in about 0.15 s, n = 12 in 4.4 s and n = 13
-in 30 s (1.3 GiB peak RSS) per realization on one core.
+reach: oracle_suite at n = 12 in about 4 s, n = 13 in 34 s (1.0 GiB peak
+RSS) and n = 14 in 304 s (3.4 GiB, under a 4 GiB address-space limit)
+per realization on one core.
 
 Everything here is assembled from the Pauli and Jordan-Wigner definitions
 by bit operations on the spin basis, independent of the free-fermion
 machinery, so it can certify that machinery.  Site 1 is the most
 significant bit of a basis index; bit 0 means up (sigma_z = +1), and
-up-spins are the particles.  H is real, and each fermion operator is a
-signed partial permutation of the basis (JordanWigner).  H keeps the
-parity of the down-spin count and the isotropic H keeps the count itself,
-so eigensystems and Gibbs states are held one symmetry sector at a time
-(Sectors, SectorEigensystem); no 2^n x 2^n eigenvector matrix or density
-matrix is formed.
+up-spins are the particles.  H is real and held as its bit-flip
+diagonals (build_H), and each fermion operator is a signed partial
+permutation of the basis (JordanWigner).  H keeps the parity of the
+down-spin count and the isotropic H keeps the count itself, so
+eigensystems and Gibbs states are held one symmetry sector at a time
+(Sectors, SectorEigensystem); no 2^n x 2^n matrix is formed.
 """
 
 from __future__ import annotations
@@ -69,24 +70,18 @@ def occupation_mask(n: int, x: int) -> np.ndarray:
     return 1.0 - _site_bits(n, x)
 
 
-def build_H(chain: ChainSpec) -> np.ndarray:
-    """The real 2^n x 2^n XY Hamiltonian, from the Pauli action on bits."""
-    return build_H_region(chain, 1, chain.n)
-
-
-def build_H_region(chain: ChainSpec, a: int, b: int) -> np.ndarray:
-    """Restriction of the Hamiltonian to the interval [a, b] (its interior
-    bonds and fields), still acting on the full chain.  XX and YY flip bits
-    j, j + 1 and YY is -1 on equal bits, so a bond gives -2 mu_j on a hop
-    (unequal bits) and -2 mu_j gamma_j on a pair; Z is diagonal."""
+def build_H(chain: ChainSpec) -> dict:
+    """The real XY Hamiltonian as its bit-flip diagonals {mask: values},
+    H e_s = sum_m H[m][s] e_{s ^ m}, from the Pauli action on bits.  Z is
+    diagonal, so mask 0 holds the fields.  XX and YY flip bits j, j + 1 and
+    YY is -1 on equal bits, so bond j sits on mask 3 << (n - j - 1): -2 mu_j
+    on a hop (unequal bits) and -2 mu_j gamma_j on a pair."""
     n = chain.n
     _check_n(n)
-    s = np.arange(2**n)
-    H = np.zeros((2**n, 2**n))
-    for j in range(a, b):
+    H = {0: sum(-chain.nu[j - 1] * (1.0 - 2.0 * _site_bits(n, j)) for j in range(1, n + 1))}
+    for j in range(1, n):
         hop = _site_bits(n, j) != _site_bits(n, j + 1)
-        H[s ^ (3 << (n - j - 1)), s] = -2.0 * chain.mu[j - 1] * np.where(hop, 1.0, chain.gamma[j - 1])
-    H[s, s] = sum(-chain.nu[j - 1] * (1.0 - 2.0 * _site_bits(n, j)) for j in range(a, b + 1))
+        H[3 << (n - j - 1)] = -2.0 * chain.mu[j - 1] * np.where(hop, 1.0, chain.gamma[j - 1])
     return H
 
 
@@ -146,14 +141,28 @@ class SectorEigensystem:
         return out
 
 
-def spectral(H: np.ndarray, sectors: Sectors) -> SectorEigensystem:
-    """Eigendecomposition of the real symmetric H, one eigh per sector.  An
-    H with a nonzero entry between two sectors is an error: its spectrum is
-    not the union of the blocks'."""
-    rows, cols = np.nonzero(H)
-    if np.any(sectors.label[rows] != sectors.label[cols]):
+def _sector_block(H: dict, sectors: Sectors, idx: np.ndarray) -> np.ndarray:
+    """H restricted to the sector of basis indices idx, from the nonzero
+    entries of its diagonals."""
+    block = np.zeros((len(idx), len(idx)))
+    col = np.arange(len(idx))
+    for mask, values in H.items():
+        v = values[idx]
+        nz = v != 0
+        block[sectors.position[idx[nz] ^ mask], col[nz]] = v[nz]
+    return block
+
+
+def spectral(H: dict, sectors: Sectors) -> SectorEigensystem:
+    """Eigendecomposition of the real symmetric H, given as its bit-flip
+    diagonals, one eigh per sector; each block is built just before its
+    eigh.  An H with a nonzero entry between two sectors is an error: its
+    spectrum is not the union of the blocks'."""
+    label = sectors.label
+    s = np.arange(len(label))
+    if any(np.any((values != 0) & (label[s ^ mask] != label)) for mask, values in H.items()):
         raise ValueError("H couples two symmetry sectors")
-    evals, evecs = zip(*(np.linalg.eigh(H[np.ix_(idx, idx)]) for idx in sectors.index))
+    evals, evecs = zip(*(np.linalg.eigh(_sector_block(H, sectors, idx)) for idx in sectors.index))
     merged = np.concatenate(evals)
     order = np.argsort(merged, kind="stable")
     sector = np.repeat(np.arange(len(evals)), [len(e) for e in evals])

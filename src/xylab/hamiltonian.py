@@ -92,23 +92,16 @@ def build_M(chain: ChainSpec) -> np.ndarray:
     return M
 
 
-def block_norms(re: np.ndarray, im: np.ndarray | None = None) -> np.ndarray:
-    """Spectral norms of the 2x2 matrices re + i im stacked on the last two
-    axes: the square root of the top eigenvalue of X X^*, whose gap is
-    formed from the row-norm difference and the row overlap as a sum of
-    squares, so it stays accurate when the singular values nearly agree."""
+def block_norms(re: np.ndarray) -> np.ndarray:
+    """Spectral norms of the real 2x2 matrices stacked on the last two axes:
+    the square root of the top eigenvalue of X X^t, whose gap is formed
+    from the row-norm difference and the row overlap as a sum of squares,
+    so it stays accurate when the singular values nearly agree."""
     a, b, c, d = re[..., 0, 0], re[..., 0, 1], re[..., 1, 0], re[..., 1, 1]
     r1 = a * a + b * b
     r2 = c * c + d * d
-    ov_re = a * c + b * d
-    ov_im = 0.0
-    if im is not None:
-        ai, bi, ci, di = im[..., 0, 0], im[..., 0, 1], im[..., 1, 0], im[..., 1, 1]
-        r1 += ai * ai + bi * bi
-        r2 += ci * ci + di * di
-        ov_re += ai * ci + bi * di
-        ov_im = ai * c - a * ci + bi * d - b * di
-    gap = np.sqrt((r1 - r2) ** 2 + 4.0 * (ov_re * ov_re + ov_im * ov_im))
+    ov = a * c + b * d
+    gap = np.sqrt((r1 - r2) ** 2 + 4.0 * (ov * ov))
     return np.sqrt(0.5 * (r1 + r2 + gap))
 
 

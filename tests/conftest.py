@@ -9,7 +9,7 @@ from xylab import experiments as xp
 from xylab import hamiltonian as ham
 from xylab import quasifree as qf
 from xylab import transport as tr
-from xylab.hamiltonian import alpha_from_index, block_norms, bogoliubov, build_A, build_M, diagonalize_A
+from xylab.hamiltonian import alpha_from_index, bogoliubov, build_A, build_M, diagonalize_A
 
 
 @pytest.fixture
@@ -125,6 +125,23 @@ def kron_build_H(chain):
     for j in range(1, n + 1):
         H -= chain.nu[j - 1] * kron_chain(n, {j: "Z"})
     return H
+
+
+def dense_H(chain):
+    """The oracle's H as a dense 2^n x 2^n matrix: its bit-flip diagonals
+    scattered, H[s ^ m, s] = values[s]."""
+    s = np.arange(2**chain.n)
+    H = np.zeros((len(s), len(s)))
+    for mask, values in ed.build_H(chain).items():
+        H[s ^ mask, s] = values
+    return H
+
+
+def region_H(chain, a, b):
+    """The Hamiltonian of the interval [a, b] (its interior bonds and
+    fields) between identities on the rest of the chain."""
+    sub = disorder.make_chain(chain.mu[a - 1:b - 1], chain.gamma[a - 1:b - 1], chain.nu[a - 1:b])
+    return np.kron(np.kron(np.eye(2 ** (a - 1)), dense_H(sub)), np.eye(2 ** (chain.n - b)))
 
 
 def dense_op(jw, p):
@@ -362,11 +379,30 @@ def evolve_gamma_2n(gamma, sd_M, t):
     return U @ gamma @ U.conj().T
 
 
+def complex_block_norms(re, im=None):
+    """Spectral norms of the 2x2 matrices re + i im stacked on the last two
+    axes: ham.block_norms' closed form with the imaginary parts added to
+    the row norms and the row overlap."""
+    a, b, c, d = re[..., 0, 0], re[..., 0, 1], re[..., 1, 0], re[..., 1, 1]
+    r1 = a * a + b * b
+    r2 = c * c + d * d
+    ov_re = a * c + b * d
+    ov_im = 0.0
+    if im is not None:
+        ai, bi, ci, di = im[..., 0, 0], im[..., 0, 1], im[..., 1, 0], im[..., 1, 1]
+        r1 += ai * ai + bi * bi
+        r2 += ci * ci + di * di
+        ov_re += ai * ci + bi * di
+        ov_im = ai * c - a * ci + bi * d - b * di
+    gap = np.sqrt((r1 - r2) ** 2 + 4.0 * (ov_re * ov_re + ov_im * ov_im))
+    return np.sqrt(0.5 * (r1 + r2 + gap))
+
+
 def block_spectral_norms(gamma):
     """n x n table of spectral norms of the 2x2 blocks of a 2n x 2n gamma."""
     n = len(gamma) // 2
     blocks = gamma.reshape(n, 2, n, 2).transpose(0, 2, 1, 3)
-    return block_norms(blocks.real, blocks.imag if np.iscomplexobj(blocks) else None)
+    return complex_block_norms(blocks.real, blocks.imag if np.iscomplexobj(blocks) else None)
 
 
 def entropy_from_gamma(gamma, ell):
@@ -419,7 +455,7 @@ def block_amplitude_sup_2n(sd, times):
     for m, R in qf.phase_rows(lam, times, 2.0, 2 * len(W)):
         ri = R @ W.T
         parts = ri.reshape(2, m, 2, 2, len(j)).transpose(0, 1, 4, 2, 3)
-        np.maximum(best, np.max(block_norms(parts[0], parts[1]), axis=0), out=best)
+        np.maximum(best, np.max(complex_block_norms(parts[0], parts[1]), axis=0), out=best)
     out = np.zeros((n, n))
     out[j, k] = best
     out[k, j] = best

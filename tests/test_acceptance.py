@@ -26,8 +26,8 @@ from xylab.disorder import (
     uniform,
 )
 
-from conftest import (dense_cs, ed_commutator_sups, ensemble_mean, high_disorder_ensemble,
-                      multipoint_correlation, occupation_bound, random_chain, region_number_op)
+from conftest import (dense_cs, dense_H, ed_commutator_sups, ensemble_mean, high_disorder_ensemble,
+                      multipoint_correlation, occupation_bound, random_chain, region_H, region_number_op)
 
 
 def report(number: int, ok: bool, detail: str) -> None:
@@ -48,7 +48,7 @@ def test_01_spectrum_equivalence():
         n = int(rng.integers(4, 11))
         chain = random_chain(rng, n, anisotropic=bool(trial % 2))
         free = np.sort(ham.all_many_body_energies(ham.bogoliubov(chain)))
-        edvals = np.linalg.eigvalsh(ed.build_H(chain))
+        edvals = np.linalg.eigvalsh(dense_H(chain))
         worst = max(worst, float(np.max(np.abs(free - edvals))))
     ok = worst < 1e-8
     report(1, ok, f"20 chains n in [4,10]; worst multiset deviation {worst:.2e} < 1e-8")
@@ -73,14 +73,14 @@ def test_02_operator_identities():
             for q in range(2 * n):
                 if M[p, q] != 0.0:
                     H2 += M[p, q] * (ops[p].conj().T @ ops[q])
-        worst_q = max(worst_q, float(np.max(np.abs(ed.build_H(chain) - H2))))
+        worst_q = max(worst_q, float(np.max(np.abs(dense_H(chain) - H2))))
         A = ham.build_A(iso)
         H3 = np.sum(iso.nu) * np.eye(2**n, dtype=complex)
         for j in range(n):
             for k in range(n):
                 if A[j, k] != 0.0:
                     H3 += 2.0 * A[j, k] * (cs[j].conj().T @ cs[k])
-        worst_i = max(worst_i, float(np.max(np.abs(ed.build_H(iso) - H3))))
+        worst_i = max(worst_i, float(np.max(np.abs(dense_H(iso) - H3))))
     ok = worst_q < 1e-10 and worst_i < 1e-10
     report(2, ok, f"quadratic-form identities: anisotropic {worst_q:.2e}, isotropic {worst_i:.2e} < 1e-10")
     assert ok
@@ -94,7 +94,7 @@ def test_03_entanglement_identity():
     for n in (4, 5, 6, 7, 8):
         chain = random_chain(rng, n, anisotropic=True)
         bog = ham.bogoliubov(chain)
-        evals, evecs = np.linalg.eigh(ed.build_H(chain))
+        evals, evecs = np.linalg.eigh(dense_H(chain))
         idxs, flags = ed.match_eigenstates(ham.all_many_body_energies(bog), evals)
         for a in range(2**n):
             if flags[a]:
@@ -307,8 +307,8 @@ def test_08_transport(fit_eps005_n100):
         rho0 = np.eye(1, dtype=complex)
         for e in eta6:
             rho0 = np.kron(rho0, np.diag([e, 1 - e]).astype(complex))
-        evals, evecs = np.linalg.eigh(ed.build_H(chain))
-        HS1 = ed.build_H_region(chain, 1, 2)
+        evals, evecs = np.linalg.eigh(dense_H(chain))
+        HS1 = region_H(chain, 1, 2)
         NS1 = region_number_op(6, [1])
         for t in (0.5, 2.0):
             phases = np.exp(-1j * t * np.subtract.outer(evals, evals))
@@ -396,7 +396,7 @@ def test_09_fock_localization(fit_eps005_n200):
     rng2 = np.random.default_rng(110)
     ch6 = random_chain(rng2, 6, anisotropic=False)
     sd6 = ham.diagonalize_A(ch6)
-    evals, evecs = np.linalg.eigh(ed.build_H(ch6))
+    evals, evecs = np.linalg.eigh(dense_H(ch6))
     occ_err = 0.0
     for r in (1, 2, 3):
         for k in itertools.combinations(range(1, 7), r):

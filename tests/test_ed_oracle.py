@@ -5,21 +5,21 @@ from xylab import ed_oracle as ed
 from xylab import hamiltonian as ham
 from xylab.disorder import make_chain
 
-from conftest import (CORNERS, commutator_norm, corner_chain, dense_cs, dense_op, ed_commutator_sups,
-                      heisenberg_evolve, kron_build_H, kron_chain, kron_jordan_wigner_c, random_chain,
-                      spin_basis_index, spin_basis_vector)
+from conftest import (CORNERS, commutator_norm, corner_chain, dense_cs, dense_H, dense_op,
+                      ed_commutator_sups, heisenberg_evolve, kron_build_H, kron_chain, kron_jordan_wigner_c,
+                      random_chain, spin_basis_index, spin_basis_vector)
 
 
 def test_single_site_hamiltonian():
     ch = make_chain([], [], [0.7])
-    H = ed.build_H(ch)
+    H = dense_H(ch)
     assert np.allclose(H, -0.7 * np.array([[1, 0], [0, -1]]))
     assert np.allclose(np.linalg.eigvalsh(H), [-0.7, 0.7])
 
 
 def test_two_site_clean_spectrum():
     ch = make_chain([1.0], [0.0], [0.0, 0.0])
-    evals = np.linalg.eigvalsh(ed.build_H(ch))
+    evals = np.linalg.eigvalsh(dense_H(ch))
     assert np.allclose(evals, [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
 
 
@@ -40,7 +40,7 @@ def test_quadratic_form_identities(rng):
     # C^* M C the general one
     for n in (2, 3):
         iso = random_chain(rng, n, anisotropic=False)
-        H = ed.build_H(iso)
+        H = dense_H(iso)
         A = ham.build_A(iso)
         cs = dense_cs(n)
         H2 = np.sum(iso.nu) * np.eye(2**n, dtype=complex)
@@ -50,7 +50,7 @@ def test_quadratic_form_identities(rng):
         assert np.max(np.abs(H - H2)) < 1e-10
 
         aniso = random_chain(rng, n, anisotropic=True)
-        Ha = ed.build_H(aniso)
+        Ha = dense_H(aniso)
         M = ham.build_M(aniso)
         ops = []
         for c in cs:
@@ -73,8 +73,7 @@ def test_local_operators_commute_at_distance():
 
 def test_commutator_grows_under_evolution():
     ch = make_chain([1.0, 1.0], [0.0, 0.0], [0.3, -0.2, 0.5])
-    H = ed.build_H(ch)
-    hd = np.linalg.eigh(H)
+    hd = np.linalg.eigh(dense_H(ch))
     x1 = kron_chain(3, {1: "X"})
     x3 = kron_chain(3, {3: "X"})
     at_zero = commutator_norm(x1, x3)
@@ -85,7 +84,7 @@ def test_commutator_grows_under_evolution():
 
 def test_heisenberg_evolution_unitarity(rng):
     ch = random_chain(rng, 3)
-    H = ed.build_H(ch)
+    H = dense_H(ch)
     op = kron_chain(3, {2: "X"})
     evolved = heisenberg_evolve(op, H, 0.83)
     assert np.max(np.abs(evolved @ evolved - np.eye(8))) < 1e-12  # X_t^2 = 1
@@ -172,9 +171,8 @@ def test_sector_eigensystem_matches_dense_eigh(rng, n, corner):
     # has exact degeneracies across sectors), the Gibbs blocks and the
     # evolved basis state
     ch = corner_chain(rng, n, corner)
-    H = ed.build_H(ch)
-    evals, evecs = np.linalg.eigh(H)
-    eig = ed.spectral(H, ed.parity_sectors(n))
+    evals, evecs = np.linalg.eigh(dense_H(ch))
+    eig = ed.spectral(ed.build_H(ch), ed.parity_sectors(n))
     assert np.max(np.abs(eig.energies - evals)) < 1e-12
     targets = ham.all_many_body_energies(ham.bogoliubov(ch))
     idx, flags = ed.match_eigenstates(targets, eig.energies)
@@ -194,17 +192,16 @@ def test_sector_eigensystem_matches_dense_eigh(rng, n, corner):
 
 def test_number_sectors_of_the_isotropic_chain(rng):
     n = 6
-    iso = ed.build_H(random_chain(rng, n, anisotropic=False))
-    eig = ed.spectral(iso, ed.number_sectors(n))
+    iso = random_chain(rng, n, anisotropic=False)
+    eig = ed.spectral(ed.build_H(iso), ed.number_sectors(n))
     assert [len(idx) for idx in eig.sectors.index] == [1, 6, 15, 20, 15, 6, 1]
-    assert np.max(np.abs(eig.energies - np.linalg.eigvalsh(iso))) < 1e-12
+    assert np.max(np.abs(eig.energies - np.linalg.eigvalsh(dense_H(iso)))) < 1e-12
 
 
 def test_an_h_coupling_two_sectors_is_rejected(rng):
     n = 4
     H = ed.build_H(random_chain(rng, n))
-    broken = H.copy()
-    broken[0, 1] = broken[1, 0] = 0.1  # basis states 0 and 1 differ in parity
+    broken = {**H, 1: np.full(2**n, 0.1)}  # flipping the last bit changes the parity
     with pytest.raises(ValueError, match="H couples two symmetry sectors"):
         ed.spectral(broken, ed.parity_sectors(n))
     # the pairing terms of an anisotropic H change the particle number by 2
@@ -277,15 +274,9 @@ def test_bit_built_hamiltonian_equals_the_kron_sum(rng, n):
     chains.append(make_chain(([0.0] + [1.0] * n)[: n - 1], np.resize([1.0, -1.0], n - 1), np.zeros(n)))
     for ch in chains:
         H = ed.build_H(ch)
-        assert H.dtype == np.float64
-        assert np.max(np.abs(H - kron_build_H(ch))) < 1e-14
-    # a region keeps its interior bonds and fields only
-    ch = chains[1]
-    for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            sub = make_chain(ch.mu[a - 1:b - 1], ch.gamma[a - 1:b - 1], ch.nu[a - 1:b])
-            ref = np.kron(np.kron(np.eye(2 ** (a - 1)), kron_build_H(sub)), np.eye(2 ** (n - b)))
-            assert np.max(np.abs(ed.build_H_region(ch, a, b) - ref)) < 1e-14
+        assert list(H) == [0] + [3 << (n - j - 1) for j in range(1, n)]  # fields, then bond j
+        assert all(v.dtype == np.float64 and v.shape == (2**n,) for v in H.values())
+        assert np.max(np.abs(dense_H(ch) - kron_build_H(ch))) < 1e-14
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
@@ -297,7 +288,7 @@ def test_sector_commutator_sweep_matches_the_dense_sweep(rng, n):
         ch = make_chain(ch.mu[:2] + (0.0,) + ch.mu[3:], ch.gamma, ch.nu)  # a zero bond
     pairs = [(j, k) for j in range(1, n + 1) for k in range(j, n + 1)]
     times = np.linspace(0.0, 4.0, 9)
-    evals, evecs = np.linalg.eigh(ed.build_H(ch))
+    evals, evecs = np.linalg.eigh(dense_H(ch))
     tilde = {s: evecs.T @ kron_chain(n, {s: "X"}) @ evecs for s in range(1, n + 1)}
     dense = dict.fromkeys(pairs, 0.0)
     for t in times:

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from xylab import ed_oracle as ed
 from xylab import eigencorrelator as ec
 from xylab import experiments as xp
 from xylab import hamiltonian as ham
@@ -14,7 +13,7 @@ from xylab.disorder import (
     uniform,
 )
 
-from conftest import (block_amplitude_sup_2n, block_table_2n, corner_chain, dense_cs,
+from conftest import (block_amplitude_sup_2n, block_table_2n, corner_chain, dense_cs, dense_H,
                       diagonalize, ed_commutator_sups, ensemble_mean, function_of,
                       heisenberg_evolve, high_disorder_chain, high_disorder_ensemble, random_chain,
                       spectral_M)
@@ -113,7 +112,7 @@ def test_block_amplitude_matches_oracle_commutator_scale(rng):
     t = 0.9
     U = function_of(sdM, lambda lam: np.exp(-2j * t * lam))
     # oracle: tau_t(c_j) expanded in the operator basis (c_k, c_k^*)
-    hd = np.linalg.eigh(ed.build_H(ch))
+    hd = np.linalg.eigh(dense_H(ch))
     cs = dense_cs(n)
     ops = []
     for c in cs:

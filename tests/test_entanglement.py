@@ -12,7 +12,7 @@ from xylab.eigencorrelator import DecayFit
 from xylab.hamiltonian import alpha_from_index
 
 from conftest import (CORNERS, block_spectral_norms, block_table_2n, bogoliubov_W, corner_chain,
-                      diagonalize, eigenstate_gamma_2n, entropy_from_gamma, high_disorder_ensemble,
+                      dense_H, diagonalize, eigenstate_gamma_2n, entropy_from_gamma, high_disorder_ensemble,
                       ps_bound_gamma, purity_defect, quench_initial_gamma, random_chain,
                       thermal_entanglement_of_formation_bound, validate)
 
@@ -40,7 +40,7 @@ def test_entropy_matches_oracle_every_eigenstate_every_cut(rng):
     n = 6
     ch = random_chain(rng, n)
     bog = ham.bogoliubov(ch)
-    evals, evecs = np.linalg.eigh(ed.build_H(ch))
+    evals, evecs = np.linalg.eigh(dense_H(ch))
     energies = ham.all_many_body_energies(bog)
     idxs, flags = ed.match_eigenstates(energies, evals)
     checked = 0
@@ -274,8 +274,8 @@ def test_quench_entropy_starts_at_zero_and_matches_oracle(rng):
     left = make_chain(ch.mu[:2], ch.gamma[:2], ch.nu[:3])
     right = make_chain(ch.mu[3:], ch.gamma[3:], ch.nu[3:])
     bog_l, bog_r = ham.bogoliubov(left), ham.bogoliubov(right)
-    el, vl = np.linalg.eigh(ed.build_H(left))
-    er, vr = np.linalg.eigh(ed.build_H(right))
+    el, vl = np.linalg.eigh(dense_H(left))
+    er, vr = np.linalg.eigh(dense_H(right))
     il, fl = ed.match_eigenstates([ham.all_many_body_energies(bog_l)[4]], el)  # alpha (0, 0, 1)
     ir, fr = ed.match_eigenstates([ham.all_many_body_energies(bog_r)[2]], er)  # alpha (0, 1, 0)
     assert not fl[0] and not fr[0]

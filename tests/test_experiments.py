@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import types
 from collections import Counter
 from pathlib import Path
@@ -24,7 +25,7 @@ from xylab import transport as tr
 from xylab.config import DEFAULTS, PARAMS, TimeGrid
 from xylab.disorder import sample_chain
 
-from conftest import dense_op, kron_jordan_wigner_c
+from conftest import dense_op, kron_jordan_wigner_c, random_chain
 
 
 def ensemble_json(n=16, realizations=4, seed=11, eps=0.1):
@@ -418,16 +419,37 @@ def _kron_interleaved(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_quadratic_form_equals_the_explicit_double_sum(rng, n):
+    # the explicit sum as bit-flip diagonals on every mask, so an entry the
+    # check puts on the wrong diagonal shows; the constant lands on mask 0
     ops = _kron_interleaved(n)
     dense = rng.normal(size=(2 * n, 2 * n))
     sparse = dense.copy()
     sparse[::2] = 0.0  # zero entries, which the form skips
+    s = np.arange(2**n)
     for X in (dense, sparse, np.zeros((2 * n, 2 * n))):
-        explicit = np.zeros((2**n, 2**n), dtype=complex)
+        explicit = 0.3 * np.eye(2**n, dtype=complex)
         for p in range(2 * n):
             for q in range(2 * n):
                 explicit += X[p, q] * (ops[p].conj().T @ ops[q])
-        assert np.max(np.abs(certify._quadratic_form(X, ed.all_c(n)) - explicit)) < 1e-12
+        assert not explicit.imag.any()
+        diagonals = {m: explicit.real[s ^ m, s] for m in range(2**n)}
+        assert certify.check_quadratic_form(diagonals, X, ed.all_c(n), 0.3) < 1e-12
+        assert certify.check_quadratic_form(diagonals, X, ed.all_c(n)) == pytest.approx(0.3, abs=1e-12)
+
+
+def test_hamiltonian_and_quadratic_check_stay_below_a_mebibyte_at_ten_sites(rng):
+    # H as its n bit-flip diagonals, checked one diagonal at a time: a dense
+    # 2^10 x 2^10 H alone would take 8 MiB
+    chain = random_chain(rng, 10)
+    jw, M = ed.all_c(10), ham.build_M(chain)
+    tracemalloc.start()
+    try:
+        err = certify.check_quadratic_form(ed.build_H(chain), M, jw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err < 1e-10
+    assert peak < 1 << 20
 
 
 def _car_all_pairs(ops):

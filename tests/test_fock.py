@@ -11,7 +11,7 @@ from xylab import quasifree as qf
 from xylab.disorder import make_chain, sample_chain, uniform
 from xylab.eigencorrelator import DecayFit, fit_decay
 
-from conftest import (diagonalize, ensemble_mean, high_disorder_ensemble, occupation_bound,
+from conftest import (dense_H, diagonalize, ensemble_mean, high_disorder_ensemble, occupation_bound,
                       random_chain, spin_basis_index)
 
 
@@ -187,7 +187,7 @@ def test_slater_overlap_matches_oracle(rng):
     ch = random_chain(rng, n, anisotropic=False)
     sdA = ham.diagonalize_A(ch)
     U = sdA.eigenvectors
-    evals, evecs = np.linalg.eigh(ed.build_H(ch))
+    evals, evecs = np.linalg.eigh(dense_H(ch))
     for k in itertools.combinations(range(1, n + 1), 2):
         e_free = 2.0 * np.sum(sdA.eigenvalues[np.array(k) - 1]) + np.sum(ch.nu)
         idx, flags = ed.match_eigenstates([e_free], evals)
@@ -222,7 +222,7 @@ def test_occupation_matches_oracle(rng):
     n = 6
     ch = random_chain(rng, n, anisotropic=False)
     sdA = ham.diagonalize_A(ch)
-    evals, evecs = np.linalg.eigh(ed.build_H(ch))
+    evals, evecs = np.linalg.eigh(dense_H(ch))
     for r in (1, 2, 3):
         for k in itertools.combinations(range(1, n + 1), r):
             e_free = 2.0 * np.sum(sdA.eigenvalues[np.array(k) - 1]) + np.sum(ch.nu)

@@ -6,7 +6,6 @@ import types
 import numpy as np
 import pytest
 
-from xylab import ed_oracle as ed
 from xylab import entanglement as ent
 from xylab import fock
 from xylab import hamiltonian as ham
@@ -14,8 +13,8 @@ from xylab import quasifree as qf
 from xylab.disorder import make_chain
 from xylab.eigencorrelator import dynamic_amplitude_sup, eigencorrelator_table
 
-from conftest import (block_table_2n, bogoliubov_W, diagonalize, function_of, random_chain,
-                      region_number_op, spectral_M)
+from conftest import (block_table_2n, bogoliubov_W, complex_block_norms, dense_H, diagonalize, function_of,
+                      random_chain, region_number_op, spectral_M)
 
 
 def test_build_A_explicit():
@@ -184,7 +183,7 @@ def test_many_body_spectrum_matches_oracle(rng):
             ch = random_chain(rng, n, anisotropic=aniso)
             bog = ham.bogoliubov(ch)
             free = np.sort(ham.all_many_body_energies(bog))
-            edvals = np.linalg.eigvalsh(ed.build_H(ch))
+            edvals = np.linalg.eigvalsh(dense_H(ch))
             assert np.max(np.abs(free - edvals)) < 1e-8
 
 
@@ -192,7 +191,7 @@ def test_one_particle_sector_embedding(rng):
     # eigenvalues of 2A shifted by the field sum give the one-particle block
     ch = random_chain(rng, 6, anisotropic=False)
     A = ham.build_A(ch)
-    evals, evecs = np.linalg.eigh(ed.build_H(ch))
+    evals, evecs = np.linalg.eigh(dense_H(ch))
     n = ch.n
     one_particle = []
     number_total = region_number_op(n, range(1, n + 1))
@@ -238,7 +237,7 @@ def test_block_norms_match_svd_at_equal_singular_values(rng):
     q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     blocks = np.stack([0.37 * q, 0.37 * q + 1e-9 * rng.normal(size=(2, 2)), rng.normal(size=(2, 2))])
     ref = np.linalg.norm(blocks, 2, axis=(-2, -1))
-    assert np.max(np.abs(ham.block_norms(blocks.real, blocks.imag) - ref)) < 1e-15
+    assert np.max(np.abs(complex_block_norms(blocks.real, blocks.imag) - ref)) < 1e-15
     real = rng.normal(size=(5, 2, 2))
     assert np.max(np.abs(ham.block_norms(real) - np.linalg.norm(real, 2, axis=(-2, -1)))) < 1e-14
 

@@ -12,7 +12,7 @@ from xylab import quasifree as qf
 from xylab.disorder import make_chain
 from xylab.hamiltonian import alpha_from_index
 
-from conftest import (CORNERS, bogoliubov_W, corner_chain, dense_cs, diagonalize, dynamic_kernel,
+from conftest import (CORNERS, bogoliubov_W, corner_chain, dense_cs, dense_H, diagonalize, dynamic_kernel,
                       eigenstate_gamma_2n, evolve_gamma_2n, function_of, heisenberg_evolve,
                       multipoint_correlation, occupations, one_particle_density, purity_defect,
                       quench_initial_gamma, random_chain, spectral_M, spin_basis_vector,
@@ -29,6 +29,14 @@ def test_vacuum_gamma_is_projector(rng):
     assert purity_defect(cm) < 1e-12
 
 
+def test_eigenstate_gamma_rejects_a_label_that_is_not_one_flat_vector(rng):
+    bog = ham.bogoliubov(random_chain(rng, 4))
+    # a column (n, 1) has length n but would broadcast over the modes
+    for bad in (np.zeros((4, 1), dtype=int), [1], np.zeros(5, dtype=int), np.full(4, 2)):
+        with pytest.raises(ValueError, match="^alpha must be a 0/1 vector of length n$"):
+            qf.eigenstate_gamma(bog, bad)
+
+
 def test_eigenstate_gamma_trace_is_n(rng):
     ch = random_chain(rng, 5)
     bog = ham.bogoliubov(ch)
@@ -42,8 +50,7 @@ def test_eigenstate_gamma_matches_oracle(rng):
     n = 4
     ch = random_chain(rng, n)
     bog = ham.bogoliubov(ch)
-    H = ed.build_H(ch)
-    evals, evecs = np.linalg.eigh(H)
+    evals, evecs = np.linalg.eigh(dense_H(ch))
     jw = ed.all_c(n)
     energies = ham.all_many_body_energies(bog)
     idxs, flags = ed.match_eigenstates(energies, evals)
@@ -155,7 +162,7 @@ def test_evolve_gamma_matches_oracle_quench(rng):
     left = make_chain(ch.mu[: ell - 1], ch.gamma[: ell - 1], ch.nu[:ell])
     right = make_chain(ch.mu[ell:], ch.gamma[ell:], ch.nu[ell:])
     bog_l, bog_r = ham.bogoliubov(left), ham.bogoliubov(right)
-    hl, hr = ed.build_H(left), ed.build_H(right)
+    hl, hr = dense_H(left), dense_H(right)
     el, vl = np.linalg.eigh(hl)
     er, vr = np.linalg.eigh(hr)
     il, fl = ed.match_eigenstates([ham.all_many_body_energies(bog_l)[2]], el)  # alpha (0, 1)
@@ -200,7 +207,7 @@ def test_multipoint_matches_oracle_dynamic(rng):
     rho_full = np.eye(1, dtype=complex)
     for j in range(n):
         rho_full = np.kron(rho_full, np.diag([eta[j], 1 - eta[j]]).astype(complex))
-    hd = np.linalg.eigh(ed.build_H(ch))
+    hd = np.linalg.eigh(dense_H(ch))
     cs = dense_cs(n)
     x, y = (1, 4), (2, 5)
     for t in (0.0, 0.63):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from xylab import ed_oracle as ed
 from xylab import experiments as xp
 from xylab import quasifree as qf
 from xylab import transport as tr
@@ -9,8 +8,8 @@ from xylab.disorder import EnsembleSpec, constant, make_chain, uniform
 from xylab.eigencorrelator import DecayFit
 from xylab.hamiltonian import diagonalize_A
 
-from conftest import (CORNERS, corner_chain, energy_fluctuation_series_2n, heisenberg_evolve,
-                      occupations, random_chain, region_number_op, trace_norm_inequality_gap)
+from conftest import (CORNERS, corner_chain, dense_H, energy_fluctuation_series_2n, heisenberg_evolve,
+                      occupations, random_chain, region_H, region_number_op, trace_norm_inequality_gap)
 
 
 def profile_density_matrix(eta):
@@ -88,7 +87,7 @@ def test_particle_number_matches_oracle(rng):
     ch = random_chain(rng, n, anisotropic=False)
     eta = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
     rho0 = profile_density_matrix(eta)
-    hd = np.linalg.eigh(ed.build_H(ch))
+    hd = np.linalg.eigh(dense_H(ch))
     NS1 = region_number_op(n, [1])
     sd = diagonalize_A(ch)
     for t in (0.5, 2.0):
@@ -103,8 +102,8 @@ def test_energy_in_region_matches_oracle(rng):
     eta = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
     s1 = [1, 2]
     rho0 = profile_density_matrix(eta)
-    hd = np.linalg.eigh(ed.build_H(ch))
-    HS1 = ed.build_H_region(ch, 1, 2)
+    hd = np.linalg.eigh(dense_H(ch))
+    HS1 = region_H(ch, 1, 2)
     e_ref = ch.nu[0] + ch.nu[1]
     sd = diagonalize_A(ch)
     assert tr.energy_series_isotropic(ch, s1, eta, [0.0], sd)[0] == pytest.approx(0.0, abs=1e-12)
@@ -121,8 +120,8 @@ def test_energy_fluctuation_series_matches_oracle(rng):
     eta = np.array([1.0, 0.0, 0.5, 1.0, 0.0, 1.0])
     s1 = [1, 2]
     rho0 = profile_density_matrix(eta)
-    hd = np.linalg.eigh(ed.build_H(ch))
-    HS1 = ed.build_H_region(ch, 1, 2)
+    hd = np.linalg.eigh(dense_H(ch))
+    HS1 = region_H(ch, 1, 2)
     e0 = np.real(np.trace(rho0 @ HS1))
     series = tr.energy_fluctuation_series(ch, s1, eta, [0.0, 0.5, 2.0])
     assert series[0] == pytest.approx(0.0, abs=1e-12)
@@ -172,7 +171,7 @@ def test_mean_energy_formula(rng):
     ch = random_chain(rng, 5)
     eta = np.array([1.0, 0.0, 0.5, 1.0, 0.0])
     rho0 = profile_density_matrix(eta)
-    H = ed.build_H(ch)
+    H = dense_H(ch)
     assert tr.mean_energy(ch, eta) == pytest.approx(float(np.real(np.trace(rho0 @ H))), abs=1e-10)
 
 
