@@ -1,8 +1,10 @@
-"""Experiment configs: the params table, parsing and the content hash.
+"""Experiment configs: the field tables, parsing and the content hash.
 
-PARAMS declares every params key of every experiment once, with its
-kind, default and range.  parse_config rejects undeclared keys and fills
-in the defaults a variant reads; summaries echo and hash the raw config.
+The one reader of config JSON.  CONFIG, ENSEMBLE, DISTRIBUTIONS, TIME_GRID
+and PARAMS declare every field once, with its kind, default and range.
+parse_config walks each object against its table, rejecting undeclared
+keys, and fills in the defaults a variant reads; summaries echo and hash
+the raw config.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .disorder import EnsembleSpec
+from .disorder import Distribution, EnsembleSpec
 from .ed_oracle import MAX_SITES
 from .entanglement import MAX_EXHAUSTIVE_SITES
 
@@ -46,21 +48,15 @@ class TimeGrid:
         return np.arange(steps + 1) * self.dt
 
 
-def _require(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise ConfigError(f"missing required field {path}.{key}" if path else f"missing required field {key}")
-    return obj[key]
-
-
 REQUIRED = "required"  # the default of a field that every config gives
 
 
 @dataclass(frozen=True)
 class Param:
-    """One config field: kind ("int", "float", "bool", "ints": a nonempty
-    array of int, "profile": "ones", "half" or an array of float, or the
-    tuple of the strings allowed), default (None: null is allowed too) and
-    the range [lo, hi], open when open, of a number or each array entry."""
+    """One config field: kind ("int", "float", "bool", "str", "object", "ints":
+    a nonempty array of int, "profile": "ones", "half" or an array of float,
+    or the tuple of the strings allowed), default (None: null is allowed
+    too) and the range [lo, hi], open when open, of a number or each entry."""
 
     kind: str | tuple
     default: object = REQUIRED
@@ -68,7 +64,8 @@ class Param:
     hi: float = math.inf
     open: bool = False
     KINDS = {"int": "an integer", "float": "a finite number", "bool": "true or false",  # not a field
-             "ints": "a nonempty array of integers", "profile": '"ones", "half" or a nonempty array of numbers'}
+             "str": "a string", "object": "an object", "ints": "a nonempty array of integers",
+             "profile": '"ones", "half" or a nonempty array of numbers'}
 
     def check(self, value, field: str):
         """value, or a one-line ConfigError that names field."""
@@ -83,7 +80,8 @@ class Param:
                   and (lo < value < hi if self.open else lo <= value <= hi))
         except OverflowError:
             ok = False
-        if ok or kind == "bool" and type(value) is bool or isinstance(kind, tuple) and value in kind:
+        if ok or type(value) is {"bool": bool, "str": str, "object": dict}.get(kind) or (
+                isinstance(kind, tuple) and value in kind):
             return value
         if isinstance(kind, tuple):
             raise ConfigError(f"{field} must be one of {', '.join(kind)}; got {value!r}")
@@ -147,28 +145,49 @@ PARAMS = {
 }
 
 
-# per experiment, the default of every key that has one
-DEFAULTS = {name: {k: p.default for k, p in e.params.items() if p.default != REQUIRED}
-            for name, e in PARAMS.items()}
+def _defaults(table: dict) -> dict:
+    """The default of every key of table that has one."""
+    return {k: p.default for k, p in table.items() if p.default != REQUIRED}
 
 
-def _check_params(experiment: str, params, n: int | None) -> dict:
+DEFAULTS = {name: _defaults(e.params) for name, e in PARAMS.items()}  # per experiment
+
+# the rest of a config; the experiments that read ensemble or time_grid require it
+_KIND = Param(("uniform", "constant"))
+DISTRIBUTIONS = {"uniform": {"kind": _KIND, "lo": Param("float"), "hi": Param("float")},
+                 "constant": {"kind": _KIND, "value": Param("float")}}
+ENSEMBLE = {"n": Param("int", lo=1), **dict.fromkeys(("mu", "gamma", "nu"), Param("object")),
+            "base_seed": Param("int", lo=0, hi=2**64 - 1), "realizations": Param("int", lo=1)}
+TIME_GRID = {"T": Param("float"), "dt": Param("float")}
+CONFIG = {"experiment": Param(tuple(PARAMS)), "ensemble": Param("object", None),
+          "time_grid": Param("object", None), "params": Param("object", {}),
+          "output_dir": Param("str", "."), "workers": Param("int", 1, 1)}
+
+
+def _walk(obj, table: dict, path: str, owner: str) -> None:
+    """obj, checked to be an object whose every key is in table and that
+    gives every required one, each value through its Param under its
+    dotted name."""
+    Param("object").check(obj, path or "the config root")
+    prefix = f"{path}." if path else ""
+    unknown = [f"{prefix}{k}" for k in obj if k not in table]
+    if unknown:
+        raise ConfigError(f"unknown field {', '.join(unknown)} for {owner}, whose fields are "
+                          f"{', '.join(table)}")
+    for key, param in table.items():
+        if key in obj:
+            param.check(obj[key], prefix + key)
+        elif param.default == REQUIRED:
+            raise ConfigError(f"missing required field {prefix + key}")
+
+
+def _check_params(experiment: str, params: dict, n: int | None) -> dict:
     """params checked against the table, with the defaults filled in of the
     keys that the variant reads (the ones it rejects are left out), then
     against the rules that tie fields to each other or to ensemble.n: the
     cuts, fit window, fock's pairs and thresholds, transport regions."""
-    if not isinstance(params, dict):
-        raise ConfigError("params must be an object")
     table = PARAMS[experiment].params
-    unknown = [f"params.{k}" for k in params if k not in table]
-    if unknown:
-        raise ConfigError(f"unknown field {', '.join(unknown)} for {experiment}, whose params "
-                          f"are {', '.join(table)}")
-    for key, param in table.items():
-        if key in params:
-            param.check(params[key], f"params.{key}")
-        elif param.default == REQUIRED:
-            raise ConfigError(f"missing required field params.{key}")
+    _walk(params, table, "params", experiment)
     p = {**DEFAULTS[experiment], **params}
     unread = PARAMS[experiment].unread.get(p.get("variant"), ())
     foreign = [f"params.{k}" for k in params if k in unread]
@@ -220,7 +239,7 @@ def _check_params(experiment: str, params, n: int | None) -> dict:
 @dataclass
 class ExperimentConfig:
     experiment: str
-    ensemble: EnsembleSpec
+    ensemble: EnsembleSpec | None
     time_grid: TimeGrid | None
     params: dict
     output_dir: str
@@ -228,42 +247,37 @@ class ExperimentConfig:
     semantic: dict
 
 
-def parse_config(obj: dict) -> ExperimentConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError("config root must be a JSON object")
-    experiment = _require(obj, "experiment", "")
-    if experiment not in PARAMS:
-        raise ConfigError(f"experiment must be one of {', '.join(PARAMS)}; got {experiment!r}")
-    ensemble = None
-    if experiment != "oracle_check":
-        ens_obj = _require(obj, "ensemble", "")
-        if isinstance(ens_obj, dict):
-            for key, lo in (("n", 1), ("realizations", 1), ("base_seed", 0)):
-                if key in ens_obj:
-                    Param("int", lo=lo).check(ens_obj[key], f"ensemble.{key}")
-            for name in ("mu", "gamma", "nu"):
-                dist = ens_obj.get(name)
-                kind = dist.get("kind") if isinstance(dist, dict) else None
-                for key in {"uniform": ("lo", "hi"), "constant": ("value",)}.get(kind, ()):
-                    if key in dist:
-                        Param("float").check(dist[key], f"ensemble.{name}.{key}")
+def _ensemble(obj: dict) -> EnsembleSpec:
+    """The ensemble of its checked object; a distribution's own rule on
+    its fields (lo < hi) is a ConfigError that names it."""
+    _walk(obj, ENSEMBLE, "ensemble", "the ensemble")
+    dists = {}
+    for name in ("mu", "gamma", "nu"):
+        field, dist = f"ensemble.{name}", obj[name]
+        kind = _KIND.check(dist.get("kind"), f"{field}.kind")
+        _walk(dist, DISTRIBUTIONS[kind], field, f"a {kind} distribution")
         try:
-            ensemble = EnsembleSpec.from_json(ens_obj)
-        except (KeyError, TypeError, ValueError) as exc:
-            field = exc.args[0] if isinstance(exc, KeyError) else exc
-            raise ConfigError(f"ensemble is malformed: {field}") from exc
-    grid = obj.get("time_grid")
-    if "time_grid" in obj:
-        if not isinstance(grid, dict):
-            raise ConfigError("time_grid must be an object with T and dt")
-        grid = TimeGrid(*(float(Param("float").check(_require(grid, k, "time_grid"), f"time_grid.{k}"))
-                          for k in ("T", "dt")))
-    elif PARAMS[experiment].time_grid:
-        raise ConfigError(f"experiment {experiment} requires time_grid")
-    params = _check_params(experiment, obj.get("params", {}), ensemble.n if ensemble else None)
-    workers = Param("int", lo=1).check(obj.get("workers", 1), "workers")
-    return ExperimentConfig(experiment, ensemble, grid, params, str(obj.get("output_dir", ".")),
-                            workers, semantic=_semantic(obj))
+            dists[f"{name}_dist"] = Distribution(kind, **{k: float(v) for k, v in dist.items() if k != "kind"})
+        except ValueError as exc:
+            raise ConfigError(f"{field}: {exc}") from exc
+    return EnsembleSpec(n=obj["n"], base_seed=obj["base_seed"], realizations=obj["realizations"], **dists)
+
+
+def parse_config(obj: dict) -> ExperimentConfig:
+    _walk(obj, CONFIG, "", "a config")
+    c = _defaults(CONFIG) | obj
+    experiment = c["experiment"]
+    for key, needed in (("ensemble", experiment != "oracle_check"), ("time_grid", PARAMS[experiment].time_grid)):
+        if needed and c[key] is None:
+            raise ConfigError(f"experiment {experiment} requires {key}")
+    ensemble = None if c["ensemble"] is None else _ensemble(c["ensemble"])
+    grid = c["time_grid"]
+    if grid is not None:
+        _walk(grid, TIME_GRID, "time_grid", "time_grid")
+        grid = TimeGrid(T=float(grid["T"]), dt=float(grid["dt"]))
+    params = _check_params(experiment, c["params"], ensemble.n if ensemble else None)
+    return ExperimentConfig(experiment, ensemble, grid, params, c["output_dir"], c["workers"],
+                            semantic=_semantic(obj))
 
 
 def _semantic(obj: dict) -> dict:

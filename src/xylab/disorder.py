@@ -1,4 +1,7 @@
-"""Disorder realizations of the chain parameters (mu_j, gamma_j, nu_j).
+"""Disorder realizations of the chain parameters (mu_j, gamma_j, nu_j):
+the distributions and ensembles, and the chains drawn from them.  The
+module reads no JSON; config.parse_config builds its Distribution and
+EnsembleSpec from a checked config.
 
 Sampling is counter-based: realization i of an ensemble depends only on
 (base_seed, i), so realizations can be generated in any order or in
@@ -72,15 +75,6 @@ class Distribution:
             return max(abs(self.lo), abs(self.hi))
         return abs(self.value)
 
-    @staticmethod
-    def from_json(obj: dict) -> "Distribution":
-        kind = obj.get("kind")
-        if kind == "uniform":
-            return uniform(float(obj["lo"]), float(obj["hi"]))
-        if kind == "constant":
-            return constant(float(obj["value"]))
-        raise ValueError(f"unknown distribution kind {kind!r}")
-
 
 def uniform(lo: float, hi: float) -> Distribution:
     return Distribution("uniform", lo=lo, hi=hi)
@@ -108,17 +102,6 @@ class EnsembleSpec:
             raise ValueError(f"realizations must be >= 1, got {self.realizations}")
         if not 0 <= self.base_seed <= _MASK64:
             raise ValueError("base_seed must fit in 64 bits")
-
-    @staticmethod
-    def from_json(obj: dict) -> "EnsembleSpec":
-        return EnsembleSpec(
-            n=int(obj["n"]),
-            mu_dist=Distribution.from_json(obj["mu"]),
-            gamma_dist=Distribution.from_json(obj["gamma"]),
-            nu_dist=Distribution.from_json(obj["nu"]),
-            base_seed=int(obj["base_seed"]),
-            realizations=int(obj["realizations"]),
-        )
 
 
 def aggregate(values) -> dict:

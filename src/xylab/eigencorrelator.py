@@ -63,6 +63,21 @@ def _upper_pairs(n: int, max_distance: int | None = None):
     return j[keep], k[keep]
 
 
+def _pair_sup(lam: np.ndarray, W: np.ndarray, times, scale: float, weights) -> np.ndarray:
+    """The scalar kernels' one loop: per row w of W, the square root of the max over
+    the grid of the product over the weights of (w . cos)^2 + (w . sin)^2."""
+    best = np.zeros(len(W))
+    for m, R in phase_rows(lam, times, scale, 2 * len(weights) * len(W), weights):
+        ri = R @ W.T
+        ri *= ri
+        prod = ri[:m]  # formed in place, so no array but ri outlives the chunk
+        prod += ri[m : 2 * m]
+        for i in range(2, 2 * len(weights), 2):
+            prod *= ri[i * m : (i + 1) * m] + ri[(i + 1) * m : (i + 2) * m]
+        np.maximum(best, np.max(prod, axis=0), out=best)
+    return np.sqrt(best)
+
+
 def dynamic_amplitude_sup(dec: SpectralDecomposition | BogoliubovDecomposition,
                           times) -> np.ndarray:
     """Entrywise max over the time grid of the propagator amplitudes:
@@ -92,13 +107,7 @@ def dynamic_amplitude_sup(dec: SpectralDecomposition | BogoliubovDecomposition,
     else:
         V, n = dec.eigenvectors, dec.dim
         j, k = _upper_pairs(n)
-        W = V[j] * V[k]
-        best = np.zeros(len(j))
-        for m, R in phase_rows(dec.eigenvalues, times, 1.0, 2 * len(j)):
-            ri = R @ W.T
-            ri *= ri
-            np.maximum(best, np.max(ri[:m] + ri[m:], axis=0), out=best)
-        best = np.sqrt(best)
+        best = _pair_sup(dec.eigenvalues, V[j] * V[k], times, 1.0, (1.0,))
     out = np.zeros((n, n))
     out[j, k] = best
     out[k, j] = best
@@ -119,15 +128,8 @@ def clustering_sup(
     V = sd.eigenvectors
     occ = np.asarray(occ, dtype=float)
     j, k = _upper_pairs(sd.dim, max_distance)
-    W = V[j] * V[k]
-    best = np.zeros(len(j))
-    for m, R in phase_rows(sd.eigenvalues, times, 2.0, 4 * len(j), (occ, 1.0 - occ)):
-        ri = R @ W.T
-        ri *= ri
-        prod = (ri[:m] + ri[m : 2 * m]) * (ri[2 * m : 3 * m] + ri[3 * m :])
-        np.maximum(best, np.max(prod, axis=0), out=best)
     out = np.zeros((sd.dim, sd.dim))
-    out[j, k] = np.sqrt(best)
+    out[j, k] = _pair_sup(sd.eigenvalues, V[j] * V[k], times, 2.0, (occ, 1.0 - occ))
     return out
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .disorder import ChainSpec, make_chain
 from .eigencorrelator import DecayFit
-from .hamiltonian import BogoliubovDecomposition, alpha_from_index, bogoliubov
+from .hamiltonian import BogoliubovDecomposition, _check_label, alpha_from_index, bogoliubov
 from .quasifree import mode_selector, phase_rows
 
 LN2 = float(np.log(2.0))
@@ -75,10 +75,7 @@ def ps_bound(bog: BogoliubovDecomposition, alpha, ell: int) -> float:
     so the bound is ln 2 * sum max(|Y_jk|, |Y_kj|) over the cross-cut
     pairs, from the two off-diagonal ell x (n - ell) corners of Y."""
     _check_cut(ell, bog.n)
-    alpha = np.asarray(alpha)
-    if alpha.shape != (bog.n,) or not np.all((alpha == 0) | (alpha == 1)):
-        raise ValueError("alpha must be a 0/1 vector of length n")
-    s, Psi, Phi = 1.0 - 2.0 * alpha, bog.Psi, bog.Phi
+    s, Psi, Phi = 1.0 - 2.0 * _check_label(alpha, bog.n), bog.Psi, bog.Phi
     upper = (Psi[:ell] * s) @ Phi[ell:].T  # Y_jk, j <= ell < k
     lower = (Phi[:ell] * s) @ Psi[ell:].T  # Y_kj, transposed
     return float(LN2 * np.sum(np.maximum(np.abs(upper), np.abs(lower))))
@@ -201,11 +198,9 @@ def quench_entropy(chain: ChainSpec, ell: int, alpha_left, alpha_right, times,
     _check_cut(ell, n)
     G = np.zeros((n, n))
     for a, b, alpha, name in ((0, ell, alpha_left, "alpha_left"), (ell, n, alpha_right, "alpha_right")):
-        alpha = np.asarray(alpha)
-        if alpha.shape != (b - a,) or not np.all((alpha == 0) | (alpha == 1)):
-            raise ValueError(f"{name} must be a 0/1 vector of length {b - a}")
+        s = 1.0 - 2.0 * _check_label(alpha, b - a, name)
         half = bogoliubov(make_chain(chain.mu[a : b - 1], chain.gamma[a : b - 1], chain.nu[a:b]))
-        G[a:b, a:b] = (half.Psi * (1.0 - 2.0 * alpha)) @ half.Phi.T
+        G[a:b, a:b] = (half.Psi * s) @ half.Phi.T
     K = bog.Psi.T @ G @ bog.Phi
     Kt, PA, FA = K.T, bog.Psi[:ell], bog.Phi[:ell]
     out = np.empty(len(times))

@@ -207,3 +207,11 @@ def alpha_from_index(a, n: int) -> np.ndarray:
     """Occupation bits of enumeration index a (alpha_j = bit j of a); a
     column of indices gives one row of bits per index."""
     return (a >> np.arange(n)) & 1
+
+
+def _check_label(alpha, n: int, name: str = "alpha") -> np.ndarray:
+    """alpha as an array, checked to be a 0/1 vector of length n: a column would broadcast."""
+    alpha = np.asarray(alpha)
+    if alpha.shape != (n,) or not np.all((alpha == 0) | (alpha == 1)):
+        raise ValueError(f"{name} must be a 0/1 vector of length {n}")
+    return alpha

@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .hamiltonian import BogoliubovDecomposition
+from .hamiltonian import BogoliubovDecomposition, _check_label
 
 
 def mode_selector(alpha) -> np.ndarray:
@@ -61,10 +61,7 @@ def eigenstate_gamma(bog: BogoliubovDecomposition, alpha) -> np.ndarray:
     """Correlation matrix of the eigenstate with occupation pattern alpha:
     the spectral projection selecting +lambda_j for empty modes and
     -lambda_j for occupied ones, s = 1 - 2 alpha in _mode_gamma."""
-    alpha = np.asarray(alpha)
-    if alpha.shape != (bog.n,) or not np.all((alpha == 0) | (alpha == 1)):
-        raise ValueError("alpha must be a 0/1 vector of length n")
-    return _mode_gamma(bog, 1.0 - 2.0 * alpha)
+    return _mode_gamma(bog, 1.0 - 2.0 * _check_label(alpha, bog.n))
 
 
 def thermal_gamma(bog: BogoliubovDecomposition, beta: float) -> np.ndarray:

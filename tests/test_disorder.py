@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from xylab import disorder
+from xylab.config import parse_config
 from xylab.disorder import (
     Distribution,
     EnsembleSpec,
@@ -111,7 +112,9 @@ def test_json_round_trip():
     obj = {"n": 6, "mu": {"kind": "uniform", "lo": -1, "hi": 1},
            "gamma": {"kind": "constant", "value": 0.25},
            "nu": {"kind": "uniform", "lo": -5, "hi": 5}, "base_seed": 99, "realizations": 12}
-    assert EnsembleSpec.from_json(obj) == spec
+    parsed = parse_config({"experiment": "eigencorrelator", "ensemble": obj}).ensemble
+    assert parsed == spec
+    assert type(parsed.mu_dist.lo) is float and type(parsed.gamma_dist.value) is float
 
 
 def test_uniform_moments_match():

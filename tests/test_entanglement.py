@@ -207,7 +207,7 @@ def test_ps_bound_is_the_bound_of_the_eigenstate_gamma(rng, n, corner):
     with pytest.raises(ValueError, match="1 <= ell < n"):
         ent.ps_bound(bog, np.zeros(n, dtype=int), n)
     for bad in ([1], np.zeros(n + 1, dtype=int), np.full(n, 2)):  # [1] would broadcast
-        with pytest.raises(ValueError, match="^alpha must be a 0/1 vector of length n$"):
+        with pytest.raises(ValueError, match=f"^alpha must be a 0/1 vector of length {n}$"):
             ent.ps_bound(bog, bad, 1)
 
 

@@ -22,7 +22,7 @@ from xylab import fock
 from xylab import hamiltonian as ham
 from xylab import quasifree as qf
 from xylab import transport as tr
-from xylab.config import DEFAULTS, PARAMS, TimeGrid
+from xylab.config import CONFIG, DEFAULTS, DISTRIBUTIONS, ENSEMBLE, PARAMS, TIME_GRID, TimeGrid
 from xylab.disorder import sample_chain
 
 from conftest import dense_op, kron_jordan_wigner_c, random_chain
@@ -37,6 +37,11 @@ def ensemble_json(n=16, realizations=4, seed=11, eps=0.1):
         "base_seed": seed,
         "realizations": realizations,
     }
+
+
+def ensemble_spec(**kw):
+    """The EnsembleSpec that parse_config builds of ensemble_json(**kw)."""
+    return xp.parse_config({"experiment": "eigencorrelator", "ensemble": ensemble_json(**kw)}).ensemble
 
 
 def test_time_grid():
@@ -534,7 +539,7 @@ def _fail_on_realization_1(ensemble, i, params):
 @pytest.mark.parametrize("realizations, workers", [(5, 2), (7, 3)])
 def test_pool_returns_the_serial_list_in_index_order(monkeypatch, realizations, workers):
     monkeypatch.setattr(xp.os, "cpu_count", lambda: 8)  # the pool size, whatever the host
-    ensemble = xp.EnsembleSpec.from_json(ensemble_json(n=12, realizations=realizations))
+    ensemble = ensemble_spec(n=12, realizations=realizations)
     p = {"block": False, "max_distance": 6}
     serial = xp.map_realizations(xp._real_eigencorrelator, ensemble, p, 1)
     pooled = xp.map_realizations(xp._real_eigencorrelator, ensemble, p, workers)
@@ -552,7 +557,7 @@ def test_pool_returns_the_serial_list_in_index_order(monkeypatch, realizations, 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_worker_failure_names_the_realization_and_seed(monkeypatch, workers):
     monkeypatch.setattr(xp.os, "cpu_count", lambda: 8)
-    ensemble = xp.EnsembleSpec.from_json(ensemble_json(n=8, realizations=4))
+    ensemble = ensemble_spec(n=8, realizations=4)
     with pytest.raises(xp.RealizationError) as info:
         xp.map_realizations(_fail_on_realization_1, ensemble, {}, workers)
     assert str(info.value) == "realization 1 (n=8, base_seed 11) failed: EigensolverError: injected"
@@ -620,7 +625,7 @@ def deadline():
                          ids=["sigkill", "exit_3", "system_exit"])
 def test_a_worker_process_that_dies_is_one_error(monkeypatch, tmp_path, deadline, how, why):
     monkeypatch.setattr(xp.os, "cpu_count", lambda: 8)
-    ensemble = xp.EnsembleSpec.from_json(ensemble_json(n=8, realizations=4))
+    ensemble = ensemble_spec(n=8, realizations=4)
     try:
         with pytest.raises(xp.RealizationError) as info:
             xp.map_realizations(_die_on_realization_1, ensemble, {"how": how}, 2)
@@ -639,7 +644,7 @@ def _unpicklable(ensemble, i, params):
 
 def test_a_result_that_does_not_pickle_fails_at_the_parent(monkeypatch, deadline):
     monkeypatch.setattr(xp.os, "cpu_count", lambda: 8)
-    ensemble = xp.EnsembleSpec.from_json(ensemble_json(n=8, realizations=4))
+    ensemble = ensemble_spec(n=8, realizations=4)
     with pytest.raises(xp.RealizationError) as info:
         xp.map_realizations(_unpicklable, ensemble, {}, 2)
     assert str(info.value) == ("realizations 0-1 (n=8, base_seed 11) failed: their results do "
@@ -650,7 +655,7 @@ def test_a_result_that_does_not_pickle_fails_at_the_parent(monkeypatch, deadline
 
 def test_results_larger_than_a_pipe_buffer_come_back_intact(monkeypatch, deadline):
     monkeypatch.setattr(xp.os, "cpu_count", lambda: 8)
-    ensemble = xp.EnsembleSpec.from_json(ensemble_json(n=8, realizations=4))
+    ensemble = ensemble_spec(n=8, realizations=4)
     pooled = xp.map_realizations(_one_mib, ensemble, {}, 2)
     _assert_no_child_left()
     assert pooled == [_one_mib(ensemble, i, {}) for i in range(4)]
@@ -658,7 +663,7 @@ def test_results_larger_than_a_pipe_buffer_come_back_intact(monkeypatch, deadlin
 
 def test_a_parent_side_interrupt_kills_and_reaps_every_child(monkeypatch, deadline):
     monkeypatch.setattr(xp.os, "cpu_count", lambda: 8)
-    ensemble = xp.EnsembleSpec.from_json(ensemble_json(n=8, realizations=4))
+    ensemble = ensemble_spec(n=8, realizations=4)
     with pytest.raises(KeyboardInterrupt):  # not the deadline's TimeoutError: no wait on a sleeper
         xp.map_realizations(_interrupt_the_parent, ensemble, {}, 2)
     _assert_no_child_left()
@@ -666,7 +671,7 @@ def test_a_parent_side_interrupt_kills_and_reaps_every_child(monkeypatch, deadli
 
 def test_maps_leave_no_child_and_run_serially_without_fork(monkeypatch):
     monkeypatch.setattr(xp.os, "cpu_count", lambda: 8)
-    ensemble = xp.EnsembleSpec.from_json(ensemble_json(n=8, realizations=4))
+    ensemble = ensemble_spec(n=8, realizations=4)
     seen = xp.map_realizations(_index_seed_pid, ensemble, {"tag": "t"}, 2)
     assert os.getpid() not in {s[3] for s in seen}
     _assert_no_child_left()
@@ -741,9 +746,9 @@ except (AttributeError, OSError, TypeError):
     print("no-mallopt")
     raise SystemExit
 from xylab import experiments as xp
-ens = xp.EnsembleSpec.from_json({"n": 60, "mu": {"kind": "constant", "value": 1.0},
-    "gamma": {"kind": "constant", "value": 0.0}, "nu": {"kind": "uniform", "lo": -5.0, "hi": 5.0},
-    "base_seed": 3, "realizations": 4})
+ens = xp.parse_config({"experiment": "eigencorrelator", "ensemble": {
+    "n": 60, "mu": {"kind": "constant", "value": 1.0}, "gamma": {"kind": "constant", "value": 0.0},
+    "nu": {"kind": "uniform", "lo": -5.0, "hi": 5.0}, "base_seed": 3, "realizations": 4}}).ensemble
 p = {"block": False, "times": np.arange(0.0, 50.0 + 1e-9, 0.25), "max_distance": 12}
 xp.map_realizations(xp._real_amplitude, ens, p, 1)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -759,7 +764,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 
 def test_clustering_matches_dense_projector_formula():
-    ensemble = xp.EnsembleSpec.from_json(ensemble_json(n=12, realizations=1, eps=0.3))
+    ensemble = ensemble_spec(n=12, realizations=1, eps=0.3)
     times = np.arange(0.0, 4.01, 0.5)
     profile = xp._real_clustering(ensemble, 0, {"times": times, "state_seed": 3,
                                                 "max_distance": None})
@@ -818,7 +823,7 @@ def test_cli_run_exits_nonzero_on_failed_verdict(tmp_path):
 
 
 def test_clustering_with_max_distance_matches_dense_formula():
-    ensemble = xp.EnsembleSpec.from_json(ensemble_json(n=12, realizations=2, eps=0.3))
+    ensemble = ensemble_spec(n=12, realizations=2, eps=0.3)
     times = np.arange(0.0, 4.01, 0.5)
     for i in range(2):
         profile = xp._real_clustering(ensemble, i, {"times": times, "state_seed": 3,
@@ -1392,16 +1397,95 @@ def test_parse_config_accepts_every_benchmark_config(tmp_path, monkeypatch):
                 assert xp.parse_config(cfg).experiment == cfg["experiment"], name
 
 
+_MUTANTS = (None, "x", 1.5, True, [], {})
+
+
+def _sites(obj, path=""):
+    """(dotted field, container, key) of every value in obj, objects and
+    array entries included, outermost first; an entry is named by its array."""
+    for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
+        field = (f"{path}.{key}" if path else key) if isinstance(obj, dict) else path
+        yield field, obj, key
+        if isinstance(value, (dict, list)):
+            yield from _sites(value, field)
+
+
+def _sweep_configs(tmp_path, monkeypatch):
+    """Every benchmark job config at tiny size, and README's example."""
+    monkeypatch.syspath_prepend(str(_REPO / "perfbench"))
+    import workloads
+
+    readme = (_REPO / "README.md").read_text().split("```json\n", 1)[1].split("```", 1)[0]
+    configs = [("README", json.loads(readme))]
+    for workload in workloads.WORKLOADS:
+        configs += workloads.job_configs(workload, 1, str(tmp_path), tiny=True)
+    return configs
+
+
+def test_parse_config_raises_only_config_errors_that_name_the_field(tmp_path, monkeypatch):
+    # each value and object replaced, one at a time, by each mutant: the
+    # config parses or is a ConfigError, and a value of another JSON type
+    # than the one it replaces is named by its dotted field
+    checked = 0
+    for name, cfg in _sweep_configs(tmp_path, monkeypatch):
+        xp.parse_config(cfg)
+        for field, container, key in list(_sites(cfg)):
+            old = container[key]
+            for mutant in _MUTANTS:
+                container[key] = mutant
+                try:
+                    xp.parse_config(cfg)
+                except xp.ConfigError as exc:
+                    assert type(mutant) is type(old) or field in str(exc), (name, field, mutant, exc)
+                    checked += 1
+            container[key] = old
+    assert checked > 1000
+
+
+def test_parse_config_rejects_an_unknown_key_in_every_object(tmp_path, monkeypatch):
+    for name, cfg in _sweep_configs(tmp_path, monkeypatch):
+        objects = [("", cfg)] + [(f, c[k]) for f, c, k in _sites(cfg) if isinstance(c[k], dict)]
+        for field, obj in objects:
+            obj["zz"] = 1
+            with pytest.raises(xp.ConfigError, match=f"^unknown field {field}{'.' if field else ''}zz for "):
+                xp.parse_config(cfg)
+            del obj["zz"]
+
+
+@pytest.mark.parametrize("change, named", [
+    ({"ensemble": {**ensemble_json(n=12), "mu": 3}}, "ensemble.mu must be an object, got 3"),
+    ({"param": {"max_distance": 8}}, "unknown field param for a config"),
+    ({"ensemble": {**ensemble_json(n=12), "nu": {"kind": "uniform", "lo": 1.0, "hi": -1.0}}},
+     "ensemble.nu: uniform requires lo < hi"),
+    ({"output_dir": {}}, "output_dir must be a string, got {}"),
+], ids=["mu-number", "params-typo", "nu-empty-range", "output-dir-object"])
+def test_cli_names_a_malformed_field_in_one_line(tmp_path, change, named):
+    # these used to end in an AttributeError traceback (exit 1), run on the
+    # default params and pass, fail as "ensemble is malformed", and write
+    # into the directory "{}"
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({"experiment": "eigencorrelator", "ensemble": ensemble_json(n=12),
+                               "output_dir": str(tmp_path / "out"), **change}))
+    r = _run_cli(["run", str(cfg)], tmp_path)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: invalid config: ") and r.stderr.count("\n") == 1
+    assert named in r.stderr and "Traceback" not in r.stderr
+    assert r.stdout == "" and list(tmp_path.iterdir()) == [cfg]
+
+
 def test_readme_params_reference_lists_the_table_keys():
-    # README's "Params reference": one "#### `experiment`" table per
-    # experiment, one row per key, in the table's order
+    # README's "Params reference": one "#### `name`" table per object of
+    # a config and per experiment, one row per key, in the table's order
     text = (_REPO / "README.md").read_text()
     section = text.split("### Params reference", 1)[1].split("\n## ", 1)[0]
     listed = {}
     for block in section.split("#### `")[1:]:
         name, body = block.split("`", 1)
         listed[name] = [line.split("`")[1] for line in body.splitlines() if line.startswith("| `")]
-    assert listed == {name: list(e.params) for name, e in xp.PARAMS.items()}
+    assert listed == {"config": list(CONFIG), "ensemble": list(ENSEMBLE),
+                      **{kind: list(table) for kind, table in DISTRIBUTIONS.items()},
+                      "time_grid": list(TIME_GRID),
+                      **{name: list(e.params) for name, e in xp.PARAMS.items()}}
 
 
 def _library_trees():

@@ -33,7 +33,7 @@ def test_eigenstate_gamma_rejects_a_label_that_is_not_one_flat_vector(rng):
     bog = ham.bogoliubov(random_chain(rng, 4))
     # a column (n, 1) has length n but would broadcast over the modes
     for bad in (np.zeros((4, 1), dtype=int), [1], np.zeros(5, dtype=int), np.full(4, 2)):
-        with pytest.raises(ValueError, match="^alpha must be a 0/1 vector of length n$"):
+        with pytest.raises(ValueError, match="^alpha must be a 0/1 vector of length 4$"):
             qf.eigenstate_gamma(bog, bad)
 
 
