@@ -3,8 +3,8 @@
 The one reader of config JSON.  CONFIG, ENSEMBLE, DISTRIBUTIONS, TIME_GRID
 and PARAMS declare every field once, with its kind, default and range.
 parse_config walks each object against its table, rejecting undeclared
-keys, and fills in the defaults a variant reads; summaries echo and hash
-the raw config.
+keys and any value that no worker reads, and fills in the defaults a
+variant reads; summaries echo and hash the raw config.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .disorder import Distribution, EnsembleSpec
+from .disorder import Distribution, EnsembleSpec, constant
 from .ed_oracle import MAX_SITES
 from .entanglement import MAX_EXHAUSTIVE_SITES
 
@@ -92,12 +92,17 @@ class Param:
 
 
 class Experiment(NamedTuple):
-    time_grid: bool  # whether the experiment needs one
+    reads: tuple  # the ones of ensemble and time_grid that it reads and requires; it rejects the rest
     window: tuple  # fit window: low-end field, then fields whose least value (and n - 1) is its top
     params: dict
     unread: dict = {}  # variant -> the keys of params that it does not read, and rejects
+    # the params with which its workers decompose A alone, which holds no gamma,
+    # so that ensemble.gamma must be the constant 0: {} always, None never
+    isotropic: dict | None = None
 
 
+_STATIC, _DYNAMIC = ("ensemble",), ("ensemble", "time_grid")
+_BLOCK, _SCALAR = Param("bool", False), {"block": False}  # the scalar form decomposes A alone
 _PROFILE_WINDOW = ("min_distance", "max_distance")
 _FIT_WINDOW = ("fit_min_distance", "fit_max_distance")
 _SEED = Param("int", 0, 0)
@@ -113,35 +118,37 @@ _TRANSPORT = {"s1": Param("ints", REQUIRED, 1), "s2": Param("ints", REQUIRED, 1)
               "max_distance": _MAX_DISTANCE}
 
 PARAMS = {
-    "eigencorrelator": Experiment(False, _PROFILE_WINDOW, {
-        **_DISTANCES, "block": Param("bool", False), "r2_min": Param("float", 0.95)}),
-    "lr_bound": Experiment(True, _PROFILE_WINDOW, {**_DISTANCES, "block": Param("bool", False)}),
-    "correlations": Experiment(True, _PROFILE_WINDOW, {**_DISTANCES, "state_seed": _SEED}),
+    "eigencorrelator": Experiment(_STATIC, _PROFILE_WINDOW, {
+        **_DISTANCES, "block": _BLOCK, "r2_min": Param("float", 0.95)}, isotropic=_SCALAR),
+    "lr_bound": Experiment(_DYNAMIC, _PROFILE_WINDOW, {**_DISTANCES, "block": _BLOCK}, isotropic=_SCALAR),
+    "correlations": Experiment(_DYNAMIC, _PROFILE_WINDOW, {**_DISTANCES, "state_seed": _SEED}, isotropic={}),
     # the static entanglement's profile stops at max_distance
-    "entanglement_static": Experiment(False, (*_FIT_WINDOW, "max_distance"), {
+    "entanglement_static": Experiment(_STATIC, (*_FIT_WINDOW, "max_distance"), {
         **_CUTS, "strategy": Param(("sampled", "exhaustive"), "sampled"),
         "samples": Param("int", 200, 1), "label_seed": _SEED, "max_distance": _MAX_DISTANCE,
         **_FIT_DISTANCES, **_SLACK}),
-    "entanglement_quench": Experiment(True, (), _CUTS),
-    "transport_particle": Experiment(True, _FIT_WINDOW, _TRANSPORT),
+    "entanglement_quench": Experiment(_DYNAMIC, (), _CUTS),
+    "transport_particle": Experiment(_DYNAMIC, _FIT_WINDOW, _TRANSPORT, isotropic={}),
     # the anisotropic flatness fits nothing and needs no S2
-    "transport_energy": Experiment(True, _FIT_WINDOW, {
+    "transport_energy": Experiment(_DYNAMIC, _FIT_WINDOW, {
         "variant": Param(("isotropic_bound", "anisotropic_flatness"), "isotropic_bound"),
         **_TRANSPORT, "s2": Param("ints", None, 1), "sizes": Param("ints", (40, 80, 160), 1),
         "eta_profile": Param("profile", "ones", 0, 1)}, unread={
         "isotropic_bound": ("sizes", "eta_profile"),
-        "anisotropic_flatness": ("s2", "eta_value", *_FIT_WINDOW, "slack", "max_distance")}),
-    "fock": Experiment(False, _FIT_WINDOW, {
+        "anisotropic_flatness": ("s2", "eta_value", *_FIT_WINDOW, "slack", "max_distance")},
+        isotropic={"variant": "isotropic_bound"}),
+    "fock": Experiment(_STATIC, _FIT_WINDOW, {
         "alpha": Param("float", 1.25, 1, open=True), "tau": Param("float", 0.5, 0, 1, open=True),
         "pair_count": Param("int", 100, 1), "pair_seed": _SEED, "r_max": Param("int", 5, 1),
         # null: eta is half the fitted rate, and eta0 a quarter of eta
         "eta": Param("float", None, 0, open=True), "eta0": Param("float", None, 0, open=True),
         "matched_min": Param("float", 0.99, 0, 1), "certified_min": Param("float", 0.95, 0, 1),
-        "overlap_min": Param("float", 0.95, 0, 1), **_FIT_DISTANCES, "max_distance": _MAX_DISTANCE}),
+        "overlap_min": Param("float", 0.95, 0, 1), **_FIT_DISTANCES, "max_distance": _MAX_DISTANCE},
+        isotropic={}),
     # the seed is the oracle ensemble's base_seed
-    "oracle_check": Experiment(False, (), {"n": Param("int", 6, 1, MAX_SITES),
-                                           "seed": Param("int", 42, 0, 2**64 - 1),
-                                           "realizations": Param("int", 5, 1)}),
+    "oracle_check": Experiment((), (), {"n": Param("int", 6, 1, MAX_SITES),
+                                        "seed": Param("int", 42, 0, 2**64 - 1),
+                                        "realizations": Param("int", 5, 1)}),
 }
 
 
@@ -152,7 +159,7 @@ def _defaults(table: dict) -> dict:
 
 DEFAULTS = {name: _defaults(e.params) for name, e in PARAMS.items()}  # per experiment
 
-# the rest of a config; the experiments that read ensemble or time_grid require it
+# the rest of a config; the experiments that read ensemble or time_grid require it, the others reject it
 _KIND = Param(("uniform", "constant"))
 DISTRIBUTIONS = {"uniform": {"kind": _KIND, "lo": Param("float"), "hi": Param("float")},
                  "constant": {"kind": _KIND, "value": Param("float")}}
@@ -266,16 +273,22 @@ def _ensemble(obj: dict) -> EnsembleSpec:
 def parse_config(obj: dict) -> ExperimentConfig:
     _walk(obj, CONFIG, "", "a config")
     c = _defaults(CONFIG) | obj
-    experiment = c["experiment"]
-    for key, needed in (("ensemble", experiment != "oracle_check"), ("time_grid", PARAMS[experiment].time_grid)):
-        if needed and c[key] is None:
-            raise ConfigError(f"experiment {experiment} requires {key}")
+    experiment, table = c["experiment"], PARAMS[c["experiment"]]
+    for key in ("ensemble", "time_grid"):
+        if (key in table.reads) != (c[key] is not None):
+            verb = "requires" if key in table.reads else "reads no"
+            raise ConfigError(f"experiment {experiment} {verb} {key}")
     ensemble = None if c["ensemble"] is None else _ensemble(c["ensemble"])
     grid = c["time_grid"]
     if grid is not None:
         _walk(grid, TIME_GRID, "time_grid", "time_grid")
         grid = TimeGrid(T=float(grid["T"]), dt=float(grid["dt"]))
     params = _check_params(experiment, c["params"], ensemble.n if ensemble else None)
+    alone = table.isotropic
+    if alone is not None and {k: params[k] for k in alone} == alone and ensemble.gamma_dist != constant(0):
+        given = "".join(f" with params.{k} {json.dumps(v)}" for k, v in alone.items())
+        raise ConfigError(f"ensemble.gamma must be the constant 0: {experiment}{given} decomposes "
+                          f"A alone; got {json.dumps(c['ensemble']['gamma'])}")
     return ExperimentConfig(experiment, ensemble, grid, params, c["output_dir"], c["workers"],
                             semantic=_semantic(obj))
 

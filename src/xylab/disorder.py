@@ -169,29 +169,26 @@ def make_chain(mu, gamma, nu) -> ChainSpec:
     )
 
 
-def _sample_dist(dist: Distribution, seed: int, offset: int, count: int):
-    """Sample `count` values; constants consume no stream positions, so
-    comparative ensembles (e.g. differing only in a constant eps) see
-    identical random fields."""
-    if dist.kind == "constant":
-        return (dist.value,) * count, offset
-    u = _uniform_stream(seed, offset + count)[offset:]
-    vals = dist.lo + (dist.hi - dist.lo) * u
-    return tuple(vals.tolist()), offset + count
-
-
 def sample_chain(spec: EnsembleSpec, i: int) -> ChainSpec:
     """Draw realization i of the ensemble.
 
     The per-realization stream seed is splitmix64(base_seed XOR i);
     entries are drawn in order mu_1..mu_{n-1}, gamma_1..gamma_{n-1},
-    nu_1..nu_n.
+    nu_1..nu_n, from one stream as long as the non-constant entries.
+    Constants consume no stream positions, so comparative ensembles (e.g.
+    differing only in a constant eps) see identical random fields.
     """
     if not 0 <= i < spec.realizations:
         raise IndexError(f"realization index {i} outside [0, {spec.realizations})")
-    seed = splitmix64(spec.base_seed ^ i)
     n = spec.n
-    mu, off = _sample_dist(spec.mu_dist, seed, 0, n - 1)
-    gamma, off = _sample_dist(spec.gamma_dist, seed, off, n - 1)
-    nu, _ = _sample_dist(spec.nu_dist, seed, off, n)
-    return ChainSpec(n=n, mu=mu, gamma=gamma, nu=nu)
+    fields = ((spec.mu_dist, n - 1), (spec.gamma_dist, n - 1), (spec.nu_dist, n))
+    u = _uniform_stream(splitmix64(spec.base_seed ^ i),
+                        sum(count for dist, count in fields if dist.kind == "uniform"))
+    values, offset = [], 0
+    for dist, count in fields:
+        if dist.kind == "constant":
+            values.append((dist.value,) * count)
+        else:
+            values.append(tuple((dist.lo + (dist.hi - dist.lo) * u[offset:offset + count]).tolist()))
+            offset += count
+    return ChainSpec(n, *values)

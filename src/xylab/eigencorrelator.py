@@ -134,12 +134,15 @@ def clustering_sup(
 
 
 def distance_profile(table: np.ndarray, max_distance: int | None = None) -> np.ndarray:
-    """Mean of the table over pairs at each separation d = 0..max_distance."""
+    """Mean of the table over pairs at each separation d = 0..max_distance;
+    diagonal d is the strided slice [d : (n - d) n : n + 1] of the raveled
+    table, and its sum over n - d is bitwise np.mean's."""
     n = table.shape[0]
     dmax = n - 1 if max_distance is None else min(max_distance, n - 1)
+    flat = table.ravel()
     out = np.empty(dmax + 1)
     for d in range(dmax + 1):
-        out[d] = np.mean(np.diagonal(table, offset=d))
+        out[d] = flat[d : (n - d) * n : n + 1].sum() / (n - d)
     return out
 
 

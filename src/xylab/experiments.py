@@ -2,17 +2,17 @@
 
 Each experiment maps a pure per-realization function over the ensemble
 (with workers, forked children take a contiguous chunk each and the idle
-parent collects; XYLAB_WORKERS overrides the config) and reduces results
-in realization-index order with disorder.aggregate, so outputs are byte
-identical across runs and worker counts.  A worker's failure names the
-experiment, the realization and the ensemble seed that replay it.  At
-import the module sets the process's allocator policy (glibc's mallopt),
-so freed kernel temporaries stay mapped for the next realization.
-Every experiment makes one pass per realization: a worker samples and
-decomposes its chain once and returns what it measures, and the driver
-judges the measurements against the fitted constants.  Summaries echo
-the semantic config (not output_dir or workers) with a content hash
-and record pass/fail verdicts next to the fitted constants they used.
+parent collects) and reduces results in realization-index order with
+disorder.aggregate, so outputs are byte identical across runs and worker
+counts.  A worker's failure names the experiment, the realization and
+the ensemble seed that replay it.  At import the module sets the
+process's allocator policy (glibc's mallopt), so freed kernel
+temporaries stay mapped for the next realization.  Every experiment
+makes one pass per realization: a worker samples and decomposes its
+chain once and returns what it measures, and the driver judges the
+measurements against the fitted constants.  Summaries echo the semantic
+config (not output_dir or workers) with a content hash and record
+pass/fail verdicts next to the fitted constants they used.
 """
 
 from __future__ import annotations
@@ -79,21 +79,6 @@ def _keep_freed_memory_mapped() -> None:
 
 
 _keep_freed_memory_mapped()
-
-
-def effective_workers(config_workers: int) -> int:
-    """The config's worker count, or XYLAB_WORKERS when that is set; the
-    variable must be an integer >= 1."""
-    env = os.environ.get("XYLAB_WORKERS")
-    if not env:
-        return config_workers
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"XYLAB_WORKERS must be an integer >= 1, got {env!r}")
-    return workers
 
 
 def pool_size(requested: int, realizations: int, cpus: int | None) -> int:
@@ -220,7 +205,8 @@ def write_summary(path, config: ExperimentConfig, payload: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# per-realization workers (module level for picklability)
+# per-realization workers: pure functions of (ensemble, index, params),
+# run in forked children that pickle only their results
 
 
 def _decompose(chain, block: bool):
@@ -539,7 +525,6 @@ def run(config: ExperimentConfig) -> dict:
     """Execute one experiment; writes artifacts and the summary JSON into
     config.output_dir and returns the summary payload."""
     runner = _RUNNERS[config.experiment]
-    config = replace(config, workers=effective_workers(config.workers))
     outdir = Path(config.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     try:

@@ -70,6 +70,27 @@ def test_golden_fixture_nu():
     assert sample_chain(spec, 0).nu == GOLDEN_NU_SEED42
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 60])
+def test_one_stream_per_chain_equals_a_stream_per_field(n):
+    # the reference draws each non-constant field from its own copy of the
+    # realization's stream, skipping the positions the earlier fields took
+    for fields in range(8):
+        dists = [uniform(-0.7, 1.3) if fields >> b & 1 else constant(0.4) for b in range(3)]
+        for base_seed in (0, 1, 1003, 2**64 - 1):
+            spec = EnsembleSpec(n, *dists, base_seed=base_seed, realizations=3)
+            for i in range(3):
+                seed, offset, expected = splitmix64(base_seed ^ i), 0, []
+                for dist, count in zip(dists, (n - 1, n - 1, n)):
+                    if dist.kind == "constant":
+                        expected.append((dist.value,) * count)
+                        continue
+                    u = disorder._uniform_stream(seed, offset + count)[offset:]
+                    expected.append(tuple((dist.lo + (dist.hi - dist.lo) * u).tolist()))
+                    offset += count
+                chain = sample_chain(spec, i)
+                assert (chain.mu, chain.gamma, chain.nu) == tuple(expected)
+
+
 def test_index_out_of_range():
     spec = EnsembleSpec(
         n=4, mu_dist=constant(1.0), gamma_dist=constant(0.0),
@@ -112,7 +133,9 @@ def test_json_round_trip():
     obj = {"n": 6, "mu": {"kind": "uniform", "lo": -1, "hi": 1},
            "gamma": {"kind": "constant", "value": 0.25},
            "nu": {"kind": "uniform", "lo": -5, "hi": 5}, "base_seed": 99, "realizations": 12}
-    parsed = parse_config({"experiment": "eigencorrelator", "ensemble": obj}).ensemble
+    # entanglement_static reads gamma: its workers decompose M
+    parsed = parse_config({"experiment": "entanglement_static", "ensemble": obj,
+                           "params": {"ells": [3]}}).ensemble
     assert parsed == spec
     assert type(parsed.mu_dist.lo) is float and type(parsed.gamma_dist.value) is float
 

@@ -172,6 +172,18 @@ def test_distance_profile():
     assert np.allclose(prof, [1.0, 0.45, 0.2])
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 60, 200])
+def test_distance_profile_is_bitwise_the_mean_of_each_diagonal(rng, n):
+    # the reference is np.mean over np.diagonal, on C-ordered, Fortran-ordered
+    # and strided tables
+    table = rng.random((n, 2 * n)) * np.exp(-30.0 * rng.random((n, 2 * n)))
+    for t in (table[:, :n].copy(), np.asfortranarray(table[:, :n]), table[:, ::2]):
+        for max_distance in (None, 0, 12, 30, 500):
+            dmax = n - 1 if max_distance is None else min(max_distance, n - 1)
+            expected = [np.mean(np.diagonal(t, offset=d)) for d in range(dmax + 1)]
+            assert ec.distance_profile(t, max_distance).tobytes() == np.array(expected).tobytes()
+
+
 def test_commutator_bound_holds_against_oracle(rng):
     # averaged sup-t commutator norms below the fitted-constant bound
     n = 7

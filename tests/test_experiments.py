@@ -44,6 +44,12 @@ def ensemble_spec(**kw):
     return xp.parse_config({"experiment": "eigencorrelator", "ensemble": ensemble_json(**kw)}).ensemble
 
 
+def _read_objects(config: dict) -> dict:
+    """config without the ensemble or time_grid that its experiment does not read."""
+    return {k: v for k, v in config.items()
+            if k not in ("ensemble", "time_grid") or k in PARAMS[config["experiment"]].reads}
+
+
 def test_time_grid():
     grid = TimeGrid(T=1.0, dt=0.25)
     assert np.allclose(grid.times(), [0.0, 0.25, 0.5, 0.75, 1.0])
@@ -97,7 +103,7 @@ def test_parse_config_errors():
         xp.parse_config({"experiment": "eigencorrelator",
                          "ensemble": {"n": 4, "mu": {"kind": "zeta"}}})
     with pytest.raises(xp.ConfigError, match="time_grid.dt"):
-        xp.parse_config({"experiment": "eigencorrelator", "ensemble": ensemble_json(),
+        xp.parse_config({"experiment": "lr_bound", "ensemble": ensemble_json(),
                          "time_grid": {"T": 1.0}})
     with pytest.raises(xp.ConfigError, match="workers"):
         xp.parse_config({"experiment": "eigencorrelator", "ensemble": ensemble_json(),
@@ -504,20 +510,6 @@ def test_cli_fit_rejects_a_negative_min_distance(tmp_path):
     assert r.stderr == "error: min_distance must be >= 0, got -1\n"
 
 
-def test_xylab_workers_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("XYLAB_WORKERS", "2")
-    assert xp.effective_workers(1) == 2
-    monkeypatch.delenv("XYLAB_WORKERS")
-    assert xp.effective_workers(3) == 3
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-def test_xylab_workers_env_rejects_non_positive_integers(monkeypatch, value):
-    monkeypatch.setenv("XYLAB_WORKERS", value)
-    with pytest.raises(xp.ConfigError, match="XYLAB_WORKERS"):
-        xp.effective_workers(1)
-
-
 def test_pool_size_clamps_to_realizations_and_cpus():
     assert xp.pool_size(1000, 50, 2) == 2
     assert xp.pool_size(8, 3, 16) == 3
@@ -687,7 +679,6 @@ def test_maps_leave_no_child_and_run_serially_without_fork(monkeypatch):
 def test_cli_run_reports_a_killed_worker_process_in_one_line(monkeypatch, tmp_path, capsys,
                                                              deadline):
     monkeypatch.setattr(xp.os, "cpu_count", lambda: 8)
-    monkeypatch.delenv("XYLAB_WORKERS", raising=False)
     monkeypatch.setattr(xp, "_real_eigencorrelator",
                         lambda ensemble, i, params: _die_on_realization_1(ensemble, i, {"how": "sigkill"}))
     cfg_path = tmp_path / "config.json"
@@ -795,12 +786,12 @@ def test_cli_run_bad_params_give_one_line_error(tmp_path, experiment, params, na
     if named.startswith("cannot write"):  # output_dir under a regular file
         (tmp_path / "blocker").write_text("")
         out = tmp_path / "blocker" / "out"
-    cfg_path.write_text(json.dumps({
+    cfg_path.write_text(json.dumps(_read_objects({
         "experiment": experiment,
         "ensemble": {**ensemble_json(n=8, realizations=2), **ensemble},
         "params": params,
         "output_dir": str(out),
-    }))
+    })))
     r = _run_cli(["run", str(cfg_path)], tmp_path)
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
@@ -1111,10 +1102,9 @@ def test_cli_rejects_bad_params_before_any_realization(tmp_path, capsys, experim
                                                       ensemble, named):
     cfg = tmp_path / "bad.json"
     out = tmp_path / "out"
-    cfg.write_text(json.dumps({"experiment": experiment,
-                               "ensemble": {**ensemble_json(n=20, realizations=2), **ensemble},
-                               "time_grid": {"T": 1.0, "dt": 0.5}, "params": params,
-                               "output_dir": str(out)}))
+    cfg.write_text(json.dumps(_read_objects({
+        "experiment": experiment, "ensemble": {**ensemble_json(n=20, realizations=2), **ensemble},
+        "time_grid": {"T": 1.0, "dt": 0.5}, "params": params, "output_dir": str(out)})))
     assert cli.main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: invalid config: ") and err.count("\n") == 1 and named in err
@@ -1149,6 +1139,61 @@ def test_cli_rejects_an_oversized_time_grid_before_any_realization(tmp_path, cap
     TimeGrid(T=1e6, dt=1.0)  # the cap itself is allowed
 
 
+_GRID = {"T": 1.0, "dt": 0.5}
+_ANISO_GAMMA = {"kind": "uniform", "lo": -0.9, "hi": 0.9}
+
+
+@pytest.mark.parametrize("config, named", [
+    ({"experiment": "eigencorrelator", "time_grid": _GRID},
+     "experiment eigencorrelator reads no time_grid"),
+    ({"experiment": "entanglement_static", "time_grid": _GRID, "params": {"ells": [4]}},
+     "experiment entanglement_static reads no time_grid"),
+    ({"experiment": "fock", "time_grid": _GRID}, "experiment fock reads no time_grid"),
+    ({"experiment": "oracle_check", "ensemble": ensemble_json(n=20), "params": {"n": 4}},
+     "experiment oracle_check reads no ensemble"),
+    # the workers decompose A alone, which holds no gamma
+    ({"experiment": "eigencorrelator"}, "ensemble.gamma must be the constant 0: eigencorrelator "
+     "with params.block false decomposes A alone;"),
+    ({"experiment": "lr_bound", "time_grid": _GRID, "params": {"block": False}},
+     "ensemble.gamma must be the constant 0: lr_bound with params.block false decomposes A alone;"),
+    ({"experiment": "correlations", "time_grid": _GRID},
+     "ensemble.gamma must be the constant 0: correlations decomposes A alone;"),
+    ({"experiment": "fock"}, "ensemble.gamma must be the constant 0: fock decomposes A alone;"),
+    ({"experiment": "transport_particle", "time_grid": _GRID, "params": _ISO},
+     "ensemble.gamma must be the constant 0: transport_particle decomposes A alone;"),
+    ({"experiment": "transport_energy", "time_grid": _GRID, "params": _ISO},
+     'ensemble.gamma must be the constant 0: transport_energy with params.variant "isotropic_bound" '
+     'decomposes A alone;'),
+], ids=["eigencorrelator-grid", "entanglement-static-grid", "fock-grid", "oracle-ensemble",
+        "eigencorrelator-gamma", "lr-bound-gamma", "correlations-gamma", "fock-gamma",
+        "transport-particle-gamma", "transport-energy-gamma"])
+def test_cli_rejects_an_object_or_gamma_that_no_worker_reads(tmp_path, capsys, config, named):
+    # these runs used to ignore the object or report A's physics, or fail
+    # one realization at a time after the output directory was made
+    cfg = tmp_path / "bad.json"
+    out = tmp_path / "out"
+    ensemble = {**ensemble_json(n=20, realizations=2), "gamma": _ANISO_GAMMA}
+    cfg.write_text(json.dumps({"ensemble": ensemble, **config, "output_dir": str(out)}))
+    assert cli.main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid config: {named}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("eigencorrelator", {"block": True}),
+    ("lr_bound", {"block": True}),
+    ("entanglement_static", {"ells": [4]}),
+    ("entanglement_quench", {"ells": [4]}),
+    ("transport_energy", _FLATNESS_12),
+])
+def test_parse_config_accepts_gamma_where_the_workers_decompose_M(experiment, params):
+    for gamma in (_ANISO_GAMMA, {"kind": "constant", "value": 0.25}, {"kind": "constant", "value": 0}):
+        cfg = _read_objects({"experiment": experiment, "time_grid": _GRID, "params": params,
+                             "ensemble": {**ensemble_json(n=20, realizations=2), "gamma": gamma}})
+        assert xp.parse_config(cfg).ensemble.gamma_dist.kind == gamma["kind"]
+
+
 @pytest.mark.parametrize("experiment, params", [
     ("eigencorrelator", {"min_distance": 0, "max_distance": None, "block": False}),
     ("entanglement_static", {"ells": [1, 19], "label_seed": 0, "fit_max_distance": None}),
@@ -1165,8 +1210,8 @@ def test_cli_rejects_an_oversized_time_grid_before_any_realization(tmp_path, cap
     ("transport_particle", {"s1": [10], "s2": [1, 20], "slack": 1e-9, "max_distance": None}),
 ])
 def test_parse_config_accepts_params_at_their_edges(experiment, params):
-    cfg = {"experiment": experiment, "ensemble": ensemble_json(n=20, realizations=2),
-           "time_grid": {"T": 1.0, "dt": 0.5}, "params": params}
+    cfg = _read_objects({"experiment": experiment, "ensemble": ensemble_json(n=20, realizations=2),
+                         "time_grid": {"T": 1.0, "dt": 0.5}, "params": params})
     # each given key comes back unchanged and every other key holds its default
     assert xp.parse_config(cfg).params == {**DEFAULTS[experiment], **params}
 
@@ -1267,7 +1312,6 @@ def test_one_decomposition_of_M_per_realization(tmp_path, monkeypatch):
     # M's eigensystem is read off the Bogoliubov W: the dense 2n eigh runs
     # on no production path, and entanglement_static decomposes each chain
     # once for both its entropies and its block eigencorrelator profile
-    monkeypatch.delenv("XYLAB_WORKERS", raising=False)
     dense = []
     bogs = Counter()
     bogoliubov = ham.bogoliubov
@@ -1309,7 +1353,6 @@ def test_one_decomposition_of_M_per_realization(tmp_path, monkeypatch):
 def test_fock_run_decomposes_each_chain_once(tmp_path, monkeypatch):
     # one pass: the worker that measures the fit's profile also measures
     # the centers, the decay envelope and the pair overlaps
-    monkeypatch.delenv("XYLAB_WORKERS", raising=False)
     samples, decompositions = Counter(), Counter()
     diagonalize_A = ham.diagonalize_A
 
@@ -1494,6 +1537,16 @@ def _library_trees():
     src = [f for f in (_REPO / "src" / "xylab").glob("*.py") if f.name != "__init__.py"]
     bench = [f for f in (_REPO / "perfbench").rglob("*.py") if "tests" not in f.parts]
     return src, {f: ast.parse(f.read_text()) for f in src + bench}
+
+
+def test_no_module_in_src_reads_the_environment():
+    # a run reads its config and nothing else: no os.environ or os.getenv
+    src, trees = _library_trees()
+    reads = [f"{f.name}:{node.lineno}" for f in src for node in ast.walk(trees[f])
+             if isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+             or isinstance(node, ast.ImportFrom) and node.module == "os"
+             and {a.name for a in node.names} & {"environ", "getenv"}]
+    assert reads == []
 
 
 _UNCALLED = {"eigencorrelator.lr_commutator_bound"}  # the lr_bound experiment reports it once wired
