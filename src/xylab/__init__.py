@@ -35,6 +35,7 @@ from .quasifree import (
 from .eigencorrelator import (
     DecayFit,
     dynamic_amplitude_sup,
+    eigencorrelator_profile,
     eigencorrelator_table,
     fit_decay,
     lr_commutator_bound,

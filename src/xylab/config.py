@@ -95,7 +95,9 @@ class Experiment(NamedTuple):
     reads: tuple  # the ones of ensemble and time_grid that it reads and requires; it rejects the rest
     window: tuple  # fit window: low-end field, then fields whose least value (and n - 1) is its top
     params: dict
-    unread: dict = {}  # variant -> the keys of params that it does not read, and rejects
+    # the value of the choice field that selects a variant (params.variant, params.strategy)
+    # -> the keys of params that the variant does not read, and rejects
+    unread: dict = {}
     # the params with which its workers decompose A alone, which holds no gamma,
     # so that ensemble.gamma must be the constant 0: {} always, None never
     isotropic: dict | None = None
@@ -126,7 +128,7 @@ PARAMS = {
     "entanglement_static": Experiment(_STATIC, (*_FIT_WINDOW, "max_distance"), {
         **_CUTS, "strategy": Param(("sampled", "exhaustive"), "sampled"),
         "samples": Param("int", 200, 1), "label_seed": _SEED, "max_distance": _MAX_DISTANCE,
-        **_FIT_DISTANCES, **_SLACK}),
+        **_FIT_DISTANCES, **_SLACK}, unread={"exhaustive": ("samples", "label_seed")}),
     "entanglement_quench": Experiment(_DYNAMIC, (), _CUTS),
     "transport_particle": Experiment(_DYNAMIC, _FIT_WINDOW, _TRANSPORT, isotropic={}),
     # the anisotropic flatness fits nothing and needs no S2
@@ -193,14 +195,16 @@ def _check_params(experiment: str, params: dict, n: int | None) -> dict:
     keys that the variant reads (the ones it rejects are left out), then
     against the rules that tie fields to each other or to ensemble.n: the
     cuts, fit window, fock's pairs and thresholds, transport regions."""
-    table = PARAMS[experiment].params
+    table, variants = PARAMS[experiment].params, PARAMS[experiment].unread
     _walk(params, table, "params", experiment)
     p = {**DEFAULTS[experiment], **params}
-    unread = PARAMS[experiment].unread.get(p.get("variant"), ())
+    selector = next((k for k, param in table.items()
+                     if isinstance(param.kind, tuple) and p[k] in variants), None)
+    unread = variants[p[selector]] if selector else ()
     foreign = [f"params.{k}" for k in params if k in unread]
     if foreign:
-        raise ConfigError(f"unknown field {', '.join(foreign)} for {experiment} variant "
-                          f"{p['variant']}, whose params are "
+        raise ConfigError(f"unknown field {', '.join(foreign)} for {experiment} {selector} "
+                          f"{p[selector]}, whose params are "
                           f"{', '.join(k for k in table if k not in unread)}")
     p = {k: v for k, v in p.items() if k not in unread}
     if n is None:

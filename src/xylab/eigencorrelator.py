@@ -8,7 +8,9 @@ fitted log-linearly in distance, and the fitted constants (C, eta) feed
 the zero-velocity commutator bounds and the transport/entanglement
 bounds downstream.  A's SpectralDecomposition gives the scalar table and
 amplitudes, a BogoliubovDecomposition the 2x2-block ones of M, over n
-modes from its SVD factors Psi and Phi.
+modes from its SVD factors Psi and Phi.  A caller that needs only the
+distance profile of the table takes eigencorrelator_profile, which reads
+it off the rows of the table's factor U and forms no n x n table.
 
 The sup-over-time kernels never build a propagator: for the pairs
 j <= k that reach the output, a chunk of the time grid is one real
@@ -46,11 +48,35 @@ def eigencorrelator_table(dec: SpectralDecomposition | BogoliubovDecomposition) 
     subadditive over any orthonormal eigenbasis, and the amplitudes it
     bounds do not depend on it.
     """
-    if isinstance(dec, BogoliubovDecomposition):
-        U = np.sqrt(dec.Psi**2 + dec.Phi**2)
-    else:
-        U = np.abs(dec.eigenvectors)
+    U = _site_weights(dec)
     return U @ U.T
+
+
+def _site_weights(dec: SpectralDecomposition | BogoliubovDecomposition) -> np.ndarray:
+    """The n x n U whose U U^t is the eigencorrelator table: |V| on A's
+    eigensystem, sqrt(Psi^2 + Phi^2) on a Bogoliubov decomposition."""
+    if isinstance(dec, BogoliubovDecomposition):
+        return np.sqrt(dec.Psi**2 + dec.Phi**2)
+    return np.abs(dec.eigenvectors)
+
+
+def eigencorrelator_profile(dec: SpectralDecomposition | BogoliubovDecomposition,
+                            max_distance: int | None = None) -> np.ndarray:
+    """distance_profile(eigencorrelator_table(dec), max_distance) without
+    the table: diagonal d of U U^t sums the products of the rows j and
+    j + d of U, which is one dot product of the first (n - d) n entries
+    of the raveled U with its last ones, divided by n - d.  That is
+    (d + 1) n^2 multiply-adds for the distances up to d instead of n^3;
+    the sums are reassociated, so entries agree with the table's to
+    round-off, not bitwise."""
+    U = _site_weights(dec)
+    n = U.shape[0]
+    dmax = n - 1 if max_distance is None else min(max_distance, n - 1)
+    flat = U.ravel()
+    out = np.empty(dmax + 1)
+    for d in range(dmax + 1):
+        out[d] = np.dot(flat[: (n - d) * n], flat[d * n :]) / (n - d)
+    return out
 
 
 def _upper_pairs(n: int, max_distance: int | None = None):

@@ -134,11 +134,12 @@ def _label_entropies(bog: BogoliubovDecomposition, ell: int, alphas: np.ndarray)
     return out
 
 
-def max_eigenstate_entropy(bog: BogoliubovDecomposition, ell: int, strategy: str, samples: int,
-                           seed: int) -> tuple:
+def max_eigenstate_entropy(bog: BogoliubovDecomposition, ell: int, strategy: str,
+                           samples: int | None = None, seed: int | None = None) -> tuple:
     """(entropy, ps_bound) of the most entangled eigenstate label across
     the cut after site ell: over every label (exhaustive, n <= 14) or
-    over `samples` uniform labels (sampled, a lower bound on the sup).
+    over `samples` uniform labels drawn from `seed` (sampled, a lower
+    bound on the sup; only this strategy reads samples and seed).
 
     Every label is scored by the batched _label_entropies; the labels
     within _RESCORE_WINDOW of the batched maximum are rescored exactly by
@@ -151,8 +152,9 @@ def max_eigenstate_entropy(bog: BogoliubovDecomposition, ell: int, strategy: str
             raise ValueError(f"exhaustive strategy capped at n={MAX_EXHAUSTIVE_SITES}")
         alphas = alpha_from_index(np.arange(2**n)[:, None], n)
     elif strategy == "sampled":
-        if samples < 1:
-            raise ValueError(f"samples must be >= 1, got {samples}")
+        if samples is None or samples < 1 or seed is None:
+            raise ValueError(f"the sampled strategy needs samples >= 1 and a seed, got samples "
+                             f"{samples} and seed {seed}")
         rng = np.random.default_rng(seed)
         alphas = rng.integers(0, 2, size=(samples, n))
     else:

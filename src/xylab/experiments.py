@@ -41,6 +41,7 @@ from .eigencorrelator import (
     clustering_sup,
     distance_profile,
     dynamic_amplitude_sup,
+    eigencorrelator_profile,
     eigencorrelator_table,
     fit_decay,
 )
@@ -216,7 +217,7 @@ def _decompose(chain, block: bool):
 
 def _real_eigencorrelator(ensemble, i, params):
     dec = _decompose(sample_chain(ensemble, i), params["block"])
-    return distance_profile(eigencorrelator_table(dec), params["max_distance"])
+    return eigencorrelator_profile(dec, params["max_distance"])
 
 
 def _real_amplitude(ensemble, i, params):
@@ -239,12 +240,12 @@ def _real_clustering(ensemble, i, params):
 def _real_entanglement_static(ensemble, i, params):
     """(entropy, ps_bound) per cut and the block eigencorrelator profile
     that feeds the area-law fit, from one sample of the chain."""
-    chain = sample_chain(ensemble, i)
-    bog = bogoliubov(chain)
-    out = [ent.max_eigenstate_entropy(bog, ell, strategy=params["strategy"],
-                                      samples=params["samples"], seed=params["label_seed"] + i)
-           for ell in params["ells"]]
-    return out, distance_profile(eigencorrelator_table(bog), params["max_distance"])
+    bog = bogoliubov(sample_chain(ensemble, i))
+    # the exhaustive strategy reads neither samples nor label_seed, and its params hold neither
+    draw = ({} if params["strategy"] == "exhaustive" else
+            {"samples": params["samples"], "seed": params["label_seed"] + i})
+    out = [ent.max_eigenstate_entropy(bog, ell, params["strategy"], **draw) for ell in params["ells"]]
+    return out, eigencorrelator_profile(bog, params["max_distance"])
 
 
 def _real_quench(ensemble, i, params):
@@ -264,7 +265,7 @@ def _real_transport(ensemble, i, params):
     profile that feeds the fit and the transport series."""
     chain = sample_chain(ensemble, i)
     sd = diagonalize_A(chain)
-    profile = distance_profile(eigencorrelator_table(sd), params["fit_max_distance"])
+    profile = eigencorrelator_profile(sd, params["fit_max_distance"])
     series_of = {"particle": tr.particle_number_series, "energy": tr.energy_series_isotropic}
     series = series_of[params["observable"]](chain, params["s1"], params["eta"], params["times"], sd=sd)
     return profile, series
@@ -286,7 +287,7 @@ def _real_fock(ensemble, i, params):
     overlaps of the sampled pairs."""
     sd = diagonalize_A(sample_chain(ensemble, i))
     centers = locate_centers(sd, params["alpha"])
-    return (distance_profile(eigencorrelator_table(sd), params["fit_max_distance"]),
+    return (eigencorrelator_profile(sd, params["fit_max_distance"]),
             centers.matched, centers.fallback_count, decay_envelope(sd, centers),
             pair_overlaps(sd.eigenvectors, params["pairs"]))
 

@@ -7,6 +7,8 @@ certified exponential decay around the centers then controls both the
 Slater-determinant overlaps between interacting and non-interacting
 many-body eigenbases (through the structured-determinant bound) and the
 local occupation numbers of configurations with no particle nearby.
+The overlaps of a list of configuration pairs are batched: the pairs of
+each cardinality r are one stack of r x r submatrices and one det call.
 """
 
 from __future__ import annotations
@@ -150,26 +152,29 @@ def certify_decay(envelopes: np.ndarray, eta: float, tau: float) -> np.ndarray:
     return np.all(envelopes[..., far] <= np.exp(-eta * d[far]), axis=-1)
 
 
-def slater_overlap(U: np.ndarray, k_config, j_config) -> float:
+def slater_overlap(U: np.ndarray, k_config, j_config) -> float | np.ndarray:
     """Signed overlap between the interacting eigenstate occupying modes
     k and the spin basis vector with up-spins at sites j:
 
         (-1)^(sum j_m - r) det( phi_{k_m}(j_l) ),
 
-    with phi_k = column k of U.  Different cardinalities give exact 0
-    (particle number conservation).
+    with phi_k = column k of U.  One pair of configurations gives a
+    float: each is validated, different cardinalities give exact 0
+    (particle number conservation) and empty ones 1.  A stack of m pairs
+    of one cardinality r, as validated (m, r) integer arrays k and j,
+    gives the m overlaps from one batched det.
     """
-    n = U.shape[0]
-    k = ordered_configuration(k_config, n)
-    j = ordered_configuration(j_config, n)
-    if len(k) != len(j):
-        return 0.0
-    if len(k) == 0:
-        return 1.0
-    r = len(k)
-    sub = U[np.array(j)[None, :] - 1, np.array(k)[:, None] - 1]  # rows modes, cols sites
-    sign = -1.0 if (sum(j) - r) % 2 else 1.0
-    return float(sign * np.linalg.det(sub))
+    if np.ndim(k_config) != 2:
+        n = U.shape[0]
+        k = ordered_configuration(k_config, n)
+        j = ordered_configuration(j_config, n)
+        if len(k) != len(j):
+            return 0.0
+        return float(slater_overlap(U, [k], [j])[0])
+    k = np.asarray(k_config, dtype=int) - 1
+    j = np.asarray(j_config, dtype=int) - 1
+    sub = U[j[:, None, :], k[:, :, None]]  # (m, r, r): rows modes, cols sites
+    return np.where(j.sum(axis=1) % 2, -1.0, 1.0) * np.linalg.det(sub)
 
 
 def occupation_number(U: np.ndarray, k_config, x: int) -> float:
@@ -204,8 +209,27 @@ def sample_configuration_pairs(n: int, tau: float, count: int, seed: int, r_max:
 
 
 def pair_overlaps(U: np.ndarray, pairs) -> np.ndarray:
-    """|slater_overlap(U, k, j)| of every sampled pair (k, j), in order."""
-    return np.array([abs(slater_overlap(U, k, j)) for k, j in pairs])
+    """|slater_overlap(U, k, j)| of every pair (k, j), in order.  The pairs
+    of each cardinality r are checked together and take one slater_overlap
+    call on their (m, r) stacks; pairs of unequal cardinalities give 0.
+    An invalid configuration raises what slater_overlap raises on the
+    first one among the pairs."""
+    n = U.shape[0]
+    groups = {}  # cardinality (None where k and j differ in it) -> pair indices
+    for i, (k, j) in enumerate(pairs):
+        groups.setdefault(len(k) if len(k) == len(j) else None, []).append(i)
+    unequal = groups.pop(None, [])
+    stacks = {r: np.array([pairs[i] for i in rows], dtype=int).reshape(len(rows), 2, r)
+              for r, rows in groups.items()}
+    if unequal or not all(np.all(np.diff(kj, axis=-1, prepend=0) > 0) and np.all(kj <= n)
+                          for kj in stacks.values()):
+        for k, j in pairs:
+            ordered_configuration(k, n)
+            ordered_configuration(j, n)
+    out = np.zeros(len(pairs))
+    for r, kj in stacks.items():
+        out[groups[r]] = np.abs(slater_overlap(U, kj[:, 0], kj[:, 1]))
+    return out
 
 
 def fock_localization_check(overlaps, pairs, n: int, fit: DecayFit, tau: float, eta0: float,

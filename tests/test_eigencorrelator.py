@@ -13,7 +13,7 @@ from xylab.disorder import (
     uniform,
 )
 
-from conftest import (block_amplitude_sup_2n, block_table_2n, corner_chain, dense_cs, dense_H,
+from conftest import (CORNERS, block_amplitude_sup_2n, block_table_2n, corner_chain, dense_cs, dense_H,
                       diagonalize, ed_commutator_sups, ensemble_mean, function_of,
                       heisenberg_evolve, high_disorder_chain, high_disorder_ensemble, random_chain,
                       spectral_M)
@@ -182,6 +182,21 @@ def test_distance_profile_is_bitwise_the_mean_of_each_diagonal(rng, n):
             dmax = n - 1 if max_distance is None else min(max_distance, n - 1)
             expected = [np.mean(np.diagonal(t, offset=d)) for d in range(dmax + 1)]
             assert ec.distance_profile(t, max_distance).tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("corner", CORNERS)
+@pytest.mark.parametrize("n", [1, 2, 7, 60, 200])
+def test_eigencorrelator_profile_is_the_profile_of_the_table(rng, n, corner):
+    # the profile read off the rows of U, without the n x n table, is the
+    # table's distance profile up to the reassociation of its sums
+    chain = corner_chain(rng, n, corner)
+    for dec in (ham.diagonalize_A(chain), ham.bogoliubov(chain)):
+        table = ec.eigencorrelator_table(dec)
+        for max_distance in (None, 0, 3, n + 5):
+            want = ec.distance_profile(table, max_distance)
+            got = ec.eigencorrelator_profile(dec, max_distance)
+            assert got.shape == want.shape
+            assert np.all(np.abs(got - want) <= 1e-13 * want)
 
 
 def test_commutator_bound_holds_against_oracle(rng):

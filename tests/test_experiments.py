@@ -941,6 +941,35 @@ def test_cli_rejects_bad_samples_before_any_realization(tmp_path, capsys, sample
     assert not out.exists()
 
 
+@pytest.mark.parametrize("params", [{"samples": 5}, {"label_seed": 7}, {"samples": 5, "label_seed": 0}])
+def test_exhaustive_strategy_rejects_the_sampling_keys(tmp_path, capsys, params):
+    # exhaustive scores every label and reads neither key, so neither may
+    # enter the config hash
+    cfg = tmp_path / "bad.json"
+    out = tmp_path / "out"
+    cfg.write_text(json.dumps({**_static_config(strategy="exhaustive", **params), "output_dir": str(out)}))
+    assert cli.main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid config: unknown field {', '.join('params.' + k for k in params)}"
+                          " for entanglement_static strategy exhaustive, whose params are ells, "
+                          "strategy, max_distance,") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("params, digest", [
+    ({"samples": 5, "label_seed": 3}, "fabdeccc16a6312c"),
+    ({"strategy": "sampled"}, "19b5291dc06b831d"),
+    ({"strategy": "exhaustive"}, "3a597caefd327dfe"),
+], ids=["sampled", "sampled-defaults", "exhaustive"])
+def test_static_configs_that_each_strategy_reads_hash_as_before(tmp_path, params, digest):
+    # the digests were recorded while exhaustive still accepted samples and label_seed
+    cfg = xp.parse_config({**_static_config(**params), "output_dir": str(tmp_path)})
+    exhaustive = cfg.params["strategy"] == "exhaustive"
+    assert ("samples" in cfg.params, "label_seed" in cfg.params) == (not exhaustive,) * 2
+    xp.run(cfg)
+    assert json.loads((tmp_path / "summary.json").read_text())["config_hash"] == digest
+
+
 def test_parse_config_rejects_exhaustive_strategy_beyond_14_sites():
     config = _static_config(strategy="exhaustive")
     with pytest.raises(xp.ConfigError, match="params.strategy exhaustive needs ensemble.n <= 14"):
@@ -1378,8 +1407,8 @@ def _fock_two_pass(cfg):
     pair's overlap against its bound."""
     p, ens, n = cfg.params, cfg.ensemble, cfg.ensemble.n
     tau = p["tau"]
-    profiles = [xp.distance_profile(xp.eigencorrelator_table(xp.diagonalize_A(
-        sample_chain(ens, i))), p["fit_max_distance"]) for i in range(ens.realizations)]
+    profiles = [xp.eigencorrelator_profile(xp.diagonalize_A(sample_chain(ens, i)), p["fit_max_distance"])
+                for i in range(ens.realizations)]
     fit = xp.fit_decay(xp.aggregate(profiles)["mean"], p["fit_min_distance"], p["fit_max_distance"])
     eta = 0.5 * fit.eta if p["eta"] is None else p["eta"]
     eta0 = 0.25 * eta

@@ -103,7 +103,14 @@ def test_locate_centers_matches_on_the_per_column_candidate_lists(rng, monkeypat
     assert seen == [[list(np.nonzero(V[:, r] >= n ** -alpha)[0]) for r in range(n)]]
 
 
-def test_pair_overlaps_call_slater_overlap_once_per_pair(rng, monkeypatch):
+def _signed_det(U, k, j) -> float:
+    """The reference overlap of one pair: one det of the transposed np.ix_
+    submatrix, rows the modes k and columns the sites j."""
+    sign = -1.0 if (sum(j) - len(j)) % 2 else 1.0
+    return sign * np.linalg.det(U[np.ix_(np.array(j) - 1, np.array(k) - 1)].T)
+
+
+def test_pair_overlaps_call_slater_overlap_once_per_cardinality(rng, monkeypatch):
     n = 30
     U = ham.diagonalize_A(random_chain(rng, n, anisotropic=False)).eigenvectors
     pairs = fock.sample_configuration_pairs(n, 0.5, 25, 4, 5)
@@ -111,10 +118,50 @@ def test_pair_overlaps_call_slater_overlap_once_per_pair(rng, monkeypatch):
     overlap = fock.slater_overlap
     monkeypatch.setattr(fock, "slater_overlap", lambda *a: calls.append(a[1:]) or overlap(*a))
     got = fock.pair_overlaps(U, pairs)
-    assert calls == pairs
-    # the submatrix rows are the modes k and its columns the sites j
-    expected = [abs(np.linalg.det(U[np.ix_(np.array(j) - 1, np.array(k) - 1)].T)) for k, j in pairs]
+    # one call per cardinality, in order of first appearance, on the (m, r)
+    # stacks of the pairs of that cardinality in order
+    cardinalities = list(dict.fromkeys(len(k) for k, _ in pairs))
+    assert len(cardinalities) > 1
+    assert [(k.tolist(), j.tolist()) for k, j in calls] == [
+        tuple([list(c[side]) for c in pairs if len(c[0]) == r] for side in (0, 1)) for r in cardinalities]
+    expected = [abs(_signed_det(U, k, j)) for k, j in pairs]
     assert got.tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("n", [5, 12, 60])
+def test_batched_overlaps_are_bitwise_one_det_per_pair(rng, n):
+    U = ham.diagonalize_A(random_chain(rng, n, anisotropic=False)).eigenvectors
+    pairs = [tuple(tuple(sorted(rng.choice(n, r, replace=False) + 1)) for _ in range(2))
+             for r in rng.integers(1, 6, size=80)]
+    expected = [_signed_det(U, k, j) for k, j in pairs]
+    assert fock.pair_overlaps(U, pairs).tobytes() == np.abs(expected).tobytes()
+    for r in range(1, 6):
+        group = [i for i, (k, _) in enumerate(pairs) if len(k) == r]
+        k, j = (np.array([pairs[i][side] for i in group]).reshape(len(group), r) for side in (0, 1))
+        got = fock.slater_overlap(U, k, j)
+        assert got.shape == (len(group),)
+        assert got.tobytes() == np.array([expected[i] for i in group]).tobytes()
+    for (k, j), value in zip(pairs, expected):
+        one = fock.slater_overlap(U, k, j)
+        assert type(one) is float and one == value
+
+
+def test_pair_overlaps_keep_the_edge_cases_of_one_pair():
+    n = 6
+    U = ham.diagonalize_A(make_chain([0.3] * (n - 1), [0.0] * (n - 1), np.linspace(-1, 1, n))).eigenvectors
+    empty = fock.pair_overlaps(U, [])
+    assert empty.dtype == float and empty.shape == (0,)
+    got = fock.pair_overlaps(U, [((1, 2), (3,)), ((), ()), ((2,), (4,)), ((), (1,))])
+    assert got.tolist() == [0.0, 1.0, abs(fock.slater_overlap(U, (2,), (4,))), 0.0]
+    for bad in ((2, 2), (3, 1), (0, 2), (1, 7)):
+        with pytest.raises(ValueError) as one:
+            qf.ordered_configuration(bad, n)
+        # the first invalid configuration among the pairs names the error
+        for pairs in ([(bad, (1, 3))], [((1,), (2,)), ((1, 3), bad)],
+                      [((4,), (5,)), (bad, (1, 2)), ((1, 2, 3), (2, 2, 4))], [((5,), (1, 2)), (bad, (1, 3))]):
+            with pytest.raises(ValueError) as many:
+                fock.pair_overlaps(U, pairs)
+            assert str(many.value) == str(one.value)
 
 
 def test_certify_decay_validation():
