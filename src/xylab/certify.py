@@ -1,7 +1,7 @@
 """Certification of the free-fermion layer against the 2^n oracle.
 
 Each check takes a chain's free-fermion data and the oracle's (its H or
-its eigensystem, and the Jordan-Wigner tables) and returns the worst
+its eigensystem, and the Jordan-Wigner bit flips) and returns the worst
 deviation it saw.  `chain_errors` runs every per-chain check on one chain,
 and `oracle_suite` runs them on random chains and judges the worst errors
 against TOLERANCES.  The oracle side works one symmetry sector at a time:
@@ -38,7 +38,7 @@ TOLERANCES = {
 def oracle_suite(n: int, seed: int, realizations: int) -> dict:
     """Brute-force identity checks on small random chains; returns one
     boolean per check plus the worst deviations seen.  The Jordan-Wigner
-    tables and the sector index arrays are built once."""
+    operators and the sector index arrays are built once."""
     ens = EnsembleSpec(n=n, mu_dist=uniform(-1.0, 1.0), gamma_dist=uniform(-0.7, 0.7),
                        nu_dist=uniform(-1.5, 1.5), base_seed=seed, realizations=realizations)
     jw = ed.all_c(n)
@@ -88,15 +88,13 @@ def chain_errors(chain: ChainSpec, jw: ed.JordanWigner, parity: ed.Sectors,
 def check_quadratic_form(H: dict, X: np.ndarray, jw: ed.JordanWigner,
                          constant: float = 0.0) -> float:
     """Worst entry of constant + sum_pq X_pq o_p^* o_q - H, one bit-flip
-    diagonal at a time: o_p^* o_q = o_{p^1} o_q flips the same bits of
-    every basis state, so each nonzero X_pq adds X_pq sgn to the diagonal
-    of its mask tgt[0], and each entry sums its terms in the order of
-    np.nonzero(X)."""
+    diagonal at a time: each nonzero X_pq adds X_pq times the diagonal of
+    o_p^* o_q = o_{p^1} o_q to its mask, and each entry sums its terms in
+    the order of np.nonzero(X)."""
     form = {}
     for p, q in zip(*np.nonzero(X)):
-        tgt, sgn = jw.product(p ^ 1, q)
-        mask = int(tgt[0])
-        form[mask] = form.get(mask, 0.0) + X[p, q] * sgn
+        mask, values = jw.product(p ^ 1, q)
+        form[int(mask)] = form.get(int(mask), 0.0) + X[p, q] * values
     form[0] = form.get(0, 0.0) + constant
     return max(float(np.max(np.abs(form.get(m, 0.0) - H.get(m, 0.0)))) for m in form.keys() | H.keys())
 
@@ -104,19 +102,16 @@ def check_quadratic_form(H: dict, X: np.ndarray, jw: ed.JordanWigner,
 def check_car(jw: ed.JordanWigner) -> float:
     """Worst entry of {o_p, o_q} - delta_{q, p^1} over the interleaved
     pairs p <= q: {c_j, c_k^*} = delta_jk, {c_j, c_k} = 0 and adjoints.
-    Column s holds o_p o_q e_s, o_q o_p e_s and -delta e_s at up to three
-    targets; each target's entry sums the terms that land on it."""
-    m, dim = jw.tgt.shape
-    s = np.arange(dim)
+    o_p o_q and o_q o_p flip the same bits, so column s holds the sum of
+    their signs at one target, less delta where no bit flips; where one
+    does, -delta sits alone at s."""
     worst = 0.0
-    for p in range(m):
-        qs = np.arange(p, m)
-        t1, v1 = jw.product(p, qs)
-        t2, v2 = jw.product(qs, p)
-        d = np.where(qs == p ^ 1, -1.0, 0.0)[:, None]
-        for t in (t1, t2, s):
-            entry = v1 * (t1 == t) + v2 * (t2 == t) + d * (s == t)
-            worst = max(worst, float(np.max(np.abs(entry))))
+    for p in range(len(jw.mask)):
+        qs = np.arange(p, len(jw.mask))
+        mask, v1 = jw.product(p, qs)
+        delta = qs == p ^ 1
+        entry = v1 + jw.product(qs, p)[1] - (delta & (mask == 0))[:, None]
+        worst = max(worst, float(np.max(np.abs(entry))), float(np.any(delta & (mask != 0))))
     return worst
 
 
@@ -157,7 +152,8 @@ def check_eigenstates(bog: BogoliubovDecomposition, eig: ed.SectorEigensystem,
 def check_thermal(bog: BogoliubovDecomposition, eig: ed.SectorEigensystem,
                   jw: ed.JordanWigner, beta: float) -> float:
     """Worst error of the Gibbs correlation matrix at inverse temperature
-    beta, against the oracle's Gibbs state held as its parity blocks."""
+    beta, against the oracle's Gibbs state held as its parity blocks,
+    which correlation_blocks reads in place."""
     rho = ed.thermal_state(eig, beta)
     return float(np.max(np.abs(thermal_gamma(bog, beta) - ed.correlation_blocks(rho, jw, eig.sectors))))
 

@@ -27,6 +27,11 @@ def _error(message: str) -> int:
     return 2
 
 
+def _out_of_memory(what: str, n: int, exc: MemoryError) -> int:
+    """Report a run out of memory in one line that names it and its n."""
+    return _error(f"{what} at n={n} ran out of memory" + (f": {exc}" if str(exc) else ""))
+
+
 def _cmd_run(args) -> int:
     try:
         with open(args.config) as fh:
@@ -42,6 +47,8 @@ def _cmd_run(args) -> int:
         return _error(f"invalid config: {exc}")
     except (ValueError, RealizationError, EigensolverError) as exc:
         return _error(str(exc))
+    except MemoryError as exc:  # the in-process oracle; workers report theirs as RealizationError
+        return _out_of_memory(config.experiment, config.ensemble.n if config.ensemble else config.params["n"], exc)
     except OSError as exc:
         return _error(f"cannot write artifacts: {exc}")
     verdicts = payload.get("verdicts", {})
@@ -57,6 +64,8 @@ def _cmd_oracle_check(args) -> int:
         result = oracle_suite(**parse_config({"experiment": "oracle_check", "params": params}).params)
     except (ValueError, EigensolverError) as exc:  # the params of oracle_check are the command's flags
         return _error(str(exc).replace("params.", "--"))
+    except MemoryError as exc:
+        return _out_of_memory("oracle-check", args.n, exc)
     for name in sorted(result["checks"]):
         ok = result["checks"][name]
         print(f"{'PASS' if ok else 'FAIL'}  {name}  (max error {result['max_errors'][name]:.3e})")

@@ -1,18 +1,18 @@
 """Brute-force full-Hilbert-space oracle, capped at n = 14; measured
-reach: oracle_suite at n = 12 in about 4 s, n = 13 in 34 s (1.0 GiB peak
-RSS) and n = 14 in 304 s (3.4 GiB, under a 4 GiB address-space limit)
-per realization on one core.
+reach: oracle_suite at n = 12 in about 5 s (242 MiB peak RSS), n = 13 in
+35 s (827 MiB) and n = 14 in 304 s (at most 3.4 GiB) per realization on
+one core.
 
 Everything here is assembled from the Pauli and Jordan-Wigner definitions
 by bit operations on the spin basis, independent of the free-fermion
 machinery, so it can certify that machinery.  Site 1 is the most
 significant bit of a basis index; bit 0 means up (sigma_z = +1), and
 up-spins are the particles.  H is real and held as its bit-flip
-diagonals (build_H), and each fermion operator is a signed partial
-permutation of the basis (JordanWigner).  H keeps the parity of the
-down-spin count and the isotropic H keeps the count itself, so
-eigensystems and Gibbs states are held one symmetry sector at a time
-(Sectors, SectorEigensystem); no 2^n x 2^n matrix is formed.
+diagonals (build_H), and each fermion operator as one signed bit flip
+(JordanWigner).  H keeps the parity of the down-spin count and the
+isotropic H keeps the count itself, so eigensystems and Gibbs states are
+held one symmetry sector at a time (Sectors, SectorEigensystem); no
+2^n x 2^n matrix is formed.
 """
 
 from __future__ import annotations
@@ -38,31 +38,31 @@ def _site_bits(n: int, j: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class JordanWigner:
-    """The interleaved o = (c_1, c_1^*, ..., c_n, c_n^*) as signed partial
-    permutations, o_p e_s = sgn[p, s] e_{tgt[p, s]} (sgn 0 where o_p
-    annihilates e_s); all are real, so o_p^* = o_{p^1} = o_p^T."""
+    """The interleaved o = (c_1, c_1^*, ..., c_n, c_n^*) as signed bit
+    flips, o_p e_s = sgn[p, s] e_{s ^ mask[p]} (sgn 0 where o_p annihilates
+    e_s), the form of build_H; all are real, so o_p^* = o_{p^1} = o_p^T."""
 
-    tgt: np.ndarray  # (2n, 2^n) target basis indices
+    mask: np.ndarray  # (2n,) bits each operator flips
     sgn: np.ndarray  # (2n, 2^n) signs in {-1, 0, 1}
 
     def product(self, p, q) -> tuple:
-        """(tgt, sgn) of o_p o_q; p or q may be an index array (one row each)."""
-        return self.tgt[p][..., self.tgt[q]], self.sgn[q] * self.sgn[p][..., self.tgt[q]]
+        """o_p o_q as a bit-flip diagonal (mask, values); p or q may be an
+        index array (one row each)."""
+        flip = np.arange(self.sgn.shape[1]) ^ self.mask[q][..., None]
+        return self.mask[p] ^ self.mask[q], self.sgn[q] * self.sgn[np.asarray(p)[..., None], flip]
 
 
 def all_c(n: int) -> JordanWigner:
     """c_j = sigma_z^(1) ... sigma_z^(j-1) a_j flips site j from up to down
     with sign (-1)^(down-spins left of j); c_j^* flips it back."""
     _check_n(n)
-    s = np.arange(2**n)
     string = np.ones(2**n)
-    tgt, sgn = [], []
+    sgn = []
     for j in range(1, n + 1):
         down = _site_bits(n, j)
-        tgt += [s ^ (1 << (n - j))] * 2
         sgn += [string * (1 - down), string * down]
         string = string * (1 - 2 * down)
-    return JordanWigner(np.array(tgt), np.array(sgn))
+    return JordanWigner(np.repeat(1 << np.arange(n - 1, -1, -1), 2), np.array(sgn))
 
 
 def occupation_mask(n: int, x: int) -> np.ndarray:
@@ -172,12 +172,14 @@ def spectral(H: dict, sectors: Sectors) -> SectorEigensystem:
 
 def schroedinger_evolve_state(psi: np.ndarray, eig: SectorEigensystem, t: float) -> np.ndarray:
     """e^{-itH} psi, sector by sector; a sector where psi vanishes (all but
-    one for a basis state) is skipped."""
+    one for a basis state) is skipped.  The real eigenvectors multiply the
+    real and imaginary parts apart, so no complex copy of them is made."""
     out = np.zeros(len(psi), dtype=complex)
     for idx, evals, evecs in zip(eig.sectors.index, eig.evals, eig.evecs):
         part = psi[idx]
         if part.any():
-            out[idx] = evecs @ (np.exp(-1j * t * evals) * (evecs.T @ part))
+            c = np.exp(-1j * t * evals) * (evecs.T @ part.real + 1j * (evecs.T @ part.imag))
+            out[idx] = evecs @ c.real + 1j * (evecs @ c.imag)
     return out
 
 
@@ -209,26 +211,23 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
 
 def correlation_blocks(state, jw: JordanWigner, sectors: Sectors | None = None) -> np.ndarray:
-    """G[p, q] = <o_p o_q^*> in the interleaved (c_j, c_j^*) ordering, for a
-    vector state (the Gram matrix of the gathers o_q^* psi =
-    sgn_q psi[tgt_q]) or, with its sectors, for a density matrix given as
-    its diagonal blocks, one per sector, one row p at a time:
-    G[p, q] = sum_s sgn_q(s) sgn_p(s) rho[tgt_q(s), tgt_p(s)], an entry that
-    is 0 unless both targets lie in one sector, which parity sectors always
-    give (each target flips one bit of s)."""
+    """G[p, q] = <o_p o_q^*> in the interleaved (c_j, c_j^*) ordering, with
+    targets tgt = s ^ mask: for a vector state, the Gram matrix of the
+    gathers o_q^* psi = sgn_q psi[tgt_q]; with its sectors, for a density
+    matrix given as its diagonal blocks, G[p, q] = sum_s sgn_q(s) sgn_p(s)
+    rho[tgt_q(s), tgt_p(s)] over the s whose two targets lie in one
+    sector, one gather per block, read in place."""
+    tgt = np.arange(len(jw.sgn[0])) ^ jw.mask[:, None]
     if sectors is None:
-        U = jw.sgn * state[jw.tgt]
+        U = jw.sgn * state[tgt]
         return U.conj() @ U.T
-    dims = np.array([len(idx) for idx in sectors.index])
-    offset = np.concatenate([[0], np.cumsum(dims**2)[:-1]])
-    flat = np.concatenate([block.ravel() for block in state])
-    label, position = sectors.label[jw.tgt], sectors.position[jw.tgt]
-    row = offset[label] + position * dims[label]  # start of row tgt_q(s) in its block
-    G = np.empty((len(jw.tgt), len(jw.tgt)), dtype=flat.dtype)
-    for p in range(len(jw.tgt)):
-        inside = label == label[p]
-        entry = flat[np.where(inside, row + position[p], 0)]
-        G[p] = np.sum(np.where(inside, jw.sgn * jw.sgn[p] * entry, 0.0), axis=1)
+    label, position = sectors.label[tgt], sectors.position[tgt]
+    G = 0.0
+    for k, block in enumerate(state):
+        inside = label == k
+        rows = inside.any(axis=0)
+        w, at = np.where(inside, jw.sgn, 0.0)[:, rows], np.where(inside, position, 0)[:, rows]
+        G = G + np.einsum("qps,qs,ps->pq", block[at[:, None], at], w, w)
     return G
 
 
@@ -237,13 +236,6 @@ def match_eigenstates(target_energies, evals, tol: float = 1e-6):
     eigenvalue.  Returns (indices, degenerate_flags): a flag is set when
     the match is ambiguous within tol, in which case state-resolved
     comparisons for that label should be skipped."""
-    evals = np.asarray(evals)
-    indices = []
-    flags = []
-    for e in np.asarray(target_energies):
-        d = np.abs(evals - e)
-        k = int(np.argmin(d))
-        ambiguous = np.sum(d < d[k] + tol) > 1
-        indices.append(k)
-        flags.append(bool(ambiguous))
-    return np.array(indices), np.array(flags)
+    d = np.abs(np.asarray(evals)[None, :] - np.asarray(target_energies)[:, None])
+    indices = np.argmin(d, axis=1)
+    return indices, np.sum(d < d[np.arange(len(d)), indices, None] + tol, axis=1) > 1

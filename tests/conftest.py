@@ -90,7 +90,7 @@ def chain_factory(rng):
 
 # ---------------------------------------------------------------------------
 # test-only oracle helpers and the np.kron reference of the Jordan-Wigner
-# tables and of the bit-built H
+# operators and of the bit-built H
 
 PAULI = {
     "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -145,15 +145,15 @@ def region_H(chain, a, b):
 
 
 def dense_op(jw, p):
-    """The interleaved operator o_p of the oracle's tables as a dense matrix."""
-    dim = jw.tgt.shape[1]
-    op = np.zeros((dim, dim))
-    op[jw.tgt[p], np.arange(dim)] = jw.sgn[p]
+    """The interleaved operator o_p of the oracle as a dense matrix."""
+    s = np.arange(jw.sgn.shape[1])
+    op = np.zeros((len(s), len(s)))
+    op[s ^ jw.mask[p], s] = jw.sgn[p]
     return op
 
 
 def dense_cs(n):
-    """[c_1, ..., c_n] as dense matrices made from the oracle's tables."""
+    """[c_1, ..., c_n] as dense matrices made from the oracle's bit flips."""
     jw = ed.all_c(n)
     return [dense_op(jw, 2 * j) for j in range(n)]
 

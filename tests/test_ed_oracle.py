@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -137,11 +139,11 @@ def _pairwise_correlation_blocks(state, n):
 
 
 def test_correlation_blocks_match_pairwise_products(rng):
-    # the table gathers against the operator-product double loop on an
+    # the gathers at s ^ mask against the operator-product double loop on an
     # eigenvector, a thermal density matrix held as its parity blocks (and
     # as the unequal number blocks of an isotropic chain) and an evolved
     # complex vector of mixed parity
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         jw = ed.all_c(n)
         eig = ed.spectral(ed.build_H(random_chain(rng, n)), ed.parity_sectors(n))
         iso = ed.spectral(ed.build_H(random_chain(rng, n, anisotropic=False)), ed.number_sectors(n))
@@ -156,6 +158,32 @@ def test_correlation_blocks_match_pairwise_products(rng):
         for state, G in cases:
             assert G.shape == (2 * n, 2 * n)
             assert np.max(np.abs(G - _pairwise_correlation_blocks(state, n))) < 1e-14
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_correlation_blocks_read_the_density_blocks_in_place(rng):
+    # two 1024 x 1024 parity blocks at n = 11 take 16 MiB; a flat copy of
+    # them would double that
+    n = 11
+    blocks = tuple(rng.normal(size=(2 ** (n - 1),) * 2) for _ in range(2))
+    peak = _traced_peak(ed.correlation_blocks, blocks, ed.all_c(n), ed.parity_sectors(n))
+    assert peak < sum(b.nbytes for b in blocks)
+
+
+def test_evolving_a_basis_state_makes_no_complex_copy_of_the_eigenvectors(rng):
+    n = 10
+    eig = ed.spectral(ed.build_H(random_chain(rng, n)), ed.parity_sectors(n))
+    complex_copy = 16 * max(len(idx) for idx in eig.sectors.index) ** 2  # 4 MiB
+    peak = _traced_peak(ed.schroedinger_evolve_state, spin_basis_vector(n, [1, 3]), eig, 0.7)
+    assert peak < complex_copy / 4
 
 
 def _dense_thermal(evals, evecs, beta):
@@ -253,7 +281,7 @@ def test_site_cap():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_tables_give_the_kron_chain_operators_bit_for_bit(n):
     jw = ed.all_c(n)
-    assert jw.tgt.shape == jw.sgn.shape == (2 * n, 2**n)
+    assert jw.mask.shape == (2 * n,) and jw.sgn.shape == (2 * n, 2**n)
     for j in range(1, n + 1):
         c = kron_jordan_wigner_c(n, j)
         assert not c.imag.any()
@@ -261,9 +289,9 @@ def test_tables_give_the_kron_chain_operators_bit_for_bit(n):
         assert np.array_equal(dense_op(jw, 2 * j - 1), c.real.T)
         for p in (2 * j - 2, 2 * j - 1):
             for q in range(2 * n):
-                tgt, sgn = jw.product(p, q)
+                mask, values = jw.product(p, q)
                 product = np.zeros((2**n, 2**n))
-                product[tgt, np.arange(2**n)] = sgn
+                product[np.arange(2**n) ^ mask, np.arange(2**n)] = values
                 assert np.array_equal(product, dense_op(jw, p) @ dense_op(jw, q))
 
 

@@ -412,6 +412,25 @@ def test_cli_reports_an_eigensolver_failure_outside_the_pool_in_one_line(monkeyp
                    "(LAPACK info=1)\n")
 
 
+@pytest.mark.parametrize("argv", [["oracle-check", "--n", "13", "--realizations", "1"],
+                                  ["run", "config.json"]], ids=["oracle-check", "run"])
+def test_cli_reports_running_out_of_memory_in_one_line(tmp_path, argv):
+    # the suite at n = 13 peaks near 1 GiB; under a 700 MiB address-space
+    # limit on the child alone its MemoryError is one line and exit code 2
+    resource = pytest.importorskip("resource")
+    (tmp_path / "config.json").write_text(json.dumps({
+        "experiment": "oracle_check", "params": {"n": 13, "realizations": 1},
+        "output_dir": str(tmp_path / "out")}))
+    limit = 700 << 20
+    r = subprocess.run([sys.executable, "-m", "xylab.cli", *argv], capture_output=True, text=True,
+                       cwd=tmp_path, env={**_child_env(), "OPENBLAS_NUM_THREADS": "1"},
+                       preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert r.returncode == 2, r.stderr
+    what = argv[0] if argv[0] == "oracle-check" else "oracle_check"
+    assert r.stderr.startswith(f"error: {what} at n=13 ran out of memory")
+    assert r.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_oracle_suite_at_one_and_two_sites(n):
     result = certify.oracle_suite(n, 42, 3)
@@ -478,13 +497,16 @@ def _car_all_pairs(ops):
 def test_check_car_over_j_le_k_equals_the_all_pairs_loop(n):
     jw = ed.all_c(n)
     assert certify.check_car(jw) == _car_all_pairs(_kron_interleaved(n)) == 0.0
-    # one flipped sign, or one wrong target, breaks CAR
+    # one flipped sign, or one wrong mask, breaks CAR; so does a zero c_n^*
+    # on another mask than c_n's, where only the lone -delta at s shows
     p, s = 2 * (n - 1), 0  # c_n acts on e_0, all up
-    flipped = ed.JordanWigner(jw.tgt, jw.sgn.copy())
+    flipped = ed.JordanWigner(jw.mask, jw.sgn.copy())
     flipped.sgn[p, s] *= -1.0
-    wrong = ed.JordanWigner(jw.tgt.copy(), jw.sgn)
-    wrong.tgt[p, s] = 2**n - 1 - jw.tgt[p, s]
-    for broken in (flipped, wrong):
+    wrong = ed.JordanWigner(jw.mask.copy(), jw.sgn)
+    wrong.mask[p] ^= 1 << (n - 1)  # c_n flips site 1's bit too (at n = 1, no bit)
+    zero = ed.JordanWigner(jw.mask.copy(), jw.sgn.copy())
+    zero.mask[p + 1], zero.sgn[p + 1] = 0, 0.0
+    for broken in (flipped, wrong, zero):
         ops = [dense_op(broken, q) for q in range(2 * n)]
         assert certify.check_car(broken) == _car_all_pairs(ops) > 0.0
 
